@@ -3,7 +3,9 @@
 All exact values are serialized as strings ("3/2", "e^{i*pi*1/2}"), never as
 floats, so reports round-trip losslessly.  JSON reports are byte-deterministic
 for a fixed (input, seed); wall-clock timing appears only in the human-readable
-table output.  Exit codes: 0 success, 1 suite/verdict failure, 2 input error.
+table output.  Exit codes: 0 success, 1 suite/verdict failure, 2 input error,
+3 internal error (two independent computations disagreed, or a certificate
+failed).
 """
 from __future__ import annotations
 
@@ -460,6 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except (cohomology.InternalInconsistency, convexity.CertificateError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     report = {"command": args.command, "results": results}
     failed = _has_failures(results)
     if args.json:

@@ -11,10 +11,23 @@ independent routes that must agree:
     a*p + b*q = -d and the induced congruences -p = k1 (l1), -q = k2 (l2).
 
 On a chain, restriction to the normalization gives the exact sequence whose
-connecting map F evaluates sections at the nodes; h^0 = dim ker F and
-h^1 = sum of component h^1 plus dim coker F.  A monomial x^i y^j is nonzero
-at x1 iff j = 0 and at x2 iff i = 0, so F has at most two +-1 entries per
-row and its rank is computed exactly.
+connecting map F evaluates sections at the active nodes (those whose
+isotropy acts trivially on the fiber):
+
+    h^0 = sum of component h^0 - rank F,
+    h^1 = sum of component h^1 + #active nodes - rank F.
+
+A monomial x^i y^j is nonzero at x1 iff j = 0 and at x2 iff i = 0, so each
+piece has at most one column per end, and the two are one column (the
+constant monomial) when d = 0.  F is then the signed incidence matrix of a
+path: every row has at most two +-1 entries, in the columns at the two ends
+of its node.  Its rank is the number of touched columns minus the number of
+connected runs of columns that no single-entry row grounds, which one
+left-to-right scan counts.  `chain_step` is that scan as a fold with O(1)
+state over the per-piece end data of `piece_ends`, so an enumeration that
+extends chains piece by piece carries prefix states instead of recomputing
+them.  `h_chain_by_elimination` keeps the matrix and Gaussian elimination as
+an independent oracle for tests and sampled cross-checks.
 """
 from __future__ import annotations
 
@@ -127,6 +140,61 @@ def report_riemann_roch(L: EqLineBundle) -> CohomologyReport:
     return CohomologyReport(int(h0), h1, chi, method="riemann-roch")
 
 
+PieceEnds = tuple[int, int, bool, bool, bool, bool]
+ChainState = tuple[int, int, bool, bool, bool]
+
+# The fold over no pieces.  A state is (h0, h1, g, left, active): h0 and h1
+# of the prefix, g whether the last piece's x2 column is touched by a row and
+# its run is grounded, left whether the last piece has an x2 column, and
+# active whether the node after the last piece is active.
+CHAIN_START: ChainState = (0, 0, False, False, False)
+
+
+def piece_ends(L: EqLineBundle) -> PieceEnds:
+    """(h0, h1, nonzero at x1, nonzero at x2, d == 0, trivial at x2) of one piece."""
+    h0, basis = h0_component(L)
+    h1, _ = h1_component(L)
+    return (
+        h0,
+        h1,
+        bool(basis.nonzero_at(MarkedPoint.X1)),
+        bool(basis.nonzero_at(MarkedPoint.X2)),
+        L.d == 0,
+        acts_trivially_at(L, MarkedPoint.X2),
+    )
+
+
+def chain_step(state: ChainState, piece: PieceEnds) -> ChainState:
+    """Extend a chain prefix by one piece, gluing it at the node between them."""
+    h0, h1, g, left, active = state
+    p_h0, p_h1, nz1, nz2, merged, trivial2 = piece
+    if not active:
+        return (h0 + p_h0, h1 + p_h1, False, nz2, trivial2)
+    if nz1:
+        # the row reaches the piece's fresh x1 column, so the rank grows; that
+        # run is grounded when the left column was or is absent, and it goes on
+        # to the x2 end only through the constant monomial (d == 0)
+        return (h0 + p_h0 - 1, h1 + p_h1, merged and (g or not left), nz2, trivial2)
+    # the row grounds the left column; independent unless already grounded
+    rank = 1 if left and not g else 0
+    return (h0 + p_h0 - rank, h1 + p_h1 + 1 - rank, False, nz2, trivial2)
+
+
+def _check_chain_bundle(B: ChainBundle) -> None:
+    violations = B.validate()
+    if violations:
+        raise ValueError("invalid chain bundle: " + "; ".join(violations))
+
+
+def h_chain(B: ChainBundle) -> CohomologyReport:
+    _check_chain_bundle(B)
+    state = CHAIN_START
+    for piece in B.pieces:
+        state = chain_step(state, piece_ends(piece))
+    euler = sum((riemann_roch_check(p) for p in B.pieces), Fraction(0)) - n_active_euler(B)
+    return CohomologyReport(state[0], state[1], euler, method="chain")
+
+
 def _node_rows(B: ChainBundle) -> tuple[list[list[Fraction]], int, int]:
     """Node evaluation matrix of the normalization sequence.
 
@@ -162,17 +230,13 @@ def _node_rows(B: ChainBundle) -> tuple[list[list[Fraction]], int, int]:
     return rows, n_active, total
 
 
-def h_chain(B: ChainBundle) -> CohomologyReport:
-    violations = B.validate()
-    if violations:
-        raise ValueError("invalid chain bundle: " + "; ".join(violations))
+def h_chain_by_elimination(B: ChainBundle) -> tuple[int, int]:
+    """Oracle for h_chain: (h0, h1) from the whole node matrix by Gaussian elimination."""
+    _check_chain_bundle(B)
     h1_comps = sum(h1_component(p)[0] for p in B.pieces)
     rows, n_active, total_h0 = _node_rows(B)
     rank = mat_rank(rows) if rows else 0
-    h0 = total_h0 - rank
-    h1 = h1_comps + (n_active - rank)
-    euler = sum((riemann_roch_check(p) for p in B.pieces), Fraction(0)) - n_active_euler(B)
-    return CohomologyReport(h0, h1, euler, method="chain")
+    return total_h0 - rank, h1_comps + n_active - rank
 
 
 def n_active_euler(B: ChainBundle) -> int:

@@ -1,8 +1,8 @@
 """Tiny exact linear algebra over Fraction / PhasedScalar entries.
 
-All matrices here are lists of lists and small (node-evaluation matrices,
-pairing matrices, operator blocks), so plain Gaussian elimination with exact
-pivots is both simplest and fast enough.
+All matrices here are lists of lists and small (pairing matrices, operator
+blocks), so plain Gaussian elimination with exact pivots is both simplest and
+fast enough.
 """
 from __future__ import annotations
 

@@ -2,10 +2,11 @@
 
 Each suite checks one mathematical statement over a bounded family and
 reports instance/failure counts with a first counterexample if any.  The
-heavy chain enumerations run on a cached integer core (component-level
-cohomology counts and node characters keyed by small int tuples) whose
-values are re-derived through the public dataclass API on a systematic
-sample of instances, so the fast path cannot drift from the real one.
+heavy chain enumerations extend chains piece by piece and carry the prefix
+states of the chain-cohomology fold (`cohomology.chain_step`) over cached
+per-component tables of fold data.  A systematic sample of instances is
+recomputed through the public dataclass API by Gaussian elimination
+(`cohomology.h_chain_by_elimination`), which shares no code with the fold.
 
 Summand additivity is used where it is exact: h^1 of a direct sum is the sum
 of summand h^1's (and the rank formula is additive in the sector weights),
@@ -27,7 +28,7 @@ from math import gcd
 from . import bundles, cohomology, convexity, curves, sectors, series, wps
 from .foundation import Phase
 
-SAMPLE_EVERY = 199  # every k-th fast-core instance is replayed through the API
+SAMPLE_EVERY = 199  # every k-th sweep instance is replayed through the elimination oracle
 
 
 @dataclass
@@ -51,9 +52,8 @@ def default_workers() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cached integer core.  A component is (a, b, l1, l2); a bundle on it is
-# (k1, k2, d).  Characters are the fiber weights of the canonical isotropy
-# generators, stored as integer numerators modulo the isotropy order.
+# Components and chains.  A component is (a, b, l1, l2); a bundle on it is
+# (k1, k2, d).
 # ---------------------------------------------------------------------------
 
 
@@ -71,162 +71,6 @@ def component_family(max_ab: int, max_l: int) -> list[tuple[int, int, int, int]]
     return out
 
 
-@lru_cache(maxsize=None)
-def _h0(comp, bnd) -> int:
-    a, b, l1, l2 = comp
-    k1, k2, d = bnd
-    if d < 0:
-        return 0
-    n = 0
-    for i in range(0, d // a + 1):
-        if i % l1 != k1 % l1:
-            continue
-        rem = d - a * i
-        if rem % b == 0 and (rem // b) % l2 == k2 % l2:
-            n += 1
-    return n
-
-
-@lru_cache(maxsize=None)
-def _h1(comp, bnd) -> int:
-    a, b, l1, l2 = comp
-    k1, k2, d = bnd
-    if d > -(a + b):
-        return 0
-    n = 0
-    for p in range(1, (-d) // a + 1):
-        if (-p) % l1 != k1 % l1:
-            continue
-        rem = -d - a * p
-        if rem >= b and rem % b == 0 and (-(rem // b)) % l2 == k2 % l2:
-            n += 1
-    return n
-
-
-@lru_cache(maxsize=None)
-def _x1_sol(comp, bnd) -> bool:
-    """A basis monomial not vanishing at x1 exists (namely x^{d/a})."""
-    a, b, l1, l2 = comp
-    k1, k2, d = bnd
-    return d >= 0 and d % a == 0 and (d // a) % l1 == k1 % l1 and k2 % l2 == 0
-
-
-@lru_cache(maxsize=None)
-def _x2_sol(comp, bnd) -> bool:
-    a, b, l1, l2 = comp
-    k1, k2, d = bnd
-    return d >= 0 and d % b == 0 and (d // b) % l2 == k2 % l2 and k1 % l1 == 0
-
-
-@lru_cache(maxsize=None)
-def _char_x1(comp, bnd) -> int:
-    """Canonical-generator fiber weight numerator mod c at x1."""
-    a, b, l1, l2 = comp
-    k1, k2, d = bnd
-    c = a * l1 * l2
-    t = pow(a * l1 - b * l2, -1, c)
-    return (t * (a * l2 * k1 + a * l1 * k2 - l2 * d)) % c
-
-
-@lru_cache(maxsize=None)
-def _char_x2(comp, bnd) -> int:
-    a, b, l1, l2 = comp
-    k1, k2, d = bnd
-    r = b * l1 * l2
-    t = pow(b * l2 - a * l1, -1, r)
-    return (t * (b * l2 * k1 + b * l1 * k2 - l1 * d)) % r
-
-
-def _twist(comp, bnd, point: int, sign: int):
-    """Tensor with O(x1) or O(x2) (or duals): x1 ~ (0,1,b), x2 ~ (1,0,a)."""
-    a, b, l1, l2 = comp
-    k1, k2, d = bnd
-    if point == 1:
-        return (k1 % l1, (k2 + sign) % l2, d + sign * b)
-    return ((k1 + sign) % l1, k2 % l2, d + sign * a)
-
-
-def _dual(comp, bnd):
-    _, _, l1, l2 = comp
-    k1, k2, d = bnd
-    return ((-k1) % l1, (-k2) % l2, -d)
-
-
-def _rank_int(rows: list[list[int]]) -> int:
-    """Rank of a small integer matrix by fraction-free elimination."""
-    m = [row[:] for row in rows if any(row)]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    col = 0
-    while m and col < ncols:
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f_num, f_den = m[r][col], pr[col]
-                m[r] = [x * f_den - y * f_num for x, y in zip(m[r], pr)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def chain_h0_h1(pieces: tuple) -> tuple[int, int]:
-    """(h0, h1) of a line bundle on a chain; pieces = ((comp, bnd), ...).
-
-    Normalization sequence: h0 = ker of the node evaluation map, h1 = sum of
-    component h1 plus its cokernel.  Only the (at most one per end) monomials
-    nonzero at a node enter the evaluation matrix.
-    """
-    n = len(pieces)
-    h0s = [_h0(c, bd) for c, bd in pieces]
-    h1_total = sum(_h1(c, bd) for c, bd in pieces)
-    if n == 1:
-        return h0s[0], h1_total
-    # columns: per component, the end-nonzero monomials (same monomial when d=0)
-    col_ids: dict[tuple, int] = {}
-
-    def col(j: int, end: str) -> int:
-        comp, bnd = pieces[j]
-        key = (j, "both") if bnd[2] == 0 else (j, end)
-        if key not in col_ids:
-            col_ids[key] = len(col_ids)
-        return col_ids[key]
-
-    rows = []
-    n_active = 0
-    for j in range(n - 1):
-        cl, bl = pieces[j]
-        cr, br = pieces[j + 1]
-        r_left = cl[1] * cl[2] * cl[3]
-        r_right = cr[0] * cr[2] * cr[3]
-        assert r_left == r_right, "node isotropy mismatch in suite enumeration"
-        chl = _char_x2(cl, bl)
-        chr_ = _char_x1(cr, br)
-        assert (chl + chr_) % r_left == 0, "unbalanced node in suite enumeration"
-        if chl % r_left != 0:
-            continue
-        n_active += 1
-        entries = []
-        if _x2_sol(cl, bl):
-            entries.append((col(j, "x2"), 1))
-        if _x1_sol(cr, br):
-            entries.append((col(j + 1, "x1"), -1))
-        rows.append((len(rows), entries))
-    ncols = len(col_ids)
-    mat = [[0] * ncols for _ in rows]
-    for ridx, entries in rows:
-        for cidx, v in entries:
-            mat[ridx][cidx] += v
-    rank = _rank_int(mat) if mat and ncols else 0
-    h0 = sum(h0s) - rank
-    h1 = h1_total + (n_active - rank)
-    return h0, h1
-
-
 def chain_adjacency(comps: list[tuple]) -> list[list[int]]:
     orders_c = [a * l1 * l2 for a, b, l1, l2 in comps]
     orders_d = [b * l1 * l2 for a, b, l1, l2 in comps]
@@ -234,7 +78,12 @@ def chain_adjacency(comps: list[tuple]) -> list[list[int]]:
 
 
 def iter_chains(comps: list[tuple], max_len: int, first: int | None = None):
-    """Yield tuples of component indices forming valid chains, lazily (DFS)."""
+    """Yield tuples of component indices forming valid chains, lazily (DFS).
+
+    The order is depth-first pre-order, so the prefix of a chain with one
+    component fewer is the last chain of that length yielded before it; the
+    sweeps rely on this to carry prefix states by depth.
+    """
     adjacency = chain_adjacency(comps)
     starts = range(len(comps)) if first is None else [first]
     for i in starts:
@@ -252,7 +101,7 @@ def iter_chains(comps: list[tuple], max_len: int, first: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _api_chain(chain_comps: tuple, pieces: tuple):
+def _api_chain(chain_comps: list, pieces: list):
     comps = [curves.TwistedComponent(*c) for c in chain_comps]
     chain = curves.CurveChain(tuple(comps))
     return bundles.ChainBundle(
@@ -260,17 +109,26 @@ def _api_chain(chain_comps: tuple, pieces: tuple):
     )
 
 
-def _api_check_convexity_instance(chain_comps: tuple, pieces: tuple, expected_h1: int) -> None:
+def _api_check_convexity_instance(chain_comps: list, pieces: list, expected_h1: int) -> None:
     cb = _api_chain(chain_comps, pieces)
-    rep = cohomology.h_twisted(cb, curves.MarkedPoint.X2, -1)
-    assert rep.h1 == expected_h1, (chain_comps, pieces, rep.h1, expected_h1)
+    _, h1 = cohomology.h_chain_by_elimination(bundles.chain_twist(cb, curves.MarkedPoint.X2, -1))
+    if h1 != expected_h1:
+        raise cohomology.InternalInconsistency(
+            f"h1(L(-x2)) of {pieces} on {chain_comps}: sweep {expected_h1}, elimination {h1}"
+        )
 
 
 def _api_check_concavity_instance(chain_comps, pieces, expected_hc, expected_hd) -> None:
     cb = _api_chain(chain_comps, pieces)
-    hc = cohomology.h_twisted(cb, curves.MarkedPoint.X2, -1).h1
-    hd = cohomology.h_twisted(bundles.chain_dual(cb), curves.MarkedPoint.X1, -1).h0
-    assert (hc, hd) == (expected_hc, expected_hd), (chain_comps, pieces, hc, hd)
+    _, hc = cohomology.h_chain_by_elimination(bundles.chain_twist(cb, curves.MarkedPoint.X2, -1))
+    hd, _ = cohomology.h_chain_by_elimination(
+        bundles.chain_twist(bundles.chain_dual(cb), curves.MarkedPoint.X1, -1)
+    )
+    if (hc, hd) != (expected_hc, expected_hd):
+        raise cohomology.InternalInconsistency(
+            f"(h1(L(-x2)), h0(dual L(-x1))) of {pieces} on {chain_comps}: "
+            f"sweep {(expected_hc, expected_hd)}, elimination {(hc, hd)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -340,161 +198,123 @@ def suite_riemann_roch(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
 
 
 # ---------------------------------------------------------------------------
-# Criteria 4 and 5: chain enumerations on the fast core.
+# Criteria 4-6: chain enumerations carrying prefix states of the fold.
 # ---------------------------------------------------------------------------
 
 
 class _CompTables:
-    """Per-component arrays for the chain sweeps, indexed by bundle ordinal.
+    """Per-component tables for the chain sweeps, indexed by bundle ordinal.
 
-    For each bundle (k1, k2, d) in the grid this precomputes the node
-    characters and the (h0, h1, nonzero-at-x1, nonzero-at-x2, d == 0) tuples
-    of the four roles a piece can play: plain, twisted by -x2 (last component
-    of the convexity side), dualized (dual side), and dualized-then-twisted
-    by -x1 (first component of the dual side).
+    For each bundle (k1, k2, d) in the grid this holds the fold data
+    (`cohomology.piece_ends`) of the four roles a piece can play: plain,
+    twisted by -x2 (last component of the convexity side), dualized (dual
+    side), and dualized-then-twisted by -x1 (first component of the dual
+    side).  Nodes balance on ages, counted in units of one over the node's
+    isotropy order: `need[t]` is the age at x1 that the next piece must have,
+    and `by_age1` groups the bundles by their age at x1.
     """
 
-    __slots__ = ("bnds", "char1", "char2", "by1", "plain", "tw2", "dualx", "dtw1", "r2")
+    __slots__ = ("bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1")
 
     def __init__(self, comp, d_lo: int, d_hi: int):
-        a, b, l1, l2 = comp
-        self.r2 = b * l1 * l2
+        x1, x2 = curves.MarkedPoint.X1, curves.MarkedPoint.X2
+        c = curves.TwistedComponent(*comp)
         self.bnds = [
-            (k1, k2, d) for k1 in range(l1) for k2 in range(l2) for d in range(d_lo, d_hi + 1)
+            (k1, k2, d) for k1 in range(c.l1) for k2 in range(c.l2) for d in range(d_lo, d_hi + 1)
         ]
-        data = lambda bnd: (
-            _h0(comp, bnd),
-            _h1(comp, bnd),
-            _x1_sol(comp, bnd),
-            _x2_sol(comp, bnd),
-            bnd[2] == 0,
-        )
-        self.char1 = [_char_x1(comp, bnd) for bnd in self.bnds]
-        self.char2 = [_char_x2(comp, bnd) for bnd in self.bnds]
-        self.plain = [data(bnd) for bnd in self.bnds]
-        self.tw2 = [data(_twist(comp, bnd, 2, -1)) for bnd in self.bnds]
-        self.dualx = [data(_dual(comp, bnd)) for bnd in self.bnds]
-        self.dtw1 = [data(_twist(comp, _dual(comp, bnd), 1, -1)) for bnd in self.bnds]
-        self.by1: dict[int, list[int]] = {}
-        for t, ch in enumerate(self.char1):
-            self.by1.setdefault(ch, []).append(t)
+        lines = [bundles.EqLineBundle(c, *bnd) for bnd in self.bnds]
+        duals = [bundles.dual(L) for L in lines]
+        ends = cohomology.piece_ends
+        self.plain = [ends(L) for L in lines]
+        self.tw2 = [ends(bundles.twist_marked(L, x2, -1)) for L in lines]
+        self.dualx = [ends(L) for L in duals]
+        self.dtw1 = [ends(bundles.twist_marked(L, x1, -1)) for L in duals]
+        self.need = [int(-bundles.age_at(L, x2) * c.d) % c.d for L in lines]
+        self.by_age1: dict[int, list[int]] = {}
+        for t, L in enumerate(lines):
+            self.by_age1.setdefault(int(bundles.age_at(L, x1) * c.c), []).append(t)
 
 
-def _rank_le2(nz1: bool, nz2: bool, dep: bool) -> int:
-    return int(nz1) + int(nz2) - int(dep)
+@lru_cache(maxsize=None)
+def _comp_tables(comp, d_lo: int, d_hi: int) -> _CompTables:
+    return _CompTables(comp, d_lo, d_hi)
 
 
-def _h1_conv(tabs: list[_CompTables], idx: tuple[int, ...]) -> int:
-    """h1 of the bundle twisted by -x2, via the normalization sequence."""
-    n = len(idx)
-    if n == 1:
-        return tabs[0].tw2[idx[0]][1]
-    if n == 2:
-        p0 = tabs[0].plain[idx[0]]
-        p1 = tabs[1].tw2[idx[1]]
-        active = tabs[0].char2[idx[0]] == 0
-        nz = active and (p0[3] or p1[2])
-        return p0[1] + p1[1] + int(active) - int(nz)
-    p0 = tabs[0].plain[idx[0]]
-    p1 = tabs[1].plain[idx[1]]
-    p2 = tabs[2].tw2[idx[2]]
-    active1 = tabs[0].char2[idx[0]] == 0
-    active2 = tabs[1].char2[idx[1]] == 0
-    nz1 = active1 and (p0[3] or p1[2])
-    nz2 = active2 and (p1[3] or p2[2])
-    dep = nz1 and nz2 and p1[4] and p1[2] and p1[3] and not p0[3] and not p2[2]
-    rank = _rank_le2(nz1, nz2, dep)
-    return p0[1] + p1[1] + p2[1] + int(active1) + int(active2) - rank
+def _balanced_prefixes(tabs: list[_CompTables], roles: list[tuple]):
+    """Balanced bundle assignments of a chain, in lexicographic order.
 
-
-def _h0_dual(tabs: list[_CompTables], idx: tuple[int, ...]) -> int:
-    """h0 of the dualized bundle twisted by -x1."""
-    n = len(idx)
-    if n == 1:
-        return tabs[0].dtw1[idx[0]][0]
-    if n == 2:
-        p0 = tabs[0].dtw1[idx[0]]
-        p1 = tabs[1].dualx[idx[1]]
-        active = tabs[0].char2[idx[0]] == 0  # dual character vanishes iff plain does
-        nz = active and (p0[3] or p1[2])
-        return p0[0] + p1[0] - int(nz)
-    p0 = tabs[0].dtw1[idx[0]]
-    p1 = tabs[1].dualx[idx[1]]
-    p2 = tabs[2].dualx[idx[2]]
-    active1 = tabs[0].char2[idx[0]] == 0
-    active2 = tabs[1].char2[idx[1]] == 0
-    nz1 = active1 and (p0[3] or p1[2])
-    nz2 = active2 and (p1[3] or p2[2])
-    dep = nz1 and nz2 and p1[4] and p1[2] and p1[3] and not p0[3] and not p2[2]
-    rank = _rank_le2(nz1, nz2, dep)
-    return p0[0] + p1[0] + p2[0] - rank
-
-
-def _iter_balanced(tabs: list[_CompTables]):
-    """Yield index tuples of balanced bundle assignments, chain length <= 3."""
+    roles[k] holds one table of fold data per fold, used at position k.
+    Yields (idx, states, fits) for every balanced assignment idx of all
+    pieces but the last: states holds each fold over that prefix and fits
+    the bundle ordinals of the last piece that balance with it.
+    """
+    step = cohomology.chain_step
     n = len(tabs)
-    if n == 1:
-        for t0 in range(len(tabs[0].bnds)):
-            yield (t0,)
-        return
-    if n == 2:
-        r0 = tabs[0].r2
-        for t0 in range(len(tabs[0].bnds)):
-            req = (-tabs[0].char2[t0]) % r0
-            for t1 in tabs[1].by1.get(req, ()):
-                yield (t0, t1)
-        return
-    r0, r1 = tabs[0].r2, tabs[1].r2
-    for t0 in range(len(tabs[0].bnds)):
-        req1 = (-tabs[0].char2[t0]) % r0
-        for t1 in tabs[1].by1.get(req1, ()):
-            req2 = (-tabs[1].char2[t1]) % r1
-            for t2 in tabs[2].by1.get(req2, ()):
-                yield (t0, t1, t2)
+    stack = [((), (cohomology.CHAIN_START,) * len(roles[0]))]
+    while stack:
+        idx, states = stack.pop()
+        k = len(idx)
+        fits = tabs[k].by_age1.get(tabs[k - 1].need[idx[-1]], []) if k else range(len(tabs[0].bnds))
+        if k == n - 1:
+            yield idx, states, fits
+            continue
+        for t in reversed(fits):
+            stack.append((idx + (t,), tuple([step(s, role[t]) for s, role in zip(states, roles[k])])))
+
+
+def _pieces(tabs: list[_CompTables], idx: tuple[int, ...]) -> list:
+    return [list(tab.bnds[t]) for tab, t in zip(tabs, idx)]
+
+
+def _chain_suite(name: str, chunk, head: tuple, workers: int | None, keys: tuple) -> SuiteResult:
+    """Run a chain sweep as one chunk per first component and add up the tallies.
+
+    `head` holds the chunk arguments before the first component's index and
+    starts with (max_ab, max_l).
+    """
+    res = SuiteResult(name)
+    n_comps = len(component_family(*head[:2]))
+    for tally in _run_chunks(chunk, [head + (i,) for i in range(n_comps)], workers):
+        res.instances += tally["instances"]
+        res.failures += tally["failures"]
+        res.first_counterexample = res.first_counterexample or tally["first"]
+        for key in keys:
+            res.details[key] = res.details.get(key, 0) + tally[key]
+    return res
 
 
 def _convexity_chunk(args) -> dict:
     max_ab, max_l, max_d, max_len, first = args
-    if max_len > 3:
-        raise ValueError("convexity sweep is specialized to chains of length <= 3")
     comps = component_family(max_ab, max_l)
-    cache: dict[int, _CompTables] = {}
-    tally = {
-        "instances": 0,
-        "failures": 0,
-        "first": None,
-        "rank2_pairs": 0,
-        "rank2_failures": 0,
-        "sampled": 0,
-    }
+    step = cohomology.chain_step
+    instances = failures = sampled = rank2_pairs = rank2_failures = 0
+    first_cx = None
     for chain in iter_chains(comps, max_len, first):
-        for i in chain:
-            if i not in cache:
-                cache[i] = _CompTables(comps[i], 0, max_d)
-        tabs = [cache[i] for i in chain]
-        chain_comps = tuple(comps[i] for i in chain)
-        n_good = 0
-        n_line = 0
-        for idx in _iter_balanced(tabs):
-            h1 = _h1_conv(tabs, idx)
-            tally["instances"] += 1
-            n_line += 1
-            if h1 == 0:
-                n_good += 1
-            else:
-                tally["failures"] += 1
-                if tally["first"] is None:
-                    pieces = tuple(t.bnds[i] for t, i in zip(tabs, idx))
-                    tally["first"] = {"chain": chain_comps, "pieces": pieces, "h1": h1}
-            if tally["instances"] % SAMPLE_EVERY == 0:
-                pieces = tuple(t.bnds[i] for t, i in zip(tabs, idx))
-                _api_check_convexity_instance(chain_comps, pieces, h1)
-                tally["sampled"] += 1
+        tabs = [_comp_tables(comps[i], 0, max_d) for i in chain]
+        chain_comps = [list(comps[i]) for i in chain]
+        last = tabs[-1].tw2
+        n_line = n_good = 0
+        for idx, (state,), fits in _balanced_prefixes(tabs, [(tab.plain,) for tab in tabs]):
+            for t in fits:
+                h1 = step(state, last[t])[1]
+                instances += 1
+                n_line += 1
+                if h1 == 0:
+                    n_good += 1
+                else:
+                    failures += 1
+                    first_cx = first_cx or {"chain": chain_comps, "pieces": _pieces(tabs, idx + (t,)), "h1": h1}
+                if instances % SAMPLE_EVERY == 0:
+                    _api_check_convexity_instance(chain_comps, _pieces(tabs, idx + (t,)), h1)
+                    sampled += 1
         # every grid bundle is semi-positive (d >= 0), so rank-2 split bundles
         # fail exactly when one of the two summands has nonzero h1
-        tally["rank2_pairs"] += n_line * n_line
-        tally["rank2_failures"] += n_line * n_line - n_good * n_good
-    return tally
+        rank2_pairs += n_line * n_line
+        rank2_failures += n_line * n_line - n_good * n_good
+    return dict(
+        instances=instances, failures=failures, first=first_cx, sampled=sampled,
+        rank2_pairs=rank2_pairs, rank2_failures=rank2_failures,
+    )
 
 
 def suite_weak_convexity(
@@ -505,132 +325,122 @@ def suite_weak_convexity(
     Rank-1 bundles are enumerated exhaustively; rank-2 counts follow exactly
     by additivity of h1 over summands.
     """
-    res = SuiteResult("thm-weak-convexity")
-    comps = component_family(max_ab, max_l)
-    args = [(max_ab, max_l, max_d, max_len, i) for i in range(len(comps))]
-    for tally in _run_chunks(_convexity_chunk, args, workers):
-        res.instances += tally["instances"]
-        res.failures += tally["failures"]
-        if res.first_counterexample is None and tally["first"] is not None:
-            res.first_counterexample = _format_chain_cx(tally["first"])
-        for key in ("rank2_pairs", "rank2_failures", "sampled"):
-            res.details[key] = res.details.get(key, 0) + tally[key]
+    res = _chain_suite(
+        "thm-weak-convexity",
+        _convexity_chunk,
+        (max_ab, max_l, max_d, max_len),
+        workers,
+        ("rank2_pairs", "rank2_failures", "sampled"),
+    )
     res.failures += res.details.get("rank2_failures", 0)
     return res
 
 
 def _concavity_chunk(args) -> dict:
     max_ab, max_l, max_d, max_len, first = args
-    if max_len > 3:
-        raise ValueError("concavity sweep is specialized to chains of length <= 3")
     comps = component_family(max_ab, max_l)
-    cache: dict[int, _CompTables] = {}
-    tally = {
-        "instances": 0,
-        "failures": 0,
-        "first": None,
-        "sampled": 0,
-        # split-level convexity <-> concavity tallies: classes by
-        # (h1(L(-x2)) == 0, h0(dual L(-x1)) == 0)
-        "n_tt": 0,
-        "n_tf": 0,
-        "n_ft": 0,
-        "n_ff": 0,
-        "rank2_pairs": 0,
-        "rank2_equiv_failures": 0,
-    }
+    step = cohomology.chain_step
+    instances = failures = sampled = rank2_pairs = rank2_equiv_failures = 0
+    first_cx = None
+    # split-level convexity <-> concavity tallies: counts of the classes
+    # (h1(L(-x2)) == 0, h0(dual L(-x1)) == 0) in the order ff, ft, tf, tt
+    totals = [0, 0, 0, 0]
     for chain in iter_chains(comps, max_len, first):
-        for i in chain:
-            if i not in cache:
-                cache[i] = _CompTables(comps[i], -max_d, max_d)
-        tabs = [cache[i] for i in chain]
-        chain_comps = tuple(comps[i] for i in chain)
-        c_tt = c_tf = c_ft = c_ff = 0
-        for idx in _iter_balanced(tabs):
-            hc = _h1_conv(tabs, idx)
-            hd = _h0_dual(tabs, idx)
-            tally["instances"] += 1
-            if hc != hd:
-                tally["failures"] += 1
-                if tally["first"] is None:
-                    pieces = tuple(t.bnds[i] for t, i in zip(tabs, idx))
-                    tally["first"] = {"chain": chain_comps, "pieces": pieces, "h1": hc, "h0_dual": hd}
-            if hc == 0:
-                if hd == 0:
-                    c_tt += 1
-                else:
-                    c_tf += 1
-            elif hd == 0:
-                c_ft += 1
-            else:
-                c_ff += 1
-            if tally["instances"] % SAMPLE_EVERY == 0:
-                pieces = tuple(t.bnds[i] for t, i in zip(tabs, idx))
-                _api_check_concavity_instance(chain_comps, pieces, hc, hd)
-                tally["sampled"] += 1
+        tabs = [_comp_tables(comps[i], -max_d, max_d) for i in chain]
+        chain_comps = [list(comps[i]) for i in chain]
+        # two folds: L(-x2) on the convexity side, dual(L)(-x1) on the dual side
+        roles = [(tab.plain, tab.dtw1 if k == 0 else tab.dualx) for k, tab in enumerate(tabs)]
+        last_c = tabs[-1].tw2
+        last_d = roles[-1][1]
+        classes = [0, 0, 0, 0]
+        for idx, (state_c, state_d), fits in _balanced_prefixes(tabs, roles):
+            for t in fits:
+                hc = step(state_c, last_c[t])[1]
+                hd = step(state_d, last_d[t])[0]
+                instances += 1
+                if hc != hd:
+                    failures += 1
+                    first_cx = first_cx or {
+                        "chain": chain_comps,
+                        "pieces": _pieces(tabs, idx + (t,)),
+                        "h1": hc,
+                        "h0_dual": hd,
+                    }
+                classes[2 * (hc == 0) + (hd == 0)] += 1
+                if instances % SAMPLE_EVERY == 0:
+                    _api_check_concavity_instance(chain_comps, _pieces(tabs, idx + (t,)), hc, hd)
+                    sampled += 1
+        c_ff, c_ft, c_tf, c_tt = classes
         n = c_tt + c_tf + c_ft + c_ff
         x = c_tt + c_tf  # convex side count
         y = c_tt + c_ft  # concave side count
-        tally["rank2_pairs"] += n * n
-        tally["rank2_equiv_failures"] += x * x + y * y - 2 * c_tt * c_tt
-        tally["n_tt"] += c_tt
-        tally["n_tf"] += c_tf
-        tally["n_ft"] += c_ft
-        tally["n_ff"] += c_ff
-    return tally
+        rank2_pairs += n * n
+        rank2_equiv_failures += x * x + y * y - 2 * c_tt * c_tt
+        totals = [a + b for a, b in zip(totals, classes)]
+    n_ff, n_ft, n_tf, n_tt = totals
+    return dict(
+        instances=instances, failures=failures, first=first_cx, sampled=sampled,
+        n_tt=n_tt, n_tf=n_tf, n_ft=n_ft, n_ff=n_ff,
+        rank2_pairs=rank2_pairs, rank2_equiv_failures=rank2_equiv_failures,
+    )
 
 
 def suite_weak_concavity(
     max_ab: int = 4, max_l: int = 4, max_d: int = 8, max_len: int = 3, workers: int | None = None
 ) -> SuiteResult:
     """Convexity <-> concavity: h0(dual(L)(-x1)) = h1(L(-x2)) for every summand."""
-    res = SuiteResult("thm-weak-concavity")
-    comps = component_family(max_ab, max_l)
-    args = [(max_ab, max_l, max_d, max_len, i) for i in range(len(comps))]
-    for tally in _run_chunks(_concavity_chunk, args, workers):
-        res.instances += tally["instances"]
-        res.failures += tally["failures"]
-        if res.first_counterexample is None and tally["first"] is not None:
-            res.first_counterexample = _format_chain_cx(tally["first"])
-        for key in ("sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff"):
-            res.details[key] = res.details.get(key, 0) + tally[key]
+    res = _chain_suite(
+        "thm-weak-concavity",
+        _concavity_chunk,
+        (max_ab, max_l, max_d, max_len),
+        workers,
+        ("sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff"),
+    )
     res.failures += res.details.get("rank2_equiv_failures", 0)
     return res
 
 
-def _format_chain_cx(first: dict) -> dict:
-    out = {"chain": [list(c) for c in first["chain"]], "pieces": [list(p) for p in first["pieces"]]}
-    for k, v in first.items():
-        if k not in ("chain", "pieces"):
-            out[k] = v
-    return out
+def _api_check_log_canonical(chain_comps: list, expected: tuple) -> None:
+    chain = curves.CurveChain(tuple(curves.TwistedComponent(*c) for c in chain_comps))
+    cert = convexity.log_canonical_certificate(chain)
+    log_chain = bundles.trivial_chain_bundle(chain)
+    omega_x2 = bundles.chain_twist(log_chain, curves.MarkedPoint.X1, -1)
+    certified = (cert.h0_log_canonical, cert.h1_log_canonical, cert.h0_omega_x2, cert.h1_omega_x2)
+    eliminated = cohomology.h_chain_by_elimination(log_chain) + cohomology.h_chain_by_elimination(omega_x2)
+    if certified != expected or eliminated != expected:
+        raise cohomology.InternalInconsistency(
+            f"log canonical on {chain_comps}: sweep {expected}, certificate {certified}, "
+            f"elimination {eliminated}"
+        )
 
 
 def _log_canonical_chunk(args) -> dict:
     max_ab, max_l, max_len, first = args
     comps = component_family(max_ab, max_l)
+    step = cohomology.chain_step
     tally = {"instances": 0, "failures": 0, "first": None, "sampled": 0}
+    # prefix states by depth of omega(x1+x2), which is the trivial bundle, and
+    # of omega(x2) = omega(x1+x2)(-x1).  Ordinal 0 of the d = 0 grid is the
+    # trivial bundle, its own dual, so its dtw1 role is omega(x2)'s first piece.
+    log_can = [cohomology.CHAIN_START]
+    omega_x2 = [cohomology.CHAIN_START]
     for chain in iter_chains(comps, max_len, first):
-        chain_comps = tuple(comps[i] for i in chain)
-        trivial = tuple((c, (0, 0, 0)) for c in chain_comps)
-        h0, h1 = chain_h0_h1(trivial)
-        om_x2 = ((chain_comps[0], _twist(chain_comps[0], (0, 0, 0), 1, -1)),) + trivial[1:]
-        h0x, h1x = chain_h0_h1(om_x2)
+        k = len(chain)
+        tab = _comp_tables(comps[chain[-1]], 0, 0)
+        del log_can[k:], omega_x2[k:]
+        log_can.append(step(log_can[-1], tab.plain[0]))
+        omega_x2.append(step(omega_x2[-1], tab.dtw1[0] if k == 1 else tab.plain[0]))
+        values = log_can[k][:2] + omega_x2[k][:2]
         tally["instances"] += 1
-        ok = (h0, h1, h0x, h1x) == (1, 0, 0, 0)
-        if not ok:
+        if values != (1, 0, 0, 0):
             tally["failures"] += 1
-            if tally["first"] is None:
-                tally["first"] = {
-                    "chain": [list(c) for c in chain_comps],
-                    "log_canonical": (h0, h1),
-                    "omega_x2": (h0x, h1x),
-                }
+            tally["first"] = tally["first"] or {
+                "chain": [list(comps[i]) for i in chain],
+                "log_canonical": values[:2],
+                "omega_x2": values[2:],
+            }
         if tally["instances"] % SAMPLE_EVERY == 0:
-            comps_api = [curves.TwistedComponent(*c) for c in chain_comps]
-            cert = convexity.log_canonical_certificate(curves.CurveChain(tuple(comps_api)))
-            assert (cert.h0_log_canonical, cert.h1_log_canonical) == (h0, h1)
-            assert (cert.h0_omega_x2, cert.h1_omega_x2) == (h0x, h1x)
+            _api_check_log_canonical([list(comps[i]) for i in chain], values)
             tally["sampled"] += 1
     return tally
 
@@ -638,16 +448,7 @@ def _log_canonical_chunk(args) -> dict:
 def suite_log_canonical(
     max_ab: int = 4, max_l: int = 4, max_len: int = 6, workers: int | None = None
 ) -> SuiteResult:
-    res = SuiteResult("log-canonical")
-    comps = component_family(max_ab, max_l)
-    args = [(max_ab, max_l, max_len, i) for i in range(len(comps))]
-    for tally in _run_chunks(_log_canonical_chunk, args, workers):
-        res.instances += tally["instances"]
-        res.failures += tally["failures"]
-        if res.first_counterexample is None and tally["first"] is not None:
-            res.first_counterexample = tally["first"]
-        res.details["sampled"] = res.details.get("sampled", 0) + tally["sampled"]
-    return res
+    return _chain_suite("log-canonical", _log_canonical_chunk, (max_ab, max_l, max_len), workers, ("sampled",))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from orbicurve import cli, suites
+from orbicurve import cli, cohomology, convexity, suites
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +145,28 @@ def test_verify_suite_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(suites.SUITES, "h1-vanishing", failing_suite)
     code, out, _ = run_cli(capsys, "--json", "verify", "--suite", "h1-vanishing")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "error", [cohomology.InternalInconsistency("routes disagree"), convexity.CertificateError("not trivial")]
+)
+def test_internal_error_exit_code(capsys, monkeypatch, error):
+    def broken_suite(**kwargs):
+        raise error
+
+    monkeypatch.setitem(suites.SUITES, "h1-vanishing", broken_suite)
+    code, out, err = run_cli(capsys, "--json", "verify", "--suite", "h1-vanishing")
+    assert code == 3 and out == ""
+    assert err == f"internal error: {error}\n"
+
+
+def test_verify_sweep_takes_chains_longer_than_three(capsys):
+    code, out, _ = run_cli(
+        capsys, "--json", "verify", "--suite", "thm-weak-convexity",
+        "--max-a", "2", "--max-l", "2", "--max-d", "2", "--max-len", "4",
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["suites"][0]["instances"] > 0
 
 
 def test_series_verify_random(capsys):

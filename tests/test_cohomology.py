@@ -2,17 +2,30 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbicurve.bundles import ChainBundle, EqLineBundle, canonical_bundle, dual, tensor, trivial_chain_bundle
+from orbicurve.bundles import (
+    ChainBundle,
+    EqLineBundle,
+    age_at,
+    canonical_bundle,
+    chain_dual,
+    chain_twist,
+    dual,
+    tensor,
+    trivial_chain_bundle,
+)
 from orbicurve.cohomology import (
     h0_component,
     h1_component,
     h_chain,
+    h_chain_by_elimination,
     h_twisted,
     riemann_roch_check,
 )
 from orbicurve.curves import CurveChain, MarkedPoint, TwistedComponent, present
-from orbicurve.suites import component_family
+from orbicurve.suites import chain_adjacency, component_family
 
 P1 = present(1, 1)
 P12 = present(1, 2)
@@ -146,6 +159,61 @@ def test_chain_trivial_bundle_any_length():
     chain = CurveChain((present(1, 2), present(2, 2), present(2, 1)))
     rep = h_chain(trivial_chain_bundle(chain))
     assert (rep.h0, rep.h1) == (1, 0)
+
+
+def test_chain_trivial_bundle_length_400():
+    chain = CurveChain(tuple(P1 for _ in range(400)))
+    rep = h_chain(trivial_chain_bundle(chain))
+    assert (rep.h0, rep.h1) == (1, 0)
+
+
+COMPS = component_family(4, 4)
+NEXT = chain_adjacency(COMPS)
+
+
+@st.composite
+def balanced_chain_bundles(draw):
+    """Balanced chain bundles up to length 8, biased to d = 0 and trivial characters."""
+    idx = [draw(st.integers(0, len(COMPS) - 1))]
+    length = draw(st.integers(1, 8))
+    while len(idx) < length and NEXT[idx[-1]]:
+        idx.append(draw(st.sampled_from(NEXT[idx[-1]])))
+    comps = [TwistedComponent(*COMPS[i]) for i in idx]
+    pieces = []
+    for comp in comps:
+        options = [
+            EqLineBundle(comp, k1, k2, d)
+            for k1 in range(comp.l1)
+            for k2 in range(comp.l2)
+            for d in range(-6, 7)
+        ]
+        if pieces:
+            need = -age_at(pieces[-1], MarkedPoint.X2) % 1
+            options = [L for L in options if age_at(L, MarkedPoint.X1) == need]
+        if not options:
+            break
+        bias = draw(st.sampled_from(["d=0", "trivial", "any"]))
+        preferred = {
+            "d=0": [L for L in options if L.d == 0],
+            "trivial": [L for L in options if (L.k1, L.k2) == (0, 0)],
+            "any": options,
+        }[bias]
+        pieces.append(draw(st.sampled_from(preferred or options)))
+    chain = CurveChain(tuple(comps[: len(pieces)]))
+    return ChainBundle(chain, tuple(pieces))
+
+
+@settings(max_examples=400, deadline=None)
+@given(balanced_chain_bundles())
+def test_h_chain_kernel_matches_elimination(B):
+    for role in (
+        B,
+        chain_twist(B, MarkedPoint.X2, -1),
+        chain_twist(chain_dual(B), MarkedPoint.X1, -1),
+    ):
+        rep = h_chain(role)
+        assert (rep.h0, rep.h1) == h_chain_by_elimination(role)
+        assert rep.h0 - rep.h1 == rep.euler_char
 
 
 def test_chain_euler_characteristic():

@@ -1,4 +1,12 @@
 """Verification-suite plumbing at small bounds."""
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
 from orbicurve import suites
 
 
@@ -21,47 +29,59 @@ def test_iter_chains_node_matching():
             assert b1 * l11 * l21 == a2 * l12 * l22
 
 
-def test_chain_h0_h1_matches_api():
-    # the generic integer core against dataclass h_chain on a mixed sweep
-    from orbicurve import cohomology
-
-    comps = suites.component_family(3, 2)
-    checked = 0
-    for chain in suites.iter_chains(comps, 2):
-        chain_comps = tuple(comps[i] for i in chain)
-        cache: dict = {}
-        tabs = [suites._CompTables(c, -3, 3) for c in chain_comps]
-        for idx in suites._iter_balanced(tabs):
-            pieces = tuple(t.bnds[i] for t, i in zip(tabs, idx))
-            fast = suites.chain_h0_h1(tuple(zip(chain_comps, pieces)))
-            if checked % 17 == 0:
-                cb = suites._api_chain(chain_comps, pieces)
-                rep = cohomology.h_chain(cb)
-                assert (rep.h0, rep.h1) == fast
-            checked += 1
-        if checked > 4000:
-            break
-    assert checked > 100
+def test_sweep_instances_all_match_the_elimination_oracle(monkeypatch):
+    # every instance replayed: the prefix folds over the component tables, on
+    # both sides of the concavity sweep, against Gaussian elimination through
+    # the public API
+    monkeypatch.setattr(suites, "SAMPLE_EVERY", 1)
+    res = suites.suite_weak_concavity(max_ab=3, max_l=3, max_d=2, max_len=2, workers=1)
+    assert res.ok and res.details["sampled"] == res.instances == 5898
+    # length 4 reaches runs grounded through two constant monomials
+    res = suites.suite_weak_concavity(max_ab=2, max_l=1, max_d=1, max_len=4, workers=1)
+    assert res.ok and res.details["sampled"] == res.instances == 927
+    res = suites.suite_log_canonical(max_ab=3, max_l=2, max_len=3, workers=1)
+    assert res.ok and res.details["sampled"] == res.instances > 100
 
 
-def test_specialized_evaluators_match_generic_core():
-    comps = suites.component_family(3, 3)
-    for chain in suites.iter_chains(comps, 3):
-        chain_comps = tuple(comps[i] for i in chain)
-        tabs = [suites._CompTables(c, -2, 2) for c in chain_comps]
-        count = 0
-        for idx in suites._iter_balanced(tabs):
-            pieces = tuple(t.bnds[i] for t, i in zip(tabs, idx))
-            twisted = pieces[:-1] + (suites._twist(chain_comps[-1], pieces[-1], 2, -1),)
-            assert suites._h1_conv(tabs, idx) == suites.chain_h0_h1(tuple(zip(chain_comps, twisted)))[1]
-            duals = tuple(suites._dual(c, b) for c, b in zip(chain_comps, pieces))
-            dtw = (suites._twist(chain_comps[0], duals[0], 1, -1),) + duals[1:]
-            assert suites._h0_dual(tabs, idx) == suites.chain_h0_h1(tuple(zip(chain_comps, dtw)))[0]
-            count += 1
-            if count > 1500:
-                break
-        if chain and chain[0] > 6:
-            break
+def test_concavity_sweep_takes_chains_longer_than_three():
+    res = suites.suite_weak_concavity(max_ab=2, max_l=2, max_d=1, max_len=4)
+    assert res.ok and res.details["sampled"] > 0
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        ("suite_weak_convexity", dict(max_ab=3, max_l=2, max_d=6, max_len=2)),
+        ("suite_weak_concavity", dict(max_ab=2, max_l=2, max_d=1, max_len=4)),
+        ("suite_log_canonical", dict(max_ab=3, max_l=3, max_len=4)),
+    ],
+)
+def test_replay_disagreement_raises_under_python_O(suite, kwargs):
+    # the replays must not be assertions: python -O would strip them
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from orbicurve import cohomology, suites
+
+        if not sys.flags.optimize:
+            sys.exit(2)
+        oracle = cohomology.h_chain_by_elimination
+        cohomology.h_chain_by_elimination = lambda B: tuple(v + 1 for v in oracle(B))
+        try:
+            suites.{suite}(**{kwargs!r}, workers=1)
+        except cohomology.InternalInconsistency as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = str(pathlib.Path(suites.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "elimination" in proc.stdout
 
 
 def test_small_suite_runs_pass():
