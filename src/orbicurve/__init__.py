@@ -13,7 +13,7 @@ Modules:
   cli         `orbicurve` command-line front end
 """
 
-from .foundation import Phase, PhasedScalar, Rational, canonical_split, is_sign, phase_mul, phase_pow
+from .foundation import Phase, PhasedScalar, Rational, canonical_split
 from .curves import CurveChain, MarkedPoint, TwistedComponent, isotropy_order, present, validate_chain
 from .bundles import (
     ChainBundle,
@@ -43,6 +43,7 @@ from .wps import (
     delta_tilde,
     enumerate_sectors,
     integrate,
+    pairing_gram,
     verify_delta_iso_dims,
     verify_pairing_comparison,
 )
@@ -50,9 +51,7 @@ from .series import (
     EffClass,
     InvariantTable,
     LOperator,
-    NovikovSeries,
     build_L,
-    change_novikov,
     expand_psi_kernel,
     verify_qsd_operator_identity,
 )

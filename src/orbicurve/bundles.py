@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurveChain, MarkedPoint, TwistedComponent, validate_chain
+from .foundation import InternalInconsistency
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,10 @@ def brute_force_age(L: EqLineBundle, pt: MarkedPoint) -> Fraction:
         chart = lambda m1, m2, lam: (a * lam + Fraction(m1, l1)) % 1
     else:
         raise ValueError(f"unknown marked point {pt!r}")
-    assert len(elements) == r
+    if len(elements) != r:
+        raise InternalInconsistency(f"isotropy group at {pt} of {L.comp} has {len(elements)} elements, not {r}")
     gens = [e for e in elements if chart(*e) == Fraction(1, r) % 1]
-    assert len(gens) == 1, "chart representation must be faithful"
+    if len(gens) != 1:
+        raise InternalInconsistency(f"chart representation at {pt} of {L.comp} is not faithful")
     m1, m2, lam = gens[0]
     return (d * lam + Fraction(m1 * k1, l1) + Fraction(m2 * k2, l2)) % 1

@@ -252,15 +252,8 @@ def cmd_wps(args, doc: dict) -> dict:
         return {"model": str(model), "sectors": out}
     if args.wps_command == "pairing":
         secs = wps.enumerate_sectors(model)
-        basis = [(s.f, p) for s in secs for p in range(s.dim + 1)]
-        labels = [f"H^{p}@{f}" for f, p in basis]
-        matrix = [
-            [
-                fmt(wps.cr_pairing(model, wps.StateElement.basis(model, f1, p1), wps.StateElement.basis(model, f2, p2)))
-                for f2, p2 in basis
-            ]
-            for f1, p1 in basis
-        ]
+        labels = [f"H^{p}@{f}" for f, p in wps.state_basis(secs)]
+        matrix = [[fmt(x) for x in row] for row in wps.pairing_gram(model, "cr", secs)]
         return {"model": str(model), "basis": labels, "cr_pairing": matrix}
     # verify
     pairing = wps.verify_pairing_comparison(model)

@@ -45,11 +45,8 @@ from .bundles import (
     tensor,
 )
 from .curves import MarkedPoint
+from .foundation import InternalInconsistency
 from .linalg import mat_rank
-
-
-class InternalInconsistency(RuntimeError):
-    """Two independent computations of the same number disagreed: a bug."""
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ from math import gcd
 Rational = Fraction
 
 
+class InternalInconsistency(RuntimeError):
+    """Two independent computations of the same number disagreed: a bug."""
+
+
 def as_rational(x) -> Fraction:
     """Coerce ints / fractions / 'p/q' strings to an exact Fraction."""
     if isinstance(x, Fraction):
@@ -59,7 +63,8 @@ def canonical_split(l: int, a: int, b: int) -> tuple[int, int]:
             l2 *= p**e
         else:
             l1 *= p**e
-    assert l1 * l2 == l and gcd(l1, l2) == 1 and gcd(l1, b) == 1 and gcd(l2, a) == 1
+    if not (l1 * l2 == l and gcd(l1, l2) == 1 and gcd(l1, b) == 1 and gcd(l2, a) == 1):
+        raise InternalInconsistency(f"canonical_split({l}, {a}, {b}) gave inadmissible ({l1}, {l2})")
     return l1, l2
 
 
@@ -100,18 +105,6 @@ class Phase:
 
 PHASE_ONE = Phase(Fraction(0))
 PHASE_MINUS_ONE = Phase(Fraction(1))
-
-
-def phase_mul(p: Phase, q: Phase) -> Phase:
-    return p * q
-
-
-def phase_pow(p: Phase, n: int) -> Phase:
-    return p.pow(n)
-
-
-def is_sign(p: Phase) -> int | None:
-    return p.is_sign()
 
 
 class PhasedScalar:
@@ -218,7 +211,3 @@ class PhasedScalar:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-
-PS_ZERO = PhasedScalar()
-PS_ONE = PhasedScalar.from_rational(1)

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .foundation import Phase, as_rational
+from .foundation import InternalInconsistency, Phase, as_rational
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ def age_sum_check(s: SectorAction) -> tuple[Fraction, Fraction]:
     """(age(E) + age(dual E), rank(E) - rank(fixed part)); the two are equal."""
     lhs = age(s) + age(inverse_sector(s))
     rhs = Fraction(s.rank - s.rank_fixed)
-    assert lhs == rhs, (lhs, rhs)
+    if lhs != rhs:
+        raise InternalInconsistency(f"age sum of {s}: {lhs} != rank difference {rhs}")
     return lhs, rhs
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .foundation import Phase, PhasedScalar, as_rational
-from .linalg import mat_inverse, mat_mul
-from .wps import WPSModel, StateElement, ambient_pairing, ct_pairing, enumerate_sectors, euler_factor, sector_at
+from .linalg import mat_inverse
+from .wps import WPSModel, enumerate_sectors, euler_factor, pairing_gram, sector_at, state_basis
 
 
 @dataclass(frozen=True)
@@ -71,64 +71,6 @@ class EffClass:
 
 def zero_class(n_generators: int = 2) -> EffClass:
     return EffClass(tuple(Fraction(0) for _ in range(n_generators)))
-
-
-class NovikovSeries:
-    """Finite q-expansion over effective classes, truncated by ordering degree."""
-
-    def __init__(self, truncation, coeffs: dict[EffClass, object] | None = None):
-        self.truncation = as_rational(truncation)
-        self.coeffs: dict[EffClass, PhasedScalar] = {}
-        for beta, c in (coeffs or {}).items():
-            c = PhasedScalar.coerce(c)
-            if beta.ordering <= self.truncation and not c.is_zero():
-                self.coeffs[beta] = c
-
-    @classmethod
-    def monomial(cls, truncation, beta: EffClass, coeff=1) -> "NovikovSeries":
-        return cls(truncation, {beta: coeff})
-
-    def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
-        n = min(self.truncation, other.truncation)
-        out = dict(self.coeffs)
-        for beta, c in other.coeffs.items():
-            out[beta] = out.get(beta, PhasedScalar()) + c
-        return NovikovSeries(n, out)
-
-    def __mul__(self, other: "NovikovSeries") -> "NovikovSeries":
-        n = min(self.truncation, other.truncation)
-        out: dict[EffClass, PhasedScalar] = {}
-        for b1, c1 in self.coeffs.items():
-            for b2, c2 in other.coeffs.items():
-                b = b1 + b2
-                if b.ordering > n:
-                    continue
-                out[b] = out.get(b, PhasedScalar()) + c1 * c2
-        return NovikovSeries(n, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NovikovSeries):
-            return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            self.coeffs.get(k, PhasedScalar()) == other.coeffs.get(k, PhasedScalar()) for k in keys
-        )
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({c})q^{beta}" for beta, c in sorted(self.coeffs.items(), key=lambda t: (t[0].ordering, str(t[0]))))
-
-
-def change_novikov(series: NovikovSeries) -> NovikovSeries:
-    """The substitution q^beta -> e^{i*pi*deg_beta(det E)} q^beta."""
-    return NovikovSeries(
-        series.truncation,
-        {
-            beta: PhasedScalar.from_phase(Phase(beta.det)) * c
-            for beta, c in series.coeffs.items()
-        },
-    )
 
 
 def expand_psi_kernel(a_max: int) -> list[int]:
@@ -213,6 +155,8 @@ class LOperator:
         }
 
     def substitute_novikov(self) -> "LOperator":
+        """The substitution q^beta -> e^{i*pi*deg_beta(det E)} q^beta; the
+        implicit identity at the zero class is untouched."""
         out = LOperator(self.dim, self.truncation)
         for (beta, zpow), mat in self.terms.items():
             phase = PhasedScalar.from_phase(Phase(beta.det))
@@ -244,12 +188,13 @@ def build_L(table: InvariantTable, pairing: list[list[Fraction]], truncation) ->
             continue
         if e.beta.is_zero():
             raise ValueError("table entries must have nonzero effective class")
-        sign = kernel[e.psi_power]
+        value = PhasedScalar.coerce(e.value) * kernel[e.psi_power]
+        if value.is_zero():
+            continue
         # column r of the operator matrix gets sum_m value * P^{-1}[col][m] in row m
-        for mrow in range(dim):
-            coeff = PhasedScalar.coerce(e.value) * (sign * p_inv[e.col][mrow])
-            if not coeff.is_zero():
-                op.add_term(e.beta, -e.psi_power - 1, mrow, e.row, coeff)
+        for mrow, x in enumerate(p_inv[e.col]):
+            if x:
+                op.add_term(e.beta, -e.psi_power - 1, mrow, e.row, value * x)
     return op
 
 
@@ -286,15 +231,14 @@ def compact_type_basis(m: WPSModel) -> list[tuple[Fraction, int]]:
 
 
 def _pairing_matrices(m: WPSModel, basis: list[tuple[Fraction, int]]):
-    elems = [StateElement.basis(m, f, p) for f, p in basis]
-    p_ct = [
-        [PhasedScalar.coerce(ct_pairing(m, a, b)).to_rational() for b in elems] for a in elems
-    ]
-    p_amb = [
-        [PhasedScalar.coerce(ambient_pairing(m, a, b)).to_rational() for b in elems]
-        for a in elems
-    ]
-    return p_ct, p_amb
+    """The compact-type rows and columns of the ct and ambient Gram matrices."""
+    sectors = enumerate_sectors(m)
+    index = {fp: i for i, fp in enumerate(state_basis(sectors))}
+    rows = [index[fp] for fp in basis]
+    return tuple(
+        [[gram[i][j] for j in rows] for i in rows]
+        for gram in (pairing_gram(m, "ct", sectors), pairing_gram(m, "ambient", sectors))
+    )
 
 
 def transported_table(table: InvariantTable, m: WPSModel, basis: list[tuple[Fraction, int]]) -> InvariantTable:
@@ -339,31 +283,25 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
     op_e = build_L(table_e, p_ct, truncation)
     op_z = build_L(transported_table(table_e, m, basis), p_amb, truncation)
     op_e_sub = op_e.substitute_novikov()
-    delta = [
-        [
-            PhasedScalar.from_phase(Phase(sector_at(m, basis[i][0]).age))
-            if i == j
-            else PhasedScalar()
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
+    # delta is diagonal: it scales the columns of op_z and the rows of op_e_sub
+    delta = [PhasedScalar.from_phase(Phase(sector_at(m, f).age)) for f, _ in basis]
     keys = op_z.nonzero_keys() | op_e_sub.nonzero_keys()
     for beta, zpow in sorted(keys, key=lambda k: (k[0].ordering, k[1], str(k[0]))):
-        lhs = mat_mul(op_z.matrix_at(beta, zpow), delta)
-        rhs = mat_mul(delta, op_e_sub.matrix_at(beta, zpow))
+        z_mat = op_z.matrix_at(beta, zpow)
+        e_mat = op_e_sub.matrix_at(beta, zpow)
         for i in range(dim):
             for j in range(dim):
                 report.checks += 1
-                if lhs[i][j] != rhs[i][j]:
-                    if report.first_violation is None:
-                        report.first_violation = {
-                            "beta": str(beta),
-                            "z_power": zpow,
-                            "entry": (i, j),
-                            "lhs": str(lhs[i][j]),
-                            "rhs": str(rhs[i][j]),
-                        }
+                lhs = z_mat[i][j] * delta[j]
+                rhs = delta[i] * e_mat[i][j]
+                if lhs != rhs and report.first_violation is None:
+                    report.first_violation = {
+                        "beta": str(beta),
+                        "z_power": zpow,
+                        "entry": (i, j),
+                        "lhs": str(lhs),
+                        "rhs": str(rhs),
+                    }
     return report
 
 

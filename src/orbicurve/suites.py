@@ -26,9 +26,10 @@ from functools import lru_cache
 from math import gcd
 
 from . import bundles, cohomology, convexity, curves, sectors, series, wps
-from .foundation import Phase
+from .foundation import Phase, PhasedScalar
 
 SAMPLE_EVERY = 199  # every k-th sweep instance is replayed through the elimination oracle
+PAIRING_SAMPLE_EVERY = 11  # every k-th model's pairing comparison is replayed elementwise
 
 
 @dataclass
@@ -599,9 +600,31 @@ def wps_model_family(max_n: int = 5, max_w: int = 4, max_r: int = 2, max_k: int 
                     yield wps.WPSModel(weights, degrees)
 
 
+def _pairing_sides_by_elements(m: wps.WPSModel) -> tuple[list, list, list]:
+    """Oracle for `wps.comparison_sides`: delta_tilde and the full pairings of
+    basis StateElements, each of which walks the sectors on its own."""
+    sign = Fraction((-1) ** m.rank)
+    basis = wps.state_basis(wps.enumerate_sectors(m))
+    elems = [wps.StateElement.basis(m, f, p) for f, p in basis]
+    moved = [wps.delta_tilde(m, g) for g in elems]
+    lhs = [[PhasedScalar.coerce(wps.ambient_pairing(m, a, b)) for b in moved] for a in moved]
+    rhs = [[PhasedScalar.coerce(wps.ct_pairing(m, a, b)) * sign for b in elems] for a in elems]
+    return basis, lhs, rhs
+
+
+def _api_check_pairing_comparison(m: wps.WPSModel) -> None:
+    if wps.comparison_sides(m) != _pairing_sides_by_elements(m):
+        raise cohomology.InternalInconsistency(
+            f"pairing comparison of {m}: block Gram matrices disagree with the elementwise pairings"
+        )
+
+
 def suite_pairing_comparison(max_n: int = 5, max_w: int = 4, max_r: int = 2, max_k: int = 4) -> SuiteResult:
-    res = SuiteResult("pairing-comparison")
+    res = SuiteResult("pairing-comparison", details={"pairing_checks": 0, "sampled": 0})
     for model in wps_model_family(max_n, max_w, max_r, max_k):
+        if res.instances % PAIRING_SAMPLE_EVERY == 0:
+            _api_check_pairing_comparison(model)
+            res.details["sampled"] += 1
         pairing = wps.verify_pairing_comparison(model)
         iso = wps.verify_delta_iso_dims(model)
         # sector-level age-sum identity, checked alongside
@@ -619,7 +642,7 @@ def suite_pairing_comparison(max_n: int = 5, max_w: int = 4, max_r: int = 2, max
                 "iso_ok": iso.ok,
                 "ages_ok": ages_ok,
             }
-        res.details["pairing_checks"] = res.details.get("pairing_checks", 0) + pairing.checks
+        res.details["pairing_checks"] += pairing.checks
     return res
 
 

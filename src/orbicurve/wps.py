@@ -14,6 +14,20 @@ Three pairings are computed exactly on these rings:
   * the compact-type pairing of the dual bundle total space, which inserts
     the dual Euler factor (-1)^{rank_fixed} * e.
 
+Each pairing is block-anti-diagonal over the sector pairs (f, 1-f): with
+e_f = coeff * H^power the Euler factor it inserts (1 for the orbifold
+Poincare pairing) and vol_f the top integral of sector f,
+
+    <H^p on f, H^q on 1-f> = coeff_f * vol_f * [p + q = dim_f - power_f],
+
+and every other entry is zero.  `pairing_gram` assembles the Gram matrix on
+the basis (f, H^p) from one walk over the sectors; the verification routines
+and the compact-type pairing matrices of `series` read it.  The pairings of
+arbitrary classes (`cr_pairing`, `ambient_pairing`, `ct_pairing`) sum the
+same products sector by sector; `suites.suite_pairing_comparison` replays
+the comparison through them on every `PAIRING_SAMPLE_EVERY`-th model as an
+independent oracle.
+
 The transformation delta_tilde multiplies a class supported on the sector
 with rotation f by the exact phase e^{i*pi*age_f} and reinterprets it as an
 ambient class; the verification routines below confirm that it matches the
@@ -243,24 +257,68 @@ class PairingComparisonReport:
         return not self.failures
 
 
+def state_basis(sectors: list[Sector]) -> list[tuple[Fraction, int]]:
+    """The spanning set (f, p) of sector monomials H^p, in sector order."""
+    return [(s.f, p) for s in sectors for p in range(s.dim + 1)]
+
+
+def _offsets(sectors: list[Sector]) -> dict[Fraction, int]:
+    """Index in `state_basis` of each sector's H^0."""
+    out, n = {}, 0
+    for s in sectors:
+        out[s.f] = n
+        n += s.dim + 1
+    return out
+
+
+def pairing_gram(m: WPSModel, kind: str, sectors: list[Sector] | None = None) -> list[list[Fraction]]:
+    """Gram matrix of the "cr", "ambient" or "ct" pairing on `state_basis`.
+
+    `sectors` defaults to `enumerate_sectors(m)`; each sector f contributes
+    the anti-diagonal p + q = dim_f - power_f of its block against 1-f.
+    """
+    euler = {"cr": _no_euler, "ambient": euler_factor, "ct": dual_euler_factor}[kind]
+    sectors = enumerate_sectors(m) if sectors is None else sectors
+    start = _offsets(sectors)
+    n = sum(s.dim + 1 for s in sectors)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for s in sectors:
+        coeff, power = euler(m, s)
+        top = s.dim - power
+        value = coeff * integrate(m, s, s.dim)
+        i, j = start[s.f], start[(1 - s.f) % 1]
+        for p in range(top + 1):
+            gram[i + p][j + top - p] = value
+    return gram
+
+
+def comparison_sides(m: WPSModel) -> tuple[list, list, list]:
+    """(`state_basis`, <delta(g1), delta(g2)>_ambient, (-1)^rank <g1, g2>_ct),
+    the two matrices as PhasedScalars."""
+    sectors = enumerate_sectors(m)
+    ages = [s.age for s in sectors for _ in range(s.dim + 1)]
+    sign = (-1) ** m.rank
+    lhs = [
+        [PhasedScalar({a + b: x}) if x else PhasedScalar() for b, x in zip(ages, row)]
+        for a, row in zip(ages, pairing_gram(m, "ambient", sectors))
+    ]
+    rhs = [
+        [PhasedScalar({0: sign * x}) if x else PhasedScalar() for x in row]
+        for row in pairing_gram(m, "ct", sectors)
+    ]
+    return state_basis(sectors), lhs, rhs
+
+
 def verify_pairing_comparison(m: WPSModel) -> PairingComparisonReport:
     """Check <delta(g1), delta(g2)>_ambient = (-1)^rank <g1, g2>_compact-type
     over the full spanning set of sector monomials."""
     report = PairingComparisonReport(m)
-    sign = Fraction((-1) ** m.rank)
-    sectors = enumerate_sectors(m)
-    basis = [(s.f, p) for s in sectors for p in range(s.dim + 1)]
-    elems = [StateElement.basis(m, f, p) for f, p in basis]
-    transported = [delta_tilde(m, g) for g in elems]
-    for i, (f1, p1) in enumerate(basis):
-        for j, (f2, p2) in enumerate(basis):
-            lhs = PhasedScalar.coerce(ambient_pairing(m, transported[i], transported[j]))
-            rhs = PhasedScalar.coerce(ct_pairing(m, elems[i], elems[j])) * sign
+    basis, lhs, rhs = comparison_sides(m)
+    for i, g1 in enumerate(basis):
+        for j, g2 in enumerate(basis):
             report.checks += 1
-            if lhs != rhs:
-                report.failures.append(
-                    {"g1": (f1, p1), "g2": (f2, p2), "lhs": str(lhs), "rhs": str(rhs)}
-                )
+            if lhs[i][j] != rhs[i][j]:
+                report.failures.append({"g1": g1, "g2": g2, "lhs": str(lhs[i][j]), "rhs": str(rhs[i][j])})
     return report
 
 
@@ -302,31 +360,21 @@ def verify_delta_iso_dims(m: WPSModel) -> DeltaIsoReport:
     the rank of the ambient pairing block, and the pairing kernel is stable
     under that multiplication (well-definedness of the quotient model)."""
     report = DeltaIsoReport(m)
-    for s in enumerate_sectors(m):
+    sectors = enumerate_sectors(m)
+    gram = pairing_gram(m, "ambient", sectors)
+    start = _offsets(sectors)
+    for s in sectors:
         mult = _euler_mult_matrix(m, s)
         image_dim = mat_rank(mult)
-        partner = sector_at(m, (1 - s.f) % 1)
-        block = [
-            [
-                PhasedScalar.coerce(
-                    ambient_pairing(
-                        m, StateElement.basis(m, s.f, p), StateElement.basis(m, partner.f, q)
-                    )
-                ).to_rational()
-                for q in range(partner.dim + 1)
-            ]
-            for p in range(s.dim + 1)
-        ]
+        r0, c0, n = start[s.f], start[(1 - s.f) % 1], s.dim + 1
+        block = [row[c0 : c0 + n] for row in gram[r0 : r0 + n]]
         rank = mat_rank(block)
-        transpose = [list(r) for r in zip(*block)] if block and block[0] else []
-        kernel = mat_nullspace(transpose) if transpose else []
+        transpose = [list(r) for r in zip(*block)]
+        kernel = mat_nullspace(transpose)
         stable = True
         for v in kernel:
-            image = [sum(mult[i][j] * v[j] for j in range(len(v))) for i in range(len(v))]
-            paired = [
-                sum(image[p] * block[p][q] for p in range(len(image)))
-                for q in range(partner.dim + 1)
-            ]
+            image = [sum(a * x for a, x in zip(row, v) if a) for row in mult]
+            paired = [sum(y * row[q] for y, row in zip(image, block) if y) for q in range(n)]
             if any(x != 0 for x in paired):
                 stable = False
         report.sectors.append(SectorDimReport(s.f, image_dim, rank, stable))

@@ -137,10 +137,12 @@ def test_criterion_09_pairing_comparison():
         max_k=4,
     )
     assert res.instances == 1815  # includes the weights (1,1,2,2), bundle (1) instance
+    assert res.details["pairing_checks"] == 220050  # basis^2 per model, frozen
+    assert res.details["sampled"] > 0  # elementwise oracle replays
 
 
 def test_criterion_10_operator_identity():
-    run(
+    res = run(
         10,
         "fundamental-solution operator identity on 1000 random tables",
         suites.suite_qsd_operator,
@@ -149,6 +151,8 @@ def test_criterion_10_operator_identity():
         max_dim=6,
         seed=0,
     )
+    assert res.instances == 1000
+    assert res.details["coefficient_checks"] == 43336  # frozen with seed 0
 
 
 def test_criterion_11_isotropy_oracle():

@@ -128,6 +128,24 @@ def test_wps_verify_command_deterministic(capsys):
     assert out1 == out2  # byte-identical reports
 
 
+WPS_GOLDEN = {
+    ("pairing", "1,1,2,2", "1"): '{"command":"wps","results":{"basis":["H^0@0","H^1@0","H^2@0","H^3@0","H^0@1/2","H^1@1/2"],"cr_pairing":[["0","0","0","1/4","0","0"],["0","0","1/4","0","0","0"],["0","1/4","0","0","0","0"],["1/4","0","0","0","0","0"],["0","0","0","0","0","1/4"],["0","0","0","0","1/4","0"]],"model":"P(1,1,2,2)/O(1)"}}',
+    ("verify", "1,1,2,2", "1"): '{"command":"wps","results":{"iso_sectors":[{"ambient_pairing_rank":3,"f":"0","image_dim":3,"kernel_stable":true},{"ambient_pairing_rank":2,"f":"1/2","image_dim":2,"kernel_stable":true}],"model":"P(1,1,2,2)/O(1)","ok":true,"pairing_checks":36,"pairing_failures":[]}}',
+    ("pairing", "1,2,3", None): '{"command":"wps","results":{"basis":["H^0@0","H^1@0","H^2@0","H^0@1/3","H^0@1/2","H^0@2/3"],"cr_pairing":[["0","0","1/6","0","0","0"],["0","1/6","0","0","0","0"],["1/6","0","0","0","0","0"],["0","0","0","0","0","1/3"],["0","0","0","0","1/2","0"],["0","0","0","1/3","0","0"]],"model":"P(1,2,3)"}}',
+    ("verify", "1,2,3", None): '{"command":"wps","results":{"iso_sectors":[{"ambient_pairing_rank":3,"f":"0","image_dim":3,"kernel_stable":true},{"ambient_pairing_rank":1,"f":"1/3","image_dim":1,"kernel_stable":true},{"ambient_pairing_rank":1,"f":"1/2","image_dim":1,"kernel_stable":true},{"ambient_pairing_rank":1,"f":"2/3","image_dim":1,"kernel_stable":true}],"model":"P(1,2,3)","ok":true,"pairing_checks":36,"pairing_failures":[]}}',
+}
+
+
+@pytest.mark.parametrize("key", list(WPS_GOLDEN), ids=lambda k: f"{k[0]}-P({k[1]})")
+def test_wps_pairing_and_verify_golden_output(capsys, key):
+    # reports recorded from the elementwise pairing implementation, byte for byte
+    command, weights, bundle = key
+    argv = ["--json", "wps", command, "--weights", weights] + (["--bundle", bundle] if bundle else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == WPS_GOLDEN[key] + "\n"
+
+
 def test_verify_suite_command(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "verify", "--suite", "h1-vanishing", "--max-a", "2", "--max-l", "2", "--max-d", "4"

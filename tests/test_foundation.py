@@ -1,19 +1,22 @@
 """Foundation layer: canonical split, phases, phased scalars."""
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from orbicurve import foundation
 from orbicurve.foundation import (
     PHASE_MINUS_ONE,
     PHASE_ONE,
     Phase,
     PhasedScalar,
     canonical_split,
-    is_sign,
-    phase_mul,
-    phase_pow,
 )
 
 
@@ -68,32 +71,59 @@ def test_rational_arithmetic_exact():
                     assert (F(a, b) + F(c, d)) * (b * d) == a * d + c * b
 
 
+def test_canonical_split_check_raises_under_python_O():
+    # the admissibility check must not be an assertion: python -O would strip it
+    script = textwrap.dedent(
+        """
+        import sys
+        from orbicurve import foundation
+
+        if not sys.flags.optimize:
+            sys.exit(2)
+        foundation.factorize = lambda n: {2: 1}
+        try:
+            foundation.canonical_split(6, 2, 3)
+        except foundation.InternalInconsistency as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = str(pathlib.Path(foundation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "inadmissible" in proc.stdout
+
+
 def test_phase_pow_examples():
-    assert phase_pow(Phase(F(1)), 2) == Phase(F(0))
-    assert phase_pow(Phase(F(1, 2)), 3) == Phase(F(3, 2))
-    assert phase_pow(Phase(F(0)), 17) == Phase(F(0))
+    assert Phase(F(1)).pow(2) == Phase(F(0))
+    assert Phase(F(1, 2)).pow(3) == Phase(F(3, 2))
+    assert Phase(F(0)).pow(17) == Phase(F(0))
 
 
 def test_is_sign():
-    assert is_sign(Phase(F(0))) == 1
-    assert is_sign(Phase(F(1))) == -1
-    assert is_sign(Phase(F(1, 2))) is None
+    assert Phase(F(0)).is_sign() == 1
+    assert Phase(F(1)).is_sign() == -1
+    assert Phase(F(1, 2)).is_sign() is None
 
 
 def test_phase_group_law():
     fracs = [F(0), F(1), F(1, 2), F(2, 3), F(5, 4), F(7, 6)]
     for x in fracs:
         p = Phase(x)
-        assert phase_mul(p, PHASE_ONE) == p
+        assert p * PHASE_ONE == p
         for y in fracs:
             q = Phase(y)
-            assert phase_mul(p, q) == phase_mul(q, p)
+            assert p * q == q * p
             for z in fracs:
                 r = Phase(z)
-                assert phase_mul(phase_mul(p, q), r) == phase_mul(p, phase_mul(q, r))
+                assert (p * q) * r == p * (q * r)
         # order divides 2 * denominator
-        assert phase_pow(p, 2 * x.denominator) == PHASE_ONE
-        assert phase_mul(p, p.inverse()) == PHASE_ONE
+        assert p.pow(2 * x.denominator) == PHASE_ONE
+        assert p * p.inverse() == PHASE_ONE
 
 
 def test_phase_exponent_normalized():

@@ -9,10 +9,9 @@ from orbicurve.linalg import mat_identity
 from orbicurve.series import (
     EffClass,
     InvariantTable,
-    NovikovSeries,
+    LOperator,
     TableEntry,
     build_L,
-    change_novikov,
     compact_type_basis,
     expand_psi_kernel,
     random_invariant_table,
@@ -43,35 +42,43 @@ def test_eff_class_invariants():
 def test_novikov_truncation():
     b1 = EffClass((F(1), F(1)))
     b3 = EffClass((F(3), F(0)))
-    s = NovikovSeries(2, {b1: F(1), b3: F(5)})
-    assert b3 not in s.coeffs  # beyond truncation order
-    t = NovikovSeries(2, {b1: F(2)})
-    prod = s * t
-    assert prod.coeffs == {b1 + b1: PhasedScalar.from_rational(2)}
-    assert (s * NovikovSeries(2, {b1: F(1)})).truncation == 2
+    table = InvariantTable(1, [TableEntry(b1, 0, 0, 0, F(1)), TableEntry(b3, 0, 0, 0, F(5))])
+    op = build_L(table, mat_identity(1), 2)
+    assert op.nonzero_keys() == {(b1, -1)}  # b3 is beyond the truncation order
+    assert op.truncation == 2
+
+
+def _operator(dim, truncation, values):
+    op = LOperator(dim, truncation)
+    for beta, value in values.items():
+        op.add_term(beta, -1, 0, 0, value)
+    return op
 
 
 def test_change_novikov_examples():
     b_odd = EffClass((F(1), F(1)))
     b_even = EffClass((F(1), F(0)))
-    s = NovikovSeries(3, {b_odd: F(2), b_even: F(5)})
-    out = change_novikov(s)
-    assert out.coeffs[b_odd] == PhasedScalar.from_rational(-2)
-    assert out.coeffs[b_even] == PhasedScalar.from_rational(5)
+    out = _operator(1, 3, {b_odd: F(2), b_even: F(5)}).substitute_novikov()
+    assert out.matrix_at(b_odd, -1)[0][0] == PhasedScalar.from_rational(-2)
+    assert out.matrix_at(b_even, -1)[0][0] == PhasedScalar.from_rational(5)
+    # the implicit identity at the zero class is untouched
+    assert out.matrix_at(zero_class(), 0) == [[PhasedScalar.from_rational(1)]]
 
 
 def test_change_novikov_ring_homomorphism():
+    # q^beta -> e^{i*pi*deg_beta(det E)} q^beta is multiplicative in beta
     rng = random.Random(0)
-    betas = [EffClass((F(rng.randint(1, 3)), F(rng.randint(-4, 4), rng.randint(1, 3)))) for _ in range(4)]
-    s = NovikovSeries(6, {b: F(rng.randint(-5, 5)) for b in betas[:2]})
-    t = NovikovSeries(6, {b: F(rng.randint(-5, 5)) for b in betas[2:]})
-    assert change_novikov(s * t) == change_novikov(s) * change_novikov(t)
+    for _ in range(20):
+        b1, b2 = (EffClass((F(rng.randint(1, 3)), F(rng.randint(-4, 4), rng.randint(1, 3)))) for _ in range(2))
+        out = _operator(1, 6, {b1: F(1), b2: F(1), b1 + b2: F(1)}).substitute_novikov()
+        phase = {b: out.matrix_at(b, -1)[0][0] for b in (b1, b2, b1 + b2)}
+        assert phase[b1 + b2] == phase[b1] * phase[b2]
 
 
 def test_change_novikov_involution_for_integral_det():
     beta = EffClass((F(2), F(3)))
-    s = NovikovSeries(4, {beta: F(7)})
-    assert change_novikov(change_novikov(s)) == s
+    op = _operator(1, 4, {beta: F(7)})
+    assert op.substitute_novikov().substitute_novikov().terms == op.terms
 
 
 def test_build_L_empty_is_identity():

@@ -84,6 +84,39 @@ def test_replay_disagreement_raises_under_python_O(suite, kwargs):
     assert "elimination" in proc.stdout
 
 
+def test_pairing_suite_replays_a_sample_elementwise():
+    res = suites.suite_pairing_comparison(3, 3, 1, 2)
+    assert res.ok and res.instances == 48
+    assert res.details == {"pairing_checks": 1488, "sampled": 5}  # models 0, 11, 22, 33, 44
+
+
+def test_pairing_replay_disagreement_raises_under_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from orbicurve import cohomology, suites, wps
+
+        if not sys.flags.optimize:
+            sys.exit(2)
+        oracle = wps.ct_pairing
+        wps.ct_pairing = lambda m, a, b: oracle(m, a, b) + 1
+        try:
+            suites.suite_pairing_comparison(3, 2, 1, 2)
+        except cohomology.InternalInconsistency as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = str(pathlib.Path(suites.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "elementwise" in proc.stdout
+
+
 def test_small_suite_runs_pass():
     assert suites.suite_h1_vanishing(2, 2, 4).ok
     assert suites.suite_h1_two_path(2, 2, 4).ok

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbicurve import suites
 from orbicurve.foundation import Phase, PhasedScalar
 from orbicurve.sectors import age, inverse_sector
 from orbicurve.wps import (
@@ -14,7 +15,9 @@ from orbicurve.wps import (
     delta_tilde,
     enumerate_sectors,
     integrate,
+    pairing_gram,
     sector_at,
+    state_basis,
     verify_delta_iso_dims,
     verify_pairing_comparison,
 )
@@ -133,6 +136,35 @@ def test_pairing_comparison_p1122_hypersurface_model():
     b = delta_tilde(m, StateElement.basis(m, F(1, 2), 1))
     lhs = ambient_pairing(m, a, b)
     assert PhasedScalar.coerce(lhs) == PhasedScalar.from_rational(-F(1, 4))
+
+
+def test_pairing_gram_matches_elementwise_pairings():
+    # the block formula against the full sector walk of each pairing
+    pairings = {"cr": cr_pairing, "ambient": ambient_pairing, "ct": ct_pairing}
+    models = list(suites.wps_model_family(max_n=3))
+    assert len(models) == 450
+    for m in models:
+        basis = state_basis(enumerate_sectors(m))
+        elems = [StateElement.basis(m, f, p) for f, p in basis]
+        for kind, pairing in pairings.items():
+            expected = [[pairing(m, a, b) for b in elems] for a in elems]
+            assert pairing_gram(m, kind) == expected, (str(m), kind)
+
+
+def test_pairing_gram_example():
+    # P(1,2,3): untwisted block 1/6 on p + q = 2; sectors 1/3 <-> 2/3 and 1/2 <-> 1/2
+    assert pairing_gram(WPSModel((1, 2, 3)), "cr") == [
+        [0, 0, F(1, 6), 0, 0, 0],
+        [0, F(1, 6), 0, 0, 0, 0],
+        [F(1, 6), 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, F(1, 3)],
+        [0, 0, 0, 0, F(1, 2), 0],
+        [0, 0, 0, F(1, 3), 0, 0],
+    ]
+    # P(1,1,1)/O(3): the ambient pairing inserts 3H, the compact-type one -3H
+    m = WPSModel((1, 1, 1), (3,))
+    assert pairing_gram(m, "ambient") == [[0, 3, 0], [3, 0, 0], [0, 0, 0]]
+    assert pairing_gram(m, "ct") == [[0, -3, 0], [-3, 0, 0], [0, 0, 0]]
 
 
 def test_pairing_comparison_rank_zero():
