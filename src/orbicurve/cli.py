@@ -256,8 +256,9 @@ def cmd_wps(args, doc: dict) -> dict:
         matrix = [[fmt(x) for x in row] for row in wps.pairing_gram(model, "cr", secs)]
         return {"model": str(model), "basis": labels, "cr_pairing": matrix}
     # verify
-    pairing = wps.verify_pairing_comparison(model)
-    iso = wps.verify_delta_iso_dims(model)
+    secs = wps.enumerate_sectors(model)
+    pairing = wps.verify_pairing_comparison(model, secs)
+    iso = wps.verify_delta_iso_dims(model, secs)
     return {
         "model": str(model),
         "pairing_checks": pairing.checks,

@@ -612,8 +612,8 @@ def _pairing_sides_by_elements(m: wps.WPSModel) -> tuple[list, list, list]:
     return basis, lhs, rhs
 
 
-def _api_check_pairing_comparison(m: wps.WPSModel) -> None:
-    if wps.comparison_sides(m) != _pairing_sides_by_elements(m):
+def _api_check_pairing_comparison(m: wps.WPSModel, secs: list[wps.Sector]) -> None:
+    if wps.comparison_sides(m, secs) != _pairing_sides_by_elements(m):
         raise cohomology.InternalInconsistency(
             f"pairing comparison of {m}: block Gram matrices disagree with the elementwise pairings"
         )
@@ -622,16 +622,17 @@ def _api_check_pairing_comparison(m: wps.WPSModel) -> None:
 def suite_pairing_comparison(max_n: int = 5, max_w: int = 4, max_r: int = 2, max_k: int = 4) -> SuiteResult:
     res = SuiteResult("pairing-comparison", details={"pairing_checks": 0, "sampled": 0})
     for model in wps_model_family(max_n, max_w, max_r, max_k):
+        secs = wps.enumerate_sectors(model)
         if res.instances % PAIRING_SAMPLE_EVERY == 0:
-            _api_check_pairing_comparison(model)
+            _api_check_pairing_comparison(model, secs)
             res.details["sampled"] += 1
-        pairing = wps.verify_pairing_comparison(model)
-        iso = wps.verify_delta_iso_dims(model)
+        pairing = wps.verify_pairing_comparison(model, secs)
+        iso = wps.verify_delta_iso_dims(model, secs)
         # sector-level age-sum identity, checked alongside
         ages_ok = all(
             sectors.age(s.fiber_weights) + sectors.age(sectors.inverse_sector(s.fiber_weights))
             == model.rank - s.rank_fixed
-            for s in wps.enumerate_sectors(model)
+            for s in secs
         )
         res.instances += 1
         if not (pairing.ok and iso.ok and ages_ok):

@@ -292,10 +292,10 @@ def pairing_gram(m: WPSModel, kind: str, sectors: list[Sector] | None = None) ->
     return gram
 
 
-def comparison_sides(m: WPSModel) -> tuple[list, list, list]:
+def comparison_sides(m: WPSModel, sectors: list[Sector] | None = None) -> tuple[list, list, list]:
     """(`state_basis`, <delta(g1), delta(g2)>_ambient, (-1)^rank <g1, g2>_ct),
-    the two matrices as PhasedScalars."""
-    sectors = enumerate_sectors(m)
+    the two matrices as PhasedScalars; `sectors` as in `pairing_gram`."""
+    sectors = enumerate_sectors(m) if sectors is None else sectors
     ages = [s.age for s in sectors for _ in range(s.dim + 1)]
     sign = (-1) ** m.rank
     lhs = [
@@ -309,11 +309,11 @@ def comparison_sides(m: WPSModel) -> tuple[list, list, list]:
     return state_basis(sectors), lhs, rhs
 
 
-def verify_pairing_comparison(m: WPSModel) -> PairingComparisonReport:
+def verify_pairing_comparison(m: WPSModel, sectors: list[Sector] | None = None) -> PairingComparisonReport:
     """Check <delta(g1), delta(g2)>_ambient = (-1)^rank <g1, g2>_compact-type
-    over the full spanning set of sector monomials."""
+    over the full spanning set of sector monomials; `sectors` as in `pairing_gram`."""
     report = PairingComparisonReport(m)
-    basis, lhs, rhs = comparison_sides(m)
+    basis, lhs, rhs = comparison_sides(m, sectors)
     for i, g1 in enumerate(basis):
         for j, g2 in enumerate(basis):
             report.checks += 1
@@ -355,12 +355,13 @@ def _euler_mult_matrix(m: WPSModel, s: Sector) -> list[list[Fraction]]:
     return mat
 
 
-def verify_delta_iso_dims(m: WPSModel) -> DeltaIsoReport:
+def verify_delta_iso_dims(m: WPSModel, sectors: list[Sector] | None = None) -> DeltaIsoReport:
     """Per sector: image dimension of the Euler-factor multiplication equals
     the rank of the ambient pairing block, and the pairing kernel is stable
-    under that multiplication (well-definedness of the quotient model)."""
+    under that multiplication (well-definedness of the quotient model);
+    `sectors` as in `pairing_gram`."""
     report = DeltaIsoReport(m)
-    sectors = enumerate_sectors(m)
+    sectors = enumerate_sectors(m) if sectors is None else sectors
     gram = pairing_gram(m, "ambient", sectors)
     start = _offsets(sectors)
     for s in sectors:

@@ -146,6 +146,36 @@ def test_wps_pairing_and_verify_golden_output(capsys, key):
     assert out == WPS_GOLDEN[key] + "\n"
 
 
+# P(1,2,3)/O(1): phases of order 3, 4, 6 and 8 from the ages and the det degrees
+SERIES_TABLE_DOC = {
+    "wps": {"weights": [1, 2, 3], "bundle": [1]},
+    "table": {
+        "dim": 5,
+        "entries": [
+            {"beta": {"degrees": [1, "-5/4"]}, "sectors": [0, "1/3"], "psi_power": 0, "row": 0, "col": 2, "value": "-7/4"},
+            {"beta": {"degrees": [1, "-5/4"]}, "sectors": ["1/2", "2/3"], "psi_power": 1, "row": 3, "col": 4, "value": "4/3"},
+            {"beta": {"degrees": [2, "-4/3"]}, "sectors": ["1/3", "1/3"], "psi_power": 0, "row": 2, "col": 2, "value": 2},
+            {"beta": {"degrees": [2, "-4/3"]}, "sectors": ["2/3", "1/2"], "psi_power": 2, "row": 4, "col": 3, "value": "-2"},
+            {"beta": {"degrees": [2, "1/2"]}, "sectors": [0, 0], "psi_power": 1, "row": 1, "col": 0, "value": "9/2"},
+            {"beta": {"degrees": [2, "1/2"]}, "sectors": ["1/2", 0], "psi_power": 0, "row": 3, "col": 1, "value": "3/5"},
+        ],
+    },
+}
+
+SERIES_GOLDEN = {
+    "4": '{"command":"series-verify","results":{"coefficient_checks":150,"first_violation":null,"model":"P(1,2,3)/O(1)","ok":true,"state_dim":5}}',
+    "1": '{"command":"series-verify","results":{"coefficient_checks":50,"first_violation":null,"model":"P(1,2,3)/O(1)","ok":true,"state_dim":5}}',
+}
+
+
+@pytest.mark.parametrize("order", list(SERIES_GOLDEN))
+def test_series_verify_golden_output(tmp_path, capsys, order):
+    # reports recorded from the group-ring PhasedScalar, byte for byte
+    code, out, _ = run_cli(capsys, "--json", "--order", order, "series-verify", write_doc(tmp_path, SERIES_TABLE_DOC))
+    assert code == 0
+    assert out == SERIES_GOLDEN[order] + "\n"
+
+
 def test_verify_suite_command(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "verify", "--suite", "h1-vanishing", "--max-a", "2", "--max-l", "2", "--max-d", "4"

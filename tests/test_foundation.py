@@ -1,4 +1,5 @@
 """Foundation layer: canonical split, phases, phased scalars."""
+import cmath
 import os
 import pathlib
 import subprocess
@@ -8,7 +9,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orbicurve import foundation
 from orbicurve.foundation import (
@@ -171,3 +172,166 @@ def test_phased_scalar_rational_specialization():
 def test_phased_scalar_drops_zero_terms():
     x = PhasedScalar({F(1, 2): F(1)}) + PhasedScalar({F(1, 2): F(-1)})
     assert x.is_zero() and x.terms == {}
+
+
+def zeta(e) -> PhasedScalar:
+    return PhasedScalar.from_phase(Phase(F(e)))
+
+
+def test_cube_roots_of_unity_sum_to_zero():
+    w = zeta(F(2, 3))
+    x = 1 + w + w * w
+    assert x.terms != {}  # the group-ring form keeps three terms...
+    assert x.is_zero() and x == 0 and x == PhasedScalar()  # ...of a zero number
+    assert x.is_rational() and x.to_rational() == 0
+
+
+def test_conjugate_phases_add_to_a_rational():
+    x = zeta(F(1, 3)) + zeta(F(-1, 3))
+    assert x == 1 and x == F(1) and PhasedScalar.from_rational(1) == x
+    assert x.is_rational() and x.to_rational() == 1
+    y = zeta(F(1, 3)) - zeta(F(2, 3))
+    assert y.is_rational() and y.to_rational() == 1
+    assert hash(x) == hash(y) == hash(PhasedScalar.from_rational(1)) == hash(F(1))
+    # i + i^{-1} = 0, but i - i^{-1} = 2i is not rational
+    assert zeta(F(1, 2)) + zeta(F(-1, 2)) == 0
+    assert not (zeta(F(1, 2)) - zeta(F(-1, 2))).is_rational()
+
+
+@settings(deadline=None)
+@given(phased, st.integers(2, 12), rationals)
+def test_adding_a_vanishing_sum_leaves_the_value(x, m, c):
+    # sum_{k < m} zeta_m^k = 0 for every m > 1, with zeta_m = e^{2*pi*i/m}
+    vanishing = sum((zeta(F(2 * k, m)) * c for k in range(m)), PhasedScalar())
+    assert vanishing.is_zero()
+    y = x + vanishing
+    assert y == x and x == y and not (y != x)
+    assert hash(y) == hash(x)
+    assert y.is_rational() == x.is_rational()
+    if x.is_rational():
+        assert y.to_rational() == x.to_rational()
+
+
+@settings(deadline=None)
+@given(phased, phased)
+def test_equal_values_have_equal_hashes(x, y):
+    # x * y, y * x and x * y + (x - x) * y are one value in three representations
+    z = x * y + (x - x) * y + zeta(F(1, 5)) * (1 + zeta(F(2, 5)) + zeta(F(4, 5)) + zeta(F(6, 5)) + zeta(F(8, 5)))
+    assert z == y * x
+    assert hash(z) == hash(y * x) == hash(x * y)
+
+
+def complex_value(x: PhasedScalar, j: int = 1) -> complex:
+    """The value of x, or with j coprime to the order of its phases, the value
+    of its Galois conjugate e^{i*pi*e} -> e^{i*pi*e*j}."""
+    return sum(complex(c) * cmath.exp(1j * cmath.pi * e * j) for e, c in x.terms.items())
+
+
+# exponents of order dividing 24 and integer coefficients: a nonzero value is
+# then an algebraic integer of absolute norm >= 1, so far from 0 in C.
+small_exponents = st.sampled_from(sorted({F(k, d) for d in (1, 2, 3, 4, 6, 8, 12) for k in range(2 * d)}))
+small_phased = st.builds(
+    lambda pairs: PhasedScalar(dict(pairs)),
+    st.lists(st.tuples(small_exponents, st.integers(-2, 2)), max_size=6),
+)
+
+
+# c * e^{i*pi*a} * (sum of the p-th roots of unity): a zero of the form of 1 + w + w^2
+zero_sums = st.builds(
+    lambda c, a, p: zeta(a) * c * sum(zeta(F(2 * k, p)) for k in range(p)),
+    st.integers(-2, 2),
+    small_exponents,
+    st.sampled_from([2, 3, 4, 6]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_phased, zero_sums, st.one_of(st.just(PhasedScalar()), small_phased))
+def test_equality_agrees_with_complex_evaluation(x, zero, noise):
+    y = x + zero + noise
+    assert (x == y) == (abs(complex_value(x) - complex_value(y)) < 1e-9)
+    d = x - y
+    assert d.is_zero() == (abs(complex_value(d)) < 1e-9)
+    # rational iff fixed by the Galois group of Q(zeta_24)
+    conjugates = [complex_value(d, j) for j in range(1, 24) if gcd(j, 24) == 1]
+    assert d.is_rational() == all(abs(v - conjugates[0]) < 1e-9 for v in conjugates)
+    if d.is_rational():
+        assert abs(float(d.to_rational()) - complex_value(d).real) < 1e-9
+
+
+def cyclotomic(m: int) -> list[int]:
+    """Phi_m, constant term first: x^m - 1 divided by Phi_d for each proper divisor d."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly, rest = divmod_monic(poly, cyclotomic(d))
+            assert not any(rest)
+    return poly
+
+
+def divmod_monic(num: list, den: list) -> tuple[list, list]:
+    num, d = list(num), len(den) - 1
+    quot = [0] * max(len(num) - d, 0)
+    for i in range(len(num) - 1, d - 1, -1):
+        quot[i - d] = c = num[i]
+        for j, b in enumerate(den):
+            num[i - d + j] -= c * b
+    return quot, num[:d]
+
+
+def test_cyclotomic_oracle():
+    def poly_mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    for m in range(1, 61):
+        phi = cyclotomic(m)
+        assert len(phi) - 1 == sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+        assert phi[-1] == 1
+        primes = [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]
+        # Phi_m(1) is 0 for m = 1, p for a power of the prime p, and 1 otherwise
+        assert sum(phi) == (0 if m == 1 else primes[0] if len(primes) == 1 else 1)
+        product = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                product = poly_mul(product, cyclotomic(d))
+        assert product == [-1] + [0] * (m - 1) + [1]
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_phased, zero_sums, st.one_of(st.just(PhasedScalar()), small_phased))
+def test_is_zero_agrees_with_reduction_modulo_the_cyclotomic_polynomial(x, zero, noise):
+    # sum_e c_e e^{i*pi*e} = P(z) for z = e^{2*pi*i/N}: zero iff Phi_N divides P
+    d = x + zero + noise
+    n = 1
+    for e in d.terms:
+        n = n * e.denominator // gcd(n, e.denominator)
+    poly = [0] * (2 * n)
+    for e, c in d.terms.items():
+        poly[int(e * n)] = c
+    assert d.is_zero() == (not any(divmod_monic(poly, cyclotomic(2 * n))[1]))
+
+
+def test_zero_test_cost_does_not_grow_with_the_conductor():
+    # conductors 27720 and 27720 * 13: the zero test works on the few terms, not on a polynomial of that degree
+    big = zeta(F(1, 27720)) * 3 + zeta(F(7, 13860))
+    for p in (5, 13):
+        vanishing = sum((zeta(F(2 * k, p)) for k in range(p)), PhasedScalar())
+        assert (big * vanishing).is_zero()
+        assert big * vanishing * zeta(F(1, 3)) + big == big
+        assert big + vanishing * zeta(F(1, 27720)) != big + zeta(F(1, 27720))
+
+
+def test_printed_form_is_unchanged():
+    # strings of the group-ring PhasedScalar, so CLI reports keep their bytes
+    assert str(PhasedScalar()) == "0"
+    assert str(PhasedScalar.from_rational(F(-3, 2))) == "-3/2"
+    assert str(PhasedScalar.from_phase(Phase(F(1, 3)), F(2))) == "2*e^{i*pi*1/3}"
+    assert str(PhasedScalar({0: 1, F(5, 6): F(-2, 3), F(1, 4): 3})) == "1 + 3*e^{i*pi*1/4} + -2/3*e^{i*pi*5/6}"
+    assert str(PhasedScalar({F(7, 4): F(1, 2)})) == "-1/2*e^{i*pi*3/4}"
+    assert str((zeta(F(1, 3)) + 1) * zeta(F(5, 6))) == "-1*e^{i*pi*1/6} + 1*e^{i*pi*5/6}"
+    w = zeta(F(2, 3))
+    assert str(w * w + w + 1) == "1 + -1*e^{i*pi*1/3} + 1*e^{i*pi*2/3}"
