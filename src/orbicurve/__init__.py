@@ -14,7 +14,7 @@ Modules:
 """
 
 from .foundation import Phase, PhasedScalar, Rational, canonical_split
-from .curves import CurveChain, MarkedPoint, TwistedComponent, isotropy_order, present, validate_chain
+from .curves import CurveChain, MarkedPoint, TwistedComponent, isotropy_order, present
 from .bundles import (
     ChainBundle,
     EqLineBundle,

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import CurveChain, MarkedPoint, TwistedComponent, validate_chain
+from .curves import CurveChain, MarkedPoint, TwistedComponent
 from .foundation import InternalInconsistency
 
 
@@ -117,37 +117,39 @@ def acts_trivially_at(L: EqLineBundle, pt: MarkedPoint) -> bool:
 class ChainBundle:
     """A line bundle on a chain: one EqLineBundle per component.
 
-    Validity requires balanced nodes: the isotropy characters on the fibers of
-    the two branches at each node must be inverse to one another, equivalently
-    the two branch ages sum to 0 or 1.
+    Construction raises ValueError naming the violations: a piece count other
+    than the component count, a piece on another component than the chain's,
+    or an unbalanced node.  A node is balanced when the isotropy characters
+    on the fibers of its two branches are inverse to one another; both ends
+    have the node's isotropy order r, so the two age numerators over r sum
+    to 0 mod r.
     """
 
     chain: CurveChain
     pieces: tuple[EqLineBundle, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-
-    def validate(self) -> list[str]:
-        violations = list(validate_chain(self.chain).violations)
-        if len(self.pieces) != len(self.chain.components):
-            violations.append(
-                f"bundle has {len(self.pieces)} pieces for {len(self.chain.components)} components"
-            )
-            return violations
-        for j, (piece, comp) in enumerate(zip(self.pieces, self.chain.components)):
-            if piece.comp != comp:
-                violations.append(f"piece {j} lives on {piece.comp}, chain has {comp}")
+        pieces = tuple(self.pieces)
+        object.__setattr__(self, "pieces", pieces)
+        comps = self.chain.components
+        if len(pieces) != len(comps):
+            raise ValueError(f"bundle has {len(pieces)} pieces for {len(comps)} components")
+        violations = [
+            f"piece {j} lives on {piece.comp}, chain has {comp}"
+            for j, (piece, comp) in enumerate(zip(pieces, comps))
+            if piece.comp != comp
+        ]
+        if not violations:
+            for j in range(len(pieces) - 1):
+                left, r = _age_data(pieces[j], MarkedPoint.X2)
+                right, _ = _age_data(pieces[j + 1], MarkedPoint.X1)
+                if (left + right) % r:
+                    violations.append(
+                        f"node {j}: unbalanced fiber characters "
+                        f"(ages {Fraction(left, r)} and {Fraction(right, r)})"
+                    )
         if violations:
-            return violations
-        for j, k in self.chain.nodes:
-            left = age_at(self.pieces[j], MarkedPoint.X2)
-            right = age_at(self.pieces[k], MarkedPoint.X1)
-            if (left + right) % 1 != 0:
-                violations.append(
-                    f"node {j}: unbalanced fiber characters (ages {left} and {right})"
-                )
-        return violations
+            raise ValueError("; ".join(violations))
 
     @property
     def degree(self) -> Fraction:
@@ -192,12 +194,6 @@ class SplitBundle:
     @property
     def chain(self) -> CurveChain:
         return self.summands[0].chain
-
-    def validate(self) -> list[str]:
-        out = []
-        for i, s in enumerate(self.summands):
-            out.extend(f"summand {i}: {v}" for v in s.validate())
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,9 @@ def validate_document(doc: dict) -> None:
         raise InputError(f"schema violation at {pointer or '/'}: {e.message}")
 
 
-def parse_chain(doc: dict) -> curves.CurveChain:
+def parse_chain(doc: dict | None) -> curves.CurveChain:
+    if doc is None:
+        raise InputError("no input document")
     if "chain" not in doc:
         raise InputError("document has no 'chain'")
     comps = []
@@ -81,11 +83,10 @@ def parse_chain(doc: dict) -> curves.CurveChain:
         except ValueError as exc:
             raise InputError(f"chain[{n}]: {exc}") from exc
         tags.append(_rational(item.get("degree", 1)))
-    chain = curves.CurveChain(tuple(comps), tuple(tags))
-    validity = curves.validate_chain(chain)
-    if not validity.valid:
-        raise InputError("invalid chain: " + "; ".join(validity.violations))
-    return chain
+    try:
+        return curves.CurveChain(tuple(comps), tuple(tags))
+    except ValueError as exc:
+        raise InputError(f"invalid chain: {exc}") from exc
 
 
 def parse_split_bundle(doc: dict, chain: curves.CurveChain) -> bundles.SplitBundle:
@@ -101,15 +102,16 @@ def parse_split_bundle(doc: dict, chain: curves.CurveChain) -> bundles.SplitBund
             bundles.EqLineBundle(comp, p.get("k1", 0), p.get("k2", 0), p["d"])
             for comp, p in zip(chain.components, summand)
         )
-        cb = bundles.ChainBundle(chain, pieces)
-        violations = cb.validate()
-        if violations:
-            raise InputError(f"bundle[{i}]: " + "; ".join(violations))
-        summands.append(cb)
+        try:
+            summands.append(bundles.ChainBundle(chain, pieces))
+        except ValueError as exc:
+            raise InputError(f"bundle[{i}]: {exc}") from exc
     return bundles.SplitBundle(tuple(summands))
 
 
-def parse_wps(doc: dict) -> wps.WPSModel:
+def parse_wps(doc: dict | None) -> wps.WPSModel:
+    if doc is None:
+        raise InputError("no input document")
     if "wps" not in doc:
         raise InputError("document has no 'wps'")
     spec = doc["wps"]

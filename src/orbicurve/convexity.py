@@ -32,7 +32,6 @@ class ConvexityVerdict:
 
 
 def is_weakly_semipositive(B: SplitBundle) -> tuple[bool, list[tuple[int, int]]]:
-    _check_valid(B)
     witnesses = [
         (i, j)
         for i, summand in enumerate(B.summands)
@@ -43,12 +42,10 @@ def is_weakly_semipositive(B: SplitBundle) -> tuple[bool, list[tuple[int, int]]]
 
 
 def is_weakly_convex_on(B: SplitBundle) -> bool:
-    _check_valid(B)
     return all(h_twisted(s, MarkedPoint.X2, -1).h1 == 0 for s in B.summands)
 
 
 def is_weakly_concave_on_dual(B: SplitBundle) -> bool:
-    _check_valid(B)
     return all(h_twisted(chain_dual(s), MarkedPoint.X1, -1).h0 == 0 for s in B.summands)
 
 
@@ -63,12 +60,6 @@ def convexity_verdict(B: SplitBundle) -> ConvexityVerdict:
     if verdict.weakly_convex != verdict.weakly_concave_dual:
         raise CertificateError(f"convexity/concavity mismatch: {B}")
     return verdict
-
-
-def _check_valid(B: SplitBundle) -> None:
-    violations = B.validate()
-    if violations:
-        raise ValueError("invalid split bundle: " + "; ".join(violations))
 
 
 @dataclass

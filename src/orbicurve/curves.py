@@ -11,7 +11,8 @@ underlying group action on homogeneous coordinates (x, y) is
 with z1 an l1-th root of unity, z2 an l2-th root of unity and lam in C*.
 The marked points are x1 = (1, 0) and x2 = (0, 1); their isotropy groups are
 cyclic of orders a*l1*l2 and b*l1*l2, and the generic point has trivial
-isotropy.  Chains glue x2 of one component to x1 of the next.
+isotropy.  Chains glue x2 of one component to x1 of the next; a chain whose
+two isotropy orders differ at some node cannot be built.
 """
 from __future__ import annotations
 
@@ -102,8 +103,12 @@ def isotropy_order(comp: TwistedComponent, pt: MarkedPoint | None = GENERIC) -> 
 class CurveChain:
     """A linear chain of components; node j glues X2 of component j to X1 of j+1.
 
-    degree_tags carry the (positive) map degree on each component.  They are
-    opaque bookkeeping here: only positivity is enforced.
+    degree_tags carry the (positive) map degree on each component; they are
+    opaque bookkeeping here.  Construction raises ValueError naming every
+    violation: no components, a tag count other than the component count, a
+    non-positive tag, or a node whose two isotropy orders differ.  Each
+    component of a linear chain has exactly two special points (its X1 and
+    X2 ends, used as marking or node) by construction.
     """
 
     components: tuple[TwistedComponent, ...]
@@ -116,6 +121,20 @@ class CurveChain:
         )
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "degree_tags", tags)
+        violations: list[str] = []
+        if not comps:
+            violations.append("chain has no components")
+        if len(tags) != len(comps):
+            violations.append(f"degree tag count {len(tags)} != component count {len(comps)}")
+        for j, t in enumerate(tags):
+            if t <= 0:
+                violations.append(f"component {j}: degree tag {t} is not positive")
+        for j in range(len(comps) - 1):
+            left, right = comps[j].d, comps[j + 1].c
+            if left != right:
+                violations.append(f"node {j}: node isotropy mismatch ({left} vs {right})")
+        if violations:
+            raise ValueError("; ".join(violations))
 
     def __len__(self) -> int:
         return len(self.components)
@@ -124,35 +143,6 @@ class CurveChain:
     def nodes(self) -> list[tuple[int, int]]:
         """Node j sits between components j and j+1 (0-based)."""
         return [(j, j + 1) for j in range(len(self.components) - 1)]
-
-
-@dataclass
-class ChainValidity:
-    valid: bool
-    violations: list[str]
-
-
-def validate_chain(chain: CurveChain) -> ChainValidity:
-    """Check node isotropy matching, two-special-point structure, positive degrees."""
-    violations: list[str] = []
-    if not chain.components:
-        violations.append("chain has no components")
-    if len(chain.degree_tags) != len(chain.components):
-        violations.append(
-            f"degree tag count {len(chain.degree_tags)} != component count {len(chain.components)}"
-        )
-    for j, t in enumerate(chain.degree_tags):
-        if t <= 0:
-            violations.append(f"component {j}: degree tag {t} is not positive")
-    for j, k in chain.nodes:
-        left = chain.components[j].d
-        right = chain.components[k].c
-        if left != right:
-            violations.append(f"node {j}: node isotropy mismatch ({left} vs {right})")
-    # Each component of a linear chain automatically has exactly two special
-    # points (its X1 and X2 ends, used as marking or node); the structural
-    # encoding cannot express anything else, so nothing more to check.
-    return ChainValidity(valid=not violations, violations=violations)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,12 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failures == 0
 
+    def fail(self, witness: dict) -> None:
+        """Count one failed instance; the first failure's witness is kept."""
+        self.failures += 1
+        if self.first_counterexample is None:
+            self.first_counterexample = witness
+
 
 def default_workers() -> int:
     try:
@@ -153,8 +159,7 @@ def suite_h1_vanishing(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
             h1, _ = cohomology.h1_component(L)
             res.instances += 1
             if h1 != 0:
-                res.failures += 1
-                res.first_counterexample = res.first_counterexample or {"bundle": str(L), "h1": h1}
+                res.fail({"bundle": str(L), "h1": h1})
     return res
 
 
@@ -169,12 +174,11 @@ def suite_h1_two_path(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suite
             )
             res.instances += 1
             if n_direct != n_serre:
-                res.failures += 1
-                res.first_counterexample = res.first_counterexample or {
+                res.fail({
                     "bundle": str(L),
                     "direct": n_direct,
                     "serre": n_serre,
-                }
+                })
     return res
 
 
@@ -188,13 +192,12 @@ def suite_riemann_roch(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
             chi = cohomology.riemann_roch_check(L)
             res.instances += 1
             if h0 - h1 != chi:
-                res.failures += 1
-                res.first_counterexample = res.first_counterexample or {
+                res.fail({
                     "bundle": str(L),
                     "h0": h0,
                     "h1": h1,
                     "riemann_roch": str(chi),
-                }
+                })
     return res
 
 
@@ -481,12 +484,11 @@ def suite_rank_formula(max_ab: int = 4, max_l: int = 4, max_d: int = 8) -> Suite
                     res.instances += 1
                     ok = rf == direct and rf.denominator == 1 and rf >= 0
                     if not ok:
-                        res.failures += 1
-                        res.first_counterexample = res.first_counterexample or {
+                        res.fail({
                             "bundle": str(L),
                             "rank_formula": str(rf),
                             "direct_h1": direct,
-                        }
+                        })
                     deltas[rf - direct] = deltas.get(rf - direct, 0) + 1
     # rank-2 split bundles: both the formula and the direct rank are additive
     # over summands, so pairs fail only through nonzero per-summand deltas
@@ -534,12 +536,11 @@ def suite_rank2_direct(max_ab: int = 3, max_l: int = 2, max_d: int = 4) -> Suite
             )
             res.instances += 1
             if rf != direct:
-                res.failures += 1
-                res.first_counterexample = res.first_counterexample or {
+                res.fail({
                     "bundles": [str(L1), str(L2)],
                     "rank_formula": str(rf),
                     "direct_h1": direct,
-                }
+                })
     return res
 
 
@@ -578,12 +579,11 @@ def suite_age_sum(trials: int = 10000, max_den: int = 12, seed: int = 0) -> Suit
         rhs_phase = sectors.sign_invariant(beta_det, s.rank)
         ok = ok and lhs_phase == rhs_phase
         if not ok:
-            res.failures += 1
-            res.first_counterexample = res.first_counterexample or {
+            res.fail({
                 "weights": [str(w) for w in weights],
                 "lhs": str(lhs),
                 "rhs": str(rhs),
-            }
+            })
     return res
 
 
@@ -636,13 +636,12 @@ def suite_pairing_comparison(max_n: int = 5, max_w: int = 4, max_r: int = 2, max
         )
         res.instances += 1
         if not (pairing.ok and iso.ok and ages_ok):
-            res.failures += 1
-            res.first_counterexample = res.first_counterexample or {
+            res.fail({
                 "model": str(model),
                 "pairing_failures": pairing.failures[:1],
                 "iso_ok": iso.ok,
                 "ages_ok": ages_ok,
-            }
+            })
         res.details["pairing_checks"] += pairing.checks
     return res
 
@@ -673,11 +672,10 @@ def suite_qsd_operator(trials: int = 1000, order: int = 4, max_dim: int = 6, see
         res.instances += 1
         res.details["coefficient_checks"] = res.details.get("coefficient_checks", 0) + report.checks
         if not report.ok:
-            res.failures += 1
-            res.first_counterexample = res.first_counterexample or {
+            res.fail({
                 "model": str(model),
                 "violation": report.first_violation,
-            }
+            })
     return res
 
 
@@ -699,13 +697,12 @@ def suite_isotropy_oracle(max_cd: int = 12) -> SuiteResult:
                 and counts["generic"] == 1 == curves.isotropy_order(comp)
             )
             if not ok:
-                res.failures += 1
-                res.first_counterexample = res.first_counterexample or {
+                res.fail({
                     "c": c,
                     "d": d,
                     "component": str(comp),
                     "counts": counts,
-                }
+                })
     return res
 
 
@@ -723,13 +720,12 @@ def suite_age_oracle(max_ab: int = 4, max_l: int = 4, max_d: int = 6) -> SuiteRe
                         fast = bundles.age_at(L, pt)
                         slow = bundles.brute_force_age(L, pt)
                         if fast != slow:
-                            res.failures += 1
-                            res.first_counterexample = res.first_counterexample or {
+                            res.fail({
                                 "bundle": str(L),
                                 "point": pt.value,
                                 "formula": str(fast),
                                 "oracle": str(slow),
-                            }
+                            })
     return res
 
 

@@ -18,7 +18,7 @@ from orbicurve.bundles import (
     twist_marked,
 )
 from orbicurve.curves import CurveChain, MarkedPoint, TwistedComponent, present
-from orbicurve.suites import component_family
+from orbicurve.suites import component_family, iter_chains
 
 P1 = present(1, 1)
 P12 = present(1, 2)
@@ -129,12 +129,39 @@ def test_canonical_bundle():
 
 def test_chain_bundle_balance():
     chain = CurveChain((P12, present(2, 1)))
-    good = ChainBundle(chain, (EqLineBundle(P12, 0, 0, 0), EqLineBundle(present(2, 1), 0, 0, 0)))
-    assert good.validate() == []
+    ChainBundle(chain, (EqLineBundle(P12, 0, 0, 0), EqLineBundle(present(2, 1), 0, 0, 0)))
     # d = 1 on P(1,2) has fiber weight 1/2 at x2; the trivial bundle on the
     # next branch has weight 0, so the node is unbalanced
-    bad = ChainBundle(chain, (EqLineBundle(P12, 0, 0, 1), EqLineBundle(present(2, 1), 0, 0, 0)))
-    assert any("unbalanced" in v for v in bad.validate())
+    with pytest.raises(ValueError, match=r"node 0: unbalanced fiber characters \(ages 1/2 and 0\)"):
+        ChainBundle(chain, (EqLineBundle(P12, 0, 0, 1), EqLineBundle(present(2, 1), 0, 0, 0)))
+    with pytest.raises(ValueError, match="bundle has 1 pieces for 2 components"):
+        ChainBundle(chain, (EqLineBundle(P12, 0, 0, 0),))
+    with pytest.raises(ValueError, match=r"piece 1 lives on P\(1,1\), chain has P\(2,1\)"):
+        ChainBundle(chain, (EqLineBundle(P12, 0, 0, 0), EqLineBundle(P1, 0, 0, 0)))
+
+
+def test_integer_balance_matches_fraction_ages():
+    # oracle: the rule on Fraction ages, the two branch ages sum to an integer
+    comps = component_family(3, 3)
+    verdicts = {True: 0, False: 0}
+    for i, j in (c for c in iter_chains(comps, 2) if len(c) == 2):
+        left, right = TwistedComponent(*comps[i]), TwistedComponent(*comps[j])
+        chain = CurveChain((left, right))
+        lefts, rights = (
+            [EqLineBundle(c, k1, k2, d) for k1 in range(c.l1) for k2 in range(c.l2) for d in range(-2, 3)]
+            for c in (left, right)
+        )
+        for L in lefts:
+            for M in rights:
+                balanced = (age_at(L, MarkedPoint.X2) + age_at(M, MarkedPoint.X1)) % 1 == 0
+                try:
+                    ChainBundle(chain, (L, M))
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == balanced, (L, M)
+                verdicts[balanced] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_chain_twist_hits_terminal_components():

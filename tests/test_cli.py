@@ -247,3 +247,43 @@ def test_table_output_contains_wall_clock(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "cohomology", path)
     assert code == 0 and "wall-clock" in out and "h0" in out
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"chain": [{"a": 1, "b": 2}, {"a": 3, "b": 1}], "bundle": [[{"d": 0}, {"d": 0}]]},
+            "invalid chain: node 0: node isotropy mismatch (2 vs 3)",
+        ),
+        (
+            {"chain": [{"a": 1, "b": 2}, {"a": 2, "b": 1}], "bundle": [[{"d": 1}, {"d": 0}]]},
+            "bundle[0]: node 0: unbalanced fiber characters (ages 1/2 and 0)",
+        ),
+        (
+            {"chain": [{"a": 1, "b": 1}, {"a": 1, "b": 1}], "bundle": [[{"d": 0}, {"d": 0}], [{"d": 0}]]},
+            "bundle[1] has 1 pieces for a chain of length 2",
+        ),
+    ],
+    ids=["node-isotropy-mismatch", "unbalanced-node", "piece-count"],
+)
+@pytest.mark.parametrize("command", ["cohomology", "convexity"])
+def test_invalid_chain_and_bundle_messages(tmp_path, capsys, command, doc, message):
+    code, out, err = run_cli(capsys, "--json", command, write_doc(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("wps_command", ["sectors", "pairing", "verify"])
+def test_wps_without_document_is_an_input_error(capsys, wps_command):
+    code, out, err = run_cli(capsys, "--json", "wps", wps_command)
+    assert code == 2 and out == ""
+    assert err == "input error: no input document\n"
+
+
+@pytest.mark.parametrize("command", ["cohomology", "convexity"])
+def test_chain_command_on_terminal_stdin_is_an_input_error(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli.sys.stdin, "isatty", lambda: True)
+    code, out, err = run_cli(capsys, "--json", command)
+    assert code == 2 and out == ""
+    assert err == "input error: no input document\n"

@@ -231,10 +231,10 @@ def test_h_twisted_examples():
 
 
 def test_h_chain_rejects_invalid():
+    # an unbalanced bundle cannot be built, so h_chain never sees one
     chain = CurveChain((P12, present(2, 1)))
-    bad = ChainBundle(chain, (EqLineBundle(P12, 0, 0, 1), EqLineBundle(present(2, 1), 0, 0, 0)))
     with pytest.raises(ValueError, match="unbalanced"):
-        h_chain(bad)
+        h_chain(ChainBundle(chain, (EqLineBundle(P12, 0, 0, 1), EqLineBundle(present(2, 1), 0, 0, 0))))
 
 
 def test_report_invariant():

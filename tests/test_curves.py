@@ -12,7 +12,6 @@ from orbicurve.curves import (
     brute_force_isotropy_counts,
     isotropy_order,
     present,
-    validate_chain,
 )
 
 
@@ -72,27 +71,33 @@ def test_brute_force_isotropy_oracle_small():
 
 def test_validate_chain_single_component():
     chain = CurveChain((present(1, 1),), (F(1),))
-    assert validate_chain(chain).valid
+    assert chain.nodes == []
 
 
 def test_validate_chain_two_p1():
     chain = CurveChain((present(1, 1), present(1, 1)), (F(1), F(1)))
-    assert validate_chain(chain).valid
+    assert chain.nodes == [(0, 1)]
 
 
 def test_validate_chain_node_mismatch():
     # X2 of the first has order 2, X1 of the second has order 3
-    chain = CurveChain((present(1, 2), present(3, 1)))
-    report = validate_chain(chain)
-    assert not report.valid
-    assert any("node isotropy mismatch" in v for v in report.violations)
+    with pytest.raises(ValueError, match=r"node 0: node isotropy mismatch \(2 vs 3\)"):
+        CurveChain((present(1, 2), present(3, 1)))
 
 
 def test_validate_chain_degree_positivity():
-    chain = CurveChain((present(1, 1),), (F(0),))
-    report = validate_chain(chain)
-    assert not report.valid
-    assert any("not positive" in v for v in report.violations)
+    with pytest.raises(ValueError, match="not positive"):
+        CurveChain((present(1, 1),), (F(0),))
+
+
+def test_chain_names_every_violation():
+    with pytest.raises(ValueError) as info:
+        CurveChain((present(1, 2), present(3, 1), present(2, 1)), (F(1), F(-1), F(1)))
+    assert str(info.value) == (
+        "component 1: degree tag -1 is not positive; "
+        "node 0: node isotropy mismatch (2 vs 3); "
+        "node 1: node isotropy mismatch (1 vs 2)"
+    )
 
 
 def test_chain_defaults_degree_tags():

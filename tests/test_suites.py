@@ -117,6 +117,13 @@ def test_pairing_replay_disagreement_raises_under_python_O():
     assert "elementwise" in proc.stdout
 
 
+def test_suite_failures_keep_the_first_witness(monkeypatch):
+    monkeypatch.setattr(suites.cohomology, "h1_component", lambda L: (1, None))
+    res = suites.suite_h1_vanishing(max_ab=1, max_l=1, max_d=2)
+    assert res.instances == res.failures == 3
+    assert res.first_counterexample == {"bundle": "O^{0,0}(0) on P(1,1)", "h1": 1}
+
+
 def test_small_suite_runs_pass():
     assert suites.suite_h1_vanishing(2, 2, 4).ok
     assert suites.suite_h1_two_path(2, 2, 4).ok
