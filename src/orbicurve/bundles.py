@@ -92,11 +92,11 @@ def _age_data(L: EqLineBundle, pt: MarkedPoint) -> tuple[int, int]:
     a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
     if pt is MarkedPoint.X1:
         r = a * l1 * l2
-        t = pow(a * l1 - b * l2, -1, r)
+        t = L.comp.chart_inverses[0]
         num = a * l2 * L.k1 + a * l1 * L.k2 - l2 * L.d
     elif pt is MarkedPoint.X2:
         r = b * l1 * l2
-        t = pow(b * l2 - a * l1, -1, r)
+        t = L.comp.chart_inverses[1]
         num = b * l2 * L.k1 + b * l1 * L.k2 - l1 * L.d
     else:
         raise ValueError(f"unknown marked point {pt!r}")

@@ -1,14 +1,19 @@
 """Exact cohomology of equivariant line bundles on components and chains.
 
 Section spaces on a smooth component are spanned by invariant monomials:
-H^0 of O^{k1,k2}(d) counts pairs (i, j) of non-negative integers with
-a*i + b*j = d, i = k1 (mod l1), j = k2 (mod l2).  H^1 is computed by two
+H^0 of O^{k1,k2}(d) has the basis x^i y^j with i, j >= 0, a*i + b*j = d,
+i = k1 (mod l1), j = k2 (mod l2).  These congruences fix one residue class
+of i mod b*l1*l2 (Chinese remainder theorem; Popoviciu's count when l = 1),
+so h^0 is the number of its members in [0, d // a].  H^1 is counted by two
 independent routes that must agree:
 
-  * Serre route: h^1(L) = h^0(omega tensor dual(L)) through the bundle
-    operations, with omega the canonical bundle;
-  * direct route: count "negative" monomials x^-p y^-q with p, q >= 1,
-    a*p + b*q = -d and the induced congruences -p = k1 (l1), -q = k2 (l2).
+  * Serre route: h^1(L) = h^0(omega tensor dual(L)), the count above on the
+    data of the canonical bundle minus those of L;
+  * direct route: "negative" monomials x^-p y^-q with p, q >= 1,
+    a*p + b*q = -d, -p = k1 (l1), -q = k2 (l2), whose y-exponents q form
+    one residue class mod a*l1*l2 in [1, (-d - a) // b].
+
+Each count takes a few integer operations, whatever the size of d.
 
 On a chain, restriction to the normalization gives the exact sequence whose
 connecting map F evaluates sections at the active nodes (those whose
@@ -28,12 +33,13 @@ left-to-right scan counts.  `chain_step` is that scan as a fold with O(1)
 state over the per-piece end data of `piece_ends`, so an enumeration that
 extends chains piece by piece carries prefix states instead of recomputing
 them.  `h_chain_by_elimination` keeps the matrix and Gaussian elimination as
-an independent oracle for tests and sampled cross-checks.
+an independent oracle for tests and sampled cross-checks; only it lists monomials.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bundles import (
     ChainBundle,
@@ -42,30 +48,10 @@ from .bundles import (
     age_at,
     canonical_bundle,
     chain_twist,
-    dual,
-    tensor,
 )
-from .curves import MarkedPoint
+from .curves import MarkedPoint, TwistedComponent
 from .foundation import InternalInconsistency
 from .linalg import mat_rank
-
-
-@dataclass(frozen=True)
-class SectionBasis:
-    """Exponent pairs of basis monomials; negative pairs describe H^1 classes."""
-
-    monomials: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def nonzero_at(self, pt: MarkedPoint) -> list[int]:
-        """Indices of basis monomials with nonzero value at the given point."""
-        if pt is MarkedPoint.X1:
-            return [n for n, (_, j) in enumerate(self.monomials) if j == 0]
-        if pt is MarkedPoint.X2:
-            return [n for n, (i, _) in enumerate(self.monomials) if i == 0]
-        raise ValueError(f"unknown marked point {pt!r}")
 
 
 @dataclass(frozen=True)
@@ -73,69 +59,54 @@ class CohomologyReport:
     h0: int
     h1: int
     euler_char: Fraction
-    method: str
 
     def __post_init__(self):
         if self.h0 < 0 or self.h1 < 0:
             raise ValueError("cohomology dimensions must be non-negative")
 
 
-def h0_component(L: EqLineBundle) -> tuple[int, SectionBasis]:
+def _h0_count(comp: TwistedComponent, k1: int, k2: int, d: int) -> int:
+    """h^0 of O^{k1,k2}(d), 0 <= k1 < l1: the members of the class i = i0 (mod b*l1*l2) in [0, d // a]."""
+    a, b, l1, l2 = comp.a, comp.b, comp.l1, comp.l2
+    # i = k1 + l1*s, and b*l2 | d - a*i - b*k2 says a*l1*s = d - a*k1 - b*k2
+    # (mod b*l2), with a*l1 a unit mod b*l2
+    i0 = k1 + l1 * ((d - a * k1 - b * k2) * pow(a * l1, -1, b * l2) % (b * l2))
+    return max(0, (d // a - i0) // (b * l1 * l2) + 1)
+
+
+def h0_component(L: EqLineBundle) -> int:
+    return _h0_count(L.comp, L.k1, L.k2, L.d)
+
+
+def h1_negative_monomials(L: EqLineBundle) -> int:
+    """Direct h^1: the y-exponents q = q0 (mod a*l1*l2) of x^-p y^-q in [1, (-d - a) // b]."""
     a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
-    monos = []
-    if L.d >= 0:
-        for i in range(0, L.d // a + 1):
-            if i % l1 != L.k1:
-                continue
-            rem = L.d - a * i
-            if rem % b == 0 and (rem // b) % l2 == L.k2:
-                monos.append((i, rem // b))
-    basis = SectionBasis(tuple(monos))
-    return len(basis), basis
+    # q = q2 + l2*t, and p = (-d - b*q)/a = -k1 (mod l1) says
+    # b*l2*t = a*k1 - d - b*q2 (mod a*l1), with b*l2 a unit mod a*l1
+    q2 = -L.k2 % l2
+    q0 = q2 + l2 * ((a * L.k1 - L.d - b * q2) * pow(b * l2, -1, a * l1) % (a * l1))
+    period = a * l1 * l2
+    return max(0, ((-L.d - a) // b - (q0 or period)) // period + 1)
 
 
-def h1_negative_monomials(L: EqLineBundle) -> tuple[int, SectionBasis]:
-    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
-    monos = []
-    if L.d <= -(a + b):
-        for p in range(1, (-L.d) // a + 1):
-            if (-p) % l1 != L.k1:
-                continue
-            rem = -L.d - a * p
-            if rem >= b and rem % b == 0 and (-(rem // b)) % l2 == L.k2:
-                monos.append((-p, -(rem // b)))
-    return len(monos), SectionBasis(tuple(monos))
+# The canonical bundle of each component, built once through the bundle API.
+_canonical = lru_cache(maxsize=1024)(canonical_bundle)
 
 
-def h1_component(L: EqLineBundle) -> tuple[int, SectionBasis]:
-    n_direct, basis = h1_negative_monomials(L)
-    n_serre, _ = h0_component(tensor(canonical_bundle(L.comp), dual(L)))
+def h1_component(L: EqLineBundle) -> int:
+    n_direct = h1_negative_monomials(L)
+    K = _canonical(L.comp)  # K.k1 = l1 - 1, so K.k1 - L.k1 is reduced
+    n_serre = _h0_count(L.comp, K.k1 - L.k1, K.k2 - L.k2, K.d - L.d)
     if n_direct != n_serre:
         raise InternalInconsistency(
             f"h1 routes disagree on {L}: direct {n_direct}, Serre {n_serre}"
         )
-    return n_direct, basis
+    return n_direct
 
 
 def riemann_roch_check(L: EqLineBundle) -> Fraction:
     """deg(L) + 1 - age_x1(L) - age_x2(L); equals h0 - h1 on every bundle."""
     return L.degree + 1 - age_at(L, MarkedPoint.X1) - age_at(L, MarkedPoint.X2)
-
-
-def report_component(L: EqLineBundle) -> CohomologyReport:
-    h0, _ = h0_component(L)
-    h1, _ = h1_component(L)
-    return CohomologyReport(h0, h1, riemann_roch_check(L), method="oracle")
-
-
-def report_riemann_roch(L: EqLineBundle) -> CohomologyReport:
-    """Alternative report: h1 through Serre duality, h0 from the Euler characteristic."""
-    h1, _ = h0_component(tensor(canonical_bundle(L.comp), dual(L)))
-    chi = riemann_roch_check(L)
-    h0 = chi + h1
-    if h0.denominator != 1 or h0 < 0:
-        raise InternalInconsistency(f"Euler characteristic route broke on {L}: chi={chi}, h1={h1}")
-    return CohomologyReport(int(h0), h1, chi, method="riemann-roch")
 
 
 PieceEnds = tuple[int, int, bool, bool, bool, bool]
@@ -149,15 +120,17 @@ CHAIN_START: ChainState = (0, 0, False, False, False)
 
 
 def piece_ends(L: EqLineBundle) -> PieceEnds:
-    """(h0, h1, nonzero at x1, nonzero at x2, d == 0, trivial at x2) of one piece."""
-    h0, basis = h0_component(L)
-    h1, _ = h1_component(L)
+    """(h0, h1, nonzero at x1, nonzero at x2, d == 0, trivial at x2) of one piece.
+
+    Some section is nonzero at x1 iff x^(d/a) is one, and at x2 iff y^(d/b) is."""
+    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
+    k1, k2, d = L.k1, L.k2, L.d
     return (
-        h0,
-        h1,
-        bool(basis.nonzero_at(MarkedPoint.X1)),
-        bool(basis.nonzero_at(MarkedPoint.X2)),
-        L.d == 0,
+        h0_component(L),
+        h1_component(L),
+        k2 == 0 and d >= 0 and d % a == 0 and (d // a - k1) % l1 == 0,
+        k1 == 0 and d >= 0 and d % b == 0 and (d // b - k2) % l2 == 0,
+        d == 0,
         acts_trivially_at(L, MarkedPoint.X2),
     )
 
@@ -179,11 +152,29 @@ def chain_step(state: ChainState, piece: PieceEnds) -> ChainState:
 
 
 def h_chain(B: ChainBundle) -> CohomologyReport:
+    """h0 and h1 of a chain bundle by the fold, checked against Riemann-Roch."""
     state = CHAIN_START
     for piece in B.pieces:
         state = chain_step(state, piece_ends(piece))
+    h0, h1 = state[0], state[1]
     euler = sum((riemann_roch_check(p) for p in B.pieces), Fraction(0)) - n_active_euler(B)
-    return CohomologyReport(state[0], state[1], euler, method="chain")
+    if h0 - h1 != euler:
+        raise InternalInconsistency(
+            f"h0 - h1 = {h0} - {h1} but the Euler characteristic is {euler} on "
+            + ", ".join(map(str, B.pieces))
+        )
+    return CohomologyReport(h0, h1, euler)
+
+
+def _section_monomials(L: EqLineBundle) -> list[tuple[int, int]]:
+    """Exponents (i, j) of the invariant monomials x^i y^j spanning H^0(L), listed."""
+    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
+    monos = []
+    for i in range(0, L.d // a + 1):
+        rem = L.d - a * i
+        if i % l1 == L.k1 and rem % b == 0 and (rem // b) % l2 == L.k2:
+            monos.append((i, rem // b))
+    return monos
 
 
 def _node_rows(B: ChainBundle) -> tuple[list[list[Fraction]], int, int]:
@@ -195,12 +186,10 @@ def _node_rows(B: ChainBundle) -> tuple[list[list[Fraction]], int, int]:
     its x1 end.  Inactive nodes (isotropy acting nontrivially on the fiber)
     contribute no row: the fiber has no invariant sections there.
     """
-    bases = []
+    bases = [_section_monomials(piece) for piece in B.pieces]
     offsets = [0]
-    for piece in B.pieces:
-        _, basis = h0_component(piece)
-        bases.append(basis)
-        offsets.append(offsets[-1] + len(basis))
+    for monos in bases:
+        offsets.append(offsets[-1] + len(monos))
     total = offsets[-1]
     rows: list[list[Fraction]] = []
     n_active = 0
@@ -209,17 +198,19 @@ def _node_rows(B: ChainBundle) -> tuple[list[list[Fraction]], int, int]:
             continue
         n_active += 1
         row = [Fraction(0)] * total
-        for n in bases[j].nonzero_at(MarkedPoint.X2):
-            row[offsets[j] + n] = Fraction(1)
-        for n in bases[k].nonzero_at(MarkedPoint.X1):
-            row[offsets[k] + n] = Fraction(-1)
+        for n, (x_exp, _) in enumerate(bases[j]):
+            if x_exp == 0:  # nonzero at x2
+                row[offsets[j] + n] = Fraction(1)
+        for n, (_, y_exp) in enumerate(bases[k]):
+            if y_exp == 0:  # nonzero at x1
+                row[offsets[k] + n] = Fraction(-1)
         rows.append(row)
     return rows, n_active, total
 
 
 def h_chain_by_elimination(B: ChainBundle) -> tuple[int, int]:
     """Oracle for h_chain: (h0, h1) from the whole node matrix by Gaussian elimination."""
-    h1_comps = sum(h1_component(p)[0] for p in B.pieces)
+    h1_comps = sum(h1_component(p) for p in B.pieces)
     rows, n_active, total_h0 = _node_rows(B)
     rank = mat_rank(rows) if rows else 0
     return total_h0 - rank, h1_comps + n_active - rank

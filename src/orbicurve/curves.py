@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .foundation import as_rational, canonical_split
@@ -55,6 +56,12 @@ class TwistedComponent:
             raise ValueError(f"gcd(l1,b)={gcd(self.l1, self.b)} != 1")
         if gcd(self.l2, self.a) != 1:
             raise ValueError(f"gcd(l2,a)={gcd(self.l2, self.a)} != 1")
+
+    @cached_property
+    def chart_inverses(self) -> tuple[int, int]:
+        """(a*l1 - b*l2)^-1 mod c and (b*l2 - a*l1)^-1 mod d, the powers taken in `bundles._age_data`."""
+        u = self.a * self.l1 - self.b * self.l2
+        return pow(u, -1, self.c), pow(-u, -1, self.d)
 
     @property
     def l(self) -> int:

@@ -53,20 +53,20 @@ def factorize(n: int) -> dict[int, int]:
 def canonical_split(l: int, a: int, b: int) -> tuple[int, int]:
     """Split l = l1*l2 with gcd(l1,l2) = gcd(l1,b) = gcd(l2,a) = 1.
 
-    The split is made canonical by routing each prime power of l that divides
-    a into l1, each dividing b into l2, and each dividing neither into l1.
+    The split is made canonical by taking for l2 the part of l made of primes
+    dividing b (dividing out gcd(l1, b) until it is 1, so no factorization).
     Requires gcd(a, b) = 1, which makes the three gcd conditions achievable.
     """
     if l < 1 or a < 1 or b < 1:
         raise ValueError("canonical_split expects positive integers")
     if gcd(a, b) != 1:
         raise ValueError(f"canonical_split requires gcd(a,b)=1, got gcd({a},{b})={gcd(a, b)}")
-    l1 = l2 = 1
-    for p, e in factorize(l).items():
-        if b % p == 0:
-            l2 *= p**e
-        else:
-            l1 *= p**e
+    l1, l2 = l, 1
+    g = gcd(l1, b)
+    while g > 1:
+        l1 //= g
+        l2 *= g
+        g = gcd(l1, b)
     if not (l1 * l2 == l and gcd(l1, l2) == 1 and gcd(l1, b) == 1 and gcd(l2, a) == 1):
         raise InternalInconsistency(f"canonical_split({l}, {a}, {b}) gave inadmissible ({l1}, {l2})")
     return l1, l2

@@ -156,7 +156,7 @@ def suite_h1_vanishing(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
     for comp, k1, k2 in _component_grid(max_ab, max_l):
         for d in range(0, max_d + 1):
             L = bundles.EqLineBundle(comp, k1, k2, d)
-            h1, _ = cohomology.h1_component(L)
+            h1 = cohomology.h1_component(L)
             res.instances += 1
             if h1 != 0:
                 res.fail({"bundle": str(L), "h1": h1})
@@ -168,8 +168,8 @@ def suite_h1_two_path(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suite
     for comp, k1, k2 in _component_grid(max_ab, max_l):
         for d in range(-max_d, max_d + 1):
             L = bundles.EqLineBundle(comp, k1, k2, d)
-            n_direct, _ = cohomology.h1_negative_monomials(L)
-            n_serre, _ = cohomology.h0_component(
+            n_direct = cohomology.h1_negative_monomials(L)
+            n_serre = cohomology.h0_component(
                 bundles.tensor(bundles.canonical_bundle(comp), bundles.dual(L))
             )
             res.instances += 1
@@ -187,8 +187,8 @@ def suite_riemann_roch(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
     for comp, k1, k2 in _component_grid(max_ab, max_l):
         for d in range(-max_d, max_d + 1):
             L = bundles.EqLineBundle(comp, k1, k2, d)
-            h0, _ = cohomology.h0_component(L)
-            h1, _ = cohomology.h1_component(L)
+            h0 = cohomology.h0_component(L)
+            h1 = cohomology.h1_component(L)
             chi = cohomology.riemann_roch_check(L)
             res.instances += 1
             if h0 - h1 != chi:
@@ -233,10 +233,10 @@ class _CompTables:
         self.tw2 = [ends(bundles.twist_marked(L, x2, -1)) for L in lines]
         self.dualx = [ends(L) for L in duals]
         self.dtw1 = [ends(bundles.twist_marked(L, x1, -1)) for L in duals]
-        self.need = [int(-bundles.age_at(L, x2) * c.d) % c.d for L in lines]
+        self.need = [-bundles._age_data(L, x2)[0] % c.d for L in lines]
         self.by_age1: dict[int, list[int]] = {}
         for t, L in enumerate(lines):
-            self.by_age1.setdefault(int(bundles.age_at(L, x1) * c.c), []).append(t)
+            self.by_age1.setdefault(bundles._age_data(L, x1)[0], []).append(t)
 
 
 @lru_cache(maxsize=None)

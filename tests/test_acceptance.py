@@ -1,7 +1,8 @@
 """Acceptance gate: every advertised guarantee at its full stated bounds.
 
 Each test runs one verification suite at the documented grid and requires
-zero failures, exact arithmetic throughout.  One summary line per criterion
+zero failures, exact arithmetic throughout, and the instance counts of
+criteria 1-7 and 9-11 are frozen.  One summary line per criterion
 is printed (visible with `pytest -s` or on failure).
 """
 import time
@@ -39,7 +40,7 @@ def test_criterion_01_h1_vanishing():
 
 
 def test_criterion_02_h1_two_path_agreement():
-    run(
+    res = run(
         2,
         "Serre-route h1 equals direct negative-monomial h1",
         suites.suite_h1_two_path,
@@ -47,10 +48,11 @@ def test_criterion_02_h1_two_path_agreement():
         max_l=6,
         max_d=12,
     )
+    assert res.instances == 18725
 
 
 def test_criterion_03_riemann_roch():
-    run(
+    res = run(
         3,
         "h0 - h1 = deg + 1 - age_x1 - age_x2 exactly",
         suites.suite_riemann_roch,
@@ -58,6 +60,7 @@ def test_criterion_03_riemann_roch():
         max_l=6,
         max_d=12,
     )
+    assert res.instances == 18725
 
 
 def test_criterion_04_semipositive_implies_convex():
@@ -72,6 +75,7 @@ def test_criterion_04_semipositive_implies_convex():
     )
     assert res.details["rank2_failures"] == 0
     assert res.details["sampled"] > 0
+    assert (res.instances, res.details["rank2_pairs"], res.details["sampled"]) == (2194022, 2481337074, 10998)
 
 
 def test_criterion_05_convex_iff_concave():
@@ -86,10 +90,13 @@ def test_criterion_05_convex_iff_concave():
     )
     assert res.details["rank2_equiv_failures"] == 0
     assert res.details["n_tf"] == 0 and res.details["n_ft"] == 0
+    assert res.instances == 14585906
+    assert (res.details["n_tt"], res.details["n_ff"]) == (6104853, 8481053)
+    assert (res.details["rank2_pairs"], res.details["sampled"]) == (112174113690, 73277)
 
 
 def test_criterion_06_log_canonical_certificate():
-    run(
+    res = run(
         6,
         "log-canonical certificate on every chain of length <= 6",
         suites.suite_log_canonical,
@@ -97,10 +104,11 @@ def test_criterion_06_log_canonical_certificate():
         max_l=4,
         max_len=6,
     )
+    assert (res.instances, res.details["sampled"]) == (1328569, 6647)
 
 
 def test_criterion_07_rank_formula():
-    run(
+    res = run(
         7,
         "degree/age rank formula equals direct h1 of the twisted dual",
         suites.suite_rank_formula,
@@ -108,11 +116,13 @@ def test_criterion_07_rank_formula():
         max_l=4,
         max_d=8,
     )
-    run(
+    assert (res.instances, res.details["rank2_pairs"]) == (1870, 3496900)
+    res = run(
         7,
         "rank formula on genuine rank-2 split bundles (direct sweep)",
         suites.suite_rank2_direct,
     )
+    assert res.instances == 1216
 
 
 def test_criterion_08_age_sum_and_sign_consistency():

@@ -1,5 +1,10 @@
 """Command-line front end: parsing, reports, determinism, exit codes."""
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +87,28 @@ def test_cohomology_command_multisummand_with_twist(tmp_path, capsys):
     results = json.loads(out)["results"]
     assert results["summands"][0] == {"h0": 2, "h1": 0, "euler_char": "2"}
     assert results["summands"][1] == {"h0": 0, "h1": 1, "euler_char": "-1"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"chain": [{"c": 1, "d": 1}] * 2, "bundle": [[{"d": 10**18}, {"d": -(10**18)}]]},
+        {"chain": [{"c": 10**18 + 3, "d": 10**18 + 3}], "bundle": [[{"d": 10**18 + 3}]]},
+    ],
+    ids=["degree-1e18", "isotropy-1e18"],
+)
+def test_cohomology_cost_is_bounded_by_input_size(tmp_path, doc):
+    # cost follows the size of the numbers, not their magnitude: no count
+    # walks the degree and no presentation factors the isotropy orders
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbicurve.cli", "--json", "cohomology", write_doc(tmp_path, doc)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["h0"] - results["h1"] == Fraction(results["euler_char"])
 
 
 def test_convexity_command(tmp_path, capsys):

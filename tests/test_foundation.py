@@ -58,6 +58,21 @@ def test_canonical_split_always_admissible():
                 assert (l1, l2) in all_valid_splits(l, a, b)
 
 
+def test_canonical_split_matches_factorization():
+    # reference: route each prime power of l by whether its prime divides b
+    for l in range(1, 200):
+        primes = foundation.factorize(l)
+        for a in range(1, 30):
+            for b in range(1, 30):
+                if gcd(a, b) != 1:
+                    continue
+                l2 = 1
+                for p, e in primes.items():
+                    if b % p == 0:
+                        l2 *= p**e
+                assert canonical_split(l, a, b) == (l // l2, l2), (l, a, b)
+
+
 def test_canonical_split_rejects_common_factor():
     with pytest.raises(ValueError, match=r"gcd\(a,b\)=1"):
         canonical_split(2, 2, 4)
@@ -81,7 +96,19 @@ def test_canonical_split_check_raises_under_python_O():
 
         if not sys.flags.optimize:
             sys.exit(2)
-        foundation.factorize = lambda n: {2: 1}
+        # a gcd that answers 1 the first time the true answer is not 1: the
+        # split then keeps the factor 3 of l in l1, although 3 divides b
+        true_gcd = foundation.gcd
+        lied = []
+
+        def lying_gcd(x, y):
+            g = true_gcd(x, y)
+            if g > 1 and not lied:
+                lied.append(g)
+                return 1
+            return g
+
+        foundation.gcd = lying_gcd
         try:
             foundation.canonical_split(6, 2, 3)
         except foundation.InternalInconsistency as exc:

@@ -118,7 +118,7 @@ def test_pairing_replay_disagreement_raises_under_python_O():
 
 
 def test_suite_failures_keep_the_first_witness(monkeypatch):
-    monkeypatch.setattr(suites.cohomology, "h1_component", lambda L: (1, None))
+    monkeypatch.setattr(suites.cohomology, "h1_component", lambda L: 1)
     res = suites.suite_h1_vanishing(max_ab=1, max_l=1, max_d=2)
     assert res.instances == res.failures == 3
     assert res.first_counterexample == {"bundle": "O^{0,0}(0) on P(1,1)", "h1": 1}
