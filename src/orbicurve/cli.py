@@ -6,17 +6,26 @@ for a fixed (input, seed); wall-clock timing appears only in the human-readable
 table output.  Exit codes: 0 success, 1 suite/verdict failure, 2 input error,
 3 internal error (two independent computations disagreed, or a certificate
 failed).
+
+Input documents follow `schemas/input-v1.json`, where an integer is a JSON
+integer: `2.0` is a schema violation, not the number 2.  The argument parser
+and the input schema are built once per process, so a program that calls
+`main()` many times pays for them once.  The schema is compiled into a
+predicate that accepts valid documents without jsonschema; jsonschema is
+imported only for a document the predicate rejects, and words its schema
+violation.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 from importlib import resources
-
-import jsonschema
+from typing import Callable
 
 from . import bundles, cohomology, convexity, curves, sectors, series, suites, wps
 from .foundation import Phase, PhasedScalar
@@ -53,10 +62,136 @@ def load_schema(name: str) -> dict:
         return json.load(fh)
 
 
-def validate_document(doc: dict) -> None:
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_Predicate = Callable[[object], bool]
+
+_TYPES: dict[str, _Predicate] = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": _is_integer,
+}
+# keywords that check nothing: metadata, and $defs, which is reached by $ref
+_INERT = frozenset({"$schema", "$id", "title", "$defs"})
+
+
+def _enum_member(value) -> _Predicate:
+    """Equality as jsonschema's enum has it: bools are not numbers."""
+    if isinstance(value, str):
+        return lambda x: x == value
+    if _is_integer(value):
+        return lambda x: not isinstance(x, bool) and x == value
+    raise ValueError(f"unsupported enum value {value!r}")
+
+
+def _all(checks: list[_Predicate]) -> _Predicate:
+    if len(checks) == 1:
+        return checks[0]
+
+    def accepts(x) -> bool:
+        for check in checks:
+            if not check(x):
+                return False
+        return True
+
+    return accepts
+
+
+def _compile(schema: dict, root: dict) -> _Predicate:
+    """Compile `schema`, a part of `root`, into a predicate on JSON values.
+
+    It accepts exactly what the validator of `_input_validator` accepts.  As in
+    JSON Schema, a keyword about objects, arrays, strings or numbers ignores
+    every other kind of value.  Only the keywords input-v1.json uses are
+    supported; any other raises ValueError, so an edit of the schema cannot
+    silently drop a check.
+    """
+    if not isinstance(schema, dict):
+        raise ValueError(f"unsupported schema {schema!r}")
+    checks: list[_Predicate] = []
+    for key, arg in schema.items():
+        if key in _INERT:
+            continue
+        if key == "type":
+            if not isinstance(arg, str) or arg not in _TYPES:
+                raise ValueError(f"unsupported type {arg!r}")
+            checks.append(_TYPES[arg])
+        elif key == "properties":
+            subs = {name: _compile(sub, root) for name, sub in arg.items()}
+            checks.append(
+                lambda x, subs=subs: not isinstance(x, dict)
+                or all(subs[k](v) for k, v in x.items() if k in subs)
+            )
+        elif key == "additionalProperties":
+            if arg is not False:
+                raise ValueError(f"unsupported additionalProperties {arg!r}")
+            allowed = frozenset(schema.get("properties", ()))
+            checks.append(lambda x, allowed=allowed: not isinstance(x, dict) or x.keys() <= allowed)
+        elif key == "required":
+            names = tuple(arg)
+            checks.append(lambda x, names=names: not isinstance(x, dict) or all(k in x for k in names))
+        elif key == "items":
+            sub = _compile(arg, root)
+            checks.append(lambda x, sub=sub: not isinstance(x, list) or all(map(sub, x)))
+        elif key == "minItems":
+            checks.append(lambda x, n=arg: not isinstance(x, list) or len(x) >= n)
+        elif key == "maxItems":
+            checks.append(lambda x, n=arg: not isinstance(x, list) or len(x) <= n)
+        elif key == "minimum":
+            checks.append(lambda x, m=arg: not _is_number(x) or not x < m)
+        elif key == "enum":
+            members = [_enum_member(v) for v in arg]
+            checks.append(lambda x, members=members: any(m(x) for m in members))
+        elif key == "pattern":
+            search = re.compile(arg).search
+            checks.append(lambda x, search=search: not isinstance(x, str) or search(x) is not None)
+        elif key == "oneOf":
+            subs = [_compile(sub, root) for sub in arg]
+            checks.append(lambda x, subs=subs: sum(1 for sub in subs if sub(x)) == 1)
+        elif key == "$ref":
+            if not arg.startswith("#/"):
+                raise ValueError(f"unsupported $ref {arg!r}")
+            target = root
+            for part in arg[2:].split("/"):
+                target = target[part.replace("~1", "/").replace("~0", "~")]
+            checks.append(_compile(target, root))
+        else:
+            raise ValueError(f"unsupported schema keyword {key!r}")
+    return _all(checks)
+
+
+@functools.cache
+def _input_predicate() -> _Predicate:
     schema = load_schema("input-v1.json")
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    return _compile(schema, schema)
+
+
+@functools.cache
+def _input_validator():
+    """jsonschema's validator of input-v1, imported and built on the first rejected document."""
+    import jsonschema
+
+    # Since draft 6, JSON Schema's "integer" admits integral floats such as
+    # 2.0, which would reach Fraction and gcd as floats.  Draft 4's types are
+    # those of 2020-12 with an integer that is a JSON integer.  (A type check
+    # written here would be held by the checker's map, which the collector
+    # cannot traverse, and would keep this module alive after its reload.)
+    integers = jsonschema.Draft4Validator.TYPE_CHECKER
+    validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=integers)
+    return validator(load_schema("input-v1.json"))
+
+
+def validate_document(doc: dict) -> None:
+    if _input_predicate()(doc):
+        return
+    errors = sorted(_input_validator().iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
         pointer = "/" + "/".join(str(p) for p in e.absolute_path)
@@ -335,7 +470,9 @@ def cmd_verify(args, doc: dict | None) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: `parse_args` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="orbicurve",
         description="Exact computations for line bundles on two-pointed orbifold curve chains",

@@ -44,8 +44,8 @@ from functools import lru_cache
 from .bundles import (
     ChainBundle,
     EqLineBundle,
+    _age_data,
     acts_trivially_at,
-    age_at,
     canonical_bundle,
     chain_twist,
 )
@@ -104,9 +104,21 @@ def h1_component(L: EqLineBundle) -> int:
     return n_direct
 
 
+def _riemann_roch_terms(L: EqLineBundle) -> tuple[int, int, bool]:
+    """(numerator, a*b*l1*l2, trivial at x2) of deg(L) + 1 - age_x1(L) - age_x2(L).
+
+    The ages are num1/(a*l1*l2) and num2/(b*l1*l2), and deg(L) = d/(a*b*l1*l2)."""
+    a, b = L.comp.a, L.comp.b
+    den = a * b * L.comp.l1 * L.comp.l2
+    num1, _ = _age_data(L, MarkedPoint.X1)
+    num2, _ = _age_data(L, MarkedPoint.X2)
+    return L.d + den - b * num1 - a * num2, den, num2 == 0
+
+
 def riemann_roch_check(L: EqLineBundle) -> Fraction:
     """deg(L) + 1 - age_x1(L) - age_x2(L); equals h0 - h1 on every bundle."""
-    return L.degree + 1 - age_at(L, MarkedPoint.X1) - age_at(L, MarkedPoint.X2)
+    num, den, _ = _riemann_roch_terms(L)
+    return Fraction(num, den)
 
 
 PieceEnds = tuple[int, int, bool, bool, bool, bool]
@@ -157,7 +169,14 @@ def h_chain(B: ChainBundle) -> CohomologyReport:
     for piece in B.pieces:
         state = chain_step(state, piece_ends(piece))
     h0, h1 = state[0], state[1]
-    euler = sum((riemann_roch_check(p) for p in B.pieces), Fraction(0)) - n_active_euler(B)
+    # Riemann-Roch on the pieces, summed in integers with one numerator per
+    # denominator, less one gluing condition per active node
+    terms = [_riemann_roch_terms(p) for p in B.pieces]
+    numerators: dict[int, int] = {}
+    for num, den, _ in terms:
+        numerators[den] = numerators.get(den, 0) + num
+    n_active = sum(trivial2 for _, _, trivial2 in terms[:-1])  # node j follows piece j
+    euler = sum((Fraction(num, den) for den, num in numerators.items()), Fraction(0)) - n_active
     if h0 - h1 != euler:
         raise InternalInconsistency(
             f"h0 - h1 = {h0} - {h1} but the Euler characteristic is {euler} on "
@@ -214,15 +233,6 @@ def h_chain_by_elimination(B: ChainBundle) -> tuple[int, int]:
     rows, n_active, total_h0 = _node_rows(B)
     rank = mat_rank(rows) if rows else 0
     return total_h0 - rank, h1_comps + n_active - rank
-
-
-def n_active_euler(B: ChainBundle) -> int:
-    """Number of nodes whose fiber carries invariant sections (gluing conditions)."""
-    n = 0
-    for j, _ in B.chain.nodes:
-        if acts_trivially_at(B.pieces[j], MarkedPoint.X2):
-            n += 1
-    return n
 
 
 def h_twisted(B: ChainBundle, pt: MarkedPoint, sign: int) -> CohomologyReport:

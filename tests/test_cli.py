@@ -2,6 +2,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -314,3 +315,72 @@ def test_chain_command_on_terminal_stdin_is_an_input_error(capsys, monkeypatch, 
     code, out, err = run_cli(capsys, "--json", command)
     assert code == 2 and out == ""
     assert err == "input error: no input document\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"chain": [{"a": 1, "b": 1}], "bundle": [[{"d": 2.0}]]},
+            "schema violation at /bundle/0/0/d: 2.0 is not of type 'integer'",
+        ),
+        (
+            {"chain": [{"c": 2.0, "d": 4}], "bundle": [[{"d": 1}]]},
+            "schema violation at /chain/0: {'c': 2.0, 'd': 4} is not valid under any of the given schemas",
+        ),
+    ],
+    ids=["float-degree", "float-presentation"],
+)
+def test_integral_floats_are_schema_violations(tmp_path, capsys, doc, message):
+    # JSON Schema's "integer" admits 2.0; the parsers would hand it to
+    # Fraction and gcd, which raise TypeError
+    code, out, err = run_cli(capsys, "--json", "cohomology", write_doc(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err == f"input error: {message}\n"
+
+
+def _fresh_process(argv, env):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(env, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbicurve.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    wps_doc = write_doc(tmp_path, {"wps": {"weights": [1, 2, 3]}})
+    rank = ["rank", "--beta-detE", "1/2", "--g2", "1/2"]
+    sweep = ["verify", "--suite", "thm-weak-convexity", "--max-a", "2", "--max-l", "2", "--max-d", "1"]
+    calls = [
+        ["--json", *rank],
+        [*rank, "--json"],
+        rank,
+        ["--json", "--order", "2", "series-verify", "--random", "--trials", "2"],
+        ["--json", "series-verify", "--random", "--trials", "2"],
+        ["--json", "wps", "verify", "--weights", "1,1,2,2", "--bundle", "1"],
+        ["--json", "wps", "verify", wps_doc],
+        ["--json", *sweep, "--max-len", "2"],
+        ["--json", *sweep],
+        ["--json", "rank", "--g1", "1/2"],
+        ["--json", "--seed", "3", *rank],
+    ]
+    wall_clock = re.compile(r"wall-clock: [0-9.]+ ms")
+    for argv in calls:
+        got = _in_process(capsys, argv)
+        want = _fresh_process(argv, os.environ)
+        assert [got[0], wall_clock.sub("", got[1]), got[2]] == [
+            want[0], wall_clock.sub("", want[1]), want[2]
+        ], argv
+    assert cli.build_parser() is cli.build_parser()

@@ -153,6 +153,9 @@ def test_euler_characteristic_identity_small_grid():
                 for d in range(-8, 9):
                     L = EqLineBundle(comp, k1, k2, d)
                     assert h0_component(L) - h1_component(L) == riemann_roch_check(L)
+                    # the integer numerators against the Fraction ages
+                    ages = age_at(L, MarkedPoint.X1) + age_at(L, MarkedPoint.X2)
+                    assert riemann_roch_check(L) == L.degree + 1 - ages
 
 
 def test_serre_pairing_structure_small_grid():
