@@ -9,6 +9,7 @@ Modules:
   sectors     sector weight calculus, rank formula, duality signs
   wps         weighted projective state spaces, pairings, delta transform
   series      Novikov series, fundamental-solution operators, duality identity
+  oracles     independent elimination, elementwise and brute-force routes for the checks
   suites      exhaustive and randomized verification suites
   cli         `orbicurve` command-line front end
 """
@@ -36,11 +37,6 @@ from .convexity import (
 from .sectors import SectorAction, age, age_sum_check, inverse_sector, rank_formula, sign_cycle, sign_invariant
 from .wps import (
     WPSModel,
-    StateElement,
-    ambient_pairing,
-    cr_pairing,
-    ct_pairing,
-    delta_tilde,
     enumerate_sectors,
     integrate,
     pairing_gram,
@@ -52,7 +48,6 @@ from .series import (
     InvariantTable,
     LOperator,
     build_L,
-    expand_psi_kernel,
     verify_qsd_operator_identity,
 )
 

@@ -12,9 +12,9 @@ Ages at the marked points are the fractional fiber weights of the canonical
 generator of the cyclic isotropy group, where "canonical" means the generator
 acting on the local chart coordinate by e^{2*pi*i/r} (r the isotropy order).
 The closed formula below is derived once from the group action and is pinned
-by the brute-force oracle `brute_force_age`, which enumerates the isotropy
-group, locates the canonical generator by its chart weight and reads off the
-fiber weight directly:
+by the brute-force oracle `oracles.brute_force_age`, which enumerates the
+isotropy group, locates the canonical generator by its chart weight and reads
+off the fiber weight directly:
 
   * at x1 the element h = (e^{2 pi i/l1}, e^{2 pi i/l2}, e^{-2 pi i/(a l1)})
     generates the isotropy; it acts on the chart coordinate by the exponent
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurveChain, MarkedPoint, TwistedComponent
-from .foundation import InternalInconsistency
 
 
 @dataclass(frozen=True)
@@ -194,42 +193,3 @@ class SplitBundle:
     @property
     def chain(self) -> CurveChain:
         return self.summands[0].chain
-
-
-# ---------------------------------------------------------------------------
-# Brute-force age oracle: enumerate the isotropy group at a marked point as
-# exact rotation numbers, find the unique element acting on the chart
-# coordinate by e^{2*pi*i/r}, and return its fiber weight.  Shares nothing
-# with _age_data beyond the group action itself.
-# ---------------------------------------------------------------------------
-
-
-def brute_force_age(L: EqLineBundle, pt: MarkedPoint) -> Fraction:
-    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
-    k1, k2, d = L.k1, L.k2, L.d
-    elements: list[tuple[int, int, Fraction]] = []
-    if pt is MarkedPoint.X1:
-        r = a * l1 * l2
-        for s in range(a * l1):
-            lam = Fraction(s, a * l1)
-            m1 = (-s) % l1
-            for m2 in range(l2):
-                elements.append((m1, m2, lam))
-        chart = lambda m1, m2, lam: (b * lam + Fraction(m2, l2)) % 1
-    elif pt is MarkedPoint.X2:
-        r = b * l1 * l2
-        for s in range(b * l2):
-            lam = Fraction(s, b * l2)
-            m2 = (-s) % l2
-            for m1 in range(l1):
-                elements.append((m1, m2, lam))
-        chart = lambda m1, m2, lam: (a * lam + Fraction(m1, l1)) % 1
-    else:
-        raise ValueError(f"unknown marked point {pt!r}")
-    if len(elements) != r:
-        raise InternalInconsistency(f"isotropy group at {pt} of {L.comp} has {len(elements)} elements, not {r}")
-    gens = [e for e in elements if chart(*e) == Fraction(1, r) % 1]
-    if len(gens) != 1:
-        raise InternalInconsistency(f"chart representation at {pt} of {L.comp} is not faithful")
-    m1, m2, lam = gens[0]
-    return (d * lam + Fraction(m1 * k1, l1) + Fraction(m2 * k2, l2)) % 1

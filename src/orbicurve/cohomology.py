@@ -32,8 +32,8 @@ connected runs of columns that no single-entry row grounds, which one
 left-to-right scan counts.  `chain_step` is that scan as a fold with O(1)
 state over the per-piece end data of `piece_ends`, so an enumeration that
 extends chains piece by piece carries prefix states instead of recomputing
-them.  `h_chain_by_elimination` keeps the matrix and Gaussian elimination as
-an independent oracle for tests and sampled cross-checks; only it lists monomials.
+them.  Gaussian elimination of the whole matrix over listed monomials is the
+independent oracle `oracles.h_chain_by_elimination`.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ from .bundles import (
 )
 from .curves import MarkedPoint, TwistedComponent
 from .foundation import InternalInconsistency
-from .linalg import mat_rank
 
 
 @dataclass(frozen=True)
@@ -183,56 +182,6 @@ def h_chain(B: ChainBundle) -> CohomologyReport:
             + ", ".join(map(str, B.pieces))
         )
     return CohomologyReport(h0, h1, euler)
-
-
-def _section_monomials(L: EqLineBundle) -> list[tuple[int, int]]:
-    """Exponents (i, j) of the invariant monomials x^i y^j spanning H^0(L), listed."""
-    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
-    monos = []
-    for i in range(0, L.d // a + 1):
-        rem = L.d - a * i
-        if i % l1 == L.k1 and rem % b == 0 and (rem // b) % l2 == L.k2:
-            monos.append((i, rem // b))
-    return monos
-
-
-def _node_rows(B: ChainBundle) -> tuple[list[list[Fraction]], int, int]:
-    """Node evaluation matrix of the normalization sequence.
-
-    Returns (rows, n_active_nodes, total_h0).  Columns index the concatenated
-    component section bases; row j (for an active node) takes the value of the
-    section on component j at its x2 end minus the value on component j+1 at
-    its x1 end.  Inactive nodes (isotropy acting nontrivially on the fiber)
-    contribute no row: the fiber has no invariant sections there.
-    """
-    bases = [_section_monomials(piece) for piece in B.pieces]
-    offsets = [0]
-    for monos in bases:
-        offsets.append(offsets[-1] + len(monos))
-    total = offsets[-1]
-    rows: list[list[Fraction]] = []
-    n_active = 0
-    for j, k in B.chain.nodes:
-        if not acts_trivially_at(B.pieces[j], MarkedPoint.X2):
-            continue
-        n_active += 1
-        row = [Fraction(0)] * total
-        for n, (x_exp, _) in enumerate(bases[j]):
-            if x_exp == 0:  # nonzero at x2
-                row[offsets[j] + n] = Fraction(1)
-        for n, (_, y_exp) in enumerate(bases[k]):
-            if y_exp == 0:  # nonzero at x1
-                row[offsets[k] + n] = Fraction(-1)
-        rows.append(row)
-    return rows, n_active, total
-
-
-def h_chain_by_elimination(B: ChainBundle) -> tuple[int, int]:
-    """Oracle for h_chain: (h0, h1) from the whole node matrix by Gaussian elimination."""
-    h1_comps = sum(h1_component(p) for p in B.pieces)
-    rows, n_active, total_h0 = _node_rows(B)
-    rank = mat_rank(rows) if rows else 0
-    return total_h0 - rank, h1_comps + n_active - rank
 
 
 def h_twisted(B: ChainBundle, pt: MarkedPoint, sign: int) -> CohomologyReport:

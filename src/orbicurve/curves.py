@@ -150,37 +150,3 @@ class CurveChain:
     def nodes(self) -> list[tuple[int, int]]:
         """Node j sits between components j and j+1 (0-based)."""
         return [(j, j + 1) for j in range(len(self.components) - 1)]
-
-
-# ---------------------------------------------------------------------------
-# Brute-force isotropy oracle.
-#
-# Independent of everything above: enumerate group elements as exact rational
-# rotation numbers and count those fixing x1 = (1,0), x2 = (0,1) or a generic
-# point with x, y != 0.  A triple (m1/l1, m2/l2, s/M) fixes
-#   (1,0)      iff  a*s/M + m1/l1 in Z,
-#   (0,1)      iff  b*s/M + m2/l2 in Z,
-#   generic    iff  both hold.
-# Any fixing element satisfies lam^{a*l1} = 1 or lam^{b*l2} = 1, so taking M
-# divisible by a*b*l1*l2 exhausts all candidates.
-# ---------------------------------------------------------------------------
-
-
-def brute_force_isotropy_counts(comp: TwistedComponent) -> dict[str, int]:
-    a, b, l1, l2 = comp.a, comp.b, comp.l1, comp.l2
-    M = a * b * l1 * l2
-    n_x1 = n_x2 = n_gen = 0
-    # Distinct triples (m1, m2, s) are distinct elements of mu_l1 x mu_l2 x mu_M,
-    # so counting fixing triples counts fixing group elements exactly once.
-    for m1 in range(l1):
-        for m2 in range(l2):
-            for s in range(M):
-                fix1 = (a * s * l1 + m1 * M) % (l1 * M) == 0
-                fix2 = (b * s * l2 + m2 * M) % (l2 * M) == 0
-                if fix1:
-                    n_x1 += 1
-                if fix2:
-                    n_x2 += 1
-                if fix1 and fix2:
-                    n_gen += 1
-    return {"x1": n_x1, "x2": n_x2, "generic": n_gen}

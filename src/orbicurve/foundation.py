@@ -110,10 +110,6 @@ class Phase:
         return f"e^{{i*pi*{self.exponent}}}"
 
 
-PHASE_ONE = Phase(Fraction(0))
-PHASE_MINUS_ONE = Phase(Fraction(1))
-
-
 def _vanishes(n: int, coeffs: dict[int, Fraction]) -> bool:
     """Whether sum_k coeffs[k] * z^k = 0 for z a primitive n-th root of unity, 0 <= k < n.
 

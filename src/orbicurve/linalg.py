@@ -67,7 +67,3 @@ def mat_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
             v[pc] = -reduced[r][fc]
         basis.append(v)
     return basis
-
-
-def mat_identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

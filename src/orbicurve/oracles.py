@@ -1,0 +1,265 @@
+"""Independent routes that exist only to check the fast path.
+
+Each recomputes, by a slower route of its own, a quantity that another module
+computes in closed form or by a fold: `h_chain_by_elimination` eliminates the
+whole node matrix (against the chain fold of `cohomology`), the pairings and
+the transport of `StateElement` classes walk the sectors one by one (against
+the sector-block Gram matrices of `wps`), and `brute_force_age` and
+`brute_force_isotropy_counts` enumerate the isotropy groups (against the
+closed forms of `bundles` and `curves`).  Only `suites` imports this module,
+and it calls through the module attribute, so a test can patch an oracle.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .bundles import ChainBundle, EqLineBundle, acts_trivially_at
+from .cohomology import h1_component
+from .curves import MarkedPoint, TwistedComponent
+from .foundation import InternalInconsistency, Phase, PhasedScalar
+from .linalg import mat_rank
+from .wps import (
+    WPSModel,
+    _no_euler,
+    dual_euler_factor,
+    enumerate_sectors,
+    euler_factor,
+    integrate,
+    sector_at,
+    state_basis,
+)
+
+
+def _section_monomials(L: EqLineBundle) -> list[tuple[int, int]]:
+    """Exponents (i, j) of the invariant monomials x^i y^j spanning H^0(L), listed."""
+    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
+    monos = []
+    for i in range(0, L.d // a + 1):
+        rem = L.d - a * i
+        if i % l1 == L.k1 and rem % b == 0 and (rem // b) % l2 == L.k2:
+            monos.append((i, rem // b))
+    return monos
+
+
+def _node_rows(B: ChainBundle) -> tuple[list[list[int]], int, int]:
+    """Node evaluation matrix of the normalization sequence.
+
+    Returns (rows, n_active_nodes, total_h0).  Columns index the concatenated
+    component section bases; row j (for an active node) takes the value of the
+    section on component j at its x2 end minus the value on component j+1 at
+    its x1 end.  Inactive nodes (isotropy acting nontrivially on the fiber)
+    contribute no row: the fiber has no invariant sections there.
+    """
+    bases = [_section_monomials(piece) for piece in B.pieces]
+    offsets = [0]
+    for monos in bases:
+        offsets.append(offsets[-1] + len(monos))
+    total = offsets[-1]
+    rows: list[list[int]] = []
+    n_active = 0
+    for j, k in B.chain.nodes:
+        if not acts_trivially_at(B.pieces[j], MarkedPoint.X2):
+            continue
+        n_active += 1
+        row = [0] * total
+        for n, (x_exp, _) in enumerate(bases[j]):
+            if x_exp == 0:  # nonzero at x2
+                row[offsets[j] + n] = 1
+        for n, (_, y_exp) in enumerate(bases[k]):
+            if y_exp == 0:  # nonzero at x1
+                row[offsets[k] + n] = -1
+        rows.append(row)
+    return rows, n_active, total
+
+
+def h_chain_by_elimination(B: ChainBundle) -> tuple[int, int]:
+    """(h0, h1) of a chain bundle from the whole node matrix by Gaussian elimination."""
+    h1_comps = sum(h1_component(p) for p in B.pieces)
+    rows, n_active, total_h0 = _node_rows(B)
+    rank = mat_rank(rows) if rows else 0
+    return total_h0 - rank, h1_comps + n_active - rank
+
+
+class StateElement:
+    """A sector-graded polynomial class: rotation f -> coefficients of 1, H, H^2, ...
+
+    Coefficients are Fractions or PhasedScalars; each sector's list is
+    truncated at the sector dimension.
+    """
+
+    def __init__(self, model: WPSModel, parts: dict[Fraction, list] | None = None):
+        self.model = model
+        self.parts: dict[Fraction, list] = {}
+        for f, coeffs in (parts or {}).items():
+            f = Fraction(f) % 1
+            dim = sector_at(model, f).dim
+            coeffs = list(coeffs)
+            if len(coeffs) > dim + 1:
+                raise ValueError(f"class of degree > {dim} on sector {f}")
+            coeffs += [Fraction(0)] * (dim + 1 - len(coeffs))
+            self.parts[f] = coeffs
+
+    @classmethod
+    def basis(cls, model: WPSModel, f: Fraction, power: int) -> "StateElement":
+        dim = sector_at(model, f).dim
+        coeffs = [Fraction(0)] * (dim + 1)
+        coeffs[power] = Fraction(1)
+        return cls(model, {f: coeffs})
+
+    def __add__(self, other: "StateElement") -> "StateElement":
+        out = {f: list(c) for f, c in self.parts.items()}
+        for f, coeffs in other.parts.items():
+            if f in out:
+                out[f] = [a + b for a, b in zip(out[f], coeffs)]
+            else:
+                out[f] = list(coeffs)
+        return StateElement(self.model, out)
+
+    def coeff(self, f: Fraction, power: int):
+        f = Fraction(f) % 1
+        if f not in self.parts:
+            return Fraction(0)
+        return self.parts[f][power]
+
+
+def _is_zero(x) -> bool:
+    if isinstance(x, PhasedScalar):
+        return x.is_zero()
+    return x == 0
+
+
+def _pair_sectorwise(m: WPSModel, alpha: StateElement, beta: StateElement, euler) -> PhasedScalar:
+    """Common core of the three pairings: sum over f of the top-degree part of
+    alpha_f * beta_{1-f} * (extra Euler factor from `euler`)."""
+    acc = PhasedScalar()
+    for f, a_coeffs in alpha.parts.items():
+        g = (1 - f) % 1
+        if g not in beta.parts:
+            continue
+        s = sector_at(m, f)
+        e_coeff, e_power = euler(m, s)
+        top = s.dim - e_power
+        if top < 0:
+            continue
+        vol = integrate(m, s, s.dim)
+        b_coeffs = beta.parts[g]
+        for p, a in enumerate(a_coeffs):
+            q = top - p
+            if not (0 <= q < len(b_coeffs)):
+                continue
+            b = b_coeffs[q]
+            if _is_zero(a) or _is_zero(b):
+                continue
+            acc = acc + PhasedScalar.coerce(a) * PhasedScalar.coerce(b) * (e_coeff * vol)
+    return acc
+
+
+def cr_pairing(m: WPSModel, alpha: StateElement, beta: StateElement) -> PhasedScalar:
+    """Orbifold Poincare pairing."""
+    return _pair_sectorwise(m, alpha, beta, _no_euler)
+
+
+def ambient_pairing(m: WPSModel, alpha: StateElement, beta: StateElement) -> PhasedScalar:
+    """Pairing of ambient classes on the cut-out substack, via the Euler factor."""
+    return _pair_sectorwise(m, alpha, beta, euler_factor)
+
+
+def ct_pairing(m: WPSModel, alpha: StateElement, beta: StateElement) -> PhasedScalar:
+    """Compact-type pairing on the dual bundle total space (classes given by
+    their zero-section preimages)."""
+    return _pair_sectorwise(m, alpha, beta, dual_euler_factor)
+
+
+def delta_tilde(m: WPSModel, gamma: StateElement) -> StateElement:
+    """Phase-corrected transport of a compact-type class to an ambient class."""
+    out: dict[Fraction, list] = {}
+    for f, coeffs in gamma.parts.items():
+        phase = PhasedScalar.from_phase(Phase(sector_at(m, f).age))
+        out[f] = [phase * PhasedScalar.coerce(c) for c in coeffs]
+    return StateElement(m, out)
+
+
+def _pairing_sides_by_elements(m: WPSModel) -> tuple[list, list, list]:
+    """(basis, <delta(g1), delta(g2)>_ambient, (-1)^rank <g1, g2>_ct) from
+    delta_tilde and the full pairings of basis StateElements, each of which
+    walks the sectors on its own."""
+    sign = (-1) ** m.rank
+    basis = state_basis(enumerate_sectors(m))
+    elems = [StateElement.basis(m, f, p) for f, p in basis]
+    moved = [delta_tilde(m, g) for g in elems]
+    lhs = [[ambient_pairing(m, a, b) for b in moved] for a in moved]
+    rhs = [[ct_pairing(m, a, b) * sign for b in elems] for a in elems]
+    return basis, lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# Brute-force age oracle: enumerate the isotropy group at a marked point as
+# exact rotation numbers, find the unique element acting on the chart
+# coordinate by e^{2*pi*i/r}, and return its fiber weight.  Shares nothing
+# with the closed form of `bundles` beyond the group action itself.
+# ---------------------------------------------------------------------------
+
+
+def brute_force_age(L: EqLineBundle, pt: MarkedPoint) -> Fraction:
+    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
+    k1, k2, d = L.k1, L.k2, L.d
+    elements: list[tuple[int, int, Fraction]] = []
+    if pt is MarkedPoint.X1:
+        r = a * l1 * l2
+        for s in range(a * l1):
+            lam = Fraction(s, a * l1)
+            m1 = (-s) % l1
+            for m2 in range(l2):
+                elements.append((m1, m2, lam))
+        chart = lambda m1, m2, lam: (b * lam + Fraction(m2, l2)) % 1
+    elif pt is MarkedPoint.X2:
+        r = b * l1 * l2
+        for s in range(b * l2):
+            lam = Fraction(s, b * l2)
+            m2 = (-s) % l2
+            for m1 in range(l1):
+                elements.append((m1, m2, lam))
+        chart = lambda m1, m2, lam: (a * lam + Fraction(m1, l1)) % 1
+    else:
+        raise ValueError(f"unknown marked point {pt!r}")
+    if len(elements) != r:
+        raise InternalInconsistency(f"isotropy group at {pt} of {L.comp} has {len(elements)} elements, not {r}")
+    gens = [e for e in elements if chart(*e) == Fraction(1, r) % 1]
+    if len(gens) != 1:
+        raise InternalInconsistency(f"chart representation at {pt} of {L.comp} is not faithful")
+    m1, m2, lam = gens[0]
+    return (d * lam + Fraction(m1 * k1, l1) + Fraction(m2 * k2, l2)) % 1
+
+
+# ---------------------------------------------------------------------------
+# Brute-force isotropy oracle.
+#
+# Enumerate group elements as exact rational rotation numbers and count those
+# fixing x1 = (1,0), x2 = (0,1) or a generic point with x, y != 0.  A triple
+# (m1/l1, m2/l2, s/M) fixes
+#   (1,0)      iff  a*s/M + m1/l1 in Z,
+#   (0,1)      iff  b*s/M + m2/l2 in Z,
+#   generic    iff  both hold.
+# Any fixing element satisfies lam^{a*l1} = 1 or lam^{b*l2} = 1, so taking M
+# divisible by a*b*l1*l2 exhausts all candidates.
+# ---------------------------------------------------------------------------
+
+
+def brute_force_isotropy_counts(comp: TwistedComponent) -> dict[str, int]:
+    a, b, l1, l2 = comp.a, comp.b, comp.l1, comp.l2
+    M = a * b * l1 * l2
+    n_x1 = n_x2 = n_gen = 0
+    # Distinct triples (m1, m2, s) are distinct elements of mu_l1 x mu_l2 x mu_M,
+    # so counting fixing triples counts fixing group elements exactly once.
+    for m1 in range(l1):
+        for m2 in range(l2):
+            for s in range(M):
+                fix1 = (a * s * l1 + m1 * M) % (l1 * M) == 0
+                fix2 = (b * s * l2 + m2 * M) % (l2 * M) == 0
+                if fix1:
+                    n_x1 += 1
+                if fix2:
+                    n_x2 += 1
+                if fix1 and fix2:
+                    n_gen += 1
+    return {"x1": n_x1, "x2": n_x2, "generic": n_gen}

@@ -69,17 +69,6 @@ class EffClass:
         return "(" + ",".join(str(d) for d in self.degrees) + ")"
 
 
-def zero_class(n_generators: int = 2) -> EffClass:
-    return EffClass(tuple(Fraction(0) for _ in range(n_generators)))
-
-
-def expand_psi_kernel(a_max: int) -> list[int]:
-    """Coefficients c_k with 1/(-z-psi) = sum_k c_k psi^k z^{-k-1}: c_k = (-1)^{k+1}."""
-    if a_max < 0:
-        raise ValueError("a_max must be non-negative")
-    return [(-1) ** (k + 1) for k in range(a_max + 1)]
-
-
 @dataclass(frozen=True)
 class TableEntry:
     beta: EffClass
@@ -100,11 +89,12 @@ class InvariantTable:
     def validate(self, basis_sectors: list[Fraction] | None = None) -> list[str]:
         problems = []
         for n, e in enumerate(self.entries):
-            if not (0 <= e.row < self.dim and 0 <= e.col < self.dim):
+            in_range = 0 <= e.row < self.dim and 0 <= e.col < self.dim
+            if not in_range:
                 problems.append(f"entry {n}: basis index out of range")
             if e.psi_power < 0:
                 problems.append(f"entry {n}: negative descendant power")
-            if basis_sectors is not None and e.sectors is not None:
+            if in_range and basis_sectors is not None and e.sectors is not None:
                 g1, g2 = e.sectors
                 if (g1 % 1, g2 % 1) != (
                     basis_sectors[e.row] % 1,
@@ -168,7 +158,8 @@ def build_L(table: InvariantTable, pairing: list[list[Fraction]], truncation) ->
     """Assemble the fundamental-solution operator from two-pointed values.
 
     In the basis {T_i}, the coefficient of T_m in L(T_r) at (q^beta, z^{-a-1})
-    is (-1)^{a+1} sum_i <T_r psi^a, T_i>_beta (P^{-1})_{i m}.
+    is (-1)^{a+1} sum_i <T_r psi^a, T_i>_beta (P^{-1})_{i m}, the sign being
+    the coefficient of psi^a z^{-a-1} in 1/(-z-psi).
     """
     dim = table.dim
     if len(pairing) != dim or any(len(r) != dim for r in pairing):
@@ -180,15 +171,13 @@ def build_L(table: InvariantTable, pairing: list[list[Fraction]], truncation) ->
         p_inv = mat_inverse(pairing)
     except ValueError as exc:
         raise ValueError("degenerate pairing") from exc
-    a_max = max((e.psi_power for e in table.entries), default=0)
-    kernel = expand_psi_kernel(a_max)
     op = LOperator(dim, truncation)
     for e in table.entries:
         if e.beta.ordering > op.truncation:
             continue
         if e.beta.is_zero():
             raise ValueError("table entries must have nonzero effective class")
-        value = PhasedScalar.coerce(e.value) * kernel[e.psi_power]
+        value = PhasedScalar.coerce(e.value) * (1 if e.psi_power % 2 else -1)
         if value.is_zero():
             continue
         # column r of the operator matrix gets sum_m value * P^{-1}[col][m] in row m

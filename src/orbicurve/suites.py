@@ -6,7 +6,10 @@ heavy chain enumerations extend chains piece by piece and carry the prefix
 states of the chain-cohomology fold (`cohomology.chain_step`) over cached
 per-component tables of fold data.  A systematic sample of instances is
 recomputed through the public dataclass API by Gaussian elimination
-(`cohomology.h_chain_by_elimination`), which shares no code with the fold.
+(`oracles.h_chain_by_elimination`), which shares no code with the fold
+beyond the component counts.  The pairing comparison replays a sample of
+models through the elementwise pairings of `oracles`, and the age and
+isotropy suites compare the closed forms with its brute-force counts.
 
 Summand additivity is used where it is exact: h^1 of a direct sum is the sum
 of summand h^1's (and the rank formula is additive in the sector weights),
@@ -25,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from . import bundles, cohomology, convexity, curves, sectors, series, wps
-from .foundation import Phase, PhasedScalar
+from . import bundles, cohomology, convexity, curves, oracles, sectors, series, wps
+from .foundation import Phase
 
 SAMPLE_EVERY = 199  # every k-th sweep instance is replayed through the elimination oracle
 PAIRING_SAMPLE_EVERY = 11  # every k-th model's pairing comparison is replayed elementwise
@@ -118,7 +121,7 @@ def _api_chain(chain_comps: list, pieces: list):
 
 def _api_check_convexity_instance(chain_comps: list, pieces: list, expected_h1: int) -> None:
     cb = _api_chain(chain_comps, pieces)
-    _, h1 = cohomology.h_chain_by_elimination(bundles.chain_twist(cb, curves.MarkedPoint.X2, -1))
+    _, h1 = oracles.h_chain_by_elimination(bundles.chain_twist(cb, curves.MarkedPoint.X2, -1))
     if h1 != expected_h1:
         raise cohomology.InternalInconsistency(
             f"h1(L(-x2)) of {pieces} on {chain_comps}: sweep {expected_h1}, elimination {h1}"
@@ -127,8 +130,8 @@ def _api_check_convexity_instance(chain_comps: list, pieces: list, expected_h1: 
 
 def _api_check_concavity_instance(chain_comps, pieces, expected_hc, expected_hd) -> None:
     cb = _api_chain(chain_comps, pieces)
-    _, hc = cohomology.h_chain_by_elimination(bundles.chain_twist(cb, curves.MarkedPoint.X2, -1))
-    hd, _ = cohomology.h_chain_by_elimination(
+    _, hc = oracles.h_chain_by_elimination(bundles.chain_twist(cb, curves.MarkedPoint.X2, -1))
+    hd, _ = oracles.h_chain_by_elimination(
         bundles.chain_twist(bundles.chain_dual(cb), curves.MarkedPoint.X1, -1)
     )
     if (hc, hd) != (expected_hc, expected_hd):
@@ -410,7 +413,7 @@ def _api_check_log_canonical(chain_comps: list, expected: tuple) -> None:
     log_chain = bundles.trivial_chain_bundle(chain)
     omega_x2 = bundles.chain_twist(log_chain, curves.MarkedPoint.X1, -1)
     certified = (cert.h0_log_canonical, cert.h1_log_canonical, cert.h0_omega_x2, cert.h1_omega_x2)
-    eliminated = cohomology.h_chain_by_elimination(log_chain) + cohomology.h_chain_by_elimination(omega_x2)
+    eliminated = oracles.h_chain_by_elimination(log_chain) + oracles.h_chain_by_elimination(omega_x2)
     if certified != expected or eliminated != expected:
         raise cohomology.InternalInconsistency(
             f"log canonical on {chain_comps}: sweep {expected}, certificate {certified}, "
@@ -600,20 +603,8 @@ def wps_model_family(max_n: int = 5, max_w: int = 4, max_r: int = 2, max_k: int 
                     yield wps.WPSModel(weights, degrees)
 
 
-def _pairing_sides_by_elements(m: wps.WPSModel) -> tuple[list, list, list]:
-    """Oracle for `wps.comparison_sides`: delta_tilde and the full pairings of
-    basis StateElements, each of which walks the sectors on its own."""
-    sign = Fraction((-1) ** m.rank)
-    basis = wps.state_basis(wps.enumerate_sectors(m))
-    elems = [wps.StateElement.basis(m, f, p) for f, p in basis]
-    moved = [wps.delta_tilde(m, g) for g in elems]
-    lhs = [[PhasedScalar.coerce(wps.ambient_pairing(m, a, b)) for b in moved] for a in moved]
-    rhs = [[PhasedScalar.coerce(wps.ct_pairing(m, a, b)) * sign for b in elems] for a in elems]
-    return basis, lhs, rhs
-
-
 def _api_check_pairing_comparison(m: wps.WPSModel, secs: list[wps.Sector]) -> None:
-    if wps.comparison_sides(m, secs) != _pairing_sides_by_elements(m):
+    if wps.comparison_sides(m, secs) != oracles._pairing_sides_by_elements(m):
         raise cohomology.InternalInconsistency(
             f"pairing comparison of {m}: block Gram matrices disagree with the elementwise pairings"
         )
@@ -689,7 +680,7 @@ def suite_isotropy_oracle(max_cd: int = 12) -> SuiteResult:
     for c in range(1, max_cd + 1):
         for d in range(1, max_cd + 1):
             comp = curves.present(c, d)
-            counts = curves.brute_force_isotropy_counts(comp)
+            counts = oracles.brute_force_isotropy_counts(comp)
             res.instances += 1
             ok = (
                 counts["x1"] == c == curves.isotropy_order(comp, curves.MarkedPoint.X1)
@@ -718,7 +709,7 @@ def suite_age_oracle(max_ab: int = 4, max_l: int = 4, max_d: int = 6) -> SuiteRe
                     for pt in (curves.MarkedPoint.X1, curves.MarkedPoint.X2):
                         res.instances += 1
                         fast = bundles.age_at(L, pt)
-                        slow = bundles.brute_force_age(L, pt)
+                        slow = oracles.brute_force_age(L, pt)
                         if fast != slow:
                             res.fail({
                                 "bundle": str(L),

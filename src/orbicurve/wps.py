@@ -23,22 +23,21 @@ Poincare pairing) and vol_f the top integral of sector f,
 and every other entry is zero.  `pairing_gram` assembles the Gram matrix on
 the basis (f, H^p) from one walk over the sectors; the verification routines
 and the compact-type pairing matrices of `series` read it.  The pairings of
-arbitrary classes (`cr_pairing`, `ambient_pairing`, `ct_pairing`) sum the
-same products sector by sector; `suites.suite_pairing_comparison` replays
-the comparison through them on every `PAIRING_SAMPLE_EVERY`-th model as an
-independent oracle.
+arbitrary classes, summed sector by sector, live in `oracles`;
+`suites.suite_pairing_comparison` replays the comparison through them on
+every `PAIRING_SAMPLE_EVERY`-th model.
 
-The transformation delta_tilde multiplies a class supported on the sector
-with rotation f by the exact phase e^{i*pi*age_f} and reinterprets it as an
-ambient class; the verification routines below confirm that it matches the
-pairings up to the global sign (-1)^rank and has the right image dimensions.
+The transport delta multiplies a class supported on the sector with rotation
+f by the exact phase e^{i*pi*age_f} and reinterprets it as an ambient class;
+the verification routines below confirm that it matches the pairings up to
+the global sign (-1)^rank and has the right image dimensions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .foundation import Phase, PhasedScalar
+from .foundation import PhasedScalar
 from .linalg import mat_nullspace, mat_rank
 from .sectors import SectorAction, age
 
@@ -134,116 +133,8 @@ def integrate(m: WPSModel, s: Sector, power: int) -> Fraction:
     return Fraction(1, denom)
 
 
-class StateElement:
-    """A sector-graded polynomial class: rotation f -> coefficients of 1, H, H^2, ...
-
-    Coefficients are Fractions or PhasedScalars; each sector's list is
-    truncated at the sector dimension.
-    """
-
-    def __init__(self, model: WPSModel, parts: dict[Fraction, list] | None = None):
-        self.model = model
-        self.parts: dict[Fraction, list] = {}
-        for f, coeffs in (parts or {}).items():
-            f = Fraction(f) % 1
-            dim = sector_at(model, f).dim
-            coeffs = list(coeffs)
-            if len(coeffs) > dim + 1:
-                raise ValueError(f"class of degree > {dim} on sector {f}")
-            coeffs += [Fraction(0)] * (dim + 1 - len(coeffs))
-            self.parts[f] = coeffs
-
-    @classmethod
-    def basis(cls, model: WPSModel, f: Fraction, power: int) -> "StateElement":
-        dim = sector_at(model, f).dim
-        coeffs = [Fraction(0)] * (dim + 1)
-        coeffs[power] = Fraction(1)
-        return cls(model, {f: coeffs})
-
-    def __add__(self, other: "StateElement") -> "StateElement":
-        out = {f: list(c) for f, c in self.parts.items()}
-        for f, coeffs in other.parts.items():
-            if f in out:
-                out[f] = [a + b for a, b in zip(out[f], coeffs)]
-            else:
-                out[f] = list(coeffs)
-        return StateElement(self.model, out)
-
-    def scale(self, c) -> "StateElement":
-        return StateElement(
-            self.model, {f: [c * x for x in coeffs] for f, coeffs in self.parts.items()}
-        )
-
-    def coeff(self, f: Fraction, power: int):
-        f = Fraction(f) % 1
-        if f not in self.parts:
-            return Fraction(0)
-        return self.parts[f][power]
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, PhasedScalar):
-        return x.is_zero()
-    return x == 0
-
-
-def _pair_sectorwise(m: WPSModel, alpha: StateElement, beta: StateElement, euler) -> PhasedScalar:
-    """Common core of the three pairings: sum over f of the top-degree part of
-    alpha_f * beta_{1-f} * (extra Euler factor from `euler`)."""
-    acc = PhasedScalar()
-    for f, a_coeffs in alpha.parts.items():
-        g = (1 - f) % 1
-        if g not in beta.parts:
-            continue
-        s = sector_at(m, f)
-        e_coeff, e_power = euler(m, s)
-        top = s.dim - e_power
-        if top < 0:
-            continue
-        vol = integrate(m, s, s.dim)
-        b_coeffs = beta.parts[g]
-        for p, a in enumerate(a_coeffs):
-            q = top - p
-            if not (0 <= q < len(b_coeffs)):
-                continue
-            b = b_coeffs[q]
-            if _is_zero(a) or _is_zero(b):
-                continue
-            acc = acc + PhasedScalar.coerce(a) * PhasedScalar.coerce(b) * (e_coeff * vol)
-    return acc
-
-
 def _no_euler(m: WPSModel, s: Sector) -> tuple[int, int]:
     return 1, 0
-
-
-def _specialize(x: PhasedScalar):
-    return x.to_rational() if x.is_rational() else x
-
-
-def cr_pairing(m: WPSModel, alpha: StateElement, beta: StateElement):
-    """Orbifold Poincare pairing; rational for rational inputs."""
-    return _specialize(_pair_sectorwise(m, alpha, beta, _no_euler))
-
-
-def ambient_pairing(m: WPSModel, alpha: StateElement, beta: StateElement):
-    """Pairing of ambient classes on the cut-out substack, via the Euler factor."""
-    return _specialize(_pair_sectorwise(m, alpha, beta, euler_factor))
-
-
-def ct_pairing(m: WPSModel, alpha: StateElement, beta: StateElement):
-    """Compact-type pairing on the dual bundle total space (classes given by
-    their zero-section preimages)."""
-    return _specialize(_pair_sectorwise(m, alpha, beta, dual_euler_factor))
-
-
-def delta_tilde(m: WPSModel, gamma: StateElement) -> StateElement:
-    """Phase-corrected transport of a compact-type class to an ambient class."""
-    out: dict[Fraction, list] = {}
-    for f, coeffs in gamma.parts.items():
-        phase = PhasedScalar.from_phase(Phase(sector_at(m, f).age))
-        out[f] = [phase * PhasedScalar.coerce(c) for c in coeffs]
-    return StateElement(m, out)
 
 
 @dataclass

@@ -9,7 +9,6 @@ from orbicurve.bundles import (
     EqLineBundle,
     SplitBundle,
     age_at,
-    brute_force_age,
     canonical_bundle,
     chain_twist,
     dual,
@@ -18,6 +17,7 @@ from orbicurve.bundles import (
     twist_marked,
 )
 from orbicurve.curves import CurveChain, MarkedPoint, TwistedComponent, present
+from orbicurve.oracles import brute_force_age
 from orbicurve.suites import component_family, iter_chains
 
 P1 = present(1, 1)

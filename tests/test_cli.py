@@ -269,6 +269,37 @@ def test_series_verify_table_document(tmp_path, capsys):
     assert results["ok"] and results["state_dim"] == 1
 
 
+def test_series_verify_index_out_of_range_with_sectors(tmp_path, capsys):
+    # the sector comparison must not index the basis past the state dimension
+    doc = {
+        "wps": {"weights": [1, 3]},
+        "table": {
+            "entries": [
+                {"beta": {"degrees": [1, 0]}, "sectors": [0, 0], "psi_power": 0, "row": 7, "col": 0, "value": 1}
+            ]
+        },
+    }
+    code, out, err = run_cli(capsys, "--json", "series-verify", write_doc(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err == "input error: inconsistent table: entry 0: basis index out of range\n"
+
+
+def test_series_verify_cost_is_bounded_by_psi_power_size(tmp_path):
+    # the sign of psi^a is read per entry: nothing is as long as the largest a
+    doc = {
+        "wps": {"weights": [1, 3]},
+        "table": {"entries": [{"beta": {"degrees": [1, 0]}, "psi_power": 10**18, "row": 0, "col": 0, "value": 1}]},
+    }
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbicurve.cli", "--json", "series-verify", write_doc(tmp_path, doc)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["ok"]
+
+
 def test_table_output_contains_wall_clock(tmp_path, capsys):
     path = write_doc(
         tmp_path, {"chain": [{"c": 1, "d": 2}], "bundle": [[{"k1": 0, "k2": 0, "d": 3}]]}

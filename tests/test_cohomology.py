@@ -28,12 +28,12 @@ from orbicurve.cohomology import (
     h1_component,
     h1_negative_monomials,
     h_chain,
-    h_chain_by_elimination,
     h_twisted,
     piece_ends,
     riemann_roch_check,
 )
 from orbicurve.curves import CurveChain, MarkedPoint, TwistedComponent, present
+from orbicurve.oracles import h_chain_by_elimination
 from orbicurve.suites import chain_adjacency, component_family
 
 P1 = present(1, 1)

@@ -9,10 +9,10 @@ from orbicurve.curves import (
     CurveChain,
     MarkedPoint,
     TwistedComponent,
-    brute_force_isotropy_counts,
     isotropy_order,
     present,
 )
+from orbicurve.oracles import brute_force_isotropy_counts
 
 
 def test_present_examples():

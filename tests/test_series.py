@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from orbicurve.foundation import Phase, PhasedScalar
-from orbicurve.linalg import mat_identity
 from orbicurve.series import (
     EffClass,
     InvariantTable,
@@ -13,19 +12,20 @@ from orbicurve.series import (
     TableEntry,
     build_L,
     compact_type_basis,
-    expand_psi_kernel,
     random_invariant_table,
     transported_table,
     verify_qsd_operator_identity,
-    zero_class,
 )
 from orbicurve.wps import WPSModel
 
 
-def test_expand_psi_kernel():
-    assert expand_psi_kernel(2) == [-1, 1, -1]
-    with pytest.raises(ValueError):
-        expand_psi_kernel(-1)
+def test_build_L_psi_power_signs():
+    # 1/(-z-psi) = sum_a (-1)^(a+1) psi^a z^(-a-1)
+    beta = EffClass((F(1), F(0)))
+    table = InvariantTable(1, [TableEntry(beta, a, 0, 0, F(1)) for a in range(3)])
+    op = build_L(table, [[F(1)]], 2)
+    signs = [op.matrix_at(beta, -a - 1)[0][0] for a in range(3)]
+    assert signs == [PhasedScalar.from_rational(s) for s in (-1, 1, -1)]
 
 
 def test_eff_class_invariants():
@@ -36,14 +36,14 @@ def test_eff_class_invariants():
     beta = EffClass((F(1), F(1, 2)))
     assert beta.ordering == 1 and beta.det == F(1, 2)
     assert (beta + beta).degrees == (F(2), F(1))
-    assert zero_class().is_zero()
+    assert EffClass((F(0), F(0))).is_zero()
 
 
 def test_novikov_truncation():
     b1 = EffClass((F(1), F(1)))
     b3 = EffClass((F(3), F(0)))
     table = InvariantTable(1, [TableEntry(b1, 0, 0, 0, F(1)), TableEntry(b3, 0, 0, 0, F(5))])
-    op = build_L(table, mat_identity(1), 2)
+    op = build_L(table, [[F(1)]], 2)
     assert op.nonzero_keys() == {(b1, -1)}  # b3 is beyond the truncation order
     assert op.truncation == 2
 
@@ -62,7 +62,7 @@ def test_change_novikov_examples():
     assert out.matrix_at(b_odd, -1)[0][0] == PhasedScalar.from_rational(-2)
     assert out.matrix_at(b_even, -1)[0][0] == PhasedScalar.from_rational(5)
     # the implicit identity at the zero class is untouched
-    assert out.matrix_at(zero_class(), 0) == [[PhasedScalar.from_rational(1)]]
+    assert out.matrix_at(EffClass((F(0), F(0))), 0) == [[PhasedScalar.from_rational(1)]]
 
 
 def test_change_novikov_ring_homomorphism():
@@ -82,9 +82,9 @@ def test_change_novikov_involution_for_integral_det():
 
 
 def test_build_L_empty_is_identity():
-    op = build_L(InvariantTable(2), mat_identity(2), 3)
+    op = build_L(InvariantTable(2), [[F(1), F(0)], [F(0), F(1)]], 3)
     assert op.nonzero_keys() == set()
-    const = op.matrix_at(zero_class(), 0)
+    const = op.matrix_at(EffClass((F(0), F(0))), 0)
     assert const[0][0] == PhasedScalar.from_rational(1)
     assert const[0][1] == PhasedScalar.from_rational(0)
 
@@ -92,7 +92,7 @@ def test_build_L_empty_is_identity():
 def test_build_L_single_entry():
     beta = EffClass((F(1), F(1)))
     table = InvariantTable(1, [TableEntry(beta, 0, 0, 0, F(3))])
-    op = build_L(table, mat_identity(1), 2)
+    op = build_L(table, [[F(1)]], 2)
     assert op.matrix_at(beta, -1)[0][0] == PhasedScalar.from_rational(-3)
 
 
@@ -103,7 +103,7 @@ def test_build_L_symmetric_table_gives_symmetric_matrix():
         TableEntry(beta, 0, 1, 0, F(2)),
         TableEntry(beta, 0, 0, 0, F(5)),
     ]
-    op = build_L(InvariantTable(2, entries), mat_identity(2), 2)
+    op = build_L(InvariantTable(2, entries), [[F(1), F(0)], [F(0), F(1)]], 2)
     mat = op.matrix_at(beta, -1)
     assert mat[0][1] == mat[1][0]
 

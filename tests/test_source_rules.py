@@ -2,7 +2,9 @@
 
 `python -O` strips `assert` statements, so a cross-check written as one
 vanishes under -O; the package raises instead.  The package promises exact
-arithmetic, so it imports no complex floating-point math.
+arithmetic, so it imports no complex floating-point math.  The oracles that
+the suites replay against the fast path stay independent of it: `oracles`
+names none of the fast path's kernels, and only `suites` imports `oracles`.
 """
 import ast
 from pathlib import Path
@@ -35,5 +37,46 @@ def test_no_cmath_import(path):
     assert "cmath" not in {name.split(".")[0] for name in _imported_modules(tree)}, path.name
 
 
+# The fast-path kernels each oracle is checked against.
+FAST_PATH = {
+    "chain_step", "piece_ends", "CHAIN_START", "h_chain",  # cohomology
+    "pairing_gram", "comparison_sides",  # wps
+    "_age_data", "age_at",  # bundles
+}
+
+
+def _names(tree: ast.AST):
+    """Every identifier the code binds, reads or imports (not strings or comments)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_oracles_name_no_fast_path_kernel():
+    path = Path(orbicurve.__file__).parent / "oracles.py"
+    used = FAST_PATH & set(_names(ast.parse(path.read_text(), filename=str(path))))
+    assert used == set(), f"oracles.py uses fast-path names {sorted(used)}"
+
+
+NOT_SUITES = [p for p in SOURCES if p.name not in ("suites.py", "oracles.py")]
+
+
+@pytest.mark.parametrize("path", NOT_SUITES, ids=lambda p: p.name)
+def test_only_suites_imports_oracles(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert "oracles" not in {name for n in imports for name in _names(n)}, path.name
+
+
 def test_rules_see_every_module():
-    assert {p.name for p in SOURCES} >= {"curves.py", "bundles.py", "cohomology.py", "cli.py", "suites.py"}
+    assert {p.name for p in SOURCES} >= {
+        "curves.py", "bundles.py", "cohomology.py", "cli.py", "suites.py", "oracles.py"
+    }

@@ -61,12 +61,12 @@ def test_replay_disagreement_raises_under_python_O(suite, kwargs):
     script = textwrap.dedent(
         f"""
         import sys
-        from orbicurve import cohomology, suites
+        from orbicurve import cohomology, oracles, suites
 
         if not sys.flags.optimize:
             sys.exit(2)
-        oracle = cohomology.h_chain_by_elimination
-        cohomology.h_chain_by_elimination = lambda B: tuple(v + 1 for v in oracle(B))
+        oracle = oracles.h_chain_by_elimination
+        oracles.h_chain_by_elimination = lambda B: tuple(v + 1 for v in oracle(B))
         try:
             suites.{suite}(**{kwargs!r}, workers=1)
         except cohomology.InternalInconsistency as exc:
@@ -94,12 +94,12 @@ def test_pairing_replay_disagreement_raises_under_python_O():
     script = textwrap.dedent(
         """
         import sys
-        from orbicurve import cohomology, suites, wps
+        from orbicurve import cohomology, oracles, suites
 
         if not sys.flags.optimize:
             sys.exit(2)
-        oracle = wps.ct_pairing
-        wps.ct_pairing = lambda m, a, b: oracle(m, a, b) + 1
+        oracle = oracles.ct_pairing
+        oracles.ct_pairing = lambda m, a, b: oracle(m, a, b) + 1
         try:
             suites.suite_pairing_comparison(3, 2, 1, 2)
         except cohomology.InternalInconsistency as exc:

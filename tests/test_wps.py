@@ -5,14 +5,10 @@ import pytest
 
 from orbicurve import suites
 from orbicurve.foundation import Phase, PhasedScalar
+from orbicurve.oracles import StateElement, ambient_pairing, cr_pairing, ct_pairing, delta_tilde
 from orbicurve.sectors import age, inverse_sector
 from orbicurve.wps import (
-    StateElement,
     WPSModel,
-    ambient_pairing,
-    cr_pairing,
-    ct_pairing,
-    delta_tilde,
     enumerate_sectors,
     integrate,
     pairing_gram,
@@ -115,8 +111,10 @@ def test_delta_tilde_linearity():
     m = WPSModel((1, 1, 2, 2), (1,))
     x = StateElement.basis(m, F(0), 1)
     y = StateElement.basis(m, F(1, 2), 1)
-    lhs = delta_tilde(m, x + y.scale(F(3, 2)))
-    rhs = delta_tilde(m, x) + delta_tilde(m, y).scale(F(3, 2))
+    y32 = StateElement(m, {F(1, 2): [F(0), F(3, 2)]})  # 3/2 * y
+    lhs = delta_tilde(m, x + y32)
+    moved_y = delta_tilde(m, y)
+    rhs = delta_tilde(m, x) + StateElement(m, {f: [F(3, 2) * c for c in cs] for f, cs in moved_y.parts.items()})
     for f, coeffs in lhs.parts.items():
         for p, c in enumerate(coeffs):
             assert PhasedScalar.coerce(c) == PhasedScalar.coerce(rhs.coeff(f, p))
