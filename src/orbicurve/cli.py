@@ -443,24 +443,31 @@ def _suite_payload(result: suites.SuiteResult) -> dict:
 def cmd_verify(args, doc: dict | None) -> dict:
     import inspect
 
-    overrides = {
-        "max_ab": args.max_a,
-        "max_l": args.max_l,
-        "max_d": args.max_d,
-        "max_len": args.max_len,
-        "trials": args.trials,
-        "seed": args.seed,
-        "order": args.order,
-        "max_cd": args.max_cd,
-        "workers": args.workers,
+    # suite keyword -> (flag, value); a flag counts as given when its value is
+    # not the parser's default (None for the flags of `verify` itself)
+    flags = {
+        "max_ab": ("--max-a", args.max_a),
+        "max_l": ("--max-l", args.max_l),
+        "max_d": ("--max-d", args.max_d),
+        "max_len": ("--max-len", args.max_len),
+        "trials": ("--trials", args.trials),
+        "seed": ("--seed", args.seed),
+        "order": ("--order", args.order),
+        "max_cd": ("--max-cd", args.max_cd),
+        "workers": ("--workers", args.workers),
     }
+    parser = build_parser()
+    given = {k for k, (_, v) in flags.items() if v is not None and v != parser.get_default(k)}
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     payloads = []
     ok = True
     for name in names:
         fn = suites.SUITES[name]
         accepted = inspect.signature(fn).parameters
-        kwargs = {k: v for k, v in overrides.items() if v is not None and k in accepted}
+        kwargs = {k: v for k, (_, v) in flags.items() if v is not None and k in accepted}
+        dropped = [flag for k, (flag, _) in flags.items() if k in given and k not in accepted]
+        if dropped:
+            print(f"verify: suite {name} takes no {', '.join(dropped)}; ignored", file=sys.stderr)
         result = fn(**kwargs)
         payloads.append(_suite_payload(result))
         ok = ok and result.ok

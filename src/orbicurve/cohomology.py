@@ -147,7 +147,11 @@ def piece_ends(L: EqLineBundle) -> PieceEnds:
 
 
 def chain_step(state: ChainState, piece: PieceEnds) -> ChainState:
-    """Extend a chain prefix by one piece, gluing it at the node between them."""
+    """Extend a chain prefix by one piece, gluing it at the node between them.
+
+    What it adds to h0 and h1, and the new flags, depend only on the piece and
+    the old flags (g, left, active); the chain sweeps of `suites` count states
+    by this."""
     h0, h1, g, left, active = state
     p_h0, p_h1, nz1, nz2, merged, trivial2 = piece
     if not active:

@@ -12,12 +12,12 @@ and it calls through the module attribute, so a test can patch an oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .bundles import ChainBundle, EqLineBundle, acts_trivially_at
 from .cohomology import h1_component
 from .curves import MarkedPoint, TwistedComponent
 from .foundation import InternalInconsistency, Phase, PhasedScalar
-from .linalg import mat_rank
 from .wps import (
     WPSModel,
     _no_euler,
@@ -41,42 +41,64 @@ def _section_monomials(L: EqLineBundle) -> list[tuple[int, int]]:
     return monos
 
 
-def _node_rows(B: ChainBundle) -> tuple[list[list[int]], int, int]:
-    """Node evaluation matrix of the normalization sequence.
+def _node_rows(B: ChainBundle) -> tuple[list[dict[int, int]], int, int]:
+    """Node evaluation matrix of the normalization sequence, by its nonzero entries.
 
     Returns (rows, n_active_nodes, total_h0).  Columns index the concatenated
     component section bases; row j (for an active node) takes the value of the
     section on component j at its x2 end minus the value on component j+1 at
-    its x1 end.  Inactive nodes (isotropy acting nontrivially on the fiber)
-    contribute no row: the fiber has no invariant sections there.
+    its x1 end, and is kept as {column: +-1}.  Inactive nodes (isotropy acting
+    nontrivially on the fiber) contribute no row: the fiber has no invariant
+    sections there.  Nor does an active node that no section reaches, whose
+    row is zero.
     """
     bases = [_section_monomials(piece) for piece in B.pieces]
     offsets = [0]
     for monos in bases:
         offsets.append(offsets[-1] + len(monos))
-    total = offsets[-1]
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     n_active = 0
     for j, k in B.chain.nodes:
         if not acts_trivially_at(B.pieces[j], MarkedPoint.X2):
             continue
         n_active += 1
-        row = [0] * total
-        for n, (x_exp, _) in enumerate(bases[j]):
-            if x_exp == 0:  # nonzero at x2
-                row[offsets[j] + n] = 1
-        for n, (_, y_exp) in enumerate(bases[k]):
-            if y_exp == 0:  # nonzero at x1
-                row[offsets[k] + n] = -1
-        rows.append(row)
-    return rows, n_active, total
+        row = {offsets[j] + n: 1 for n, (x_exp, _) in enumerate(bases[j]) if x_exp == 0}  # nonzero at x2
+        row.update({offsets[k] + n: -1 for n, (_, y_exp) in enumerate(bases[k]) if y_exp == 0})  # at x1
+        if row:
+            rows.append(row)
+    return rows, n_active, offsets[-1]
+
+
+def _integer_rank(rows: list[dict[int, int]]) -> int:
+    """Rank of an integer matrix given by its rows' nonzero entries {column: value}.
+
+    Fraction-free elimination: each row is reduced against the pivot rows
+    found so far, keyed by their leading column, as r -> p[c]*r - r[c]*p with
+    the content divided out; it becomes a pivot row when its leading column
+    has none, and adds nothing when it reduces to zero.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        while r:
+            lead = min(r)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = r
+                break
+            a, b = p[lead], r[lead]
+            r = {c: a * r.get(c, 0) - b * p.get(c, 0) for c in r.keys() | p.keys()}
+            r = {c: v for c, v in r.items() if v}
+            g = gcd(*r.values()) if r else 1
+            if g != 1:
+                r = {c: v // g for c, v in r.items()}
+    return len(pivots)
 
 
 def h_chain_by_elimination(B: ChainBundle) -> tuple[int, int]:
-    """(h0, h1) of a chain bundle from the whole node matrix by Gaussian elimination."""
+    """(h0, h1) of a chain bundle from the whole node matrix by integer elimination."""
     h1_comps = sum(h1_component(p) for p in B.pieces)
     rows, n_active, total_h0 = _node_rows(B)
-    rank = mat_rank(rows) if rows else 0
+    rank = _integer_rank(rows)
     return total_h0 - rank, h1_comps + n_active - rank
 
 
@@ -105,21 +127,6 @@ class StateElement:
         coeffs = [Fraction(0)] * (dim + 1)
         coeffs[power] = Fraction(1)
         return cls(model, {f: coeffs})
-
-    def __add__(self, other: "StateElement") -> "StateElement":
-        out = {f: list(c) for f, c in self.parts.items()}
-        for f, coeffs in other.parts.items():
-            if f in out:
-                out[f] = [a + b for a, b in zip(out[f], coeffs)]
-            else:
-                out[f] = list(coeffs)
-        return StateElement(self.model, out)
-
-    def coeff(self, f: Fraction, power: int):
-        f = Fraction(f) % 1
-        if f not in self.parts:
-            return Fraction(0)
-        return self.parts[f][power]
 
 
 def _is_zero(x) -> bool:

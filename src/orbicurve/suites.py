@@ -1,20 +1,31 @@
 """Exhaustive and randomized verification suites.
 
 Each suite checks one mathematical statement over a bounded family and
-reports instance/failure counts with a first counterexample if any.  The
-heavy chain enumerations extend chains piece by piece and carry the prefix
-states of the chain-cohomology fold (`cohomology.chain_step`) over cached
-per-component tables of fold data.  A systematic sample of instances is
-recomputed through the public dataclass API by Gaussian elimination
-(`oracles.h_chain_by_elimination`), which shares no code with the fold
-beyond the component counts.  The pairing comparison replays a sample of
-models through the elementwise pairings of `oracles`, and the age and
-isotropy suites compare the closed forms with its brute-force counts.
+reports instance/failure counts with a first counterexample if any.
+
+The convexity and concavity suites count the balanced bundles of each chain
+instead of visiting them: a multiplicity DP over the states of the chain
+fold (`cohomology.chain_step`), carried down the chain DFS and keeping of
+each fold only the value the theorem reads (the transfer-matrix method,
+Stanley, Enumerative Combinatorics I, 4.7; `_bundle_sweep`).  A piece's
+effect on a state depends only on the age `need` it must match and the
+fold's flags, so the transitions are memoized on the cached per-component
+tables (`_moves`), and clearing `_comp_tables` drops them.  The instances
+keep the numbering of a chain-by-chain enumeration in lexicographic order:
+every SAMPLE_EVERY-th is unranked from counts of balanced completions per
+`need` (`_unranker`) and recomputed through the public dataclass API by
+elimination (`oracles.h_chain_by_elimination`), which shares no code with
+the fold beyond the component counts, and the first chain whose counts show
+a failure is enumerated in order for the first counterexample.  The
+log-canonical sweep carries one fold state per depth.  The pairing
+comparison replays a sample of models through the elementwise pairings of
+`oracles`, and the age and isotropy suites compare the closed forms with
+its brute-force counts.
 
 Summand additivity is used where it is exact: h^1 of a direct sum is the sum
 of summand h^1's (and the rank formula is additive in the sector weights),
 so rank-2 tallies over a chain are computed in closed form from the rank-1
-sweep instead of materializing the quadratic number of pairs.
+counts instead of materializing the quadratic number of pairs.
 """
 from __future__ import annotations
 
@@ -27,6 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add
 
 from . import bundles, cohomology, convexity, curves, oracles, sectors, series, wps
 from .foundation import Phase
@@ -205,7 +217,7 @@ def suite_riemann_roch(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
 
 
 # ---------------------------------------------------------------------------
-# Criteria 4-6: chain enumerations carrying prefix states of the fold.
+# Criteria 4-6: chain sweeps carrying prefix states of the fold.
 # ---------------------------------------------------------------------------
 
 
@@ -218,10 +230,11 @@ class _CompTables:
     side), and dualized-then-twisted by -x1 (first component of the dual
     side).  Nodes balance on ages, counted in units of one over the node's
     isotropy order: `need[t]` is the age at x1 that the next piece must have,
-    and `by_age1` groups the bundles by their age at x1.
+    and `by_age1` groups the bundles by their age at x1.  `moves` memoizes
+    the sweep's transitions out of this component (see `_moves`).
     """
 
-    __slots__ = ("bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1")
+    __slots__ = ("bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1", "moves")
 
     def __init__(self, comp, d_lo: int, d_hi: int):
         x1, x2 = curves.MarkedPoint.X1, curves.MarkedPoint.X2
@@ -240,6 +253,11 @@ class _CompTables:
         self.by_age1: dict[int, list[int]] = {}
         for t, L in enumerate(lines):
             self.by_age1.setdefault(bundles._age_data(L, x1)[0], []).append(t)
+        self.moves: dict[tuple, list] = {}
+
+    def fits(self, need: int | None):
+        """Ordinals, ascending, of the bundles that balance with `need` (all of them for None)."""
+        return range(len(self.bnds)) if need is None else self.by_age1.get(need, ())
 
 
 @lru_cache(maxsize=None)
@@ -247,26 +265,107 @@ def _comp_tables(comp, d_lo: int, d_hi: int) -> _CompTables:
     return _CompTables(comp, d_lo, d_hi)
 
 
-def _balanced_prefixes(tabs: list[_CompTables], roles: list[tuple]):
-    """Balanced bundle assignments of a chain, in lexicographic order.
+# A fold of the sweeps is (base role, twisted role, twist on the last piece
+# rather than the first, kept value): it reads the twisted role at the piece
+# that carries the twist and the base role elsewhere, and keeps one value of
+# (h0, h1).  The convexity side folds L(-x2) and is read for h1, the
+# dual side folds dual(L)(-x1) and is read for h0.
+_CONVEX_SIDE = ("plain", "tw2", True, 1)
+_DUAL_SIDE = ("dualx", "dtw1", False, 0)
 
-    roles[k] holds one table of fold data per fold, used at position k.
-    Yields (idx, states, fits) for every balanced assignment idx of all
-    pieces but the last: states holds each fold over that prefix and fits
-    the bundle ordinals of the last piece that balance with it.
+
+def _roles(folds: tuple, first: bool, last: bool) -> tuple:
+    """(role, kept value) of each fold at a piece that is or is not the first and the last."""
+    return tuple(
+        (twisted if (last if at_last else first) else base, keep)
+        for base, twisted, at_last, keep in folds
+    )
+
+
+def _moves(tab: _CompTables, roles: tuple, need: int | None, flags: tuple, last: bool) -> list:
+    """The effect of one piece on the sweep's states, counted over its bundles.
+
+    `chain_step` adds to h0 and h1 and sets new flags (g, left, active); what
+    it adds and sets depends only on the piece and the old flags.  So the
+    pieces that balance with `need`, stepped from `flags`, group into rows
+    (kept deltas, new flags, new need) -> number of bundles, or kept deltas
+    -> number at the last piece.  The rows are memoized on the table.
     """
+    key = (roles, need, flags, last)
+    rows = tab.moves.get(key)
+    if rows is None:
+        step = cohomology.chain_step
+        ends = [(getattr(tab, role), keep) for role, keep in roles]
+        grouped: dict = {}
+        for t in tab.fits(need):
+            states = [step((0, 0) + fl, table[t]) for (table, _), fl in zip(ends, flags)]
+            deltas = tuple(s[keep] for s, (_, keep) in zip(states, ends))
+            row = deltas if last else (deltas, tuple(s[2:] for s in states), tab.need[t])
+            grouped[row] = grouped.get(row, 0) + 1
+        rows = tab.moves[key] = list(grouped.items())
+    return rows
+
+
+def _extend(dist: dict, tab: _CompTables, roles: tuple) -> dict:
+    """Multiplicities of the states (kept values, flags, need) one piece further."""
+    out: dict = {}
+    for (values, flags, need), m in dist.items():
+        for (deltas, new_flags, new_need), c in _moves(tab, roles, need, flags, False):
+            key = (tuple(map(add, values, deltas)), new_flags, new_need)
+            out[key] = out.get(key, 0) + m * c
+    return out
+
+
+def _finish(dist: dict, tab: _CompTables, roles: tuple) -> dict:
+    """Multiplicities of the kept values of whole chains, ending on the piece of `tab`."""
+    out: dict = {}
+    for (values, flags, need), m in dist.items():
+        for deltas, c in _moves(tab, roles, need, flags, True):
+            key = tuple(map(add, values, deltas))
+            out[key] = out.get(key, 0) + m * c
+    return out
+
+
+def _unranker(tabs: list[_CompTables]):
+    """Map r to the r-th balanced bundle assignment of a chain, in lexicographic order.
+
+    The number of balanced completions of pieces k, k+1, ... depends only on
+    the age `need` that piece k must match, so one table of those counts
+    walks straight down to the r-th assignment.
+    """
+    last = len(tabs) - 1
+    completions: dict = {}
+
+    def count(k: int, need: int) -> int:
+        if k == last:
+            return len(tabs[k].fits(need))
+        if (k, need) not in completions:
+            completions[k, need] = sum(count(k + 1, tabs[k].need[t]) for t in tabs[k].fits(need))
+        return completions[k, need]
+
+    def unrank(r: int) -> tuple[int, ...]:
+        idx, need = [], None
+        for k, tab in enumerate(tabs[:last]):
+            for t in tab.fits(need):
+                c = count(k + 1, tab.need[t])
+                if r < c:
+                    break
+                r -= c
+            idx.append(t)
+            need = tab.need[t]
+        return (*idx, tabs[last].fits(need)[r])
+
+    return unrank
+
+
+def _fold_values(tabs: list[_CompTables], idx: tuple[int, ...], folds: tuple) -> tuple:
+    """The kept values of each fold over one bundle assignment, folded piece by piece."""
     step = cohomology.chain_step
-    n = len(tabs)
-    stack = [((), (cohomology.CHAIN_START,) * len(roles[0]))]
-    while stack:
-        idx, states = stack.pop()
-        k = len(idx)
-        fits = tabs[k].by_age1.get(tabs[k - 1].need[idx[-1]], []) if k else range(len(tabs[0].bnds))
-        if k == n - 1:
-            yield idx, states, fits
-            continue
-        for t in reversed(fits):
-            stack.append((idx + (t,), tuple([step(s, role[t]) for s, role in zip(states, roles[k])])))
+    states = [cohomology.CHAIN_START] * len(folds)
+    for k, (tab, t) in enumerate(zip(tabs, idx)):
+        roles = _roles(folds, k == 0, k == len(idx) - 1)
+        states = [step(s, getattr(tab, role)[t]) for s, (role, _) in zip(states, roles)]
+    return tuple(s[keep] for s, (*_, keep) in zip(states, folds))
 
 
 def _pieces(tabs: list[_CompTables], idx: tuple[int, ...]) -> list:
@@ -290,38 +389,65 @@ def _chain_suite(name: str, chunk, head: tuple, workers: int | None, keys: tuple
     return res
 
 
-def _convexity_chunk(args) -> dict:
+def _bundle_sweep(args, tally: dict, d_lo: int, folds: tuple, names: tuple, failing, check):
+    """Count every balanced bundle on every chain of a chunk by its fold values.
+
+    The multiplicities of the states (kept values, flags, need) over the
+    balanced prefixes are carried down the DFS of `iter_chains` by depth, so
+    a chain costs one `_finish` of its parent's states, and each chain's
+    counts {kept values: number of bundles} are yielded.  The instances are
+    numbered as if enumerated chain by chain in lexicographic order: every
+    SAMPLE_EVERY-th is unranked, folded and replayed through `check`, and the
+    first chain with a `failing` value is enumerated in that order for the
+    witness, whose values are keyed by `names`.  Adds instances, failures,
+    first and sampled to `tally`.
+    """
     max_ab, max_l, max_d, max_len, first = args
     comps = component_family(max_ab, max_l)
-    step = cohomology.chain_step
-    instances = failures = sampled = rank2_pairs = rank2_failures = 0
-    first_cx = None
+    tally.update(instances=0, failures=0, first=None, sampled=0)
+    dists = [{((0,) * len(folds), (cohomology.CHAIN_START[2:],) * len(folds), None): 1}]
+    # the roles at (first piece, last piece), built once: the memo keys hold them
+    roles = {(f, l): _roles(folds, f, l) for f in (False, True) for l in (False, True)}
     for chain in iter_chains(comps, max_len, first):
-        tabs = [_comp_tables(comps[i], 0, max_d) for i in chain]
+        n = len(chain)
+        tabs = [_comp_tables(comps[i], d_lo, max_d) for i in chain]
+        del dists[n:]
+        if len(dists) < n:
+            dists.append(_extend(dists[-1], tabs[-2], roles[n == 2, False]))
+        counts = _finish(dists[-1], tabs[-1], roles[n == 1, True])
+        total = sum(counts.values())
+        failures = sum(m for values, m in counts.items() if failing(values))
+        offset = tally["instances"]
+        tally["instances"] += total
+        tally["failures"] += failures
         chain_comps = [list(comps[i]) for i in chain]
-        last = tabs[-1].tw2
-        n_line = n_good = 0
-        for idx, (state,), fits in _balanced_prefixes(tabs, [(tab.plain,) for tab in tabs]):
-            for t in fits:
-                h1 = step(state, last[t])[1]
-                instances += 1
-                n_line += 1
-                if h1 == 0:
-                    n_good += 1
-                else:
-                    failures += 1
-                    first_cx = first_cx or {"chain": chain_comps, "pieces": _pieces(tabs, idx + (t,)), "h1": h1}
-                if instances % SAMPLE_EVERY == 0:
-                    _api_check_convexity_instance(chain_comps, _pieces(tabs, idx + (t,)), h1)
-                    sampled += 1
+        unrank = _unranker(tabs)
+        if failures and tally["first"] is None:
+            for idx in map(unrank, range(total)):
+                values = _fold_values(tabs, idx, folds)
+                if failing(values):
+                    tally["first"] = {"chain": chain_comps, "pieces": _pieces(tabs, idx), **dict(zip(names, values))}
+                    break
+        for r in range((SAMPLE_EVERY - 1 - offset) % SAMPLE_EVERY, total, SAMPLE_EVERY):
+            idx = unrank(r)
+            check(chain_comps, _pieces(tabs, idx), *_fold_values(tabs, idx, folds))
+            tally["sampled"] += 1
+        yield counts
+
+
+def _convexity_chunk(args) -> dict:
+    tally = {"rank2_pairs": 0, "rank2_failures": 0}
+    sweep = _bundle_sweep(
+        args, tally, 0, (_CONVEX_SIDE,), ("h1",), lambda v: v[0] != 0, _api_check_convexity_instance
+    )
+    for counts in sweep:
         # every grid bundle is semi-positive (d >= 0), so rank-2 split bundles
         # fail exactly when one of the two summands has nonzero h1
-        rank2_pairs += n_line * n_line
-        rank2_failures += n_line * n_line - n_good * n_good
-    return dict(
-        instances=instances, failures=failures, first=first_cx, sampled=sampled,
-        rank2_pairs=rank2_pairs, rank2_failures=rank2_failures,
-    )
+        n_line = sum(counts.values())
+        n_good = counts.get((0,), 0)
+        tally["rank2_pairs"] += n_line * n_line
+        tally["rank2_failures"] += n_line * n_line - n_good * n_good
+    return tally
 
 
 def suite_weak_convexity(
@@ -329,7 +455,7 @@ def suite_weak_convexity(
 ) -> SuiteResult:
     """Semi-positive implies convex: h1(L(-x2)) = 0 for all d >= 0 chain bundles.
 
-    Rank-1 bundles are enumerated exhaustively; rank-2 counts follow exactly
+    Rank-1 bundles are counted exhaustively; rank-2 counts follow exactly
     by additivity of h1 over summands.
     """
     res = _chain_suite(
@@ -344,52 +470,28 @@ def suite_weak_convexity(
 
 
 def _concavity_chunk(args) -> dict:
-    max_ab, max_l, max_d, max_len, first = args
-    comps = component_family(max_ab, max_l)
-    step = cohomology.chain_step
-    instances = failures = sampled = rank2_pairs = rank2_equiv_failures = 0
-    first_cx = None
+    tally = {"rank2_pairs": 0, "rank2_equiv_failures": 0}
     # split-level convexity <-> concavity tallies: counts of the classes
     # (h1(L(-x2)) == 0, h0(dual L(-x1)) == 0) in the order ff, ft, tf, tt
     totals = [0, 0, 0, 0]
-    for chain in iter_chains(comps, max_len, first):
-        tabs = [_comp_tables(comps[i], -max_d, max_d) for i in chain]
-        chain_comps = [list(comps[i]) for i in chain]
-        # two folds: L(-x2) on the convexity side, dual(L)(-x1) on the dual side
-        roles = [(tab.plain, tab.dtw1 if k == 0 else tab.dualx) for k, tab in enumerate(tabs)]
-        last_c = tabs[-1].tw2
-        last_d = roles[-1][1]
+    sweep = _bundle_sweep(
+        args, tally, -args[2], (_CONVEX_SIDE, _DUAL_SIDE), ("h1", "h0_dual"),
+        lambda v: v[0] != v[1], _api_check_concavity_instance,
+    )
+    for counts in sweep:
         classes = [0, 0, 0, 0]
-        for idx, (state_c, state_d), fits in _balanced_prefixes(tabs, roles):
-            for t in fits:
-                hc = step(state_c, last_c[t])[1]
-                hd = step(state_d, last_d[t])[0]
-                instances += 1
-                if hc != hd:
-                    failures += 1
-                    first_cx = first_cx or {
-                        "chain": chain_comps,
-                        "pieces": _pieces(tabs, idx + (t,)),
-                        "h1": hc,
-                        "h0_dual": hd,
-                    }
-                classes[2 * (hc == 0) + (hd == 0)] += 1
-                if instances % SAMPLE_EVERY == 0:
-                    _api_check_concavity_instance(chain_comps, _pieces(tabs, idx + (t,)), hc, hd)
-                    sampled += 1
+        for (hc, hd), m in counts.items():
+            classes[2 * (hc == 0) + (hd == 0)] += m
         c_ff, c_ft, c_tf, c_tt = classes
         n = c_tt + c_tf + c_ft + c_ff
         x = c_tt + c_tf  # convex side count
         y = c_tt + c_ft  # concave side count
-        rank2_pairs += n * n
-        rank2_equiv_failures += x * x + y * y - 2 * c_tt * c_tt
+        tally["rank2_pairs"] += n * n
+        tally["rank2_equiv_failures"] += x * x + y * y - 2 * c_tt * c_tt
         totals = [a + b for a, b in zip(totals, classes)]
     n_ff, n_ft, n_tf, n_tt = totals
-    return dict(
-        instances=instances, failures=failures, first=first_cx, sampled=sampled,
-        n_tt=n_tt, n_tf=n_tf, n_ft=n_ft, n_ff=n_ff,
-        rank2_pairs=rank2_pairs, rank2_equiv_failures=rank2_equiv_failures,
-    )
+    tally.update(n_tt=n_tt, n_tf=n_tf, n_ft=n_ft, n_ff=n_ff)
+    return tally
 
 
 def suite_weak_concavity(

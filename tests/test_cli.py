@@ -236,6 +236,24 @@ def test_internal_error_exit_code(capsys, monkeypatch, error):
     assert err == f"internal error: {error}\n"
 
 
+def test_verify_names_the_flags_a_suite_drops(capsys, monkeypatch):
+    def pairing_comparison(max_n=5, max_w=4, max_r=2, max_k=4):
+        return suites.SuiteResult("pairing-comparison", instances=1)
+
+    monkeypatch.setitem(suites.SUITES, "pairing-comparison", pairing_comparison)
+    code, out, err = run_cli(capsys, "--json", "verify", "--suite", "pairing-comparison", "--max-a", "2")
+    assert code == 0 and json.loads(out)["results"]["ok"]
+    assert err == "verify: suite pairing-comparison takes no --max-a; ignored\n"
+
+    plain = ["--json", "verify", "--suite", "isotropy-oracle", "--max-cd", "3"]
+    code, out, err = run_cli(capsys, *plain)
+    assert code == 0 and err == ""
+    # the report does not change; a global flag counts once it leaves its default
+    code, out_dropped, err = run_cli(capsys, "--seed", "1", *plain, "--max-a", "2", "--workers", "2")
+    assert code == 0 and out_dropped == out
+    assert err == "verify: suite isotropy-oracle takes no --max-a, --seed, --workers; ignored\n"
+
+
 def test_verify_sweep_takes_chains_longer_than_three(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "verify", "--suite", "thm-weak-convexity",

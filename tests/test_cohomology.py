@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicurve import cohomology
+from orbicurve import cohomology, oracles
 from orbicurve.bundles import (
     ChainBundle,
     EqLineBundle,
@@ -33,6 +33,7 @@ from orbicurve.cohomology import (
     riemann_roch_check,
 )
 from orbicurve.curves import CurveChain, MarkedPoint, TwistedComponent, present
+from orbicurve.linalg import mat_rank
 from orbicurve.oracles import h_chain_by_elimination
 from orbicurve.suites import chain_adjacency, component_family
 
@@ -212,9 +213,17 @@ def test_chain_trivial_bundle_any_length():
 
 
 def test_chain_trivial_bundle_length_400():
-    chain = CurveChain(tuple(P1 for _ in range(400)))
-    rep = h_chain(trivial_chain_bundle(chain))
-    assert (rep.h0, rep.h1) == (1, 0)
+    B = trivial_chain_bundle(CurveChain(tuple(P1 for _ in range(400))))
+    rep = h_chain(B)
+    assert (rep.h0, rep.h1) == (1, 0) == h_chain_by_elimination(B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=6))
+def test_integer_rank_matches_rational_rank(rows):
+    # entries beyond +-1 make the content division and reduced rows matter
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    assert oracles._integer_rank([r for r in sparse if r]) == (mat_rank(rows) if rows else 0)
 
 
 COMPS = component_family(4, 4)

@@ -4,10 +4,11 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
-from orbicurve import suites
+from orbicurve import cohomology, suites
 
 
 def test_component_family_is_valid():
@@ -153,3 +154,143 @@ def test_chunked_runner_parallel_matches_serial():
     assert serial.instances == parallel.instances
     assert serial.failures == parallel.failures == 0
     assert serial.details == parallel.details
+
+
+# ---------------------------------------------------------------------------
+# The counting sweeps against a reference that enumerates every bundle.
+# ---------------------------------------------------------------------------
+
+
+def _assignments(tabs, need=None):
+    """Balanced bundle ordinals of a chain, one tuple per bundle, in lexicographic order."""
+    tab, rest = tabs[0], tabs[1:]
+    for t in range(len(tab.bnds)) if need is None else tab.by_age1.get(need, []):
+        if rest:
+            for tail in _assignments(rest, tab.need[t]):
+                yield (t, *tail)
+        else:
+            yield (t,)
+
+
+def _reference_sweep(concave: bool, max_ab: int, max_l: int, max_d: int, max_len: int):
+    """(instances, failures, first counterexample, details, replays) by enumeration.
+
+    Folds `chain_step` over each bundle on its own: L(-x2) for h1 and, on the
+    concavity side, dual(L)(-x1) for h0.  Replays are listed in order as the
+    arguments of the sweep's `_api_check_*` call.
+    """
+    comps = suites.component_family(max_ab, max_l)
+    step = cohomology.chain_step
+    instances = failures = rank2_failures = 0
+    first_cx = None
+    details = Counter(sampled=0, rank2_pairs=0)
+    replays = []
+    for first in range(len(comps)):
+        numbered = 0  # instances are numbered per first component
+        for chain in suites.iter_chains(comps, max_len, first):
+            tabs = [suites._comp_tables(comps[i], -max_d if concave else 0, max_d) for i in chain]
+            chain_comps = [list(comps[i]) for i in chain]
+            counts = Counter()
+            for idx in _assignments(tabs):
+                conv = dual = cohomology.CHAIN_START
+                for k, (tab, t) in enumerate(zip(tabs, idx)):
+                    conv = step(conv, (tab.tw2 if k == len(idx) - 1 else tab.plain)[t])
+                    dual = step(dual, (tab.dtw1 if k == 0 else tab.dualx)[t])
+                values = (conv[1], dual[0]) if concave else (conv[1],)
+                pieces = [list(tab.bnds[t]) for tab, t in zip(tabs, idx)]
+                counts[values] += 1
+                numbered += 1
+                if (values[0] != values[1]) if concave else (values[0] != 0):
+                    failures += 1
+                    names = ("h1", "h0_dual") if concave else ("h1",)
+                    first_cx = first_cx or {"chain": chain_comps, "pieces": pieces, **dict(zip(names, values))}
+                if numbered % suites.SAMPLE_EVERY == 0:
+                    replays.append((chain_comps, pieces, *values))
+                    details["sampled"] += 1
+            n = sum(counts.values())
+            instances += n
+            details["rank2_pairs"] += n * n
+            if concave:
+                tt = sum(m for (hc, hd), m in counts.items() if hc == 0 and hd == 0)
+                tf = sum(m for (hc, hd), m in counts.items() if hc == 0 and hd != 0)
+                ft = sum(m for (hc, hd), m in counts.items() if hc != 0 and hd == 0)
+                for key, m in (("n_tt", tt), ("n_tf", tf), ("n_ft", ft), ("n_ff", n - tt - tf - ft)):
+                    details[key] += m
+                x, y = tt + tf, tt + ft
+                rank2_failures += x * x + y * y - 2 * tt * tt
+            else:
+                good = counts[(0,)]
+                rank2_failures += n * n - good * good
+    details["rank2_equiv_failures" if concave else "rank2_failures"] = rank2_failures
+    return instances, failures + rank2_failures, first_cx, dict(details), replays
+
+
+def _counted_sweep(monkeypatch, concave: bool, grid: dict):
+    """The same five results from the suite, with its replays recorded instead of run."""
+    replays = []
+    record = lambda *args: replays.append(args)
+    monkeypatch.setattr(suites, "_api_check_convexity_instance", record)
+    monkeypatch.setattr(suites, "_api_check_concavity_instance", record)
+    suite = suites.suite_weak_concavity if concave else suites.suite_weak_convexity
+    res = suite(**grid, workers=1)
+    return res.instances, res.failures, res.first_counterexample, res.details, replays
+
+
+@pytest.fixture
+def fresh_tables():
+    suites._comp_tables.cache_clear()
+    yield
+    suites._comp_tables.cache_clear()
+
+
+SMALL_GRIDS = [
+    dict(max_ab=2, max_l=2, max_d=2, max_len=3),
+    dict(max_ab=3, max_l=3, max_d=1, max_len=3),
+    dict(max_ab=2, max_l=1, max_d=1, max_len=4),
+]
+
+
+@pytest.mark.parametrize("sample_every", [199, 7])
+@pytest.mark.parametrize("grid", SMALL_GRIDS, ids=lambda g: "-".join(map(str, g.values())))
+@pytest.mark.parametrize("concave", [False, True], ids=["convexity", "concavity"])
+def test_counting_sweep_matches_enumeration(monkeypatch, fresh_tables, concave, grid, sample_every):
+    monkeypatch.setattr(suites, "SAMPLE_EVERY", sample_every)
+    expected = _reference_sweep(concave, **grid)
+    got = _counted_sweep(monkeypatch, concave, grid)
+    assert got[:4] == expected[:4]
+    assert got[4] == expected[4] and len(got[4]) == got[3]["sampled"]
+    assert got[3]["sampled"] > 0 or sample_every == 199
+
+
+@pytest.mark.parametrize("concave", [False, True], ids=["convexity", "concavity"])
+def test_counting_sweep_finds_the_first_counterexample(monkeypatch, fresh_tables, concave):
+    # a fault in the per-piece data: h1 one too large whenever d = 1 (mod 3)
+    ends = cohomology.piece_ends
+    monkeypatch.setattr(
+        cohomology, "piece_ends", lambda L: (lambda e: (e[0], e[1] + (L.d % 3 == 1), *e[2:]))(ends(L))
+    )
+    grid = dict(max_ab=3, max_l=2, max_d=2, max_len=3)
+    expected = _reference_sweep(concave, **grid)
+    got = _counted_sweep(monkeypatch, concave, grid)
+    assert expected[1] > 0 and expected[2] is not None
+    assert got[:4] == expected[:4] and got[4] == expected[4]
+
+
+def test_no_state_survives_between_suite_calls(monkeypatch, fresh_tables):
+    grid = dict(max_ab=3, max_l=2, max_d=2, max_len=3)
+    runs = []
+    for _ in range(2):
+        runs.append(_counted_sweep(monkeypatch, True, grid))
+        # the sweep's own tables, from the cache: their transitions were memoized
+        tables = [suites._comp_tables(c, -2, 2) for c in suites.component_family(3, 2)]
+        assert any(tab.moves for tab in tables)
+        suites._comp_tables.cache_clear()
+        for name, value in vars(suites).items():
+            if name.startswith("__") or value is suites.SUITES:
+                continue
+            if isinstance(value, (dict, list, set)):
+                assert not value, name
+            info = getattr(value, "cache_info", None)
+            if callable(info):
+                assert info().currsize == 0, name
+    assert runs[0] == runs[1]
