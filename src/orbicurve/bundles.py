@@ -23,6 +23,15 @@ off the fiber weight directly:
     generator is h^t with t = (a*l1 - b*l2)^{-1} mod c.
   * at x2 symmetrically with r2 = b*l1*l2 and the roles of the two
     coordinates swapped.
+
+A chain bundle built by `ChainBundle` is checked node by node.  Its dual and
+its twists at the chain's own marked points are not checked again, because
+neither can unbalance a balanced node: the age numerators are linear in
+(k1, k2, d) mod r, so the dual negates both numerators at a node and keeps
+their sum 0 mod r, and O(x1) has age 0 at x2 and O(x2) age 0 at x1, so a
+twist at the chain's ends leaves every node's ages unchanged.  Every bundle
+from outside, such as a parsed document, goes through the checking
+constructor.
 """
 from __future__ import annotations
 
@@ -75,15 +84,21 @@ def point_bundle(comp: TwistedComponent, pt: MarkedPoint) -> EqLineBundle:
 
 
 def twist_marked(L: EqLineBundle, pt: MarkedPoint, sign: int) -> EqLineBundle:
+    """L(sign * pt): L tensored with the point bundle of `pt` or with its dual."""
     if sign not in (1, -1):
         raise ValueError("twist sign must be +1 or -1")
-    P = point_bundle(L.comp, pt)
-    return tensor(L, P if sign == 1 else dual(P))
+    if pt is MarkedPoint.X1:
+        return EqLineBundle(L.comp, L.k1, L.k2 + sign, L.d + sign * L.comp.b)
+    if pt is MarkedPoint.X2:
+        return EqLineBundle(L.comp, L.k1 + sign, L.k2, L.d + sign * L.comp.a)
+    raise ValueError(f"unknown marked point {pt!r}")
 
 
 def canonical_bundle(comp: TwistedComponent) -> EqLineBundle:
-    """omega = O(-x1 - x2); its equivariant lift is fixed so omega(x1+x2) = O^{0,0}(0)."""
-    return tensor(dual(point_bundle(comp, MarkedPoint.X1)), dual(point_bundle(comp, MarkedPoint.X2)))
+    """omega = O(-x1 - x2); its equivariant lift is fixed so omega(x1+x2) = O^{0,0}(0).
+
+    The duals of O(x1) and O(x2) are O^{0,-1}(-b) and O^{-1,0}(-a), so omega = O^{-1,-1}(-a-b)."""
+    return EqLineBundle(comp, -1, -1, -comp.a - comp.b)
 
 
 def _age_data(L: EqLineBundle, pt: MarkedPoint) -> tuple[int, int]:
@@ -155,20 +170,28 @@ class ChainBundle:
         return sum((p.degree for p in self.pieces), Fraction(0))
 
 
+def _derived(B: ChainBundle, pieces: tuple[EqLineBundle, ...]) -> ChainBundle:
+    """A bundle on B's chain, balanced because B is (see the module docstring), built unchecked."""
+    out = object.__new__(ChainBundle)
+    object.__setattr__(out, "chain", B.chain)
+    object.__setattr__(out, "pieces", pieces)
+    return out
+
+
 def chain_dual(B: ChainBundle) -> ChainBundle:
-    return ChainBundle(B.chain, tuple(dual(p) for p in B.pieces))
+    return _derived(B, tuple(dual(p) for p in B.pieces))
 
 
 def chain_twist(B: ChainBundle, pt: MarkedPoint, sign: int) -> ChainBundle:
     """Twist by a marked point of the chain: X1 of the first or X2 of the last component."""
-    pieces = list(B.pieces)
+    pieces = B.pieces
     if pt is MarkedPoint.X1:
-        pieces[0] = twist_marked(pieces[0], MarkedPoint.X1, sign)
+        pieces = (twist_marked(pieces[0], MarkedPoint.X1, sign), *pieces[1:])
     elif pt is MarkedPoint.X2:
-        pieces[-1] = twist_marked(pieces[-1], MarkedPoint.X2, sign)
+        pieces = (*pieces[:-1], twist_marked(pieces[-1], MarkedPoint.X2, sign))
     else:
         raise ValueError(f"unknown marked point {pt!r}")
-    return ChainBundle(B.chain, tuple(pieces))
+    return _derived(B, pieces)
 
 
 def trivial_chain_bundle(chain: CurveChain) -> ChainBundle:

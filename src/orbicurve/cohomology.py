@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .bundles import (
     ChainBundle,
@@ -172,15 +173,14 @@ def h_chain(B: ChainBundle) -> CohomologyReport:
     for piece in B.pieces:
         state = chain_step(state, piece_ends(piece))
     h0, h1 = state[0], state[1]
-    # Riemann-Roch on the pieces, summed in integers with one numerator per
-    # denominator, less one gluing condition per active node
+    # Riemann-Roch on the pieces, less one gluing condition per active node,
+    # compared in integers over the common denominator D
     terms = [_riemann_roch_terms(p) for p in B.pieces]
-    numerators: dict[int, int] = {}
-    for num, den, _ in terms:
-        numerators[den] = numerators.get(den, 0) + num
+    D = lcm(*(den for _, den, _ in terms))
     n_active = sum(trivial2 for _, _, trivial2 in terms[:-1])  # node j follows piece j
-    euler = sum((Fraction(num, den) for den, num in numerators.items()), Fraction(0)) - n_active
-    if h0 - h1 != euler:
+    euler_num = sum(num * (D // den) for num, den, _ in terms) - n_active * D
+    euler = Fraction(euler_num, D)
+    if (h0 - h1) * D != euler_num:
         raise InternalInconsistency(
             f"h0 - h1 = {h0} - {h1} but the Euler characteristic is {euler} on "
             + ", ".join(map(str, B.pieces))

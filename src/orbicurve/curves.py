@@ -106,6 +106,10 @@ def isotropy_order(comp: TwistedComponent, pt: MarkedPoint | None = GENERIC) -> 
     raise ValueError(f"unknown point {pt!r}")
 
 
+# The default degree tag, one object shared by every chain.
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class CurveChain:
     """A linear chain of components; node j glues X2 of component j to X1 of j+1.
@@ -123,9 +127,7 @@ class CurveChain:
 
     def __post_init__(self):
         comps = tuple(self.components)
-        tags = tuple(as_rational(t) for t in self.degree_tags) if self.degree_tags else tuple(
-            Fraction(1) for _ in comps
-        )
+        tags = tuple(as_rational(t) for t in self.degree_tags) if self.degree_tags else (_ONE,) * len(comps)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "degree_tags", tags)
         violations: list[str] = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .bundles import ChainBundle, EqLineBundle, acts_trivially_at
+from .bundles import ChainBundle, EqLineBundle
 from .cohomology import h1_component
 from .curves import MarkedPoint, TwistedComponent
 from .foundation import InternalInconsistency, Phase, PhasedScalar
@@ -41,6 +41,18 @@ def _section_monomials(L: EqLineBundle) -> list[tuple[int, int]]:
     return monos
 
 
+def _trivial_at_x2(L: EqLineBundle) -> bool:
+    """Whether the isotropy group at x2 acts trivially on the fiber of L.
+
+    (z1, z2, lam) fixes x2 = (0, 1) iff lam^b * z2 = 1, and acts on the fiber
+    by lam^d * z1^k1 * z2^k2 = lam^(d - b*k2) * z1^k1.  On that group z1 runs
+    over mu_l1 and lam over the (b*l2)-th roots of unity, independently, so
+    the action is trivial iff k1 = 0 (mod l1) and b*l2 divides d - b*k2.
+    """
+    b, l2 = L.comp.b, L.comp.l2
+    return L.k1 == 0 and L.d % b == 0 and (L.d // b - L.k2) % l2 == 0
+
+
 def _node_rows(B: ChainBundle) -> tuple[list[dict[int, int]], int, int]:
     """Node evaluation matrix of the normalization sequence, by its nonzero entries.
 
@@ -59,7 +71,7 @@ def _node_rows(B: ChainBundle) -> tuple[list[dict[int, int]], int, int]:
     rows: list[dict[int, int]] = []
     n_active = 0
     for j, k in B.chain.nodes:
-        if not acts_trivially_at(B.pieces[j], MarkedPoint.X2):
+        if not _trivial_at_x2(B.pieces[j]):
             continue
         n_active += 1
         row = {offsets[j] + n: 1 for n, (x_exp, _) in enumerate(bases[j]) if x_exp == 0}  # nonzero at x2

@@ -16,7 +16,11 @@ every SAMPLE_EVERY-th is unranked from counts of balanced completions per
 `need` (`_unranker`) and recomputed through the public dataclass API by
 elimination (`oracles.h_chain_by_elimination`), which shares no code with
 the fold beyond the component counts, and the first chain whose counts show
-a failure is enumerated in order for the first counterexample.  The
+a failure is enumerated in order for the first counterexample.  A replay
+builds its checked `CurveChain` and `ChainBundle` on the `TwistedComponent`
+objects the tables already hold, so per-component data such as the chart
+inverses are computed once per table, not once per replay; its twists and
+duals are derived without a second node check (see `bundles`).  The
 log-canonical sweep carries one fold state per depth.  The pairing
 comparison replays a sample of models through the elementwise pairings of
 `oracles`, and the age and isotropy suites compare the closed forms with
@@ -94,9 +98,11 @@ def component_family(max_ab: int, max_l: int) -> list[tuple[int, int, int, int]]
 
 
 def chain_adjacency(comps: list[tuple]) -> list[list[int]]:
-    orders_c = [a * l1 * l2 for a, b, l1, l2 in comps]
-    orders_d = [b * l1 * l2 for a, b, l1, l2 in comps]
-    return [[j for j in range(len(comps)) if orders_d[i] == orders_c[j]] for i in range(len(comps))]
+    """For each component, the ascending indices of those whose x1 order equals its x2 order."""
+    by_order_c: dict[int, list[int]] = {}
+    for j, (a, b, l1, l2) in enumerate(comps):
+        by_order_c.setdefault(a * l1 * l2, []).append(j)
+    return [list(by_order_c.get(b * l1 * l2, ())) for a, b, l1, l2 in comps]
 
 
 def iter_chains(comps: list[tuple], max_len: int, first: int | None = None):
@@ -123,32 +129,36 @@ def iter_chains(comps: list[tuple], max_len: int, first: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _api_chain(chain_comps: list, pieces: list):
-    comps = [curves.TwistedComponent(*c) for c in chain_comps]
-    chain = curves.CurveChain(tuple(comps))
+def _listed(comps: tuple) -> list[list[int]]:
+    """Components as [a, b, l1, l2] lists, the form of witnesses and messages."""
+    return [[c.a, c.b, c.l1, c.l2] for c in comps]
+
+
+def _api_chain(comps: tuple, pieces: list) -> bundles.ChainBundle:
+    """The checked chain bundle with these (k1, k2, d) pieces on these components."""
     return bundles.ChainBundle(
-        chain, tuple(bundles.EqLineBundle(c, *bnd) for c, bnd in zip(comps, pieces))
+        curves.CurveChain(comps), tuple(bundles.EqLineBundle(c, *bnd) for c, bnd in zip(comps, pieces))
     )
 
 
-def _api_check_convexity_instance(chain_comps: list, pieces: list, expected_h1: int) -> None:
-    cb = _api_chain(chain_comps, pieces)
+def _api_check_convexity_instance(comps: tuple, pieces: list, expected_h1: int) -> None:
+    cb = _api_chain(comps, pieces)
     _, h1 = oracles.h_chain_by_elimination(bundles.chain_twist(cb, curves.MarkedPoint.X2, -1))
     if h1 != expected_h1:
         raise cohomology.InternalInconsistency(
-            f"h1(L(-x2)) of {pieces} on {chain_comps}: sweep {expected_h1}, elimination {h1}"
+            f"h1(L(-x2)) of {pieces} on {_listed(comps)}: sweep {expected_h1}, elimination {h1}"
         )
 
 
-def _api_check_concavity_instance(chain_comps, pieces, expected_hc, expected_hd) -> None:
-    cb = _api_chain(chain_comps, pieces)
+def _api_check_concavity_instance(comps: tuple, pieces: list, expected_hc: int, expected_hd: int) -> None:
+    cb = _api_chain(comps, pieces)
     _, hc = oracles.h_chain_by_elimination(bundles.chain_twist(cb, curves.MarkedPoint.X2, -1))
     hd, _ = oracles.h_chain_by_elimination(
         bundles.chain_twist(bundles.chain_dual(cb), curves.MarkedPoint.X1, -1)
     )
     if (hc, hd) != (expected_hc, expected_hd):
         raise cohomology.InternalInconsistency(
-            f"(h1(L(-x2)), h0(dual L(-x1))) of {pieces} on {chain_comps}: "
+            f"(h1(L(-x2)), h0(dual L(-x1))) of {pieces} on {_listed(comps)}: "
             f"sweep {(expected_hc, expected_hd)}, elimination {(hc, hd)}"
         )
 
@@ -231,14 +241,15 @@ class _CompTables:
     side).  Nodes balance on ages, counted in units of one over the node's
     isotropy order: `need[t]` is the age at x1 that the next piece must have,
     and `by_age1` groups the bundles by their age at x1.  `moves` memoizes
-    the sweep's transitions out of this component (see `_moves`).
+    the sweep's transitions out of this component (see `_moves`), and `comp`
+    is the component object that the replays build on.
     """
 
-    __slots__ = ("bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1", "moves")
+    __slots__ = ("comp", "bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1", "moves")
 
     def __init__(self, comp, d_lo: int, d_hi: int):
         x1, x2 = curves.MarkedPoint.X1, curves.MarkedPoint.X2
-        c = curves.TwistedComponent(*comp)
+        self.comp = c = curves.TwistedComponent(*comp)
         self.bnds = [
             (k1, k2, d) for k1 in range(c.l1) for k2 in range(c.l2) for d in range(d_lo, d_hi + 1)
         ]
@@ -420,13 +431,15 @@ def _bundle_sweep(args, tally: dict, d_lo: int, folds: tuple, names: tuple, fail
         offset = tally["instances"]
         tally["instances"] += total
         tally["failures"] += failures
-        chain_comps = [list(comps[i]) for i in chain]
+        chain_comps = tuple(tab.comp for tab in tabs)
         unrank = _unranker(tabs)
         if failures and tally["first"] is None:
             for idx in map(unrank, range(total)):
                 values = _fold_values(tabs, idx, folds)
                 if failing(values):
-                    tally["first"] = {"chain": chain_comps, "pieces": _pieces(tabs, idx), **dict(zip(names, values))}
+                    tally["first"] = {
+                        "chain": _listed(chain_comps), "pieces": _pieces(tabs, idx), **dict(zip(names, values))
+                    }
                     break
         for r in range((SAMPLE_EVERY - 1 - offset) % SAMPLE_EVERY, total, SAMPLE_EVERY):
             idx = unrank(r)
@@ -509,8 +522,8 @@ def suite_weak_concavity(
     return res
 
 
-def _api_check_log_canonical(chain_comps: list, expected: tuple) -> None:
-    chain = curves.CurveChain(tuple(curves.TwistedComponent(*c) for c in chain_comps))
+def _api_check_log_canonical(comps: tuple, expected: tuple) -> None:
+    chain = curves.CurveChain(comps)
     cert = convexity.log_canonical_certificate(chain)
     log_chain = bundles.trivial_chain_bundle(chain)
     omega_x2 = bundles.chain_twist(log_chain, curves.MarkedPoint.X1, -1)
@@ -518,7 +531,7 @@ def _api_check_log_canonical(chain_comps: list, expected: tuple) -> None:
     eliminated = oracles.h_chain_by_elimination(log_chain) + oracles.h_chain_by_elimination(omega_x2)
     if certified != expected or eliminated != expected:
         raise cohomology.InternalInconsistency(
-            f"log canonical on {chain_comps}: sweep {expected}, certificate {certified}, "
+            f"log canonical on {_listed(comps)}: sweep {expected}, certificate {certified}, "
             f"elimination {eliminated}"
         )
 
@@ -549,7 +562,7 @@ def _log_canonical_chunk(args) -> dict:
                 "omega_x2": values[2:],
             }
         if tally["instances"] % SAMPLE_EVERY == 0:
-            _api_check_log_canonical([list(comps[i]) for i in chain], values)
+            _api_check_log_canonical(tuple(_comp_tables(comps[i], 0, 0).comp for i in chain), values)
             tally["sampled"] += 1
     return tally
 

@@ -10,6 +10,7 @@ from orbicurve.bundles import (
     SplitBundle,
     age_at,
     canonical_bundle,
+    chain_dual,
     chain_twist,
     dual,
     point_bundle,
@@ -171,6 +172,68 @@ def test_chain_twist_hits_terminal_components():
     right = chain_twist(cb, MarkedPoint.X2, -1)
     assert [p.d for p in left.pieces] == [1, 2]
     assert [p.d for p in right.pieces] == [2, 1]
+
+
+def _line_bundles(comp, d_range):
+    return [EqLineBundle(comp, k1, k2, d) for k1 in range(comp.l1) for k2 in range(comp.l2) for d in d_range]
+
+
+def test_twist_marked_is_the_tensor_with_the_point_bundle():
+    for a, b, l1, l2 in component_family(3, 3):
+        comp = TwistedComponent(a, b, l1, l2)
+        for L in _line_bundles(comp, range(-2, 3)):
+            for pt in (MarkedPoint.X1, MarkedPoint.X2):
+                P = point_bundle(comp, pt)
+                assert twist_marked(L, pt, 1) == tensor(L, P), (L, pt)
+                assert twist_marked(L, pt, -1) == tensor(L, dual(P)), (L, pt)
+    with pytest.raises(ValueError, match="twist sign"):
+        twist_marked(EqLineBundle(P1, 0, 0, 0), MarkedPoint.X1, 2)
+    with pytest.raises(ValueError, match="unknown marked point"):
+        twist_marked(EqLineBundle(P1, 0, 0, 0), None, 1)
+
+
+def _balanced_pieces(max_ab, max_l, d_range, max_len):
+    """(chain, pieces) of every balanced chain bundle on component_family, by Fraction ages."""
+    comps = component_family(max_ab, max_l)
+    by_age1, age2 = [], {}
+    for a, b, l1, l2 in comps:
+        grouped = {}
+        for L in _line_bundles(TwistedComponent(a, b, l1, l2), d_range):
+            grouped.setdefault(age_at(L, MarkedPoint.X1), []).append(L)
+            age2[L] = age_at(L, MarkedPoint.X2)
+        by_age1.append(grouped)
+
+    def extend(chain, pieces):
+        if len(pieces) == len(chain):
+            yield pieces
+            return
+        grouped = by_age1[chain[len(pieces)]]
+        if pieces:
+            options = grouped.get(-age2[pieces[-1]] % 1, [])
+        else:
+            options = [L for same_age in grouped.values() for L in same_age]
+        for L in options:
+            yield from extend(chain, pieces + (L,))
+
+    for chain in iter_chains(comps, max_len):
+        curve = CurveChain(tuple(TwistedComponent(*comps[i]) for i in chain))
+        for pieces in extend(chain, ()):
+            yield curve, pieces
+
+
+def test_derived_chain_bundles_equal_checked_ones():
+    # chain_twist and chain_dual build their result without the node check;
+    # the checking constructor accepts the same pieces and builds an equal bundle
+    balanced = list(_balanced_pieces(3, 3, range(-2, 3), 3))
+    assert len(balanced) == 112675
+    for curve, pieces in balanced[::11]:  # one in 11 keeps the test short
+        B = ChainBundle(curve, pieces)
+        derived = [chain_dual(B)] + [
+            chain_twist(B, pt, sign) for pt in (MarkedPoint.X1, MarkedPoint.X2) for sign in (1, -1)
+        ]
+        for D in derived:
+            assert D == ChainBundle(curve, D.pieces)
+            assert D.chain is curve
 
 
 def test_split_bundle_same_chain():

@@ -30,6 +30,15 @@ def test_iter_chains_node_matching():
             assert b1 * l11 * l21 == a2 * l12 * l22
 
 
+def test_chain_adjacency_matches_all_pairs():
+    comps = suites.component_family(6, 6)
+    all_pairs = [
+        [j for j, (a, _, l1, l2) in enumerate(comps) if a * l1 * l2 == b_i * l1_i * l2_i]
+        for _, b_i, l1_i, l2_i in comps
+    ]
+    assert suites.chain_adjacency(comps) == all_pairs
+
+
 def test_sweep_instances_all_match_the_elimination_oracle(monkeypatch):
     # every instance replayed: the prefix folds over the component tables, on
     # both sides of the concavity sweep, against Gaussian elimination through
@@ -42,6 +51,20 @@ def test_sweep_instances_all_match_the_elimination_oracle(monkeypatch):
     assert res.ok and res.details["sampled"] == res.instances == 927
     res = suites.suite_log_canonical(max_ab=3, max_l=2, max_len=3, workers=1)
     assert res.ok and res.details["sampled"] == res.instances > 100
+
+
+def test_replays_catch_a_fault_in_the_node_activity_test(monkeypatch, fresh_tables):
+    # the oracle decides node activity by its own character test, so a fault in
+    # bundles.acts_trivially_at, wherever it is bound, reaches the fold alone
+    from orbicurve import bundles
+
+    real = bundles.acts_trivially_at
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("orbicurve") and getattr(mod, "acts_trivially_at", None) is real:
+            monkeypatch.setattr(mod, "acts_trivially_at", lambda L, pt: True)
+    monkeypatch.setattr(suites, "SAMPLE_EVERY", 1)
+    with pytest.raises(cohomology.InternalInconsistency, match="elimination"):
+        suites.suite_weak_concavity(max_ab=3, max_l=3, max_d=2, max_len=2, workers=1)
 
 
 def test_concavity_sweep_takes_chains_longer_than_three():
@@ -226,9 +249,12 @@ def _reference_sweep(concave: bool, max_ab: int, max_l: int, max_d: int, max_len
 
 
 def _counted_sweep(monkeypatch, concave: bool, grid: dict):
-    """The same five results from the suite, with its replays recorded instead of run."""
+    """The same five results from the suite, with its replays recorded instead of run.
+
+    A replay is called with the component objects of the suite's tables; they
+    are recorded in the list form of the witnesses."""
     replays = []
-    record = lambda *args: replays.append(args)
+    record = lambda comps, *args: replays.append((suites._listed(comps), *args))
     monkeypatch.setattr(suites, "_api_check_convexity_instance", record)
     monkeypatch.setattr(suites, "_api_check_concavity_instance", record)
     suite = suites.suite_weak_concavity if concave else suites.suite_weak_convexity
