@@ -355,12 +355,8 @@ def cmd_rank(args, doc: dict) -> dict:
 
 
 def cmd_sign(args, doc: dict) -> dict:
-    import warnings as _warnings
-
     g1, g2 = _padded_sectors(args.g1, args.g2)
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        result = sectors.sign_cycle(_rational(args.beta_detE), g1, g2)
+    result = sectors.sign_cycle(_rational(args.beta_detE), g1, g2)
     out = {"exponent": fmt(result.phase.exponent), "sign": result.as_sign}
     if not result.realizable:
         out["realizable"] = False

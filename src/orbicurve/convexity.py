@@ -14,7 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundles import SplitBundle, chain_dual, chain_twist, trivial_chain_bundle
+from .bundles import (
+    SplitBundle,
+    canonical_bundle,
+    chain_dual,
+    chain_twist,
+    trivial_bundle,
+    trivial_chain_bundle,
+    twist_marked,
+)
 from .cohomology import h_chain, h_twisted
 from .curves import CurveChain, MarkedPoint
 
@@ -64,8 +72,6 @@ def convexity_verdict(B: SplitBundle) -> ConvexityVerdict:
 
 @dataclass
 class LogCanonicalCertificate:
-    chain_length: int
-    per_component_trivial: bool
     h0_log_canonical: int
     h1_log_canonical: int
     h0_omega_x2: int
@@ -82,14 +88,9 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
       * h^0(omega(x2)) = h^1(omega(x2)) = 0, the conditions that make the
         residue trivialization work in families.
     """
-    from .bundles import EqLineBundle, canonical_bundle, point_bundle, tensor
-
     for j, comp in enumerate(chain.components):
-        log_can = tensor(
-            tensor(canonical_bundle(comp), point_bundle(comp, MarkedPoint.X1)),
-            point_bundle(comp, MarkedPoint.X2),
-        )
-        if log_can != EqLineBundle(comp, 0, 0, 0):
+        log_can = twist_marked(twist_marked(canonical_bundle(comp), MarkedPoint.X1, 1), MarkedPoint.X2, 1)
+        if log_can != trivial_bundle(comp):
             raise CertificateError(f"component {j}: omega(x1+x2) = {log_can} is not trivial")
 
     log_chain = trivial_chain_bundle(chain)
@@ -97,8 +98,6 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
     omega_x2 = chain_twist(log_chain, MarkedPoint.X1, -1)  # omega(x2) = omega(x1+x2) - x1
     rep2 = h_chain(omega_x2)
     cert = LogCanonicalCertificate(
-        chain_length=len(chain),
-        per_component_trivial=True,
         h0_log_canonical=rep.h0,
         h1_log_canonical=rep.h1,
         h0_omega_x2=rep2.h0,

@@ -7,7 +7,6 @@ these weights.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,16 +74,9 @@ def sign_cycle(beta_det_e: Fraction, g1: SectorAction, g2: SectorAction) -> Sign
     and bundle; the exact phase is returned with realizable=False rather than
     raised, so the calculus stays total.
     """
-    expo = rank_formula(beta_det_e, g1, g2)
-    phase = Phase(expo)
+    phase = Phase(rank_formula(beta_det_e, g1, g2))
     sign = phase.is_sign()
-    if sign is None:
-        warnings.warn(
-            f"sign exponent {expo} is not an integer; data is not realizable",
-            stacklevel=2,
-        )
-        return SignResult(phase, None, False)
-    return SignResult(phase, sign, True)
+    return SignResult(phase, sign, sign is not None)
 
 
 def sign_invariant(beta_det_e: Fraction, r: int) -> Phase:

@@ -300,14 +300,15 @@ def random_invariant_table(
     rng: random.Random,
     n_classes: int = 3,
     a_max: int = 2,
-    density: float = 0.6,
 ) -> InvariantTable:
     """Seeded random table against the compact-type basis of the model.
 
     Degree vectors are (ordering, det) pairs; ordering degrees are integers in
     [1, truncation], det degrees small rationals (integral or not, so both the
     sign and the genuine-phase branches of the substitution get exercised).
+    Each (class, psi power, row, column) slot is drawn with probability 0.6.
     """
+    density = 0.6
     basis = compact_type_basis(m)
     dim = len(basis)
     table = InvariantTable(dim)

@@ -1,7 +1,11 @@
 """Exhaustive and randomized verification suites.
 
 Each suite checks one mathematical statement over a bounded family and
-reports instance/failure counts with a first counterexample if any.
+reports instance/failure counts with a first counterexample if any.  The
+bundles on a component come from one grid, O^{k1,k2}(d) in the lexicographic
+order of (k1, k2, d) (`_bundle_grid`), and that one order numbers every
+suite's instances: the component suites, the per-component tables of the
+chain sweeps, and so every sampled replay position and first counterexample.
 
 The convexity and concavity suites count the balanced bundles of each chain
 instead of visiting them: a multiplicity DP over the states of the chain
@@ -36,7 +40,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -124,6 +127,23 @@ def iter_chains(comps: list[tuple], max_len: int, first: int | None = None):
                     stack.append(path + (j,))
 
 
+def _bundle_grid(comp: curves.TwistedComponent, ds: range) -> list[bundles.EqLineBundle]:
+    """The bundles O^{k1,k2}(d) on `comp` with d in `ds`, in the grid order (k1, k2, d).
+
+    Every suite over line bundles numbers its instances in this order, so it
+    fixes the sampled replay positions and the first counterexamples.
+    """
+    return [
+        bundles.EqLineBundle(comp, k1, k2, d) for k1 in range(comp.l1) for k2 in range(comp.l2) for d in ds
+    ]
+
+
+def _family_grid(max_ab: int, max_l: int, ds: range):
+    """The bundle grid of each component of `component_family(max_ab, max_l)` in turn."""
+    for abll in component_family(max_ab, max_l):
+        yield from _bundle_grid(curves.TwistedComponent(*abll), ds)
+
+
 # ---------------------------------------------------------------------------
 # API replay used by the sampled cross-checks.
 # ---------------------------------------------------------------------------
@@ -168,61 +188,36 @@ def _api_check_concavity_instance(comps: tuple, pieces: list, expected_hc: int, 
 # ---------------------------------------------------------------------------
 
 
-def _component_grid(max_ab: int, max_l: int):
-    for a, b, l1, l2 in component_family(max_ab, max_l):
-        comp = curves.TwistedComponent(a, b, l1, l2)
-        for k1 in range(l1):
-            for k2 in range(l2):
-                yield comp, k1, k2
-
-
 def suite_h1_vanishing(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> SuiteResult:
     res = SuiteResult("h1-vanishing")
-    for comp, k1, k2 in _component_grid(max_ab, max_l):
-        for d in range(0, max_d + 1):
-            L = bundles.EqLineBundle(comp, k1, k2, d)
-            h1 = cohomology.h1_component(L)
-            res.instances += 1
-            if h1 != 0:
-                res.fail({"bundle": str(L), "h1": h1})
+    for L in _family_grid(max_ab, max_l, range(max_d + 1)):
+        h1 = cohomology.h1_component(L)
+        res.instances += 1
+        if h1 != 0:
+            res.fail({"bundle": str(L), "h1": h1})
     return res
 
 
 def suite_h1_two_path(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> SuiteResult:
     res = SuiteResult("h1-two-path")
-    for comp, k1, k2 in _component_grid(max_ab, max_l):
-        for d in range(-max_d, max_d + 1):
-            L = bundles.EqLineBundle(comp, k1, k2, d)
-            n_direct = cohomology.h1_negative_monomials(L)
-            n_serre = cohomology.h0_component(
-                bundles.tensor(bundles.canonical_bundle(comp), bundles.dual(L))
-            )
-            res.instances += 1
-            if n_direct != n_serre:
-                res.fail({
-                    "bundle": str(L),
-                    "direct": n_direct,
-                    "serre": n_serre,
-                })
+    for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
+        n_direct = cohomology.h1_negative_monomials(L)
+        n_serre = cohomology.h0_component(bundles.tensor(bundles.canonical_bundle(L.comp), bundles.dual(L)))
+        res.instances += 1
+        if n_direct != n_serre:
+            res.fail({"bundle": str(L), "direct": n_direct, "serre": n_serre})
     return res
 
 
 def suite_riemann_roch(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> SuiteResult:
     res = SuiteResult("riemann-roch")
-    for comp, k1, k2 in _component_grid(max_ab, max_l):
-        for d in range(-max_d, max_d + 1):
-            L = bundles.EqLineBundle(comp, k1, k2, d)
-            h0 = cohomology.h0_component(L)
-            h1 = cohomology.h1_component(L)
-            chi = cohomology.riemann_roch_check(L)
-            res.instances += 1
-            if h0 - h1 != chi:
-                res.fail({
-                    "bundle": str(L),
-                    "h0": h0,
-                    "h1": h1,
-                    "riemann_roch": str(chi),
-                })
+    for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
+        h0 = cohomology.h0_component(L)
+        h1 = cohomology.h1_component(L)
+        chi = cohomology.riemann_roch_check(L)
+        res.instances += 1
+        if h0 - h1 != chi:
+            res.fail({"bundle": str(L), "h0": h0, "h1": h1, "riemann_roch": str(chi)})
     return res
 
 
@@ -250,10 +245,8 @@ class _CompTables:
     def __init__(self, comp, d_lo: int, d_hi: int):
         x1, x2 = curves.MarkedPoint.X1, curves.MarkedPoint.X2
         self.comp = c = curves.TwistedComponent(*comp)
-        self.bnds = [
-            (k1, k2, d) for k1 in range(c.l1) for k2 in range(c.l2) for d in range(d_lo, d_hi + 1)
-        ]
-        lines = [bundles.EqLineBundle(c, *bnd) for bnd in self.bnds]
+        lines = _bundle_grid(c, range(d_lo, d_hi + 1))
+        self.bnds = [(L.k1, L.k2, L.d) for L in lines]
         duals = [bundles.dual(L) for L in lines]
         ends = cohomology.piece_ends
         self.plain = [ends(L) for L in lines]
@@ -582,32 +575,19 @@ def suite_rank_formula(max_ab: int = 4, max_l: int = 4, max_d: int = 8) -> Suite
     res = SuiteResult("rank-formula")
     deltas: dict[Fraction, int] = {}
     n_convex = 0
-    for a, b, l1, l2 in component_family(max_ab, max_l):
-        comp = curves.TwistedComponent(a, b, l1, l2)
-        chain = curves.CurveChain((comp,))
-        for k1 in range(l1):
-            for k2 in range(l2):
-                for d in range(-max_d, max_d + 1):
-                    L = bundles.EqLineBundle(comp, k1, k2, d)
-                    cb = bundles.ChainBundle(chain, (L,))
-                    if cohomology.h_twisted(cb, curves.MarkedPoint.X2, -1).h1 != 0:
-                        continue  # not weakly convex, formula not asserted
-                    n_convex += 1
-                    g1 = sectors.SectorAction((bundles.age_at(L, curves.MarkedPoint.X1),))
-                    g2 = sectors.SectorAction((bundles.age_at(L, curves.MarkedPoint.X2),))
-                    rf = sectors.rank_formula(L.degree, g1, g2)
-                    direct = cohomology.h_twisted(
-                        bundles.chain_dual(cb), curves.MarkedPoint.X1, -1
-                    ).h1
-                    res.instances += 1
-                    ok = rf == direct and rf.denominator == 1 and rf >= 0
-                    if not ok:
-                        res.fail({
-                            "bundle": str(L),
-                            "rank_formula": str(rf),
-                            "direct_h1": direct,
-                        })
-                    deltas[rf - direct] = deltas.get(rf - direct, 0) + 1
+    for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
+        cb = bundles.ChainBundle(curves.CurveChain((L.comp,)), (L,))
+        if cohomology.h_twisted(cb, curves.MarkedPoint.X2, -1).h1 != 0:
+            continue  # not weakly convex, formula not asserted
+        n_convex += 1
+        g1 = sectors.SectorAction((bundles.age_at(L, curves.MarkedPoint.X1),))
+        g2 = sectors.SectorAction((bundles.age_at(L, curves.MarkedPoint.X2),))
+        rf = sectors.rank_formula(L.degree, g1, g2)
+        direct = cohomology.h_twisted(bundles.chain_dual(cb), curves.MarkedPoint.X1, -1).h1
+        res.instances += 1
+        if not (rf == direct and rf.denominator == 1 and rf >= 0):
+            res.fail({"bundle": str(L), "rank_formula": str(rf), "direct_h1": direct})
+        deltas[rf - direct] = deltas.get(rf - direct, 0) + 1
     # rank-2 split bundles: both the formula and the direct rank are additive
     # over summands, so pairs fail only through nonzero per-summand deltas
     good_pairs = sum(
@@ -625,12 +605,7 @@ def suite_rank2_direct(max_ab: int = 3, max_l: int = 2, max_d: int = 4) -> Suite
     for a, b, l1, l2 in component_family(max_ab, max_l):
         comp = curves.TwistedComponent(a, b, l1, l2)
         chain = curves.CurveChain((comp,))
-        line_bundles = [
-            bundles.EqLineBundle(comp, k1, k2, d)
-            for k1 in range(l1)
-            for k2 in range(l2)
-            for d in range(-max_d, max_d + 1)
-        ]
+        line_bundles = _bundle_grid(comp, range(-max_d, max_d + 1))
         for L1, L2 in itertools.combinations_with_replacement(line_bundles, 2):
             split = bundles.SplitBundle(
                 (bundles.ChainBundle(chain, (L1,)), bundles.ChainBundle(chain, (L2,)))
@@ -688,9 +663,7 @@ def suite_age_sum(trials: int = 10000, max_den: int = 12, seed: int = 0) -> Suit
             beta_det = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
         else:
             beta_det = sectors.age(s) - sectors.age(sectors.inverse_sector(g2)) + rng.randint(0, 6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sig = sectors.sign_cycle(beta_det, s, g2)
+        sig = sectors.sign_cycle(beta_det, s, g2)
         lhs_phase = sig.phase * Phase(
             sectors.age(s) + sectors.age(g2) + g2.rank_fixed
         )
@@ -815,23 +788,13 @@ def suite_isotropy_oracle(max_cd: int = 12) -> SuiteResult:
 def suite_age_oracle(max_ab: int = 4, max_l: int = 4, max_d: int = 6) -> SuiteResult:
     """Closed-form ages against the generator-hunting brute force."""
     res = SuiteResult("age-oracle")
-    for a, b, l1, l2 in component_family(max_ab, max_l):
-        comp = curves.TwistedComponent(a, b, l1, l2)
-        for k1 in range(l1):
-            for k2 in range(l2):
-                for d in range(-max_d, max_d + 1):
-                    L = bundles.EqLineBundle(comp, k1, k2, d)
-                    for pt in (curves.MarkedPoint.X1, curves.MarkedPoint.X2):
-                        res.instances += 1
-                        fast = bundles.age_at(L, pt)
-                        slow = oracles.brute_force_age(L, pt)
-                        if fast != slow:
-                            res.fail({
-                                "bundle": str(L),
-                                "point": pt.value,
-                                "formula": str(fast),
-                                "oracle": str(slow),
-                            })
+    for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
+        for pt in (curves.MarkedPoint.X1, curves.MarkedPoint.X2):
+            res.instances += 1
+            fast = bundles.age_at(L, pt)
+            slow = oracles.brute_force_age(L, pt)
+            if fast != slow:
+                res.fail({"bundle": str(L), "point": pt.value, "formula": str(fast), "oracle": str(slow)})
     return res
 
 

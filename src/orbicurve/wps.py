@@ -260,9 +260,10 @@ def verify_delta_iso_dims(m: WPSModel, sectors: list[Sector] | None = None) -> D
         image_dim = mat_rank(mult)
         r0, c0, n = start[s.f], start[(1 - s.f) % 1], s.dim + 1
         block = [row[c0 : c0 + n] for row in gram[r0 : r0 + n]]
-        rank = mat_rank(block)
-        transpose = [list(r) for r in zip(*block)]
-        kernel = mat_nullspace(transpose)
+        # the block is square (sectors f and 1-f fix the same coordinates), so
+        # its rank is n minus the dimension of the kernel of its transpose
+        kernel = mat_nullspace([list(r) for r in zip(*block)])
+        rank = n - len(kernel)
         stable = True
         for v in kernel:
             image = [sum(a * x for a, x in zip(row, v) if a) for row in mult]

@@ -5,6 +5,8 @@ vanishes under -O; the package raises instead.  The package promises exact
 arithmetic, so it imports no complex floating-point math.  The oracles that
 the suites replay against the fast path stay independent of it: `oracles`
 names none of the fast path's kernels, and only `suites` imports `oracles`.
+`suites` writes its bundle grid once: only `_bundle_grid` and the replays'
+`_api_chain` construct an `EqLineBundle`.
 """
 import ast
 from pathlib import Path
@@ -74,6 +76,32 @@ def test_only_suites_imports_oracles(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert "oracles" not in {name for n in imports for name in _names(n)}, path.name
+
+
+def _scopes_naming(tree: ast.AST, name: str) -> set:
+    """The innermost functions (None at module level) whose code names `name`."""
+    scopes = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and name in node.name.split("."))
+        ):
+            scopes.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return scopes
+
+
+def test_suites_build_bundles_only_in_the_grid_and_the_replays():
+    path = Path(orbicurve.__file__).parent / "suites.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _scopes_naming(tree, "EqLineBundle") == {"_bundle_grid", "_api_chain"}
 
 
 def test_rules_see_every_module():

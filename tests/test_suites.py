@@ -5,15 +5,16 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from orbicurve import cohomology, suites
+from orbicurve import bundles, cohomology, oracles, suites
+from orbicurve.bundles import EqLineBundle
+from orbicurve.curves import MarkedPoint, TwistedComponent
 
 
 def test_component_family_is_valid():
-    from orbicurve.curves import TwistedComponent
-
     fam = suites.component_family(4, 4)
     assert len(fam) == len(set(fam))
     for a, b, l1, l2 in fam:
@@ -56,8 +57,6 @@ def test_sweep_instances_all_match_the_elimination_oracle(monkeypatch):
 def test_replays_catch_a_fault_in_the_node_activity_test(monkeypatch, fresh_tables):
     # the oracle decides node activity by its own character test, so a fault in
     # bundles.acts_trivially_at, wherever it is bound, reaches the fold alone
-    from orbicurve import bundles
-
     real = bundles.acts_trivially_at
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("orbicurve") and getattr(mod, "acts_trivially_at", None) is real:
@@ -146,6 +145,79 @@ def test_suite_failures_keep_the_first_witness(monkeypatch):
     res = suites.suite_h1_vanishing(max_ab=1, max_l=1, max_d=2)
     assert res.instances == res.failures == 3
     assert res.first_counterexample == {"bundle": "O^{0,0}(0) on P(1,1)", "h1": 1}
+
+
+def _grid_in_order(max_ab, max_l, ds):
+    """The suites' bundle grid, written out as a plain nested loop."""
+    for a, b, l1, l2 in suites.component_family(max_ab, max_l):
+        comp = TwistedComponent(a, b, l1, l2)
+        for k1 in range(l1):
+            for k2 in range(l2):
+                for d in ds:
+                    yield EqLineBundle(comp, k1, k2, d)
+
+
+def _hit(L):
+    """The bundles the faults below hit: k1 + k2 = 1 and d even, on components
+    with l1, l2 > 1, so the first witness moves if the grid's order of k1 and
+    k2, or of d, changes."""
+    return L.comp.l1 > 1 < L.comp.l2 and L.k1 + L.k2 == 1 and L.d % 2 == 0
+
+
+def _h1_vanishing_witnesses(L):
+    h1 = cohomology.h1_component(L)
+    return [{"bundle": str(L), "h1": h1}] if h1 else []
+
+
+def _h1_two_path_witnesses(L):
+    direct = cohomology.h1_negative_monomials(L)
+    serre = cohomology.h0_component(bundles.tensor(bundles.canonical_bundle(L.comp), bundles.dual(L)))
+    return [{"bundle": str(L), "direct": direct, "serre": serre}] if direct != serre else []
+
+
+def _riemann_roch_witnesses(L):
+    h0, h1, chi = cohomology.h0_component(L), cohomology.h1_component(L), cohomology.riemann_roch_check(L)
+    return [{"bundle": str(L), "h0": h0, "h1": h1, "riemann_roch": str(chi)}] if h0 - h1 != chi else []
+
+
+def _age_oracle_witnesses(L):
+    out = []
+    for pt in (MarkedPoint.X1, MarkedPoint.X2):
+        fast, slow = bundles.age_at(L, pt), oracles.brute_force_age(L, pt)
+        if fast != slow:
+            out.append({"bundle": str(L), "point": pt.value, "formula": str(fast), "oracle": str(slow)})
+    return out
+
+
+# suite -> (module and name of the faulted function, the fault, d range, witnesses of one bundle)
+COMPONENT_FAULTS = {
+    "suite_h1_vanishing": (
+        cohomology, "h1_component", lambda f: lambda L: f(L) + _hit(L), range(5), _h1_vanishing_witnesses
+    ),
+    "suite_h1_two_path": (
+        cohomology, "h1_negative_monomials", lambda f: lambda L: f(L) + _hit(L), range(-4, 5),
+        _h1_two_path_witnesses,
+    ),
+    "suite_riemann_roch": (
+        cohomology, "riemann_roch_check", lambda f: lambda L: f(L) + _hit(L), range(-4, 5),
+        _riemann_roch_witnesses,
+    ),
+    "suite_age_oracle": (
+        bundles, "age_at", lambda f: lambda L, pt: (f(L, pt) + Fraction(pt is MarkedPoint.X2 and _hit(L), 5)) % 1,
+        range(-4, 5), _age_oracle_witnesses,
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", COMPONENT_FAULTS)
+def test_component_suites_report_the_first_failing_bundle_in_grid_order(monkeypatch, suite):
+    module, name, fault, ds, witnesses_of = COMPONENT_FAULTS[suite]
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    witnesses = [w for L in _grid_in_order(2, 6, ds) for w in witnesses_of(L)]
+    res = getattr(suites, suite)(2, 6, ds.stop - 1)
+    assert witnesses
+    assert res.failures == len(witnesses)
+    assert res.first_counterexample == witnesses[0]
 
 
 def test_small_suite_runs_pass():
