@@ -131,10 +131,12 @@ ChainState = tuple[int, int, bool, bool, bool]
 CHAIN_START: ChainState = (0, 0, False, False, False)
 
 
-def piece_ends(L: EqLineBundle) -> PieceEnds:
+def piece_ends(L: EqLineBundle, trivial2: bool | None = None) -> PieceEnds:
     """(h0, h1, nonzero at x1, nonzero at x2, d == 0, trivial at x2) of one piece.
 
-    Some section is nonzero at x1 iff x^(d/a) is one, and at x2 iff y^(d/b) is."""
+    Some section is nonzero at x1 iff x^(d/a) is one, and at x2 iff y^(d/b) is.
+    A caller that knows whether the isotropy acts trivially at x2 passes it
+    as `trivial2`."""
     a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
     k1, k2, d = L.k1, L.k2, L.d
     return (
@@ -143,7 +145,7 @@ def piece_ends(L: EqLineBundle) -> PieceEnds:
         k2 == 0 and d >= 0 and d % a == 0 and (d // a - k1) % l1 == 0,
         k1 == 0 and d >= 0 and d % b == 0 and (d // b - k2) % l2 == 0,
         d == 0,
-        acts_trivially_at(L, MarkedPoint.X2),
+        acts_trivially_at(L, MarkedPoint.X2) if trivial2 is None else trivial2,
     )
 
 
@@ -169,13 +171,14 @@ def chain_step(state: ChainState, piece: PieceEnds) -> ChainState:
 
 def h_chain(B: ChainBundle) -> CohomologyReport:
     """h0 and h1 of a chain bundle by the fold, checked against Riemann-Roch."""
-    state = CHAIN_START
-    for piece in B.pieces:
-        state = chain_step(state, piece_ends(piece))
-    h0, h1 = state[0], state[1]
     # Riemann-Roch on the pieces, less one gluing condition per active node,
-    # compared in integers over the common denominator D
+    # compared in integers over the common denominator D; the terms also say
+    # which pieces are trivial at x2
     terms = [_riemann_roch_terms(p) for p in B.pieces]
+    state = CHAIN_START
+    for piece, (_, _, trivial2) in zip(B.pieces, terms):
+        state = chain_step(state, piece_ends(piece, trivial2))
+    h0, h1 = state[0], state[1]
     D = lcm(*(den for _, den, _ in terms))
     n_active = sum(trivial2 for _, _, trivial2 in terms[:-1])  # node j follows piece j
     euler_num = sum(num * (D // den) for num, den, _ in terms) - n_active * D

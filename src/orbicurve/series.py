@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .foundation import Phase, PhasedScalar, as_rational
-from .linalg import mat_inverse
-from .wps import WPSModel, enumerate_sectors, euler_factor, pairing_gram, sector_at, state_basis
+from .wps import Sector, WPSModel, _partner, enumerate_sectors, euler_factor, pairing_blocks
 
 
 @dataclass(frozen=True)
@@ -154,12 +153,31 @@ class LOperator:
         return out
 
 
+def _entrywise_inverse(pairing: list[list[Fraction]]) -> list[tuple[int, Fraction]]:
+    """P^{-1} of a matrix P with exactly one nonzero entry in each row and
+    column, as (i, 1/P[i][j]) for each row j of P^{-1}: its only nonzero entry
+    sits in column i.  Any other matrix raises ValueError("degenerate pairing")."""
+    inverse: list = [None] * len(pairing)
+    for i, row in enumerate(pairing):
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        if len(nonzero) != 1 or inverse[nonzero[0][0]] is not None:
+            raise ValueError("degenerate pairing")
+        j, x = nonzero[0]
+        inverse[j] = (i, 1 / Fraction(x))
+    return inverse
+
+
 def build_L(table: InvariantTable, pairing: list[list[Fraction]], truncation) -> LOperator:
     """Assemble the fundamental-solution operator from two-pointed values.
 
     In the basis {T_i}, the coefficient of T_m in L(T_r) at (q^beta, z^{-a-1})
     is (-1)^{a+1} sum_i <T_r psi^a, T_i>_beta (P^{-1})_{i m}, the sign being
     the coefficient of psi^a z^{-a-1} in 1/(-z-psi).
+
+    The pairing must have exactly one nonzero entry in each row and column,
+    as every pairing of `wps` has on the compact-type basis (its blocks are
+    anti-diagonal); it is inverted entry by entry, and any other matrix raises
+    ValueError("degenerate pairing").
     """
     dim = table.dim
     if len(pairing) != dim or any(len(r) != dim for r in pairing):
@@ -167,23 +185,19 @@ def build_L(table: InvariantTable, pairing: list[list[Fraction]], truncation) ->
     problems = table.validate()
     if problems:
         raise ValueError("invalid table: " + "; ".join(problems))
-    try:
-        p_inv = mat_inverse(pairing)
-    except ValueError as exc:
-        raise ValueError("degenerate pairing") from exc
+    p_inv = _entrywise_inverse(pairing)
     op = LOperator(dim, truncation)
     for e in table.entries:
         if e.beta.ordering > op.truncation:
             continue
         if e.beta.is_zero():
             raise ValueError("table entries must have nonzero effective class")
-        value = PhasedScalar.coerce(e.value) * (1 if e.psi_power % 2 else -1)
+        value = PhasedScalar.coerce(e.value)
         if value.is_zero():
             continue
-        # column r of the operator matrix gets sum_m value * P^{-1}[col][m] in row m
-        for mrow, x in enumerate(p_inv[e.col]):
-            if x:
-                op.add_term(e.beta, -e.psi_power - 1, mrow, e.row, value * x)
+        # column r of the operator matrix gets value * P^{-1}[col][m] in row m
+        mrow, x = p_inv[e.col]
+        op.add_term(e.beta, -e.psi_power - 1, mrow, e.row, value * (x if e.psi_power % 2 else -x))
     return op
 
 
@@ -204,41 +218,50 @@ class QSDReport:
         return self.first_violation is None
 
 
-def compact_type_basis(m: WPSModel) -> list[tuple[Fraction, int]]:
+def compact_type_basis(m: WPSModel, sectors: list[Sector] | None = None) -> list[tuple[Fraction, int]]:
     """(sector rotation, H-power) pairs giving a basis of the compact-type space.
 
     On the sector with rotation f the compact-type subspace has dimension
     dim_f + 1 - rank_fixed_f (the image of the Euler-factor multiplication),
     realized by the pushforwards of H^p for p up to that dimension minus one.
+    `sectors` defaults to `enumerate_sectors(m)`.
     """
     basis = []
-    for s in enumerate_sectors(m):
+    for s in enumerate_sectors(m) if sectors is None else sectors:
         _, power = euler_factor(m, s)
         for p in range(s.dim + 1 - power):
             basis.append((s.f, p))
     return basis
 
 
-def _pairing_matrices(m: WPSModel, basis: list[tuple[Fraction, int]]):
-    """The compact-type rows and columns of the ct and ambient Gram matrices."""
-    sectors = enumerate_sectors(m)
-    index = {fp: i for i, fp in enumerate(state_basis(sectors))}
-    rows = [index[fp] for fp in basis]
-    return tuple(
-        [[gram[i][j] for j in rows] for i in rows]
-        for gram in (pairing_gram(m, "ct", sectors), pairing_gram(m, "ambient", sectors))
-    )
+def _pairing_matrices(m: WPSModel, basis: list[tuple[Fraction, int]], sectors: list[Sector]):
+    """The compact-type rows and columns of the ct and ambient Gram matrices,
+    from their blocks over `enumerate_sectors(m)`."""
+    index = {fp: i for i, fp in enumerate(basis)}
+    out = []
+    for kind in ("ct", "ambient"):
+        mat = [[Fraction(0)] * len(basis) for _ in basis]
+        for i, (value, top) in enumerate(pairing_blocks(m, kind, sectors)):
+            f, g = sectors[i].f, sectors[_partner(i, sectors)].f
+            for p in range(top + 1):
+                if (f, p) in index and (g, top - p) in index:
+                    mat[index[f, p]][index[g, top - p]] = value
+        out.append(mat)
+    return tuple(out)
 
 
-def transported_table(table: InvariantTable, m: WPSModel, basis: list[tuple[Fraction, int]]) -> InvariantTable:
+def transported_table(
+    table: InvariantTable, m: WPSModel, basis: list[tuple[Fraction, int]], sectors: list[Sector] | None = None
+) -> InvariantTable:
     """Rewrite dual-bundle two-pointed values as substack values.
 
     Each entry picks up the global phase e^{i*pi*(deg(det E) + rank)} of the
     invariant comparison and the inverse transport phases e^{-i*pi*age} of the
-    two insertions, expressing the result against the plain ambient basis.
+    two insertions, expressing the result against the plain ambient basis;
+    `sectors` as in `compact_type_basis`.
     """
     rank = m.rank
-    ages = {f: sector_at(m, f).age for f, _ in basis}
+    ages = {s.f: s.age for s in (enumerate_sectors(m) if sectors is None else sectors)}
     out = InvariantTable(table.dim)
     for e in table.entries:
         f_row, _ = basis[e.row]
@@ -258,7 +281,8 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
     pairing, so any inconsistency in pairings, dual bases, phases or the
     Novikov substitution shows up as a coefficient mismatch.
     """
-    basis = compact_type_basis(m)
+    sectors = enumerate_sectors(m)
+    basis = compact_type_basis(m, sectors)
     dim = len(basis)
     report = QSDReport(m, dim)
     if table_e.dim != dim:
@@ -268,12 +292,13 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
         raise ValueError("inconsistent table: " + "; ".join(problems))
     if dim == 0:
         return report
-    p_ct, p_amb = _pairing_matrices(m, basis)
+    p_ct, p_amb = _pairing_matrices(m, basis, sectors)
     op_e = build_L(table_e, p_ct, truncation)
-    op_z = build_L(transported_table(table_e, m, basis), p_amb, truncation)
+    op_z = build_L(transported_table(table_e, m, basis, sectors), p_amb, truncation)
     op_e_sub = op_e.substitute_novikov()
     # delta is diagonal: it scales the columns of op_z and the rows of op_e_sub
-    delta = [PhasedScalar.from_phase(Phase(sector_at(m, f).age)) for f, _ in basis]
+    ages = {s.f: s.age for s in sectors}
+    delta = [PhasedScalar.from_phase(Phase(ages[f])) for f, _ in basis]
     keys = op_z.nonzero_keys() | op_e_sub.nonzero_keys()
     for beta, zpow in sorted(keys, key=lambda k: (k[0].ordering, k[1], str(k[0]))):
         z_mat = op_z.matrix_at(beta, zpow)
@@ -281,6 +306,8 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
         for i in range(dim):
             for j in range(dim):
                 report.checks += 1
+                if z_mat[i][j].is_zero() and e_mat[i][j].is_zero():
+                    continue
                 lhs = z_mat[i][j] * delta[j]
                 rhs = delta[i] * e_mat[i][j]
                 if lhs != rhs and report.first_violation is None:

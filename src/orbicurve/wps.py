@@ -20,12 +20,17 @@ Poincare pairing) and vol_f the top integral of sector f,
 
     <H^p on f, H^q on 1-f> = coeff_f * vol_f * [p + q = dim_f - power_f],
 
-and every other entry is zero.  `pairing_gram` assembles the Gram matrix on
-the basis (f, H^p) from one walk over the sectors; the verification routines
-and the compact-type pairing matrices of `series` read it.  The pairings of
-arbitrary classes, summed sector by sector, live in `oracles`;
+and every other entry is zero.  `pairing_blocks` gives each sector's
+anti-diagonal (value, top index) from one walk over the sectors, and the
+verification routines and the compact-type pairing matrices of `series` read
+those blocks.  `pairing_gram` expands them to the Gram matrix on the basis
+(f, H^p), for printing and for the dense replay of `comparison_sides`.  The
+pairings of arbitrary classes, summed sector by sector, live in `oracles`;
 `suites.suite_pairing_comparison` replays the comparison through them on
 every `PAIRING_SAMPLE_EVERY`-th model.
+
+Sectors are walked in integers: the rotations are k/lcm(weights), and on
+f = j/n a weight w is fixed when n | j*w, a degree k acts by ((j*k) mod n)/n.
 
 The transport delta multiplies a class supported on the sector with rotation
 f by the exact phase e^{i*pi*age_f} and reinterprets it as an ambient class;
@@ -36,9 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .foundation import PhasedScalar
-from .linalg import mat_nullspace, mat_rank
+from .linalg import mat_rank
 from .sectors import SectorAction, age
 
 
@@ -90,19 +97,18 @@ class Sector:
 
 def sector_at(m: WPSModel, f: Fraction) -> Sector:
     f = Fraction(f) % 1
-    fixed = tuple(i for i, w in enumerate(m.weights) if (f * w).denominator == 1)
+    j, n = f.numerator, f.denominator
+    fixed = tuple(i for i, w in enumerate(m.weights) if (j * w) % n == 0)
     if not fixed:
         raise ValueError(f"rotation {f} fixes no coordinate of {m}")
-    fibers = SectorAction(tuple((f * k) % 1 for k in m.bundle_degrees))
+    fibers = SectorAction(tuple(Fraction((j * k) % n, n) for k in m.bundle_degrees))
     return Sector(f, fixed, fibers)
 
 
 def enumerate_sectors(m: WPSModel) -> list[Sector]:
-    rotations = {Fraction(0)}
-    for w in m.weights:
-        for k in range(w):
-            rotations.add(Fraction(k, w))
-    return [sector_at(m, f) for f in sorted(rotations)]
+    N = lcm(*m.weights)
+    rotations = sorted({k * (N // w) for w in m.weights for k in range(w)})
+    return [sector_at(m, Fraction(k, N)) for k in rotations]
 
 
 def euler_factor(m: WPSModel, s: Sector) -> tuple[int, int]:
@@ -153,39 +159,47 @@ def state_basis(sectors: list[Sector]) -> list[tuple[Fraction, int]]:
     return [(s.f, p) for s in sectors for p in range(s.dim + 1)]
 
 
-def _offsets(sectors: list[Sector]) -> dict[Fraction, int]:
-    """Index in `state_basis` of each sector's H^0."""
-    out, n = {}, 0
+def _offsets(sectors: list[Sector]) -> list[int]:
+    """Index in `state_basis` of each sector's H^0, then the size of the basis."""
+    return [0, *accumulate(s.dim + 1 for s in sectors)]
+
+
+def _partner(i: int, sectors: list[Sector]) -> int:
+    """Index of the sector 1-f of sector i.  `enumerate_sectors` lists the
+    rotations in increasing order from 0, so the others pair off from both ends."""
+    return -i % len(sectors)
+
+
+def pairing_blocks(m: WPSModel, kind: str, sectors: list[Sector] | None = None) -> list[tuple[Fraction, int]]:
+    """(value, top) for each sector f of the "cr", "ambient" or "ct" pairing:
+    <H^p on f, H^q on 1-f> = value * [p + q = top], with top = dim_f - power_f.
+
+    `sectors` defaults to `enumerate_sectors(m)`."""
+    euler = {"cr": _no_euler, "ambient": euler_factor, "ct": dual_euler_factor}[kind]
+    sectors = enumerate_sectors(m) if sectors is None else sectors
+    blocks = []
     for s in sectors:
-        out[s.f] = n
-        n += s.dim + 1
-    return out
+        coeff, power = euler(m, s)
+        blocks.append((coeff * integrate(m, s, s.dim), s.dim - power))
+    return blocks
 
 
 def pairing_gram(m: WPSModel, kind: str, sectors: list[Sector] | None = None) -> list[list[Fraction]]:
-    """Gram matrix of the "cr", "ambient" or "ct" pairing on `state_basis`.
-
-    `sectors` defaults to `enumerate_sectors(m)`; each sector f contributes
-    the anti-diagonal p + q = dim_f - power_f of its block against 1-f.
-    """
-    euler = {"cr": _no_euler, "ambient": euler_factor, "ct": dual_euler_factor}[kind]
+    """Gram matrix of the "cr", "ambient" or "ct" pairing on `state_basis`:
+    `pairing_blocks` expanded; `sectors` as there."""
     sectors = enumerate_sectors(m) if sectors is None else sectors
     start = _offsets(sectors)
-    n = sum(s.dim + 1 for s in sectors)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for s in sectors:
-        coeff, power = euler(m, s)
-        top = s.dim - power
-        value = coeff * integrate(m, s, s.dim)
-        i, j = start[s.f], start[(1 - s.f) % 1]
+    gram = [[Fraction(0)] * start[-1] for _ in range(start[-1])]
+    for i, (value, top) in enumerate(pairing_blocks(m, kind, sectors)):
+        r, c = start[i], start[_partner(i, sectors)]
         for p in range(top + 1):
-            gram[i + p][j + top - p] = value
+            gram[r + p][c + top - p] = value
     return gram
 
 
 def comparison_sides(m: WPSModel, sectors: list[Sector] | None = None) -> tuple[list, list, list]:
     """(`state_basis`, <delta(g1), delta(g2)>_ambient, (-1)^rank <g1, g2>_ct),
-    the two matrices as PhasedScalars; `sectors` as in `pairing_gram`."""
+    the two matrices as PhasedScalars; `sectors` as in `pairing_blocks`."""
     sectors = enumerate_sectors(m) if sectors is None else sectors
     ages = [s.age for s in sectors for _ in range(s.dim + 1)]
     sign = (-1) ** m.rank
@@ -202,14 +216,32 @@ def comparison_sides(m: WPSModel, sectors: list[Sector] | None = None) -> tuple[
 
 def verify_pairing_comparison(m: WPSModel, sectors: list[Sector] | None = None) -> PairingComparisonReport:
     """Check <delta(g1), delta(g2)>_ambient = (-1)^rank <g1, g2>_compact-type
-    over the full spanning set of sector monomials; `sectors` as in `pairing_gram`."""
-    report = PairingComparisonReport(m)
-    basis, lhs, rhs = comparison_sides(m, sectors)
-    for i, g1 in enumerate(basis):
-        for j, g2 in enumerate(basis):
-            report.checks += 1
-            if lhs[i][j] != rhs[i][j]:
-                report.failures.append({"g1": g1, "g2": g2, "lhs": str(lhs[i][j]), "rhs": str(rhs[i][j])})
+    over the full spanning set of sector monomials; `sectors` as in `pairing_blocks`.
+
+    Off the anti-diagonals of the blocks (f, 1-f) both sides are zero: those
+    entries count in `checks` but are not compared.  Each side holds one value
+    along its anti-diagonal, so a block compares its values once, and the
+    failures list the entries of `comparison_sides` that differ, in row-major order.
+    """
+    sectors = enumerate_sectors(m) if sectors is None else sectors
+    report = PairingComparisonReport(m, _offsets(sectors)[-1] ** 2)
+    sign = (-1) ** m.rank
+    zero = PhasedScalar()
+    ambient, ct = pairing_blocks(m, "ambient", sectors), pairing_blocks(m, "ct", sectors)
+    ages = [s.age for s in sectors]
+    for i, s in enumerate(sectors):
+        j = _partner(i, sectors)
+        g = sectors[j]
+        (x, top_x), (y, top_y) = ambient[i], ct[i]
+        lhs = PhasedScalar({ages[i] + ages[j]: x}) if x else zero
+        rhs = PhasedScalar({0: sign * y}) if y else zero
+        sides = {top_x: (lhs, rhs)} if top_x == top_y else {top_x: (lhs, zero), top_y: (zero, rhs)}
+        # in increasing top, so that each row lists its columns in order
+        bad = sorted((top, pair) for top, pair in sides.items() if pair[0] != pair[1])
+        for p in range(s.dim + 1):
+            for top, (a, b) in bad:
+                if 0 <= top - p <= g.dim:
+                    report.failures.append({"g1": (s.f, p), "g2": (g.f, top - p), "lhs": str(a), "rhs": str(b)})
     return report
 
 
@@ -250,25 +282,20 @@ def verify_delta_iso_dims(m: WPSModel, sectors: list[Sector] | None = None) -> D
     """Per sector: image dimension of the Euler-factor multiplication equals
     the rank of the ambient pairing block, and the pairing kernel is stable
     under that multiplication (well-definedness of the quotient model);
-    `sectors` as in `pairing_gram`."""
+    `sectors` as in `pairing_blocks`.
+
+    The block of f against 1-f (square: both sectors fix the same
+    coordinates) has at most one nonzero entry in each row and column.  So its
+    rank is the number of rows H^p holding one, and the kernel of its
+    transpose is spanned by the other H^p; it is stable when the
+    multiplication sends each of those into their span.
+    """
     report = DeltaIsoReport(m)
     sectors = enumerate_sectors(m) if sectors is None else sectors
-    gram = pairing_gram(m, "ambient", sectors)
-    start = _offsets(sectors)
-    for s in sectors:
+    for s, (value, top) in zip(sectors, pairing_blocks(m, "ambient", sectors)):
         mult = _euler_mult_matrix(m, s)
-        image_dim = mat_rank(mult)
-        r0, c0, n = start[s.f], start[(1 - s.f) % 1], s.dim + 1
-        block = [row[c0 : c0 + n] for row in gram[r0 : r0 + n]]
-        # the block is square (sectors f and 1-f fix the same coordinates), so
-        # its rank is n minus the dimension of the kernel of its transpose
-        kernel = mat_nullspace([list(r) for r in zip(*block)])
-        rank = n - len(kernel)
-        stable = True
-        for v in kernel:
-            image = [sum(a * x for a, x in zip(row, v) if a) for row in mult]
-            paired = [sum(y * row[q] for y, row in zip(image, block) if y) for q in range(n)]
-            if any(x != 0 for x in paired):
-                stable = False
-        report.sectors.append(SectorDimReport(s.f, image_dim, rank, stable))
+        n = s.dim + 1
+        paired = [bool(value) and 0 <= top - p < n for p in range(n)]
+        stable = not any(paired[r] for p in range(n) if not paired[p] for r in range(n) if mult[r][p])
+        report.sectors.append(SectorDimReport(s.f, mat_rank(mult), sum(paired), stable))
     return report

@@ -149,6 +149,14 @@ def test_wps_sectors_command(capsys):
     assert sectors[1]["age"] == "1/2"
 
 
+def test_wps_verify_cost_follows_the_blocks(capsys):
+    # 3201^2 entries: about 0.3 s on the sector blocks, minutes and gigabytes
+    # on a dense Gram matrix
+    code, out, _ = run_cli(capsys, "--json", "wps", "verify", "--weights", "1,3200", "--bundle", "1")
+    results = json.loads(out)["results"]
+    assert code == 0 and results["ok"] and results["pairing_checks"] == 3201**2
+
+
 def test_wps_verify_command_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "--json", "wps", "verify", "--weights", "1,1,2,2", "--bundle", "1")
     code2, out2, _ = run_cli(capsys, "--json", "wps", "verify", "--weights", "1,1,2,2", "--bundle", "1")

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicurve import cohomology, oracles
+from orbicurve import bundles, cohomology, oracles
 from orbicurve.bundles import (
     ChainBundle,
     EqLineBundle,
+    acts_trivially_at,
     age_at,
     canonical_bundle,
     chain_dual,
@@ -216,6 +217,63 @@ def test_chain_trivial_bundle_length_400():
     B = trivial_chain_bundle(CurveChain(tuple(P1 for _ in range(400))))
     rep = h_chain(B)
     assert (rep.h0, rep.h1) == (1, 0) == h_chain_by_elimination(B)
+
+
+def test_h_chain_takes_each_age_once(monkeypatch):
+    # one age numerator per marked point and piece: the x2 one is shared by
+    # the node activity of the fold and the Riemann-Roch terms
+    B = trivial_chain_bundle(CurveChain(tuple(P1 for _ in range(400))))
+    calls = []
+    age_data = bundles._age_data
+
+    def counted(L, pt):
+        calls.append(pt)
+        return age_data(L, pt)
+
+    monkeypatch.setattr(bundles, "_age_data", counted)
+    monkeypatch.setattr(cohomology, "_age_data", counted)
+    rep = h_chain(B)
+    assert (rep.h0, rep.h1) == (1, 0) and len(calls) == 800
+    assert calls.count(MarkedPoint.X2) == 400
+
+
+def _chain_grid(max_ab: int, max_l: int, degrees: range, max_len: int):
+    """Every balanced chain bundle on chains of `component_family(max_ab, max_l)`
+    up to `max_len` pieces, with piece degrees in `degrees`."""
+    comps = [TwistedComponent(*c) for c in component_family(max_ab, max_l)]
+    nxt = chain_adjacency(component_family(max_ab, max_l))
+    lines = [
+        [EqLineBundle(c, k1, k2, d) for k1 in range(c.l1) for k2 in range(c.l2) for d in degrees] for c in comps
+    ]
+
+    def extend(idx, pieces):
+        yield ChainBundle(CurveChain(tuple(comps[i] for i in idx)), tuple(pieces))
+        if len(idx) < max_len:
+            need = -age_at(pieces[-1], MarkedPoint.X2) % 1
+            for j in nxt[idx[-1]]:
+                for L in lines[j]:
+                    if age_at(L, MarkedPoint.X1) == need:
+                        yield from extend(idx + [j], pieces + [L])
+
+    for i in range(len(comps)):
+        for L in lines[i]:
+            yield from extend([i], [L])
+
+
+def test_h_chain_unchanged_on_a_chain_grid():
+    # against the fold over `piece_ends` that decides node activity itself,
+    # and the Euler characteristic summed from `riemann_roch_check`
+    n = 0
+    for B in _chain_grid(2, 2, range(-2, 3), 3):
+        state = cohomology.CHAIN_START
+        for piece in B.pieces:
+            state = cohomology.chain_step(state, piece_ends(piece))
+        n_active = sum(acts_trivially_at(p, MarkedPoint.X2) for p in B.pieces[:-1])
+        euler = sum(riemann_roch_check(p) for p in B.pieces) - n_active
+        rep = h_chain(B)
+        assert (rep.h0, rep.h1, rep.euler_char) == (state[0], state[1], euler), B
+        n += 1
+    assert n == 10090
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbicurve import series as series_mod
 from orbicurve.foundation import Phase, PhasedScalar
 from orbicurve.series import (
     EffClass,
@@ -16,7 +17,8 @@ from orbicurve.series import (
     transported_table,
     verify_qsd_operator_identity,
 )
-from orbicurve.wps import WPSModel
+from orbicurve.suites import qsd_model_family
+from orbicurve.wps import WPSModel, enumerate_sectors
 
 
 def test_build_L_psi_power_signs():
@@ -114,6 +116,25 @@ def test_build_L_rejects_degenerate_pairing():
         build_L(InvariantTable(2, [TableEntry(beta, 0, 0, 0, F(1))]), [[F(0), F(0)], [F(0), F(0)]], 2)
 
 
+def test_build_L_rejects_a_pairing_with_two_entries_in_a_row():
+    # the inverse is taken entry by entry: one nonzero per row and column
+    beta = EffClass((F(1), F(0)))
+    with pytest.raises(ValueError, match="degenerate pairing"):
+        build_L(InvariantTable(2, [TableEntry(beta, 0, 0, 0, F(1))]), [[F(1), F(1)], [F(0), F(1)]], 2)
+
+
+@pytest.mark.parametrize("m", qsd_model_family(), ids=str)
+def test_entrywise_inverse_of_both_pairings(m):
+    basis = compact_type_basis(m)
+    n = len(basis)
+    identity = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+    for pairing in series_mod._pairing_matrices(m, basis, enumerate_sectors(m)):
+        inverse = [[F(0)] * n for _ in range(n)]
+        for j, (i, x) in enumerate(series_mod._entrywise_inverse(pairing)):
+            inverse[j][i] = x
+        assert [[sum(pairing[r][k] * inverse[k][c] for k in range(n)) for c in range(n)] for r in range(n)] == identity
+
+
 def test_compact_type_basis_dimensions():
     assert len(compact_type_basis(WPSModel((1, 1, 2, 2), (1,)))) == 5
     assert len(compact_type_basis(WPSModel((1, 1, 1), (3,)))) == 2
@@ -157,9 +178,7 @@ def test_qsd_identity_detects_tampered_phase():
     table = random_invariant_table(m, 2, rng, n_classes=1, a_max=0)
     assert table.entries
     basis = compact_type_basis(m)
-    from orbicurve import series as series_mod
-
-    p_ct, p_amb = series_mod._pairing_matrices(m, basis)
+    p_ct, p_amb = series_mod._pairing_matrices(m, basis, enumerate_sectors(m))
     op_e = build_L(table, p_ct, 2)
     bad_table = transported_table(table, m, basis)
     bad_table.entries[0] = TableEntry(

@@ -42,7 +42,7 @@ def test_no_cmath_import(path):
 # The fast-path kernels each oracle is checked against.
 FAST_PATH = {
     "chain_step", "piece_ends", "CHAIN_START", "h_chain",  # cohomology
-    "pairing_gram", "comparison_sides",  # wps
+    "pairing_blocks", "pairing_gram", "comparison_sides",  # wps
     "_age_data", "age_at", "acts_trivially_at",  # bundles
 }
 

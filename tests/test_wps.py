@@ -1,14 +1,17 @@
 """Weighted projective state spaces: sectors, integrals, pairings, delta transform."""
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from orbicurve import suites
+from orbicurve import series, suites, wps
 from orbicurve.foundation import Phase, PhasedScalar
+from orbicurve.linalg import mat_rank
 from orbicurve.oracles import StateElement, ambient_pairing, cr_pairing, ct_pairing, delta_tilde
 from orbicurve.sectors import age, inverse_sector
 from orbicurve.wps import (
     WPSModel,
+    comparison_sides,
     enumerate_sectors,
     integrate,
     pairing_gram,
@@ -210,3 +213,109 @@ def test_state_element_truncation():
     m = WPSModel((1, 1, 2, 2), (1,))
     with pytest.raises(ValueError, match="degree"):
         StateElement(m, {F(1, 2): [F(1), F(0), F(1)]})
+
+
+def _dense_failures(m):
+    """The failures of a dense row-major scan of `comparison_sides`."""
+    basis, lhs, rhs = comparison_sides(m)
+    return [
+        {"g1": g1, "g2": g2, "lhs": str(lhs[i][j]), "rhs": str(rhs[i][j])}
+        for i, g1 in enumerate(basis)
+        for j, g2 in enumerate(basis)
+        if lhs[i][j] != rhs[i][j]
+    ]
+
+
+def _dense_iso(m):
+    """(f, image dim, block rank, kernel stable) per sector, by `mat_rank` on
+    the blocks cut out of the dense ambient Gram matrix.  The kernel of the
+    transposed block B^T is stable under the multiplication M when adding the
+    rows of B^T M to those of B^T keeps the rank."""
+    sectors = enumerate_sectors(m)
+    basis = state_basis(sectors)
+    gram = pairing_gram(m, "ambient", sectors)
+    out = []
+    for s in sectors:
+        rows = [i for i, (f, _) in enumerate(basis) if f == s.f]
+        cols = [j for j, (f, _) in enumerate(basis) if f == (1 - s.f) % 1]
+        transposed = [[gram[i][j] for i in rows] for j in cols]
+        mult = wps._euler_mult_matrix(m, s)
+        moved = [[sum(x * mult[r][c] for r, x in enumerate(row)) for c in range(len(mult))] for row in transposed]
+        rank = mat_rank(transposed)
+        out.append((s.f, mat_rank(mult), rank, mat_rank(transposed + moved) == rank))
+    return out
+
+
+def _shift(name, coeff=0, power=0):
+    """Corrupt the Euler factor `name` on one sector: f = 1/2 for a coefficient, f = 0 for a power."""
+    orig = getattr(wps, name)
+
+    def corrupted(m, s):
+        c, p = orig(m, s)
+        return c + coeff * (s.f == F(1, 2)), p + power * (s.f == 0)
+
+    return corrupted
+
+
+def _scale_volume(factor, where):
+    orig = wps.integrate
+    return lambda m, s, k: orig(m, s, k) * (factor if where(s.f) else 1)
+
+
+def _lowering():
+    """The Euler-factor multiplication transposed: it lowers degrees, so the
+    kernel of a pairing block (its high rows) need not be stable under it."""
+    orig = wps._euler_mult_matrix
+    return lambda m, s: [list(row) for row in zip(*orig(m, s))]
+
+
+# fault -> (patches, does the pairing comparison fail somewhere, does the iso check)
+FAULTS = {
+    "none": (lambda: {}, False, False),
+    "ct coefficient at 1/2": (lambda: {"dual_euler_factor": _shift("dual_euler_factor", coeff=1)}, True, False),
+    "ct power at 0": (lambda: {"dual_euler_factor": _shift("dual_euler_factor", power=1)}, True, False),
+    # both sides of the comparison scale alike, and no block loses its rank
+    "volume x2 at thirds": (lambda: {"integrate": _scale_volume(2, lambda f: f.denominator == 3)}, False, False),
+    "volume 0 at 1/2": (lambda: {"integrate": _scale_volume(0, lambda f: f == F(1, 2))}, False, True),
+    "multiplication lowers degrees": (lambda: {"_euler_mult_matrix": _lowering()}, False, True),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_block_walk_matches_the_dense_scan(monkeypatch, fault):
+    patches, pairing_fails, iso_fails = FAULTS[fault]
+    for name, corrupted in patches().items():
+        monkeypatch.setattr(wps, name, corrupted)
+    failing = not_iso = 0
+    for m in suites.wps_model_family(max_n=3):
+        report = verify_pairing_comparison(m)
+        assert report.failures == _dense_failures(m), str(m)
+        assert report.checks == len(state_basis(enumerate_sectors(m))) ** 2
+        iso = verify_delta_iso_dims(m)
+        assert [(r.f, r.image_dim, r.ambient_pairing_rank, r.kernel_stable) for r in iso.sectors] == _dense_iso(m)
+        failing += not report.ok
+        not_iso += not iso.ok
+    assert (failing > 0, not_iso > 0) == (pairing_fails, iso_fails)
+
+
+def test_verification_never_expands_the_gram_matrix(monkeypatch):
+    def dense(*args):
+        raise RuntimeError("dense Gram matrix built")
+
+    monkeypatch.setattr(wps, "pairing_gram", dense)
+    for m in (WPSModel((1, 1, 2, 2), (1,)), WPSModel((1, 2, 3), (2,)), WPSModel((2, 3, 4), (1, 2))):
+        assert verify_pairing_comparison(m).ok and verify_delta_iso_dims(m).ok
+    m = WPSModel((1, 1, 2, 2), (1,))
+    table = series.random_invariant_table(m, 3, random.Random(0))
+    assert series.verify_qsd_operator_identity(table, m, 3).ok
+
+
+def test_sector_walk_in_integers_matches_rationals():
+    # rotations k/w of every weight, fixed coordinates by (f * w) in Z
+    for m in suites.wps_model_family(max_n=3, max_w=6, max_r=2, max_k=5):
+        rotations = sorted({F(k, w) for w in m.weights for k in range(w)})
+        sectors = enumerate_sectors(m)
+        assert [s.f for s in sectors] == rotations
+        for s in sectors:
+            assert s.fixed_indices == tuple(i for i, w in enumerate(m.weights) if (s.f * w).denominator == 1)
+            assert s.fiber_weights.weights == tuple((s.f * k) % 1 for k in m.bundle_degrees)
