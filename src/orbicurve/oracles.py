@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .bundles import ChainBundle, EqLineBundle
 from .cohomology import h1_component
 from .curves import MarkedPoint, TwistedComponent
 from .foundation import InternalInconsistency, Phase, PhasedScalar
 from .wps import (
+    Sector,
     WPSModel,
     _no_euler,
     dual_euler_factor,
@@ -114,19 +116,37 @@ def h_chain_by_elimination(B: ChainBundle) -> tuple[int, int]:
     return total_h0 - rank, h1_comps + n_active - rank
 
 
+class _SectorData(NamedTuple):
+    """What the pairings read off one sector: the sector itself, the rotation
+    1 - f it pairs with, and the integral of its top power of H."""
+
+    sector: Sector
+    partner: Fraction
+    volume: Fraction
+
+
+def _sector_data(m: WPSModel, s: Sector) -> _SectorData:
+    return _SectorData(s, (1 - s.f) % 1, integrate(m, s, s.dim))
+
+
 class StateElement:
     """A sector-graded polynomial class: rotation f -> coefficients of 1, H, H^2, ...
 
     Coefficients are Fractions or PhasedScalars; each sector's list is
-    truncated at the sector dimension.
+    truncated at the sector dimension.  `sectors` ({rotation: _SectorData})
+    may be shared by the elements of one computation, so that each sector is
+    looked up once; a rotation missing from it is looked up and added.
     """
 
-    def __init__(self, model: WPSModel, parts: dict[Fraction, list] | None = None):
+    def __init__(self, model: WPSModel, parts: dict[Fraction, list] | None = None, sectors: dict | None = None):
         self.model = model
+        self.sectors = {} if sectors is None else sectors
         self.parts: dict[Fraction, list] = {}
         for f, coeffs in (parts or {}).items():
             f = Fraction(f) % 1
-            dim = sector_at(model, f).dim
+            if f not in self.sectors:
+                self.sectors[f] = _sector_data(model, sector_at(model, f))
+            dim = self.sectors[f].sector.dim
             coeffs = list(coeffs)
             if len(coeffs) > dim + 1:
                 raise ValueError(f"class of degree > {dim} on sector {f}")
@@ -134,11 +154,8 @@ class StateElement:
             self.parts[f] = coeffs
 
     @classmethod
-    def basis(cls, model: WPSModel, f: Fraction, power: int) -> "StateElement":
-        dim = sector_at(model, f).dim
-        coeffs = [Fraction(0)] * (dim + 1)
-        coeffs[power] = Fraction(1)
-        return cls(model, {f: coeffs})
+    def basis(cls, model: WPSModel, f: Fraction, power: int, sectors: dict | None = None) -> "StateElement":
+        return cls(model, {f: [Fraction(0)] * power + [Fraction(1)]}, sectors)
 
 
 def _is_zero(x) -> bool:
@@ -152,15 +169,13 @@ def _pair_sectorwise(m: WPSModel, alpha: StateElement, beta: StateElement, euler
     alpha_f * beta_{1-f} * (extra Euler factor from `euler`)."""
     acc = PhasedScalar()
     for f, a_coeffs in alpha.parts.items():
-        g = (1 - f) % 1
+        s, g, vol = alpha.sectors[f]
         if g not in beta.parts:
             continue
-        s = sector_at(m, f)
         e_coeff, e_power = euler(m, s)
         top = s.dim - e_power
         if top < 0:
             continue
-        vol = integrate(m, s, s.dim)
         b_coeffs = beta.parts[g]
         for p, a in enumerate(a_coeffs):
             q = top - p
@@ -193,9 +208,9 @@ def delta_tilde(m: WPSModel, gamma: StateElement) -> StateElement:
     """Phase-corrected transport of a compact-type class to an ambient class."""
     out: dict[Fraction, list] = {}
     for f, coeffs in gamma.parts.items():
-        phase = PhasedScalar.from_phase(Phase(sector_at(m, f).age))
+        phase = PhasedScalar.from_phase(Phase(gamma.sectors[f].sector.age))
         out[f] = [phase * PhasedScalar.coerce(c) for c in coeffs]
-    return StateElement(m, out)
+    return StateElement(m, out, gamma.sectors)
 
 
 def _pairing_sides_by_elements(m: WPSModel) -> tuple[list, list, list]:
@@ -203,8 +218,10 @@ def _pairing_sides_by_elements(m: WPSModel) -> tuple[list, list, list]:
     delta_tilde and the full pairings of basis StateElements, each of which
     walks the sectors on its own."""
     sign = (-1) ** m.rank
-    basis = state_basis(enumerate_sectors(m))
-    elems = [StateElement.basis(m, f, p) for f, p in basis]
+    secs = enumerate_sectors(m)
+    basis = state_basis(secs)
+    by_f = {s.f: _sector_data(m, s) for s in secs}
+    elems = [StateElement.basis(m, f, p, by_f) for f, p in basis]
     moved = [delta_tilde(m, g) for g in elems]
     lhs = [[ambient_pairing(m, a, b) for b in moved] for a in moved]
     rhs = [[ct_pairing(m, a, b) * sign for b in elems] for a in elems]

@@ -15,6 +15,12 @@ constructs the operator of the cut-out substack from the operator data of the
 dual bundle total space by the exact phase rule e^{i*pi*(deg(det E)+rank)} per
 class, and checks the two operators agree after the Novikov substitution
 q^beta -> e^{i*pi*deg_beta(det E)} q^beta, coefficient by coefficient.
+
+Operators are stored sparsely, by the cells a table fills: every pairing of
+`wps` has one nonzero entry per row and column, so a table of e entries fills
+at most e cells of each operator.  The check counts all dim^2 cells of each
+(beta, z-power) key but compares only the stored ones; a cell neither
+operator stores is zero on both sides.
 """
 from __future__ import annotations
 
@@ -32,7 +38,8 @@ class EffClass:
 
     degrees[0] is the polarization degree used for truncation ordering;
     degrees[-1] is the degree against det(E).  The two coincide for a
-    length-one vector.
+    length-one vector.  The hash is taken once: operator keys are looked up
+    by class far more often than classes are built.
     """
 
     degrees: tuple[Fraction, ...]
@@ -46,6 +53,10 @@ class EffClass:
         if ds[0] == 0 and any(d != 0 for d in ds):
             raise ValueError(f"ordering degree 0 forces the zero class: {ds}")
         object.__setattr__(self, "degrees", ds)
+        object.__setattr__(self, "_hash", hash(ds))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def ordering(self) -> Fraction:
@@ -87,6 +98,8 @@ class InvariantTable:
 
     def validate(self, basis_sectors: list[Fraction] | None = None) -> list[str]:
         problems = []
+        if basis_sectors is not None:
+            basis_sectors = [g % 1 for g in basis_sectors]
         for n, e in enumerate(self.entries):
             in_range = 0 <= e.row < self.dim and 0 <= e.col < self.dim
             if not in_range:
@@ -95,10 +108,7 @@ class InvariantTable:
                 problems.append(f"entry {n}: negative descendant power")
             if in_range and basis_sectors is not None and e.sectors is not None:
                 g1, g2 = e.sectors
-                if (g1 % 1, g2 % 1) != (
-                    basis_sectors[e.row] % 1,
-                    basis_sectors[e.col] % 1,
-                ):
+                if (g1 % 1, g2 % 1) != (basis_sectors[e.row], basis_sectors[e.col]):
                     problems.append(
                         f"entry {n}: sector pair {e.sectors} does not match basis sectors"
                     )
@@ -108,48 +118,42 @@ class InvariantTable:
 class LOperator:
     """Matrix series in q^beta and z^{-1}; the (beta=0, z^0) term is the identity.
 
-    Stored as {(beta, z_power) -> matrix of PhasedScalar} for beta != 0; the
-    identity constant term is implicit.
+    Stored sparsely as {(beta, z_power) -> {(row, col): PhasedScalar}} for
+    beta != 0: a key holds only the cells some `add_term` reached, every other
+    cell is zero, and the identity constant term is implicit.  `matrix_at`
+    expands one key densely; the library itself works on the stored cells.
     """
 
     def __init__(self, dim: int, truncation):
         self.dim = dim
         self.truncation = as_rational(truncation)
-        self.terms: dict[tuple[EffClass, int], list[list[PhasedScalar]]] = {}
-
-    def _slot(self, beta: EffClass, zpow: int) -> list[list[PhasedScalar]]:
-        key = (beta, zpow)
-        if key not in self.terms:
-            self.terms[key] = [[PhasedScalar() for _ in range(self.dim)] for _ in range(self.dim)]
-        return self.terms[key]
+        self.terms: dict[tuple[EffClass, int], dict[tuple[int, int], PhasedScalar]] = {}
 
     def add_term(self, beta: EffClass, zpow: int, row: int, col: int, value) -> None:
-        slot = self._slot(beta, zpow)
-        slot[row][col] = slot[row][col] + PhasedScalar.coerce(value)
+        cells = self.terms.setdefault((beta, zpow), {})
+        value = PhasedScalar.coerce(value)
+        cells[row, col] = cells[row, col] + value if (row, col) in cells else value
 
     def matrix_at(self, beta: EffClass, zpow: int) -> list[list[PhasedScalar]]:
-        if (beta, zpow) in self.terms:
-            return self.terms[(beta, zpow)]
+        """The dense dim x dim coefficient of q^beta z^zpow."""
         mat = [[PhasedScalar() for _ in range(self.dim)] for _ in range(self.dim)]
         if beta.is_zero() and zpow == 0:
             for i in range(self.dim):
                 mat[i][i] = PhasedScalar.from_rational(1)
+        for (i, j), x in self.terms.get((beta, zpow), {}).items():
+            mat[i][j] = x
         return mat
 
     def nonzero_keys(self) -> set[tuple[EffClass, int]]:
-        return {
-            k
-            for k, mat in self.terms.items()
-            if any(not x.is_zero() for row in mat for x in row)
-        }
+        return {k for k, cells in self.terms.items() if any(not x.is_zero() for x in cells.values())}
 
     def substitute_novikov(self) -> "LOperator":
         """The substitution q^beta -> e^{i*pi*deg_beta(det E)} q^beta; the
         implicit identity at the zero class is untouched."""
         out = LOperator(self.dim, self.truncation)
-        for (beta, zpow), mat in self.terms.items():
+        for (beta, zpow), cells in self.terms.items():
             phase = PhasedScalar.from_phase(Phase(beta.det))
-            out.terms[(beta, zpow)] = [[phase * x for x in row] for row in mat]
+            out.terms[(beta, zpow)] = {cell: phase * x for cell, x in cells.items()}
         return out
 
 
@@ -260,14 +264,15 @@ def transported_table(
     two insertions, expressing the result against the plain ambient basis;
     `sectors` as in `compact_type_basis`.
     """
-    rank = m.rank
     ages = {s.f: s.age for s in (enumerate_sectors(m) if sectors is None else sectors)}
+    basis_ages = [ages[f] for f, _ in basis]
     out = InvariantTable(table.dim)
     for e in table.entries:
-        f_row, _ = basis[e.row]
-        f_col, _ = basis[e.col]
-        phase = Phase(e.beta.det + rank) * Phase(-ages[f_row]) * Phase(-ages[f_col])
-        value = PhasedScalar.from_phase(phase) * PhasedScalar.coerce(e.value)
+        phase = Phase(e.beta.det + m.rank - basis_ages[e.row] - basis_ages[e.col])
+        if isinstance(e.value, PhasedScalar):
+            value = PhasedScalar.from_phase(phase) * e.value
+        else:
+            value = PhasedScalar.from_phase(phase, e.value)
         out.entries.append(TableEntry(e.beta, e.psi_power, e.row, e.col, value, e.sectors))
     return out
 
@@ -299,25 +304,29 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
     # delta is diagonal: it scales the columns of op_z and the rows of op_e_sub
     ages = {s.f: s.age for s in sectors}
     delta = [PhasedScalar.from_phase(Phase(ages[f])) for f, _ in basis]
+    # Every cell of every key counts as a check; a cell neither operator
+    # stores is zero on both sides, so only the stored cells are compared, in
+    # row-major order, up to the first violation.
+    zero = PhasedScalar()
     keys = op_z.nonzero_keys() | op_e_sub.nonzero_keys()
-    for beta, zpow in sorted(keys, key=lambda k: (k[0].ordering, k[1], str(k[0]))):
-        z_mat = op_z.matrix_at(beta, zpow)
-        e_mat = op_e_sub.matrix_at(beta, zpow)
-        for i in range(dim):
-            for j in range(dim):
-                report.checks += 1
-                if z_mat[i][j].is_zero() and e_mat[i][j].is_zero():
-                    continue
-                lhs = z_mat[i][j] * delta[j]
-                rhs = delta[i] * e_mat[i][j]
-                if lhs != rhs and report.first_violation is None:
-                    report.first_violation = {
-                        "beta": str(beta),
-                        "z_power": zpow,
-                        "entry": (i, j),
-                        "lhs": str(lhs),
-                        "rhs": str(rhs),
-                    }
+    report.checks = len(keys) * dim * dim
+    for key in sorted(keys, key=lambda k: (k[0].ordering, k[1], str(k[0]))):
+        z_cells, e_cells = op_z.terms.get(key, {}), op_e_sub.terms.get(key, {})
+        for i, j in sorted(z_cells.keys() | e_cells.keys()):
+            z, e = z_cells.get((i, j), zero), e_cells.get((i, j), zero)
+            if z.is_zero() and e.is_zero():
+                continue
+            lhs = z * delta[j]
+            rhs = delta[i] * e
+            if lhs != rhs:
+                report.first_violation = {
+                    "beta": str(key[0]),
+                    "z_power": key[1],
+                    "entry": (i, j),
+                    "lhs": str(lhs),
+                    "rhs": str(rhs),
+                }
+                return report
     return report
 
 

@@ -215,3 +215,129 @@ def test_table_sector_validation():
     )
     problems = bad.validate([f for f, _ in basis])
     assert problems and "sector pair" in problems[0]
+
+
+def _suite_tables(count):
+    """The first `count` (model, table, truncation) triples of `suite_qsd_operator()`."""
+    rng = random.Random(0)
+    models = qsd_model_family(6)
+    out = []
+    for _ in range(count):
+        m = rng.choice(models)
+        n = rng.randint(1, 4)
+        table = random_invariant_table(m, n, rng, n_classes=rng.randint(1, 3), a_max=rng.randint(0, 3))
+        out.append((m, table, n))
+    return out
+
+
+def _dense_scan(table, m, truncation):
+    """(checks, first_violation) of a dense row-major scan over `matrix_at`."""
+    sectors = enumerate_sectors(m)
+    basis = compact_type_basis(m, sectors)
+    dim = len(basis)
+    p_ct, p_amb = series_mod._pairing_matrices(m, basis, sectors)
+    op_z = build_L(series_mod.transported_table(table, m, basis, sectors), p_amb, truncation)
+    sub = build_L(table, p_ct, truncation).substitute_novikov()
+    ages = {s.f: s.age for s in sectors}
+    delta = [PhasedScalar.from_phase(Phase(ages[f])) for f, _ in basis]
+    dense = {k: (op_z.matrix_at(*k), sub.matrix_at(*k)) for k in op_z.terms.keys() | sub.terms.keys()}
+    keys = [k for k, mats in dense.items() if any(not x.is_zero() for mat in mats for row in mat for x in row)]
+    checks, first = 0, None
+    for k in sorted(keys, key=lambda k: (k[0].ordering, k[1], str(k[0]))):
+        z_mat, e_mat = dense[k]
+        for i in range(dim):
+            for j in range(dim):
+                checks += 1
+                if z_mat[i][j].is_zero() and e_mat[i][j].is_zero():
+                    continue
+                lhs, rhs = z_mat[i][j] * delta[j], delta[i] * e_mat[i][j]
+                if lhs != rhs and first is None:
+                    first = {"beta": str(k[0]), "z_power": k[1], "entry": (i, j), "lhs": str(lhs), "rhs": str(rhs)}
+    return checks, first
+
+
+def _scale_first_transported_entry(monkeypatch):
+    transport = series_mod.transported_table
+
+    def faulty(table, *args, **kwargs):
+        out = transport(table, *args, **kwargs)
+        if out.entries:
+            e = out.entries[0]
+            out.entries[0] = TableEntry(e.beta, e.psi_power, e.row, e.col, e.value * 2, e.sectors)
+        return out
+
+    monkeypatch.setattr(series_mod, "transported_table", faulty)
+
+
+def _negate_substitution_on_one_key(monkeypatch):
+    substitute = LOperator.substitute_novikov
+
+    def faulty(self):
+        out = substitute(self)
+        if out.terms:
+            key = min(out.terms, key=lambda k: (k[0].ordering, k[1], str(k[0])))
+            out.terms[key] = {cell: -x for cell, x in out.terms[key].items()}
+        return out
+
+    monkeypatch.setattr(LOperator, "substitute_novikov", faulty)
+
+
+def _cancel_the_first_entry(table):
+    """The table with a second entry that cancels its first one in the same cell."""
+    e = table.entries[0]
+    return InvariantTable(table.dim, table.entries + [TableEntry(e.beta, e.psi_power, e.row, e.col, -e.value, e.sectors)])
+
+
+@pytest.mark.parametrize("fault", ["none", "transported", "substitution", "cancelling"])
+def test_sparse_comparison_matches_the_dense_scan(monkeypatch, fault):
+    cases = _suite_tables(150)
+    if fault == "transported":
+        _scale_first_transported_entry(monkeypatch)
+    elif fault == "substitution":
+        _negate_substitution_on_one_key(monkeypatch)
+    elif fault == "cancelling":
+        cases = [(m, _cancel_the_first_entry(t), n) for m, t, n in cases if t.entries]
+    failing = 0
+    for m, table, n in cases:
+        report = verify_qsd_operator_identity(table, m, n)
+        assert (report.checks, report.first_violation) == _dense_scan(table, m, n), str(m)
+        failing += not report.ok
+    assert (failing > 0) == (fault in ("transported", "substitution"))
+    if fault == "cancelling":
+        # the cancelled cells are stored as zeros, some alone in their key and
+        # some beside nonzero cells
+        alone = beside = 0
+        for m, table, n in cases:
+            basis = compact_type_basis(m)
+            p_ct, _ = series_mod._pairing_matrices(m, basis, enumerate_sectors(m))
+            op = build_L(table, p_ct, n)
+            for key, cells in op.terms.items():
+                if any(x.is_zero() for x in cells.values()):
+                    alone += key not in op.nonzero_keys()
+                    beside += key in op.nonzero_keys()
+        assert alone > 0 and beside > 0
+
+
+def test_operator_check_cost_follows_the_table(monkeypatch):
+    # a 400-dimensional basis and three entries: the check multiplies a
+    # bounded number of times per entry while counting every cell of each key
+    m = WPSModel((1, 400), (1,))
+    dim = len(compact_type_basis(m))
+    assert dim == 400
+    entries = [
+        TableEntry(EffClass((F(1), F(1, 2))), 0, 0, 0, F(3)),
+        TableEntry(EffClass((F(2), F(1))), 1, 1, 399, F(-2, 5)),
+        TableEntry(EffClass((F(1), F(0))), 2, 5, 7, F(7)),
+    ]
+    calls = []
+    mul = PhasedScalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(PhasedScalar, "__mul__", counted)
+    report = verify_qsd_operator_identity(InvariantTable(dim, entries), m, 2)
+    assert report.ok
+    assert report.checks == len(entries) * dim**2
+    assert len(calls) <= 6 * len(entries)

@@ -6,7 +6,9 @@ arithmetic, so it imports no complex floating-point math.  The oracles that
 the suites replay against the fast path stay independent of it: `oracles`
 names none of the fast path's kernels, and only `suites` imports `oracles`.
 `suites` writes its bundle grid once: only `_bundle_grid` and the replays'
-`_api_chain` construct an `EqLineBundle`.
+`_api_chain` construct an `EqLineBundle`.  The operators of `series` are
+compared on their stored cells: no module reads the dense expansion
+`LOperator.matrix_at`, which only tests use.
 """
 import ast
 from pathlib import Path
@@ -102,6 +104,17 @@ def test_suites_build_bundles_only_in_the_grid_and_the_replays():
     path = Path(orbicurve.__file__).parent / "suites.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _scopes_naming(tree, "EqLineBundle") == {"_bundle_grid", "_api_chain"}
+
+
+def test_no_module_reads_the_dense_operator_expansion():
+    readers = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "matrix_at") or (
+                isinstance(node, ast.Name) and node.id == "matrix_at"
+            ):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def test_rules_see_every_module():
