@@ -24,11 +24,19 @@ a failure is enumerated in order for the first counterexample.  A replay
 builds its checked `CurveChain` and `ChainBundle` on the `TwistedComponent`
 objects the tables already hold, so per-component data such as the chart
 inverses are computed once per table, not once per replay; its twists and
-duals are derived without a second node check (see `bundles`).  The
-log-canonical sweep carries one fold state per depth.  The pairing
-comparison replays a sample of models through the elementwise pairings of
-`oracles`, and the age and isotropy suites compare the closed forms with
-its brute-force counts.
+duals are derived without a second node check (see `bundles`).
+
+The log-canonical sweep has one bundle per chain, and the states of its two
+folds over the whole family are few, so it counts chains by subtree instead
+of walking them: the chains and failing chains below a prefix of the DFS
+depend only on its last component, its two fold states and how many more
+components it may take.  Those counts are built bottom-up once, kept on the
+per-component tables beside the transitions, and descended to find the
+replayed chains and the first counterexample (`_log_canonical_chunk`).
+
+The pairing comparison replays a sample of models through the elementwise
+pairings of `oracles`, and the age and isotropy suites compare the closed
+forms with its brute-force counts.
 
 Summand additivity is used where it is exact: h^1 of a direct sum is the sum
 of summand h^1's (and the rank formula is additive in the sector weights),
@@ -112,8 +120,9 @@ def iter_chains(comps: list[tuple], max_len: int, first: int | None = None):
     """Yield tuples of component indices forming valid chains, lazily (DFS).
 
     The order is depth-first pre-order, so the prefix of a chain with one
-    component fewer is the last chain of that length yielded before it; the
-    sweeps rely on this to carry prefix states by depth.
+    component fewer is the last chain of that length yielded before it;
+    `_bundle_sweep` relies on this to carry prefix states by depth, and the
+    log-canonical sweep numbers its chains in this order.
     """
     adjacency = chain_adjacency(comps)
     starts = range(len(comps)) if first is None else [first]
@@ -236,11 +245,13 @@ class _CompTables:
     side).  Nodes balance on ages, counted in units of one over the node's
     isotropy order: `need[t]` is the age at x1 that the next piece must have,
     and `by_age1` groups the bundles by their age at x1.  `moves` memoizes
-    the sweep's transitions out of this component (see `_moves`), and `comp`
-    is the component object that the replays build on.
+    the sweep's transitions out of this component (see `_moves`), `subtrees`
+    the log-canonical sweep's counts below the prefixes that end on it (see
+    `_log_canonical_chunk`), and `comp` is the component object that the
+    replays build on.
     """
 
-    __slots__ = ("comp", "bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1", "moves")
+    __slots__ = ("comp", "bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1", "moves", "subtrees")
 
     def __init__(self, comp, d_lo: int, d_hi: int):
         x1, x2 = curves.MarkedPoint.X1, curves.MarkedPoint.X2
@@ -258,6 +269,7 @@ class _CompTables:
         for t, L in enumerate(lines):
             self.by_age1.setdefault(bundles._age_data(L, x1)[0], []).append(t)
         self.moves: dict[tuple, list] = {}
+        self.subtrees: dict[tuple, tuple[int, int]] = {}
 
     def fits(self, need: int | None):
         """Ordinals, ascending, of the bundles that balance with `need` (all of them for None)."""
@@ -424,9 +436,14 @@ def _bundle_sweep(args, tally: dict, d_lo: int, folds: tuple, names: tuple, fail
         offset = tally["instances"]
         tally["instances"] += total
         tally["failures"] += failures
+        samples = range((SAMPLE_EVERY - 1 - offset) % SAMPLE_EVERY, total, SAMPLE_EVERY)
+        find_first = failures and tally["first"] is None
+        if not (samples or find_first):
+            yield counts
+            continue
         chain_comps = tuple(tab.comp for tab in tabs)
         unrank = _unranker(tabs)
-        if failures and tally["first"] is None:
+        if find_first:
             for idx in map(unrank, range(total)):
                 values = _fold_values(tabs, idx, folds)
                 if failing(values):
@@ -434,7 +451,7 @@ def _bundle_sweep(args, tally: dict, d_lo: int, folds: tuple, names: tuple, fail
                         "chain": _listed(chain_comps), "pieces": _pieces(tabs, idx), **dict(zip(names, values))
                     }
                     break
-        for r in range((SAMPLE_EVERY - 1 - offset) % SAMPLE_EVERY, total, SAMPLE_EVERY):
+        for r in samples:
             idx = unrank(r)
             check(chain_comps, _pieces(tabs, idx), *_fold_values(tabs, idx, folds))
             tally["sampled"] += 1
@@ -529,34 +546,107 @@ def _api_check_log_canonical(comps: tuple, expected: tuple) -> None:
         )
 
 
+_LOG_CANONICAL = (1, 0, 0, 0)  # omega(x1+x2) trivial, and omega(x2) with no cohomology
+
+
 def _log_canonical_chunk(args) -> dict:
+    """Count the chains of a chunk, and those failing the certificate, by subtree.
+
+    A prefix of the chain DFS is a node (last component i, fold states of
+    omega(x1+x2) and omega(x2)); with `k` more components allowed, the
+    pre-order subtree of `iter_chains` below it holds the prefix itself and
+    the subtrees of its children, one per j in `chain_adjacency[i]`, each
+    stepping both states with the trivial piece on j.  Those few nodes repeat
+    across the family, so the (chains, failing chains) of each subtree are
+    counted once, deepest first, and kept on the table of component i
+    (`_CompTables.subtrees`, keyed by family, states and k; clearing
+    `_comp_tables` drops them) for every chunk to share.  The first chunk
+    that finds its root's entry missing counts every chunk's subtrees, so a
+    process does the same work whichever chunks it is given.  The chunk's
+    tallies are its root's entry; the SAMPLE_EVERY-th, 2*SAMPLE_EVERY-th, ...
+    chain and the first failing one are found by descending the counts.
+    """
     max_ab, max_l, max_len, first = args
+    family = (max_ab, max_l)
     comps = component_family(max_ab, max_l)
+    adjacency = chain_adjacency(comps)
     step = cohomology.chain_step
-    tally = {"instances": 0, "failures": 0, "first": None, "sampled": 0}
-    # prefix states by depth of omega(x1+x2), which is the trivial bundle, and
-    # of omega(x2) = omega(x1+x2)(-x1).  Ordinal 0 of the d = 0 grid is the
-    # trivial bundle, its own dual, so its dtw1 role is omega(x2)'s first piece.
-    log_can = [cohomology.CHAIN_START]
-    omega_x2 = [cohomology.CHAIN_START]
-    for chain in iter_chains(comps, max_len, first):
-        k = len(chain)
-        tab = _comp_tables(comps[chain[-1]], 0, 0)
-        del log_can[k:], omega_x2[k:]
-        log_can.append(step(log_can[-1], tab.plain[0]))
-        omega_x2.append(step(omega_x2[-1], tab.dtw1[0] if k == 1 else tab.plain[0]))
-        values = log_can[k][:2] + omega_x2[k][:2]
-        tally["instances"] += 1
-        if values != (1, 0, 0, 0):
-            tally["failures"] += 1
-            tally["first"] = tally["first"] or {
-                "chain": [list(comps[i]) for i in chain],
-                "log_canonical": values[:2],
-                "omega_x2": values[2:],
-            }
-        if tally["instances"] % SAMPLE_EVERY == 0:
-            _api_check_log_canonical(tuple(_comp_tables(comps[i], 0, 0).comp for i in chain), values)
-            tally["sampled"] += 1
+    start = cohomology.CHAIN_START
+
+    def tab(i: int) -> _CompTables:
+        return _comp_tables(comps[i], 0, 0)
+
+    def root(i: int) -> tuple:
+        # Ordinal 0 of the d = 0 grid is the trivial bundle, its own dual, so
+        # its dtw1 role is omega(x2)'s first piece.
+        return i, (step(start, tab(i).plain[0]), step(start, tab(i).dtw1[0]))
+
+    def children(node: tuple, memo: dict) -> list:
+        """The one-piece extensions of a prefix, in ascending adjacency order."""
+        out = memo.get(node)
+        if out is None:
+            i, (log_can, omega_x2) = node
+            pieces = [(j, tab(j).plain[0]) for j in adjacency[i]]
+            out = memo[node] = [(j, (step(log_can, p), step(omega_x2, p))) for j, p in pieces]
+        return out
+
+    def values(states: tuple) -> tuple:
+        """(h0, h1) of omega(x1+x2), then of omega(x2)."""
+        return states[0][:2] + states[1][:2]
+
+    def own(states: tuple) -> tuple[int, int]:
+        """(chains, failing chains) of the prefix alone."""
+        return 1, int(values(states) != _LOG_CANONICAL)
+
+    def entry(node: tuple, k: int):
+        return tab(node[0]).subtrees.get((family, node[1], k))
+
+    top, head = max_len - 1, root(first)
+    if entry(head, top) is None:
+        # the prefixes with no entry yet, by depth; a child's k is one less
+        built: dict = {}
+        levels = [[node for node in map(root, range(len(comps))) if entry(node, top) is None]]
+        while len(levels) < max_len:
+            k = top - len(levels)
+            new = dict.fromkeys(c for node in levels[-1] for c in children(node, built) if entry(c, k) is None)
+            if not new:
+                break
+            levels.append(list(new))
+        for depth in reversed(range(len(levels))):
+            k = top - depth
+            for node in levels[depth]:
+                chains, failing = own(node[1])
+                for child in children(node, built) if k else ():
+                    c, f = entry(child, k - 1)
+                    chains, failing = chains + c, failing + f
+                tab(node[0]).subtrees[family, node[1], k] = (chains, failing)
+
+    seen: dict = {}  # apart from `built`, so the descents cost the same in every chunk
+
+    def descend(r: int, col: int) -> tuple[list, tuple]:
+        """Components and states of the r-th chain in pre-order, counting every
+        chain (col 0) or only the failing ones (col 1)."""
+        node, k, path = head, top, [first]
+        while r >= (here := own(node[1])[col]):
+            r -= here
+            for child in children(node, seen):
+                c = entry(child, k - 1)[col]
+                if r < c:
+                    break
+                r -= c
+            node, k = child, k - 1
+            path.append(node[0])
+        return path, values(node[1])
+
+    instances, failures = entry(head, top)
+    tally = {"instances": instances, "failures": failures, "first": None, "sampled": 0}
+    if failures:
+        path, v = descend(0, 1)
+        tally["first"] = {"chain": [list(comps[i]) for i in path], "log_canonical": v[:2], "omega_x2": v[2:]}
+    for r in range(SAMPLE_EVERY - 1, instances, SAMPLE_EVERY):
+        path, v = descend(r, 0)
+        _api_check_log_canonical(tuple(tab(i).comp for i in path), v)
+        tally["sampled"] += 1
     return tally
 
 

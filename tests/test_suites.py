@@ -251,6 +251,20 @@ def test_chunked_runner_parallel_matches_serial():
     assert serial.details == parallel.details
 
 
+def test_log_canonical_parallel_matches_serial():
+    serial = suites.suite_log_canonical(max_ab=3, max_l=3, max_len=4, workers=1)
+    parallel = suites.suite_log_canonical(max_ab=3, max_l=3, max_len=4, workers=2)
+    assert (serial.instances, serial.details) == (parallel.instances, parallel.details) == (5544, {"sampled": 20})
+    assert serial.failures == parallel.failures == 0
+
+
+def test_log_canonical_sweep_takes_a_chain_of_1500_components():
+    # one component, glued to itself: a single chain of each length, whose
+    # subtree counts are 1500 deep
+    res = suites.suite_log_canonical(max_ab=1, max_l=1, max_len=1500, workers=1)
+    assert res.ok and res.instances == 1500 and res.details["sampled"] == 7
+
+
 # ---------------------------------------------------------------------------
 # The counting sweeps against a reference that enumerates every bundle.
 # ---------------------------------------------------------------------------
@@ -375,13 +389,17 @@ def test_counting_sweep_finds_the_first_counterexample(monkeypatch, fresh_tables
 
 
 def test_no_state_survives_between_suite_calls(monkeypatch, fresh_tables):
-    grid = dict(max_ab=3, max_l=2, max_d=2, max_len=3)
     runs = []
     for _ in range(2):
-        runs.append(_counted_sweep(monkeypatch, True, grid))
-        # the sweep's own tables, from the cache: their transitions were memoized
-        tables = [suites._comp_tables(c, -2, 2) for c in suites.component_family(3, 2)]
-        assert any(tab.moves for tab in tables)
+        runs.append((
+            _counted_sweep(monkeypatch, True, dict(max_ab=3, max_l=2, max_d=2, max_len=3)),
+            _counted_log_canonical(monkeypatch, dict(max_ab=3, max_l=2, max_len=3)),
+        ))
+        # the sweeps' own tables, from the cache: their transitions and
+        # subtree counts were memoized
+        family = suites.component_family(3, 2)
+        assert any(suites._comp_tables(c, -2, 2).moves for c in family)
+        assert any(suites._comp_tables(c, 0, 0).subtrees for c in family)
         suites._comp_tables.cache_clear()
         for name, value in vars(suites).items():
             if name.startswith("__") or value is suites.SUITES:
@@ -392,3 +410,116 @@ def test_no_state_survives_between_suite_calls(monkeypatch, fresh_tables):
             if callable(info):
                 assert info().currsize == 0, name
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# The log-canonical subtree counts against a walk over every chain.
+# ---------------------------------------------------------------------------
+
+
+def _reference_log_canonical(max_ab: int, max_l: int, max_len: int):
+    """(instances, failures, first counterexample, sampled, replays) by walking every chain.
+
+    Carries the fold states of omega(x1+x2) and omega(x2) by depth down the
+    pre-order DFS of each chunk; replays are listed in order as the arguments
+    of the sweep's `_api_check_log_canonical` call."""
+    comps = suites.component_family(max_ab, max_l)
+    step = cohomology.chain_step
+    instances = failures = 0
+    first_cx = None
+    replays = []
+    for first in range(len(comps)):
+        numbered = 0  # chains are numbered per first component
+        log_can, omega_x2 = [cohomology.CHAIN_START], [cohomology.CHAIN_START]
+        for chain in suites.iter_chains(comps, max_len, first):
+            k = len(chain)
+            tab = suites._comp_tables(comps[chain[-1]], 0, 0)
+            del log_can[k:], omega_x2[k:]
+            log_can.append(step(log_can[-1], tab.plain[0]))
+            omega_x2.append(step(omega_x2[-1], tab.dtw1[0] if k == 1 else tab.plain[0]))
+            values = log_can[k][:2] + omega_x2[k][:2]
+            chain_comps = [list(comps[i]) for i in chain]
+            instances += 1
+            numbered += 1
+            if values != (1, 0, 0, 0):
+                failures += 1
+                first_cx = first_cx or {"chain": chain_comps, "log_canonical": values[:2], "omega_x2": values[2:]}
+            if numbered % suites.SAMPLE_EVERY == 0:
+                replays.append((chain_comps, values))
+    return instances, failures, first_cx, len(replays), replays
+
+
+def _counted_log_canonical(monkeypatch, grid: dict):
+    """The same five results from the suite, with its replays recorded instead of run."""
+    replays = []
+    monkeypatch.setattr(
+        suites, "_api_check_log_canonical", lambda comps, expected: replays.append((suites._listed(comps), expected))
+    )
+    res = suites.suite_log_canonical(**grid, workers=1)
+    return res.instances, res.failures, res.first_counterexample, res.details["sampled"], replays
+
+
+LOG_CANONICAL_GRIDS = [
+    dict(max_ab=2, max_l=2, max_len=3),
+    dict(max_ab=3, max_l=3, max_len=4),
+    dict(max_ab=4, max_l=4, max_len=4),
+    dict(max_ab=1, max_l=2, max_len=8),
+]
+
+
+@pytest.mark.parametrize("sample_every", [199, 7])
+@pytest.mark.parametrize("grid", LOG_CANONICAL_GRIDS, ids=lambda g: "-".join(map(str, g.values())))
+def test_log_canonical_counts_match_the_chain_walk(monkeypatch, fresh_tables, grid, sample_every):
+    monkeypatch.setattr(suites, "SAMPLE_EVERY", sample_every)
+    expected = _reference_log_canonical(**grid)
+    assert _counted_log_canonical(monkeypatch, grid) == expected
+    assert expected[3] > 0 or sample_every == 199
+
+
+@pytest.mark.parametrize("sample_every", [199, 7])
+def test_log_canonical_counts_find_the_first_counterexample(monkeypatch, fresh_tables, sample_every):
+    # a fault in the per-piece data that a later piece can undo: h0 one too
+    # large on components with a = 3 and one too small on those with b = 3
+    ends = cohomology.piece_ends
+    monkeypatch.setattr(
+        cohomology,
+        "piece_ends",
+        lambda L: (lambda e: (e[0] + (L.comp.a == 3) - (L.comp.b == 3), *e[1:]))(ends(L)),
+    )
+    monkeypatch.setattr(suites, "SAMPLE_EVERY", sample_every)
+    grid = dict(max_ab=3, max_l=3, max_len=4)
+    expected = _reference_log_canonical(**grid)
+    first_chain = [list(suites.component_family(3, 3)[0])]
+    assert 0 < expected[1] < expected[0] and expected[2]["chain"] != first_chain
+    assert _counted_log_canonical(monkeypatch, grid) == expected
+
+
+def test_log_canonical_work_does_not_depend_on_the_chunks_run_before(monkeypatch, fresh_tables):
+    # a pool gives each worker process its own run of chunks, and the first
+    # one counts the subtrees for all; the fold steps a process makes must
+    # not depend on which run it gets
+    calls = []
+    step = cohomology.chain_step
+    monkeypatch.setattr(cohomology, "chain_step", lambda state, piece: calls.append(1) or step(state, piece))
+    n = len(suites.component_family(3, 3))
+    runs = []
+    for order in (range(n), reversed(range(n)), range(1, n, 2), range(n - 2, 0, -2)):
+        suites._comp_tables.cache_clear()
+        calls.clear()
+        tallies = {i: suites._log_canonical_chunk((3, 3, 4, i)) for i in order}
+        runs.append((sorted(tallies.items()), len(calls)))
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+
+
+def test_log_canonical_counts_are_kept_per_family(monkeypatch, fresh_tables):
+    # the subtree counts stay on the cached tables, which are shared by every
+    # family; a run must give what it gives on fresh tables whatever ran before
+    monkeypatch.setattr(suites, "SAMPLE_EVERY", 7)
+    grids = [dict(max_ab=3, max_l=3, max_len=4), dict(max_ab=4, max_l=4, max_len=4)]
+    fresh = []
+    for grid in grids:
+        suites._comp_tables.cache_clear()
+        fresh.append(_counted_log_canonical(monkeypatch, grid))
+    suites._comp_tables.cache_clear()
+    for n in (0, 1, 0):
+        assert _counted_log_canonical(monkeypatch, grids[n]) == fresh[n]
