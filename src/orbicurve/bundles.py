@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import CurveChain, MarkedPoint, TwistedComponent
+from .curves import X1, X2, CurveChain, MarkedPoint, TwistedComponent
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,14 @@ class EqLineBundle:
     d: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "k1", self.k1 % self.comp.l1)
-        object.__setattr__(self, "k2", self.k2 % self.comp.l2)
+        comp, k1, k2, d = self.comp, self.k1, self.k2, self.d
+        if type(k1) is not int or type(k2) is not int or type(d) is not int:
+            name, v = next((n, v) for n, v in (("k1", k1), ("k2", k2), ("d", d)) if type(v) is not int)
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if not 0 <= k1 < comp.l1:
+            object.__setattr__(self, "k1", k1 % comp.l1)
+        if not 0 <= k2 < comp.l2:
+            object.__setattr__(self, "k2", k2 % comp.l2)
 
     @property
     def degree(self) -> Fraction:
@@ -76,9 +82,9 @@ def dual(L: EqLineBundle) -> EqLineBundle:
 
 def point_bundle(comp: TwistedComponent, pt: MarkedPoint) -> EqLineBundle:
     """O(x1) is the divisor class of the coordinate section y, O(x2) that of x."""
-    if pt is MarkedPoint.X1:
+    if pt is X1:
         return EqLineBundle(comp, 0, 1, comp.b)
-    if pt is MarkedPoint.X2:
+    if pt is X2:
         return EqLineBundle(comp, 1, 0, comp.a)
     raise ValueError(f"unknown marked point {pt!r}")
 
@@ -87,9 +93,9 @@ def twist_marked(L: EqLineBundle, pt: MarkedPoint, sign: int) -> EqLineBundle:
     """L(sign * pt): L tensored with the point bundle of `pt` or with its dual."""
     if sign not in (1, -1):
         raise ValueError("twist sign must be +1 or -1")
-    if pt is MarkedPoint.X1:
+    if pt is X1:
         return EqLineBundle(L.comp, L.k1, L.k2 + sign, L.d + sign * L.comp.b)
-    if pt is MarkedPoint.X2:
+    if pt is X2:
         return EqLineBundle(L.comp, L.k1 + sign, L.k2, L.d + sign * L.comp.a)
     raise ValueError(f"unknown marked point {pt!r}")
 
@@ -103,15 +109,13 @@ def canonical_bundle(comp: TwistedComponent) -> EqLineBundle:
 
 def _age_data(L: EqLineBundle, pt: MarkedPoint) -> tuple[int, int]:
     """(weight numerator, isotropy order) of the canonical generator on the fiber."""
-    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
-    if pt is MarkedPoint.X1:
-        r = a * l1 * l2
-        t = L.comp.chart_inverses[0]
-        num = a * l2 * L.k1 + a * l1 * L.k2 - l2 * L.d
-    elif pt is MarkedPoint.X2:
-        r = b * l1 * l2
-        t = L.comp.chart_inverses[1]
-        num = b * l2 * L.k1 + b * l1 * L.k2 - l1 * L.d
+    comp = L.comp
+    if pt is X1:
+        r, t = comp.c, comp.chart_inverses[0]
+        num = comp.a * (comp.l2 * L.k1 + comp.l1 * L.k2) - comp.l2 * L.d
+    elif pt is X2:
+        r, t = comp.d, comp.chart_inverses[1]
+        num = comp.b * (comp.l2 * L.k1 + comp.l1 * L.k2) - comp.l1 * L.d
     else:
         raise ValueError(f"unknown marked point {pt!r}")
     return (t * num) % r, r
@@ -151,12 +155,12 @@ class ChainBundle:
         violations = [
             f"piece {j} lives on {piece.comp}, chain has {comp}"
             for j, (piece, comp) in enumerate(zip(pieces, comps))
-            if piece.comp != comp
+            if piece.comp is not comp and piece.comp != comp
         ]
         if not violations:
             for j in range(len(pieces) - 1):
-                left, r = _age_data(pieces[j], MarkedPoint.X2)
-                right, _ = _age_data(pieces[j + 1], MarkedPoint.X1)
+                left, r = _age_data(pieces[j], X2)
+                right, _ = _age_data(pieces[j + 1], X1)
                 if (left + right) % r:
                     violations.append(
                         f"node {j}: unbalanced fiber characters "
@@ -185,10 +189,10 @@ def chain_dual(B: ChainBundle) -> ChainBundle:
 def chain_twist(B: ChainBundle, pt: MarkedPoint, sign: int) -> ChainBundle:
     """Twist by a marked point of the chain: X1 of the first or X2 of the last component."""
     pieces = B.pieces
-    if pt is MarkedPoint.X1:
-        pieces = (twist_marked(pieces[0], MarkedPoint.X1, sign), *pieces[1:])
-    elif pt is MarkedPoint.X2:
-        pieces = (*pieces[:-1], twist_marked(pieces[-1], MarkedPoint.X2, sign))
+    if pt is X1:
+        pieces = (twist_marked(pieces[0], X1, sign), *pieces[1:])
+    elif pt is X2:
+        pieces = (*pieces[:-1], twist_marked(pieces[-1], X2, sign))
     else:
         raise ValueError(f"unknown marked point {pt!r}")
     return _derived(B, pieces)

@@ -50,7 +50,7 @@ from .bundles import (
     canonical_bundle,
     chain_twist,
 )
-from .curves import MarkedPoint, TwistedComponent
+from .curves import X1, X2, MarkedPoint, TwistedComponent
 from .foundation import InternalInconsistency
 
 
@@ -67,11 +67,11 @@ class CohomologyReport:
 
 def _h0_count(comp: TwistedComponent, k1: int, k2: int, d: int) -> int:
     """h^0 of O^{k1,k2}(d), 0 <= k1 < l1: the members of the class i = i0 (mod b*l1*l2) in [0, d // a]."""
-    a, b, l1, l2 = comp.a, comp.b, comp.l1, comp.l2
+    a, b, l1 = comp.a, comp.b, comp.l1
     # i = k1 + l1*s, and b*l2 | d - a*i - b*k2 says a*l1*s = d - a*k1 - b*k2
-    # (mod b*l2), with a*l1 a unit mod b*l2
-    i0 = k1 + l1 * ((d - a * k1 - b * k2) * pow(a * l1, -1, b * l2) % (b * l2))
-    return max(0, (d // a - i0) // (b * l1 * l2) + 1)
+    # (mod b*l2), with a*l1 a unit mod b*l2; the period b*l1*l2 is comp.d
+    i0 = k1 + l1 * ((d - a * k1 - b * k2) * comp.h0_unit % (b * comp.l2))
+    return max(0, (d // a - i0) // comp.d + 1)
 
 
 def h0_component(L: EqLineBundle) -> int:
@@ -80,12 +80,13 @@ def h0_component(L: EqLineBundle) -> int:
 
 def h1_negative_monomials(L: EqLineBundle) -> int:
     """Direct h^1: the y-exponents q = q0 (mod a*l1*l2) of x^-p y^-q in [1, (-d - a) // b]."""
-    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
+    comp = L.comp
+    a, b, l2, period = comp.a, comp.b, comp.l2, comp.c
     # q = q2 + l2*t, and p = (-d - b*q)/a = -k1 (mod l1) says
-    # b*l2*t = a*k1 - d - b*q2 (mod a*l1), with b*l2 a unit mod a*l1
+    # b*l2*t = a*k1 - d - b*q2 (mod a*l1), with b*l2 a unit mod a*l1; the
+    # period a*l1*l2 is comp.c
     q2 = -L.k2 % l2
-    q0 = q2 + l2 * ((a * L.k1 - L.d - b * q2) * pow(b * l2, -1, a * l1) % (a * l1))
-    period = a * l1 * l2
+    q0 = q2 + l2 * ((a * L.k1 - L.d - b * q2) * comp.h1_unit % (a * comp.l1))
     return max(0, ((-L.d - a) // b - (q0 or period)) // period + 1)
 
 
@@ -110,8 +111,8 @@ def _riemann_roch_terms(L: EqLineBundle) -> tuple[int, int, bool]:
     The ages are num1/(a*l1*l2) and num2/(b*l1*l2), and deg(L) = d/(a*b*l1*l2)."""
     a, b = L.comp.a, L.comp.b
     den = a * b * L.comp.l1 * L.comp.l2
-    num1, _ = _age_data(L, MarkedPoint.X1)
-    num2, _ = _age_data(L, MarkedPoint.X2)
+    num1, _ = _age_data(L, X1)
+    num2, _ = _age_data(L, X2)
     return L.d + den - b * num1 - a * num2, den, num2 == 0
 
 
@@ -145,7 +146,7 @@ def piece_ends(L: EqLineBundle, trivial2: bool | None = None) -> PieceEnds:
         k2 == 0 and d >= 0 and d % a == 0 and (d // a - k1) % l1 == 0,
         k1 == 0 and d >= 0 and d % b == 0 and (d // b - k2) % l2 == 0,
         d == 0,
-        acts_trivially_at(L, MarkedPoint.X2) if trivial2 is None else trivial2,
+        acts_trivially_at(L, X2) if trivial2 is None else trivial2,
     )
 
 

@@ -24,7 +24,7 @@ from .bundles import (
     twist_marked,
 )
 from .cohomology import h_chain, h_twisted
-from .curves import CurveChain, MarkedPoint
+from .curves import X1, X2, CurveChain
 
 
 class CertificateError(RuntimeError):
@@ -50,11 +50,11 @@ def is_weakly_semipositive(B: SplitBundle) -> tuple[bool, list[tuple[int, int]]]
 
 
 def is_weakly_convex_on(B: SplitBundle) -> bool:
-    return all(h_twisted(s, MarkedPoint.X2, -1).h1 == 0 for s in B.summands)
+    return all(h_twisted(s, X2, -1).h1 == 0 for s in B.summands)
 
 
 def is_weakly_concave_on_dual(B: SplitBundle) -> bool:
-    return all(h_twisted(chain_dual(s), MarkedPoint.X1, -1).h0 == 0 for s in B.summands)
+    return all(h_twisted(chain_dual(s), X1, -1).h0 == 0 for s in B.summands)
 
 
 def convexity_verdict(B: SplitBundle) -> ConvexityVerdict:
@@ -89,13 +89,13 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
         residue trivialization work in families.
     """
     for j, comp in enumerate(chain.components):
-        log_can = twist_marked(twist_marked(canonical_bundle(comp), MarkedPoint.X1, 1), MarkedPoint.X2, 1)
+        log_can = twist_marked(twist_marked(canonical_bundle(comp), X1, 1), X2, 1)
         if log_can != trivial_bundle(comp):
             raise CertificateError(f"component {j}: omega(x1+x2) = {log_can} is not trivial")
 
     log_chain = trivial_chain_bundle(chain)
     rep = h_chain(log_chain)
-    omega_x2 = chain_twist(log_chain, MarkedPoint.X1, -1)  # omega(x2) = omega(x1+x2) - x1
+    omega_x2 = chain_twist(log_chain, X1, -1)  # omega(x2) = omega(x1+x2) - x1
     rep2 = h_chain(omega_x2)
     cert = LogCanonicalCertificate(
         h0_log_canonical=rep.h0,

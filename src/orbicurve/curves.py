@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .foundation import as_rational, canonical_split
@@ -30,13 +29,22 @@ class MarkedPoint(enum.Enum):
     X2 = "x2"
 
 
+# The members, bound once: `MarkedPoint.X1` goes through the Enum metaclass's
+# attribute hook on every read, at several times the cost of a global.
+X1, X2 = MarkedPoint.X1, MarkedPoint.X2
+
+
 # Sentinel accepted by isotropy_order for a generic (untwisted) point.
 GENERIC = None
 
 
 @dataclass(frozen=True)
 class TwistedComponent:
-    """One smooth rational component, encoded by (a, b, l1, l2)."""
+    """One smooth rational component, encoded by (a, b, l1, l2), whose equality and hash are the component's.
+
+    Construction stores what the counts read: the isotropy orders `c`, `d` at x1, x2, `chart_inverses`
+    ((a*l1 - b*l2)^-1 mod c and (b*l2 - a*l1)^-1 mod d, for `bundles._age_data`), the CRT units
+    `h0_unit` = (a*l1)^-1 mod b*l2 and `h1_unit` = (b*l2)^-1 mod a*l1, and the hash."""
 
     a: int
     b: int
@@ -46,36 +54,33 @@ class TwistedComponent:
     def __post_init__(self):
         for name in ("a", "b", "l1", "l2"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # a bool is an int subclass
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError(f"gcd(a,b)={gcd(self.a, self.b)} != 1")
-        if gcd(self.l1, self.l2) != 1:
-            raise ValueError(f"gcd(l1,l2)={gcd(self.l1, self.l2)} != 1")
-        if gcd(self.l1, self.b) != 1:
-            raise ValueError(f"gcd(l1,b)={gcd(self.l1, self.b)} != 1")
-        if gcd(self.l2, self.a) != 1:
-            raise ValueError(f"gcd(l2,a)={gcd(self.l2, self.a)} != 1")
+        a, b, l1, l2 = self.a, self.b, self.l1, self.l2
+        for names, x, y in (("a,b", a, b), ("l1,l2", l1, l2), ("l1,b", l1, b), ("l2,a", l2, a)):
+            if gcd(x, y) != 1:
+                raise ValueError(f"gcd({names})={gcd(x, y)} != 1")
+        c, d, u = a * l1 * l2, b * l1 * l2, a * l1 - b * l2
+        stored = {
+            "c": c, "d": d, "chart_inverses": (pow(u, -1, c), pow(-u, -1, d)), "_hash": hash((a, b, l1, l2)),
+            "h0_unit": pow(a * l1, -1, b * l2), "h1_unit": pow(b * l2, -1, a * l1),
+        }
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
-    @cached_property
-    def chart_inverses(self) -> tuple[int, int]:
-        """(a*l1 - b*l2)^-1 mod c and (b*l2 - a*l1)^-1 mod d, the powers taken in `bundles._age_data`."""
-        u = self.a * self.l1 - self.b * self.l2
-        return pow(u, -1, self.c), pow(-u, -1, self.d)
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.l1, self.l2) == (other.a, other.b, other.l1, other.l2)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def l(self) -> int:
         return self.l1 * self.l2
-
-    @property
-    def c(self) -> int:
-        """Isotropy order at x1."""
-        return self.a * self.l1 * self.l2
-
-    @property
-    def d(self) -> int:
-        """Isotropy order at x2."""
-        return self.b * self.l1 * self.l2
 
     def __str__(self) -> str:
         if self.l == 1:
@@ -97,16 +102,17 @@ def present(c: int, d: int) -> TwistedComponent:
 
 
 def isotropy_order(comp: TwistedComponent, pt: MarkedPoint | None = GENERIC) -> int:
-    if pt is MarkedPoint.X1:
+    if pt is X1:
         return comp.c
-    if pt is MarkedPoint.X2:
+    if pt is X2:
         return comp.d
     if pt is GENERIC:
         return 1
     raise ValueError(f"unknown point {pt!r}")
 
 
-# The default degree tag, one object shared by every chain.
+# The default degree tag, one object shared by every chain; the positivity
+# check skips it by identity.
 _ONE = Fraction(1)
 
 
@@ -136,7 +142,7 @@ class CurveChain:
         if len(tags) != len(comps):
             violations.append(f"degree tag count {len(tags)} != component count {len(comps)}")
         for j, t in enumerate(tags):
-            if t <= 0:
+            if t is not _ONE and t <= 0:
                 violations.append(f"component {j}: degree tag {t} is not positive")
         for j in range(len(comps) - 1):
             left, right = comps[j].d, comps[j + 1].c

@@ -1,8 +1,9 @@
 """Independent routes that exist only to check the fast path.
 
 Each recomputes, by a slower route of its own, a quantity that another module
-computes in closed form or by a fold: `h_chain_by_elimination` eliminates the
-whole node matrix (against the chain fold of `cohomology`), the pairings and
+computes in closed form or by a fold: `h_chain_by_elimination` lists every
+piece's monomials and eliminates the whole node matrix (against the residue
+counts and the chain fold of `cohomology`), the pairings and
 the transport of `StateElement` classes walk the sectors one by one (against
 the sector-block Gram matrices of `wps`), and `brute_force_age` and
 `brute_force_isotropy_counts` enumerate the isotropy groups (against the
@@ -16,7 +17,6 @@ from math import gcd
 from typing import NamedTuple
 
 from .bundles import ChainBundle, EqLineBundle
-from .cohomology import h1_component
 from .curves import MarkedPoint, TwistedComponent
 from .foundation import InternalInconsistency, Phase, PhasedScalar
 from .wps import (
@@ -32,59 +32,74 @@ from .wps import (
 )
 
 
-def _section_monomials(L: EqLineBundle) -> list[tuple[int, int]]:
-    """Exponents (i, j) of the invariant monomials x^i y^j spanning H^0(L), listed."""
-    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
+def _section_monomials(a: int, b: int, l1: int, l2: int, k1: int, k2: int, d: int) -> list[tuple[int, int]]:
+    """Exponents (i, j) of the invariant monomials x^i y^j spanning H^0(O^{k1,k2}(d)), by ascending i:
+    i = k1, k1 + l1, ... up to d // a (0 <= k1 < l1), where b*j = d - a*i has a solution j = k2 (mod l2)."""
     monos = []
-    for i in range(0, L.d // a + 1):
-        rem = L.d - a * i
-        if i % l1 == L.k1 and rem % b == 0 and (rem // b) % l2 == L.k2:
+    for i in range(k1, d // a + 1, l1):
+        rem = d - a * i
+        if rem % b == 0 and (rem // b) % l2 == k2:
             monos.append((i, rem // b))
     return monos
 
 
-def _trivial_at_x2(L: EqLineBundle) -> bool:
-    """Whether the isotropy group at x2 acts trivially on the fiber of L.
+def _negative_monomials(a: int, b: int, l1: int, l2: int, k1: int, k2: int, d: int) -> list[tuple[int, int]]:
+    """Exponents (p, q) of the invariant monomials x^-p y^-q spanning H^1(O^{k1,k2}(d)): the p >= 1 with
+    p = -k1 (mod l1), up to (-d - b) // a, where b*q = -d - a*p has a solution q >= 1, q = -k2 (mod l2)."""
+    monos = []
+    for p in range(-k1 % l1 or l1, (-d - b) // a + 1, l1):
+        rem = -d - a * p
+        if rem % b == 0 and -(rem // b) % l2 == k2:
+            monos.append((p, rem // b))
+    return monos
+
+
+def _trivial_at_x2(b: int, l2: int, k1: int, k2: int, d: int) -> bool:
+    """Whether the isotropy group at x2 acts trivially on the fiber of O^{k1,k2}(d).
 
     (z1, z2, lam) fixes x2 = (0, 1) iff lam^b * z2 = 1, and acts on the fiber
     by lam^d * z1^k1 * z2^k2 = lam^(d - b*k2) * z1^k1.  On that group z1 runs
     over mu_l1 and lam over the (b*l2)-th roots of unity, independently, so
     the action is trivial iff k1 = 0 (mod l1) and b*l2 divides d - b*k2.
     """
-    b, l2 = L.comp.b, L.comp.l2
-    return L.k1 == 0 and L.d % b == 0 and (L.d // b - L.k2) % l2 == 0
+    return k1 == 0 and d % b == 0 and (d // b - k2) % l2 == 0
 
 
-def _node_rows(B: ChainBundle) -> tuple[list[dict[int, int]], int, int]:
+def _node_rows(pieces: list[tuple]) -> tuple[list[list[tuple[int, int]]], int, int]:
     """Node evaluation matrix of the normalization sequence, by its nonzero entries.
 
+    `pieces` are the (a, b, l1, l2, k1, k2, d) of each O^{k1,k2}(d).
     Returns (rows, n_active_nodes, total_h0).  Columns index the concatenated
     component section bases; row j (for an active node) takes the value of the
     section on component j at its x2 end minus the value on component j+1 at
-    its x1 end, and is kept as {column: +-1}.  Inactive nodes (isotropy acting
-    nontrivially on the fiber) contribute no row: the fiber has no invariant
-    sections there.  Nor does an active node that no section reaches, whose
-    row is zero.
+    its x1 end, and is kept as [(column, +-1), ...].  A monomial x^i y^j is
+    nonzero at x2 iff i = 0 and at x1 iff j = 0, so in a listing by ascending
+    i only the first and the last monomial can be.  Inactive nodes (isotropy
+    acting nontrivially on the fiber) contribute no row: the fiber has no
+    invariant sections there.  Nor does an active node that no section
+    reaches, whose row is zero.
     """
-    bases = [_section_monomials(piece) for piece in B.pieces]
+    bases = [_section_monomials(*p) for p in pieces]
     offsets = [0]
     for monos in bases:
         offsets.append(offsets[-1] + len(monos))
-    rows: list[dict[int, int]] = []
+    rows: list[list[tuple[int, int]]] = []
     n_active = 0
-    for j, k in B.chain.nodes:
-        if not _trivial_at_x2(B.pieces[j]):
+    for j, (_, b, _, l2, k1, k2, d) in enumerate(pieces[:-1]):
+        if not _trivial_at_x2(b, l2, k1, k2, d):
             continue
         n_active += 1
-        row = {offsets[j] + n: 1 for n, (x_exp, _) in enumerate(bases[j]) if x_exp == 0}  # nonzero at x2
-        row.update({offsets[k] + n: -1 for n, (_, y_exp) in enumerate(bases[k]) if y_exp == 0})  # at x1
+        left, right = bases[j], bases[j + 1]
+        row = [(offsets[j], 1)] if left and left[0][0] == 0 else []
+        if right and right[-1][1] == 0:
+            row.append((offsets[j + 2] - 1, -1))
         if row:
             rows.append(row)
     return rows, n_active, offsets[-1]
 
 
-def _integer_rank(rows: list[dict[int, int]]) -> int:
-    """Rank of an integer matrix given by its rows' nonzero entries {column: value}.
+def _integer_rank(rows) -> int:
+    """Rank of an integer matrix given by its rows' nonzero entries, as (column, value) pairs or {column: value}.
 
     Fraction-free elimination: each row is reduced against the pivot rows
     found so far, keyed by their leading column, as r -> p[c]*r - r[c]*p with
@@ -92,7 +107,8 @@ def _integer_rank(rows: list[dict[int, int]]) -> int:
     has none, and adds nothing when it reduces to zero.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for r in rows:
+    for row in rows:
+        r = dict(row)
         while r:
             lead = min(r)
             p = pivots.get(lead)
@@ -109,11 +125,12 @@ def _integer_rank(rows: list[dict[int, int]]) -> int:
 
 
 def h_chain_by_elimination(B: ChainBundle) -> tuple[int, int]:
-    """(h0, h1) of a chain bundle from the whole node matrix by integer elimination."""
-    h1_comps = sum(h1_component(p) for p in B.pieces)
-    rows, n_active, total_h0 = _node_rows(B)
+    """(h0, h1) of a chain bundle by integer elimination of the whole node matrix, over listed monomials."""
+    pieces = [(p.comp.a, p.comp.b, p.comp.l1, p.comp.l2, p.k1, p.k2, p.d) for p in B.pieces]
+    rows, n_active, total_h0 = _node_rows(pieces)
     rank = _integer_rank(rows)
-    return total_h0 - rank, h1_comps + n_active - rank
+    h1_pieces = sum(len(_negative_monomials(*p)) for p in pieces)
+    return total_h0 - rank, h1_pieces + n_active - rank
 
 
 class _SectorData(NamedTuple):

@@ -17,14 +17,15 @@ fold's flags, so the transitions are memoized on the cached per-component
 tables (`_moves`), and clearing `_comp_tables` drops them.  The instances
 keep the numbering of a chain-by-chain enumeration in lexicographic order:
 every SAMPLE_EVERY-th is unranked from counts of balanced completions per
-`need` (`_unranker`) and recomputed through the public dataclass API by
-elimination (`oracles.h_chain_by_elimination`), which shares no code with
-the fold beyond the component counts, and the first chain whose counts show
-a failure is enumerated in order for the first counterexample.  A replay
-builds its checked `CurveChain` and `ChainBundle` on the `TwistedComponent`
-objects the tables already hold, so per-component data such as the chart
-inverses are computed once per table, not once per replay; its twists and
-duals are derived without a second node check (see `bundles`).
+`need`, its folds stepped on the way down (`_descent`), and recomputed
+through the public dataclass API by elimination over listed monomials
+(`oracles.h_chain_by_elimination`), which shares no code with the fold, and
+the first chain whose counts show a failure is enumerated in order for the
+first counterexample.  A replay builds its checked `CurveChain` and
+`ChainBundle` on the `TwistedComponent` objects the tables already hold, so
+the integers a component stores when built are computed once per table,
+not once per replay; its twists and duals are derived without a second node
+check (see `bundles`).
 
 The log-canonical sweep has one bundle per chain, and the states of its two
 folds over the whole family are few, so it counts chains by subtree instead
@@ -172,7 +173,7 @@ def _api_chain(comps: tuple, pieces: list) -> bundles.ChainBundle:
 
 def _api_check_convexity_instance(comps: tuple, pieces: list, expected_h1: int) -> None:
     cb = _api_chain(comps, pieces)
-    _, h1 = oracles.h_chain_by_elimination(bundles.chain_twist(cb, curves.MarkedPoint.X2, -1))
+    _, h1 = oracles.h_chain_by_elimination(bundles.chain_twist(cb, curves.X2, -1))
     if h1 != expected_h1:
         raise cohomology.InternalInconsistency(
             f"h1(L(-x2)) of {pieces} on {_listed(comps)}: sweep {expected_h1}, elimination {h1}"
@@ -181,9 +182,9 @@ def _api_check_convexity_instance(comps: tuple, pieces: list, expected_h1: int) 
 
 def _api_check_concavity_instance(comps: tuple, pieces: list, expected_hc: int, expected_hd: int) -> None:
     cb = _api_chain(comps, pieces)
-    _, hc = oracles.h_chain_by_elimination(bundles.chain_twist(cb, curves.MarkedPoint.X2, -1))
+    _, hc = oracles.h_chain_by_elimination(bundles.chain_twist(cb, curves.X2, -1))
     hd, _ = oracles.h_chain_by_elimination(
-        bundles.chain_twist(bundles.chain_dual(cb), curves.MarkedPoint.X1, -1)
+        bundles.chain_twist(bundles.chain_dual(cb), curves.X1, -1)
     )
     if (hc, hd) != (expected_hc, expected_hd):
         raise cohomology.InternalInconsistency(
@@ -238,38 +239,50 @@ def suite_riemann_roch(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
 class _CompTables:
     """Per-component tables for the chain sweeps, indexed by bundle ordinal.
 
-    For each bundle (k1, k2, d) in the grid this holds the fold data
-    (`cohomology.piece_ends`) of the four roles a piece can play: plain,
-    twisted by -x2 (last component of the convexity side), dualized (dual
-    side), and dualized-then-twisted by -x1 (first component of the dual
-    side).  Nodes balance on ages, counted in units of one over the node's
-    isotropy order: `need[t]` is the age at x1 that the next piece must have,
-    and `by_age1` groups the bundles by their age at x1.  `moves` memoizes
-    the sweep's transitions out of this component (see `_moves`), `subtrees`
-    the log-canonical sweep's counts below the prefixes that end on it (see
-    `_log_canonical_chunk`), and `comp` is the component object that the
-    replays build on.
+    For each bundle (k1, k2, d) in the grid (`lines`, and `bnds` as integer
+    triples) this holds the fold data (`cohomology.piece_ends`) of the four
+    roles a piece can play: plain, twisted by -x2 (last component of the
+    convexity side), dualized (dual side), and dualized-then-twisted by -x1
+    (first component of the dual side).  Nodes balance on ages, counted in
+    units of one over the node's isotropy order: `need[t]` is the age at x1
+    that the next piece must have, and `by_age1` groups the bundles by their
+    age at x1.  Each of these six is built on its first read, so a sweep pays
+    only for the tables it reads.  `moves` memoizes the sweep's transitions
+    out of this component (see `_moves`), `subtrees` the log-canonical sweep's
+    counts below the prefixes that end on it (see `_log_canonical_chunk`),
+    and `comp` is the component object that the replays build on.
     """
 
-    __slots__ = ("comp", "bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1", "moves", "subtrees")
+    __slots__ = ("comp", "lines", "bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1", "moves", "subtrees")
 
     def __init__(self, comp, d_lo: int, d_hi: int):
-        x1, x2 = curves.MarkedPoint.X1, curves.MarkedPoint.X2
-        self.comp = c = curves.TwistedComponent(*comp)
-        lines = _bundle_grid(c, range(d_lo, d_hi + 1))
-        self.bnds = [(L.k1, L.k2, L.d) for L in lines]
-        duals = [bundles.dual(L) for L in lines]
-        ends = cohomology.piece_ends
-        self.plain = [ends(L) for L in lines]
-        self.tw2 = [ends(bundles.twist_marked(L, x2, -1)) for L in lines]
-        self.dualx = [ends(L) for L in duals]
-        self.dtw1 = [ends(bundles.twist_marked(L, x1, -1)) for L in duals]
-        self.need = [-bundles._age_data(L, x2)[0] % c.d for L in lines]
-        self.by_age1: dict[int, list[int]] = {}
-        for t, L in enumerate(lines):
-            self.by_age1.setdefault(bundles._age_data(L, x1)[0], []).append(t)
+        self.comp = curves.TwistedComponent(*comp)
+        self.lines = _bundle_grid(self.comp, range(d_lo, d_hi + 1))
+        self.bnds = [(L.k1, L.k2, L.d) for L in self.lines]
         self.moves: dict[tuple, list] = {}
         self.subtrees: dict[tuple, tuple[int, int]] = {}
+
+    def __getattr__(self, name: str):
+        """Build a lazy table on its first read: only an empty slot gets here."""
+        ends, twist, dual = cohomology.piece_ends, bundles.twist_marked, bundles.dual
+        if name == "plain":
+            value = [ends(L) for L in self.lines]
+        elif name == "tw2":
+            value = [ends(twist(L, curves.X2, -1)) for L in self.lines]
+        elif name == "dualx":
+            value = [ends(dual(L)) for L in self.lines]
+        elif name == "dtw1":
+            value = [ends(twist(dual(L), curves.X1, -1)) for L in self.lines]
+        elif name == "need":
+            value = [-bundles._age_data(L, curves.X2)[0] % self.comp.d for L in self.lines]
+        elif name == "by_age1":
+            value = {}
+            for t, L in enumerate(self.lines):
+                value.setdefault(bundles._age_data(L, curves.X1)[0], []).append(t)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
     def fits(self, need: int | None):
         """Ordinals, ascending, of the bundles that balance with `need` (all of them for None)."""
@@ -342,14 +355,17 @@ def _finish(dist: dict, tab: _CompTables, roles: tuple) -> dict:
     return out
 
 
-def _unranker(tabs: list[_CompTables]):
-    """Map r to the r-th balanced bundle assignment of a chain, in lexicographic order.
+def _descent(tabs: list[_CompTables], roles: list[tuple]):
+    """Map r to the r-th balanced bundle assignment of a chain, in lexicographic
+    order, and to the kept values of the sweep's folds over it.
 
     The number of balanced completions of pieces k, k+1, ... depends only on
     the age `need` that piece k must match, so one table of those counts
-    walks straight down to the r-th assignment.
+    walks straight down to the r-th assignment.  The folds step along the
+    way, at piece k in the roles `roles[k]` (see `_roles`).
     """
     last = len(tabs) - 1
+    step = cohomology.chain_step
     completions: dict = {}
 
     def count(k: int, need: int) -> int:
@@ -359,29 +375,25 @@ def _unranker(tabs: list[_CompTables]):
             completions[k, need] = sum(count(k + 1, tabs[k].need[t]) for t in tabs[k].fits(need))
         return completions[k, need]
 
-    def unrank(r: int) -> tuple[int, ...]:
+    def descend(r: int) -> tuple[tuple[int, ...], tuple]:
         idx, need = [], None
-        for k, tab in enumerate(tabs[:last]):
-            for t in tab.fits(need):
-                c = count(k + 1, tab.need[t])
-                if r < c:
-                    break
-                r -= c
+        states = [cohomology.CHAIN_START] * len(roles[0])
+        for k, (tab, at) in enumerate(zip(tabs, roles)):
+            fits = tab.fits(need)
+            if k == last:
+                t = fits[r]
+            else:
+                for t in fits:
+                    c = count(k + 1, tab.need[t])
+                    if r < c:
+                        break
+                    r -= c
+                need = tab.need[t]
             idx.append(t)
-            need = tab.need[t]
-        return (*idx, tabs[last].fits(need)[r])
+            states = [step(s, getattr(tab, role)[t]) for s, (role, _) in zip(states, at)]
+        return tuple(idx), tuple(s[keep] for s, (_, keep) in zip(states, roles[last]))
 
-    return unrank
-
-
-def _fold_values(tabs: list[_CompTables], idx: tuple[int, ...], folds: tuple) -> tuple:
-    """The kept values of each fold over one bundle assignment, folded piece by piece."""
-    step = cohomology.chain_step
-    states = [cohomology.CHAIN_START] * len(folds)
-    for k, (tab, t) in enumerate(zip(tabs, idx)):
-        roles = _roles(folds, k == 0, k == len(idx) - 1)
-        states = [step(s, getattr(tab, role)[t]) for s, (role, _) in zip(states, roles)]
-    return tuple(s[keep] for s, (*_, keep) in zip(states, folds))
+    return descend
 
 
 def _pieces(tabs: list[_CompTables], idx: tuple[int, ...]) -> list:
@@ -413,10 +425,10 @@ def _bundle_sweep(args, tally: dict, d_lo: int, folds: tuple, names: tuple, fail
     a chain costs one `_finish` of its parent's states, and each chain's
     counts {kept values: number of bundles} are yielded.  The instances are
     numbered as if enumerated chain by chain in lexicographic order: every
-    SAMPLE_EVERY-th is unranked, folded and replayed through `check`, and the
-    first chain with a `failing` value is enumerated in that order for the
-    witness, whose values are keyed by `names`.  Adds instances, failures,
-    first and sampled to `tally`.
+    SAMPLE_EVERY-th is unranked and folded by one descent and replayed through
+    `check`, and the first chain with a `failing` value is enumerated in that
+    order for the witness, whose values are keyed by `names`.  Adds
+    instances, failures, first and sampled to `tally`.
     """
     max_ab, max_l, max_d, max_len, first = args
     comps = component_family(max_ab, max_l)
@@ -442,18 +454,17 @@ def _bundle_sweep(args, tally: dict, d_lo: int, folds: tuple, names: tuple, fail
             yield counts
             continue
         chain_comps = tuple(tab.comp for tab in tabs)
-        unrank = _unranker(tabs)
+        descend = _descent(tabs, [roles[k == 0, k == n - 1] for k in range(n)])
         if find_first:
-            for idx in map(unrank, range(total)):
-                values = _fold_values(tabs, idx, folds)
+            for idx, values in map(descend, range(total)):
                 if failing(values):
                     tally["first"] = {
                         "chain": _listed(chain_comps), "pieces": _pieces(tabs, idx), **dict(zip(names, values))
                     }
                     break
         for r in samples:
-            idx = unrank(r)
-            check(chain_comps, _pieces(tabs, idx), *_fold_values(tabs, idx, folds))
+            idx, values = descend(r)
+            check(chain_comps, _pieces(tabs, idx), *values)
             tally["sampled"] += 1
         yield counts
 
@@ -536,7 +547,7 @@ def _api_check_log_canonical(comps: tuple, expected: tuple) -> None:
     chain = curves.CurveChain(comps)
     cert = convexity.log_canonical_certificate(chain)
     log_chain = bundles.trivial_chain_bundle(chain)
-    omega_x2 = bundles.chain_twist(log_chain, curves.MarkedPoint.X1, -1)
+    omega_x2 = bundles.chain_twist(log_chain, curves.X1, -1)
     certified = (cert.h0_log_canonical, cert.h1_log_canonical, cert.h0_omega_x2, cert.h1_omega_x2)
     eliminated = oracles.h_chain_by_elimination(log_chain) + oracles.h_chain_by_elimination(omega_x2)
     if certified != expected or eliminated != expected:
@@ -667,13 +678,13 @@ def suite_rank_formula(max_ab: int = 4, max_l: int = 4, max_d: int = 8) -> Suite
     n_convex = 0
     for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
         cb = bundles.ChainBundle(curves.CurveChain((L.comp,)), (L,))
-        if cohomology.h_twisted(cb, curves.MarkedPoint.X2, -1).h1 != 0:
+        if cohomology.h_twisted(cb, curves.X2, -1).h1 != 0:
             continue  # not weakly convex, formula not asserted
         n_convex += 1
-        g1 = sectors.SectorAction((bundles.age_at(L, curves.MarkedPoint.X1),))
-        g2 = sectors.SectorAction((bundles.age_at(L, curves.MarkedPoint.X2),))
+        g1 = sectors.SectorAction((bundles.age_at(L, curves.X1),))
+        g2 = sectors.SectorAction((bundles.age_at(L, curves.X2),))
         rf = sectors.rank_formula(L.degree, g1, g2)
-        direct = cohomology.h_twisted(bundles.chain_dual(cb), curves.MarkedPoint.X1, -1).h1
+        direct = cohomology.h_twisted(bundles.chain_dual(cb), curves.X1, -1).h1
         res.instances += 1
         if not (rf == direct and rf.denominator == 1 and rf >= 0):
             res.fail({"bundle": str(L), "rank_formula": str(rf), "direct_h1": direct})
@@ -703,16 +714,16 @@ def suite_rank2_direct(max_ab: int = 3, max_l: int = 2, max_d: int = 4) -> Suite
             if not convexity.is_weakly_convex_on(split):
                 continue
             g1 = sectors.SectorAction(
-                tuple(bundles.age_at(L, curves.MarkedPoint.X1) for L in (L1, L2))
+                tuple(bundles.age_at(L, curves.X1) for L in (L1, L2))
             )
             g2 = sectors.SectorAction(
-                tuple(bundles.age_at(L, curves.MarkedPoint.X2) for L in (L1, L2))
+                tuple(bundles.age_at(L, curves.X2) for L in (L1, L2))
             )
             rf = sectors.rank_formula(L1.degree + L2.degree, g1, g2)
             direct = sum(
                 cohomology.h_twisted(
                     bundles.chain_dual(bundles.ChainBundle(chain, (L,))),
-                    curves.MarkedPoint.X1,
+                    curves.X1,
                     -1,
                 ).h1
                 for L in (L1, L2)
@@ -861,8 +872,8 @@ def suite_isotropy_oracle(max_cd: int = 12) -> SuiteResult:
             counts = oracles.brute_force_isotropy_counts(comp)
             res.instances += 1
             ok = (
-                counts["x1"] == c == curves.isotropy_order(comp, curves.MarkedPoint.X1)
-                and counts["x2"] == d == curves.isotropy_order(comp, curves.MarkedPoint.X2)
+                counts["x1"] == c == curves.isotropy_order(comp, curves.X1)
+                and counts["x2"] == d == curves.isotropy_order(comp, curves.X2)
                 and counts["generic"] == 1 == curves.isotropy_order(comp)
             )
             if not ok:
@@ -879,7 +890,7 @@ def suite_age_oracle(max_ab: int = 4, max_l: int = 4, max_d: int = 6) -> SuiteRe
     """Closed-form ages against the generator-hunting brute force."""
     res = SuiteResult("age-oracle")
     for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
-        for pt in (curves.MarkedPoint.X1, curves.MarkedPoint.X2):
+        for pt in (curves.X1, curves.X2):
             res.instances += 1
             fast = bundles.age_at(L, pt)
             slow = oracles.brute_force_age(L, pt)

@@ -39,6 +39,19 @@ def random_bundles(n, seed=11, max_ab=4, max_l=4, max_d=12):
     return out
 
 
+@pytest.mark.parametrize("field, args", [("d", (0, 0, 2.5)), ("k1", (True, 0, 0)), ("k2", (0, F(1), 0)), ("d", (0, 0, False))])
+def test_bundle_data_must_be_ints(field, args):
+    # a float degree was accepted, and h0_component then returned 1.0
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        EqLineBundle(P12, *args)
+
+
+def test_bundle_characters_are_reduced():
+    comp = TwistedComponent(1, 1, 2, 3)
+    L = EqLineBundle(comp, -1, 7, 4)
+    assert (L.k1, L.k2, L.d) == (1, 1, 4) and L == EqLineBundle(comp, 1, 1, 4)
+
+
 def test_tensor_examples():
     assert tensor(EqLineBundle(P1, 0, 0, 1), EqLineBundle(P1, 0, 0, 2)) == EqLineBundle(P1, 0, 0, 3)
     L = EqLineBundle(P2312, 1, 0, P2312.a)

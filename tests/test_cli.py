@@ -396,6 +396,27 @@ def test_integral_floats_are_schema_violations(tmp_path, capsys, doc, message):
     assert err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"chain": [{"a": True, "b": 2}], "bundle": [[{"d": 1}]]},
+            "schema violation at /chain/0: {'a': True, 'b': 2} is not valid under any of the given schemas",
+        ),
+        (
+            {"chain": [{"a": 1, "b": 2}], "bundle": [[{"d": 2.5}]]},
+            "schema violation at /bundle/0/0/d: 2.5 is not of type 'integer'",
+        ),
+    ],
+    ids=["bool-presentation", "fractional-degree"],
+)
+def test_non_integer_data_are_schema_violations(tmp_path, capsys, doc, message):
+    # the dataclasses reject these too, but a document never reaches them
+    code, out, err = run_cli(capsys, "--json", "cohomology", write_doc(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err == f"input error: {message}\n"
+
+
 def _fresh_process(argv, env):
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(env, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))

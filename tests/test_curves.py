@@ -1,4 +1,5 @@
 """Twisted components, presentations, chains, and the isotropy oracle."""
+import pickle
 from fractions import Fraction as F
 from math import gcd
 
@@ -13,6 +14,7 @@ from orbicurve.curves import (
     present,
 )
 from orbicurve.oracles import brute_force_isotropy_counts
+from orbicurve.suites import component_family
 
 
 def test_present_examples():
@@ -59,6 +61,48 @@ def test_component_invariant_violations():
         TwistedComponent(2, 1, 1, 2)
     with pytest.raises(ValueError, match="positive"):
         TwistedComponent(0, 1)
+
+
+@pytest.mark.parametrize("field, args", [("a", (True, 2)), ("b", (1, 2.0)), ("l1", (1, 1, F(1))), ("l2", (1, 1, 1, "1"))])
+def test_component_data_must_be_ints(field, args):
+    # a bool is an int to isinstance, and printed P(True,2) equalled P(1,2)
+    with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+        TwistedComponent(*args)
+
+
+def test_stored_invariants_solve_their_congruences():
+    for a, b, l1, l2 in component_family(6, 6):
+        comp = TwistedComponent(a, b, l1, l2)
+        c, d, u = a * l1 * l2, b * l1 * l2, a * l1 - b * l2
+        assert (comp.c, comp.d) == (c, d)
+        inv1, inv2 = comp.chart_inverses
+        assert 0 <= inv1 < c and (u * inv1 - 1) % c == 0
+        assert 0 <= inv2 < d and (-u * inv2 - 1) % d == 0
+        assert 0 <= comp.h0_unit < b * l2 and (a * l1 * comp.h0_unit - 1) % (b * l2) == 0
+        assert 0 <= comp.h1_unit < a * l1 and (b * l2 * comp.h1_unit - 1) % (a * l1) == 0
+
+
+def test_component_equality_and_hash_are_those_of_the_data():
+    family = component_family(6, 6)
+    built = [TwistedComponent(*abll) for abll in family]
+    again = [TwistedComponent(*abll) for abll in family]
+    for x, y in zip(built, again):
+        assert x is not y and x == y and hash(x) == hash(y) == hash((x.a, x.b, x.l1, x.l2))
+    assert len(set(built)) == len(family)
+    for i, x in enumerate(built):
+        assert all(x != y for y in built[i + 1:])
+    assert built[0] != tuple(family[0])
+
+
+def test_component_pickle_keeps_equality_and_hash():
+    # the process pool pickles components
+    for abll in component_family(6, 6):
+        comp = TwistedComponent(*abll)
+        back = pickle.loads(pickle.dumps(comp))
+        assert back == comp and hash(back) == hash(comp) and str(back) == str(comp)
+        assert (back.c, back.d, back.chart_inverses, back.h0_unit, back.h1_unit) == (
+            comp.c, comp.d, comp.chart_inverses, comp.h0_unit, comp.h1_unit
+        )
 
 
 def test_brute_force_isotropy_oracle_small():

@@ -6,7 +6,9 @@ arithmetic, so it imports no complex floating-point math.  The oracles that
 the suites replay against the fast path stay independent of it: `oracles`
 names none of the fast path's kernels, and only `suites` imports `oracles`.
 `suites` writes its bundle grid once: only `_bundle_grid` and the replays'
-`_api_chain` construct an `EqLineBundle`.  The operators of `series` are
+`_api_chain` construct an `EqLineBundle`.  A component computes its modular
+inverses once, when it is built, so `bundles` and `cohomology` take no
+three-argument `pow`.  The operators of `series` are
 compared on their stored cells: no module reads the dense expansion
 `LOperator.matrix_at`, which only tests use.
 """
@@ -104,6 +106,18 @@ def test_suites_build_bundles_only_in_the_grid_and_the_replays():
     path = Path(orbicurve.__file__).parent / "suites.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _scopes_naming(tree, "EqLineBundle") == {"_bundle_grid", "_api_chain"}
+
+
+@pytest.mark.parametrize("name", ["bundles.py", "cohomology.py"])
+def test_counts_take_no_modular_inverse(name):
+    path = Path(orbicurve.__file__).parent / name
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow"
+        and len(node.args) == 3
+    ]
+    assert calls == [], f"{name}: three-argument pow at lines {calls}"
 
 
 def test_no_module_reads_the_dense_operator_expansion():

@@ -281,15 +281,30 @@ def _assignments(tabs, need=None):
             yield (t,)
 
 
+def _reference_descent(concave: bool, tabs) -> list:
+    """(ordinals, kept values) of every balanced bundle of a chain, listed in
+    lexicographic order, so that the r-th entry is rank r.
+
+    Folds `chain_step` over each bundle on its own: L(-x2) for h1 and, on the
+    concavity side, dual(L)(-x1) for h0."""
+    step = cohomology.chain_step
+    out = []
+    for idx in _assignments(tabs):
+        conv = dual = cohomology.CHAIN_START
+        for k, (tab, t) in enumerate(zip(tabs, idx)):
+            conv = step(conv, (tab.tw2 if k == len(idx) - 1 else tab.plain)[t])
+            dual = step(dual, (tab.dtw1 if k == 0 else tab.dualx)[t])
+        out.append((idx, (conv[1], dual[0]) if concave else (conv[1],)))
+    return out
+
+
 def _reference_sweep(concave: bool, max_ab: int, max_l: int, max_d: int, max_len: int):
     """(instances, failures, first counterexample, details, replays) by enumeration.
 
-    Folds `chain_step` over each bundle on its own: L(-x2) for h1 and, on the
-    concavity side, dual(L)(-x1) for h0.  Replays are listed in order as the
-    arguments of the sweep's `_api_check_*` call.
+    Replays are listed in order as the arguments of the sweep's `_api_check_*`
+    call.
     """
     comps = suites.component_family(max_ab, max_l)
-    step = cohomology.chain_step
     instances = failures = rank2_failures = 0
     first_cx = None
     details = Counter(sampled=0, rank2_pairs=0)
@@ -300,12 +315,7 @@ def _reference_sweep(concave: bool, max_ab: int, max_l: int, max_d: int, max_len
             tabs = [suites._comp_tables(comps[i], -max_d if concave else 0, max_d) for i in chain]
             chain_comps = [list(comps[i]) for i in chain]
             counts = Counter()
-            for idx in _assignments(tabs):
-                conv = dual = cohomology.CHAIN_START
-                for k, (tab, t) in enumerate(zip(tabs, idx)):
-                    conv = step(conv, (tab.tw2 if k == len(idx) - 1 else tab.plain)[t])
-                    dual = step(dual, (tab.dtw1 if k == 0 else tab.dualx)[t])
-                values = (conv[1], dual[0]) if concave else (conv[1],)
+            for idx, values in _reference_descent(concave, tabs):
                 pieces = [list(tab.bnds[t]) for tab, t in zip(tabs, idx)]
                 counts[values] += 1
                 numbered += 1
@@ -359,6 +369,7 @@ SMALL_GRIDS = [
     dict(max_ab=2, max_l=2, max_d=2, max_len=3),
     dict(max_ab=3, max_l=3, max_d=1, max_len=3),
     dict(max_ab=2, max_l=1, max_d=1, max_len=4),
+    dict(max_ab=3, max_l=2, max_d=2, max_len=2),
 ]
 
 
@@ -386,6 +397,56 @@ def test_counting_sweep_finds_the_first_counterexample(monkeypatch, fresh_tables
     got = _counted_sweep(monkeypatch, concave, grid)
     assert expected[1] > 0 and expected[2] is not None
     assert got[:4] == expected[:4] and got[4] == expected[4]
+
+
+def _h0_fault(ends):
+    """The log-canonical suite's piece fault: h0 one too large on components
+    with a = 3 and one too small on those with b = 3."""
+    return lambda L: (lambda e: (e[0] + (L.comp.a == 3) - (L.comp.b == 3), *e[1:]))(ends(L))
+
+
+@pytest.mark.parametrize("fault", [None, _h0_fault], ids=["no-fault", "h0-fault"])
+@pytest.mark.parametrize("grid", SMALL_GRIDS, ids=lambda g: "-".join(map(str, g.values())))
+@pytest.mark.parametrize("concave", [False, True], ids=["convexity", "concavity"])
+def test_descent_matches_an_unranker_and_a_fold(monkeypatch, fresh_tables, concave, grid, fault):
+    if fault:
+        monkeypatch.setattr(cohomology, "piece_ends", fault(cohomology.piece_ends))
+    folds = (suites._CONVEX_SIDE, suites._DUAL_SIDE) if concave else (suites._CONVEX_SIDE,)
+    comps = suites.component_family(grid["max_ab"], grid["max_l"])
+    for chain in suites.iter_chains(comps, grid["max_len"]):
+        tabs = [suites._comp_tables(comps[i], -grid["max_d"] if concave else 0, grid["max_d"]) for i in chain]
+        n = len(tabs)
+        descend = suites._descent(tabs, [suites._roles(folds, k == 0, k == n - 1) for k in range(n)])
+        expected = _reference_descent(concave, tabs)
+        assert [descend(r) for r in range(len(expected))] == expected, chain
+    if fault:
+        # the sweep descends to its replays and first counterexample (with no
+        # fault, test_counting_sweep_matches_enumeration compares the sweep);
+        # the fault reaches only the dual side's h0, on components with a or b = 3
+        for sample_every in (199, 7):
+            monkeypatch.setattr(suites, "SAMPLE_EVERY", sample_every)
+            expected = _reference_sweep(concave, **grid)
+            assert _counted_sweep(monkeypatch, concave, grid) == expected
+            assert (expected[1] > 0) == (concave and grid["max_ab"] >= 3)
+
+
+def test_sweeps_build_only_the_tables_they_read(fresh_tables):
+    def built(tab) -> set:
+        # object.__getattribute__ reads a slot without the build on a miss
+        names = set()
+        for name in ("plain", "tw2", "dualx", "dtw1", "need", "by_age1"):
+            try:
+                object.__getattribute__(tab, name)
+            except AttributeError:
+                continue
+            names.add(name)
+        return names
+
+    family = suites.component_family(3, 2)
+    suites.suite_weak_convexity(max_ab=3, max_l=2, max_d=2, max_len=3, workers=1)
+    assert set.union(*(built(suites._comp_tables(c, 0, 2)) for c in family)) == {"plain", "tw2", "need", "by_age1"}
+    suites.suite_log_canonical(max_ab=3, max_l=2, max_len=3, workers=1)
+    assert all(built(suites._comp_tables(c, 0, 0)) == {"plain", "dtw1"} for c in family)
 
 
 def test_no_state_survives_between_suite_calls(monkeypatch, fresh_tables):
@@ -478,14 +539,8 @@ def test_log_canonical_counts_match_the_chain_walk(monkeypatch, fresh_tables, gr
 
 @pytest.mark.parametrize("sample_every", [199, 7])
 def test_log_canonical_counts_find_the_first_counterexample(monkeypatch, fresh_tables, sample_every):
-    # a fault in the per-piece data that a later piece can undo: h0 one too
-    # large on components with a = 3 and one too small on those with b = 3
-    ends = cohomology.piece_ends
-    monkeypatch.setattr(
-        cohomology,
-        "piece_ends",
-        lambda L: (lambda e: (e[0] + (L.comp.a == 3) - (L.comp.b == 3), *e[1:]))(ends(L)),
-    )
+    # a fault in the per-piece data that a later piece can undo
+    monkeypatch.setattr(cohomology, "piece_ends", _h0_fault(cohomology.piece_ends))
     monkeypatch.setattr(suites, "SAMPLE_EVERY", sample_every)
     grid = dict(max_ab=3, max_l=3, max_len=4)
     expected = _reference_log_canonical(**grid)
