@@ -37,7 +37,6 @@ from .convexity import (
 from .sectors import SectorAction, age, age_sum_check, inverse_sector, rank_formula, sign_cycle, sign_invariant
 from .wps import (
     WPSModel,
-    enumerate_sectors,
     integrate,
     pairing_gram,
     verify_delta_iso_dims,

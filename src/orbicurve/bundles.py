@@ -80,17 +80,9 @@ def dual(L: EqLineBundle) -> EqLineBundle:
     return EqLineBundle(L.comp, -L.k1, -L.k2, -L.d)
 
 
-def point_bundle(comp: TwistedComponent, pt: MarkedPoint) -> EqLineBundle:
-    """O(x1) is the divisor class of the coordinate section y, O(x2) that of x."""
-    if pt is X1:
-        return EqLineBundle(comp, 0, 1, comp.b)
-    if pt is X2:
-        return EqLineBundle(comp, 1, 0, comp.a)
-    raise ValueError(f"unknown marked point {pt!r}")
-
-
 def twist_marked(L: EqLineBundle, pt: MarkedPoint, sign: int) -> EqLineBundle:
-    """L(sign * pt): L tensored with the point bundle of `pt` or with its dual."""
+    """L(sign * pt): L tensored with O(pt) or with its dual, where O(x1) is the
+    divisor class of the coordinate section y and O(x2) that of x."""
     if sign not in (1, -1):
         raise ValueError("twist sign must be +1 or -1")
     if pt is X1:

@@ -256,7 +256,7 @@ def parse_wps(doc: dict | None) -> wps.WPSModel:
         raise InputError(str(exc)) from exc
 
 
-def parse_table(doc: dict, dim: int | None = None) -> series.InvariantTable:
+def parse_table(doc: dict, dim: int) -> series.InvariantTable:
     if "table" not in doc:
         raise InputError("document has no 'table'")
     spec = doc["table"]
@@ -269,10 +269,7 @@ def parse_table(doc: dict, dim: int | None = None) -> series.InvariantTable:
         entries.append(
             series.TableEntry(beta, e["psi_power"], e["row"], e["col"], _rational(e["value"]), sector_pair)
         )
-    table_dim = spec.get("dim", dim)
-    if table_dim is None:
-        table_dim = 1 + max((max(e.row, e.col) for e in entries), default=-1)
-    return series.InvariantTable(table_dim, entries)
+    return series.InvariantTable(spec.get("dim", dim), entries)
 
 
 def serialize_document(chain: curves.CurveChain, split: bundles.SplitBundle | None = None) -> dict:
@@ -372,7 +369,7 @@ def cmd_wps(args, doc: dict) -> dict:
         model = parse_wps(doc)
     if args.wps_command == "sectors":
         out = []
-        for s in wps.enumerate_sectors(model):
+        for s in model.sectors:
             out.append(
                 {
                     "f": fmt(s.f),
@@ -384,14 +381,12 @@ def cmd_wps(args, doc: dict) -> dict:
             )
         return {"model": str(model), "sectors": out}
     if args.wps_command == "pairing":
-        secs = wps.enumerate_sectors(model)
-        labels = [f"H^{p}@{f}" for f, p in wps.state_basis(secs)]
-        matrix = [[fmt(x) for x in row] for row in wps.pairing_gram(model, "cr", secs)]
+        labels = [f"H^{p}@{f}" for f, p in wps.state_basis(model)]
+        matrix = [[fmt(x) for x in row] for row in wps.pairing_gram(model, "cr")]
         return {"model": str(model), "basis": labels, "cr_pairing": matrix}
     # verify
-    secs = wps.enumerate_sectors(model)
-    pairing = wps.verify_pairing_comparison(model, secs)
-    iso = wps.verify_delta_iso_dims(model, secs)
+    pairing = wps.verify_pairing_comparison(model)
+    iso = wps.verify_delta_iso_dims(model)
     return {
         "model": str(model),
         "pairing_checks": pairing.checks,
@@ -592,10 +587,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc = _read_document(args)
         results = COMMANDS[args.command](args, doc)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (InputError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (cohomology.InternalInconsistency, convexity.CertificateError) as exc:

@@ -24,7 +24,6 @@ from .wps import (
     WPSModel,
     _no_euler,
     dual_euler_factor,
-    enumerate_sectors,
     euler_factor,
     integrate,
     sector_at,
@@ -235,9 +234,8 @@ def _pairing_sides_by_elements(m: WPSModel) -> tuple[list, list, list]:
     delta_tilde and the full pairings of basis StateElements, each of which
     walks the sectors on its own."""
     sign = (-1) ** m.rank
-    secs = enumerate_sectors(m)
-    basis = state_basis(secs)
-    by_f = {s.f: _sector_data(m, s) for s in secs}
+    basis = state_basis(m)
+    by_f = {s.f: _sector_data(m, s) for s in m.sectors}
     elems = [StateElement.basis(m, f, p, by_f) for f, p in basis]
     moved = [delta_tilde(m, g) for g in elems]
     lhs = [[ambient_pairing(m, a, b) for b in moved] for a in moved]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .foundation import Phase, PhasedScalar, as_rational
-from .wps import Sector, WPSModel, _partner, enumerate_sectors, euler_factor, pairing_blocks
+from .wps import WPSModel, _partner, euler_factor, pairing_blocks
 
 
 @dataclass(frozen=True)
@@ -222,31 +222,30 @@ class QSDReport:
         return self.first_violation is None
 
 
-def compact_type_basis(m: WPSModel, sectors: list[Sector] | None = None) -> list[tuple[Fraction, int]]:
+def compact_type_basis(m: WPSModel) -> list[tuple[Fraction, int]]:
     """(sector rotation, H-power) pairs giving a basis of the compact-type space.
 
     On the sector with rotation f the compact-type subspace has dimension
     dim_f + 1 - rank_fixed_f (the image of the Euler-factor multiplication),
     realized by the pushforwards of H^p for p up to that dimension minus one.
-    `sectors` defaults to `enumerate_sectors(m)`.
     """
     basis = []
-    for s in enumerate_sectors(m) if sectors is None else sectors:
+    for s in m.sectors:
         _, power = euler_factor(m, s)
         for p in range(s.dim + 1 - power):
             basis.append((s.f, p))
     return basis
 
 
-def _pairing_matrices(m: WPSModel, basis: list[tuple[Fraction, int]], sectors: list[Sector]):
+def _pairing_matrices(m: WPSModel, basis: list[tuple[Fraction, int]]):
     """The compact-type rows and columns of the ct and ambient Gram matrices,
-    from their blocks over `enumerate_sectors(m)`."""
+    from their blocks over `m.sectors`."""
     index = {fp: i for i, fp in enumerate(basis)}
     out = []
     for kind in ("ct", "ambient"):
         mat = [[Fraction(0)] * len(basis) for _ in basis]
-        for i, (value, top) in enumerate(pairing_blocks(m, kind, sectors)):
-            f, g = sectors[i].f, sectors[_partner(i, sectors)].f
+        for i, (value, top) in enumerate(pairing_blocks(m, kind)):
+            f, g = m.sectors[i].f, m.sectors[_partner(i, m)].f
             for p in range(top + 1):
                 if (f, p) in index and (g, top - p) in index:
                     mat[index[f, p]][index[g, top - p]] = value
@@ -254,17 +253,14 @@ def _pairing_matrices(m: WPSModel, basis: list[tuple[Fraction, int]], sectors: l
     return tuple(out)
 
 
-def transported_table(
-    table: InvariantTable, m: WPSModel, basis: list[tuple[Fraction, int]], sectors: list[Sector] | None = None
-) -> InvariantTable:
+def transported_table(table: InvariantTable, m: WPSModel, basis: list[tuple[Fraction, int]]) -> InvariantTable:
     """Rewrite dual-bundle two-pointed values as substack values.
 
     Each entry picks up the global phase e^{i*pi*(deg(det E) + rank)} of the
     invariant comparison and the inverse transport phases e^{-i*pi*age} of the
-    two insertions, expressing the result against the plain ambient basis;
-    `sectors` as in `compact_type_basis`.
+    two insertions, expressing the result against the plain ambient basis.
     """
-    ages = {s.f: s.age for s in (enumerate_sectors(m) if sectors is None else sectors)}
+    ages = {s.f: s.age for s in m.sectors}
     basis_ages = [ages[f] for f, _ in basis]
     out = InvariantTable(table.dim)
     for e in table.entries:
@@ -286,8 +282,7 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
     pairing, so any inconsistency in pairings, dual bases, phases or the
     Novikov substitution shows up as a coefficient mismatch.
     """
-    sectors = enumerate_sectors(m)
-    basis = compact_type_basis(m, sectors)
+    basis = compact_type_basis(m)
     dim = len(basis)
     report = QSDReport(m, dim)
     if table_e.dim != dim:
@@ -297,12 +292,12 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
         raise ValueError("inconsistent table: " + "; ".join(problems))
     if dim == 0:
         return report
-    p_ct, p_amb = _pairing_matrices(m, basis, sectors)
+    p_ct, p_amb = _pairing_matrices(m, basis)
     op_e = build_L(table_e, p_ct, truncation)
-    op_z = build_L(transported_table(table_e, m, basis, sectors), p_amb, truncation)
+    op_z = build_L(transported_table(table_e, m, basis), p_amb, truncation)
     op_e_sub = op_e.substitute_novikov()
     # delta is diagonal: it scales the columns of op_z and the rows of op_e_sub
-    ages = {s.f: s.age for s in sectors}
+    ages = {s.f: s.age for s in m.sectors}
     delta = [PhasedScalar.from_phase(Phase(ages[f])) for f, _ in basis]
     # Every cell of every key counts as a check; a cell neither operator
     # stores is zero on both sides, so only the stored cells are compared, in

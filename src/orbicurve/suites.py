@@ -792,8 +792,8 @@ def wps_model_family(max_n: int = 5, max_w: int = 4, max_r: int = 2, max_k: int 
                     yield wps.WPSModel(weights, degrees)
 
 
-def _api_check_pairing_comparison(m: wps.WPSModel, secs: list[wps.Sector]) -> None:
-    if wps.comparison_sides(m, secs) != oracles._pairing_sides_by_elements(m):
+def _api_check_pairing_comparison(m: wps.WPSModel) -> None:
+    if wps.comparison_sides(m) != oracles._pairing_sides_by_elements(m):
         raise cohomology.InternalInconsistency(
             f"pairing comparison of {m}: block Gram matrices disagree with the elementwise pairings"
         )
@@ -802,17 +802,16 @@ def _api_check_pairing_comparison(m: wps.WPSModel, secs: list[wps.Sector]) -> No
 def suite_pairing_comparison(max_n: int = 5, max_w: int = 4, max_r: int = 2, max_k: int = 4) -> SuiteResult:
     res = SuiteResult("pairing-comparison", details={"pairing_checks": 0, "sampled": 0})
     for model in wps_model_family(max_n, max_w, max_r, max_k):
-        secs = wps.enumerate_sectors(model)
         if res.instances % PAIRING_SAMPLE_EVERY == 0:
-            _api_check_pairing_comparison(model, secs)
+            _api_check_pairing_comparison(model)
             res.details["sampled"] += 1
-        pairing = wps.verify_pairing_comparison(model, secs)
-        iso = wps.verify_delta_iso_dims(model, secs)
+        pairing = wps.verify_pairing_comparison(model)
+        iso = wps.verify_delta_iso_dims(model)
         # sector-level age-sum identity, checked alongside
         ages_ok = all(
             sectors.age(s.fiber_weights) + sectors.age(sectors.inverse_sector(s.fiber_weights))
             == model.rank - s.rank_fixed
-            for s in secs
+            for s in model.sectors
         )
         res.instances += 1
         if not (pairing.ok and iso.ok and ages_ok):

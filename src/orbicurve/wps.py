@@ -21,16 +21,18 @@ Poincare pairing) and vol_f the top integral of sector f,
     <H^p on f, H^q on 1-f> = coeff_f * vol_f * [p + q = dim_f - power_f],
 
 and every other entry is zero.  `pairing_blocks` gives each sector's
-anti-diagonal (value, top index) from one walk over the sectors, and the
-verification routines and the compact-type pairing matrices of `series` read
-those blocks.  `pairing_gram` expands them to the Gram matrix on the basis
-(f, H^p), for printing and for the dense replay of `comparison_sides`.  The
-pairings of arbitrary classes, summed sector by sector, live in `oracles`;
+anti-diagonal (value, top index), and the verification routines and the
+compact-type pairing matrices of `series` read those blocks.  `pairing_gram`
+expands them to the Gram matrix on the basis (f, H^p), for printing and for
+the dense replay of `comparison_sides`.  The pairings of arbitrary classes,
+summed sector by sector, live in `oracles`;
 `suites.suite_pairing_comparison` replays the comparison through them on
 every `PAIRING_SAMPLE_EVERY`-th model.
 
-Sectors are walked in integers: the rotations are k/lcm(weights), and on
-f = j/n a weight w is fixed when n | j*w, a degree k acts by ((j*k) mod n)/n.
+A model walks its sectors once, on the first read of `WPSModel.sectors`,
+and keeps the tuple; every routine here and in `series` reads it from there.
+The walk is in integers: the rotations are k/lcm(weights), and on f = j/n a
+weight w is fixed when n | j*w, a degree k acts by ((j*k) mod n)/n.
 
 The transport delta multiplies a class supported on the sector with rotation
 f by the exact phase e^{i*pi*age_f} and reinterprets it as an ambient class;
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
@@ -69,6 +72,14 @@ class WPSModel:
     @property
     def rank(self) -> int:
         return len(self.bundle_degrees)
+
+    @cached_property
+    def sectors(self) -> tuple["Sector", ...]:
+        """The twisted sectors in increasing rotation from 0, walked on first
+        read and kept on the model (equality, hash and repr read only the fields)."""
+        N = lcm(*self.weights)
+        rotations = sorted({k * (N // w) for w in self.weights for k in range(w)})
+        return tuple(sector_at(self, Fraction(k, N)) for k in rotations)
 
     def __str__(self) -> str:
         w = ",".join(map(str, self.weights))
@@ -103,12 +114,6 @@ def sector_at(m: WPSModel, f: Fraction) -> Sector:
         raise ValueError(f"rotation {f} fixes no coordinate of {m}")
     fibers = SectorAction(tuple(Fraction((j * k) % n, n) for k in m.bundle_degrees))
     return Sector(f, fixed, fibers)
-
-
-def enumerate_sectors(m: WPSModel) -> list[Sector]:
-    N = lcm(*m.weights)
-    rotations = sorted({k * (N // w) for w in m.weights for k in range(w)})
-    return [sector_at(m, Fraction(k, N)) for k in rotations]
 
 
 def euler_factor(m: WPSModel, s: Sector) -> tuple[int, int]:
@@ -154,83 +159,78 @@ class PairingComparisonReport:
         return not self.failures
 
 
-def state_basis(sectors: list[Sector]) -> list[tuple[Fraction, int]]:
+def state_basis(m: WPSModel) -> list[tuple[Fraction, int]]:
     """The spanning set (f, p) of sector monomials H^p, in sector order."""
-    return [(s.f, p) for s in sectors for p in range(s.dim + 1)]
+    return [(s.f, p) for s in m.sectors for p in range(s.dim + 1)]
 
 
-def _offsets(sectors: list[Sector]) -> list[int]:
+def _offsets(m: WPSModel) -> list[int]:
     """Index in `state_basis` of each sector's H^0, then the size of the basis."""
-    return [0, *accumulate(s.dim + 1 for s in sectors)]
+    return [0, *accumulate(s.dim + 1 for s in m.sectors)]
 
 
-def _partner(i: int, sectors: list[Sector]) -> int:
-    """Index of the sector 1-f of sector i.  `enumerate_sectors` lists the
+def _partner(i: int, m: WPSModel) -> int:
+    """Index of the sector 1-f of sector i.  `WPSModel.sectors` lists the
     rotations in increasing order from 0, so the others pair off from both ends."""
-    return -i % len(sectors)
+    return -i % len(m.sectors)
 
 
-def pairing_blocks(m: WPSModel, kind: str, sectors: list[Sector] | None = None) -> list[tuple[Fraction, int]]:
+def pairing_blocks(m: WPSModel, kind: str) -> list[tuple[Fraction, int]]:
     """(value, top) for each sector f of the "cr", "ambient" or "ct" pairing:
-    <H^p on f, H^q on 1-f> = value * [p + q = top], with top = dim_f - power_f.
-
-    `sectors` defaults to `enumerate_sectors(m)`."""
+    <H^p on f, H^q on 1-f> = value * [p + q = top], with top = dim_f - power_f."""
     euler = {"cr": _no_euler, "ambient": euler_factor, "ct": dual_euler_factor}[kind]
-    sectors = enumerate_sectors(m) if sectors is None else sectors
     blocks = []
-    for s in sectors:
+    for s in m.sectors:
         coeff, power = euler(m, s)
         blocks.append((coeff * integrate(m, s, s.dim), s.dim - power))
     return blocks
 
 
-def pairing_gram(m: WPSModel, kind: str, sectors: list[Sector] | None = None) -> list[list[Fraction]]:
+def pairing_gram(m: WPSModel, kind: str) -> list[list[Fraction]]:
     """Gram matrix of the "cr", "ambient" or "ct" pairing on `state_basis`:
-    `pairing_blocks` expanded; `sectors` as there."""
-    sectors = enumerate_sectors(m) if sectors is None else sectors
-    start = _offsets(sectors)
+    `pairing_blocks` expanded."""
+    start = _offsets(m)
     gram = [[Fraction(0)] * start[-1] for _ in range(start[-1])]
-    for i, (value, top) in enumerate(pairing_blocks(m, kind, sectors)):
-        r, c = start[i], start[_partner(i, sectors)]
+    for i, (value, top) in enumerate(pairing_blocks(m, kind)):
+        r, c = start[i], start[_partner(i, m)]
         for p in range(top + 1):
             gram[r + p][c + top - p] = value
     return gram
 
 
-def comparison_sides(m: WPSModel, sectors: list[Sector] | None = None) -> tuple[list, list, list]:
+def comparison_sides(m: WPSModel) -> tuple[list, list, list]:
     """(`state_basis`, <delta(g1), delta(g2)>_ambient, (-1)^rank <g1, g2>_ct),
-    the two matrices as PhasedScalars; `sectors` as in `pairing_blocks`."""
-    sectors = enumerate_sectors(m) if sectors is None else sectors
-    ages = [s.age for s in sectors for _ in range(s.dim + 1)]
+    the two matrices as PhasedScalars."""
+    ages = [s.age for s in m.sectors for _ in range(s.dim + 1)]
     sign = (-1) ** m.rank
     lhs = [
         [PhasedScalar({a + b: x}) if x else PhasedScalar() for b, x in zip(ages, row)]
-        for a, row in zip(ages, pairing_gram(m, "ambient", sectors))
+        for a, row in zip(ages, pairing_gram(m, "ambient"))
     ]
     rhs = [
         [PhasedScalar({0: sign * x}) if x else PhasedScalar() for x in row]
-        for row in pairing_gram(m, "ct", sectors)
+        for row in pairing_gram(m, "ct")
     ]
-    return state_basis(sectors), lhs, rhs
+    return state_basis(m), lhs, rhs
 
 
-def verify_pairing_comparison(m: WPSModel, sectors: list[Sector] | None = None) -> PairingComparisonReport:
+def verify_pairing_comparison(m: WPSModel) -> PairingComparisonReport:
     """Check <delta(g1), delta(g2)>_ambient = (-1)^rank <g1, g2>_compact-type
-    over the full spanning set of sector monomials; `sectors` as in `pairing_blocks`.
+    over the full spanning set of sector monomials.
 
     Off the anti-diagonals of the blocks (f, 1-f) both sides are zero: those
     entries count in `checks` but are not compared.  Each side holds one value
     along its anti-diagonal, so a block compares its values once, and the
     failures list the entries of `comparison_sides` that differ, in row-major order.
     """
-    sectors = enumerate_sectors(m) if sectors is None else sectors
-    report = PairingComparisonReport(m, _offsets(sectors)[-1] ** 2)
+    sectors = m.sectors
+    report = PairingComparisonReport(m, _offsets(m)[-1] ** 2)
     sign = (-1) ** m.rank
     zero = PhasedScalar()
-    ambient, ct = pairing_blocks(m, "ambient", sectors), pairing_blocks(m, "ct", sectors)
+    ambient, ct = pairing_blocks(m, "ambient"), pairing_blocks(m, "ct")
     ages = [s.age for s in sectors]
     for i, s in enumerate(sectors):
-        j = _partner(i, sectors)
+        j = _partner(i, m)
         g = sectors[j]
         (x, top_x), (y, top_y) = ambient[i], ct[i]
         lhs = PhasedScalar({ages[i] + ages[j]: x}) if x else zero
@@ -278,11 +278,10 @@ def _euler_mult_matrix(m: WPSModel, s: Sector) -> list[list[Fraction]]:
     return mat
 
 
-def verify_delta_iso_dims(m: WPSModel, sectors: list[Sector] | None = None) -> DeltaIsoReport:
+def verify_delta_iso_dims(m: WPSModel) -> DeltaIsoReport:
     """Per sector: image dimension of the Euler-factor multiplication equals
     the rank of the ambient pairing block, and the pairing kernel is stable
-    under that multiplication (well-definedness of the quotient model);
-    `sectors` as in `pairing_blocks`.
+    under that multiplication (well-definedness of the quotient model).
 
     The block of f against 1-f (square: both sectors fix the same
     coordinates) has at most one nonzero entry in each row and column.  So its
@@ -291,8 +290,7 @@ def verify_delta_iso_dims(m: WPSModel, sectors: list[Sector] | None = None) -> D
     multiplication sends each of those into their span.
     """
     report = DeltaIsoReport(m)
-    sectors = enumerate_sectors(m) if sectors is None else sectors
-    for s, (value, top) in zip(sectors, pairing_blocks(m, "ambient", sectors)):
+    for s, (value, top) in zip(m.sectors, pairing_blocks(m, "ambient")):
         mult = _euler_mult_matrix(m, s)
         n = s.dim + 1
         paired = [bool(value) and 0 <= top - p < n for p in range(n)]

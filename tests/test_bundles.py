@@ -13,8 +13,8 @@ from orbicurve.bundles import (
     chain_dual,
     chain_twist,
     dual,
-    point_bundle,
     tensor,
+    trivial_bundle,
     twist_marked,
 )
 from orbicurve.curves import CurveChain, MarkedPoint, TwistedComponent, present
@@ -101,8 +101,8 @@ def test_twist_degree_shift():
 def test_point_bundle_age_is_reciprocal_order():
     for a, b, l1, l2 in component_family(4, 4):
         comp = TwistedComponent(a, b, l1, l2)
-        assert age_at(point_bundle(comp, MarkedPoint.X2), MarkedPoint.X2) == F(1, comp.d) % 1
-        assert age_at(point_bundle(comp, MarkedPoint.X1), MarkedPoint.X1) == F(1, comp.c) % 1
+        for pt, order in ((MarkedPoint.X2, comp.d), (MarkedPoint.X1, comp.c)):
+            assert age_at(twist_marked(trivial_bundle(comp), pt, 1), pt) == F(1, order) % 1
 
 
 def test_age_examples():
@@ -134,10 +134,7 @@ def test_canonical_bundle():
     assert canonical_bundle(present(2, 3)) == EqLineBundle(present(2, 3), 0, 0, -5)
     for a, b, l1, l2 in component_family(4, 4):
         comp = TwistedComponent(a, b, l1, l2)
-        log_can = tensor(
-            tensor(canonical_bundle(comp), point_bundle(comp, MarkedPoint.X1)),
-            point_bundle(comp, MarkedPoint.X2),
-        )
+        log_can = twist_marked(twist_marked(canonical_bundle(comp), MarkedPoint.X1, 1), MarkedPoint.X2, 1)
         assert log_can == EqLineBundle(comp, 0, 0, 0)
 
 
@@ -192,11 +189,12 @@ def _line_bundles(comp, d_range):
 
 
 def test_twist_marked_is_the_tensor_with_the_point_bundle():
+    # O(x1) = O^{0,1}(b) is the divisor class of the coordinate section y, O(x2) = O^{1,0}(a) that of x
     for a, b, l1, l2 in component_family(3, 3):
         comp = TwistedComponent(a, b, l1, l2)
+        points = {MarkedPoint.X1: EqLineBundle(comp, 0, 1, b), MarkedPoint.X2: EqLineBundle(comp, 1, 0, a)}
         for L in _line_bundles(comp, range(-2, 3)):
-            for pt in (MarkedPoint.X1, MarkedPoint.X2):
-                P = point_bundle(comp, pt)
+            for pt, P in points.items():
                 assert twist_marked(L, pt, 1) == tensor(L, P), (L, pt)
                 assert twist_marked(L, pt, -1) == tensor(L, dual(P)), (L, pt)
     with pytest.raises(ValueError, match="twist sign"):

@@ -18,7 +18,7 @@ from orbicurve.series import (
     verify_qsd_operator_identity,
 )
 from orbicurve.suites import qsd_model_family
-from orbicurve.wps import WPSModel, enumerate_sectors
+from orbicurve.wps import WPSModel
 
 
 def test_build_L_psi_power_signs():
@@ -128,7 +128,7 @@ def test_entrywise_inverse_of_both_pairings(m):
     basis = compact_type_basis(m)
     n = len(basis)
     identity = [[F(int(r == c)) for c in range(n)] for r in range(n)]
-    for pairing in series_mod._pairing_matrices(m, basis, enumerate_sectors(m)):
+    for pairing in series_mod._pairing_matrices(m, basis):
         inverse = [[F(0)] * n for _ in range(n)]
         for j, (i, x) in enumerate(series_mod._entrywise_inverse(pairing)):
             inverse[j][i] = x
@@ -178,7 +178,7 @@ def test_qsd_identity_detects_tampered_phase():
     table = random_invariant_table(m, 2, rng, n_classes=1, a_max=0)
     assert table.entries
     basis = compact_type_basis(m)
-    p_ct, p_amb = series_mod._pairing_matrices(m, basis, enumerate_sectors(m))
+    p_ct, p_amb = series_mod._pairing_matrices(m, basis)
     op_e = build_L(table, p_ct, 2)
     bad_table = transported_table(table, m, basis)
     bad_table.entries[0] = TableEntry(
@@ -232,13 +232,12 @@ def _suite_tables(count):
 
 def _dense_scan(table, m, truncation):
     """(checks, first_violation) of a dense row-major scan over `matrix_at`."""
-    sectors = enumerate_sectors(m)
-    basis = compact_type_basis(m, sectors)
+    basis = compact_type_basis(m)
     dim = len(basis)
-    p_ct, p_amb = series_mod._pairing_matrices(m, basis, sectors)
-    op_z = build_L(series_mod.transported_table(table, m, basis, sectors), p_amb, truncation)
+    p_ct, p_amb = series_mod._pairing_matrices(m, basis)
+    op_z = build_L(series_mod.transported_table(table, m, basis), p_amb, truncation)
     sub = build_L(table, p_ct, truncation).substitute_novikov()
-    ages = {s.f: s.age for s in sectors}
+    ages = {s.f: s.age for s in m.sectors}
     delta = [PhasedScalar.from_phase(Phase(ages[f])) for f, _ in basis]
     dense = {k: (op_z.matrix_at(*k), sub.matrix_at(*k)) for k in op_z.terms.keys() | sub.terms.keys()}
     keys = [k for k, mats in dense.items() if any(not x.is_zero() for mat in mats for row in mat for x in row)]
@@ -309,7 +308,7 @@ def test_sparse_comparison_matches_the_dense_scan(monkeypatch, fault):
         alone = beside = 0
         for m, table, n in cases:
             basis = compact_type_basis(m)
-            p_ct, _ = series_mod._pairing_matrices(m, basis, enumerate_sectors(m))
+            p_ct, _ = series_mod._pairing_matrices(m, basis)
             op = build_L(table, p_ct, n)
             for key, cells in op.terms.items():
                 if any(x.is_zero() for x in cells.values()):

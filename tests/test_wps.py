@@ -1,4 +1,5 @@
 """Weighted projective state spaces: sectors, integrals, pairings, delta transform."""
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -12,7 +13,6 @@ from orbicurve.sectors import age, inverse_sector
 from orbicurve.wps import (
     WPSModel,
     comparison_sides,
-    enumerate_sectors,
     integrate,
     pairing_gram,
     sector_at,
@@ -23,10 +23,10 @@ from orbicurve.wps import (
 
 
 def rotations(m):
-    return [s.f for s in enumerate_sectors(m)]
+    return [s.f for s in m.sectors]
 
 
-def test_enumerate_sectors_examples():
+def test_sectors_examples():
     assert rotations(WPSModel((1, 1))) == [F(0)]
     assert rotations(WPSModel((1, 1, 2, 2), (1,))) == [F(0), F(1, 2)]
     assert rotations(WPSModel((1, 2, 3))) == [F(0), F(1, 3), F(1, 2), F(2, 3)]
@@ -67,7 +67,7 @@ def test_cr_pairing_examples():
 
 def test_cr_pairing_symmetry():
     m = WPSModel((1, 2, 3), (2,))
-    basis = [(s.f, p) for s in enumerate_sectors(m) for p in range(s.dim + 1)]
+    basis = [(s.f, p) for s in m.sectors for p in range(s.dim + 1)]
     for f1, p1 in basis:
         for f2, p2 in basis:
             x = StateElement.basis(m, f1, p1)
@@ -77,7 +77,7 @@ def test_cr_pairing_symmetry():
 
 def test_sector_involution():
     for m in (WPSModel((1, 2, 3)), WPSModel((2, 3, 4), (1, 2))):
-        for s in enumerate_sectors(m):
+        for s in m.sectors:
             assert inverse_sector(inverse_sector(s.fiber_weights)) == s.fiber_weights
             partner = sector_at(m, (1 - s.f) % 1)
             assert partner.fixed_indices == s.fixed_indices
@@ -158,7 +158,7 @@ def test_pairing_gram_matches_elementwise_pairings():
     models = list(suites.wps_model_family(max_n=3))
     assert len(models) == 450
     for m in models:
-        basis = state_basis(enumerate_sectors(m))
+        basis = state_basis(m)
         elems = [StateElement.basis(m, f, p) for f, p in basis]
         for kind, pairing in pairings.items():
             expected = [[pairing(m, a, b) for b in elems] for a in elems]
@@ -231,11 +231,10 @@ def _dense_iso(m):
     the blocks cut out of the dense ambient Gram matrix.  The kernel of the
     transposed block B^T is stable under the multiplication M when adding the
     rows of B^T M to those of B^T keeps the rank."""
-    sectors = enumerate_sectors(m)
-    basis = state_basis(sectors)
-    gram = pairing_gram(m, "ambient", sectors)
+    basis = state_basis(m)
+    gram = pairing_gram(m, "ambient")
     out = []
-    for s in sectors:
+    for s in m.sectors:
         rows = [i for i, (f, _) in enumerate(basis) if f == s.f]
         cols = [j for j, (f, _) in enumerate(basis) if f == (1 - s.f) % 1]
         transposed = [[gram[i][j] for i in rows] for j in cols]
@@ -290,7 +289,7 @@ def test_block_walk_matches_the_dense_scan(monkeypatch, fault):
     for m in suites.wps_model_family(max_n=3):
         report = verify_pairing_comparison(m)
         assert report.failures == _dense_failures(m), str(m)
-        assert report.checks == len(state_basis(enumerate_sectors(m))) ** 2
+        assert report.checks == len(state_basis(m)) ** 2
         iso = verify_delta_iso_dims(m)
         assert [(r.f, r.image_dim, r.ambient_pairing_rank, r.kernel_stable) for r in iso.sectors] == _dense_iso(m)
         failing += not report.ok
@@ -314,8 +313,32 @@ def test_sector_walk_in_integers_matches_rationals():
     # rotations k/w of every weight, fixed coordinates by (f * w) in Z
     for m in suites.wps_model_family(max_n=3, max_w=6, max_r=2, max_k=5):
         rotations = sorted({F(k, w) for w in m.weights for k in range(w)})
-        sectors = enumerate_sectors(m)
-        assert [s.f for s in sectors] == rotations
-        for s in sectors:
+        assert [s.f for s in m.sectors] == rotations
+        for s in m.sectors:
             assert s.fixed_indices == tuple(i for i, w in enumerate(m.weights) if (s.f * w).denominator == 1)
             assert s.fiber_weights.weights == tuple((s.f * k) % 1 for k in m.bundle_degrees)
+
+
+def test_each_model_walks_its_sectors_once(monkeypatch):
+    table = series.random_invariant_table(WPSModel((1, 1, 2, 2), (1,)), 3, random.Random(0))
+    walked = []
+    orig = wps.sector_at
+    monkeypatch.setattr(wps, "sector_at", lambda m, f: walked.append(f) or orig(m, f))
+    m = WPSModel((1, 1, 2, 2), (1,))
+    assert verify_pairing_comparison(m).ok and verify_delta_iso_dims(m).ok
+    comparison_sides(m)
+    pairing_gram(m, "ct")
+    state_basis(m)
+    series.compact_type_basis(m)
+    assert series.verify_qsd_operator_identity(table, m, 3).ok
+    assert walked == [s.f for s in m.sectors] == [F(0), F(1, 2)]
+
+
+def test_cached_sectors_leave_equality_hash_and_pickling_alone():
+    for m in suites.wps_model_family(max_n=3):
+        fresh = WPSModel(m.weights, m.bundle_degrees)
+        assert isinstance(m.sectors, tuple)
+        assert "sectors" not in vars(fresh)
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and copy.sectors == m.sectors
