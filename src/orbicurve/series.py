@@ -25,7 +25,7 @@ operator stores is zero on both sides.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .foundation import Phase, PhasedScalar, as_rational
@@ -89,30 +89,29 @@ class TableEntry:
     sectors: tuple[Fraction, Fraction] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantTable:
-    """Two-pointed values <T_row psi^a, T_col>_beta against a declared basis."""
+    """Two-pointed values <T_row psi^a, T_col>_beta against a declared basis.
+
+    Checked once, when built: every entry's basis indices lie in range(dim)
+    and its descendant power is non-negative, or ValueError("inconsistent
+    table: ...") names each entry that is not.
+    """
 
     dim: int
-    entries: list[TableEntry] = field(default_factory=list)
+    entries: tuple[TableEntry, ...] = ()
 
-    def validate(self, basis_sectors: list[Fraction] | None = None) -> list[str]:
+    def __post_init__(self):
+        entries = tuple(self.entries)
         problems = []
-        if basis_sectors is not None:
-            basis_sectors = [g % 1 for g in basis_sectors]
-        for n, e in enumerate(self.entries):
-            in_range = 0 <= e.row < self.dim and 0 <= e.col < self.dim
-            if not in_range:
+        for n, e in enumerate(entries):
+            if not (0 <= e.row < self.dim and 0 <= e.col < self.dim):
                 problems.append(f"entry {n}: basis index out of range")
             if e.psi_power < 0:
                 problems.append(f"entry {n}: negative descendant power")
-            if in_range and basis_sectors is not None and e.sectors is not None:
-                g1, g2 = e.sectors
-                if (g1 % 1, g2 % 1) != (basis_sectors[e.row], basis_sectors[e.col]):
-                    problems.append(
-                        f"entry {n}: sector pair {e.sectors} does not match basis sectors"
-                    )
-        return problems
+        if problems:
+            raise ValueError("inconsistent table: " + "; ".join(problems))
+        object.__setattr__(self, "entries", entries)
 
 
 class LOperator:
@@ -186,9 +185,6 @@ def build_L(table: InvariantTable, pairing: list[list[Fraction]], truncation) ->
     dim = table.dim
     if len(pairing) != dim or any(len(r) != dim for r in pairing):
         raise ValueError("pairing matrix size does not match table dimension")
-    problems = table.validate()
-    if problems:
-        raise ValueError("invalid table: " + "; ".join(problems))
     p_inv = _entrywise_inverse(pairing)
     op = LOperator(dim, truncation)
     for e in table.entries:
@@ -262,15 +258,15 @@ def transported_table(table: InvariantTable, m: WPSModel, basis: list[tuple[Frac
     """
     ages = {s.f: s.age for s in m.sectors}
     basis_ages = [ages[f] for f, _ in basis]
-    out = InvariantTable(table.dim)
+    entries = []
     for e in table.entries:
         phase = Phase(e.beta.det + m.rank - basis_ages[e.row] - basis_ages[e.col])
         if isinstance(e.value, PhasedScalar):
             value = PhasedScalar.from_phase(phase) * e.value
         else:
             value = PhasedScalar.from_phase(phase, e.value)
-        out.entries.append(TableEntry(e.beta, e.psi_power, e.row, e.col, value, e.sectors))
-    return out
+        entries.append(TableEntry(e.beta, e.psi_power, e.row, e.col, value, e.sectors))
+    return InvariantTable(table.dim, entries)
 
 
 def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncation) -> QSDReport:
@@ -287,7 +283,11 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
     report = QSDReport(m, dim)
     if table_e.dim != dim:
         raise ValueError(f"table dimension {table_e.dim} != state dimension {dim}")
-    problems = table_e.validate([f for f, _ in basis])
+    problems = [
+        f"entry {n}: sector pair {e.sectors} does not match basis sectors"
+        for n, e in enumerate(table_e.entries)
+        if e.sectors is not None and (e.sectors[0] % 1, e.sectors[1] % 1) != (basis[e.row][0], basis[e.col][0])
+    ]
     if problems:
         raise ValueError("inconsistent table: " + "; ".join(problems))
     if dim == 0:
@@ -342,7 +342,7 @@ def random_invariant_table(
     density = 0.6
     basis = compact_type_basis(m)
     dim = len(basis)
-    table = InvariantTable(dim)
+    entries = []
     n_max = int(as_rational(truncation))
     betas = []
     for _ in range(n_classes):
@@ -358,7 +358,7 @@ def random_invariant_table(
                     value = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                     if value == 0:
                         continue
-                    table.entries.append(
+                    entries.append(
                         TableEntry(
                             beta,
                             a,
@@ -368,4 +368,4 @@ def random_invariant_table(
                             sectors=(basis[row][0], basis[col][0]),
                         )
                     )
-    return table
+    return InvariantTable(dim, entries)

@@ -31,9 +31,9 @@ The log-canonical sweep has one bundle per chain, and the states of its two
 folds over the whole family are few, so it counts chains by subtree instead
 of walking them: the chains and failing chains below a prefix of the DFS
 depend only on its last component, its two fold states and how many more
-components it may take.  Those counts are built bottom-up once, kept on the
-per-component tables beside the transitions, and descended to find the
-replayed chains and the first counterexample (`_log_canonical_chunk`).
+components it may take.  Those counts are built bottom-up once per call, in
+the calling process, and descended to find the replayed chains and the first
+counterexample; only the replays go to the pool (`suite_log_canonical`).
 
 The pairing comparison replays a sample of models through the elementwise
 pairings of `oracles`, and the age and isotropy suites compare the closed
@@ -248,19 +248,17 @@ class _CompTables:
     that the next piece must have, and `by_age1` groups the bundles by their
     age at x1.  Each of these six is built on its first read, so a sweep pays
     only for the tables it reads.  `moves` memoizes the sweep's transitions
-    out of this component (see `_moves`), `subtrees` the log-canonical sweep's
-    counts below the prefixes that end on it (see `_log_canonical_chunk`),
-    and `comp` is the component object that the replays build on.
+    out of this component (see `_moves`), and `comp` is the component object
+    that the replays build on.
     """
 
-    __slots__ = ("comp", "lines", "bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1", "moves", "subtrees")
+    __slots__ = ("comp", "lines", "bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1", "moves")
 
     def __init__(self, comp, d_lo: int, d_hi: int):
         self.comp = curves.TwistedComponent(*comp)
         self.lines = _bundle_grid(self.comp, range(d_lo, d_hi + 1))
         self.bnds = [(L.k1, L.k2, L.d) for L in self.lines]
         self.moves: dict[tuple, list] = {}
-        self.subtrees: dict[tuple, tuple[int, int]] = {}
 
     def __getattr__(self, name: str):
         """Build a lazy table on its first read: only an empty slot gets here."""
@@ -492,6 +490,8 @@ def suite_weak_convexity(
     Rank-1 bundles are counted exhaustively; rank-2 counts follow exactly
     by additivity of h1 over summands.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     res = _chain_suite(
         "thm-weak-convexity",
         _convexity_chunk,
@@ -532,6 +532,8 @@ def suite_weak_concavity(
     max_ab: int = 4, max_l: int = 4, max_d: int = 8, max_len: int = 3, workers: int | None = None
 ) -> SuiteResult:
     """Convexity <-> concavity: h0(dual(L)(-x1)) = h1(L(-x2)) for every summand."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     res = _chain_suite(
         "thm-weak-concavity",
         _concavity_chunk,
@@ -560,8 +562,18 @@ def _api_check_log_canonical(comps: tuple, expected: tuple) -> None:
 _LOG_CANONICAL = (1, 0, 0, 0)  # omega(x1+x2) trivial, and omega(x2) with no cohomology
 
 
-def _log_canonical_chunk(args) -> dict:
-    """Count the chains of a chunk, and those failing the certificate, by subtree.
+def _log_canonical_chunk(replays: list) -> dict:
+    """Replay one first component's sampled chains, given as (components,
+    expected values), through the certificate and the elimination oracle."""
+    for comps, expected in replays:
+        _api_check_log_canonical(comps, expected)
+    return {"sampled": len(replays)}
+
+
+def suite_log_canonical(
+    max_ab: int = 4, max_l: int = 4, max_len: int = 6, workers: int | None = None
+) -> SuiteResult:
+    """omega(x1+x2) is trivial, and omega(x2) has no cohomology, on every chain.
 
     A prefix of the chain DFS is a node (last component i, fold states of
     omega(x1+x2) and omega(x2)); with `k` more components allowed, the
@@ -569,37 +581,35 @@ def _log_canonical_chunk(args) -> dict:
     the subtrees of its children, one per j in `chain_adjacency[i]`, each
     stepping both states with the trivial piece on j.  Those few nodes repeat
     across the family, so the (chains, failing chains) of each subtree are
-    counted once, deepest first, and kept on the table of component i
-    (`_CompTables.subtrees`, keyed by family, states and k; clearing
-    `_comp_tables` drops them) for every chunk to share.  The first chunk
-    that finds its root's entry missing counts every chunk's subtrees, so a
-    process does the same work whichever chunks it is given.  The chunk's
-    tallies are its root's entry; the SAMPLE_EVERY-th, 2*SAMPLE_EVERY-th, ...
-    chain and the first failing one are found by descending the counts.
+    counted once per call, deepest first.  A first component's tallies are
+    its root's entry; its SAMPLE_EVERY-th, 2*SAMPLE_EVERY-th, ... chain and
+    the first failing chain are found by descending the counts, and only the
+    replays of those chains go to `_run_chunks`, one run per first component.
     """
-    max_ab, max_l, max_len, first = args
-    family = (max_ab, max_l)
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
+    tabs = [_comp_tables(c, 0, 0) for c in comps]
     step = cohomology.chain_step
     start = cohomology.CHAIN_START
-
-    def tab(i: int) -> _CompTables:
-        return _comp_tables(comps[i], 0, 0)
-
-    def root(i: int) -> tuple:
-        # Ordinal 0 of the d = 0 grid is the trivial bundle, its own dual, so
-        # its dtw1 role is omega(x2)'s first piece.
-        return i, (step(start, tab(i).plain[0]), step(start, tab(i).dtw1[0]))
-
-    def children(node: tuple, memo: dict) -> list:
-        """The one-piece extensions of a prefix, in ascending adjacency order."""
-        out = memo.get(node)
-        if out is None:
-            i, (log_can, omega_x2) = node
-            pieces = [(j, tab(j).plain[0]) for j in adjacency[i]]
-            out = memo[node] = [(j, (step(log_can, p), step(omega_x2, p))) for j, p in pieces]
-        return out
+    # Ordinal 0 of the d = 0 grid is the trivial bundle, its own dual, so its
+    # dtw1 role is omega(x2)'s first piece.
+    roots = [(i, (step(start, tab.plain[0]), step(start, tab.dtw1[0]))) for i, tab in enumerate(tabs)]
+    # the distinct prefixes by depth, a child's k one less than its parent's,
+    # and the one-piece extensions of each, in ascending adjacency order
+    top, levels, children = max_len - 1, [roots], {}
+    while len(levels) < max_len:
+        new: dict = {}
+        for node in levels[-1]:
+            if node not in children:
+                i, (log_can, omega_x2) = node
+                pieces = [(j, tabs[j].plain[0]) for j in adjacency[i]]
+                children[node] = [(j, (step(log_can, p), step(omega_x2, p))) for j, p in pieces]
+            new.update(dict.fromkeys(children[node]))
+        if not new:
+            break
+        levels.append(list(new))
 
     def values(states: tuple) -> tuple:
         """(h0, h1) of omega(x1+x2), then of omega(x2)."""
@@ -609,39 +619,24 @@ def _log_canonical_chunk(args) -> dict:
         """(chains, failing chains) of the prefix alone."""
         return 1, int(values(states) != _LOG_CANONICAL)
 
-    def entry(node: tuple, k: int):
-        return tab(node[0]).subtrees.get((family, node[1], k))
+    counts: dict = {}
+    for depth in reversed(range(len(levels))):
+        k = top - depth
+        for node in levels[depth]:
+            chains, failing = own(node[1])
+            for child in children[node] if k else ():
+                c, f = counts[child, k - 1]
+                chains, failing = chains + c, failing + f
+            counts[node, k] = (chains, failing)
 
-    top, head = max_len - 1, root(first)
-    if entry(head, top) is None:
-        # the prefixes with no entry yet, by depth; a child's k is one less
-        built: dict = {}
-        levels = [[node for node in map(root, range(len(comps))) if entry(node, top) is None]]
-        while len(levels) < max_len:
-            k = top - len(levels)
-            new = dict.fromkeys(c for node in levels[-1] for c in children(node, built) if entry(c, k) is None)
-            if not new:
-                break
-            levels.append(list(new))
-        for depth in reversed(range(len(levels))):
-            k = top - depth
-            for node in levels[depth]:
-                chains, failing = own(node[1])
-                for child in children(node, built) if k else ():
-                    c, f = entry(child, k - 1)
-                    chains, failing = chains + c, failing + f
-                tab(node[0]).subtrees[family, node[1], k] = (chains, failing)
-
-    seen: dict = {}  # apart from `built`, so the descents cost the same in every chunk
-
-    def descend(r: int, col: int) -> tuple[list, tuple]:
-        """Components and states of the r-th chain in pre-order, counting every
-        chain (col 0) or only the failing ones (col 1)."""
-        node, k, path = head, top, [first]
+    def descend(head: tuple, r: int, col: int) -> tuple[list, tuple]:
+        """Components and values of the r-th chain below `head` in pre-order,
+        counting every chain (col 0) or only the failing ones (col 1)."""
+        node, k, path = head, top, [head[0]]
         while r >= (here := own(node[1])[col]):
             r -= here
-            for child in children(node, seen):
-                c = entry(child, k - 1)[col]
+            for child in children[node]:
+                c = counts[child, k - 1][col]
                 if r < c:
                     break
                 r -= c
@@ -649,22 +644,24 @@ def _log_canonical_chunk(args) -> dict:
             path.append(node[0])
         return path, values(node[1])
 
-    instances, failures = entry(head, top)
-    tally = {"instances": instances, "failures": failures, "first": None, "sampled": 0}
-    if failures:
-        path, v = descend(0, 1)
-        tally["first"] = {"chain": [list(comps[i]) for i in path], "log_canonical": v[:2], "omega_x2": v[2:]}
-    for r in range(SAMPLE_EVERY - 1, instances, SAMPLE_EVERY):
-        path, v = descend(r, 0)
-        _api_check_log_canonical(tuple(tab(i).comp for i in path), v)
-        tally["sampled"] += 1
-    return tally
-
-
-def suite_log_canonical(
-    max_ab: int = 4, max_l: int = 4, max_len: int = 6, workers: int | None = None
-) -> SuiteResult:
-    return _chain_suite("log-canonical", _log_canonical_chunk, (max_ab, max_l, max_len), workers, ("sampled",))
+    res = SuiteResult("log-canonical")
+    runs = []
+    for head in roots:
+        instances, failures = counts[head, top]
+        res.instances += instances
+        res.failures += failures
+        if failures and res.first_counterexample is None:
+            path, v = descend(head, 0, 1)
+            res.first_counterexample = {
+                "chain": [list(comps[i]) for i in path], "log_canonical": v[:2], "omega_x2": v[2:]
+            }
+        runs.append([])
+        for r in range(SAMPLE_EVERY - 1, instances, SAMPLE_EVERY):
+            path, v = descend(head, r, 0)
+            runs[-1].append((tuple(tabs[i].comp for i in path), v))
+    for tally in _run_chunks(_log_canonical_chunk, runs, workers):
+        res.details["sampled"] = res.details.get("sampled", 0) + tally["sampled"]
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +837,8 @@ def qsd_model_family(max_dim: int = 6) -> list[wps.WPSModel]:
 
 
 def suite_qsd_operator(trials: int = 1000, order: int = 4, max_dim: int = 6, seed: int = 0) -> SuiteResult:
+    if order < 1:
+        raise ValueError("order must be at least 1")
     res = SuiteResult("qsd-operator")
     rng = random.Random(seed)
     models = qsd_model_family(max_dim)

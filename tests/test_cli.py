@@ -310,6 +310,21 @@ def test_series_verify_index_out_of_range_with_sectors(tmp_path, capsys):
     assert err == "input error: inconsistent table: entry 0: basis index out of range\n"
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("suite", ["thm-weak-convexity", "thm-weak-concavity", "log-canonical"])
+def test_chain_suites_refuse_a_max_len_below_one(capsys, suite, value):
+    code, out, err = run_cli(capsys, "--json", "verify", "--suite", suite, "--max-a", "2", "--max-len", value)
+    assert code == 2 and out == ""
+    assert err == "input error: max_len must be at least 1\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_random_series_verify_refuses_an_order_below_one(capsys, value):
+    code, out, err = run_cli(capsys, "--json", "series-verify", "--random", "--trials", "3", "--order", value)
+    assert code == 2 and out == ""
+    assert err == "input error: order must be at least 1\n"
+
+
 def test_series_verify_cost_is_bounded_by_psi_power_size(tmp_path):
     # the sign of psi^a is read per entry: nothing is as long as the largest a
     doc = {

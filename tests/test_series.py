@@ -180,15 +180,10 @@ def test_qsd_identity_detects_tampered_phase():
     basis = compact_type_basis(m)
     p_ct, p_amb = series_mod._pairing_matrices(m, basis)
     op_e = build_L(table, p_ct, 2)
-    bad_table = transported_table(table, m, basis)
-    bad_table.entries[0] = TableEntry(
-        bad_table.entries[0].beta,
-        bad_table.entries[0].psi_power,
-        bad_table.entries[0].row,
-        bad_table.entries[0].col,
-        PhasedScalar.coerce(bad_table.entries[0].value) * F(2),
-        bad_table.entries[0].sectors,
-    )
+    z_table = transported_table(table, m, basis)
+    e = z_table.entries[0]
+    bad = TableEntry(e.beta, e.psi_power, e.row, e.col, PhasedScalar.coerce(e.value) * F(2), e.sectors)
+    bad_table = InvariantTable(z_table.dim, (bad,) + z_table.entries[1:])
     op_z = build_L(bad_table, p_amb, 2)
     sub = op_e.substitute_novikov()
     keys = op_z.nonzero_keys() | sub.nonzero_keys()
@@ -213,8 +208,24 @@ def test_table_sector_validation():
     bad = InvariantTable(
         len(basis), [TableEntry(beta, 0, 0, 0, F(1), sectors=(F(1, 2), F(0)))]
     )
-    problems = bad.validate([f for f, _ in basis])
-    assert problems and "sector pair" in problems[0]
+    with pytest.raises(ValueError, match=r"^inconsistent table: entry 0: sector pair .* does not match basis sectors$"):
+        verify_qsd_operator_identity(bad, m, 2)
+
+
+def test_tables_are_checked_when_built():
+    beta = EffClass((F(1), F(0)))
+    with pytest.raises(
+        ValueError,
+        match=r"^inconsistent table: entry 0: basis index out of range; entry 1: negative descendant power; "
+        r"entry 2: basis index out of range; entry 2: negative descendant power$",
+    ):
+        InvariantTable(
+            2, [TableEntry(beta, 0, 2, 0, F(1)), TableEntry(beta, -1, 1, 1, F(1)), TableEntry(beta, -1, 0, -1, F(1))]
+        )
+    table = InvariantTable(2, [TableEntry(beta, 0, 1, 0, F(1))])
+    assert table.entries == (TableEntry(beta, 0, 1, 0, F(1)),)
+    with pytest.raises(AttributeError):
+        table.entries = ()
 
 
 def _suite_tables(count):
@@ -260,10 +271,11 @@ def _scale_first_transported_entry(monkeypatch):
 
     def faulty(table, *args, **kwargs):
         out = transport(table, *args, **kwargs)
-        if out.entries:
-            e = out.entries[0]
-            out.entries[0] = TableEntry(e.beta, e.psi_power, e.row, e.col, e.value * 2, e.sectors)
-        return out
+        if not out.entries:
+            return out
+        e = out.entries[0]
+        scaled = TableEntry(e.beta, e.psi_power, e.row, e.col, e.value * 2, e.sectors)
+        return InvariantTable(out.dim, (scaled,) + out.entries[1:])
 
     monkeypatch.setattr(series_mod, "transported_table", faulty)
 
@@ -284,7 +296,7 @@ def _negate_substitution_on_one_key(monkeypatch):
 def _cancel_the_first_entry(table):
     """The table with a second entry that cancels its first one in the same cell."""
     e = table.entries[0]
-    return InvariantTable(table.dim, table.entries + [TableEntry(e.beta, e.psi_power, e.row, e.col, -e.value, e.sectors)])
+    return InvariantTable(table.dim, table.entries + (TableEntry(e.beta, e.psi_power, e.row, e.col, -e.value, e.sectors),))
 
 
 @pytest.mark.parametrize("fault", ["none", "transported", "substitution", "cancelling"])

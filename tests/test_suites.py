@@ -258,6 +258,23 @@ def test_log_canonical_parallel_matches_serial():
     assert serial.failures == parallel.failures == 0
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_chain_suites_refuse_a_max_len_below_one(monkeypatch, max_len):
+    # nothing is counted: the refusal comes before the component family
+    monkeypatch.setattr(suites, "component_family", None)
+    for suite in (suites.suite_weak_convexity, suites.suite_weak_concavity):
+        with pytest.raises(ValueError, match="^max_len must be at least 1$"):
+            suite(2, 2, 1, max_len)
+    with pytest.raises(ValueError, match="^max_len must be at least 1$"):
+        suites.suite_log_canonical(2, 2, max_len)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_qsd_suite_refuses_an_order_below_one(order):
+    with pytest.raises(ValueError, match="^order must be at least 1$"):
+        suites.suite_qsd_operator(trials=3, order=order)
+
+
 def test_log_canonical_sweep_takes_a_chain_of_1500_components():
     # one component, glued to itself: a single chain of each length, whose
     # subtree counts are 1500 deep
@@ -456,11 +473,9 @@ def test_no_state_survives_between_suite_calls(monkeypatch, fresh_tables):
             _counted_sweep(monkeypatch, True, dict(max_ab=3, max_l=2, max_d=2, max_len=3)),
             _counted_log_canonical(monkeypatch, dict(max_ab=3, max_l=2, max_len=3)),
         ))
-        # the sweeps' own tables, from the cache: their transitions and
-        # subtree counts were memoized
+        # the sweep's own tables, from the cache: its transitions were memoized
         family = suites.component_family(3, 2)
         assert any(suites._comp_tables(c, -2, 2).moves for c in family)
-        assert any(suites._comp_tables(c, 0, 0).subtrees for c in family)
         suites._comp_tables.cache_clear()
         for name, value in vars(suites).items():
             if name.startswith("__") or value is suites.SUITES:
@@ -549,26 +564,53 @@ def test_log_canonical_counts_find_the_first_counterexample(monkeypatch, fresh_t
     assert _counted_log_canonical(monkeypatch, grid) == expected
 
 
-def test_log_canonical_work_does_not_depend_on_the_chunks_run_before(monkeypatch, fresh_tables):
-    # a pool gives each worker process its own run of chunks, and the first
-    # one counts the subtrees for all; the fold steps a process makes must
-    # not depend on which run it gets
-    calls = []
-    step = cohomology.chain_step
-    monkeypatch.setattr(cohomology, "chain_step", lambda state, piece: calls.append(1) or step(state, piece))
-    n = len(suites.component_family(3, 3))
+def test_log_canonical_work_does_not_depend_on_the_calls_before(monkeypatch, fresh_tables):
+    # every call counts its family's subtrees itself: the fold steps it makes
+    # are the same on fresh tables, after a call on another family and after
+    # a call on its own, and it lists the family and its adjacency once
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    for module, name in ((cohomology, "chain_step"), (suites, "component_family"), (suites, "chain_adjacency")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    grid, other = dict(max_ab=3, max_l=3, max_len=4), dict(max_ab=4, max_l=4, max_len=4)
     runs = []
-    for order in (range(n), reversed(range(n)), range(1, n, 2), range(n - 2, 0, -2)):
+    for before in (None, other, grid):
         suites._comp_tables.cache_clear()
+        if before:
+            _counted_log_canonical(monkeypatch, before)
         calls.clear()
-        tallies = {i: suites._log_canonical_chunk((3, 3, 4, i)) for i in order}
-        runs.append((sorted(tallies.items()), len(calls)))
-    assert runs[0] == runs[1] and runs[2] == runs[3]
+        runs.append((_counted_log_canonical(monkeypatch, grid), dict(calls)))
+    assert runs[0][1]["chain_step"] > 0 and runs[0] == runs[1] == runs[2]
+    assert runs[0][1]["component_family"] == runs[0][1]["chain_adjacency"] == 1
+
+
+@pytest.mark.parametrize("sample_every", [199, 7])
+def test_log_canonical_sends_one_run_of_replays_per_first_component(monkeypatch, fresh_tables, sample_every):
+    # the counts stay in the calling process; the pool gets the replays alone,
+    # in order, one run for each first component whether it has replays or not
+    monkeypatch.setattr(suites, "SAMPLE_EVERY", sample_every)
+    grid = dict(max_ab=3, max_l=3, max_len=4)
+    runs = []
+    run_chunks = suites._run_chunks
+
+    def recorded(fn, args_list, workers):
+        runs.extend(args_list)
+        return run_chunks(fn, args_list, workers)
+
+    monkeypatch.setattr(suites, "_run_chunks", recorded)
+    res = suites.suite_log_canonical(**grid, workers=1)
+    expected = _reference_log_canonical(**grid)
+    assert len(runs) == len(suites.component_family(3, 3))
+    assert [(suites._listed(comps), v) for run in runs for comps, v in run] == expected[4]
+    assert res.details["sampled"] == expected[3] > 0
 
 
 def test_log_canonical_counts_are_kept_per_family(monkeypatch, fresh_tables):
-    # the subtree counts stay on the cached tables, which are shared by every
-    # family; a run must give what it gives on fresh tables whatever ran before
+    # the component tables are cached and shared by every family; a run must
+    # give what it gives on fresh tables whatever ran before
     monkeypatch.setattr(suites, "SAMPLE_EVERY", 7)
     grids = [dict(max_ab=3, max_l=3, max_len=4), dict(max_ab=4, max_l=4, max_len=4)]
     fresh = []
