@@ -33,7 +33,9 @@ of walking them: the chains and failing chains below a prefix of the DFS
 depend only on its last component, its two fold states and how many more
 components it may take.  Those counts are built bottom-up once per call, in
 the calling process, and descended to find the replayed chains and the first
-counterexample; only the replays go to the pool (`suite_log_canonical`).
+counterexample.  Only the replays go to the pool, each first component's as
+soon as they are found, and only when there are enough of them to pay for
+its workers (`suite_log_canonical`).
 
 The pairing comparison replays a sample of models through the elementwise
 pairings of `oracles`, and the age and isotropy suites compare the closed
@@ -61,6 +63,12 @@ from .foundation import Phase
 
 SAMPLE_EVERY = 199  # every k-th sweep instance is replayed through the elimination oracle
 PAIRING_SAMPLE_EVERY = 11  # every k-th model's pairing comparison is replayed elementwise
+# Log-canonical replays that pay for one pool worker.  On a 2-core box (medians
+# of 11 alternating runs in process) one worker against two read 18 vs 44 ms at
+# 105 replays, 65 vs 94 ms at 387, 97 vs 91 ms at 459, 199 vs 137 ms at 537
+# and 244 vs 174 ms at 827: two workers break even at about 450-600 replays,
+# and start from 600.
+REPLAYS_PER_WORKER = 300
 
 
 @dataclass
@@ -82,11 +90,22 @@ class SuiteResult:
             self.first_counterexample = witness
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("ORBICURVE_WORKERS", "1")))
-    except ValueError:
-        return 1
+def _requested_workers(workers: int | None) -> int:
+    """`workers`, or ORBICURVE_WORKERS when it is None (1 when unset).
+
+    A count below 1, or an environment value that is not an integer, is an
+    input error rather than one worker.
+    """
+    name = "workers"
+    if workers is None:
+        name, value = "ORBICURVE_WORKERS", os.environ.get("ORBICURVE_WORKERS", "1")
+        try:
+            workers = int(value)
+        except ValueError:
+            raise ValueError(f"ORBICURVE_WORKERS must be an integer, got {value!r}") from None
+    if workers < 1:
+        raise ValueError(f"{name} must be at least 1, got {workers}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +423,10 @@ def _chain_suite(name: str, chunk, head: tuple, workers: int | None, keys: tuple
     `head` holds the chunk arguments before the first component's index and
     starts with (max_ab, max_l).
     """
+    workers = _requested_workers(workers)
     res = SuiteResult(name)
     n_comps = len(component_family(*head[:2]))
-    for tally in _run_chunks(chunk, [head + (i,) for i in range(n_comps)], workers):
+    for tally in _run_chunks(chunk, [head + (i,) for i in range(n_comps)], _pool_size(workers, n_comps)):
         res.instances += tally["instances"]
         res.failures += tally["failures"]
         res.first_counterexample = res.first_counterexample or tally["first"]
@@ -584,10 +604,14 @@ def suite_log_canonical(
     counted once per call, deepest first.  A first component's tallies are
     its root's entry; its SAMPLE_EVERY-th, 2*SAMPLE_EVERY-th, ... chain and
     the first failing chain are found by descending the counts, and only the
-    replays of those chains go to `_run_chunks`, one run per first component.
+    replays of those chains go to `_run_chunks`, one run per first component,
+    each handed over as soon as it is descended.  The pool gets one worker per
+    REPLAYS_PER_WORKER replays, up to `workers`; below that the replays run in
+    process.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    requested = _requested_workers(workers)
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
     tabs = [_comp_tables(c, 0, 0) for c in comps]
@@ -645,21 +669,27 @@ def suite_log_canonical(
         return path, values(node[1])
 
     res = SuiteResult("log-canonical")
-    runs = []
-    for head in roots:
-        instances, failures = counts[head, top]
-        res.instances += instances
-        res.failures += failures
-        if failures and res.first_counterexample is None:
-            path, v = descend(head, 0, 1)
-            res.first_counterexample = {
-                "chain": [list(comps[i]) for i in path], "log_canonical": v[:2], "omega_x2": v[2:]
-            }
-        runs.append([])
-        for r in range(SAMPLE_EVERY - 1, instances, SAMPLE_EVERY):
-            path, v = descend(head, r, 0)
-            runs[-1].append((tuple(tabs[i].comp for i in path), v))
-    for tally in _run_chunks(_log_canonical_chunk, runs, workers):
+
+    def runs():
+        """Each first component's replays, tallying the root on the way."""
+        for head in roots:
+            instances, failures = counts[head, top]
+            res.instances += instances
+            res.failures += failures
+            if failures and res.first_counterexample is None:
+                path, v = descend(head, 0, 1)
+                res.first_counterexample = {
+                    "chain": [list(comps[i]) for i in path], "log_canonical": v[:2], "omega_x2": v[2:]
+                }
+            run = []
+            for r in range(SAMPLE_EVERY - 1, instances, SAMPLE_EVERY):
+                path, v = descend(head, r, 0)
+                run.append((tuple(tabs[i].comp for i in path), v))
+            yield run
+
+    replays = sum(counts[head, top][0] // SAMPLE_EVERY for head in roots)
+    workers = _pool_size(min(requested, replays // REPLAYS_PER_WORKER), len(roots))
+    for tally in _run_chunks(_log_canonical_chunk, runs(), workers):
         res.details["sampled"] = res.details.get("sampled", 0) + tally["sampled"]
     return res
 
@@ -902,14 +932,29 @@ def suite_age_oracle(max_ab: int = 4, max_l: int = 4, max_d: int = 6) -> SuiteRe
 # ---------------------------------------------------------------------------
 
 
-def _run_chunks(fn, args_list, workers: int | None):
-    workers = default_workers() if workers is None else max(1, workers)
-    if workers == 1 or len(args_list) <= 1:
-        for args in args_list:
-            yield fn(args)
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_size(workers: int, runs: int) -> int:
+    """The workers to start for `runs` chunks: no more than asked for, than
+    there are runs, or than the process may run on; at least 1."""
+    return max(1, min(workers, runs, _usable_cpus()))
+
+
+def _run_chunks(fn, args, workers: int):
+    """fn(a) for each a of the iterable `args`, in order: in process on one
+    worker, otherwise on a pool that takes each item as it is produced, so the
+    workers start on the first while the caller produces the rest."""
+    if workers == 1:
+        for a in args:
+            yield fn(a)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, args_list)
+        yield from pool.map(fn, args)
 
 
 SUITES = {

@@ -318,6 +318,25 @@ def test_chain_suites_refuse_a_max_len_below_one(capsys, suite, value):
     assert err == "input error: max_len must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "env, flag, message",
+    [
+        (None, "0", "workers must be at least 1, got 0"),
+        (None, "-1", "workers must be at least 1, got -1"),
+        ("abc", None, "ORBICURVE_WORKERS must be an integer, got 'abc'"),
+        ("-5", None, "ORBICURVE_WORKERS must be at least 1, got -5"),
+    ],
+)
+@pytest.mark.parametrize("suite", ["thm-weak-convexity", "thm-weak-concavity", "log-canonical"])
+def test_chain_suites_refuse_an_unusable_worker_count(capsys, monkeypatch, suite, env, flag, message):
+    if env is not None:
+        monkeypatch.setenv("ORBICURVE_WORKERS", env)
+    argv = ["--json", "verify", "--suite", suite, "--max-a", "2", "--max-l", "2", "--max-len", "3"]
+    code, out, err = run_cli(capsys, *argv, *(["--workers", flag] if flag else []))
+    assert code == 2 and out == ""
+    assert err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_random_series_verify_refuses_an_order_below_one(capsys, value):
     code, out, err = run_cli(capsys, "--json", "series-verify", "--random", "--trials", "3", "--order", value)

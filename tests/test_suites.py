@@ -251,11 +251,130 @@ def test_chunked_runner_parallel_matches_serial():
     assert serial.details == parallel.details
 
 
-def test_log_canonical_parallel_matches_serial():
+class _RecordedPool(suites.ProcessPoolExecutor):
+    """The real pool, with the worker count of each one started."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+class _FakePool:
+    """Records the worker count asked for and runs the chunks in process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Patch in a pool class; the list it returns collects the worker counts."""
+    started = []
+
+    def patch(cls, cpus=2):
+        monkeypatch.setattr(cls, "started", started)
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", cls)
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus, raising=False)
+        return started
+
+    return patch
+
+
+def test_log_canonical_parallel_matches_serial(monkeypatch, pools):
+    # 20 replays pay for no worker: the pool only runs when told they do
+    monkeypatch.setattr(suites, "REPLAYS_PER_WORKER", 1)
+    started = pools(_RecordedPool)
     serial = suites.suite_log_canonical(max_ab=3, max_l=3, max_len=4, workers=1)
     parallel = suites.suite_log_canonical(max_ab=3, max_l=3, max_len=4, workers=2)
+    assert started == [2]
     assert (serial.instances, serial.details) == (parallel.instances, parallel.details) == (5544, {"sampled": 20})
     assert serial.failures == parallel.failures == 0
+
+
+def test_log_canonical_replays_in_process_below_the_break_even(pools):
+    # (4, 4, 4) has 105 replays, far fewer than two workers pay for
+    started = pools(_FakePool)
+    res = suites.suite_log_canonical(max_ab=4, max_l=4, max_len=4, workers=2)
+    assert started == [] and res.instances == 24999 and res.details == {"sampled": 105}
+    # criterion 6's 6647 replays still get both
+    assert 2 * suites.REPLAYS_PER_WORKER <= 6647
+
+
+@pytest.mark.parametrize("cpus", [3, 10**6])
+def test_pools_ask_for_no_more_workers_than_runs_or_cpus(monkeypatch, pools, cpus):
+    monkeypatch.setattr(suites, "REPLAYS_PER_WORKER", 1)
+    started = pools(_FakePool, cpus)
+    concave = suites.suite_weak_concavity(max_ab=2, max_l=2, max_d=1, max_len=2, workers=10_000)
+    log_canonical = suites.suite_log_canonical(max_ab=3, max_l=3, max_len=4, workers=10_000)
+    assert concave.instances > 0 and log_canonical.details == {"sampled": 20}
+    # one run per first component in both; 20 replays allow 20 workers
+    runs = len(suites.component_family(2, 2)), len(suites.component_family(3, 3))
+    assert started == [min(runs[0], cpus), min(runs[1], 20, cpus)]
+
+
+def test_a_replay_fault_on_the_pool_reaches_the_caller():
+    # a forked worker inherits the fault; the caller gets the one-worker
+    # message, and the pool is gone when the suite returns
+    script = textwrap.dedent(
+        """
+        import multiprocessing, sys
+        from orbicurve import cohomology, oracles, suites
+
+        if multiprocessing.get_start_method() != "fork":
+            sys.exit(2)
+        oracle = oracles.h_chain_by_elimination
+        oracles.h_chain_by_elimination = lambda B: tuple(v + 1 for v in oracle(B))
+        suites.REPLAYS_PER_WORKER = 1
+        suites._usable_cpus = lambda: 2
+        messages = []
+        for workers in (1, 2):
+            try:
+                suites.suite_log_canonical(max_ab=3, max_l=3, max_len=4, workers=workers)
+            except cohomology.InternalInconsistency as exc:
+                messages.append(str(exc))
+        print(len(messages), messages[0] == messages[-1], len(multiprocessing.active_children()))
+        """
+    )
+    src = str(pathlib.Path(suites.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    if proc.returncode == 2:
+        pytest.skip("the pool does not fork here, so its workers would not inherit the fault")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2 True 0\n"
+
+
+@pytest.mark.parametrize(
+    "env, workers, message",
+    [
+        (None, 0, "workers must be at least 1, got 0"),
+        (None, -1, "workers must be at least 1, got -1"),
+        ("abc", None, "ORBICURVE_WORKERS must be an integer, got 'abc'"),
+        ("0", None, "ORBICURVE_WORKERS must be at least 1, got 0"),
+    ],
+)
+def test_chain_suites_refuse_an_unusable_worker_count(monkeypatch, env, workers, message):
+    # nothing is counted: the refusal comes before the component family
+    if env is not None:
+        monkeypatch.setenv("ORBICURVE_WORKERS", env)
+    monkeypatch.setattr(suites, "component_family", None)
+    calls = [(suites.suite_weak_convexity, (2, 2, 1, 2)), (suites.suite_weak_concavity, (2, 2, 1, 2))]
+    for suite, args in calls + [(suites.suite_log_canonical, (2, 2, 2))]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            suite(*args, workers=workers)
 
 
 @pytest.mark.parametrize("max_len", [0, -1])
@@ -596,9 +715,10 @@ def test_log_canonical_sends_one_run_of_replays_per_first_component(monkeypatch,
     runs = []
     run_chunks = suites._run_chunks
 
-    def recorded(fn, args_list, workers):
-        runs.extend(args_list)
-        return run_chunks(fn, args_list, workers)
+    def recorded(fn, args, workers):
+        args = list(args)
+        runs.extend(args)
+        return run_chunks(fn, args, workers)
 
     monkeypatch.setattr(suites, "_run_chunks", recorded)
     res = suites.suite_log_canonical(**grid, workers=1)
