@@ -7,35 +7,33 @@ order of (k1, k2, d) (`_bundle_grid`), and that one order numbers every
 suite's instances: the component suites, the per-component tables of the
 chain sweeps, and so every sampled replay position and first counterexample.
 
-The convexity and concavity suites count the balanced bundles of each chain
-instead of visiting them: a multiplicity DP over the states of the chain
-fold (`cohomology.chain_step`), carried down the chain DFS and keeping of
-each fold only the value the theorem reads (the transfer-matrix method,
-Stanley, Enumerative Combinatorics I, 4.7; `_bundle_sweep`).  A piece's
-effect on a state depends only on the age `need` it must match and the
-fold's flags, so the transitions are memoized on the cached per-component
-tables (`_moves`), and clearing `_comp_tables` drops them.  The instances
-keep the numbering of a chain-by-chain enumeration in lexicographic order:
-every SAMPLE_EVERY-th is unranked from counts of balanced completions per
-`need`, its folds stepped on the way down (`_descent`), and recomputed
-through the public dataclass API by elimination over listed monomials
-(`oracles.h_chain_by_elimination`), which shares no code with the fold, and
-the first chain whose counts show a failure is enumerated in order for the
-first counterexample.  A replay builds its checked `CurveChain` and
-`ChainBundle` on the `TwistedComponent` objects the tables already hold, so
-the integers a component stores when built are computed once per table,
-not once per replay; its twists and duals are derived without a second node
-check (see `bundles`).
-
-The log-canonical sweep has one bundle per chain, and the states of its two
-folds over the whole family are few, so it counts chains by subtree instead
-of walking them: the chains and failing chains below a prefix of the DFS
-depend only on its last component, its two fold states and how many more
-components it may take.  Those counts are built bottom-up once per call, in
-the calling process, and descended to find the replayed chains and the first
-counterexample.  Only the replays go to the pool, each first component's as
-soon as they are found, and only when there are enough of them to pay for
-its workers (`suite_log_canonical`).
+The three chain sweeps count by subtree instead of walking the chains
+(`_subtree_sweep`): what the chains below a prefix of the DFS add up to
+depends only on a node that takes few values and on how many more
+components the prefix may take.  So each distinct node is tallied once per
+call, in the calling process, and the sums, built bottom-up, are descended
+to the sampled replays and the first counterexample.  Only the replays go
+to the pool, each first component's as soon as they are found, and only
+when there are enough of them to pay for its workers.  The log-canonical
+sweep has one bundle per chain and a node (last component, fold states of
+omega(x1+x2) and omega(x2)).  The convexity and concavity sweeps count the
+balanced bundles of each chain: a node is (last component, multiplicities
+of the states of the chain fold `cohomology.chain_step` over the balanced
+prefixes before it, is-first), keeping of each fold only the value the
+theorem reads (the transfer-matrix method, Stanley, Enumerative
+Combinatorics I, 4.7; `_bundle_sweep`).  A piece's effect on a state
+depends only on the age `need` it must match and the fold's flags, so the
+transitions are memoized on the cached per-component tables (`_moves`), and
+clearing `_comp_tables` drops them.  The instances keep the numbering of a
+chain-by-chain enumeration in lexicographic order: a replayed instance is
+unranked from counts of balanced completions per `need`, its folds stepped
+on the way down (`_descent`), and recomputed through the public dataclass
+API by elimination over listed monomials (`oracles.h_chain_by_elimination`),
+which shares no code with the fold.  A replay builds its checked
+`CurveChain` and `ChainBundle` on the `TwistedComponent` objects the tables
+already hold, so the integers a component stores when built are computed
+once per table, not once per replay; its twists and duals are derived
+without a second node check (see `bundles`).
 
 The pairing comparison replays a sample of models through the elementwise
 pairings of `oracles`, and the age and isotropy suites compare the closed
@@ -93,8 +91,8 @@ class SuiteResult:
 def _requested_workers(workers: int | None) -> int:
     """`workers`, or ORBICURVE_WORKERS when it is None (1 when unset).
 
-    A count below 1, or an environment value that is not an integer, is an
-    input error rather than one worker.
+    A bool, a non-int or a count below 1, or an environment value that is
+    not an integer, is an input error rather than one worker.
     """
     name = "workers"
     if workers is None:
@@ -103,6 +101,8 @@ def _requested_workers(workers: int | None) -> int:
             workers = int(value)
         except ValueError:
             raise ValueError(f"ORBICURVE_WORKERS must be an integer, got {value!r}") from None
+    elif isinstance(workers, bool) or not isinstance(workers, int):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"{name} must be at least 1, got {workers}")
     return workers
@@ -139,10 +139,8 @@ def chain_adjacency(comps: list[tuple]) -> list[list[int]]:
 def iter_chains(comps: list[tuple], max_len: int, first: int | None = None):
     """Yield tuples of component indices forming valid chains, lazily (DFS).
 
-    The order is depth-first pre-order, so the prefix of a chain with one
-    component fewer is the last chain of that length yielded before it;
-    `_bundle_sweep` relies on this to carry prefix states by depth, and the
-    log-canonical sweep numbers its chains in this order.
+    The order is depth-first pre-order, the order in which the chain sweeps
+    number their chains (see `_subtree_sweep`).
     """
     adjacency = chain_adjacency(comps)
     starts = range(len(comps)) if first is None else [first]
@@ -352,45 +350,49 @@ def _moves(tab: _CompTables, roles: tuple, need: int | None, flags: tuple, last:
     return rows
 
 
-def _extend(dist: dict, tab: _CompTables, roles: tuple) -> dict:
-    """Multiplicities of the states (kept values, flags, need) one piece further."""
+def _extend(dist, tab: _CompTables, roles: tuple) -> dict:
+    """Multiplicities of the states (kept values, flags, need) one piece
+    further, from the (state, multiplicity) pairs of `dist`."""
     out: dict = {}
-    for (values, flags, need), m in dist.items():
+    for (values, flags, need), m in dist:
         for (deltas, new_flags, new_need), c in _moves(tab, roles, need, flags, False):
             key = (tuple(map(add, values, deltas)), new_flags, new_need)
             out[key] = out.get(key, 0) + m * c
     return out
 
 
-def _finish(dist: dict, tab: _CompTables, roles: tuple) -> dict:
+def _finish(dist, tab: _CompTables, roles: tuple) -> dict:
     """Multiplicities of the kept values of whole chains, ending on the piece of `tab`."""
     out: dict = {}
-    for (values, flags, need), m in dist.items():
+    for (values, flags, need), m in dist:
         for deltas, c in _moves(tab, roles, need, flags, True):
             key = tuple(map(add, values, deltas))
             out[key] = out.get(key, 0) + m * c
     return out
 
 
-def _descent(tabs: list[_CompTables], roles: list[tuple]):
+def _descent(tabs: list[_CompTables], roles: list[tuple], completions: dict):
     """Map r to the r-th balanced bundle assignment of a chain, in lexicographic
     order, and to the kept values of the sweep's folds over it.
 
     The number of balanced completions of pieces k, k+1, ... depends only on
-    the age `need` that piece k must match, so one table of those counts
-    walks straight down to the r-th assignment.  The folds step along the
-    way, at piece k in the roles `roles[k]` (see `_roles`).
+    their tables and the age `need` that piece k must match, so one table of
+    those counts walks straight down to the r-th assignment.  It is
+    `completions[tables from piece k on][need]`, which the chains of one
+    call share.  The folds step along the way, at piece k in the roles
+    `roles[k]` (see `_roles`).
     """
     last = len(tabs) - 1
     step = cohomology.chain_step
-    completions: dict = {}
+    memos = [completions.setdefault(tuple(tabs[k:]), {}) for k in range(last)]
 
     def count(k: int, need: int) -> int:
         if k == last:
             return len(tabs[k].fits(need))
-        if (k, need) not in completions:
-            completions[k, need] = sum(count(k + 1, tabs[k].need[t]) for t in tabs[k].fits(need))
-        return completions[k, need]
+        memo = memos[k]
+        if need not in memo:
+            memo[need] = sum(count(k + 1, tabs[k].need[t]) for t in tabs[k].fits(need))
+        return memo[need]
 
     def descend(r: int) -> tuple[tuple[int, ...], tuple]:
         idx, need = [], None
@@ -417,89 +419,169 @@ def _pieces(tabs: list[_CompTables], idx: tuple[int, ...]) -> list:
     return [list(tab.bnds[t]) for tab, t in zip(tabs, idx)]
 
 
-def _chain_suite(name: str, chunk, head: tuple, workers: int | None, keys: tuple) -> SuiteResult:
-    """Run a chain sweep as one chunk per first component and add up the tallies.
+def _subtree_sweep(
+    res: SuiteResult, keys: tuple, roots: list, children, own, max_len: int, workers: int, witness, replay, check
+) -> SuiteResult:
+    """Tally a chain sweep by the subtrees of the chain DFS and replay its samples.
 
-    `head` holds the chunk arguments before the first component's index and
-    starts with (max_ab, max_l).
+    A node stands for the prefixes of the `iter_chains` DFS that agree on all
+    that their subtrees depend on, starting from one root per first component:
+    `children(node)` lists its one-component extensions in ascending
+    `chain_adjacency` order, and `own(node)` the figures of the prefix's own
+    chain: (instances, failures, then one per key of `keys` other than
+    "sampled").  With k more components allowed, a subtree's figures are
+    the node's own plus its children's with k - 1.  Each distinct node's
+    children and own figures are computed once per call, in the calling
+    process, and the sums bottom-up by k with no recursion.
+
+    A first component's tallies are its root's sums.  The first failing
+    chain of the family and each root's SAMPLE_EVERY-th, 2*SAMPLE_EVERY-th,
+    ... instance are found by descending the sums to a chain and a rank
+    within its own instances (or failures), handed to `witness` and `replay`
+    as (nodes of the chain, rank).  Only the replays go to `_run_chunks`,
+    one run per first component, each handed over as soon as it is
+    descended, as `check(*args)` for each `args` that `replay` returns.  The
+    pool gets one worker per REPLAYS_PER_WORKER replays, up to `workers`;
+    below that the replays run in process.  Returns `res` with the sums over
+    the roots added, and its details keyed by `keys` in that order.
     """
-    workers = _requested_workers(workers)
-    res = SuiteResult(name)
-    n_comps = len(component_family(*head[:2]))
-    for tally in _run_chunks(chunk, [head + (i,) for i in range(n_comps)], _pool_size(workers, n_comps)):
-        res.instances += tally["instances"]
-        res.failures += tally["failures"]
-        res.first_counterexample = res.first_counterexample or tally["first"]
-        for key in keys:
-            res.details[key] = res.details.get(key, 0) + tally[key]
+    top = max_len - 1
+    levels, kids, tally = [roots], {}, {}
+    while len(levels) < max_len:
+        new: dict = {}
+        for node in levels[-1]:
+            if node not in kids:
+                kids[node] = children(node)
+            new.update(dict.fromkeys(kids[node]))
+        if not new:
+            break
+        levels.append(list(new))
+    counts: dict = {}
+    for depth in reversed(range(len(levels))):
+        k = top - depth
+        for node in levels[depth]:
+            if node not in tally:
+                tally[node] = own(node)
+            below = [counts[child, k - 1] for child in kids[node]] if k else ()
+            counts[node, k] = tuple(map(sum, zip(tally[node], *below)))
+
+    def locate(head, r: int, col: int) -> tuple[list, int]:
+        """The nodes of the chain below `head`, in pre-order, that holds the
+        r-th instance (col 0) or failure (col 1), and r within that chain."""
+        node, k, path = head, top, [head]
+        while r >= (here := tally[node][col]):
+            r -= here
+            for child in kids[node]:
+                c = counts[child, k - 1][col]
+                if r < c:
+                    break
+                r -= c
+            node, k = child, k - 1
+            path.append(node)
+        return path, r
+
+    def runs():
+        """Each first component's replays, tallying the root on the way."""
+        for head in roots:
+            instances, failures = counts[head, top][:2]
+            res.instances += instances
+            res.failures += failures
+            if failures and res.first_counterexample is None:
+                res.first_counterexample = witness(*locate(head, 0, 1))
+            run, start, end = [], 0, 0
+            for r in range(SAMPLE_EVERY - 1, instances, SAMPLE_EVERY):
+                if r >= end:  # past the chain of the last sample
+                    path, within = locate(head, r, 0)
+                    start, end = r - within, r - within + tally[path[-1]][0]
+                run.append(replay(path, r - start))
+            yield check, run
+
+    res.details = dict.fromkeys(keys, 0) if roots else {}
+    replays = sum(counts[head, top][0] // SAMPLE_EVERY for head in roots)
+    workers = _pool_size(min(workers, replays // REPLAYS_PER_WORKER), len(roots))
+    for done in _run_chunks(_replay_chunk, runs(), workers):
+        res.details["sampled"] += done["sampled"]
+    sums = [sum(column) for column in zip(*(counts[head, top] for head in roots))]
+    res.details.update(zip([key for key in keys if key != "sampled"], sums[2:]))
     return res
 
 
-def _bundle_sweep(args, tally: dict, d_lo: int, folds: tuple, names: tuple, failing, check):
-    """Count every balanced bundle on every chain of a chunk by its fold values.
+def _replay_chunk(run: tuple) -> dict:
+    """Replay one first component's samples, given as (check, [args, ...])."""
+    check, replays = run
+    for args in replays:
+        check(*args)
+    return {"sampled": len(replays)}
 
-    The multiplicities of the states (kept values, flags, need) over the
-    balanced prefixes are carried down the DFS of `iter_chains` by depth, so
-    a chain costs one `_finish` of its parent's states, and each chain's
-    counts {kept values: number of bundles} are yielded.  The instances are
-    numbered as if enumerated chain by chain in lexicographic order: every
-    SAMPLE_EVERY-th is unranked and folded by one descent and replayed through
-    `check`, and the first chain with a `failing` value is enumerated in that
-    order for the witness, whose values are keyed by `names`.  Adds
-    instances, failures, first and sampled to `tally`.
+
+def _bundle_sweep(name: str, keys: tuple, grid: tuple, workers: int | None, sweep: tuple) -> SuiteResult:
+    """Count every balanced bundle on every chain of the family by its fold values.
+
+    `grid` is (max_ab, max_l, max_d, max_len); `sweep` is (d_lo, folds, the
+    witness names of the kept values, failing(values), figures(counts,
+    instances), check).  A node is (last component i, the multiplicities of
+    the states (kept values, flags, need) over the balanced prefixes before
+    i, whether i is first): its own chain's counts {kept values: bundles}
+    are one `_finish`, and its children, one per j in `chain_adjacency[i]`,
+    share one `_extend` through i (see `_subtree_sweep`).  The instances are
+    numbered as if enumerated chain by chain in lexicographic order: a
+    sample is unranked and folded by one descent and replayed through
+    `check`, and the first chain with a `failing` value is enumerated in
+    that order for the witness.
     """
-    max_ab, max_l, max_d, max_len, first = args
+    workers = _requested_workers(workers)
+    max_ab, max_l, max_d, max_len = grid
+    d_lo, folds, names, failing, figures, check = sweep
     comps = component_family(max_ab, max_l)
-    tally.update(instances=0, failures=0, first=None, sampled=0)
-    dists = [{((0,) * len(folds), (cohomology.CHAIN_START[2:],) * len(folds), None): 1}]
+    adjacency = chain_adjacency(comps)
+    tables = [_comp_tables(c, d_lo, max_d) for c in comps]
     # the roles at (first piece, last piece), built once: the memo keys hold them
     roles = {(f, l): _roles(folds, f, l) for f in (False, True) for l in (False, True)}
-    for chain in iter_chains(comps, max_len, first):
-        n = len(chain)
-        tabs = [_comp_tables(comps[i], d_lo, max_d) for i in chain]
-        del dists[n:]
-        if len(dists) < n:
-            dists.append(_extend(dists[-1], tabs[-2], roles[n == 2, False]))
-        counts = _finish(dists[-1], tabs[-1], roles[n == 1, True])
-        total = sum(counts.values())
-        failures = sum(m for values, m in counts.items() if failing(values))
-        offset = tally["instances"]
-        tally["instances"] += total
-        tally["failures"] += failures
-        samples = range((SAMPLE_EVERY - 1 - offset) % SAMPLE_EVERY, total, SAMPLE_EVERY)
-        find_first = failures and tally["first"] is None
-        if not (samples or find_first):
-            yield counts
-            continue
-        chain_comps = tuple(tab.comp for tab in tabs)
-        descend = _descent(tabs, [roles[k == 0, k == n - 1] for k in range(n)])
-        if find_first:
-            for idx, values in map(descend, range(total)):
-                if failing(values):
-                    tally["first"] = {
-                        "chain": _listed(chain_comps), "pieces": _pieces(tabs, idx), **dict(zip(names, values))
-                    }
-                    break
-        for r in samples:
-            idx, values = descend(r)
-            check(chain_comps, _pieces(tabs, idx), *values)
-            tally["sampled"] += 1
-        yield counts
+    start = frozenset({((0,) * len(folds), (cohomology.CHAIN_START[2:],) * len(folds), None): 1}.items())
+    interned: dict = {}
+
+    def children(node: tuple) -> list:
+        i, dist, first = node
+        dist = frozenset(_extend(dist, tables[i], roles[first, False]).items())
+        dist = interned.setdefault(dist, dist)
+        return [(j, dist, False) for j in adjacency[i]]
+
+    def own(node: tuple) -> tuple:
+        i, dist, first = node
+        counts = _finish(dist, tables[i], roles[first, True])
+        n = sum(counts.values())
+        return (n, sum(m for values, m in counts.items() if failing(values)), *figures(counts, n))
+
+    completions: dict = {}
+    current = [None]  # the last path, its tables and descent: a chain's samples share one path
+
+    def descent(path: list) -> list:
+        if current[0] is not path:
+            tabs = [tables[node[0]] for node in path]
+            n = len(tabs)
+            current[:] = path, tabs, _descent(tabs, [roles[k == 0, k == n - 1] for k in range(n)], completions)
+        return current[1:]
+
+    def witness(path: list, _) -> dict:
+        tabs, descend = descent(path)
+        idx, values = next(w for w in map(descend, itertools.count()) if failing(w[1]))
+        chain = tuple(tab.comp for tab in tabs)
+        return {"chain": _listed(chain), "pieces": _pieces(tabs, idx), **dict(zip(names, values))}
+
+    def replay(path: list, r: int) -> tuple:
+        tabs, descend = descent(path)
+        idx, values = descend(r)
+        return (tuple(tab.comp for tab in tabs), _pieces(tabs, idx), *values)
+
+    roots = [(i, start, True) for i in range(len(comps))]
+    return _subtree_sweep(SuiteResult(name), keys, roots, children, own, max_len, workers, witness, replay, check)
 
 
-def _convexity_chunk(args) -> dict:
-    tally = {"rank2_pairs": 0, "rank2_failures": 0}
-    sweep = _bundle_sweep(
-        args, tally, 0, (_CONVEX_SIDE,), ("h1",), lambda v: v[0] != 0, _api_check_convexity_instance
-    )
-    for counts in sweep:
-        # every grid bundle is semi-positive (d >= 0), so rank-2 split bundles
-        # fail exactly when one of the two summands has nonzero h1
-        n_line = sum(counts.values())
-        n_good = counts.get((0,), 0)
-        tally["rank2_pairs"] += n_line * n_line
-        tally["rank2_failures"] += n_line * n_line - n_good * n_good
-    return tally
+def _convexity_figures(counts: dict, n: int) -> tuple:
+    # every grid bundle is semi-positive (d >= 0), so rank-2 split bundles
+    # fail exactly when one of the two summands has nonzero h1
+    n_good = counts.get((0,), 0)
+    return n * n, n * n - n_good * n_good
 
 
 def suite_weak_convexity(
@@ -512,40 +594,23 @@ def suite_weak_convexity(
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    res = _chain_suite(
-        "thm-weak-convexity",
-        _convexity_chunk,
-        (max_ab, max_l, max_d, max_len),
-        workers,
-        ("rank2_pairs", "rank2_failures", "sampled"),
-    )
+    sweep = (0, (_CONVEX_SIDE,), ("h1",), lambda v: v[0] != 0, _convexity_figures, _api_check_convexity_instance)
+    keys = ("rank2_pairs", "rank2_failures", "sampled")
+    res = _bundle_sweep("thm-weak-convexity", keys, (max_ab, max_l, max_d, max_len), workers, sweep)
     res.failures += res.details.get("rank2_failures", 0)
     return res
 
 
-def _concavity_chunk(args) -> dict:
-    tally = {"rank2_pairs": 0, "rank2_equiv_failures": 0}
+def _concavity_figures(counts: dict, n: int) -> tuple:
     # split-level convexity <-> concavity tallies: counts of the classes
     # (h1(L(-x2)) == 0, h0(dual L(-x1)) == 0) in the order ff, ft, tf, tt
-    totals = [0, 0, 0, 0]
-    sweep = _bundle_sweep(
-        args, tally, -args[2], (_CONVEX_SIDE, _DUAL_SIDE), ("h1", "h0_dual"),
-        lambda v: v[0] != v[1], _api_check_concavity_instance,
-    )
-    for counts in sweep:
-        classes = [0, 0, 0, 0]
-        for (hc, hd), m in counts.items():
-            classes[2 * (hc == 0) + (hd == 0)] += m
-        c_ff, c_ft, c_tf, c_tt = classes
-        n = c_tt + c_tf + c_ft + c_ff
-        x = c_tt + c_tf  # convex side count
-        y = c_tt + c_ft  # concave side count
-        tally["rank2_pairs"] += n * n
-        tally["rank2_equiv_failures"] += x * x + y * y - 2 * c_tt * c_tt
-        totals = [a + b for a, b in zip(totals, classes)]
-    n_ff, n_ft, n_tf, n_tt = totals
-    tally.update(n_tt=n_tt, n_tf=n_tf, n_ft=n_ft, n_ff=n_ff)
-    return tally
+    classes = [0, 0, 0, 0]
+    for (hc, hd), m in counts.items():
+        classes[2 * (hc == 0) + (hd == 0)] += m
+    c_ff, c_ft, c_tf, c_tt = classes
+    x = c_tt + c_tf  # convex side count
+    y = c_tt + c_ft  # concave side count
+    return n * n, x * x + y * y - 2 * c_tt * c_tt, c_tt, c_tf, c_ft, c_ff
 
 
 def suite_weak_concavity(
@@ -554,13 +619,12 @@ def suite_weak_concavity(
     """Convexity <-> concavity: h0(dual(L)(-x1)) = h1(L(-x2)) for every summand."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    res = _chain_suite(
-        "thm-weak-concavity",
-        _concavity_chunk,
-        (max_ab, max_l, max_d, max_len),
-        workers,
-        ("sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff"),
+    sweep = (
+        -max_d, (_CONVEX_SIDE, _DUAL_SIDE), ("h1", "h0_dual"), lambda v: v[0] != v[1], _concavity_figures,
+        _api_check_concavity_instance,
     )
+    keys = ("sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff")
+    res = _bundle_sweep("thm-weak-concavity", keys, (max_ab, max_l, max_d, max_len), workers, sweep)
     res.failures += res.details.get("rank2_equiv_failures", 0)
     return res
 
@@ -582,116 +646,50 @@ def _api_check_log_canonical(comps: tuple, expected: tuple) -> None:
 _LOG_CANONICAL = (1, 0, 0, 0)  # omega(x1+x2) trivial, and omega(x2) with no cohomology
 
 
-def _log_canonical_chunk(replays: list) -> dict:
-    """Replay one first component's sampled chains, given as (components,
-    expected values), through the certificate and the elimination oracle."""
-    for comps, expected in replays:
-        _api_check_log_canonical(comps, expected)
-    return {"sampled": len(replays)}
-
-
 def suite_log_canonical(
     max_ab: int = 4, max_l: int = 4, max_len: int = 6, workers: int | None = None
 ) -> SuiteResult:
     """omega(x1+x2) is trivial, and omega(x2) has no cohomology, on every chain.
 
     A prefix of the chain DFS is a node (last component i, fold states of
-    omega(x1+x2) and omega(x2)); with `k` more components allowed, the
-    pre-order subtree of `iter_chains` below it holds the prefix itself and
-    the subtrees of its children, one per j in `chain_adjacency[i]`, each
-    stepping both states with the trivial piece on j.  Those few nodes repeat
-    across the family, so the (chains, failing chains) of each subtree are
-    counted once per call, deepest first.  A first component's tallies are
-    its root's entry; its SAMPLE_EVERY-th, 2*SAMPLE_EVERY-th, ... chain and
-    the first failing chain are found by descending the counts, and only the
-    replays of those chains go to `_run_chunks`, one run per first component,
-    each handed over as soon as it is descended.  The pool gets one worker per
-    REPLAYS_PER_WORKER replays, up to `workers`; below that the replays run in
-    process.
+    omega(x1+x2) and omega(x2)); its children, one per j in
+    `chain_adjacency[i]`, step both states with the trivial piece on j, and
+    its own chain is one instance, failing when the states' (h0, h1) are not
+    `_LOG_CANONICAL`.  Those few nodes repeat across the family, so the
+    (chains, failing chains) of each subtree are counted once per call, and
+    only the replays go to the pool (see `_subtree_sweep`).
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    requested = _requested_workers(workers)
+    workers = _requested_workers(workers)
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
     tabs = [_comp_tables(c, 0, 0) for c in comps]
     step = cohomology.chain_step
     start = cohomology.CHAIN_START
+
+    def children(node: tuple) -> list:
+        i, (log_can, omega_x2) = node
+        pieces = [(j, tabs[j].plain[0]) for j in adjacency[i]]
+        return [(j, (step(log_can, p), step(omega_x2, p))) for j, p in pieces]
+
+    def values(node: tuple) -> tuple:
+        """(h0, h1) of omega(x1+x2), then of omega(x2)."""
+        log_can, omega_x2 = node[1]
+        return log_can[:2] + omega_x2[:2]
+
+    def witness(path: list, _) -> dict:
+        v = values(path[-1])
+        return {"chain": [list(comps[node[0]]) for node in path], "log_canonical": v[:2], "omega_x2": v[2:]}
+
     # Ordinal 0 of the d = 0 grid is the trivial bundle, its own dual, so its
     # dtw1 role is omega(x2)'s first piece.
     roots = [(i, (step(start, tab.plain[0]), step(start, tab.dtw1[0]))) for i, tab in enumerate(tabs)]
-    # the distinct prefixes by depth, a child's k one less than its parent's,
-    # and the one-piece extensions of each, in ascending adjacency order
-    top, levels, children = max_len - 1, [roots], {}
-    while len(levels) < max_len:
-        new: dict = {}
-        for node in levels[-1]:
-            if node not in children:
-                i, (log_can, omega_x2) = node
-                pieces = [(j, tabs[j].plain[0]) for j in adjacency[i]]
-                children[node] = [(j, (step(log_can, p), step(omega_x2, p))) for j, p in pieces]
-            new.update(dict.fromkeys(children[node]))
-        if not new:
-            break
-        levels.append(list(new))
-
-    def values(states: tuple) -> tuple:
-        """(h0, h1) of omega(x1+x2), then of omega(x2)."""
-        return states[0][:2] + states[1][:2]
-
-    def own(states: tuple) -> tuple[int, int]:
-        """(chains, failing chains) of the prefix alone."""
-        return 1, int(values(states) != _LOG_CANONICAL)
-
-    counts: dict = {}
-    for depth in reversed(range(len(levels))):
-        k = top - depth
-        for node in levels[depth]:
-            chains, failing = own(node[1])
-            for child in children[node] if k else ():
-                c, f = counts[child, k - 1]
-                chains, failing = chains + c, failing + f
-            counts[node, k] = (chains, failing)
-
-    def descend(head: tuple, r: int, col: int) -> tuple[list, tuple]:
-        """Components and values of the r-th chain below `head` in pre-order,
-        counting every chain (col 0) or only the failing ones (col 1)."""
-        node, k, path = head, top, [head[0]]
-        while r >= (here := own(node[1])[col]):
-            r -= here
-            for child in children[node]:
-                c = counts[child, k - 1][col]
-                if r < c:
-                    break
-                r -= c
-            node, k = child, k - 1
-            path.append(node[0])
-        return path, values(node[1])
-
-    res = SuiteResult("log-canonical")
-
-    def runs():
-        """Each first component's replays, tallying the root on the way."""
-        for head in roots:
-            instances, failures = counts[head, top]
-            res.instances += instances
-            res.failures += failures
-            if failures and res.first_counterexample is None:
-                path, v = descend(head, 0, 1)
-                res.first_counterexample = {
-                    "chain": [list(comps[i]) for i in path], "log_canonical": v[:2], "omega_x2": v[2:]
-                }
-            run = []
-            for r in range(SAMPLE_EVERY - 1, instances, SAMPLE_EVERY):
-                path, v = descend(head, r, 0)
-                run.append((tuple(tabs[i].comp for i in path), v))
-            yield run
-
-    replays = sum(counts[head, top][0] // SAMPLE_EVERY for head in roots)
-    workers = _pool_size(min(requested, replays // REPLAYS_PER_WORKER), len(roots))
-    for tally in _run_chunks(_log_canonical_chunk, runs(), workers):
-        res.details["sampled"] = res.details.get("sampled", 0) + tally["sampled"]
-    return res
+    return _subtree_sweep(
+        SuiteResult("log-canonical"), ("sampled",), roots, children,
+        lambda node: (1, int(values(node) != _LOG_CANONICAL)), max_len, workers, witness,
+        lambda path, _: (tuple(tabs[node[0]].comp for node in path), values(path[-1])), _api_check_log_canonical,
+    )
 
 
 # ---------------------------------------------------------------------------

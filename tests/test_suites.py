@@ -243,7 +243,9 @@ def test_convexity_suite_counts_rank2():
     assert res.ok and res.details["sampled"] > 0
 
 
-def test_chunked_runner_parallel_matches_serial():
+def test_chunked_runner_parallel_matches_serial(monkeypatch):
+    # 3 replays pay for no worker: the pool only runs when told they do
+    monkeypatch.setattr(suites, "REPLAYS_PER_WORKER", 1)
     serial = suites.suite_weak_concavity(max_ab=2, max_l=2, max_d=3, max_len=2, workers=1)
     parallel = suites.suite_weak_concavity(max_ab=2, max_l=2, max_d=3, max_len=2, workers=2)
     assert serial.instances == parallel.instances
@@ -313,16 +315,24 @@ def test_log_canonical_replays_in_process_below_the_break_even(pools):
     assert 2 * suites.REPLAYS_PER_WORKER <= 6647
 
 
+def test_bundle_sweeps_replay_in_process_below_the_break_even(pools):
+    started = pools(_FakePool)
+    res = suites.suite_weak_concavity(2, 2, 1, 2, workers=2)
+    assert started == [] and res.instances == 300
+    # criterion 5's 73277 replays and criterion 4's 10998 still get both
+    assert 2 * suites.REPLAYS_PER_WORKER <= 10998
+
+
 @pytest.mark.parametrize("cpus", [3, 10**6])
 def test_pools_ask_for_no_more_workers_than_runs_or_cpus(monkeypatch, pools, cpus):
     monkeypatch.setattr(suites, "REPLAYS_PER_WORKER", 1)
     started = pools(_FakePool, cpus)
-    concave = suites.suite_weak_concavity(max_ab=2, max_l=2, max_d=1, max_len=2, workers=10_000)
+    concave = suites.suite_weak_concavity(max_ab=2, max_l=2, max_d=2, max_len=3, workers=10_000)
     log_canonical = suites.suite_log_canonical(max_ab=3, max_l=3, max_len=4, workers=10_000)
-    assert concave.instances > 0 and log_canonical.details == {"sampled": 20}
-    # one run per first component in both; 20 replays allow 20 workers
+    assert concave.details["sampled"] == 46 and log_canonical.details == {"sampled": 20}
+    # one run per first component in both; 46 and 20 replays allow as many workers
     runs = len(suites.component_family(2, 2)), len(suites.component_family(3, 3))
-    assert started == [min(runs[0], cpus), min(runs[1], 20, cpus)]
+    assert started == [min(runs[0], 46, cpus), min(runs[1], 20, cpus)]
 
 
 def test_a_replay_fault_on_the_pool_reaches_the_caller():
@@ -364,6 +374,8 @@ def test_a_replay_fault_on_the_pool_reaches_the_caller():
         (None, -1, "workers must be at least 1, got -1"),
         ("abc", None, "ORBICURVE_WORKERS must be an integer, got 'abc'"),
         ("0", None, "ORBICURVE_WORKERS must be at least 1, got 0"),
+        (None, True, "workers must be an integer, got True"),
+        (None, 1.5, "workers must be an integer, got 1.5"),
     ],
 )
 def test_chain_suites_refuse_an_unusable_worker_count(monkeypatch, env, workers, message):
@@ -549,10 +561,11 @@ def test_descent_matches_an_unranker_and_a_fold(monkeypatch, fresh_tables, conca
         monkeypatch.setattr(cohomology, "piece_ends", fault(cohomology.piece_ends))
     folds = (suites._CONVEX_SIDE, suites._DUAL_SIDE) if concave else (suites._CONVEX_SIDE,)
     comps = suites.component_family(grid["max_ab"], grid["max_l"])
+    completions = {}  # shared by the chains, as in a suite call
     for chain in suites.iter_chains(comps, grid["max_len"]):
         tabs = [suites._comp_tables(comps[i], -grid["max_d"] if concave else 0, grid["max_d"]) for i in chain]
         n = len(tabs)
-        descend = suites._descent(tabs, [suites._roles(folds, k == 0, k == n - 1) for k in range(n)])
+        descend = suites._descent(tabs, [suites._roles(folds, k == 0, k == n - 1) for k in range(n)], completions)
         expected = _reference_descent(concave, tabs)
         assert [descend(r) for r in range(len(expected))] == expected, chain
     if fault:
@@ -564,6 +577,26 @@ def test_descent_matches_an_unranker_and_a_fold(monkeypatch, fresh_tables, conca
             expected = _reference_sweep(concave, **grid)
             assert _counted_sweep(monkeypatch, concave, grid) == expected
             assert (expected[1] > 0) == (concave and grid["max_ab"] >= 3)
+
+
+def test_bundle_sweeps_finish_each_distinct_node_once(monkeypatch, fresh_tables):
+    # a node is (prefix distribution, last component, is-first): the grid
+    # (4, 4, 3, 3) has 3422 chains but 427 distinct nodes
+    calls = []
+    finish = suites._finish
+    monkeypatch.setattr(suites, "_finish", lambda *args: calls.append(args) or finish(*args))
+    res = suites.suite_weak_convexity(4, 4, 3, 3, workers=1)
+    assert res.instances == 201784
+    assert len(calls) == len(set(calls)) == 427
+    assert sum(1 for _ in suites.iter_chains(suites.component_family(4, 4), 3)) == 3422
+
+
+def test_bundle_sweeps_keep_the_order_of_their_details():
+    # `verify` prints the details dict in this order
+    convex = suites.suite_weak_convexity(2, 2, 1, 2, workers=1)
+    concave = suites.suite_weak_concavity(2, 2, 1, 2, workers=1)
+    assert list(convex.details) == ["rank2_pairs", "rank2_failures", "sampled"]
+    assert list(concave.details) == ["sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff"]
 
 
 def test_sweeps_build_only_the_tables_they_read(fresh_tables):
@@ -724,7 +757,7 @@ def test_log_canonical_sends_one_run_of_replays_per_first_component(monkeypatch,
     res = suites.suite_log_canonical(**grid, workers=1)
     expected = _reference_log_canonical(**grid)
     assert len(runs) == len(suites.component_family(3, 3))
-    assert [(suites._listed(comps), v) for run in runs for comps, v in run] == expected[4]
+    assert [(suites._listed(comps), v) for _, run in runs for comps, v in run] == expected[4]
     assert res.details["sampled"] == expected[3] > 0
 
 
