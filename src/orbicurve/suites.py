@@ -11,25 +11,20 @@ The three chain sweeps count by subtree instead of walking the chains
 (`_subtree_sweep`): what the chains below a prefix of the DFS add up to
 depends only on a node that takes few values and on how many more
 components the prefix may take.  So each distinct node is tallied once per
-call, in the calling process, and the sums, built bottom-up, are descended
-to the sampled replays and the first counterexample.  Only the replays go
-to the pool, each first component's as soon as they are found, and only
-when there are enough of them to pay for its workers.  The log-canonical
-sweep has one bundle per chain and a node (last component, fold states of
-omega(x1+x2) and omega(x2)).  The convexity and concavity sweeps count the
-balanced bundles of each chain: a node is (last component, multiplicities
-of the states of the chain fold `cohomology.chain_step` over the balanced
-prefixes before it, is-first), keeping of each fold only the value the
-theorem reads (the transfer-matrix method, Stanley, Enumerative
-Combinatorics I, 4.7; `_bundle_sweep`).  A piece's effect on a state
-depends only on the age `need` it must match and the fold's flags, so the
-transitions are memoized on the cached per-component tables (`_moves`), and
-clearing `_comp_tables` drops them.  The instances keep the numbering of a
-chain-by-chain enumeration in lexicographic order: a replayed instance is
-unranked from counts of balanced completions per `need`, its folds stepped
-on the way down (`_descent`), and recomputed through the public dataclass
-API by elimination over listed monomials (`oracles.h_chain_by_elimination`),
-which shares no code with the fold.  A replay builds its checked
+call, in the calling process, the sums are descended to the sampled
+replays and the first counterexample, and only the replays go to the pool.
+The convexity and concavity sweeps keep of each chain fold
+`cohomology.chain_step` only the value the theorem reads (the
+transfer-matrix method, Stanley, Enumerative Combinatorics I, 4.7;
+`_bundle_sweep`).  A piece's effect on a state depends only on the age
+`need` it must match and the fold's flags, so the transitions are memoized
+on the cached per-component tables (`_moves`), and clearing `_comp_tables`
+drops them.  The instances keep the numbering of a chain-by-chain
+enumeration in lexicographic order: a replayed instance is unranked from
+counts of balanced completions per `need`, its folds stepped on the way
+down (`_descent`), and recomputed through the public dataclass API by
+elimination over listed monomials (`oracles.h_chain_by_elimination`), which
+shares no code with the fold.  A replay builds its checked
 `CurveChain` and `ChainBundle` on the `TwistedComponent` objects the tables
 already hold, so the integers a component stores when built are computed
 once per table, not once per replay; its twists and duals are derived
@@ -49,6 +44,8 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from bisect import bisect_right
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,11 +58,13 @@ from .foundation import Phase
 
 SAMPLE_EVERY = 199  # every k-th sweep instance is replayed through the elimination oracle
 PAIRING_SAMPLE_EVERY = 11  # every k-th model's pairing comparison is replayed elementwise
-# Log-canonical replays that pay for one pool worker.  On a 2-core box (medians
-# of 11 alternating runs in process) one worker against two read 18 vs 44 ms at
-# 105 replays, 65 vs 94 ms at 387, 97 vs 91 ms at 459, 199 vs 137 ms at 537
-# and 244 vs 174 ms at 827: two workers break even at about 450-600 replays,
-# and start from 600.
+# Replays that pay for one pool worker, measured on log-canonical replays.  On
+# a 2-core box (medians of 11 alternating runs in process) one worker against
+# two read 18 vs 44 ms at 105 replays, 65 vs 94 ms at 387, 97 vs 91 ms at 459,
+# 199 vs 137 ms at 537 and 244 vs 174 ms at 827: two workers break even at
+# about 450-600 replays, and start from 600.  The bundle sweeps' replays are
+# about five times cheaper and descended in the caller: there two workers
+# break even at about 2,000 (concavity) to 3,000-5,000 (convexity) replays.
 REPLAYS_PER_WORKER = 300
 
 
@@ -376,40 +375,38 @@ def _descent(tabs: list[_CompTables], roles: list[tuple], completions: dict):
     order, and to the kept values of the sweep's folds over it.
 
     The number of balanced completions of pieces k, k+1, ... depends only on
-    their tables and the age `need` that piece k must match, so one table of
-    those counts walks straight down to the r-th assignment.  It is
-    `completions[tables from piece k on][need]`, which the chains of one
-    call share.  The folds step along the way, at piece k in the roles
-    `roles[k]` (see `_roles`).
+    their tables and the age `need` that piece k must match, so their running
+    sums over the bundles of piece k that fit `need` pick each piece of the
+    r-th assignment by bisection.  They are `completions[tables from piece k
+    on][need]`, which the chains of one call share.  The folds step along the
+    way, at piece k in the roles `roles[k]` (see `_roles`).
     """
     last = len(tabs) - 1
     step = cohomology.chain_step
     memos = [completions.setdefault(tuple(tabs[k:]), {}) for k in range(last)]
 
-    def count(k: int, need: int) -> int:
-        if k == last:
-            return len(tabs[k].fits(need))
+    def totals(k: int, need: int):
+        """Running sums of the completions over the bundles of piece k that fit `need`."""
+        if k == last:  # one each
+            return range(1, len(tabs[k].fits(need)) + 1)
         memo = memos[k]
         if need not in memo:
-            memo[need] = sum(count(k + 1, tabs[k].need[t]) for t in tabs[k].fits(need))
+            below = (totals(k + 1, tabs[k].need[t]) for t in tabs[k].fits(need))
+            memo[need] = list(itertools.accumulate(sums[-1] if sums else 0 for sums in below))
         return memo[need]
+
+    ends = [[getattr(tab, role) for role, _ in at] for tab, at in zip(tabs, roles)]
 
     def descend(r: int) -> tuple[tuple[int, ...], tuple]:
         idx, need = [], None
         states = [cohomology.CHAIN_START] * len(roles[0])
-        for k, (tab, at) in enumerate(zip(tabs, roles)):
-            fits = tab.fits(need)
-            if k == last:
-                t = fits[r]
-            else:
-                for t in fits:
-                    c = count(k + 1, tab.need[t])
-                    if r < c:
-                        break
-                    r -= c
-                need = tab.need[t]
+        for k, tab in enumerate(tabs):
+            sums = totals(k, need)
+            i = bisect_right(sums, r)
+            t, r = tab.fits(need)[i], r - (sums[i - 1] if i else 0)
             idx.append(t)
-            states = [step(s, getattr(tab, role)[t]) for s, (role, _) in zip(states, at)]
+            states = [step(s, table[t]) for s, table in zip(states, ends[k])]
+            need = tab.need[t] if k < last else None
         return tuple(idx), tuple(s[keep] for s, (_, keep) in zip(states, roles[last]))
 
     return descend
@@ -420,42 +417,34 @@ def _pieces(tabs: list[_CompTables], idx: tuple[int, ...]) -> list:
 
 
 def _subtree_sweep(
-    res: SuiteResult, keys: tuple, roots: list, children, own, max_len: int, workers: int, witness, replay, check
+    res: SuiteResult, *, keys: tuple, roots: list, children, own, max_len: int, workers: int, witness, replay, check
 ) -> SuiteResult:
     """Tally a chain sweep by the subtrees of the chain DFS and replay its samples.
 
     A node stands for the prefixes of the `iter_chains` DFS that agree on all
-    that their subtrees depend on, starting from one root per first component:
+    that their subtrees depend on, one root per first component:
     `children(node)` lists its one-component extensions in ascending
-    `chain_adjacency` order, and `own(node)` the figures of the prefix's own
-    chain: (instances, failures, then one per key of `keys` other than
-    "sampled").  With k more components allowed, a subtree's figures are
-    the node's own plus its children's with k - 1.  Each distinct node's
-    children and own figures are computed once per call, in the calling
-    process, and the sums bottom-up by k with no recursion.
+    `chain_adjacency` order, and `own(node)` gives the figures of the
+    prefix's own chain: instances, failures, then one per key of `keys` but
+    "sampled".  With k more components allowed, a subtree's figures are the
+    node's own plus its children's with k - 1; each distinct node's children
+    and own figures are computed once, in the calling process, and the sums
+    bottom-up by k with no recursion.
 
-    A first component's tallies are its root's sums.  The first failing
-    chain of the family and each root's SAMPLE_EVERY-th, 2*SAMPLE_EVERY-th,
-    ... instance are found by descending the sums to a chain and a rank
-    within its own instances (or failures), handed to `witness` and `replay`
-    as (nodes of the chain, rank).  Only the replays go to `_run_chunks`,
-    one run per first component, each handed over as soon as it is
-    descended, as `check(*args)` for each `args` that `replay` returns.  The
-    pool gets one worker per REPLAYS_PER_WORKER replays, up to `workers`;
-    below that the replays run in process.  Returns `res` with the sums over
-    the roots added, and its details keyed by `keys` in that order.
+    A first component's tallies are its root's sums.  Descending them finds
+    the first failing chain of the family, whose nodes go to `witness`, and
+    each root's SAMPLE_EVERY-th, 2*SAMPLE_EVERY-th, ... instance, whose
+    chain's nodes and rank within the chain go to `replay`.  `_run_chunks`
+    gets one run per first component as soon as it is descended,
+    `check(*args)` for each `args` that `replay` returns, on one worker per
+    REPLAYS_PER_WORKER replays up to `workers`.  Returns `res` with the sums
+    over the roots added and its details keyed by `keys` in that order.
     """
     top = max_len - 1
     levels, kids, tally = [roots], {}, {}
-    while len(levels) < max_len:
-        new: dict = {}
-        for node in levels[-1]:
-            if node not in kids:
-                kids[node] = children(node)
-            new.update(dict.fromkeys(kids[node]))
-        if not new:
-            break
-        levels.append(list(new))
+    while len(levels) < max_len and levels[-1]:
+        kids.update((node, children(node)) for node in levels[-1] if node not in kids)
+        levels.append(list(dict.fromkeys(child for node in levels[-1] for child in kids[node])))
     counts: dict = {}
     for depth in reversed(range(len(levels))):
         k = top - depth
@@ -487,7 +476,7 @@ def _subtree_sweep(
             res.instances += instances
             res.failures += failures
             if failures and res.first_counterexample is None:
-                res.first_counterexample = witness(*locate(head, 0, 1))
+                res.first_counterexample = witness(locate(head, 0, 1)[0])
             run, start, end = [], 0, 0
             for r in range(SAMPLE_EVERY - 1, instances, SAMPLE_EVERY):
                 if r >= end:  # past the chain of the last sample
@@ -514,24 +503,25 @@ def _replay_chunk(run: tuple) -> dict:
     return {"sampled": len(replays)}
 
 
-def _bundle_sweep(name: str, keys: tuple, grid: tuple, workers: int | None, sweep: tuple) -> SuiteResult:
+def _bundle_sweep(
+    name: str, *, keys: tuple, max_ab: int, max_l: int, max_d: int, max_len: int, workers: int | None,
+    d_lo: int, folds: tuple, names: tuple, failing, figures, check,
+) -> SuiteResult:
     """Count every balanced bundle on every chain of the family by its fold values.
 
-    `grid` is (max_ab, max_l, max_d, max_len); `sweep` is (d_lo, folds, the
-    witness names of the kept values, failing(values), figures(counts,
-    instances), check).  A node is (last component i, the multiplicities of
-    the states (kept values, flags, need) over the balanced prefixes before
-    i, whether i is first): its own chain's counts {kept values: bundles}
-    are one `_finish`, and its children, one per j in `chain_adjacency[i]`,
-    share one `_extend` through i (see `_subtree_sweep`).  The instances are
-    numbered as if enumerated chain by chain in lexicographic order: a
-    sample is unranked and folded by one descent and replayed through
-    `check`, and the first chain with a `failing` value is enumerated in
-    that order for the witness.
+    The bundles have d_lo <= d <= max_d; `names` name the folds' kept values
+    in a witness, `failing(values)` tells a failing instance, and
+    `figures(counts, instances)` gives a chain's detail figures.  A node is
+    (last component i, the multiplicities of the states (kept values, flags,
+    need) over the balanced prefixes before i, whether i is first): its own
+    chain's counts {kept values: bundles} are one `_finish`, and its
+    children, one per j in `chain_adjacency[i]`, share one `_extend` through
+    i (see `_subtree_sweep`).  The instances are numbered as if enumerated
+    chain by chain in lexicographic order: a sample is unranked and folded
+    by one descent and replayed through `check`, and the first chain with a
+    `failing` value is enumerated in that order for the witness.
     """
     workers = _requested_workers(workers)
-    max_ab, max_l, max_d, max_len = grid
-    d_lo, folds, names, failing, figures, check = sweep
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
     tables = [_comp_tables(c, d_lo, max_d) for c in comps]
@@ -557,24 +547,24 @@ def _bundle_sweep(name: str, keys: tuple, grid: tuple, workers: int | None, swee
 
     def descent(path: list) -> list:
         if current[0] is not path:
-            tabs = [tables[node[0]] for node in path]
-            n = len(tabs)
-            current[:] = path, tabs, _descent(tabs, [roles[k == 0, k == n - 1] for k in range(n)], completions)
+            tabs, last = [tables[node[0]] for node in path], len(path) - 1
+            current[:] = path, tabs, _descent(tabs, [roles[k == 0, k == last] for k in range(last + 1)], completions)
         return current[1:]
 
-    def witness(path: list, _) -> dict:
+    def witness(path: list) -> dict:
         tabs, descend = descent(path)
         idx, values = next(w for w in map(descend, itertools.count()) if failing(w[1]))
-        chain = tuple(tab.comp for tab in tabs)
-        return {"chain": _listed(chain), "pieces": _pieces(tabs, idx), **dict(zip(names, values))}
+        return {"chain": _listed(tab.comp for tab in tabs), "pieces": _pieces(tabs, idx), **dict(zip(names, values))}
 
     def replay(path: list, r: int) -> tuple:
         tabs, descend = descent(path)
         idx, values = descend(r)
         return (tuple(tab.comp for tab in tabs), _pieces(tabs, idx), *values)
 
-    roots = [(i, start, True) for i in range(len(comps))]
-    return _subtree_sweep(SuiteResult(name), keys, roots, children, own, max_len, workers, witness, replay, check)
+    return _subtree_sweep(
+        SuiteResult(name), keys=keys, roots=[(i, start, True) for i in range(len(comps))], children=children,
+        own=own, max_len=max_len, workers=workers, witness=witness, replay=replay, check=check,
+    )
 
 
 def _convexity_figures(counts: dict, n: int) -> tuple:
@@ -594,9 +584,11 @@ def suite_weak_convexity(
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    sweep = (0, (_CONVEX_SIDE,), ("h1",), lambda v: v[0] != 0, _convexity_figures, _api_check_convexity_instance)
-    keys = ("rank2_pairs", "rank2_failures", "sampled")
-    res = _bundle_sweep("thm-weak-convexity", keys, (max_ab, max_l, max_d, max_len), workers, sweep)
+    res = _bundle_sweep(
+        "thm-weak-convexity", keys=("rank2_pairs", "rank2_failures", "sampled"), max_ab=max_ab, max_l=max_l,
+        max_d=max_d, max_len=max_len, workers=workers, d_lo=0, folds=(_CONVEX_SIDE,), names=("h1",),
+        failing=lambda v: v[0] != 0, figures=_convexity_figures, check=_api_check_convexity_instance,
+    )
     res.failures += res.details.get("rank2_failures", 0)
     return res
 
@@ -619,12 +611,12 @@ def suite_weak_concavity(
     """Convexity <-> concavity: h0(dual(L)(-x1)) = h1(L(-x2)) for every summand."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    sweep = (
-        -max_d, (_CONVEX_SIDE, _DUAL_SIDE), ("h1", "h0_dual"), lambda v: v[0] != v[1], _concavity_figures,
-        _api_check_concavity_instance,
+    res = _bundle_sweep(
+        "thm-weak-concavity", keys=("sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff"),
+        max_ab=max_ab, max_l=max_l, max_d=max_d, max_len=max_len, workers=workers, d_lo=-max_d,
+        folds=(_CONVEX_SIDE, _DUAL_SIDE), names=("h1", "h0_dual"), failing=lambda v: v[0] != v[1],
+        figures=_concavity_figures, check=_api_check_concavity_instance,
     )
-    keys = ("sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff")
-    res = _bundle_sweep("thm-weak-concavity", keys, (max_ab, max_l, max_d, max_len), workers, sweep)
     res.failures += res.details.get("rank2_equiv_failures", 0)
     return res
 
@@ -678,7 +670,7 @@ def suite_log_canonical(
         log_can, omega_x2 = node[1]
         return log_can[:2] + omega_x2[:2]
 
-    def witness(path: list, _) -> dict:
+    def witness(path: list) -> dict:
         v = values(path[-1])
         return {"chain": [list(comps[node[0]]) for node in path], "log_canonical": v[:2], "omega_x2": v[2:]}
 
@@ -686,9 +678,10 @@ def suite_log_canonical(
     # dtw1 role is omega(x2)'s first piece.
     roots = [(i, (step(start, tab.plain[0]), step(start, tab.dtw1[0]))) for i, tab in enumerate(tabs)]
     return _subtree_sweep(
-        SuiteResult("log-canonical"), ("sampled",), roots, children,
-        lambda node: (1, int(values(node) != _LOG_CANONICAL)), max_len, workers, witness,
-        lambda path, _: (tuple(tabs[node[0]].comp for node in path), values(path[-1])), _api_check_log_canonical,
+        SuiteResult("log-canonical"), keys=("sampled",), roots=roots, children=children,
+        own=lambda node: (1, int(values(node) != _LOG_CANONICAL)), max_len=max_len, workers=workers,
+        witness=witness, replay=lambda path, _: (tuple(tabs[node[0]].comp for node in path), values(path[-1])),
+        check=_api_check_log_canonical,
     )
 
 
@@ -946,13 +939,22 @@ def _pool_size(workers: int, runs: int) -> int:
 def _run_chunks(fn, args, workers: int):
     """fn(a) for each a of the iterable `args`, in order: in process on one
     worker, otherwise on a pool that takes each item as it is produced, so the
-    workers start on the first while the caller produces the rest."""
+    workers start on the first while the caller produces the rest.  Past two
+    items per worker it waits for the oldest, so they do not pile up."""
     if workers == 1:
-        for a in args:
-            yield fn(a)
+        yield from map(fn, args)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, args)
+        pending = deque()
+        try:
+            for a in args:
+                pending.append(pool.submit(fn, a))
+                if len(pending) > 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 SUITES = {

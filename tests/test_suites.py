@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -277,8 +278,13 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, args):
-        return map(fn, args)
+    def submit(self, fn, arg):
+        future = Future()
+        future.set_result(fn(arg))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 @pytest.fixture
@@ -321,6 +327,22 @@ def test_bundle_sweeps_replay_in_process_below_the_break_even(pools):
     assert started == [] and res.instances == 300
     # criterion 5's 73277 replays and criterion 4's 10998 still get both
     assert 2 * suites.REPLAYS_PER_WORKER <= 10998
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_pool_holds_at_most_two_runs_per_worker(pools, workers):
+    # the caller produces a run only when the pool has room for it, so the
+    # runs not yet replayed do not pile up in its memory
+    pools(_FakePool, workers)
+    produced = []
+
+    def args():
+        for n in range(20):
+            produced.append(n)
+            yield n
+
+    ahead = [len(produced) - n for n, _ in enumerate(suites._run_chunks(lambda a: a, args(), workers), 1)]
+    assert max(ahead) == 2 * workers and len(produced) == 20
 
 
 @pytest.mark.parametrize("cpus", [3, 10**6])
