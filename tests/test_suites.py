@@ -330,19 +330,21 @@ def test_bundle_sweeps_replay_in_process_below_the_break_even(pools):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_a_pool_holds_at_most_two_runs_per_worker(pools, workers):
+def test_a_pool_holds_at_most_two_runs_per_worker(workers):
     # the caller produces a run only when the pool has room for it, so the
     # runs not yet replayed do not pile up in its memory
-    pools(_FakePool, workers)
     produced = []
 
     def args():
-        for n in range(20):
+        for n in range(-20, 0):
             produced.append(n)
             yield n
 
-    ahead = [len(produced) - n for n, _ in enumerate(suites._run_chunks(lambda a: a, args(), workers), 1)]
-    assert max(ahead) == 2 * workers and len(produced) == 20
+    done = []
+    for result in suites._run_chunks(abs, args(), workers):
+        done.append(result)
+        assert len(produced) - len(done) <= 2 * workers
+    assert done == list(range(20, 0, -1))
 
 
 @pytest.mark.parametrize("cpus", [3, 10**6])
