@@ -5,10 +5,12 @@ computes in closed form or by a fold: `h_chain_by_elimination` lists every
 piece's monomials and eliminates the whole node matrix (against the residue
 counts and the chain fold of `cohomology`), the pairings and
 the transport of `StateElement` classes walk the sectors one by one (against
-the sector-block Gram matrices of `wps`), and `brute_force_age` and
+the sector-block Gram matrices of `wps`), `brute_force_age` and
 `brute_force_isotropy_counts` enumerate the isotropy groups (against the
-closed forms of `bundles` and `curves`).  Only `suites` imports this module,
-and it calls through the module attribute, so a test can patch an oracle.
+closed forms of `bundles` and `curves`), and `iter_chains` walks the chains
+that the chain sweeps of `suites` count without walking them.  Only `suites`
+imports this module, and it calls through the module attribute, so a test
+can patch an oracle.
 """
 from __future__ import annotations
 
@@ -130,6 +132,25 @@ def h_chain_by_elimination(B: ChainBundle) -> tuple[int, int]:
     rank = _integer_rank(rows)
     h1_pieces = sum(len(_negative_monomials(*p)) for p in pieces)
     return total_h0 - rank, h1_pieces + n_active - rank
+
+
+def iter_chains(comps: list[tuple], max_len: int, first: int | None = None):
+    """Yield the chains of up to `max_len` components (a, b, l1, l2) of `comps`,
+    as tuples of indices, lazily in depth-first pre-order: a chain, then its
+    extensions in ascending index order, each followed by its own.
+
+    A component may follow another when its x1 order a*l1*l2 equals the
+    other's x2 order b*l1*l2.  The chain sweeps number their instances in
+    this order without walking it.
+    """
+    after = [[j for j, (a, _, l1, l2) in enumerate(comps) if a * l1 * l2 == b * m1 * m2] for _, b, m1, m2 in comps]
+    for i in range(len(comps)) if first is None else [first]:
+        stack = [(i,)]
+        while stack:
+            path = stack.pop()
+            yield path
+            if len(path) < max_len:
+                stack.extend(path + (j,) for j in reversed(after[path[-1]]))
 
 
 class _SectorData(NamedTuple):

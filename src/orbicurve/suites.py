@@ -18,16 +18,16 @@ The convexity and concavity sweeps keep of each chain fold
 transfer-matrix method, Stanley, Enumerative Combinatorics I, 4.7;
 `_bundle_sweep`).  A piece's effect on a state depends only on the age
 `need` it must match and the fold's flags, so the transitions are memoized
-on the cached per-component tables (`_moves`), and clearing `_comp_tables`
-drops them.  The instances keep the numbering of a chain-by-chain
-enumeration in lexicographic order: a replayed instance is unranked from
-counts of balanced completions per `need`, its folds stepped on the way
-down (`_descent`), and recomputed through the public dataclass API by
-elimination over listed monomials (`oracles.h_chain_by_elimination`), which
-shares no code with the fold.  A replay builds its checked
-`CurveChain` and `ChainBundle` on the `TwistedComponent` objects the tables
-already hold, so the integers a component stores when built are computed
-once per table, not once per replay; its twists and duals are derived
+on the per-component tables (`_moves`), which each call builds for itself
+and drops when it returns.  The instances keep the numbering of a
+chain-by-chain enumeration in lexicographic order: a replayed instance is
+unranked from counts of balanced completions per `need`, its folds stepped
+on the way down (`_descent`), and recomputed through the public dataclass
+API by elimination over listed monomials (`oracles.h_chain_by_elimination`),
+which shares no code with the fold.  A replay builds its checked
+`CurveChain` and `ChainBundle` on the `TwistedComponent` objects the call
+already holds, so the integers a component stores when built are computed
+once per call, not once per replay; its twists and duals are derived
 without a second node check (see `bundles`).
 
 The pairing comparison replays a sample of models through the elementwise
@@ -49,7 +49,6 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from operator import add
 
@@ -133,24 +132,6 @@ def chain_adjacency(comps: list[tuple]) -> list[list[int]]:
     for j, (a, b, l1, l2) in enumerate(comps):
         by_order_c.setdefault(a * l1 * l2, []).append(j)
     return [list(by_order_c.get(b * l1 * l2, ())) for a, b, l1, l2 in comps]
-
-
-def iter_chains(comps: list[tuple], max_len: int, first: int | None = None):
-    """Yield tuples of component indices forming valid chains, lazily (DFS).
-
-    The order is depth-first pre-order, the order in which the chain sweeps
-    number their chains (see `_subtree_sweep`).
-    """
-    adjacency = chain_adjacency(comps)
-    starts = range(len(comps)) if first is None else [first]
-    for i in starts:
-        stack = [(i,)]
-        while stack:
-            path = stack.pop()
-            yield path
-            if len(path) < max_len:
-                for j in reversed(adjacency[path[-1]]):
-                    stack.append(path + (j,))
 
 
 def _bundle_grid(comp: curves.TwistedComponent, ds: range) -> list[bundles.EqLineBundle]:
@@ -253,68 +234,42 @@ def suite_riemann_roch(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
 
 
 class _CompTables:
-    """Per-component tables for the chain sweeps, indexed by bundle ordinal.
+    """One call's tables of a component for the bundle sweeps, indexed by bundle ordinal.
 
-    For each bundle (k1, k2, d) in the grid (`lines`, and `bnds` as integer
-    triples) this holds the fold data (`cohomology.piece_ends`) of the four
-    roles a piece can play: plain, twisted by -x2 (last component of the
-    convexity side), dualized (dual side), and dualized-then-twisted by -x1
-    (first component of the dual side).  Nodes balance on ages, counted in
+    For each bundle (k1, k2, d) in the grid (`bnds`, as integer triples) this
+    holds the fold data (`cohomology.piece_ends`) of each role that the
+    call's folds read, in `ends[role]`.  Nodes balance on ages, counted in
     units of one over the node's isotropy order: `need[t]` is the age at x1
     that the next piece must have, and `by_age1` groups the bundles by their
-    age at x1.  Each of these six is built on its first read, so a sweep pays
-    only for the tables it reads.  `moves` memoizes the sweep's transitions
-    out of this component (see `_moves`), and `comp` is the component object
-    that the replays build on.
+    age at x1.  `moves` memoizes the call's transitions out of this component
+    (see `_moves`), and `comp` is the component object that the replays
+    build on.
     """
 
-    __slots__ = ("comp", "lines", "bnds", "need", "by_age1", "plain", "tw2", "dualx", "dtw1", "moves")
-
-    def __init__(self, comp, d_lo: int, d_hi: int):
+    def __init__(self, comp, ds: range, folds: tuple):
         self.comp = curves.TwistedComponent(*comp)
-        self.lines = _bundle_grid(self.comp, range(d_lo, d_hi + 1))
-        self.bnds = [(L.k1, L.k2, L.d) for L in self.lines]
+        lines = _bundle_grid(self.comp, ds)
+        self.bnds = [(L.k1, L.k2, L.d) for L in lines]
+        self.ends = {role: [cohomology.piece_ends(role(L)) for L in lines] for fold in folds for role in fold[:2]}
+        self.need = [-bundles._age_data(L, curves.X2)[0] % self.comp.d for L in lines]
+        self.by_age1: dict[int, list[int]] = {}
+        for t, L in enumerate(lines):
+            self.by_age1.setdefault(bundles._age_data(L, curves.X1)[0], []).append(t)
         self.moves: dict[tuple, list] = {}
-
-    def __getattr__(self, name: str):
-        """Build a lazy table on its first read: only an empty slot gets here."""
-        ends, twist, dual = cohomology.piece_ends, bundles.twist_marked, bundles.dual
-        if name == "plain":
-            value = [ends(L) for L in self.lines]
-        elif name == "tw2":
-            value = [ends(twist(L, curves.X2, -1)) for L in self.lines]
-        elif name == "dualx":
-            value = [ends(dual(L)) for L in self.lines]
-        elif name == "dtw1":
-            value = [ends(twist(dual(L), curves.X1, -1)) for L in self.lines]
-        elif name == "need":
-            value = [-bundles._age_data(L, curves.X2)[0] % self.comp.d for L in self.lines]
-        elif name == "by_age1":
-            value = {}
-            for t, L in enumerate(self.lines):
-                value.setdefault(bundles._age_data(L, curves.X1)[0], []).append(t)
-        else:
-            raise AttributeError(name)
-        setattr(self, name, value)
-        return value
 
     def fits(self, need: int | None):
         """Ordinals, ascending, of the bundles that balance with `need` (all of them for None)."""
         return range(len(self.bnds)) if need is None else self.by_age1.get(need, ())
 
 
-@lru_cache(maxsize=None)
-def _comp_tables(comp, d_lo: int, d_hi: int) -> _CompTables:
-    return _CompTables(comp, d_lo, d_hi)
-
-
 # A fold of the sweeps is (base role, twisted role, twist on the last piece
-# rather than the first, kept value): it reads the twisted role at the piece
-# that carries the twist and the base role elsewhere, and keeps one value of
-# (h0, h1).  The convexity side folds L(-x2) and is read for h1, the
-# dual side folds dual(L)(-x1) and is read for h0.
-_CONVEX_SIDE = ("plain", "tw2", True, 1)
-_DUAL_SIDE = ("dualx", "dtw1", False, 0)
+# rather than the first, kept value), where a role maps a piece's bundle to
+# the bundle whose fold data it reads: the twisted role at the piece that
+# carries the twist and the base role elsewhere.  It keeps one value of
+# (h0, h1).  The convexity side folds L(-x2) and is read for h1, the dual
+# side folds dual(L)(-x1) and is read for h0.
+_CONVEX_SIDE = (lambda L: L, lambda L: bundles.twist_marked(L, curves.X2, -1), True, 1)
+_DUAL_SIDE = (bundles.dual, lambda L: bundles.twist_marked(bundles.dual(L), curves.X1, -1), False, 0)
 
 
 def _roles(folds: tuple, first: bool, last: bool) -> tuple:
@@ -338,7 +293,7 @@ def _moves(tab: _CompTables, roles: tuple, need: int | None, flags: tuple, last:
     rows = tab.moves.get(key)
     if rows is None:
         step = cohomology.chain_step
-        ends = [(getattr(tab, role), keep) for role, keep in roles]
+        ends = [(tab.ends[role], keep) for role, keep in roles]
         grouped: dict = {}
         for t in tab.fits(need):
             states = [step((0, 0) + fl, table[t]) for (table, _), fl in zip(ends, flags)]
@@ -395,7 +350,7 @@ def _descent(tabs: list[_CompTables], roles: list[tuple], completions: dict):
             memo[need] = list(itertools.accumulate(sums[-1] if sums else 0 for sums in below))
         return memo[need]
 
-    ends = [[getattr(tab, role) for role, _ in at] for tab, at in zip(tabs, roles)]
+    ends = [[tab.ends[role] for role, _ in at] for tab, at in zip(tabs, roles)]
 
     def descend(r: int) -> tuple[tuple[int, ...], tuple]:
         idx, need = [], None
@@ -421,8 +376,11 @@ def _subtree_sweep(
 ) -> SuiteResult:
     """Tally a chain sweep by the subtrees of the chain DFS and replay its samples.
 
-    A node stands for the prefixes of the `iter_chains` DFS that agree on all
-    that their subtrees depend on, one root per first component:
+    The chains are numbered in depth-first pre-order: each chain comes right
+    before its extensions by one component, which follow one another in
+    ascending `chain_adjacency` order, each with its own extensions.  A node
+    stands for the prefixes that agree on all that their subtrees depend on,
+    one root per first component:
     `children(node)` lists its one-component extensions in ascending
     `chain_adjacency` order, and `own(node)` gives the figures of the
     prefix's own chain: instances, failures, then one per key of `keys` but
@@ -524,7 +482,7 @@ def _bundle_sweep(
     workers = _requested_workers(workers)
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
-    tables = [_comp_tables(c, d_lo, max_d) for c in comps]
+    tables = [_CompTables(c, range(d_lo, max_d + 1), folds) for c in comps]
     # the roles at (first piece, last piece), built once: the memo keys hold them
     roles = {(f, l): _roles(folds, f, l) for f in (False, True) for l in (False, True)}
     start = frozenset({((0,) * len(folds), (cohomology.CHAIN_START[2:],) * len(folds), None): 1}.items())
@@ -656,14 +614,18 @@ def suite_log_canonical(
     workers = _requested_workers(workers)
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
-    tabs = [_comp_tables(c, 0, 0) for c in comps]
+    objs = [curves.TwistedComponent(*c) for c in comps]
+    # the trivial bundle, the first of the d = 0 grid, is every piece of
+    # omega(x1+x2); omega(x2) twists the first piece by -x1
+    trivial = [_bundle_grid(comp, range(1))[0] for comp in objs]
+    plain = [cohomology.piece_ends(L) for L in trivial]
+    first = [cohomology.piece_ends(bundles.twist_marked(L, curves.X1, -1)) for L in trivial]
     step = cohomology.chain_step
     start = cohomology.CHAIN_START
 
     def children(node: tuple) -> list:
         i, (log_can, omega_x2) = node
-        pieces = [(j, tabs[j].plain[0]) for j in adjacency[i]]
-        return [(j, (step(log_can, p), step(omega_x2, p))) for j, p in pieces]
+        return [(j, (step(log_can, plain[j]), step(omega_x2, plain[j]))) for j in adjacency[i]]
 
     def values(node: tuple) -> tuple:
         """(h0, h1) of omega(x1+x2), then of omega(x2)."""
@@ -674,13 +636,11 @@ def suite_log_canonical(
         v = values(path[-1])
         return {"chain": [list(comps[node[0]]) for node in path], "log_canonical": v[:2], "omega_x2": v[2:]}
 
-    # Ordinal 0 of the d = 0 grid is the trivial bundle, its own dual, so its
-    # dtw1 role is omega(x2)'s first piece.
-    roots = [(i, (step(start, tab.plain[0]), step(start, tab.dtw1[0]))) for i, tab in enumerate(tabs)]
+    roots = [(i, (step(start, plain[i]), step(start, first[i]))) for i in range(len(comps))]
     return _subtree_sweep(
         SuiteResult("log-canonical"), keys=("sampled",), roots=roots, children=children,
         own=lambda node: (1, int(values(node) != _LOG_CANONICAL)), max_len=max_len, workers=workers,
-        witness=witness, replay=lambda path, _: (tuple(tabs[node[0]].comp for node in path), values(path[-1])),
+        witness=witness, replay=lambda path, _: (tuple(objs[node[0]] for node in path), values(path[-1])),
         check=_api_check_log_canonical,
     )
 

@@ -18,8 +18,8 @@ from orbicurve.bundles import (
     twist_marked,
 )
 from orbicurve.curves import CurveChain, MarkedPoint, TwistedComponent, present
-from orbicurve.oracles import brute_force_age
-from orbicurve.suites import component_family, iter_chains
+from orbicurve.oracles import brute_force_age, iter_chains
+from orbicurve.suites import component_family
 
 P1 = present(1, 1)
 P12 = present(1, 2)

@@ -6,9 +6,10 @@ arithmetic, so it imports no complex floating-point math.  The oracles that
 the suites replay against the fast path stay independent of it: `oracles`
 names none of the fast path's kernels, and only `suites` imports `oracles`.
 `suites` writes its bundle grid once: only `_bundle_grid` and the replays'
-`_api_chain` construct an `EqLineBundle`.  A component computes its modular
-inverses once, when it is built, so `bundles` and `cohomology` take no
-three-argument `pow`.  The operators of `series` are
+`_api_chain` construct an `EqLineBundle`; and it keeps no cache from one
+call to the next, so a fault reaches every call.  A component computes its
+modular inverses once, when it is built, so `bundles` and `cohomology` take
+no three-argument `pow`.  The operators of `series` are
 compared on their stored cells: no module reads the dense expansion
 `LOperator.matrix_at`, which only tests use.
 """
@@ -106,6 +107,14 @@ def test_suites_build_bundles_only_in_the_grid_and_the_replays():
     path = Path(orbicurve.__file__).parent / "suites.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _scopes_naming(tree, "EqLineBundle") == {"_bundle_grid", "_api_chain"}
+
+
+def test_suites_keep_no_cache_between_calls():
+    # every chain sweep builds its tables and memos inside the call, so a
+    # fault or a patch reaches the next call whatever ran before
+    path = Path(orbicurve.__file__).parent / "suites.py"
+    names = set(_names(ast.parse(path.read_text(), filename=str(path))))
+    assert names & {"lru_cache", "cache", "__getattr__"} == set()
 
 
 @pytest.mark.parametrize("name", ["bundles.py", "cohomology.py"])

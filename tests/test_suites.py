@@ -1,4 +1,5 @@
 """Verification-suite plumbing at small bounds."""
+import itertools
 import os
 import pathlib
 import subprocess
@@ -24,12 +25,18 @@ def test_component_family_is_valid():
 
 
 def test_iter_chains_node_matching():
+    # every chain whose nodes match, each once, in lexicographic order: the
+    # pre-order of a DFS that takes the extensions in ascending index order
     comps = suites.component_family(3, 2)
-    for chain in suites.iter_chains(comps, 3):
-        for i, j in zip(chain, chain[1:]):
-            a1, b1, l11, l21 = comps[i]
-            a2, b2, l12, l22 = comps[j]
-            assert b1 * l11 * l21 == a2 * l12 * l22
+    matching = lambda i, j: comps[i][1] * comps[i][2] * comps[i][3] == comps[j][0] * comps[j][2] * comps[j][3]
+    chains = [
+        chain
+        for n in range(1, 4)
+        for chain in itertools.product(range(len(comps)), repeat=n)
+        if all(map(matching, chain, chain[1:]))
+    ]
+    assert list(oracles.iter_chains(comps, 3)) == sorted(chains)
+    assert list(oracles.iter_chains(comps, 3, first=2)) == sorted(c for c in chains if c[0] == 2)
 
 
 def test_chain_adjacency_matches_all_pairs():
@@ -55,7 +62,7 @@ def test_sweep_instances_all_match_the_elimination_oracle(monkeypatch):
     assert res.ok and res.details["sampled"] == res.instances > 100
 
 
-def test_replays_catch_a_fault_in_the_node_activity_test(monkeypatch, fresh_tables):
+def test_replays_catch_a_fault_in_the_node_activity_test(monkeypatch):
     # the oracle decides node activity by its own character test, so a fault in
     # bundles.acts_trivially_at, wherever it is bound, reaches the fold alone
     real = bundles.acts_trivially_at
@@ -460,14 +467,23 @@ def _reference_descent(concave: bool, tabs) -> list:
     Folds `chain_step` over each bundle on its own: L(-x2) for h1 and, on the
     concavity side, dual(L)(-x1) for h0."""
     step = cohomology.chain_step
+    (plain, tw2), (dualx, dtw1) = suites._CONVEX_SIDE[:2], suites._DUAL_SIDE[:2]
     out = []
     for idx in _assignments(tabs):
         conv = dual = cohomology.CHAIN_START
         for k, (tab, t) in enumerate(zip(tabs, idx)):
-            conv = step(conv, (tab.tw2 if k == len(idx) - 1 else tab.plain)[t])
-            dual = step(dual, (tab.dtw1 if k == 0 else tab.dualx)[t])
+            conv = step(conv, tab.ends[tw2 if k == len(idx) - 1 else plain][t])
+            if concave:
+                dual = step(dual, tab.ends[dtw1 if k == 0 else dualx][t])
         out.append((idx, (conv[1], dual[0]) if concave else (conv[1],)))
     return out
+
+
+def _tables(concave: bool, max_ab: int, max_l: int, max_d: int) -> list:
+    """One table per component of the family, built as a sweep builds them."""
+    folds = (suites._CONVEX_SIDE, suites._DUAL_SIDE) if concave else (suites._CONVEX_SIDE,)
+    ds = range(-max_d if concave else 0, max_d + 1)
+    return [suites._CompTables(c, ds, folds) for c in suites.component_family(max_ab, max_l)]
 
 
 def _reference_sweep(concave: bool, max_ab: int, max_l: int, max_d: int, max_len: int):
@@ -477,14 +493,15 @@ def _reference_sweep(concave: bool, max_ab: int, max_l: int, max_d: int, max_len
     call.
     """
     comps = suites.component_family(max_ab, max_l)
+    tables = _tables(concave, max_ab, max_l, max_d)
     instances = failures = rank2_failures = 0
     first_cx = None
     details = Counter(sampled=0, rank2_pairs=0)
     replays = []
     for first in range(len(comps)):
         numbered = 0  # instances are numbered per first component
-        for chain in suites.iter_chains(comps, max_len, first):
-            tabs = [suites._comp_tables(comps[i], -max_d if concave else 0, max_d) for i in chain]
+        for chain in oracles.iter_chains(comps, max_len, first):
+            tabs = [tables[i] for i in chain]
             chain_comps = [list(comps[i]) for i in chain]
             counts = Counter()
             for idx, values in _reference_descent(concave, tabs):
@@ -530,13 +547,6 @@ def _counted_sweep(monkeypatch, concave: bool, grid: dict):
     return res.instances, res.failures, res.first_counterexample, res.details, replays
 
 
-@pytest.fixture
-def fresh_tables():
-    suites._comp_tables.cache_clear()
-    yield
-    suites._comp_tables.cache_clear()
-
-
 SMALL_GRIDS = [
     dict(max_ab=2, max_l=2, max_d=2, max_len=3),
     dict(max_ab=3, max_l=3, max_d=1, max_len=3),
@@ -548,7 +558,7 @@ SMALL_GRIDS = [
 @pytest.mark.parametrize("sample_every", [199, 7])
 @pytest.mark.parametrize("grid", SMALL_GRIDS, ids=lambda g: "-".join(map(str, g.values())))
 @pytest.mark.parametrize("concave", [False, True], ids=["convexity", "concavity"])
-def test_counting_sweep_matches_enumeration(monkeypatch, fresh_tables, concave, grid, sample_every):
+def test_counting_sweep_matches_enumeration(monkeypatch, concave, grid, sample_every):
     monkeypatch.setattr(suites, "SAMPLE_EVERY", sample_every)
     expected = _reference_sweep(concave, **grid)
     got = _counted_sweep(monkeypatch, concave, grid)
@@ -558,7 +568,7 @@ def test_counting_sweep_matches_enumeration(monkeypatch, fresh_tables, concave, 
 
 
 @pytest.mark.parametrize("concave", [False, True], ids=["convexity", "concavity"])
-def test_counting_sweep_finds_the_first_counterexample(monkeypatch, fresh_tables, concave):
+def test_counting_sweep_finds_the_first_counterexample(monkeypatch, concave):
     # a fault in the per-piece data: h1 one too large whenever d = 1 (mod 3)
     ends = cohomology.piece_ends
     monkeypatch.setattr(
@@ -580,14 +590,15 @@ def _h0_fault(ends):
 @pytest.mark.parametrize("fault", [None, _h0_fault], ids=["no-fault", "h0-fault"])
 @pytest.mark.parametrize("grid", SMALL_GRIDS, ids=lambda g: "-".join(map(str, g.values())))
 @pytest.mark.parametrize("concave", [False, True], ids=["convexity", "concavity"])
-def test_descent_matches_an_unranker_and_a_fold(monkeypatch, fresh_tables, concave, grid, fault):
+def test_descent_matches_an_unranker_and_a_fold(monkeypatch, concave, grid, fault):
     if fault:
         monkeypatch.setattr(cohomology, "piece_ends", fault(cohomology.piece_ends))
     folds = (suites._CONVEX_SIDE, suites._DUAL_SIDE) if concave else (suites._CONVEX_SIDE,)
     comps = suites.component_family(grid["max_ab"], grid["max_l"])
+    tables = _tables(concave, grid["max_ab"], grid["max_l"], grid["max_d"])
     completions = {}  # shared by the chains, as in a suite call
-    for chain in suites.iter_chains(comps, grid["max_len"]):
-        tabs = [suites._comp_tables(comps[i], -grid["max_d"] if concave else 0, grid["max_d"]) for i in chain]
+    for chain in oracles.iter_chains(comps, grid["max_len"]):
+        tabs = [tables[i] for i in chain]
         n = len(tabs)
         descend = suites._descent(tabs, [suites._roles(folds, k == 0, k == n - 1) for k in range(n)], completions)
         expected = _reference_descent(concave, tabs)
@@ -603,7 +614,7 @@ def test_descent_matches_an_unranker_and_a_fold(monkeypatch, fresh_tables, conca
             assert (expected[1] > 0) == (concave and grid["max_ab"] >= 3)
 
 
-def test_bundle_sweeps_finish_each_distinct_node_once(monkeypatch, fresh_tables):
+def test_bundle_sweeps_finish_each_distinct_node_once(monkeypatch):
     # a node is (prefix distribution, last component, is-first): the grid
     # (4, 4, 3, 3) has 3422 chains but 427 distinct nodes
     calls = []
@@ -612,7 +623,7 @@ def test_bundle_sweeps_finish_each_distinct_node_once(monkeypatch, fresh_tables)
     res = suites.suite_weak_convexity(4, 4, 3, 3, workers=1)
     assert res.instances == 201784
     assert len(calls) == len(set(calls)) == 427
-    assert sum(1 for _ in suites.iter_chains(suites.component_family(4, 4), 3)) == 3422
+    assert sum(1 for _ in oracles.iter_chains(suites.component_family(4, 4), 3)) == 3422
 
 
 def test_bundle_sweeps_keep_the_order_of_their_details():
@@ -623,36 +634,47 @@ def test_bundle_sweeps_keep_the_order_of_their_details():
     assert list(concave.details) == ["sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff"]
 
 
-def test_sweeps_build_only_the_tables_they_read(fresh_tables):
-    def built(tab) -> set:
-        # object.__getattribute__ reads a slot without the build on a miss
-        names = set()
-        for name in ("plain", "tw2", "dualx", "dtw1", "need", "by_age1"):
-            try:
-                object.__getattribute__(tab, name)
-            except AttributeError:
-                continue
-            names.add(name)
-        return names
-
+def test_sweeps_build_only_the_tables_they_read(monkeypatch):
+    # a bundle sweep reads the fold data of its folds' two roles on every grid
+    # bundle, once; the log-canonical sweep reads the trivial bundle of each
+    # component and its twist by -x1
+    built = []
+    ends = cohomology.piece_ends
+    monkeypatch.setattr(cohomology, "piece_ends", lambda L: built.append(L) or ends(L))
+    for name in ("_api_check_convexity_instance", "_api_check_concavity_instance", "_api_check_log_canonical"):
+        monkeypatch.setattr(suites, name, lambda *args: None)
     family = suites.component_family(3, 2)
+    per_d = sum(l1 * l2 for _, _, l1, l2 in family)
     suites.suite_weak_convexity(max_ab=3, max_l=2, max_d=2, max_len=3, workers=1)
-    assert set.union(*(built(suites._comp_tables(c, 0, 2)) for c in family)) == {"plain", "tw2", "need", "by_age1"}
+    assert len(built) == 2 * 3 * per_d
+    built.clear()
+    suites.suite_weak_concavity(max_ab=3, max_l=2, max_d=2, max_len=3, workers=1)
+    assert len(built) == 4 * 5 * per_d
+    built.clear()
     suites.suite_log_canonical(max_ab=3, max_l=2, max_len=3, workers=1)
-    assert all(built(suites._comp_tables(c, 0, 0)) == {"plain", "dtw1"} for c in family)
+    trivial = [EqLineBundle(TwistedComponent(*c), 0, 0, 0) for c in family]
+    assert built == trivial + [bundles.twist_marked(L, MarkedPoint.X1, -1) for L in trivial]
 
 
-def test_no_state_survives_between_suite_calls(monkeypatch, fresh_tables):
+@pytest.mark.parametrize("suite", ["suite_weak_convexity", "suite_weak_concavity"])
+def test_a_fault_after_a_clean_call_reaches_the_replays(monkeypatch, suite):
+    # a call folds the per-piece data it reads itself, not what a clean call
+    # before it read, so its replays catch a fault that comes in between
+    monkeypatch.setattr(suites, "SAMPLE_EVERY", 1)
+    assert getattr(suites, suite)(2, 2, 2, 3, workers=1).ok
+    ends = cohomology.piece_ends
+    monkeypatch.setattr(cohomology, "piece_ends", lambda L: (lambda e: (e[0], e[1] + 1, *e[2:]))(ends(L)))
+    with pytest.raises(cohomology.InternalInconsistency, match="elimination"):
+        getattr(suites, suite)(2, 2, 2, 3, workers=1)
+
+
+def test_no_state_survives_between_suite_calls(monkeypatch):
     runs = []
     for _ in range(2):
         runs.append((
             _counted_sweep(monkeypatch, True, dict(max_ab=3, max_l=2, max_d=2, max_len=3)),
             _counted_log_canonical(monkeypatch, dict(max_ab=3, max_l=2, max_len=3)),
         ))
-        # the sweep's own tables, from the cache: its transitions were memoized
-        family = suites.component_family(3, 2)
-        assert any(suites._comp_tables(c, -2, 2).moves for c in family)
-        suites._comp_tables.cache_clear()
         for name, value in vars(suites).items():
             if name.startswith("__") or value is suites.SUITES:
                 continue
@@ -677,18 +699,20 @@ def _reference_log_canonical(max_ab: int, max_l: int, max_len: int):
     of the sweep's `_api_check_log_canonical` call."""
     comps = suites.component_family(max_ab, max_l)
     step = cohomology.chain_step
+    trivial = [EqLineBundle(TwistedComponent(*c), 0, 0, 0) for c in comps]
+    plain = [cohomology.piece_ends(L) for L in trivial]
+    first_x2 = [cohomology.piece_ends(bundles.twist_marked(bundles.dual(L), MarkedPoint.X1, -1)) for L in trivial]
     instances = failures = 0
     first_cx = None
     replays = []
     for first in range(len(comps)):
         numbered = 0  # chains are numbered per first component
         log_can, omega_x2 = [cohomology.CHAIN_START], [cohomology.CHAIN_START]
-        for chain in suites.iter_chains(comps, max_len, first):
-            k = len(chain)
-            tab = suites._comp_tables(comps[chain[-1]], 0, 0)
+        for chain in oracles.iter_chains(comps, max_len, first):
+            k, i = len(chain), chain[-1]
             del log_can[k:], omega_x2[k:]
-            log_can.append(step(log_can[-1], tab.plain[0]))
-            omega_x2.append(step(omega_x2[-1], tab.dtw1[0] if k == 1 else tab.plain[0]))
+            log_can.append(step(log_can[-1], plain[i]))
+            omega_x2.append(step(omega_x2[-1], first_x2[i] if k == 1 else plain[i]))
             values = log_can[k][:2] + omega_x2[k][:2]
             chain_comps = [list(comps[i]) for i in chain]
             instances += 1
@@ -721,7 +745,7 @@ LOG_CANONICAL_GRIDS = [
 
 @pytest.mark.parametrize("sample_every", [199, 7])
 @pytest.mark.parametrize("grid", LOG_CANONICAL_GRIDS, ids=lambda g: "-".join(map(str, g.values())))
-def test_log_canonical_counts_match_the_chain_walk(monkeypatch, fresh_tables, grid, sample_every):
+def test_log_canonical_counts_match_the_chain_walk(monkeypatch, grid, sample_every):
     monkeypatch.setattr(suites, "SAMPLE_EVERY", sample_every)
     expected = _reference_log_canonical(**grid)
     assert _counted_log_canonical(monkeypatch, grid) == expected
@@ -729,7 +753,7 @@ def test_log_canonical_counts_match_the_chain_walk(monkeypatch, fresh_tables, gr
 
 
 @pytest.mark.parametrize("sample_every", [199, 7])
-def test_log_canonical_counts_find_the_first_counterexample(monkeypatch, fresh_tables, sample_every):
+def test_log_canonical_counts_find_the_first_counterexample(monkeypatch, sample_every):
     # a fault in the per-piece data that a later piece can undo
     monkeypatch.setattr(cohomology, "piece_ends", _h0_fault(cohomology.piece_ends))
     monkeypatch.setattr(suites, "SAMPLE_EVERY", sample_every)
@@ -740,10 +764,10 @@ def test_log_canonical_counts_find_the_first_counterexample(monkeypatch, fresh_t
     assert _counted_log_canonical(monkeypatch, grid) == expected
 
 
-def test_log_canonical_work_does_not_depend_on_the_calls_before(monkeypatch, fresh_tables):
+def test_log_canonical_work_does_not_depend_on_the_calls_before(monkeypatch):
     # every call counts its family's subtrees itself: the fold steps it makes
-    # are the same on fresh tables, after a call on another family and after
-    # a call on its own, and it lists the family and its adjacency once
+    # are the same first, after a call on another family and after a call on
+    # its own, and it lists the family and its adjacency once
     calls = Counter()
 
     def counted(name, fn):
@@ -754,7 +778,6 @@ def test_log_canonical_work_does_not_depend_on_the_calls_before(monkeypatch, fre
     grid, other = dict(max_ab=3, max_l=3, max_len=4), dict(max_ab=4, max_l=4, max_len=4)
     runs = []
     for before in (None, other, grid):
-        suites._comp_tables.cache_clear()
         if before:
             _counted_log_canonical(monkeypatch, before)
         calls.clear()
@@ -764,7 +787,7 @@ def test_log_canonical_work_does_not_depend_on_the_calls_before(monkeypatch, fre
 
 
 @pytest.mark.parametrize("sample_every", [199, 7])
-def test_log_canonical_sends_one_run_of_replays_per_first_component(monkeypatch, fresh_tables, sample_every):
+def test_log_canonical_sends_one_run_of_replays_per_first_component(monkeypatch, sample_every):
     # the counts stay in the calling process; the pool gets the replays alone,
     # in order, one run for each first component whether it has replays or not
     monkeypatch.setattr(suites, "SAMPLE_EVERY", sample_every)
@@ -785,15 +808,11 @@ def test_log_canonical_sends_one_run_of_replays_per_first_component(monkeypatch,
     assert res.details["sampled"] == expected[3] > 0
 
 
-def test_log_canonical_counts_are_kept_per_family(monkeypatch, fresh_tables):
-    # the component tables are cached and shared by every family; a run must
-    # give what it gives on fresh tables whatever ran before
+def test_log_canonical_counts_are_kept_per_family(monkeypatch):
+    # families share components; a run must give what it gave first
+    # whatever ran before
     monkeypatch.setattr(suites, "SAMPLE_EVERY", 7)
     grids = [dict(max_ab=3, max_l=3, max_len=4), dict(max_ab=4, max_l=4, max_len=4)]
-    fresh = []
-    for grid in grids:
-        suites._comp_tables.cache_clear()
-        fresh.append(_counted_log_canonical(monkeypatch, grid))
-    suites._comp_tables.cache_clear()
+    first = [_counted_log_canonical(monkeypatch, grid) for grid in grids]
     for n in (0, 1, 0):
-        assert _counted_log_canonical(monkeypatch, grids[n]) == fresh[n]
+        assert _counted_log_canonical(monkeypatch, grids[n]) == first[n]
