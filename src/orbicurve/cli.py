@@ -3,9 +3,10 @@
 All exact values are serialized as strings ("3/2", "e^{i*pi*1/2}"), never as
 floats, so reports round-trip losslessly.  JSON reports are byte-deterministic
 for a fixed (input, seed); wall-clock timing appears only in the human-readable
-table output.  Exit codes: 0 success, 1 suite/verdict failure, 2 input error,
-3 internal error (two independent computations disagreed, or a certificate
-failed).
+table output.  Exit codes: 0 success, 1 suite/verdict failure, 2 input error
+(`InputError` or `ValueError`, including a file that cannot be read), 3
+internal error (any other exception: two independent computations disagreed,
+a certificate failed, or a fault in the library).
 
 Input documents follow `schemas/input-v1.json`, where an integer is a JSON
 integer: `2.0` is a schema violation, not the number 2.  The argument parser
@@ -534,8 +535,11 @@ def _read_document(args) -> dict | None:
             return None
         text = sys.stdin.read()
     else:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -587,10 +591,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc = _read_document(args)
         results = COMMANDS[args.command](args, doc)
-    except (InputError, ValueError, KeyError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (cohomology.InternalInconsistency, convexity.CertificateError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     report = {"command": args.command, "results": results}

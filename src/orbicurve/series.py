@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .foundation import Phase, PhasedScalar, as_rational
-from .wps import WPSModel, _partner, euler_factor, pairing_blocks
+from .wps import WPSModel, _partner, euler_image_dim, pairing_blocks
 
 
 @dataclass(frozen=True)
@@ -221,16 +221,11 @@ class QSDReport:
 def compact_type_basis(m: WPSModel) -> list[tuple[Fraction, int]]:
     """(sector rotation, H-power) pairs giving a basis of the compact-type space.
 
-    On the sector with rotation f the compact-type subspace has dimension
-    dim_f + 1 - rank_fixed_f (the image of the Euler-factor multiplication),
-    realized by the pushforwards of H^p for p up to that dimension minus one.
+    On the sector with rotation f the compact-type subspace is the image of
+    the Euler-factor multiplication (`euler_image_dim`), realized by the
+    pushforwards of H^p for p below its dimension.
     """
-    basis = []
-    for s in m.sectors:
-        _, power = euler_factor(m, s)
-        for p in range(s.dim + 1 - power):
-            basis.append((s.f, p))
-    return basis
+    return [(s.f, p) for s in m.sectors for p in range(euler_image_dim(m, s))]
 
 
 def _pairing_matrices(m: WPSModel, basis: list[tuple[Fraction, int]]):

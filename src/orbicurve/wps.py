@@ -37,7 +37,9 @@ weight w is fixed when n | j*w, a degree k acts by ((j*k) mod n)/n.
 The transport delta multiplies a class supported on the sector with rotation
 f by the exact phase e^{i*pi*age_f} and reinterprets it as an ambient class;
 the verification routines below confirm that it matches the pairings up to
-the global sign (-1)^rank and has the right image dimensions.
+the global sign (-1)^rank and has the right image dimensions, those of the
+Euler-factor multiplications: multiplying by coeff * H^power is a shift of
+the monomials, so `euler_image_dim` counts its image without a matrix.
 """
 from __future__ import annotations
 
@@ -48,7 +50,6 @@ from itertools import accumulate
 from math import lcm
 
 from .foundation import PhasedScalar
-from .linalg import mat_rank
 from .sectors import SectorAction, age
 
 
@@ -125,6 +126,13 @@ def euler_factor(m: WPSModel, s: Sector) -> tuple[int, int]:
             coeff *= k
             power += 1
     return coeff, power
+
+
+def euler_image_dim(m: WPSModel, s: Sector) -> int:
+    """Dimension of the image of multiplication by e(E_f) = coeff * H^power on
+    Q[H]/(H^{dim+1}): a shift, so the H^p with p + power <= dim span it."""
+    coeff, power = euler_factor(m, s)
+    return max(0, s.dim + 1 - power) if coeff else 0
 
 
 def dual_euler_factor(m: WPSModel, s: Sector) -> tuple[int, int]:
@@ -267,17 +275,6 @@ class DeltaIsoReport:
         return all(s.ok for s in self.sectors)
 
 
-def _euler_mult_matrix(m: WPSModel, s: Sector) -> list[list[Fraction]]:
-    """Matrix of multiplication by e(E_f) on Q[H]/(H^{dim+1}), columns H^p."""
-    coeff, power = euler_factor(m, s)
-    n = s.dim + 1
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for p in range(n):
-        if p + power < n:
-            mat[p + power][p] = Fraction(coeff)
-    return mat
-
-
 def verify_delta_iso_dims(m: WPSModel) -> DeltaIsoReport:
     """Per sector: image dimension of the Euler-factor multiplication equals
     the rank of the ambient pairing block, and the pairing kernel is stable
@@ -286,14 +283,15 @@ def verify_delta_iso_dims(m: WPSModel) -> DeltaIsoReport:
     The block of f against 1-f (square: both sectors fix the same
     coordinates) has at most one nonzero entry in each row and column.  So its
     rank is the number of rows H^p holding one, and the kernel of its
-    transpose is spanned by the other H^p; it is stable when the
-    multiplication sends each of those into their span.
+    transpose is spanned by the other H^p.  The multiplication is a shift, H^p
+    to coeff * H^{p+power}, so the kernel is stable unless it sends an unpaired
+    H^p onto a paired row.
     """
     report = DeltaIsoReport(m)
     for s, (value, top) in zip(m.sectors, pairing_blocks(m, "ambient")):
-        mult = _euler_mult_matrix(m, s)
+        coeff, power = euler_factor(m, s)
         n = s.dim + 1
         paired = [bool(value) and 0 <= top - p < n for p in range(n)]
-        stable = not any(paired[r] for p in range(n) if not paired[p] for r in range(n) if mult[r][p])
-        report.sectors.append(SectorDimReport(s.f, mat_rank(mult), sum(paired), stable))
+        stable = not (coeff and any(paired[p + power] and not paired[p] for p in range(n - power)))
+        report.sectors.append(SectorDimReport(s.f, euler_image_dim(m, s), sum(paired), stable))
     return report

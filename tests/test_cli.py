@@ -232,7 +232,12 @@ def test_verify_suite_failure_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "error", [cohomology.InternalInconsistency("routes disagree"), convexity.CertificateError("not trivial")]
+    "error",
+    [
+        cohomology.InternalInconsistency("routes disagree"),
+        convexity.CertificateError("not trivial"),
+        KeyError("internal slot"),  # a fault in the library, not bad input
+    ],
 )
 def test_internal_error_exit_code(capsys, monkeypatch, error):
     def broken_suite(**kwargs):
@@ -391,6 +396,12 @@ def test_invalid_chain_and_bundle_messages(tmp_path, capsys, command, doc, messa
     code, out, err = run_cli(capsys, "--json", command, write_doc(tmp_path, doc))
     assert code == 2 and out == ""
     assert err == f"input error: {message}\n"
+
+
+def test_unreadable_file_is_an_input_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--json", "cohomology", str(tmp_path / "missing.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: cannot read ")
 
 
 @pytest.mark.parametrize("wps_command", ["sectors", "pairing", "verify"])

@@ -2,8 +2,10 @@
 
 `python -O` strips `assert` statements, so a cross-check written as one
 vanishes under -O; the package raises instead.  The package promises exact
-arithmetic, so it imports no complex floating-point math.  The oracles that
-the suites replay against the fast path stay independent of it: `oracles`
+arithmetic, so it imports no complex floating-point math.  No module imports
+`linalg`, the dense Fraction row reduction the tests compare against, so the
+only elimination kernel on a library path is the chain oracle's.  The oracles
+that the suites replay against the fast path stay independent of it: `oracles`
 names none of the fast path's kernels, and only `suites` imports `oracles`.
 `suites` writes its bundle grid once: only `_bundle_grid` and the replays'
 `_api_chain` construct an `EqLineBundle`; and it keeps no cache from one
@@ -42,6 +44,13 @@ def test_no_assert_statements(path):
 def test_no_cmath_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "cmath" not in {name.split(".")[0] for name in _imported_modules(tree)}, path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_linalg_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert "linalg" not in {name for n in imports for name in _names(n)}, path.name
 
 
 # The fast-path kernels each oracle is checked against.

@@ -228,30 +228,37 @@ def _dense_failures(m):
 
 def _dense_iso(m):
     """(f, image dim, block rank, kernel stable) per sector, by `mat_rank` on
-    the blocks cut out of the dense ambient Gram matrix.  The kernel of the
-    transposed block B^T is stable under the multiplication M when adding the
-    rows of B^T M to those of B^T keeps the rank."""
+    the dense matrix of the Euler-factor multiplication and on the blocks cut
+    out of the dense ambient Gram matrix.  The kernel of the transposed block
+    B^T is stable under the multiplication M when adding the rows of B^T M to
+    those of B^T keeps the rank."""
     basis = state_basis(m)
     gram = pairing_gram(m, "ambient")
     out = []
     for s in m.sectors:
+        coeff, power = wps.euler_factor(m, s)
+        n = s.dim + 1
+        mult = [[coeff if r == c + power else 0 for c in range(n)] for r in range(n)]
         rows = [i for i, (f, _) in enumerate(basis) if f == s.f]
         cols = [j for j, (f, _) in enumerate(basis) if f == (1 - s.f) % 1]
         transposed = [[gram[i][j] for i in rows] for j in cols]
-        mult = wps._euler_mult_matrix(m, s)
-        moved = [[sum(x * mult[r][c] for r, x in enumerate(row)) for c in range(len(mult))] for row in transposed]
+        moved = [[sum(x * mult[r][c] for r, x in enumerate(row) if x) for c in range(n)] for row in transposed]
         rank = mat_rank(transposed)
         out.append((s.f, mat_rank(mult), rank, mat_rank(transposed + moved) == rank))
     return out
 
 
-def _shift(name, coeff=0, power=0):
-    """Corrupt the Euler factor `name` on one sector: f = 1/2 for a coefficient, f = 0 for a power."""
+def _iso_rows(report):
+    return [(r.f, r.image_dim, r.ambient_pairing_rank, r.kernel_stable) for r in report.sectors]
+
+
+def _corrupt(name, f, coeff=lambda c: c, power=lambda p: p):
+    """Corrupt the Euler factor `name` on the sector with rotation f."""
     orig = getattr(wps, name)
 
     def corrupted(m, s):
         c, p = orig(m, s)
-        return c + coeff * (s.f == F(1, 2)), p + power * (s.f == 0)
+        return (coeff(c), power(p)) if s.f == f else (c, p)
 
     return corrupted
 
@@ -261,22 +268,21 @@ def _scale_volume(factor, where):
     return lambda m, s, k: orig(m, s, k) * (factor if where(s.f) else 1)
 
 
-def _lowering():
-    """The Euler-factor multiplication transposed: it lowers degrees, so the
-    kernel of a pairing block (its high rows) need not be stable under it."""
-    orig = wps._euler_mult_matrix
-    return lambda m, s: [list(row) for row in zip(*orig(m, s))]
-
-
 # fault -> (patches, does the pairing comparison fail somewhere, does the iso check)
 FAULTS = {
     "none": (lambda: {}, False, False),
-    "ct coefficient at 1/2": (lambda: {"dual_euler_factor": _shift("dual_euler_factor", coeff=1)}, True, False),
-    "ct power at 0": (lambda: {"dual_euler_factor": _shift("dual_euler_factor", power=1)}, True, False),
+    "ct coefficient at 1/2": (
+        lambda: {"dual_euler_factor": _corrupt("dual_euler_factor", F(1, 2), coeff=lambda c: c + 1)}, True, False
+    ),
+    "ct power at 0": (lambda: {"dual_euler_factor": _corrupt("dual_euler_factor", 0, power=lambda p: p + 1)}, True, False),
     # both sides of the comparison scale alike, and no block loses its rank
     "volume x2 at thirds": (lambda: {"integrate": _scale_volume(2, lambda f: f.denominator == 3)}, False, False),
     "volume 0 at 1/2": (lambda: {"integrate": _scale_volume(0, lambda f: f == F(1, 2))}, False, True),
-    "multiplication lowers degrees": (lambda: {"_euler_mult_matrix": _lowering()}, False, True),
+    # the iso check reads one Euler factor for its block and its shift, so the
+    # image dimensions change but still match; the extra power also flips
+    # the sign of the dual Euler factor, which the comparison sees
+    "coefficient 0 at 1/2": (lambda: {"euler_factor": _corrupt("euler_factor", F(1, 2), coeff=lambda c: 0)}, False, False),
+    "power at 0": (lambda: {"euler_factor": _corrupt("euler_factor", 0, power=lambda p: p + 1)}, True, False),
 }
 
 
@@ -291,10 +297,23 @@ def test_block_walk_matches_the_dense_scan(monkeypatch, fault):
         assert report.failures == _dense_failures(m), str(m)
         assert report.checks == len(state_basis(m)) ** 2
         iso = verify_delta_iso_dims(m)
-        assert [(r.f, r.image_dim, r.ambient_pairing_rank, r.kernel_stable) for r in iso.sectors] == _dense_iso(m)
+        assert _iso_rows(iso) == _dense_iso(m), str(m)
         failing += not report.ok
         not_iso += not iso.ok
     assert (failing > 0, not_iso > 0) == (pairing_fails, iso_fails)
+
+
+def test_closed_form_iso_matches_the_dense_ranks_on_the_family():
+    for m in suites.wps_model_family():
+        assert _iso_rows(verify_delta_iso_dims(m)) == _dense_iso(m), str(m)
+
+
+def test_kernel_check_sees_an_unpaired_class_shifted_onto_a_paired_row(monkeypatch):
+    # a block pairing H^p with H^{3-p} on P(1,1,1) leaves H^0 unpaired, and
+    # the Euler factor 3H sends it onto the paired H^1
+    monkeypatch.setattr(wps, "pairing_blocks", lambda m, kind: [(F(3), 3)])
+    (rep,) = verify_delta_iso_dims(WPSModel((1, 1, 1), (3,))).sectors
+    assert (rep.image_dim, rep.ambient_pairing_rank, rep.kernel_stable) == (2, 2, False)
 
 
 def test_verification_never_expands_the_gram_matrix(monkeypatch):
