@@ -46,13 +46,6 @@ def test_no_cmath_import(path):
     assert "cmath" not in {name.split(".")[0] for name in _imported_modules(tree)}, path.name
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_linalg_import(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
-    assert "linalg" not in {name for n in imports for name in _names(n)}, path.name
-
-
 # The fast-path kernels each oracle is checked against.
 FAST_PATH = {
     "chain_step", "piece_ends", "CHAIN_START", "h_chain",  # cohomology
@@ -85,11 +78,19 @@ def test_oracles_name_no_fast_path_kernel():
 NOT_SUITES = [p for p in SOURCES if p.name not in ("suites.py", "oracles.py")]
 
 
+def _import_names(path: Path) -> set:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for name in _names(n)}
+
+
 @pytest.mark.parametrize("path", NOT_SUITES, ids=lambda p: p.name)
 def test_only_suites_imports_oracles(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
-    assert "oracles" not in {name for n in imports for name in _names(n)}, path.name
+    assert "oracles" not in _import_names(path), path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_linalg_import(path):
+    assert "linalg" not in _import_names(path), path.name
 
 
 def _scopes_naming(tree: ast.AST, name: str) -> set:
