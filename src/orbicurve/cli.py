@@ -6,7 +6,8 @@ for a fixed (input, seed); wall-clock timing appears only in the human-readable
 table output.  Exit codes: 0 success, 1 suite/verdict failure, 2 input error
 (`InputError` or `ValueError`, including a file that cannot be read), 3
 internal error (any other exception: two independent computations disagreed,
-a certificate failed, or a fault in the library).
+a certificate failed, or a fault in the library, whose message names the
+exception type).
 
 Input documents follow `schemas/input-v1.json`, where an integer is a JSON
 integer: `2.0` is a schema violation, not the number 2.  The argument parser
@@ -29,7 +30,7 @@ from importlib import resources
 from typing import Callable
 
 from . import bundles, cohomology, convexity, curves, sectors, series, suites, wps
-from .foundation import Phase, PhasedScalar
+from .foundation import InternalInconsistency, Phase, PhasedScalar
 
 
 class InputError(Exception):
@@ -594,8 +595,11 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
+    except (InternalInconsistency, convexity.CertificateError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault in the library: name what failed
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     report = {"command": args.command, "results": results}
     failed = _has_failures(results)

@@ -172,17 +172,20 @@ def chain_step(state: ChainState, piece: PieceEnds) -> ChainState:
 
 def h_chain(B: ChainBundle) -> CohomologyReport:
     """h0 and h1 of a chain bundle by the fold, checked against Riemann-Roch."""
-    # Riemann-Roch on the pieces, less one gluing condition per active node,
-    # compared in integers over the common denominator D; the terms also say
-    # which pieces are trivial at x2
-    terms = [_riemann_roch_terms(p) for p in B.pieces]
-    state = CHAIN_START
-    for piece, (_, _, trivial2) in zip(B.pieces, terms):
+    # one pass: Riemann-Roch on the pieces, less one gluing condition per
+    # active node, summed as an integer numerator over a common denominator D
+    # that grows only when a piece's denominator does not divide it; the terms
+    # also say whether a piece is trivial at x2, and the fold state whether
+    # the node before the next piece is active
+    state, euler_num, D = CHAIN_START, 0, 1
+    for piece in B.pieces:
+        num, den, trivial2 = _riemann_roch_terms(piece)
+        if D % den:
+            grown = lcm(D, den)
+            euler_num, D = euler_num * (grown // D), grown
+        euler_num += num * (D // den) - (D if state[4] else 0)
         state = chain_step(state, piece_ends(piece, trivial2))
     h0, h1 = state[0], state[1]
-    D = lcm(*(den for _, den, _ in terms))
-    n_active = sum(trivial2 for _, _, trivial2 in terms[:-1])  # node j follows piece j
-    euler_num = sum(num * (D // den) for num, den, _ in terms) - n_active * D
     euler = Fraction(euler_num, D)
     if (h0 - h1) * D != euler_num:
         raise InternalInconsistency(

@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import (
+    ChainBundle,
     SplitBundle,
     canonical_bundle,
     chain_dual,
     chain_twist,
-    trivial_bundle,
-    trivial_chain_bundle,
     twist_marked,
 )
 from .cohomology import h_chain, h_twisted
@@ -76,6 +75,9 @@ class LogCanonicalCertificate:
     h1_log_canonical: int
     h0_omega_x2: int
     h1_omega_x2: int
+    # the bundles the figures were computed on: omega(x1+x2) and omega(x2)
+    log_canonical: ChainBundle
+    omega_x2: ChainBundle
 
 
 def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
@@ -87,13 +89,19 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
       * h^0(omega(x1+x2)) = 1 and h^1 = 0;
       * h^0(omega(x2)) = h^1(omega(x2)) = 0, the conditions that make the
         residue trivialization work in families.
+
+    Each bundle is built once: the chain bundle of omega(x1+x2) is made of
+    the checked pieces, and the certificate carries both chain bundles, so a
+    replay can hand the same input to an independent oracle.
     """
+    pieces = []
     for j, comp in enumerate(chain.components):
         log_can = twist_marked(twist_marked(canonical_bundle(comp), X1, 1), X2, 1)
-        if log_can != trivial_bundle(comp):
+        if log_can.k1 or log_can.k2 or log_can.d:
             raise CertificateError(f"component {j}: omega(x1+x2) = {log_can} is not trivial")
+        pieces.append(log_can)
 
-    log_chain = trivial_chain_bundle(chain)
+    log_chain = ChainBundle(chain, tuple(pieces))  # the all-trivial bundle, built from the checked pieces
     rep = h_chain(log_chain)
     omega_x2 = chain_twist(log_chain, X1, -1)  # omega(x2) = omega(x1+x2) - x1
     rep2 = h_chain(omega_x2)
@@ -102,6 +110,8 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
         h1_log_canonical=rep.h1,
         h0_omega_x2=rep2.h0,
         h1_omega_x2=rep2.h1,
+        log_canonical=log_chain,
+        omega_x2=omega_x2,
     )
     if rep.h0 != 1 or rep.h1 != 0:
         raise CertificateError(f"log canonical bundle not trivial on chain: h0={rep.h0}, h1={rep.h1}")

@@ -1,8 +1,9 @@
 """Tiny exact linear algebra over Fraction entries.
 
-Matrices are lists of lists and small (the Euler-factor multiplications of
-`wps`), so plain Gaussian elimination with exact pivots is both simplest and
-fast enough.
+No library module imports this one: it stays only as the dense reference
+rank that the tests compare against, and perfbench traces it.  Matrices are
+lists of lists and small, so plain Gaussian elimination with exact pivots is
+both simplest and fast enough.
 """
 from __future__ import annotations
 

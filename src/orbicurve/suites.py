@@ -58,12 +58,14 @@ from .foundation import Phase
 SAMPLE_EVERY = 199  # every k-th sweep instance is replayed through the elimination oracle
 PAIRING_SAMPLE_EVERY = 11  # every k-th model's pairing comparison is replayed elementwise
 # Replays that pay for one pool worker, measured on log-canonical replays.  On
-# a 2-core box (medians of 11 alternating runs in process) one worker against
-# two read 18 vs 44 ms at 105 replays, 65 vs 94 ms at 387, 97 vs 91 ms at 459,
-# 199 vs 137 ms at 537 and 244 vs 174 ms at 827: two workers break even at
-# about 450-600 replays, and start from 600.  The bundle sweeps' replays are
-# about five times cheaper and descended in the caller: there two workers
-# break even at about 2,000 (concavity) to 3,000-5,000 (convexity) replays.
+# a 2-core box (medians of 21 alternating runs in process, the pool forced)
+# one worker against two read 13 vs 34 ms at 105 replays, 45 vs 70 ms at 387,
+# 77 vs 94 ms at 414, 87 vs 74 ms at 437, 85 vs 76 ms at 459 and 104 vs 94 ms
+# at 827: two workers break even at about 420-440 replays, and start from
+# 600.  The figure is not lowered to match, because the bundle sweeps share
+# it: their replays are about five times cheaper and descended in the caller,
+# and there two workers break even only at about 2,000 (concavity) to
+# 3,000-5,000 (convexity) replays.
 REPLAYS_PER_WORKER = 300
 
 
@@ -582,10 +584,9 @@ def suite_weak_concavity(
 def _api_check_log_canonical(comps: tuple, expected: tuple) -> None:
     chain = curves.CurveChain(comps)
     cert = convexity.log_canonical_certificate(chain)
-    log_chain = bundles.trivial_chain_bundle(chain)
-    omega_x2 = bundles.chain_twist(log_chain, curves.X1, -1)
     certified = (cert.h0_log_canonical, cert.h1_log_canonical, cert.h0_omega_x2, cert.h1_omega_x2)
-    eliminated = oracles.h_chain_by_elimination(log_chain) + oracles.h_chain_by_elimination(omega_x2)
+    # the elimination reads the very bundles the certificate's fold read
+    eliminated = oracles.h_chain_by_elimination(cert.log_canonical) + oracles.h_chain_by_elimination(cert.omega_x2)
     if certified != expected or eliminated != expected:
         raise cohomology.InternalInconsistency(
             f"log canonical on {_listed(comps)}: sweep {expected}, certificate {certified}, "

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -260,11 +261,13 @@ def _chain_grid(max_ab: int, max_l: int, degrees: range, max_len: int):
             yield from extend([i], [L])
 
 
-def test_h_chain_unchanged_on_a_chain_grid():
-    # against the fold over `piece_ends` that decides node activity itself,
-    # and the Euler characteristic summed from `riemann_roch_check`
-    n = 0
-    for B in _chain_grid(2, 2, range(-2, 3), 3):
+def _h_chain_against_the_plain_fold(grid) -> tuple[int, int]:
+    """(bundles, bundles whose piece denominators a*b*l1*l2 have an lcm above
+    their largest) of `grid`, each checked against the fold over `piece_ends`
+    that decides node activity itself, and the Euler characteristic summed
+    from `riemann_roch_check`."""
+    n = n_grown = 0
+    for B in grid:
         state = cohomology.CHAIN_START
         for piece in B.pieces:
             state = cohomology.chain_step(state, piece_ends(piece))
@@ -272,8 +275,20 @@ def test_h_chain_unchanged_on_a_chain_grid():
         euler = sum(riemann_roch_check(p) for p in B.pieces) - n_active
         rep = h_chain(B)
         assert (rep.h0, rep.h1, rep.euler_char) == (state[0], state[1], euler), B
+        dens = [p.comp.a * p.comp.b * p.comp.l1 * p.comp.l2 for p in B.pieces]
         n += 1
-    assert n == 10090
+        n_grown += lcm(*dens) > max(dens)
+    return n, n_grown
+
+
+def test_h_chain_unchanged_on_a_chain_grid():
+    assert _h_chain_against_the_plain_fold(_chain_grid(2, 2, range(-2, 3), 3)) == (10090, 0)
+
+
+def test_h_chain_unchanged_on_coprime_denominators():
+    # the (3, 3) family mixes the denominators 2, 3, 4, 6, ..., so the running
+    # common denominator of h_chain grows by lcm on the pieces that need it
+    assert _h_chain_against_the_plain_fold(_chain_grid(3, 3, range(-1, 2), 3)) == (25347, 4080)
 
 
 @settings(max_examples=300, deadline=None)

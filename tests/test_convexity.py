@@ -1,6 +1,9 @@
 """Semi-positivity, convexity, concavity, and the log-canonical certificate."""
+import dataclasses
+
 import pytest
 
+from orbicurve import convexity
 from orbicurve.bundles import ChainBundle, EqLineBundle, SplitBundle
 from orbicurve.convexity import (
     CertificateError,
@@ -10,7 +13,7 @@ from orbicurve.convexity import (
     is_weakly_semipositive,
     log_canonical_certificate,
 )
-from orbicurve.curves import CurveChain, present
+from orbicurve.curves import X2, CurveChain, present
 from orbicurve.suites import suite_weak_concavity, suite_weak_convexity
 
 P1 = present(1, 1)
@@ -69,6 +72,20 @@ def test_log_canonical_certificate_examples():
 def test_log_canonical_certificate_rejects_invalid_chain():
     with pytest.raises(ValueError):
         log_canonical_certificate(CurveChain((present(1, 2), present(3, 1))))
+
+
+def test_a_fault_in_one_components_log_canonical_bundle_fails_the_certificate(monkeypatch):
+    chain = CurveChain((P1, P12, present(2, 1)))
+    assert log_canonical_certificate(chain).h0_log_canonical == 1
+    twist = convexity.twist_marked
+
+    def shifted(L, pt, sign):  # omega(x1+x2) of component 1 comes out one degree off
+        M = twist(L, pt, sign)
+        return dataclasses.replace(M, d=M.d + 1) if pt is X2 and M.comp is chain.components[1] else M
+
+    monkeypatch.setattr(convexity, "twist_marked", shifted)
+    with pytest.raises(CertificateError, match=r"^component 1: omega\(x1\+x2\) = O\^\{0,0\}\(1\) on "):
+        log_canonical_certificate(chain)
 
 
 def test_theorem_suites_small_bounds():

@@ -8,6 +8,7 @@ import textwrap
 from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -656,16 +657,40 @@ def test_sweeps_build_only_the_tables_they_read(monkeypatch):
     assert built == trivial + [bundles.twist_marked(L, MarkedPoint.X1, -1) for L in trivial]
 
 
-@pytest.mark.parametrize("suite", ["suite_weak_convexity", "suite_weak_concavity"])
+@pytest.mark.parametrize("suite", ["suite_weak_convexity", "suite_weak_concavity", "suite_log_canonical"])
 def test_a_fault_after_a_clean_call_reaches_the_replays(monkeypatch, suite):
     # a call folds the per-piece data it reads itself, not what a clean call
-    # before it read, so its replays catch a fault that comes in between
+    # before it read, so its replays catch a fault that comes in between.  The
+    # fault is in the sweep's own view of `cohomology`: the log-canonical
+    # certificate's fold stays clean, so only the comparison with the
+    # elimination can catch it
     monkeypatch.setattr(suites, "SAMPLE_EVERY", 1)
-    assert getattr(suites, suite)(2, 2, 2, 3, workers=1).ok
-    ends = cohomology.piece_ends
-    monkeypatch.setattr(cohomology, "piece_ends", lambda L: (lambda e: (e[0], e[1] + 1, *e[2:]))(ends(L)))
+    grid = dict(max_ab=2, max_l=2, max_len=3, workers=1)
+    if suite != "suite_log_canonical":
+        grid["max_d"] = 2
+    assert getattr(suites, suite)(**grid).ok
+    faulty = lambda L: (lambda e: (e[0], e[1] + 1, *e[2:]))(cohomology.piece_ends(L))
+    monkeypatch.setattr(suites, "cohomology", SimpleNamespace(**{**vars(cohomology), "piece_ends": faulty}))
     with pytest.raises(cohomology.InternalInconsistency, match="elimination"):
-        getattr(suites, suite)(2, 2, 2, 3, workers=1)
+        getattr(suites, suite)(**grid)
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_a_log_canonical_replay_builds_each_bundle_once(monkeypatch, n):
+    # the certificate builds omega(x1+x2) of each component (canonical bundle,
+    # then its twists at x1 and x2) and one checked chain bundle from those
+    # pieces, omega(x2) twists its first piece, and the elimination reads the
+    # certificate's two chain bundles
+    family = suites.component_family(4, 4)
+    path = next(chain for chain in oracles.iter_chains(family, n) if len(chain) == n)
+    comps = tuple(TwistedComponent(*family[i]) for i in path)
+    suites._api_check_log_canonical(comps, suites._LOG_CANONICAL)  # fills the per-component caches
+    built = Counter()
+    for cls in (EqLineBundle, bundles.ChainBundle):
+        checks = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, checks=checks: built.update([type(self)]) or checks(self))
+    suites._api_check_log_canonical(comps, suites._LOG_CANONICAL)
+    assert built == {EqLineBundle: 3 * n + 1, bundles.ChainBundle: 1}
 
 
 def test_no_state_survives_between_suite_calls(monkeypatch):
