@@ -16,9 +16,11 @@ dual bundle total space by the exact phase rule e^{i*pi*(deg(det E)+rank)} per
 class, and checks the two operators agree after the Novikov substitution
 q^beta -> e^{i*pi*deg_beta(det E)} q^beta, coefficient by coefficient.
 
-Operators are stored sparsely, by the cells a table fills: every pairing of
-`wps` has one nonzero entry per row and column, so a table of e entries fills
-at most e cells of each operator.  The check counts all dim^2 cells of each
+On the compact-type basis the ct and ambient pairings are signed
+permutations: `build_L` takes each as `wps.pairing_rows` gives it, one
+(column, value) per row, and inverts it in one pass.  So operators are
+stored sparsely, by the cells a table fills: a table of e entries fills at
+most e cells of each operator.  The check counts all dim^2 cells of each
 (beta, z-power) key but compares only the stored ones; a cell neither
 operator stores is zero on both sides.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .foundation import Phase, PhasedScalar, as_rational
-from .wps import WPSModel, _partner, euler_image_dim, pairing_blocks
+from .wps import WPSModel, euler_image_dim, pairing_rows
 
 
 @dataclass(frozen=True)
@@ -156,36 +158,27 @@ class LOperator:
         return out
 
 
-def _entrywise_inverse(pairing: list[list[Fraction]]) -> list[tuple[int, Fraction]]:
-    """P^{-1} of a matrix P with exactly one nonzero entry in each row and
-    column, as (i, 1/P[i][j]) for each row j of P^{-1}: its only nonzero entry
-    sits in column i.  Any other matrix raises ValueError("degenerate pairing")."""
-    inverse: list = [None] * len(pairing)
-    for i, row in enumerate(pairing):
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
-        if len(nonzero) != 1 or inverse[nonzero[0][0]] is not None:
-            raise ValueError("degenerate pairing")
-        j, x = nonzero[0]
-        inverse[j] = (i, 1 / Fraction(x))
-    return inverse
-
-
-def build_L(table: InvariantTable, pairing: list[list[Fraction]], truncation) -> LOperator:
+def build_L(table: InvariantTable, pairing: list[tuple[int, Fraction] | None], truncation) -> LOperator:
     """Assemble the fundamental-solution operator from two-pointed values.
 
     In the basis {T_i}, the coefficient of T_m in L(T_r) at (q^beta, z^{-a-1})
     is (-1)^{a+1} sum_i <T_r psi^a, T_i>_beta (P^{-1})_{i m}, the sign being
     the coefficient of psi^a z^{-a-1} in 1/(-z-psi).
 
-    The pairing must have exactly one nonzero entry in each row and column,
-    as every pairing of `wps` has on the compact-type basis (its blocks are
-    anti-diagonal); it is inverted entry by entry, and any other matrix raises
-    ValueError("degenerate pairing").
+    The pairing P is a signed permutation, given as `wps.pairing_rows` gives
+    it: row i of P holds its one nonzero entry x in column j as (j, x).  So
+    P^{-1} holds 1/x in row j, column i.  A row that is None, a zero value, or
+    a column out of range or taken twice raises ValueError("degenerate pairing").
     """
     dim = table.dim
-    if len(pairing) != dim or any(len(r) != dim for r in pairing):
+    if len(pairing) != dim:
         raise ValueError("pairing matrix size does not match table dimension")
-    p_inv = _entrywise_inverse(pairing)
+    p_inv: list = [None] * dim
+    for i, cell in enumerate(pairing):
+        j, x = cell or (None, 0)
+        if not x or type(j) is not int or not 0 <= j < dim or p_inv[j] is not None:
+            raise ValueError("degenerate pairing")
+        p_inv[j] = (i, 1 / Fraction(x))
     op = LOperator(dim, truncation)
     for e in table.entries:
         if e.beta.ordering > op.truncation:
@@ -226,22 +219,6 @@ def compact_type_basis(m: WPSModel) -> list[tuple[Fraction, int]]:
     pushforwards of H^p for p below its dimension.
     """
     return [(s.f, p) for s in m.sectors for p in range(euler_image_dim(m, s))]
-
-
-def _pairing_matrices(m: WPSModel, basis: list[tuple[Fraction, int]]):
-    """The compact-type rows and columns of the ct and ambient Gram matrices,
-    from their blocks over `m.sectors`."""
-    index = {fp: i for i, fp in enumerate(basis)}
-    out = []
-    for kind in ("ct", "ambient"):
-        mat = [[Fraction(0)] * len(basis) for _ in basis]
-        for i, (value, top) in enumerate(pairing_blocks(m, kind)):
-            f, g = m.sectors[i].f, m.sectors[_partner(i, m)].f
-            for p in range(top + 1):
-                if (f, p) in index and (g, top - p) in index:
-                    mat[index[f, p]][index[g, top - p]] = value
-        out.append(mat)
-    return tuple(out)
 
 
 def transported_table(table: InvariantTable, m: WPSModel, basis: list[tuple[Fraction, int]]) -> InvariantTable:
@@ -287,9 +264,8 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
         raise ValueError("inconsistent table: " + "; ".join(problems))
     if dim == 0:
         return report
-    p_ct, p_amb = _pairing_matrices(m, basis)
-    op_e = build_L(table_e, p_ct, truncation)
-    op_z = build_L(transported_table(table_e, m, basis), p_amb, truncation)
+    op_e = build_L(table_e, pairing_rows(m, "ct", basis), truncation)
+    op_z = build_L(transported_table(table_e, m, basis), pairing_rows(m, "ambient", basis), truncation)
     op_e_sub = op_e.substitute_novikov()
     # delta is diagonal: it scales the columns of op_z and the rows of op_e_sub
     ages = {s.f: s.age for s in m.sectors}

@@ -21,11 +21,12 @@ Poincare pairing) and vol_f the top integral of sector f,
     <H^p on f, H^q on 1-f> = coeff_f * vol_f * [p + q = dim_f - power_f],
 
 and every other entry is zero.  `pairing_blocks` gives each sector's
-anti-diagonal (value, top index), and the verification routines and the
-compact-type pairing matrices of `series` read those blocks.  `pairing_gram`
-expands them to the Gram matrix on the basis (f, H^p), for printing and for
-the dense replay of `comparison_sides`.  The pairings of arbitrary classes,
-summed sector by sector, live in `oracles`;
+anti-diagonal (value, top index), and the verification routines read those
+blocks.  `pairing_rows` gives the one cell of each row on a given basis of
+monomials (f, H^p): `series.build_L` inverts it on the compact-type basis,
+and `pairing_gram` expands it to the Gram matrix on `state_basis`, for
+printing and for the dense replay of `comparison_sides`.  The pairings of
+arbitrary classes, summed sector by sector, live in `oracles`;
 `suites.suite_pairing_comparison` replays the comparison through them on
 every `PAIRING_SAMPLE_EVERY`-th model.
 
@@ -46,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import lcm
 
 from .foundation import PhasedScalar
@@ -59,8 +59,12 @@ class WPSModel:
     bundle_degrees: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "bundle_degrees", tuple(int(k) for k in self.bundle_degrees))
+        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "bundle_degrees", tuple(self.bundle_degrees))
+        for name, values in (("weight", self.weights), ("bundle degree", self.bundle_degrees)):
+            for v in values:
+                if type(v) is not int:  # a bool is an int subclass
+                    raise ValueError(f"{name} must be an integer, got {v!r}")
         if len(self.weights) < 2 or any(w < 1 for w in self.weights):
             raise ValueError("need at least two positive weights")
         if any(k < 1 for k in self.bundle_degrees):
@@ -172,11 +176,6 @@ def state_basis(m: WPSModel) -> list[tuple[Fraction, int]]:
     return [(s.f, p) for s in m.sectors for p in range(s.dim + 1)]
 
 
-def _offsets(m: WPSModel) -> list[int]:
-    """Index in `state_basis` of each sector's H^0, then the size of the basis."""
-    return [0, *accumulate(s.dim + 1 for s in m.sectors)]
-
-
 def _partner(i: int, m: WPSModel) -> int:
     """Index of the sector 1-f of sector i.  `WPSModel.sectors` lists the
     rotations in increasing order from 0, so the others pair off from both ends."""
@@ -194,15 +193,32 @@ def pairing_blocks(m: WPSModel, kind: str) -> list[tuple[Fraction, int]]:
     return blocks
 
 
+def pairing_rows(m: WPSModel, kind: str, basis: list[tuple[Fraction, int]]) -> list[tuple[int, Fraction] | None]:
+    """The "cr", "ambient" or "ct" pairing restricted to `basis`, row by row:
+    (f, p) pairs only with (1-f, top_f - p), at the value of f's block, so
+    each row holds (its column in `basis`, value), or None when that partner
+    is not in `basis`."""
+    sectors = m.sectors
+    index = {fp: i for i, fp in enumerate(basis)}
+    block = {}
+    for i, (value, top) in enumerate(pairing_blocks(m, kind)):
+        block[sectors[i].f] = (sectors[_partner(i, m)].f, value, top)
+    rows = []
+    for f, p in basis:
+        g, value, top = block[f]
+        col = index.get((g, top - p))
+        rows.append(None if col is None else (col, value))
+    return rows
+
+
 def pairing_gram(m: WPSModel, kind: str) -> list[list[Fraction]]:
     """Gram matrix of the "cr", "ambient" or "ct" pairing on `state_basis`:
-    `pairing_blocks` expanded."""
-    start = _offsets(m)
-    gram = [[Fraction(0)] * start[-1] for _ in range(start[-1])]
-    for i, (value, top) in enumerate(pairing_blocks(m, kind)):
-        r, c = start[i], start[_partner(i, m)]
-        for p in range(top + 1):
-            gram[r + p][c + top - p] = value
+    `pairing_rows` expanded."""
+    basis = state_basis(m)
+    gram = [[Fraction(0)] * len(basis) for _ in basis]
+    for row, cell in zip(gram, pairing_rows(m, kind, basis)):
+        if cell is not None:
+            row[cell[0]] = cell[1]
     return gram
 
 
@@ -232,7 +248,7 @@ def verify_pairing_comparison(m: WPSModel) -> PairingComparisonReport:
     failures list the entries of `comparison_sides` that differ, in row-major order.
     """
     sectors = m.sectors
-    report = PairingComparisonReport(m, _offsets(m)[-1] ** 2)
+    report = PairingComparisonReport(m, sum(s.dim + 1 for s in sectors) ** 2)
     sign = (-1) ** m.rank
     zero = PhasedScalar()
     ambient, ct = pairing_blocks(m, "ambient"), pairing_blocks(m, "ct")

@@ -1,5 +1,6 @@
 """Novikov series, fundamental-solution operators, and the duality identity."""
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -17,15 +18,15 @@ from orbicurve.series import (
     transported_table,
     verify_qsd_operator_identity,
 )
-from orbicurve.suites import qsd_model_family
-from orbicurve.wps import WPSModel
+from orbicurve.suites import qsd_model_family, wps_model_family
+from orbicurve.wps import WPSModel, pairing_gram, pairing_rows, state_basis
 
 
 def test_build_L_psi_power_signs():
     # 1/(-z-psi) = sum_a (-1)^(a+1) psi^a z^(-a-1)
     beta = EffClass((F(1), F(0)))
     table = InvariantTable(1, [TableEntry(beta, a, 0, 0, F(1)) for a in range(3)])
-    op = build_L(table, [[F(1)]], 2)
+    op = build_L(table, [(0, F(1))], 2)
     signs = [op.matrix_at(beta, -a - 1)[0][0] for a in range(3)]
     assert signs == [PhasedScalar.from_rational(s) for s in (-1, 1, -1)]
 
@@ -45,7 +46,7 @@ def test_novikov_truncation():
     b1 = EffClass((F(1), F(1)))
     b3 = EffClass((F(3), F(0)))
     table = InvariantTable(1, [TableEntry(b1, 0, 0, 0, F(1)), TableEntry(b3, 0, 0, 0, F(5))])
-    op = build_L(table, [[F(1)]], 2)
+    op = build_L(table, [(0, F(1))], 2)
     assert op.nonzero_keys() == {(b1, -1)}  # b3 is beyond the truncation order
     assert op.truncation == 2
 
@@ -84,7 +85,7 @@ def test_change_novikov_involution_for_integral_det():
 
 
 def test_build_L_empty_is_identity():
-    op = build_L(InvariantTable(2), [[F(1), F(0)], [F(0), F(1)]], 3)
+    op = build_L(InvariantTable(2), [(0, F(1)), (1, F(1))], 3)
     assert op.nonzero_keys() == set()
     const = op.matrix_at(EffClass((F(0), F(0))), 0)
     assert const[0][0] == PhasedScalar.from_rational(1)
@@ -94,7 +95,7 @@ def test_build_L_empty_is_identity():
 def test_build_L_single_entry():
     beta = EffClass((F(1), F(1)))
     table = InvariantTable(1, [TableEntry(beta, 0, 0, 0, F(3))])
-    op = build_L(table, [[F(1)]], 2)
+    op = build_L(table, [(0, F(1))], 2)
     assert op.matrix_at(beta, -1)[0][0] == PhasedScalar.from_rational(-3)
 
 
@@ -105,34 +106,82 @@ def test_build_L_symmetric_table_gives_symmetric_matrix():
         TableEntry(beta, 0, 1, 0, F(2)),
         TableEntry(beta, 0, 0, 0, F(5)),
     ]
-    op = build_L(InvariantTable(2, entries), [[F(1), F(0)], [F(0), F(1)]], 2)
+    op = build_L(InvariantTable(2, entries), [(0, F(1)), (1, F(1))], 2)
     mat = op.matrix_at(beta, -1)
     assert mat[0][1] == mat[1][0]
 
 
+def test_build_L_inverts_a_signed_permutation():
+    # P = [[0, 2], [-3, 0]]: P^{-1} = [[0, -1/3], [1/2, 0]], so the entry
+    # <T_0, T_1> = 6 puts -6 * (P^{-1})[1][0] = -3 at row 0, column 0
+    beta = EffClass((F(1), F(0)))
+    op = build_L(InvariantTable(2, [TableEntry(beta, 0, 0, 1, F(6))]), [(1, F(2)), (0, F(-3))], 2)
+    assert op.matrix_at(beta, -1) == [[PhasedScalar.from_rational(x) for x in row] for row in ([-3, 0], [0, 0])]
+
+
 def test_build_L_rejects_degenerate_pairing():
+    # the inverse is taken row by row: one nonzero value per row, in a column
+    # no other row takes
     beta = EffClass((F(1), F(0)))
-    with pytest.raises(ValueError, match="degenerate pairing"):
-        build_L(InvariantTable(2, [TableEntry(beta, 0, 0, 0, F(1))]), [[F(0), F(0)], [F(0), F(0)]], 2)
+    table = InvariantTable(2, [TableEntry(beta, 0, 0, 0, F(1))])
+    for pairing in (
+        [None, None],
+        [(0, F(1)), None],
+        [(0, F(0)), (1, F(1))],
+        [(0, F(1)), (2, F(1))],
+        [(-1, F(1)), (0, F(1))],
+        [(F(0), F(1)), (1, F(1))],
+        [[F(1), F(0)], [F(0), F(1)]],  # a dense matrix is no pairing row form
+    ):
+        with pytest.raises(ValueError, match="degenerate pairing"):
+            build_L(table, pairing, 2)
+    for pairing in ([(0, F(1))], [(0, F(1)), (1, F(1)), (2, F(1))]):
+        with pytest.raises(ValueError, match="size does not match"):
+            build_L(table, pairing, 2)
 
 
-def test_build_L_rejects_a_pairing_with_two_entries_in_a_row():
-    # the inverse is taken entry by entry: one nonzero per row and column
+def test_build_L_rejects_a_pairing_with_two_entries_in_a_column():
     beta = EffClass((F(1), F(0)))
     with pytest.raises(ValueError, match="degenerate pairing"):
-        build_L(InvariantTable(2, [TableEntry(beta, 0, 0, 0, F(1))]), [[F(1), F(1)], [F(0), F(1)]], 2)
+        build_L(InvariantTable(2, [TableEntry(beta, 0, 0, 0, F(1))]), [(1, F(1)), (1, F(1))], 2)
+
+
+def _compact_type_rows(m):
+    """For the ct and ambient pairings: (`pairing_rows` on the compact-type
+    basis, the compact-type block of `pairing_gram`), after checking that the
+    rows are a signed permutation and expand to that block."""
+    basis = compact_type_basis(m)
+    n = len(basis)
+    at = {fp: i for i, fp in enumerate(state_basis(m))}
+    out = []
+    for kind in ("ct", "ambient"):
+        rows = pairing_rows(m, kind, basis)
+        assert None not in rows and sorted(c for c, _ in rows) == list(range(n)), (str(m), kind)
+        assert all(x != 0 for _, x in rows), (str(m), kind)
+        gram = pairing_gram(m, kind)
+        block = [[gram[at[a]][at[b]] for b in basis] for a in basis]
+        assert block == [[x if c == j else 0 for j in range(n)] for c, x in rows], (str(m), kind)
+        out.append((rows, block))
+    return out
 
 
 @pytest.mark.parametrize("m", qsd_model_family(), ids=str)
 def test_entrywise_inverse_of_both_pairings(m):
-    basis = compact_type_basis(m)
-    n = len(basis)
+    n = len(compact_type_basis(m))
     identity = [[F(int(r == c)) for c in range(n)] for r in range(n)]
-    for pairing in series_mod._pairing_matrices(m, basis):
+    for rows, block in _compact_type_rows(m):
         inverse = [[F(0)] * n for _ in range(n)]
-        for j, (i, x) in enumerate(series_mod._entrywise_inverse(pairing)):
-            inverse[j][i] = x
-        assert [[sum(pairing[r][k] * inverse[k][c] for k in range(n)) for c in range(n)] for r in range(n)] == identity
+        for i, (j, x) in enumerate(rows):
+            inverse[j][i] = 1 / x
+        assert [[sum(block[r][k] * inverse[k][c] for k in range(n)) for c in range(n)] for r in range(n)] == identity
+
+
+def test_pairing_rows_on_the_compact_type_basis_of_every_pairing_model():
+    # the 1815 models of the pairing comparison (criterion 9)
+    models = list(wps_model_family())
+    assert len(models) == 1815
+    for m in models:
+        _compact_type_rows(m)
 
 
 def test_compact_type_basis_dimensions():
@@ -178,13 +227,12 @@ def test_qsd_identity_detects_tampered_phase():
     table = random_invariant_table(m, 2, rng, n_classes=1, a_max=0)
     assert table.entries
     basis = compact_type_basis(m)
-    p_ct, p_amb = series_mod._pairing_matrices(m, basis)
-    op_e = build_L(table, p_ct, 2)
+    op_e = build_L(table, pairing_rows(m, "ct", basis), 2)
     z_table = transported_table(table, m, basis)
     e = z_table.entries[0]
     bad = TableEntry(e.beta, e.psi_power, e.row, e.col, PhasedScalar.coerce(e.value) * F(2), e.sectors)
     bad_table = InvariantTable(z_table.dim, (bad,) + z_table.entries[1:])
-    op_z = build_L(bad_table, p_amb, 2)
+    op_z = build_L(bad_table, pairing_rows(m, "ambient", basis), 2)
     sub = op_e.substitute_novikov()
     keys = op_z.nonzero_keys() | sub.nonzero_keys()
     assert any(
@@ -245,9 +293,8 @@ def _dense_scan(table, m, truncation):
     """(checks, first_violation) of a dense row-major scan over `matrix_at`."""
     basis = compact_type_basis(m)
     dim = len(basis)
-    p_ct, p_amb = series_mod._pairing_matrices(m, basis)
-    op_z = build_L(series_mod.transported_table(table, m, basis), p_amb, truncation)
-    sub = build_L(table, p_ct, truncation).substitute_novikov()
+    op_z = build_L(series_mod.transported_table(table, m, basis), pairing_rows(m, "ambient", basis), truncation)
+    sub = build_L(table, pairing_rows(m, "ct", basis), truncation).substitute_novikov()
     ages = {s.f: s.age for s in m.sectors}
     delta = [PhasedScalar.from_phase(Phase(ages[f])) for f, _ in basis]
     dense = {k: (op_z.matrix_at(*k), sub.matrix_at(*k)) for k in op_z.terms.keys() | sub.terms.keys()}
@@ -319,9 +366,7 @@ def test_sparse_comparison_matches_the_dense_scan(monkeypatch, fault):
         # some beside nonzero cells
         alone = beside = 0
         for m, table, n in cases:
-            basis = compact_type_basis(m)
-            p_ct, _ = series_mod._pairing_matrices(m, basis)
-            op = build_L(table, p_ct, n)
+            op = build_L(table, pairing_rows(m, "ct", compact_type_basis(m)), n)
             for key, cells in op.terms.items():
                 if any(x.is_zero() for x in cells.values()):
                     alone += key not in op.nonzero_keys()
@@ -352,3 +397,23 @@ def test_operator_check_cost_follows_the_table(monkeypatch):
     assert report.ok
     assert report.checks == len(entries) * dim**2
     assert len(calls) <= 6 * len(entries)
+
+
+def test_operator_check_memory_follows_the_table():
+    # the pairings are inverted row by row: no dim x dim matrix is built
+    m = WPSModel((1, 1000), (1,))
+    dim = len(compact_type_basis(m))
+    entries = [
+        TableEntry(EffClass((F(1), F(1, 2))), 0, 0, 0, F(3)),
+        TableEntry(EffClass((F(2), F(1))), 1, 1, dim - 1, F(-2, 5)),
+        TableEntry(EffClass((F(1), F(0))), 2, 5, 7, F(7)),
+    ]
+    table = InvariantTable(dim, entries)
+    tracemalloc.start()
+    try:
+        report = verify_qsd_operator_identity(table, m, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checks == len(entries) * dim**2
+    assert peak < 4 * 2**20, peak

@@ -11,9 +11,10 @@ names none of the fast path's kernels, and only `suites` imports `oracles`.
 `_api_chain` construct an `EqLineBundle`; and it keeps no cache from one
 call to the next, so a fault reaches every call.  A component computes its
 modular inverses once, when it is built, so `bundles` and `cohomology` take
-no three-argument `pow`.  The operators of `series` are
-compared on their stored cells: no module reads the dense expansion
-`LOperator.matrix_at`, which only tests use.
+no three-argument `pow`.  The pairing blocks are turned into cells in `wps`
+alone: no other module names `pairing_blocks` or `_partner`.  The operators
+of `series` are compared on their stored cells: no module reads the dense
+expansion `LOperator.matrix_at`, which only tests use.
 """
 import ast
 from pathlib import Path
@@ -49,7 +50,7 @@ def test_no_cmath_import(path):
 # The fast-path kernels each oracle is checked against.
 FAST_PATH = {
     "chain_step", "piece_ends", "CHAIN_START", "h_chain",  # cohomology
-    "pairing_blocks", "pairing_gram", "comparison_sides",  # wps
+    "pairing_blocks", "pairing_rows", "pairing_gram", "comparison_sides",  # wps
     "_age_data", "age_at", "acts_trivially_at",  # bundles
 }
 
@@ -73,6 +74,17 @@ def test_oracles_name_no_fast_path_kernel():
     path = Path(orbicurve.__file__).parent / "oracles.py"
     used = FAST_PATH & set(_names(ast.parse(path.read_text(), filename=str(path))))
     assert used == set(), f"oracles.py uses fast-path names {sorted(used)}"
+
+
+def test_only_wps_names_the_pairing_blocks():
+    # the rule that turns blocks into cells is written once, in `wps`; the
+    # other modules read the pairings as rows or as a Gram matrix
+    naming = {
+        p.name
+        for p in SOURCES
+        if {"_partner", "pairing_blocks"} & set(_names(ast.parse(p.read_text(), filename=str(p))))
+    }
+    assert naming == {"wps.py"}
 
 
 NOT_SUITES = [p for p in SOURCES if p.name not in ("suites.py", "oracles.py")]

@@ -209,6 +209,20 @@ def test_model_validation():
         sector_at(WPSModel((2, 2)), F(1, 3))
 
 
+def test_model_rejects_weights_and_degrees_that_are_not_integers():
+    # no silent cast: 1.5 would become 1, "3" would become 3, True would become 1
+    for weights, degrees, message in (
+        ((1.5, 2), (), "weight must be an integer, got 1.5"),
+        (("3", True), (2,), "weight must be an integer, got '3'"),
+        ((3, True), (), "weight must be an integer, got True"),
+        ((1, 2), (2.9,), "bundle degree must be an integer, got 2.9"),
+        ((1, 2), (1, 2.0), "bundle degree must be an integer, got 2.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WPSModel(weights, degrees)
+    assert WPSModel([1, 2], [3]) == WPSModel((1, 2), (3,))
+
+
 def test_state_element_truncation():
     m = WPSModel((1, 1, 2, 2), (1,))
     with pytest.raises(ValueError, match="degree"):
