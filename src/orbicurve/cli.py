@@ -15,7 +15,7 @@ and the input schema are built once per process, so a program that calls
 `main()` many times pays for them once.  The schema is compiled into a
 predicate that accepts valid documents without jsonschema; jsonschema is
 imported only for a document the predicate rejects, and words its schema
-violation.
+violation (if it finds none, the two disagree: exit 3).
 """
 from __future__ import annotations
 
@@ -48,9 +48,7 @@ def _rational(x) -> Fraction:
 
 def fmt(x):
     """Serialize exact values: ints stay ints, everything else becomes a string."""
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, int):  # bools too
         return x
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else str(x.numerator)
@@ -194,15 +192,14 @@ def validate_document(doc: dict) -> None:
     if _input_predicate()(doc):
         return
     errors = sorted(_input_validator().iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise InputError(f"schema violation at {pointer or '/'}: {e.message}")
+    if not errors:
+        raise InternalInconsistency("the compiled input schema rejects a document that jsonschema accepts")
+    e = errors[0]
+    pointer = "/" + "/".join(str(p) for p in e.absolute_path)
+    raise InputError(f"schema violation at {pointer or '/'}: {e.message}")
 
 
-def parse_chain(doc: dict | None) -> curves.CurveChain:
-    if doc is None:
-        raise InputError("no input document")
+def parse_chain(doc: dict) -> curves.CurveChain:
     if "chain" not in doc:
         raise InputError("document has no 'chain'")
     comps = []
@@ -246,9 +243,7 @@ def parse_split_bundle(doc: dict, chain: curves.CurveChain) -> bundles.SplitBund
     return bundles.SplitBundle(tuple(summands))
 
 
-def parse_wps(doc: dict | None) -> wps.WPSModel:
-    if doc is None:
-        raise InputError("no input document")
+def parse_wps(doc: dict) -> wps.WPSModel:
     if "wps" not in doc:
         raise InputError("document has no 'wps'")
     spec = doc["wps"]
@@ -407,7 +402,7 @@ def cmd_wps(args, doc: dict) -> dict:
 
 
 def cmd_series_verify(args, doc: dict | None) -> dict:
-    if args.random or doc is None:
+    if args.random:
         result = suites.suite_qsd_operator(trials=args.trials, order=args.order, seed=args.seed)
         return _suite_payload(result)
     model = parse_wps(doc)
@@ -530,10 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_document(args) -> dict | None:
+    """`file` if given, else stdin when the command takes a document: when it has a
+    `file` argument and no flag stands in for it (`wps --weights`, `series-verify --random`)."""
     path = getattr(args, "file", None)
     if path is None:
-        if sys.stdin.isatty() or args.command in ("rank", "sign", "verify", "series-verify", "wps"):
+        if not hasattr(args, "file") or getattr(args, "weights", "") or getattr(args, "random", False):
             return None
+        if sys.stdin.isatty():
+            raise InputError("no input document")
         text = sys.stdin.read()
     else:
         try:

@@ -27,9 +27,7 @@ def as_rational(x) -> Fraction:
     """Coerce ints / fractions / 'p/q' strings to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -309,7 +307,7 @@ class PhasedScalar:
         return q
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (PhasedScalar, int, Fraction, Phase)):
+        if isinstance(other, bool) or not isinstance(other, (PhasedScalar, int, Fraction, Phase)):
             return NotImplemented
         other = PhasedScalar.coerce(other)
         if self._n == other._n and self._coeffs == other._coeffs:

@@ -95,9 +95,9 @@ class TableEntry:
 class InvariantTable:
     """Two-pointed values <T_row psi^a, T_col>_beta against a declared basis.
 
-    Checked once, when built: every entry's basis indices lie in range(dim)
-    and its descendant power is non-negative, or ValueError("inconsistent
-    table: ...") names each entry that is not.
+    Checked once, when built: every entry's basis indices are ints in
+    range(dim) and its descendant power a non-negative int (no bools), or
+    ValueError("inconsistent table: ...") names each entry that is not.
     """
 
     dim: int
@@ -107,6 +107,9 @@ class InvariantTable:
         entries = tuple(self.entries)
         problems = []
         for n, e in enumerate(entries):
+            if not all(type(i) is int for i in (e.row, e.col, e.psi_power)):
+                problems.append(f"entry {n}: non-integer index or descendant power")
+                continue
             if not (0 <= e.row < self.dim and 0 <= e.col < self.dim):
                 problems.append(f"entry {n}: basis index out of range")
             if e.psi_power < 0:

@@ -1,4 +1,5 @@
 """Command-line front end: parsing, reports, determinism, exit codes."""
+import io
 import json
 import os
 import pathlib
@@ -212,6 +213,51 @@ def test_series_verify_golden_output(tmp_path, capsys, order):
     assert out == SERIES_GOLDEN[order] + "\n"
 
 
+CHAIN_DOC = {"chain": [{"c": 1, "d": 1}], "bundle": [[{"d": 1}], [{"d": 0}]]}
+WPS_DOC = {"wps": {"weights": [1, 1, 2, 2], "bundle": [1]}}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["cohomology"], CHAIN_DOC),
+        (["convexity"], CHAIN_DOC),
+        (["wps", "sectors"], WPS_DOC),
+        (["wps", "pairing"], WPS_DOC),
+        (["wps", "verify"], WPS_DOC),
+        (["series-verify"], SERIES_TABLE_DOC),
+    ],
+    ids=["cohomology", "convexity", "wps-sectors", "wps-pairing", "wps-verify", "series-verify"],
+)
+def test_piped_document_reads_as_the_file(tmp_path, capsys, monkeypatch, argv, doc):
+    from_file = run_cli(capsys, "--json", *argv, write_doc(tmp_path, doc))
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert run_cli(capsys, "--json", *argv) == from_file
+    assert from_file[0] == 0 and from_file[2] == ""
+
+
+def test_series_verify_reads_a_piped_table_in_a_fresh_process():
+    # a piped table was never read: the random suite ran in its place
+    got = _fresh_process(["--json", "series-verify"], os.environ, stdin=json.dumps(SERIES_TABLE_DOC))
+    assert got == (0, SERIES_GOLDEN["4"] + "\n", "")
+
+
+def test_flags_that_stand_in_for_the_document_leave_stdin_unread(tmp_path, capsys, monkeypatch):
+    random_argv = ["--json", "--seed", "3", "series-verify", "--random", "--trials", "3"]
+    random_report = run_cli(capsys, *random_argv)
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO("not a document"))
+    assert run_cli(capsys, *random_argv) == random_report
+    code, out, _ = run_cli(capsys, "--json", "wps", "verify", "--weights", "1,1,2,2", "--bundle", "1")
+    assert (code, out) == (0, WPS_GOLDEN[("verify", "1,1,2,2", "1")] + "\n")
+    assert cli.sys.stdin.read() == "not a document"
+    # a file given with the flag is still read and validated
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for argv in (["series-verify", str(bad), "--random"], ["wps", "verify", str(bad), "--weights", "1,2"]):
+        code, out, err = run_cli(capsys, "--json", *argv)
+        assert code == 2 and out == "" and err.startswith("input error: malformed JSON")
+
+
 def test_verify_suite_command(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "verify", "--suite", "h1-vanishing", "--max-a", "2", "--max-l", "2", "--max-d", "4"
@@ -408,18 +454,28 @@ def test_unreadable_file_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("wps_command", ["sectors", "pairing", "verify"])
-def test_wps_without_document_is_an_input_error(capsys, wps_command):
+def test_wps_without_document_is_an_input_error(capsys, monkeypatch, wps_command):
+    monkeypatch.setattr(cli.sys.stdin, "isatty", lambda: True)
     code, out, err = run_cli(capsys, "--json", "wps", wps_command)
     assert code == 2 and out == ""
     assert err == "input error: no input document\n"
 
 
-@pytest.mark.parametrize("command", ["cohomology", "convexity"])
+# bare series-verify used to run the random suite, which only `--random` asks for
+@pytest.mark.parametrize("command", ["cohomology", "convexity", "series-verify"])
 def test_chain_command_on_terminal_stdin_is_an_input_error(capsys, monkeypatch, command):
     monkeypatch.setattr(cli.sys.stdin, "isatty", lambda: True)
     code, out, err = run_cli(capsys, "--json", command)
     assert code == 2 and out == ""
     assert err == "input error: no input document\n"
+
+
+def test_validators_that_disagree_are_an_internal_error(tmp_path, capsys, monkeypatch):
+    # the compiled predicate rejects a document jsonschema accepts: neither is trusted
+    monkeypatch.setattr(cli, "_input_predicate", lambda: lambda doc: False)
+    code, out, err = run_cli(capsys, "--json", "cohomology", write_doc(tmp_path, CHAIN_DOC))
+    assert code == 3 and out == ""
+    assert err == "internal error: the compiled input schema rejects a document that jsonschema accepts\n"
 
 
 @pytest.mark.parametrize(
@@ -465,11 +521,12 @@ def test_non_integer_data_are_schema_violations(tmp_path, capsys, doc, message):
     assert err == f"input error: {message}\n"
 
 
-def _fresh_process(argv, env):
+def _fresh_process(argv, env, stdin=None):
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(env, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "orbicurve.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", "orbicurve.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

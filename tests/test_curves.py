@@ -70,6 +70,11 @@ def test_component_data_must_be_ints(field, args):
         TwistedComponent(*args)
 
 
+def test_degree_tags_must_be_rationals():
+    with pytest.raises(TypeError, match="^not an exact rational: True$"):
+        CurveChain((TwistedComponent(1, 1),), (True,))
+
+
 def test_stored_invariants_solve_their_congruences():
     for a, b, l1, l2 in component_family(6, 6):
         comp = TwistedComponent(a, b, l1, l2)

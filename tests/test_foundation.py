@@ -177,6 +177,20 @@ def test_phased_scalar_ring_axioms(x, y, z):
     assert (x - x).is_zero()
 
 
+@pytest.mark.parametrize(
+    "make", [foundation.as_rational, Phase, PhasedScalar.from_rational], ids=["as_rational", "Phase", "from_rational"]
+)
+def test_a_bool_is_not_a_rational(make):
+    # Phase(True) was -1, and a chain took True as its degree tag 1
+    with pytest.raises(TypeError, match="^not an exact rational: True$"):
+        make(True)
+
+
+def test_a_phased_scalar_never_equals_a_bool():
+    one = PhasedScalar.from_rational(1)
+    assert one == 1 and (one == True) is False
+
+
 def test_phased_scalar_folds_half_turn():
     # e^{i*pi} is -1: exponent-1 terms fold onto the rational part
     assert PhasedScalar.from_phase(Phase(1)) == PhasedScalar.from_rational(-1)
