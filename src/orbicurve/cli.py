@@ -48,7 +48,9 @@ def _rational(x) -> Fraction:
 
 def fmt(x):
     """Serialize exact values: ints stay ints, everything else becomes a string."""
-    if isinstance(x, int):  # bools too
+    if isinstance(x, bool):
+        return x
+    if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else str(x.numerator)
@@ -403,8 +405,7 @@ def cmd_wps(args, doc: dict) -> dict:
 
 def cmd_series_verify(args, doc: dict | None) -> dict:
     if args.random:
-        result = suites.suite_qsd_operator(trials=args.trials, order=args.order, seed=args.seed)
-        return _suite_payload(result)
+        return _suite_payload(suites.suite_qsd_operator(trials=args.trials, order=args.order, seed=args.seed))
     model = parse_wps(doc)
     basis = series.compact_type_basis(model)
     table = parse_table(doc, dim=len(basis))
@@ -525,8 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_document(args) -> dict | None:
-    """`file` if given, else stdin when the command takes a document: when it has a
-    `file` argument and no flag stands in for it (`wps --weights`, `series-verify --random`)."""
+    """`file`, else stdin if the command takes a document: it has `file` and no `--weights` or `--random`."""
     path = getattr(args, "file", None)
     if path is None:
         if not hasattr(args, "file") or getattr(args, "weights", "") or getattr(args, "random", False):

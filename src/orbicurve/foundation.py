@@ -307,9 +307,10 @@ class PhasedScalar:
         return q
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, bool) or not isinstance(other, (PhasedScalar, int, Fraction, Phase)):
-            return NotImplemented
-        other = PhasedScalar.coerce(other)
+        if not isinstance(other, PhasedScalar):
+            if isinstance(other, bool) or not isinstance(other, (int, Fraction, Phase)):
+                return NotImplemented
+            other = PhasedScalar.coerce(other)
         if self._n == other._n and self._coeffs == other._coeffs:
             return True
         return (self - other).is_zero()

@@ -95,9 +95,8 @@ class TableEntry:
 class InvariantTable:
     """Two-pointed values <T_row psi^a, T_col>_beta against a declared basis.
 
-    Checked once, when built: every entry's basis indices are ints in
-    range(dim) and its descendant power a non-negative int (no bools), or
-    ValueError("inconsistent table: ...") names each entry that is not.
+    Checked once, when built: every entry's row and col are ints (not bools) in range(dim) and
+    its psi_power a non-negative int, or ValueError("inconsistent table: ...") names each entry that is not.
     """
 
     dim: int

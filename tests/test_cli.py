@@ -237,7 +237,6 @@ def test_piped_document_reads_as_the_file(tmp_path, capsys, monkeypatch, argv, d
 
 
 def test_series_verify_reads_a_piped_table_in_a_fresh_process():
-    # a piped table was never read: the random suite ran in its place
     got = _fresh_process(["--json", "series-verify"], os.environ, stdin=json.dumps(SERIES_TABLE_DOC))
     assert got == (0, SERIES_GOLDEN["4"] + "\n", "")
 
@@ -461,7 +460,7 @@ def test_wps_without_document_is_an_input_error(capsys, monkeypatch, wps_command
     assert err == "input error: no input document\n"
 
 
-# bare series-verify used to run the random suite, which only `--random` asks for
+# without `--random`, series-verify needs a table document like the others
 @pytest.mark.parametrize("command", ["cohomology", "convexity", "series-verify"])
 def test_chain_command_on_terminal_stdin_is_an_input_error(capsys, monkeypatch, command):
     monkeypatch.setattr(cli.sys.stdin, "isatty", lambda: True)

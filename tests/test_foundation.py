@@ -181,7 +181,6 @@ def test_phased_scalar_ring_axioms(x, y, z):
     "make", [foundation.as_rational, Phase, PhasedScalar.from_rational], ids=["as_rational", "Phase", "from_rational"]
 )
 def test_a_bool_is_not_a_rational(make):
-    # Phase(True) was -1, and a chain took True as its degree tag 1
     with pytest.raises(TypeError, match="^not an exact rational: True$"):
         make(True)
 

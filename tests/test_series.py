@@ -282,8 +282,6 @@ def test_tables_are_checked_when_built():
     ids=["float-col", "float-power-bool-row", "str-power", "fraction-row"],
 )
 def test_table_indices_must_be_ints(psi_power, row, col):
-    # 1.0 built and then broke build_L's list indexing; True built a cell at
-    # row 1 and psi power 1.5 a z power of -2.5
     beta = EffClass((F(1), F(0)))
     with pytest.raises(ValueError, match=r"^inconsistent table: entry 1: non-integer index or descendant power$"):
         InvariantTable(2, [TableEntry(beta, 0, 0, 0, F(1)), TableEntry(beta, psi_power, row, col, F(1))])
