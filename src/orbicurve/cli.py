@@ -360,6 +360,8 @@ def cmd_sign(args, doc: dict) -> dict:
 
 
 def cmd_wps(args, doc: dict) -> dict:
+    if args.bundle and not args.weights:
+        raise InputError("--bundle needs --weights; a document gives its bundle under 'wps'")
     if args.weights:
         weights = tuple(int(w) for w in args.weights.split(","))
         degrees = tuple(int(k) for k in args.bundle.split(",")) if args.bundle else ()
@@ -403,9 +405,7 @@ def cmd_wps(args, doc: dict) -> dict:
     }
 
 
-def cmd_series_verify(args, doc: dict | None) -> dict:
-    if args.random:
-        return _suite_payload(suites.suite_qsd_operator(trials=args.trials, order=args.order, seed=args.seed))
+def cmd_series_verify(args, doc: dict) -> dict:
     model = parse_wps(doc)
     basis = series.compact_type_basis(model)
     table = parse_table(doc, dim=len(basis))
@@ -502,16 +502,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", default="")
     p.add_argument("--g2", default="")
 
+    # `wps` takes its flags before or after the subcommand word, as the
+    # top level takes the common flags
     p = sub.add_parser("wps", parents=[common], help="weighted projective state-space computations")
-    p.add_argument("wps_command", choices=["sectors", "pairing", "verify"])
-    p.add_argument("file", nargs="?")
     p.add_argument("--weights", default="", help="comma-separated ambient weights")
-    p.add_argument("--bundle", default="", help="comma-separated bundle degrees")
+    p.add_argument("--bundle", default="", help="comma-separated bundle degrees (with --weights)")
+    wps_flags = argparse.ArgumentParser(add_help=False)
+    wps_flags.add_argument("--weights", default=argparse.SUPPRESS)
+    wps_flags.add_argument("--bundle", default=argparse.SUPPRESS)
+    wps_sub = p.add_subparsers(dest="wps_command", required=True)
+    for name in ("sectors", "pairing", "verify"):
+        wps_sub.add_parser(name, parents=[common, wps_flags]).add_argument("file", nargs="?")
 
     p = sub.add_parser("series-verify", parents=[common], help="operator identity verification")
     p.add_argument("file", nargs="?")
-    p.add_argument("--random", action="store_true", help="run seeded random tables")
-    p.add_argument("--trials", type=int, default=100)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=list(suites.SUITES) + ["all"])
@@ -526,10 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_document(args) -> dict | None:
-    """`file`, else stdin if the command takes a document: it has `file` and no `--weights` or `--random`."""
+    """`file`, else stdin if the command takes a document: it has `file` and no `--weights`."""
     path = getattr(args, "file", None)
     if path is None:
-        if not hasattr(args, "file") or getattr(args, "weights", "") or getattr(args, "random", False):
+        if not hasattr(args, "file") or getattr(args, "weights", ""):
             return None
         if sys.stdin.isatty():
             raise InputError("no input document")

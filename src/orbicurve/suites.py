@@ -88,23 +88,12 @@ class SuiteResult:
             self.first_counterexample = witness
 
 
-def _requested_workers(workers: int | None) -> int:
-    """`workers`, or ORBICURVE_WORKERS when it is None (1 when unset).
-
-    A bool, a non-int or a count below 1, or an environment value that is
-    not an integer, is an input error rather than one worker.
-    """
-    name = "workers"
-    if workers is None:
-        name, value = "ORBICURVE_WORKERS", os.environ.get("ORBICURVE_WORKERS", "1")
-        try:
-            workers = int(value)
-        except ValueError:
-            raise ValueError(f"ORBICURVE_WORKERS must be an integer, got {value!r}") from None
-    elif isinstance(workers, bool) or not isinstance(workers, int):
+def _requested_workers(workers: int) -> int:
+    """`workers`; a bool, a non-int or a count below 1 is an input error rather than one worker."""
+    if isinstance(workers, bool) or not isinstance(workers, int):
         raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
-        raise ValueError(f"{name} must be at least 1, got {workers}")
+        raise ValueError(f"workers must be at least 1, got {workers}")
     return workers
 
 
@@ -393,10 +382,11 @@ def _subtree_sweep(
 
     A first component's tallies are its root's sums.  Descending them finds
     the first failing chain of the family, whose nodes go to `witness`, and
-    each root's SAMPLE_EVERY-th, 2*SAMPLE_EVERY-th, ... instance, whose
-    chain's nodes and rank within the chain go to `replay`.  `_run_chunks`
-    gets one run per first component as soon as it is descended,
-    `check(*args)` for each `args` that `replay` returns, on one worker per
+    each root's SAMPLE_EVERY-th, 2*SAMPLE_EVERY-th, ... instance: the nodes
+    of each chain that holds some go to `replay` once, with their ranks
+    within the chain, and `replay` returns one args tuple per rank.
+    `_run_chunks` gets one run per first component as soon as it is
+    descended, `check(*args)` for each of those args, on one worker per
     REPLAYS_PER_WORKER replays up to `workers`.  Returns `res` with the sums
     over the roots added and its details keyed by `keys` in that order.
     """
@@ -437,12 +427,12 @@ def _subtree_sweep(
             res.failures += failures
             if failures and res.first_counterexample is None:
                 res.first_counterexample = witness(locate(head, 0, 1)[0])
-            run, start, end = [], 0, 0
-            for r in range(SAMPLE_EVERY - 1, instances, SAMPLE_EVERY):
-                if r >= end:  # past the chain of the last sample
-                    path, within = locate(head, r, 0)
-                    start, end = r - within, r - within + tally[path[-1]][0]
-                run.append(replay(path, r - start))
+            run, r = [], SAMPLE_EVERY - 1
+            while r < instances:
+                path, within = locate(head, r, 0)
+                ranks = range(within, tally[path[-1]][0], SAMPLE_EVERY)
+                run += replay(path, ranks)
+                r += ranks[-1] - within + SAMPLE_EVERY  # the first sample past this chain
             yield check, run
 
     res.details = dict.fromkeys(keys, 0) if roots else {}
@@ -464,7 +454,7 @@ def _replay_chunk(run: tuple) -> dict:
 
 
 def _bundle_sweep(
-    name: str, *, keys: tuple, max_ab: int, max_l: int, max_d: int, max_len: int, workers: int | None,
+    name: str, *, keys: tuple, max_ab: int, max_l: int, max_d: int, max_len: int, workers: int,
     d_lo: int, folds: tuple, names: tuple, failing, figures, check,
 ) -> SuiteResult:
     """Count every balanced bundle on every chain of the family by its fold values.
@@ -503,23 +493,20 @@ def _bundle_sweep(
         return (n, sum(m for values, m in counts.items() if failing(values)), *figures(counts, n))
 
     completions: dict = {}
-    current = [None]  # the last path, its tables and descent: a chain's samples share one path
 
-    def descent(path: list) -> list:
-        if current[0] is not path:
-            tabs, last = [tables[node[0]] for node in path], len(path) - 1
-            current[:] = path, tabs, _descent(tabs, [roles[k == 0, k == last] for k in range(last + 1)], completions)
-        return current[1:]
+    def descent(path: list) -> tuple:
+        tabs, last = [tables[node[0]] for node in path], len(path) - 1
+        return tabs, _descent(tabs, [roles[k == 0, k == last] for k in range(last + 1)], completions)
 
     def witness(path: list) -> dict:
         tabs, descend = descent(path)
         idx, values = next(w for w in map(descend, itertools.count()) if failing(w[1]))
         return {"chain": _listed(tab.comp for tab in tabs), "pieces": _pieces(tabs, idx), **dict(zip(names, values))}
 
-    def replay(path: list, r: int) -> tuple:
+    def replay(path: list, ranks: range) -> list:
         tabs, descend = descent(path)
-        idx, values = descend(r)
-        return (tuple(tab.comp for tab in tabs), _pieces(tabs, idx), *values)
+        comps = tuple(tab.comp for tab in tabs)
+        return [(comps, _pieces(tabs, idx), *values) for idx, values in map(descend, ranks)]
 
     return _subtree_sweep(
         SuiteResult(name), keys=keys, roots=[(i, start, True) for i in range(len(comps))], children=children,
@@ -535,7 +522,7 @@ def _convexity_figures(counts: dict, n: int) -> tuple:
 
 
 def suite_weak_convexity(
-    max_ab: int = 4, max_l: int = 4, max_d: int = 8, max_len: int = 3, workers: int | None = None
+    max_ab: int = 4, max_l: int = 4, max_d: int = 8, max_len: int = 3, workers: int = 1
 ) -> SuiteResult:
     """Semi-positive implies convex: h1(L(-x2)) = 0 for all d >= 0 chain bundles.
 
@@ -566,7 +553,7 @@ def _concavity_figures(counts: dict, n: int) -> tuple:
 
 
 def suite_weak_concavity(
-    max_ab: int = 4, max_l: int = 4, max_d: int = 8, max_len: int = 3, workers: int | None = None
+    max_ab: int = 4, max_l: int = 4, max_d: int = 8, max_len: int = 3, workers: int = 1
 ) -> SuiteResult:
     """Convexity <-> concavity: h0(dual(L)(-x1)) = h1(L(-x2)) for every summand."""
     if max_len < 1:
@@ -598,7 +585,7 @@ _LOG_CANONICAL = (1, 0, 0, 0)  # omega(x1+x2) trivial, and omega(x2) with no coh
 
 
 def suite_log_canonical(
-    max_ab: int = 4, max_l: int = 4, max_len: int = 6, workers: int | None = None
+    max_ab: int = 4, max_l: int = 4, max_len: int = 6, workers: int = 1
 ) -> SuiteResult:
     """omega(x1+x2) is trivial, and omega(x2) has no cohomology, on every chain.
 
@@ -637,12 +624,15 @@ def suite_log_canonical(
         v = values(path[-1])
         return {"chain": [list(comps[node[0]]) for node in path], "log_canonical": v[:2], "omega_x2": v[2:]}
 
+    def replay(path: list, ranks: range) -> list:
+        """One args tuple per rank: a chain is one instance, so there is one rank."""
+        return [(tuple(objs[node[0]] for node in path), values(path[-1]))] * len(ranks)
+
     roots = [(i, (step(start, plain[i]), step(start, first[i]))) for i in range(len(comps))]
     return _subtree_sweep(
         SuiteResult("log-canonical"), keys=("sampled",), roots=roots, children=children,
         own=lambda node: (1, int(values(node) != _LOG_CANONICAL)), max_len=max_len, workers=workers,
-        witness=witness, replay=lambda path, _: (tuple(objs[node[0]] for node in path), values(path[-1])),
-        check=_api_check_log_canonical,
+        witness=witness, replay=replay, check=_api_check_log_canonical,
     )
 
 

@@ -242,19 +242,35 @@ def test_series_verify_reads_a_piped_table_in_a_fresh_process():
 
 
 def test_flags_that_stand_in_for_the_document_leave_stdin_unread(tmp_path, capsys, monkeypatch):
-    random_argv = ["--json", "--seed", "3", "series-verify", "--random", "--trials", "3"]
-    random_report = run_cli(capsys, *random_argv)
     monkeypatch.setattr(cli.sys, "stdin", io.StringIO("not a document"))
-    assert run_cli(capsys, *random_argv) == random_report
     code, out, _ = run_cli(capsys, "--json", "wps", "verify", "--weights", "1,1,2,2", "--bundle", "1")
     assert (code, out) == (0, WPS_GOLDEN[("verify", "1,1,2,2", "1")] + "\n")
     assert cli.sys.stdin.read() == "not a document"
     # a file given with the flag is still read and validated
     bad = tmp_path / "bad.json"
     bad.write_text("{")
-    for argv in (["series-verify", str(bad), "--random"], ["wps", "verify", str(bad), "--weights", "1,2"]):
-        code, out, err = run_cli(capsys, "--json", *argv)
-        assert code == 2 and out == "" and err.startswith("input error: malformed JSON")
+    code, out, err = run_cli(capsys, "--json", "wps", "verify", str(bad), "--weights", "1,2")
+    assert code == 2 and out == "" and err.startswith("input error: malformed JSON")
+
+
+@pytest.mark.parametrize("wps_command", ["sectors", "pairing", "verify"])
+def test_wps_takes_its_file_before_or_after_its_options(tmp_path, capsys, wps_command):
+    path = write_doc(tmp_path, WPS_DOC)
+    orders = [
+        [[wps_command, path, "--json"], [wps_command, "--json", path], ["--json", wps_command, path]],
+        [[wps_command, path, "--weights", "1,2"], [wps_command, "--weights", "1,2", path]],
+    ]
+    for argvs in orders:
+        reports = [run_cli(capsys, "wps", *argv) for argv in argvs]
+        assert reports[0][0] == 0 and reports[0][2] == ""
+        # the wall-clock line of a table report differs from run to run
+        assert len({report[1].rsplit("wall-clock", 1)[0] for report in reports}) == 1, argvs
+
+
+def test_wps_bundle_without_weights_is_an_input_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--json", "wps", "sectors", write_doc(tmp_path, WPS_DOC), "--bundle", "1,2")
+    assert code == 2 and out == ""
+    assert err == "input error: --bundle needs --weights; a document gives its bundle under 'wps'\n"
 
 
 def test_verify_suite_command(capsys):
@@ -325,11 +341,20 @@ def test_verify_sweep_takes_chains_longer_than_three(capsys):
 
 
 def test_series_verify_random(capsys):
-    code, out, _ = run_cli(
-        capsys, "--json", "--seed", "3", "series-verify", "--random", "--trials", "3"
+    # random tables run as `verify --suite qsd-operator` alone
+    for flag in ("--random", "--trials"):
+        code, out, err = _in_process(capsys, ["--json", "series-verify", flag])
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+
+
+def test_qsd_operator_suite_golden_output(capsys):
+    code, out, err = run_cli(capsys, "--json", "verify", "--suite", "qsd-operator", "--trials", "3", "--seed", "3")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"command":"verify","results":{"ok":true,"suites":[{"details":{"coefficient_checks":13},"failures":0,'
+        '"first_counterexample":null,"instances":3,"name":"qsd-operator"}]}}\n'
     )
-    assert code == 0
-    assert json.loads(out)["results"]["failures"] == 0
 
 
 def test_series_verify_table_document(tmp_path, capsys):
@@ -376,8 +401,8 @@ def test_chain_suites_refuse_a_max_len_below_one(capsys, suite, value):
     [
         (None, "0", "workers must be at least 1, got 0"),
         (None, "-1", "workers must be at least 1, got -1"),
-        ("abc", None, "ORBICURVE_WORKERS must be an integer, got 'abc'"),
-        ("-5", None, "ORBICURVE_WORKERS must be at least 1, got -5"),
+        # the refusal is the flag's alone: the environment is not read
+        ("abc", "0", "workers must be at least 1, got 0"),
     ],
 )
 @pytest.mark.parametrize("suite", ["thm-weak-convexity", "thm-weak-concavity", "log-canonical"])
@@ -385,14 +410,15 @@ def test_chain_suites_refuse_an_unusable_worker_count(capsys, monkeypatch, suite
     if env is not None:
         monkeypatch.setenv("ORBICURVE_WORKERS", env)
     argv = ["--json", "verify", "--suite", suite, "--max-a", "2", "--max-l", "2", "--max-len", "3"]
-    code, out, err = run_cli(capsys, *argv, *(["--workers", flag] if flag else []))
+    code, out, err = run_cli(capsys, *argv, "--workers", flag)
     assert code == 2 and out == ""
     assert err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_random_series_verify_refuses_an_order_below_one(capsys, value):
-    code, out, err = run_cli(capsys, "--json", "series-verify", "--random", "--trials", "3", "--order", value)
+    # the operator identity on random tables runs as the qsd-operator suite
+    code, out, err = run_cli(capsys, "--json", "verify", "--suite", "qsd-operator", "--trials", "3", "--order", value)
     assert code == 2 and out == ""
     assert err == "input error: order must be at least 1\n"
 
@@ -460,7 +486,7 @@ def test_wps_without_document_is_an_input_error(capsys, monkeypatch, wps_command
     assert err == "input error: no input document\n"
 
 
-# without `--random`, series-verify needs a table document like the others
+# series-verify needs a table document like the others
 @pytest.mark.parametrize("command", ["cohomology", "convexity", "series-verify"])
 def test_chain_command_on_terminal_stdin_is_an_input_error(capsys, monkeypatch, command):
     monkeypatch.setattr(cli.sys.stdin, "isatty", lambda: True)
@@ -549,10 +575,13 @@ def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypat
         ["--json", *rank],
         [*rank, "--json"],
         rank,
-        ["--json", "--order", "2", "series-verify", "--random", "--trials", "2"],
-        ["--json", "series-verify", "--random", "--trials", "2"],
+        ["--json", "--order", "2", "verify", "--suite", "qsd-operator", "--trials", "2"],
+        ["--json", "verify", "--suite", "qsd-operator", "--trials", "2"],
+        ["--json", "series-verify", "--random"],
         ["--json", "wps", "verify", "--weights", "1,1,2,2", "--bundle", "1"],
         ["--json", "wps", "verify", wps_doc],
+        ["wps", "--weights", "1,2", "pairing", "--json"],
+        ["--json", "wps", "pairing", wps_doc],
         ["--json", *sweep, "--max-len", "2"],
         ["--json", *sweep],
         ["--json", "rank", "--g1", "1/2"],

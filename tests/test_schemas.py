@@ -235,7 +235,7 @@ def _floats(node):
         ["wps", "pairing", "--weights", "1,2,3"],
         ["wps", "verify", "--weights", "1,1,2,2", "--bundle", "1"],
         ["series-verify", "{table}"],
-        ["series-verify", "--random", "--trials", "2"],
+        pytest.param(["verify", "--suite", "qsd-operator", "--trials", "2"], id="verify-qsd-operator"),
         ["verify", "--suite", "thm-weak-convexity", "--max-a", "2", "--max-l", "2", "--max-d", "1", "--max-len", "2"],
     ],
     ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("{")),

@@ -14,7 +14,8 @@ modular inverses once, when it is built, so `bundles` and `cohomology` take
 no three-argument `pow`.  The pairing blocks are turned into cells in `wps`
 alone: no other module names `pairing_blocks` or `_partner`.  The operators
 of `series` are compared on their stored cells: no module reads the dense
-expansion `LOperator.matrix_at`, which only tests use.
+expansion `LOperator.matrix_at`, which only tests use.  The library is a
+function of its arguments: no module reads the process environment.
 """
 import ast
 from pathlib import Path
@@ -160,6 +161,12 @@ def test_no_module_reads_the_dense_operator_expansion():
             ):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    names = set(_names(ast.parse(path.read_text(), filename=str(path))))
+    assert names & {"environ", "environb", "getenv", "getenvb"} == set(), path.name
 
 
 def test_rules_see_every_module():

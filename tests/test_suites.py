@@ -337,6 +337,16 @@ def test_bundle_sweeps_replay_in_process_below_the_break_even(pools):
     assert 2 * suites.REPLAYS_PER_WORKER <= 10998
 
 
+def test_chain_suites_default_to_one_worker_whatever_the_environment(monkeypatch, pools):
+    # the worker count is an argument only: ORBICURVE_WORKERS starts no pool
+    monkeypatch.setattr(suites, "REPLAYS_PER_WORKER", 1)
+    monkeypatch.setenv("ORBICURVE_WORKERS", "2")
+    started = pools(_FakePool)
+    suites.suite_weak_concavity(max_ab=2, max_l=2, max_d=2, max_len=3)
+    suites.suite_log_canonical(max_ab=3, max_l=3, max_len=4)
+    assert started == []
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_pool_holds_at_most_two_runs_per_worker(workers):
     # the caller produces a run only when the pool has room for it, so the
@@ -404,10 +414,10 @@ def test_a_replay_fault_on_the_pool_reaches_the_caller():
     [
         (None, 0, "workers must be at least 1, got 0"),
         (None, -1, "workers must be at least 1, got -1"),
-        ("abc", None, "ORBICURVE_WORKERS must be an integer, got 'abc'"),
-        ("0", None, "ORBICURVE_WORKERS must be at least 1, got 0"),
+        ("2", 0, "workers must be at least 1, got 0"),  # the environment is not read
         (None, True, "workers must be an integer, got True"),
         (None, 1.5, "workers must be an integer, got 1.5"),
+        (None, None, "workers must be an integer, got None"),
     ],
 )
 def test_chain_suites_refuse_an_unusable_worker_count(monkeypatch, env, workers, message):
