@@ -12,10 +12,11 @@ exception type).
 Input documents follow `schemas/input-v1.json`, where an integer is a JSON
 integer: `2.0` is a schema violation, not the number 2.  The argument parser
 and the input schema are built once per process, so a program that calls
-`main()` many times pays for them once.  The schema is compiled into a
-predicate that accepts valid documents without jsonschema; jsonschema is
-imported only for a document the predicate rejects, and words its schema
-violation (if it finds none, the two disagree: exit 3).
+`main()` many times pays for them once.  The schema is compiled once into
+generated source that no document value reaches: a predicate that accepts
+valid documents without jsonschema, which is imported only for a document the
+predicate rejects, to word its schema violation (if it finds none, the two
+disagree: exit 3).  Repeated chain components are built once per document.
 """
 from __future__ import annotations
 
@@ -64,49 +65,32 @@ def load_schema(name: str) -> dict:
         return json.load(fh)
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-_Predicate = Callable[[object], bool]
-
-_TYPES: dict[str, _Predicate] = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "integer": _is_integer,
+# the test that a value is of each kind some keywords are about
+_KINDS = {
+    "object": "isinstance({0}, dict)",
+    "array": "isinstance({0}, list)",
+    "string": "isinstance({0}, str)",
+    "number": "isinstance({0}, (int, float)) and not isinstance({0}, bool)",
+}
+# each supported "type": its test, and the kind of value it leaves
+_TYPES = {
+    "object": (_KINDS["object"], "object"),
+    "array": (_KINDS["array"], "array"),
+    "string": (_KINDS["string"], "string"),
+    "integer": ("isinstance({0}, int) and not isinstance({0}, bool)", "number"),
+}
+# the supported keywords in the order their tests run, each with the kind of
+# value it is about (None: every kind)
+_KEYWORDS = {
+    "type": None, "enum": None, "oneOf": None, "$ref": None,
+    "required": "object", "additionalProperties": "object", "properties": "object",
+    "minItems": "array", "maxItems": "array", "items": "array", "pattern": "string", "minimum": "number",
 }
 # keywords that check nothing: metadata, and $defs, which is reached by $ref
 _INERT = frozenset({"$schema", "$id", "title", "$defs"})
 
 
-def _enum_member(value) -> _Predicate:
-    """Equality as jsonschema's enum has it: bools are not numbers."""
-    if isinstance(value, str):
-        return lambda x: x == value
-    if _is_integer(value):
-        return lambda x: not isinstance(x, bool) and x == value
-    raise ValueError(f"unsupported enum value {value!r}")
-
-
-def _all(checks: list[_Predicate]) -> _Predicate:
-    if len(checks) == 1:
-        return checks[0]
-
-    def accepts(x) -> bool:
-        for check in checks:
-            if not check(x):
-                return False
-        return True
-
-    return accepts
-
-
-def _compile(schema: dict, root: dict) -> _Predicate:
+def _compile(schema: dict, root: dict) -> Callable[[object], bool]:
     """Compile `schema`, a part of `root`, into a predicate on JSON values.
 
     It accepts exactly what the validator of `_input_validator` accepts.  As in
@@ -114,63 +98,96 @@ def _compile(schema: dict, root: dict) -> _Predicate:
     every other kind of value.  Only the keywords input-v1.json uses are
     supported; any other raises ValueError, so an edit of the schema cannot
     silently drop a check.
+
+    The predicate is Python source generated here and executed once.  A schema
+    becomes straight-line statements that return False at the first failed
+    test, `items` a loop, and each `oneOf` branch and `$ref` target a function
+    of its own.  A schema value enters the source only as the repr() of a str
+    or an int, or as a named constant; no document value ever does.
     """
-    if not isinstance(schema, dict):
-        raise ValueError(f"unsupported schema {schema!r}")
-    checks: list[_Predicate] = []
-    for key, arg in schema.items():
-        if key in _INERT:
-            continue
-        if key == "type":
-            if not isinstance(arg, str) or arg not in _TYPES:
-                raise ValueError(f"unsupported type {arg!r}")
-            checks.append(_TYPES[arg])
-        elif key == "properties":
-            subs = {name: _compile(sub, root) for name, sub in arg.items()}
-            checks.append(
-                lambda x, subs=subs: not isinstance(x, dict)
-                or all(subs[k](v) for k, v in x.items() if k in subs)
-            )
-        elif key == "additionalProperties":
-            if arg is not False:
-                raise ValueError(f"unsupported additionalProperties {arg!r}")
-            allowed = frozenset(schema.get("properties", ()))
-            checks.append(lambda x, allowed=allowed: not isinstance(x, dict) or x.keys() <= allowed)
-        elif key == "required":
-            names = tuple(arg)
-            checks.append(lambda x, names=names: not isinstance(x, dict) or all(k in x for k in names))
-        elif key == "items":
-            sub = _compile(arg, root)
-            checks.append(lambda x, sub=sub: not isinstance(x, list) or all(map(sub, x)))
-        elif key == "minItems":
-            checks.append(lambda x, n=arg: not isinstance(x, list) or len(x) >= n)
-        elif key == "maxItems":
-            checks.append(lambda x, n=arg: not isinstance(x, list) or len(x) <= n)
-        elif key == "minimum":
-            checks.append(lambda x, m=arg: not _is_number(x) or not x < m)
-        elif key == "enum":
-            members = [_enum_member(v) for v in arg]
-            checks.append(lambda x, members=members: any(m(x) for m in members))
-        elif key == "pattern":
-            search = re.compile(arg).search
-            checks.append(lambda x, search=search: not isinstance(x, str) or search(x) is not None)
-        elif key == "oneOf":
-            subs = [_compile(sub, root) for sub in arg]
-            checks.append(lambda x, subs=subs: sum(1 for sub in subs if sub(x)) == 1)
-        elif key == "$ref":
-            if not arg.startswith("#/"):
-                raise ValueError(f"unsupported $ref {arg!r}")
-            target = root
-            for part in arg[2:].split("/"):
-                target = target[part.replace("~1", "/").replace("~0", "~")]
-            checks.append(_compile(target, root))
-        else:
+    consts: dict = {}
+    sources: list[str] = []
+    refs: dict[str, str] = {}
+
+    def const(value) -> str:
+        consts[name := f"_c{len(consts)}"] = value
+        return name
+
+    def literal(value) -> str:
+        return repr(value) if type(value) in (int, str) else const(value)
+
+    def function(sub) -> str:
+        body = statements(sub, "x0", 0)
+        sources.append("\n    ".join([f"def _f{len(sources)}(x0):", *body, "return True"]))
+        return f"_f{len(sources) - 1}"
+
+    def statements(sub, v: str, depth: int) -> list[str]:
+        """Lines that return False unless the value named `v` satisfies `sub`."""
+        if not isinstance(sub, dict):
+            raise ValueError(f"unsupported schema {sub!r}")
+        for key in sub.keys() - _KEYWORDS.keys() - _INERT:
             raise ValueError(f"unsupported schema keyword {key!r}")
-    return _all(checks)
+        tests: dict = {kind: [] for kind in (None, *_KINDS)}
+        kept, inner = None, f"x{depth + 1}"
+        for key, kind in _KEYWORDS.items():
+            if key not in sub:
+                continue
+            arg, out = sub[key], tests[kind]
+            if key == "type":
+                if not isinstance(arg, str) or arg not in _TYPES:
+                    raise ValueError(f"unsupported type {arg!r}")
+                test, kept = _TYPES[arg]
+                out.append(f"if not ({test.format(v)}): return False")
+            elif key == "enum":
+                if any(type(member) not in (int, str) for member in arg):
+                    raise ValueError(f"unsupported enum {arg!r}")
+                # as in jsonschema's enum, a bool equals no number
+                out.append(f"if isinstance({v}, bool) or {v} not in {tuple(arg)!r}: return False")
+            elif key == "oneOf":
+                calls = [f"{function(branch)}({v})" for branch in arg] or ["0"]
+                out.append(f"if {' + '.join(calls)} != 1: return False")
+            elif key == "$ref":
+                if not arg.startswith("#/"):
+                    raise ValueError(f"unsupported $ref {arg!r}")
+                if arg not in refs:
+                    target = root
+                    for part in arg[2:].split("/"):
+                        target = target[part.replace("~1", "/").replace("~0", "~")]
+                    refs[arg] = function(target)
+                out.append(f"if not {refs[arg]}({v}): return False")
+            elif key == "required":
+                out += [f"if {literal(name)} not in {v}: return False" for name in arg]
+            elif key == "additionalProperties":
+                if arg is not False:
+                    raise ValueError(f"unsupported additionalProperties {arg!r}")
+                out.append(f"if not {v}.keys() <= {const(frozenset(sub.get('properties', ())))}: return False")
+            elif key == "properties":
+                for name, prop in arg.items():
+                    if body := statements(prop, inner, depth + 1):
+                        out += [f"if {literal(name)} in {v}:", f"    {inner} = {v}[{literal(name)}]"]
+                        out += ["    " + line for line in body]
+            elif key == "items":
+                if body := statements(arg, inner, depth + 1):
+                    out += [f"for {inner} in {v}:", *("    " + line for line in body)]
+            elif key in ("minItems", "maxItems"):
+                out.append(f"if len({v}) {'<' if key == 'minItems' else '>'} {literal(arg)}: return False")
+            elif key == "pattern":
+                out.append(f"if {const(re.compile(arg).search)}({v}) is None: return False")
+            else:  # minimum
+                out.append(f"if {v} < {literal(arg)}: return False")
+        lines = tests.pop(None)
+        for kind, out in tests.items():  # a "type" drops the tests of other kinds and the guard of its own
+            if out and kept in (None, kind):
+                lines += out if kept else [f"if {_KINDS[kind].format(v)}:", *("    " + line for line in out)]
+        return lines
+
+    top = function(schema)
+    exec("\n".join(sources), consts)
+    return consts[top]
 
 
 @functools.cache
-def _input_predicate() -> _Predicate:
+def _input_predicate() -> Callable[[object], bool]:
     schema = load_schema("input-v1.json")
     return _compile(schema, schema)
 
@@ -204,23 +221,19 @@ def validate_document(doc: dict) -> None:
 def parse_chain(doc: dict) -> curves.CurveChain:
     if "chain" not in doc:
         raise InputError("document has no 'chain'")
-    comps = []
-    tags = []
+    built, comps, tags = {}, [], {}  # the component of each distinct entry; the degrees given
     for n, item in enumerate(doc["chain"]):
-        try:
-            if "c" in item:
-                comps.append(curves.present(item["c"], item["d"]))
-            else:
-                comps.append(
-                    curves.TwistedComponent(
-                        item["a"], item["b"], item.get("l1", 1), item.get("l2", 1)
-                    )
-                )
-        except ValueError as exc:
-            raise InputError(f"chain[{n}]: {exc}") from exc
-        tags.append(_rational(item.get("degree", 1)))
-    try:
-        return curves.CurveChain(tuple(comps), tuple(tags))
+        key = (item["c"], item["d"]) if "c" in item else (item["a"], item["b"], item.get("l1", 1), item.get("l2", 1))
+        if key not in built:
+            try:
+                built[key] = curves.present(*key) if len(key) == 2 else curves.TwistedComponent(*key)
+            except ValueError as exc:
+                raise InputError(f"chain[{n}]: {exc}") from exc
+        comps.append(built[key])
+        if "degree" in item:
+            tags[n] = _rational(item["degree"])
+    try:  # with no degree given, every component shares the chain's default tag
+        return curves.CurveChain(tuple(comps), tuple(tags.get(n, 1) for n in range(len(comps))) if tags else ())
     except ValueError as exc:
         raise InputError(f"invalid chain: {exc}") from exc
 
@@ -447,20 +460,18 @@ def cmd_verify(args, doc: dict | None) -> dict:
     }
     parser = build_parser()
     given = {k for k, (_, v) in flags.items() if v is not None and v != parser.get_default(k)}
-    names = list(suites.SUITES) if args.suite == "all" else [args.suite]
-    payloads = []
-    ok = True
-    for name in names:
+    runs = []
+    for name in list(suites.SUITES) if args.suite == "all" else [args.suite]:
         fn = suites.SUITES[name]
         accepted = inspect.signature(fn).parameters
         kwargs = {k: v for k, (_, v) in flags.items() if v is not None and k in accepted}
         dropped = [flag for k, (flag, _) in flags.items() if k in given and k not in accepted]
         if dropped:
             print(f"verify: suite {name} takes no {', '.join(dropped)}; ignored", file=sys.stderr)
-        result = fn(**kwargs)
-        payloads.append(_suite_payload(result))
-        ok = ok and result.ok
-    return {"suites": payloads, "ok": ok}
+        suites.check_arguments(name, kwargs)  # every suite's, before any of them runs
+        runs.append((fn, kwargs))
+    results = [fn(**kwargs) for fn, kwargs in runs]
+    return {"suites": [_suite_payload(r) for r in results], "ok": all(r.ok for r in results)}
 
 
 # ---------------------------------------------------------------------------
@@ -605,22 +616,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     report = {"command": args.command, "results": results}
-    failed = _has_failures(results)
     if args.json:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
         print(_render_table(report, time.monotonic() - started))
-    return 1 if failed else 0
-
-
-def _has_failures(results: dict) -> bool:
-    if "ok" in results:
-        return not results["ok"]
-    if "failures" in results:
-        return results["failures"] > 0
-    if "suites" in results:
-        return any(s["failures"] > 0 for s in results["suites"])
-    return False
+    return 0 if results.get("ok", True) else 1
 
 
 if __name__ == "__main__":

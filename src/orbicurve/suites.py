@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import add
+from types import MappingProxyType
 
 from . import bundles, cohomology, convexity, curves, oracles, sectors, series, wps
 from .foundation import Phase
@@ -187,6 +188,7 @@ def _api_check_concavity_instance(comps: tuple, pieces: list, expected_hc: int, 
 
 
 def suite_h1_vanishing(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> SuiteResult:
+    check_arguments("h1-vanishing", locals())
     res = SuiteResult("h1-vanishing")
     for L in _family_grid(max_ab, max_l, range(max_d + 1)):
         h1 = cohomology.h1_component(L)
@@ -197,6 +199,7 @@ def suite_h1_vanishing(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
 
 
 def suite_h1_two_path(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> SuiteResult:
+    check_arguments("h1-two-path", locals())
     res = SuiteResult("h1-two-path")
     for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
         n_direct = cohomology.h1_negative_monomials(L)
@@ -208,6 +211,7 @@ def suite_h1_two_path(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suite
 
 
 def suite_riemann_roch(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> SuiteResult:
+    check_arguments("riemann-roch", locals())
     res = SuiteResult("riemann-roch")
     for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
         h0 = cohomology.h0_component(L)
@@ -529,8 +533,7 @@ def suite_weak_convexity(
     Rank-1 bundles are counted exhaustively; rank-2 counts follow exactly
     by additivity of h1 over summands.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    check_arguments("thm-weak-convexity", locals())
     res = _bundle_sweep(
         "thm-weak-convexity", keys=("rank2_pairs", "rank2_failures", "sampled"), max_ab=max_ab, max_l=max_l,
         max_d=max_d, max_len=max_len, workers=workers, d_lo=0, folds=(_CONVEX_SIDE,), names=("h1",),
@@ -556,8 +559,7 @@ def suite_weak_concavity(
     max_ab: int = 4, max_l: int = 4, max_d: int = 8, max_len: int = 3, workers: int = 1
 ) -> SuiteResult:
     """Convexity <-> concavity: h0(dual(L)(-x1)) = h1(L(-x2)) for every summand."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    check_arguments("thm-weak-concavity", locals())
     res = _bundle_sweep(
         "thm-weak-concavity", keys=("sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff"),
         max_ab=max_ab, max_l=max_l, max_d=max_d, max_len=max_len, workers=workers, d_lo=-max_d,
@@ -597,8 +599,7 @@ def suite_log_canonical(
     (chains, failing chains) of each subtree are counted once per call, and
     only the replays go to the pool (see `_subtree_sweep`).
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    check_arguments("log-canonical", locals())
     workers = _requested_workers(workers)
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
@@ -642,6 +643,7 @@ def suite_log_canonical(
 
 
 def suite_rank_formula(max_ab: int = 4, max_l: int = 4, max_d: int = 8) -> SuiteResult:
+    check_arguments("rank-formula", locals())
     res = SuiteResult("rank-formula")
     deltas: dict[Fraction, int] = {}
     n_convex = 0
@@ -671,6 +673,7 @@ def suite_rank_formula(max_ab: int = 4, max_l: int = 4, max_d: int = 8) -> Suite
 
 def suite_rank2_direct(max_ab: int = 3, max_l: int = 2, max_d: int = 4) -> SuiteResult:
     """Small direct sweep of genuine rank-2 split bundles through the full API."""
+    check_arguments("rank2-direct", locals())
     res = SuiteResult("rank2-direct")
     for a, b, l1, l2 in component_family(max_ab, max_l):
         comp = curves.TwistedComponent(a, b, l1, l2)
@@ -713,6 +716,7 @@ def suite_rank2_direct(max_ab: int = 3, max_l: int = 2, max_d: int = 4) -> Suite
 
 
 def suite_age_sum(trials: int = 10000, max_den: int = 12, seed: int = 0) -> SuiteResult:
+    check_arguments("age-sum", locals())
     res = SuiteResult("age-sum")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -769,6 +773,7 @@ def _api_check_pairing_comparison(m: wps.WPSModel) -> None:
 
 
 def suite_pairing_comparison(max_n: int = 5, max_w: int = 4, max_r: int = 2, max_k: int = 4) -> SuiteResult:
+    check_arguments("pairing-comparison", locals())
     res = SuiteResult("pairing-comparison", details={"pairing_checks": 0, "sampled": 0})
     for model in wps_model_family(max_n, max_w, max_r, max_k):
         if res.instances % PAIRING_SAMPLE_EVERY == 0:
@@ -809,8 +814,7 @@ def qsd_model_family(max_dim: int = 6) -> list[wps.WPSModel]:
 
 
 def suite_qsd_operator(trials: int = 1000, order: int = 4, max_dim: int = 6, seed: int = 0) -> SuiteResult:
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    check_arguments("qsd-operator", locals())
     res = SuiteResult("qsd-operator")
     rng = random.Random(seed)
     models = qsd_model_family(max_dim)
@@ -835,6 +839,7 @@ def suite_qsd_operator(trials: int = 1000, order: int = 4, max_dim: int = 6, see
 
 
 def suite_isotropy_oracle(max_cd: int = 12) -> SuiteResult:
+    check_arguments("isotropy-oracle", locals())
     res = SuiteResult("isotropy-oracle")
     for c in range(1, max_cd + 1):
         for d in range(1, max_cd + 1):
@@ -858,6 +863,7 @@ def suite_isotropy_oracle(max_cd: int = 12) -> SuiteResult:
 
 def suite_age_oracle(max_ab: int = 4, max_l: int = 4, max_d: int = 6) -> SuiteResult:
     """Closed-form ages against the generator-hunting brute force."""
+    check_arguments("age-oracle", locals())
     res = SuiteResult("age-oracle")
     for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
         for pt in (curves.X1, curves.X2):
@@ -906,6 +912,37 @@ def _run_chunks(fn, args, workers: int):
                 yield pending.popleft().result()
         finally:
             pool.shutdown(cancel_futures=True)
+
+
+# The least value of each integer argument of each suite (`workers` is checked
+# with its type in `_requested_workers`; `seed` takes any int).  Below it a
+# grid, a model family or a trial count is empty, and an empty suite would
+# report success.  The table is read-only: a suite call leaves no state behind.
+MINIMUMS = MappingProxyType({
+    "h1-vanishing": {"max_ab": 1, "max_l": 1, "max_d": 0},
+    "h1-two-path": {"max_ab": 1, "max_l": 1, "max_d": 0},
+    "riemann-roch": {"max_ab": 1, "max_l": 1, "max_d": 0},
+    "thm-weak-convexity": {"max_ab": 1, "max_l": 1, "max_d": 0, "max_len": 1},
+    "thm-weak-concavity": {"max_ab": 1, "max_l": 1, "max_d": 0, "max_len": 1},
+    "log-canonical": {"max_ab": 1, "max_l": 1, "max_len": 1},
+    "rank-formula": {"max_ab": 1, "max_l": 1, "max_d": 0},
+    "rank2-direct": {"max_ab": 1, "max_l": 1, "max_d": 0},
+    "age-sum": {"trials": 1, "max_den": 1},
+    "pairing-comparison": {"max_n": 2, "max_w": 1, "max_r": 0, "max_k": 1},
+    "qsd-operator": {"trials": 1, "order": 1, "max_dim": 1},
+    "isotropy-oracle": {"max_cd": 1},
+    "age-oracle": {"max_ab": 1, "max_l": 1, "max_d": 0},
+})
+
+
+def check_arguments(name: str, args: dict) -> None:
+    """Refuse any of `args` (argument name to value) below its least value for suite `name`.
+
+    Each suite calls it first with its own `locals()`, so a refusal comes before any work.
+    """
+    for arg, least in MINIMUMS[name].items():
+        if arg in args and args[arg] < least:
+            raise ValueError(f"{arg} must be at least {least}")
 
 
 SUITES = {

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicurve import cli, cohomology, convexity, suites
+from orbicurve import cli, cohomology, convexity, curves, suites
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +39,47 @@ def test_parse_rejects_gcd_violation():
     cli.validate_document(doc)  # schema-valid, semantically wrong
     with pytest.raises(cli.InputError, match=r"gcd\(a,b\)=2"):
         cli.parse_chain(doc)
+
+
+def test_parse_builds_each_distinct_component_once(monkeypatch):
+    # the same component written three ways, and P(1,1) presented by its orders
+    doc = {"chain": [{"a": 1, "b": 1}, {"c": 1, "d": 1}, {"a": 1, "b": 1, "l1": 1, "l2": 1}, {"c": 1, "d": 1},
+                     {"a": 1, "b": 1, "l2": 1}]}
+    cli.validate_document(doc)
+    built = []
+    checks = curves.TwistedComponent.__post_init__
+    monkeypatch.setattr(curves.TwistedComponent, "__post_init__", lambda self: built.append(self) or checks(self))
+    chain = cli.parse_chain(doc)
+    assert len(built) == 2  # one for (a, b, l1, l2) = (1, 1, 1, 1), one for (c, d) = (1, 1)
+    assert chain.components == (curves.TwistedComponent(1, 1),) * 5
+    assert chain.components[0] is chain.components[2] is chain.components[4]
+    assert chain.components[1] is chain.components[3]
+
+
+@pytest.mark.parametrize(
+    "chain, message",
+    [
+        ([{"a": 1, "b": 1}, {"a": 2, "b": 4}, {"a": 2, "b": 4}, {"a": 3, "b": 6}], "chain[1]: gcd(a,b)=2 != 1"),
+        ([{"a": 1, "b": 1}] * 3 + [{"a": 1, "b": 1, "l1": 2, "l2": 2}], "chain[3]: gcd(l1,l2)=2 != 1"),
+    ],
+)
+def test_parse_reports_the_first_invalid_entry_by_its_index(chain, message):
+    doc = {"chain": chain}
+    cli.validate_document(doc)
+    with pytest.raises(cli.InputError, match=f"^{re.escape(message)}$"):
+        cli.parse_chain(doc)
+
+
+@pytest.mark.parametrize("degrees", [(None, None), ("3/2", None), (None, 2)])
+def test_missing_degree_round_trips_as_one(degrees):
+    doc = {"chain": [dict({"a": 1, "b": 1}, **({} if d is None else {"degree": d})) for d in degrees]}
+    chain = cli.parse_chain(doc)
+    assert chain.degree_tags == tuple(Fraction(1 if d is None else d) for d in degrees)
+    if degrees == (None, None):  # one shared default tag, not a fresh 1 per component
+        assert chain.degree_tags[0] is chain.degree_tags[1]
+    out = cli.serialize_document(chain)
+    assert [item["degree"] for item in out["chain"]] == ["1" if d is None else str(d) for d in degrees]
+    assert cli.parse_chain(out) == chain
 
 
 def test_schema_violation_reports_pointer():
@@ -413,6 +454,31 @@ def test_chain_suites_refuse_an_unusable_worker_count(capsys, monkeypatch, suite
     code, out, err = run_cli(capsys, *argv, "--workers", flag)
     assert code == 2 and out == ""
     assert err == f"input error: {message}\n"
+
+
+# the suite argument that each integer flag of `verify` sets
+VERIFY_FLAGS = {
+    "max_ab": "--max-a", "max_l": "--max-l", "max_d": "--max-d", "max_len": "--max-len", "max_cd": "--max-cd",
+    "trials": "--trials", "order": "--order",
+}
+
+
+@pytest.mark.parametrize(
+    "suite, arg, least",
+    [(name, arg, least) for name, mins in suites.MINIMUMS.items() for arg, least in mins.items() if arg in VERIFY_FLAGS],
+)
+def test_verify_refuses_a_flag_below_its_minimum(capsys, suite, arg, least):
+    # an empty suite would print "ok": true with no instance checked
+    code, out, err = run_cli(capsys, "--json", "verify", "--suite", suite, VERIFY_FLAGS[arg], str(least - 1))
+    assert code == 2 and out == ""
+    assert err == f"input error: {arg} must be at least {least}\n"
+
+
+def test_verify_all_refuses_before_any_suite_runs(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "_family_grid", None)  # the first suites would fail on it
+    code, out, err = run_cli(capsys, "--json", "verify", "--suite", "all", "--trials", "0")
+    assert code == 2 and out == ""
+    assert err.endswith("\ninput error: trials must be at least 1\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -69,6 +69,10 @@ ODD_VALUES = [
     2**63, 2**64 + 1, -(2**63) - 1, "1/0", "-3", " 1", "1\n", "3/2", "1/-2", "",
     "x1", "x3", [], {}, [1], [[]], {"d": 1}, {"c": 1, "d": 1, "a": 1, "b": 1}, 5,
 ]
+# schema text with quotes, backslashes and newlines: one string would end a
+# string literal and call print() if it were pasted into source as it is, and
+# one is not an identifier
+HOSTILE = ["'", '"', "\\", "\n", "a'b\"c\\d\ne", "') or print('x') or ('", "\"\"\"'''", "x y"]
 # drawn values are copied: a later mutation may edit them in place
 values = (st.sampled_from(ODD_VALUES) | st.integers() | st.floats() | st.text(max_size=3)).map(copy.deepcopy)
 keys = st.sampled_from(
@@ -174,13 +178,20 @@ def test_predicate_on_edge_documents(doc, valid):
         {"enum": [1, "a"]},
         {"oneOf": [{"minimum": 0}, {"minimum": 1}]},
         {"oneOf": [{"type": "string"}, {"$ref": "#/$defs/x"}], "$defs": {"x": {"type": "array"}}},
+        # schema text that is not a plain word enters the generated source as a literal
+        {"properties": {k: {"minimum": 1} for k in HOSTILE}, "required": HOSTILE[:2], "additionalProperties": False},
+        {"properties": {HOSTILE[-1]: {"enum": HOSTILE}}},
+        {"enum": HOSTILE + [1]},
+        {"items": {"pattern": "^['\"]|'''|\\\\"}},
     ],
 )
 def test_each_keyword_applies_as_in_jsonschema(schema):
     # input-v1 hides some of these semantics behind a sibling "type": a chain
     # item of the wrong type fails "type" whatever its "required" says
     accepts, validator = cli._compile(schema, schema), jsonschema.Draft202012Validator(schema)
-    for value in ODD_VALUES + [{"a": 0}, {"a": 1, "b": 1}, ["a", "b", "c"], ["b"], "ab"]:
+    hostile = HOSTILE + [{k: v for k in HOSTILE[:n]} for n in (2, len(HOSTILE)) for v in (0, 1, "x")]
+    hostile += [{HOSTILE[-1]: v} for v in HOSTILE] + [HOSTILE, ["'''", "a"], ["a\\b"]]
+    for value in ODD_VALUES + [{"a": 0}, {"a": 1, "b": 1}, ["a", "b", "c"], ["b"], "ab"] + hostile:
         assert accepts(value) == validator.is_valid(value), value
 
 

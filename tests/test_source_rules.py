@@ -15,7 +15,9 @@ no three-argument `pow`.  The pairing blocks are turned into cells in `wps`
 alone: no other module names `pairing_blocks` or `_partner`.  The operators
 of `series` are compared on their stored cells: no module reads the dense
 expansion `LOperator.matrix_at`, which only tests use.  The library is a
-function of its arguments: no module reads the process environment.
+function of its arguments: no module reads the process environment.  The one
+text the package turns into code is the input schema, in `cli._compile`: no
+other function names `exec`, `eval` or `compile`.
 """
 import ast
 from pathlib import Path
@@ -167,6 +169,19 @@ def test_no_module_reads_the_dense_operator_expansion():
 def test_no_module_reads_the_environment(path):
     names = set(_names(ast.parse(path.read_text(), filename=str(path))))
     assert names & {"environ", "environb", "getenv", "getenvb"} == set(), path.name
+
+
+def test_only_the_schema_compiler_runs_generated_code():
+    # by the outermost definition around each use, so the helpers nested in
+    # `_compile` count as `_compile`; `re.compile` counts as well
+    users = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in {"exec", "eval", "compile"}:
+                    users.add((path.name, getattr(top, "name", None)))
+    assert users == {("cli.py", "_compile")}
 
 
 def test_rules_see_every_module():

@@ -1,4 +1,5 @@
 """Verification-suite plumbing at small bounds."""
+import inspect
 import itertools
 import os
 import pathlib
@@ -446,6 +447,23 @@ def test_chain_suites_refuse_a_max_len_below_one(monkeypatch, max_len):
 def test_qsd_suite_refuses_an_order_below_one(order):
     with pytest.raises(ValueError, match="^order must be at least 1$"):
         suites.suite_qsd_operator(trials=3, order=order)
+
+
+@pytest.mark.parametrize(
+    "name, arg, least", [(name, arg, least) for name, mins in suites.MINIMUMS.items() for arg, least in mins.items()]
+)
+def test_suites_refuse_an_argument_below_its_minimum(name, arg, least):
+    # below its minimum an argument empties the suite's grid, family or
+    # trials, and an empty suite would report success
+    with pytest.raises(ValueError, match=f"^{arg} must be at least {least}$"):
+        suites.SUITES[name](**{arg: least - 1})
+
+
+def test_minimums_name_every_bounded_argument_and_leave_work():
+    for name, suite in suites.SUITES.items():
+        assert set(suites.MINIMUMS[name]) == set(inspect.signature(suite).parameters) - {"seed", "workers"}, name
+        res = suite(**suites.MINIMUMS[name])
+        assert res.ok and res.instances > 0, name
 
 
 def test_log_canonical_sweep_takes_a_chain_of_1500_components():
