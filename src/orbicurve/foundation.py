@@ -3,9 +3,9 @@
 Every quantity in this library (degrees, ages, pairing values, signs) is an
 exact rational or a rational combination of phases e^{i*pi*r} with r rational.
 Such combinations are `PhasedScalar`s: elements of a cyclotomic field, kept as
-integer exponents k over a conductor n (e^{i*pi*k/n}) with Fraction
-coefficients, and compared as complex numbers.  No floating point is used
-anywhere.
+integer exponents k over a conductor n (e^{i*pi*k/n}) with integer numerators
+over one positive denominator in lowest terms, and compared as complex
+numbers.  No floating point is used anywhere.
 """
 from __future__ import annotations
 
@@ -108,7 +108,7 @@ class Phase:
         return f"e^{{i*pi*{self.exponent}}}"
 
 
-def _vanishes(n: int, coeffs: dict[int, Fraction]) -> bool:
+def _vanishes(n: int, coeffs: dict[int, int]) -> bool:
     """Whether sum_k coeffs[k] * z^k = 0 for z a primitive n-th root of unity, 0 <= k < n.
 
     One prime p of n at a time, on the sparse map (cost set by the number of
@@ -126,7 +126,7 @@ def _vanishes(n: int, coeffs: dict[int, Fraction]) -> bool:
         return not coeffs
     p = min(factorize(n))
     m = n // p
-    classes: list[dict[int, Fraction]] = [{} for _ in range(p)]
+    classes: list[dict[int, int]] = [{} for _ in range(p)]
     if m % p == 0:
         for k, c in coeffs.items():
             classes[k % p][k // p] = c
@@ -137,7 +137,7 @@ def _vanishes(n: int, coeffs: dict[int, Fraction]) -> bool:
     return all(_vanishes(m, _difference(cl, ref)) for cl in classes if cl is not ref)
 
 
-def _difference(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+def _difference(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out = dict(a)
     for k, c in b.items():
         c = out.pop(k, 0) - c
@@ -157,11 +157,14 @@ def _root_trace(m: int) -> Fraction:
     return Fraction(mu, phi)
 
 
-def _make(n: int, coeffs: dict[int, Fraction]) -> "PhasedScalar":
-    """A PhasedScalar from an already normalized coefficient map at conductor n."""
+def _make(n: int, num: dict[int, int], den: int = 1) -> "PhasedScalar":
+    """The PhasedScalar num/den at conductor n, num a normalized numerator map, in reduced form."""
+    g = gcd(den, *num.values()) if den != 1 else 1
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den //= g
     x = object.__new__(PhasedScalar)
-    x._n = n
-    x._coeffs = coeffs
+    x._n, x._num, x._den = n, num, den
     return x
 
 
@@ -169,41 +172,46 @@ def _phase_term(e: Fraction, c: Fraction) -> "PhasedScalar":
     """c * e^{i*pi*e} at conductor denominator(e), the exponent folded into [0, 1)."""
     n = e.denominator
     k = e.numerator % (2 * n)
+    p = c.numerator
     if k >= n:
         k -= n
-        c = -c
-    return _make(n, {k: c} if c else {})
+        p = -p
+    return _make(n, {k: p} if p else {}, c.denominator)
 
 
 class PhasedScalar:
     """Exact element of a cyclotomic field: a rational combination of phases.
 
-    Stored as an integer conductor n >= 1 and a map {k: nonzero Fraction} with
-    0 <= k < n, meaning sum_k coeff[k] * e^{i*pi*k/n}.  An exponent k/n in
-    [1, 2) is folded to k/n - 1 with negated coefficient, so e^{i*pi} and -1
-    coincide; the map is otherwise the one of the group ring, which is what
-    `terms` ({exponent in [0, 1): coefficient}) and `str()` show.
+    Stored as an integer conductor n >= 1, a map {k: nonzero int} with
+    0 <= k < n and an int den >= 1, meaning sum_k num[k]/den * e^{i*pi*k/n},
+    in reduced form: gcd(den, every numerator) = 1, so den = 1 for zero.  An
+    exponent k/n in [1, 2) is folded to k/n - 1 with negated coefficient, so
+    e^{i*pi} and -1 coincide; the map is otherwise the one of the group ring,
+    which is what `terms` ({exponent in [0, 1): coefficient}) and `str()` show.
 
-    `==` is equality of complex numbers.  Equal maps at one conductor are the
-    fast path; otherwise the difference is tested for zero one prime of 2n at
-    a time (`_vanishes`), so that 1 + w + w^2 (w = e^{2*pi*i/3}) is zero and
-    e^{i*pi/3} + e^{-i*pi/3} == 1.  The hash, `is_rational` and `to_rational`
-    use the normalized trace, which every representation of a number shares.
+    `==` is equality of complex numbers.  Equal group-ring maps at one
+    conductor are the fast path: the reduced form makes den the lcm of the
+    coefficients' denominators, so they store equal numerators.  Otherwise
+    the numerators of the difference (zero iff the value is) are tested one
+    prime of 2n at a time (`_vanishes`), so that 1 + w + w^2 (w = e^{2*pi*i/3})
+    is zero and e^{i*pi/3} + e^{-i*pi/3} == 1.  The hash, `is_rational` and
+    `to_rational` use the normalized trace, which every representation of a
+    number shares.
     """
 
-    __slots__ = ("_n", "_coeffs")
+    __slots__ = ("_n", "_num", "_den")
 
     def __init__(self, terms: dict[Fraction, Fraction] | None = None):
         acc = _make(1, {})
-        for e, c in (terms or {}).items():
-            acc = acc + _phase_term(as_rational(e), as_rational(c))
-        self._n = acc._n
-        self._coeffs = acc._coeffs
+        for i, (e, c) in enumerate((terms or {}).items()):
+            term = _phase_term(as_rational(e), as_rational(c))
+            acc = acc + term if i else term  # one term, the common case, is its own sum
+        self._n, self._num, self._den = acc._n, acc._num, acc._den
 
     @classmethod
     def from_rational(cls, c) -> "PhasedScalar":
         c = as_rational(c)
-        return _make(1, {0: c} if c else {})
+        return _make(1, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def from_phase(cls, p: Phase, coeff=1) -> "PhasedScalar":
@@ -220,20 +228,23 @@ class PhasedScalar:
     @property
     def terms(self) -> dict[Fraction, Fraction]:
         """{exponent e in [0, 1): coefficient} for sum_e coeff * e^{i*pi*e}."""
-        return {Fraction(k, self._n): c for k, c in self._coeffs.items()}
+        return {Fraction(k, self._n): Fraction(c, self._den) for k, c in self._num.items()}
 
-    def _at(self, n: int) -> dict[int, Fraction]:
-        """The coefficient map at conductor n, a multiple of this one's."""
+    def _at(self, n: int) -> dict[int, int]:
+        """The numerator map at conductor n, a multiple of this one's."""
         if n == self._n:
-            return self._coeffs
+            return self._num
         s = n // self._n
-        return {k * s: c for k, c in self._coeffs.items()}
+        return {k * s: c for k, c in self._num.items()}
 
     def __add__(self, other) -> "PhasedScalar":
         other = PhasedScalar.coerce(other)
         n = self._n if self._n == other._n else lcm(self._n, other._n)
-        out = dict(self._at(n))
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        out = dict(self._at(n)) if sa == 1 else {k: c * sa for k, c in self._at(n).items()}
         for k, c in other._at(n).items():
+            c *= sb
             if k in out:
                 c += out[k]
                 if c:
@@ -242,12 +253,12 @@ class PhasedScalar:
                     del out[k]
             else:
                 out[k] = c
-        return _make(n, out)
+        return _make(n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PhasedScalar":
-        return _make(self._n, {k: -c for k, c in self._coeffs.items()})
+        return _make(self._n, {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "PhasedScalar":
         return self + (-PhasedScalar.coerce(other))
@@ -259,11 +270,12 @@ class PhasedScalar:
         if not isinstance(other, PhasedScalar):
             if not isinstance(other, Phase):
                 s = as_rational(other)
-                return _make(self._n, {k: c * s for k, c in self._coeffs.items()} if s else {})
+                num = {k: c * s.numerator for k, c in self._num.items()} if s else {}
+                return _make(self._n, num, self._den * s.denominator)
             other = PhasedScalar.from_phase(other)
         n = self._n if self._n == other._n else lcm(self._n, other._n)
         rhs = other._at(n).items()
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for k1, c1 in self._at(n).items():
             for k2, c2 in rhs:
                 k = k1 + k2
@@ -275,24 +287,24 @@ class PhasedScalar:
                     out[k] += c
                 else:
                     out[k] = c
-        return _make(n, {k: c for k, c in out.items() if c})
+        return _make(n, {k: c for k, c in out.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         # Two phases e^{i*pi*k/n} with distinct k in [0, n) are never
         # proportional over Q, so only three or more terms can cancel.
-        coeffs = self._coeffs
-        return not coeffs if len(coeffs) <= 2 else _vanishes(2 * self._n, coeffs)
+        num = self._num
+        return not num if len(num) <= 2 else _vanishes(2 * self._n, num)
 
     def _trace(self) -> Fraction:
         """Normalized trace: the mean of the Galois conjugates, a rational."""
         n2 = 2 * self._n
-        return sum((c * _root_trace(n2 // gcd(k, n2)) for k, c in self._coeffs.items()), Fraction(0))
+        return sum((c * _root_trace(n2 // gcd(k, n2)) for k, c in self._num.items()), Fraction(0)) / self._den
 
     def _rational_value(self) -> Fraction | None:
-        if not self._coeffs.keys() - {0}:
-            return self._coeffs.get(0, Fraction(0))
+        if not self._num.keys() - {0}:
+            return Fraction(self._num.get(0, 0), self._den)
         # a rational number is its own normalized trace
         t = self._trace()
         return t if (self - t).is_zero() else None
@@ -311,7 +323,7 @@ class PhasedScalar:
             if isinstance(other, bool) or not isinstance(other, (int, Fraction, Phase)):
                 return NotImplemented
             other = PhasedScalar.coerce(other)
-        if self._n == other._n and self._coeffs == other._coeffs:
+        if self._n == other._n and self._den == other._den and self._num == other._num:
             return True
         return (self - other).is_zero()
 
@@ -319,11 +331,11 @@ class PhasedScalar:
         return hash(self._trace())
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "0"
         bits = []
-        for k in sorted(self._coeffs):
-            c = self._coeffs[k]
+        for k in sorted(self._num):
+            c = Fraction(self._num[k], self._den)
             bits.append(str(c) if k == 0 else f"{c}*e^{{i*pi*{Fraction(k, self._n)}}}")
         return " + ".join(bits)
 

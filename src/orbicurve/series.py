@@ -14,7 +14,8 @@ with T^i the dual basis under the declared pairing.  The verification routine
 constructs the operator of the cut-out substack from the operator data of the
 dual bundle total space by the exact phase rule e^{i*pi*(deg(det E)+rank)} per
 class, and checks the two operators agree after the Novikov substitution
-q^beta -> e^{i*pi*deg_beta(det E)} q^beta, coefficient by coefficient.
+q^beta -> e^{i*pi*deg_beta(det E)} q^beta, coefficient by coefficient.  The
+transported table is derived from the checked input table and built unchecked.
 
 On the compact-type basis the ct and ambient pairings are signed
 permutations: `build_L` takes each as `wps.pairing_rows` gives it, one
@@ -180,19 +181,25 @@ def build_L(table: InvariantTable, pairing: list[tuple[int, Fraction] | None], t
         j, x = cell or (None, 0)
         if not x or type(j) is not int or not 0 <= j < dim or p_inv[j] is not None:
             raise ValueError("degenerate pairing")
-        p_inv[j] = (i, 1 / Fraction(x))
+        x = 1 / Fraction(x)
+        p_inv[j] = (i, (-x, x))  # the signed inverse for an even and an odd psi power
     op = LOperator(dim, truncation)
+    kept: dict[EffClass, bool] = {}  # truncation and zero class, decided once per class
     for e in table.entries:
-        if e.beta.ordering > op.truncation:
+        beta = e.beta
+        keep = kept.get(beta)
+        if keep is None:
+            keep = kept[beta] = beta.ordering <= op.truncation
+            if keep and beta.is_zero():
+                raise ValueError("table entries must have nonzero effective class")
+        if not keep:
             continue
-        if e.beta.is_zero():
-            raise ValueError("table entries must have nonzero effective class")
         value = PhasedScalar.coerce(e.value)
         if value.is_zero():
             continue
         # column r of the operator matrix gets value * P^{-1}[col][m] in row m
-        mrow, x = p_inv[e.col]
-        op.add_term(e.beta, -e.psi_power - 1, mrow, e.row, value * (x if e.psi_power % 2 else -x))
+        mrow, signed = p_inv[e.col]
+        op.add_term(beta, -e.psi_power - 1, mrow, e.row, value * signed[e.psi_power % 2])
     return op
 
 
@@ -229,18 +236,23 @@ def transported_table(table: InvariantTable, m: WPSModel, basis: list[tuple[Frac
     Each entry picks up the global phase e^{i*pi*(deg(det E) + rank)} of the
     invariant comparison and the inverse transport phases e^{-i*pi*age} of the
     two insertions, expressing the result against the plain ambient basis.
+    It keeps the input's dimension, indices and powers, so it is built unchecked.
     """
     ages = {s.f: s.age for s in m.sectors}
     basis_ages = [ages[f] for f, _ in basis]
+    shifts = {beta: beta.det + m.rank for beta in {e.beta for e in table.entries}}
     entries = []
     for e in table.entries:
-        phase = Phase(e.beta.det + m.rank - basis_ages[e.row] - basis_ages[e.col])
+        exponent = shifts[e.beta] - basis_ages[e.row] - basis_ages[e.col]
         if isinstance(e.value, PhasedScalar):
-            value = PhasedScalar.from_phase(phase) * e.value
+            value = PhasedScalar({exponent: 1}) * e.value
         else:
-            value = PhasedScalar.from_phase(phase, e.value)
+            value = PhasedScalar({exponent: e.value})
         entries.append(TableEntry(e.beta, e.psi_power, e.row, e.col, value, e.sectors))
-    return InvariantTable(table.dim, entries)
+    out = object.__new__(InvariantTable)
+    object.__setattr__(out, "dim", table.dim)
+    object.__setattr__(out, "entries", tuple(entries))
+    return out
 
 
 def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncation) -> QSDReport:
@@ -260,7 +272,8 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
     problems = [
         f"entry {n}: sector pair {e.sectors} does not match basis sectors"
         for n, e in enumerate(table_e.entries)
-        if e.sectors is not None and (e.sectors[0] % 1, e.sectors[1] % 1) != (basis[e.row][0], basis[e.col][0])
+        if e.sectors is not None and e.sectors != (pair := (basis[e.row][0], basis[e.col][0]))
+        and (e.sectors[0] % 1, e.sectors[1] % 1) != pair
     ]
     if problems:
         raise ValueError("inconsistent table: " + "; ".join(problems))

@@ -373,3 +373,119 @@ def test_printed_form_is_unchanged():
     assert str((zeta(F(1, 3)) + 1) * zeta(F(5, 6))) == "-1*e^{i*pi*1/6} + 1*e^{i*pi*5/6}"
     w = zeta(F(2, 3))
     assert str(w * w + w + 1) == "1 + -1*e^{i*pi*1/3} + 1*e^{i*pi*2/3}"
+
+
+# A group-ring reference with Fraction coefficients: {exponent in [0, 1): nonzero Fraction},
+# an exponent in [1, 2) folded to exponent - 1 with the coefficient negated.
+def ref_term(e: F, c: F) -> dict:
+    e %= 2
+    if e >= 1:
+        e, c = e - 1, -c
+    return {e: c} if c else {}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = ref_add(out, ref_term(e1 + e2, c1 * c2))
+    return out
+
+
+def ref_str(a: dict) -> str:
+    bits = [str(c) if e == 0 else f"{c}*e^{{i*pi*{e}}}" for e, c in sorted(a.items())]
+    return " + ".join(bits) or "0"
+
+
+def ref_trace(a: dict) -> F:
+    """Normalized trace: mu(m)/phi(m) for each term, m the order of its phase."""
+    out = F(0)
+    for e, c in a.items():
+        m = (e / 2).denominator
+        primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+        phi = m
+        for p in primes:
+            phi = phi // p * (p - 1)
+        squarefree = all(m % (p * p) for p in primes)
+        out += c * F((-1) ** len(primes) if squarefree else 0, phi)
+    return out
+
+
+mixed_exponents = st.builds(F, st.integers(-24, 24), st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
+mixed_pairs = st.lists(st.tuples(mixed_exponents, rationals), max_size=4)
+
+
+def both(pairs) -> tuple[PhasedScalar, dict]:
+    terms, ref = dict(pairs), {}
+    for e, c in terms.items():
+        ref = ref_add(ref, ref_term(e, c))
+    return PhasedScalar(terms), ref
+
+
+def assert_matches(x: PhasedScalar, ref: dict):
+    assert x.terms == ref
+    assert str(x) == ref_str(ref)
+    # the stored form: int numerators over one positive int denominator, reduced
+    num, den = x._num, x._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 and 0 <= k < x._n for k, c in num.items())
+    assert gcd(den, *num.values()) == 1
+    if ref.keys() <= {0}:
+        assert x.is_rational() and x.to_rational() == ref.get(0, 0)
+    if x.is_rational():
+        assert x.to_rational() == ref_trace(ref)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mixed_pairs, mixed_pairs, mixed_pairs)
+def test_integer_form_matches_the_fraction_map_reference(p, q, r):
+    (x, rx), (y, ry), (z, rz) = both(p), both(q), both(r)
+    conjugates = zeta(F(1, 3)) + zeta(F(-1, 3))  # the rational 1 in two terms
+    cases = [
+        (x, rx),
+        (-x, {e: -c for e, c in rx.items()}),
+        (x + y, ref_add(rx, ry)),
+        (x - y, ref_add(rx, {e: -c for e, c in ry.items()})),
+        (x * y, ref_mul(rx, ry)),
+        ((x + y) * z, ref_mul(ref_add(rx, ry), rz)),
+        (x + y - y, rx),
+        (x * y - y * x, {}),
+        (x * conjugates, ref_mul(rx, {F(1, 3): F(1), F(2, 3): F(-1)})),
+        (conjugates * 3 + x - x, {F(1, 3): F(3), F(2, 3): F(-3)}),
+    ]
+    for got, ref in cases:
+        assert_matches(got, ref)
+    assert (x == y) == (x - y).is_zero()
+    if rx == ry:
+        assert x == y
+
+
+def test_equal_values_by_different_routes_share_the_stored_form(monkeypatch):
+    half, third = F(1, 2), F(1, 3)
+    three = [
+        (PhasedScalar.from_rational(half) * 2, PhasedScalar.from_rational(1)),
+        (PhasedScalar({third: F(2, 4)}), PhasedScalar.from_phase(Phase(third), half)),
+        (PhasedScalar({0: half, third: F(3, 6), F(5, 4): F(-4, 8)}), PhasedScalar({0: 1, third: 1, F(1, 4): 1}) * half),
+    ]
+    pairs = three + [(x * Phase(F(1, 5)), y * Phase(F(11, 5))) for x, y in three]
+    hashes = [(hash(x), hash(y)) for x, y in pairs]
+    # equal numerators over different denominators are different values
+    assert PhasedScalar({third: half}) != PhasedScalar({third: third})
+
+    # a difference of equal maps is empty and never reaches `_vanishes`, so the
+    # subtraction is refused too: == must answer from the stored forms alone
+    def refuse(*args):
+        raise AssertionError("the equal-map fast path was not taken")
+
+    monkeypatch.setattr(foundation, "_vanishes", refuse)
+    monkeypatch.setattr(PhasedScalar, "__sub__", refuse)
+    for (x, y), (hx, hy) in zip(pairs, hashes):
+        assert (x._n, x._num, x._den) == (y._n, y._num, y._den)
+        assert x == y and hx == hy

@@ -1,11 +1,12 @@
 """Novikov series, fundamental-solution operators, and the duality identity."""
+import json
 import random
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from orbicurve import series as series_mod
+from orbicurve import cli, series as series_mod
 from orbicurve.foundation import Phase, PhasedScalar
 from orbicurve.series import (
     EffClass,
@@ -144,6 +145,30 @@ def test_build_L_rejects_a_pairing_with_two_entries_in_a_column():
     beta = EffClass((F(1), F(0)))
     with pytest.raises(ValueError, match="degenerate pairing"):
         build_L(InvariantTable(2, [TableEntry(beta, 0, 0, 0, F(1))]), [(1, F(1)), (1, F(1))], 2)
+
+
+def test_build_L_refuses_a_zero_class_wherever_it_sits():
+    # the class is checked before the value, so a zero value does not hide it
+    zero, kept, beyond = EffClass((F(0), F(0))), EffClass((F(1), F(0))), EffClass((F(3), F(1)))
+    bad = TableEntry(zero, 0, 0, 0, F(0))
+    others = [TableEntry(beyond, 0, 0, 0, F(0)), TableEntry(beyond, 1, 1, 1, F(2)), TableEntry(kept, 0, 1, 0, F(5))]
+    for at in range(len(others) + 1):
+        entries = others[:at] + [bad] + others[at:]
+        with pytest.raises(ValueError, match="^table entries must have nonzero effective class$"):
+            build_L(InvariantTable(2, entries), [(0, F(1)), (1, F(1))], 2)
+    # a truncation below every class skips the zero class too, as before
+    assert build_L(InvariantTable(2, [bad]), [(0, F(1)), (1, F(1))], -1).terms == {}
+
+
+def test_build_L_skips_a_class_beyond_the_truncation_each_time():
+    kept, beyond = EffClass((F(2), F(1, 2))), EffClass((F(3), F(1)))
+    entries = [TableEntry(beta, a, a, 1 - a, F(a + 1)) for a in (0, 1) for beta in (beyond, kept, beyond)]
+    op = build_L(InvariantTable(2, entries), [(0, F(1)), (1, F(-1))], 2)
+    # kept entries: value * P^{-1}[col][col] with the sign (-1)^{a+1}
+    assert {key: {cell: str(x) for cell, x in cells.items()} for key, cells in op.terms.items()} == {
+        (kept, -1): {(1, 0): "1"},
+        (kept, -2): {(0, 1): "2"},
+    }
 
 
 def _compact_type_rows(m):
@@ -383,6 +408,58 @@ def test_sparse_comparison_matches_the_dense_scan(monkeypatch, fault):
                     alone += key not in op.nonzero_keys()
                     beside += key in op.nonzero_keys()
         assert alone > 0 and beside > 0
+
+
+# first_violation of the first 20 suite tables with their first transported
+# entry doubled, recorded from the Fraction-coefficient PhasedScalar
+FAULTY_REPORTS = [
+    {"beta": "(4,0)", "z_power": -1, "entry": (0, 0), "lhs": "3/10", "rhs": "3/20"},
+    {"beta": "(1,5/3)", "z_power": -1, "entry": (0, 1), "lhs": "1*e^{i*pi*2/3}", "rhs": "1/2*e^{i*pi*2/3}"},
+    {"beta": "(3,3)", "z_power": -1, "entry": (0, 0), "lhs": "-3", "rhs": "-3/2"},
+    {"beta": "(2,-3/4)", "z_power": -1, "entry": (1, 0), "lhs": "1*e^{i*pi*1/4}", "rhs": "1/2*e^{i*pi*1/4}"},
+    {"beta": "(2,2)", "z_power": -1, "entry": (1, 0), "lhs": "-30", "rhs": "-15"},
+    {"beta": "(1,1)", "z_power": -3, "entry": (0, 0), "lhs": "7", "rhs": "7/2"},
+    {"beta": "(2,3/4)", "z_power": -1, "entry": (1, 0), "lhs": "4/3*e^{i*pi*3/4}", "rhs": "2/3*e^{i*pi*3/4}"},
+    {"beta": "(1,-5/3)", "z_power": -1, "entry": (0, 0), "lhs": "8*e^{i*pi*1/3}", "rhs": "4*e^{i*pi*1/3}"},
+    {"beta": "(2,3)", "z_power": -1, "entry": (0, 0), "lhs": "4/3", "rhs": "2/3"},
+    {"beta": "(4,-3/2)", "z_power": -1, "entry": (1, 0), "lhs": "-1*e^{i*pi*1/2}", "rhs": "-1/2*e^{i*pi*1/2}"},
+    {"beta": "(1,-3)", "z_power": -1, "entry": (0, 0), "lhs": "1/3", "rhs": "1/6"},
+    None,  # its table is empty
+    {"beta": "(4,2)", "z_power": -1, "entry": (0, 0), "lhs": "3", "rhs": "3/2"},
+    {"beta": "(1,1)", "z_power": -2, "entry": (0, 0), "lhs": "8", "rhs": "4"},
+    {"beta": "(2,3)", "z_power": -1, "entry": (0, 0), "lhs": "32/5", "rhs": "16/5"},
+    {"beta": "(1,3/4)", "z_power": -1, "entry": (0, 0), "lhs": "-32/5*e^{i*pi*3/4}", "rhs": "-16/5*e^{i*pi*3/4}"},
+    {"beta": "(1,-1)", "z_power": -4, "entry": (0, 0), "lhs": "-4/3", "rhs": "-2/3"},
+    {"beta": "(1,2)", "z_power": -1, "entry": (0, 0), "lhs": "-8/3", "rhs": "-4/3"},
+    {"beta": "(1,0)", "z_power": -1, "entry": (0, 0), "lhs": "4/15", "rhs": "2/15"},
+    {"beta": "(1,0)", "z_power": -1, "entry": (1, 0), "lhs": "-27/5", "rhs": "-12/5"},
+]
+FAULTY_CLI_OUT = (
+    '{"command":"series-verify","results":{"coefficient_checks":16,"first_violation":'
+    '{"beta":"(1,5/3)","entry":[0,1],"lhs":"1*e^{i*pi*2/3}","rhs":"1/2*e^{i*pi*2/3}","z_power":-1},'
+    '"model":"P(1,3)","ok":false,"state_dim":4}}\n'
+)
+
+
+def _table_document(m, table):
+    entries = [
+        {"beta": {"degrees": [str(d) for d in e.beta.degrees]}, "sectors": [str(s) for s in e.sectors],
+         "psi_power": e.psi_power, "row": e.row, "col": e.col, "value": str(e.value)}
+        for e in table.entries
+    ]
+    return {"wps": {"weights": list(m.weights), "bundle": list(m.bundle_degrees)},
+            "table": {"dim": table.dim, "entries": entries}}
+
+
+def test_failing_reports_keep_their_bytes(monkeypatch, tmp_path, capsys):
+    cases = _suite_tables(20)
+    _scale_first_transported_entry(monkeypatch)
+    assert [verify_qsd_operator_identity(t, m, n).first_violation for m, t, n in cases] == FAULTY_REPORTS
+    m, table, n = cases[1]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_table_document(m, table)))
+    assert cli.main(["--json", "--order", str(n), "series-verify", str(path)]) == 1
+    assert capsys.readouterr().out == FAULTY_CLI_OUT
 
 
 def test_operator_check_cost_follows_the_table(monkeypatch):
