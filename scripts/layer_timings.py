@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """In-process timings of the PhasedScalar and operator-check layers.
 
-    python3 scripts/layer_timings.py [--src DIR] [--seed N] [--repeat R]
+    python3 scripts/layer_timings.py [--src DIR]
 
 Imports `orbicurve` from DIR (default: this checkout's `src/`), builds the
-state-space workload's 150 operator tables for the seed as perfbench does,
+state-space workload's 150 operator tables for seed 1 as perfbench does,
 and prints one JSON object of median times in microseconds:
 
 - `phased_mul_us`, `phased_add_us`: one product and one sum of two
@@ -14,7 +14,7 @@ and prints one JSON object of median times in microseconds:
 - `operator_checks_ms`: all 150 operator checks of one pass
 - `pairing_comparison_us`: `wps.verify_pairing_comparison` on P(1,2,3)/O(1,2)
 
-Each figure is the median of R rounds; a round times a loop long enough to
+Each figure is the median of 15 rounds; a round times a loop long enough to
 last a few milliseconds.  Point --src at another checkout's `src/` to time
 that tree with the same inputs.
 """
@@ -30,11 +30,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+ROUNDS = 15
 
 
-def _median_us(fn, repeat: int, loops: int) -> float:
+def _median_us(fn, loops: int) -> float:
     rounds = []
-    for _ in range(repeat):
+    for _ in range(ROUNDS):
         t = time.perf_counter()
         for _ in range(loops):
             fn()
@@ -45,8 +47,6 @@ def _median_us(fn, repeat: int, loops: int) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeat", type=int, default=15)
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -58,7 +58,7 @@ def main() -> None:
     from orbicurve.wps import WPSModel, pairing_rows
 
     mods = SimpleNamespace(series=series, suites=suites)
-    tables = workloads.seeded_tables(mods, random.Random(args.seed), 150, max_truncation=4, max_classes=2, max_a=2)
+    tables = workloads.seeded_tables(mods, random.Random(SEED), 150, max_truncation=4, max_classes=2, max_a=2)
     model, n, table = max(tables, key=lambda t: len(t[2].entries))
     basis = series.compact_type_basis(model)
     rows = pairing_rows(model, "ct", basis)
@@ -70,14 +70,14 @@ def main() -> None:
             series.verify_qsd_operator_identity(t, m, t_n)
 
     out = {
-        "phased_mul_us": _median_us(lambda: x * y, args.repeat, 20000),
-        "phased_add_us": _median_us(lambda: x + y, args.repeat, 20000),
-        "build_L_us": _median_us(lambda: series.build_L(table, rows, n), args.repeat, 20),
+        "phased_mul_us": _median_us(lambda: x * y, 20000),
+        "phased_add_us": _median_us(lambda: x + y, 20000),
+        "build_L_us": _median_us(lambda: series.build_L(table, rows, n), 20),
         "operator_check_us": _median_us(
-            lambda: series.verify_qsd_operator_identity(table, model, n), args.repeat, 5
+            lambda: series.verify_qsd_operator_identity(table, model, n), 5
         ),
-        "operator_checks_ms": _median_us(all_checks, args.repeat, 1) / 1e3,
-        "pairing_comparison_us": _median_us(lambda: wps.verify_pairing_comparison(pairing_model), args.repeat, 50),
+        "operator_checks_ms": _median_us(all_checks, 1) / 1e3,
+        "pairing_comparison_us": _median_us(lambda: wps.verify_pairing_comparison(pairing_model), 50),
         "largest_table_entries": len(table.entries),
     }
     print(json.dumps({k: round(v, 3) for k, v in out.items()}))
