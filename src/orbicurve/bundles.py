@@ -24,14 +24,15 @@ off the fiber weight directly:
   * at x2 symmetrically with r2 = b*l1*l2 and the roles of the two
     coordinates swapped.
 
-A chain bundle built by `ChainBundle` is checked node by node.  Its dual and
-its twists at the chain's own marked points are not checked again, because
-neither can unbalance a balanced node: the age numerators are linear in
-(k1, k2, d) mod r, so the dual negates both numerators at a node and keeps
-their sum 0 mod r, and O(x1) has age 0 at x2 and O(x2) age 0 at x1, so a
-twist at the chain's ends leaves every node's ages unchanged.  Every bundle
-from outside, such as a parsed document, goes through the checking
-constructor.
+Every derived bundle is built from checked ints by reduction alone
+(`_reduced`).  A chain bundle built by `ChainBundle` is checked node by
+node.  Its dual and its twists at the chain's own marked points are not
+checked again, because neither can unbalance a balanced node: the age
+numerators are linear in (k1, k2, d) mod r, so the dual negates both
+numerators at a node and keeps their sum 0 mod r, and O(x1) has age 0 at x2
+and O(x2) age 0 at x1, so a twist at the chain's ends leaves every node's
+ages unchanged.  Every bundle from outside, such as a parsed document, goes
+through the checking constructor.
 """
 from __future__ import annotations
 
@@ -70,25 +71,35 @@ def trivial_bundle(comp: TwistedComponent) -> EqLineBundle:
     return EqLineBundle(comp, 0, 0, 0)
 
 
+def _reduced(comp: TwistedComponent, k1: int, k2: int, d: int) -> EqLineBundle:
+    """O^{k1,k2}(d) on comp from ints that are already checked, built unchecked: k1 and k2 are only reduced."""
+    L, put = object.__new__(EqLineBundle), object.__setattr__
+    put(L, "comp", comp)
+    put(L, "k1", k1 % comp.l1)
+    put(L, "k2", k2 % comp.l2)
+    put(L, "d", d)
+    return L
+
+
 def tensor(L: EqLineBundle, M: EqLineBundle) -> EqLineBundle:
     if L.comp != M.comp:
         raise ValueError(f"component mismatch: {L.comp} vs {M.comp}")
-    return EqLineBundle(L.comp, L.k1 + M.k1, L.k2 + M.k2, L.d + M.d)
+    return _reduced(L.comp, L.k1 + M.k1, L.k2 + M.k2, L.d + M.d)
 
 
 def dual(L: EqLineBundle) -> EqLineBundle:
-    return EqLineBundle(L.comp, -L.k1, -L.k2, -L.d)
+    return _reduced(L.comp, -L.k1, -L.k2, -L.d)
 
 
 def twist_marked(L: EqLineBundle, pt: MarkedPoint, sign: int) -> EqLineBundle:
     """L(sign * pt): L tensored with O(pt) or with its dual, where O(x1) is the
     divisor class of the coordinate section y and O(x2) that of x."""
-    if sign not in (1, -1):
+    if sign not in (1, -1) or not isinstance(sign, int):
         raise ValueError("twist sign must be +1 or -1")
     if pt is X1:
-        return EqLineBundle(L.comp, L.k1, L.k2 + sign, L.d + sign * L.comp.b)
+        return _reduced(L.comp, L.k1, L.k2 + sign, L.d + sign * L.comp.b)
     if pt is X2:
-        return EqLineBundle(L.comp, L.k1 + sign, L.k2, L.d + sign * L.comp.a)
+        return _reduced(L.comp, L.k1 + sign, L.k2, L.d + sign * L.comp.a)
     raise ValueError(f"unknown marked point {pt!r}")
 
 
@@ -96,7 +107,7 @@ def canonical_bundle(comp: TwistedComponent) -> EqLineBundle:
     """omega = O(-x1 - x2); its equivariant lift is fixed so omega(x1+x2) = O^{0,0}(0).
 
     The duals of O(x1) and O(x2) are O^{0,-1}(-b) and O^{-1,0}(-a), so omega = O^{-1,-1}(-a-b)."""
-    return EqLineBundle(comp, -1, -1, -comp.a - comp.b)
+    return _reduced(comp, -1, -1, -comp.a - comp.b)
 
 
 def _age_data(L: EqLineBundle, pt: MarkedPoint) -> tuple[int, int]:

@@ -170,29 +170,36 @@ def chain_step(state: ChainState, piece: PieceEnds) -> ChainState:
     return (h0 + p_h0 - rank, h1 + p_h1 + 1 - rank, False, nz2, trivial2)
 
 
-def h_chain(B: ChainBundle) -> CohomologyReport:
-    """h0 and h1 of a chain bundle by the fold, checked against Riemann-Roch."""
-    # one pass: Riemann-Roch on the pieces, less one gluing condition per
-    # active node, summed as an integer numerator over a common denominator D
-    # that grows only when a piece's denominator does not divide it; the terms
-    # also say whether a piece is trivial at x2, and the fold state whether
-    # the node before the next piece is active
+def _piece_data(L: EqLineBundle) -> tuple[int, int, PieceEnds]:
+    num, den, trivial2 = _riemann_roch_terms(L)
+    return num, den, piece_ends(L, trivial2)
+
+
+def _fold(pieces: tuple[EqLineBundle, ...], data) -> CohomologyReport:
+    """h0 and h1 of the chain bundle with these pieces, folded over their `_piece_data`."""
+    # Riemann-Roch less one gluing condition per active node (the fold state
+    # says whether the node before the next piece is), as an integer numerator
+    # over a common denominator D grown only when a piece's does not divide it
     state, euler_num, D = CHAIN_START, 0, 1
-    for piece in B.pieces:
-        num, den, trivial2 = _riemann_roch_terms(piece)
+    for num, den, ends in data:
         if D % den:
             grown = lcm(D, den)
             euler_num, D = euler_num * (grown // D), grown
         euler_num += num * (D // den) - (D if state[4] else 0)
-        state = chain_step(state, piece_ends(piece, trivial2))
+        state = chain_step(state, ends)
     h0, h1 = state[0], state[1]
     euler = Fraction(euler_num, D)
     if (h0 - h1) * D != euler_num:
         raise InternalInconsistency(
             f"h0 - h1 = {h0} - {h1} but the Euler characteristic is {euler} on "
-            + ", ".join(map(str, B.pieces))
+            + ", ".join(map(str, pieces))
         )
     return CohomologyReport(h0, h1, euler)
+
+
+def h_chain(B: ChainBundle) -> CohomologyReport:
+    """h0 and h1 of a chain bundle by the fold over its pieces' data, checked against Riemann-Roch."""
+    return _fold(B.pieces, [_piece_data(p) for p in B.pieces])
 
 
 def h_twisted(B: ChainBundle, pt: MarkedPoint, sign: int) -> CohomologyReport:

@@ -22,7 +22,7 @@ from .bundles import (
     chain_twist,
     twist_marked,
 )
-from .cohomology import h_chain, h_twisted
+from .cohomology import _fold, _piece_data, h_twisted
 from .curves import X1, X2, CurveChain
 
 
@@ -92,7 +92,8 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
 
     Each bundle is built once: the chain bundle of omega(x1+x2) is made of
     the checked pieces, and the certificate carries both chain bundles, so a
-    replay can hand the same input to an independent oracle.
+    replay can hand the same input to an independent oracle.  The bundles
+    differ only in the first piece, so the folds share the others' data.
     """
     pieces = []
     for j, comp in enumerate(chain.components):
@@ -102,9 +103,10 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
         pieces.append(log_can)
 
     log_chain = ChainBundle(chain, tuple(pieces))  # the all-trivial bundle, built from the checked pieces
-    rep = h_chain(log_chain)
+    data = [_piece_data(p) for p in log_chain.pieces]
+    rep = _fold(log_chain.pieces, data)
     omega_x2 = chain_twist(log_chain, X1, -1)  # omega(x2) = omega(x1+x2) - x1
-    rep2 = h_chain(omega_x2)
+    rep2 = _fold(omega_x2.pieces, [_piece_data(omega_x2.pieces[0]), *data[1:]])
     cert = LogCanonicalCertificate(
         h0_log_canonical=rep.h0,
         h1_log_canonical=rep.h1,

@@ -66,39 +66,6 @@ def _trivial_at_x2(b: int, l2: int, k1: int, k2: int, d: int) -> bool:
     return k1 == 0 and d % b == 0 and (d // b - k2) % l2 == 0
 
 
-def _node_rows(pieces: list[tuple]) -> tuple[list[list[tuple[int, int]]], int, int]:
-    """Node evaluation matrix of the normalization sequence, by its nonzero entries.
-
-    `pieces` are the (a, b, l1, l2, k1, k2, d) of each O^{k1,k2}(d).
-    Returns (rows, n_active_nodes, total_h0).  Columns index the concatenated
-    component section bases; row j (for an active node) takes the value of the
-    section on component j at its x2 end minus the value on component j+1 at
-    its x1 end, and is kept as [(column, +-1), ...].  A monomial x^i y^j is
-    nonzero at x2 iff i = 0 and at x1 iff j = 0, so in a listing by ascending
-    i only the first and the last monomial can be.  Inactive nodes (isotropy
-    acting nontrivially on the fiber) contribute no row: the fiber has no
-    invariant sections there.  Nor does an active node that no section
-    reaches, whose row is zero.
-    """
-    bases = [_section_monomials(*p) for p in pieces]
-    offsets = [0]
-    for monos in bases:
-        offsets.append(offsets[-1] + len(monos))
-    rows: list[list[tuple[int, int]]] = []
-    n_active = 0
-    for j, (_, b, _, l2, k1, k2, d) in enumerate(pieces[:-1]):
-        if not _trivial_at_x2(b, l2, k1, k2, d):
-            continue
-        n_active += 1
-        left, right = bases[j], bases[j + 1]
-        row = [(offsets[j], 1)] if left and left[0][0] == 0 else []
-        if right and right[-1][1] == 0:
-            row.append((offsets[j + 2] - 1, -1))
-        if row:
-            rows.append(row)
-    return rows, n_active, offsets[-1]
-
-
 def _integer_rank(rows) -> int:
     """Rank of an integer matrix given by its rows' nonzero entries, as (column, value) pairs or {column: value}.
 
@@ -126,12 +93,35 @@ def _integer_rank(rows) -> int:
 
 
 def h_chain_by_elimination(B: ChainBundle) -> tuple[int, int]:
-    """(h0, h1) of a chain bundle by integer elimination of the whole node matrix, over listed monomials."""
-    pieces = [(p.comp.a, p.comp.b, p.comp.l1, p.comp.l2, p.k1, p.k2, p.d) for p in B.pieces]
-    rows, n_active, total_h0 = _node_rows(pieces)
+    """(h0, h1) of a chain bundle by integer elimination of the whole node matrix, over listed monomials.
+
+    The node matrix is the evaluation map of the normalization sequence,
+    kept by its rows' nonzero entries.  Its columns index the concatenated
+    component section bases; the row of an active node j takes the value of
+    the section on component j at its x2 end minus the value on component
+    j+1 at its x1 end, as [(column, +-1), ...].  A monomial x^i y^j is
+    nonzero at x2 iff i = 0 and at x1 iff j = 0, so in a listing by
+    ascending i only the first and the last monomial can be.  Inactive
+    nodes (isotropy acting nontrivially on the fiber) contribute no row: the
+    fiber has no invariant sections there.  Nor does an active node that no
+    section reaches, whose row is zero.
+    """
+    rows, n_active, h0, h1 = [], 0, 0, 0
+    row = None  # the row of the node before the current piece, while it is active
+    for p in B.pieces:
+        a, b, l1, l2, k1, k2, d = p.comp.a, p.comp.b, p.comp.l1, p.comp.l2, p.k1, p.k2, p.d
+        monos = _section_monomials(a, b, l1, l2, k1, k2, d)
+        h1 += len(_negative_monomials(a, b, l1, l2, k1, k2, d))
+        if row is not None:  # close it with the value at this piece's x1 end
+            n_active += 1
+            if monos and monos[-1][1] == 0:
+                row.append((h0 + len(monos) - 1, -1))
+            if row:
+                rows.append(row)
+        row = ([(h0, 1)] if monos and monos[0][0] == 0 else []) if _trivial_at_x2(b, l2, k1, k2, d) else None
+        h0 += len(monos)
     rank = _integer_rank(rows)
-    h1_pieces = sum(len(_negative_monomials(*p)) for p in pieces)
-    return total_h0 - rank, h1_pieces + n_active - rank
+    return h0 - rank, h1 + n_active - rank
 
 
 def iter_chains(comps: list[tuple], max_len: int, first: int | None = None):

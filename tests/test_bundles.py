@@ -1,9 +1,11 @@
 """Equivariant line bundles: tensor algebra, twists, ages, canonical bundle."""
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from orbicurve import bundles
 from orbicurve.bundles import (
     ChainBundle,
     EqLineBundle,
@@ -199,8 +201,46 @@ def test_twist_marked_is_the_tensor_with_the_point_bundle():
                 assert twist_marked(L, pt, -1) == tensor(L, dual(P)), (L, pt)
     with pytest.raises(ValueError, match="twist sign"):
         twist_marked(EqLineBundle(P1, 0, 0, 0), MarkedPoint.X1, 2)
+    with pytest.raises(ValueError, match="twist sign"):  # it would make the derived data floats
+        twist_marked(EqLineBundle(P1, 0, 0, 0), MarkedPoint.X1, 1.0)
     with pytest.raises(ValueError, match="unknown marked point"):
         twist_marked(EqLineBundle(P1, 0, 0, 0), None, 1)
+
+
+def test_derived_bundles_equal_checked_ones():
+    # dual, twist_marked, tensor and canonical_bundle build their result by
+    # reduction alone; the checking constructor, given the same unreduced
+    # fields, builds a bundle that is the same in every observable way
+    n = 0
+    for a, b, l1, l2 in component_family(4, 4):  # the grid of criterion 5
+        comp = TwistedComponent(a, b, l1, l2)
+        grid = _line_bundles(comp, range(-8, 9))
+        for L, M in zip(grid, reversed(grid)):
+            k1, k2, d = L.k1, L.k2, L.d
+            pairs = [
+                (dual(L), (-k1, -k2, -d)),
+                (tensor(L, M), (k1 + M.k1, k2 + M.k2, d + M.d)),
+                (canonical_bundle(comp), (-1, -1, -a - b)),
+            ] + [
+                (twist_marked(L, pt, sign), (k1 + sign * u, k2 + sign * v, d + sign * w))
+                for pt, (u, v, w) in ((MarkedPoint.X1, (0, 1, b)), (MarkedPoint.X2, (1, 0, a)))
+                for sign in (1, -1)
+            ]
+            for D, fields in pairs:
+                checked = EqLineBundle(comp, *fields)
+                assert D == checked and hash(D) == hash(checked), (L, fields)
+                assert (str(D), repr(D)) == (str(checked), repr(checked))
+                assert [type(v) for v in (D.k1, D.k2, D.d)] == [int] * 3
+                assert pickle.loads(pickle.dumps(D)) == checked
+                n += 1
+    assert n == 7 * 17 * sum(l1 * l2 for _, _, l1, l2 in component_family(4, 4))
+
+
+def test_the_reducing_constructor_reduces_the_characters():
+    comp = TwistedComponent(1, 1, 2, 3)
+    for k1, k2 in ((-1, 7), (5, -8), (2 * 10**6 + 1, -(3 * 10**6) + 1)):
+        L = bundles._reduced(comp, k1, k2, -4)
+        assert (L.k1, L.k2, L.d) == (1, 1, -4) and L == EqLineBundle(comp, 1, 1, -4)
 
 
 def _balanced_pieces(max_ab, max_l, d_range, max_len):

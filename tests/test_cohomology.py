@@ -348,6 +348,31 @@ def test_h_chain_kernel_matches_elimination(B):
         assert rep.h0 - rep.h1 == rep.euler_char
 
 
+def _dense_node_rank_reference(B):
+    """(h0, h1) from the dense node matrix: a column per section monomial of
+    each piece (listed by trying every exponent), a row per active node j
+    holding each monomial's value at the x2 end of piece j minus its value at
+    the x1 end of piece j + 1, ranked by `mat_rank`."""
+    columns = [(k, mono) for k, piece in enumerate(B.pieces) for mono in section_monomials(piece)]
+    active = [j for j, piece in enumerate(B.pieces[:-1]) if acts_trivially_at(piece, MarkedPoint.X2)]
+    # x^i y^j is 1 at x2 = (0, 1) when i = 0 and at x1 = (1, 0) when j = 0, and 0 otherwise
+    rows = [
+        [int(k == node and i == 0) - int(k == node + 1 and j == 0) for k, (i, j) in columns]
+        for node in active
+    ]
+    rank = mat_rank(rows)
+    h1_pieces = sum(len(negative_monomials(piece)) for piece in B.pieces)
+    return len(columns) - rank, h1_pieces + len(active) - rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(balanced_chain_bundles())
+def test_elimination_matches_a_dense_node_matrix(B):
+    # pins the elimination oracle to a reference other than the fold
+    for role in (B, chain_twist(B, MarkedPoint.X2, -1), chain_twist(chain_dual(B), MarkedPoint.X1, -1)):
+        assert h_chain_by_elimination(role) == _dense_node_rank_reference(role), role
+
+
 def test_chain_euler_characteristic():
     rep = h_chain(chain_of([2, 1, 3]))
     assert rep.h0 - rep.h1 == rep.euler_char

@@ -3,7 +3,7 @@ import dataclasses
 
 import pytest
 
-from orbicurve import convexity
+from orbicurve import cohomology, convexity
 from orbicurve.bundles import ChainBundle, EqLineBundle, SplitBundle
 from orbicurve.convexity import (
     CertificateError,
@@ -85,6 +85,24 @@ def test_a_fault_in_one_components_log_canonical_bundle_fails_the_certificate(mo
 
     monkeypatch.setattr(convexity, "twist_marked", shifted)
     with pytest.raises(CertificateError, match=r"^component 1: omega\(x1\+x2\) = O\^\{0,0\}\(1\) on "):
+        log_canonical_certificate(chain)
+
+
+def test_the_certificate_reads_each_piece_once_through_piece_ends(monkeypatch):
+    # omega(x1+x2) and omega(x2) differ only in their first piece, so the two
+    # folds read n + 1 pieces' data, and a patch of `cohomology.piece_ends`
+    # reaches both of them
+    chain = CurveChain((P1, P12, present(2, 1)))
+    seen = []
+    ends = cohomology.piece_ends
+    monkeypatch.setattr(cohomology, "piece_ends", lambda L, *known: seen.append(L) or ends(L, *known))
+    cert = log_canonical_certificate(chain)
+    assert seen == [*cert.log_canonical.pieces, cert.omega_x2.pieces[0]]
+    # h0 and h1 one too large (so Riemann-Roch still holds) on omega(x2)'s first
+    # piece, the only piece of either bundle with d != 0
+    bump = lambda e, by: (e[0] + by, e[1] + by, *e[2:])
+    monkeypatch.setattr(cohomology, "piece_ends", lambda L, *known: bump(ends(L, *known), L.d != 0))
+    with pytest.raises(CertificateError, match=r"^omega\(x2\) cohomology nonzero: h0=1, h1=1"):
         log_canonical_certificate(chain)
 
 

@@ -708,7 +708,8 @@ def test_a_log_canonical_replay_builds_each_bundle_once(monkeypatch, n):
     # the certificate builds omega(x1+x2) of each component (canonical bundle,
     # then its twists at x1 and x2) and one checked chain bundle from those
     # pieces, omega(x2) twists its first piece, and the elimination reads the
-    # certificate's two chain bundles
+    # certificate's two chain bundles.  Every piece is derived, so it is built
+    # by reduction and none goes through the checking constructor
     family = suites.component_family(4, 4)
     path = next(chain for chain in oracles.iter_chains(family, n) if len(chain) == n)
     comps = tuple(TwistedComponent(*family[i]) for i in path)
@@ -717,8 +718,10 @@ def test_a_log_canonical_replay_builds_each_bundle_once(monkeypatch, n):
     for cls in (EqLineBundle, bundles.ChainBundle):
         checks = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__", lambda self, checks=checks: built.update([type(self)]) or checks(self))
+    reduced = bundles._reduced
+    monkeypatch.setattr(bundles, "_reduced", lambda *args: built.update(["reduced"]) or reduced(*args))
     suites._api_check_log_canonical(comps, suites._LOG_CANONICAL)
-    assert built == {EqLineBundle: 3 * n + 1, bundles.ChainBundle: 1}
+    assert built == Counter({"reduced": 3 * n + 1, bundles.ChainBundle: 1, EqLineBundle: 0})
 
 
 def test_no_state_survives_between_suite_calls(monkeypatch):
