@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""In-process timings of the PhasedScalar, operator-check and chain-replay layers.
+"""In-process timings of the PhasedScalar, operator-check, chain-replay and chain-fold layers.
 
-    python3 scripts/layer_timings.py [--src DIR]
+    python3 scripts/layer_timings.py [--parent DIR]
 
-Imports `orbicurve` from DIR (default: this checkout's `src/`), builds the
-state-space workload's 150 operator tables for seed 1 as perfbench does,
-records the replay arguments of two chain suites (below), and prints one
-JSON object of median times in microseconds:
+Times this checkout's `orbicurve` (its `src/`).  With --parent, DIR is the
+`src/` directory of another checkout: its package is imported in the same
+process under a second name, both trees get the same inputs, and each round
+times the two trees one after the other, alternating which goes first.
+
+Each tree builds the state-space workload's 150 operator tables for seed 1
+as perfbench does, records the replay arguments of two chain suites (below)
+and a seeded 100-piece chain bundle.  The figures, in microseconds unless
+the name says ms:
 
 - `phased_mul_us`, `phased_add_us`: one product and one sum of two
   one-term PhasedScalars with rational coefficients at conductors 3 and 4
@@ -23,14 +28,22 @@ JSON object of median times in microseconds:
 - `concavity_replay_us`: one `suites._api_check_concavity_instance`, the
   mean over the length-3 replays of `suite_weak_concavity(4, 4, 1, 3)` (the
   chain-sweep workload's concavity call)
+- `comp_tables_ms`: the `suites._CompTables` of every component of
+  criterion 5's default grid (`suite_weak_concavity()`: component_family(4, 4),
+  -8 <= d <= 8, both fold sides)
+- `h_chain_us`: `cohomology.h_chain` on the 100-piece chain bundle, drawn by
+  perfbench's chain maker at seed 1
 
-Each figure is the median of 15 rounds; a round times a loop long enough to
-last a few milliseconds.  Point --src at another checkout's `src/` to time
-that tree with the same inputs.
+Each figure is the median of 21 rounds; a round times a loop long enough to
+last a few milliseconds.  The output is one JSON object: a figure's median
+alone, or with --parent {"change": median, "parent": median, "ratio":
+change / parent}; an input size alone, or {"change": n, "parent": n}.
 """
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import random
 import statistics
@@ -38,20 +51,21 @@ import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
-ROUNDS = 15
+ROUNDS = 21
+MODULES = ("bundles", "cohomology", "convexity", "curves", "foundation", "oracles", "series", "suites", "wps")
 
 
-def _median_us(fn, loops: int) -> float:
-    rounds = []
-    for _ in range(ROUNDS):
-        t = time.perf_counter()
-        for _ in range(loops):
-            fn()
-        rounds.append((time.perf_counter() - t) / loops * 1e6)
-    return statistics.median(rounds)
+def _package(src: Path, name: str) -> SimpleNamespace:
+    """The modules of the `orbicurve` package under `src`, imported as package `name`."""
+    init = src / "orbicurve" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    sys.modules[name] = package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
 
 
 def _replay_args(suites, name: str, suite, **kwargs) -> list[tuple]:
@@ -66,34 +80,36 @@ def _replay_args(suites, name: str, suite, **kwargs) -> list[tuple]:
     return recorded
 
 
-def _mean_us(fn, items: list) -> float:
-    """The median over rounds of the mean time of fn(item) over `items`."""
-    return _median_us(lambda: [fn(item) for item in items], 1) / len(items)
+def _loop(fn, loops: int, unit: float = 1e6):
+    """A round: fn() `loops` times, returning the time of one call in microseconds (or 1/unit s)."""
+    def run() -> float:
+        t = time.perf_counter()
+        for _ in range(loops):
+            fn()
+        return (time.perf_counter() - t) / loops * unit
+    return run
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(ROOT / "src"))
-    args = parser.parse_args()
-    sys.path.insert(0, args.src)
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from types import SimpleNamespace
+def _mean(fn, items: list):
+    """A round: fn(item) over `items`, returning the mean time of one call in microseconds."""
+    return _loop(lambda: [fn(item) for item in items], 1, 1e6 / len(items))
 
+
+def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
+    """({figure: round}, {input size: count}) of one tree's modules."""
     import workloads
-    from orbicurve import convexity, curves, oracles, series, suites, wps
-    from orbicurve.foundation import PhasedScalar
-    from orbicurve.wps import WPSModel, pairing_rows
 
-    mods = SimpleNamespace(series=series, suites=suites)
-    tables = workloads.seeded_tables(mods, random.Random(SEED), 150, max_truncation=4, max_classes=2, max_a=2)
+    series, suites, wps = m.series, m.suites, m.wps
+    tables = workloads.seeded_tables(m, random.Random(SEED), 150, max_truncation=4, max_classes=2, max_a=2)
     model, n, table = max(tables, key=lambda t: len(t[2].entries))
-    basis = series.compact_type_basis(model)
-    rows = pairing_rows(model, "ct", basis)
-    x, y = PhasedScalar({F(1, 3): F(2, 5)}), PhasedScalar({F(3, 4): F(-7, 6)})
-    pairing_model = WPSModel((1, 2, 3), (1, 2))
+    rows = wps.pairing_rows(model, "ct", series.compact_type_basis(model))
+    x, y = m.foundation.PhasedScalar({F(1, 3): F(2, 5)}), m.foundation.PhasedScalar({F(3, 4): F(-7, 6)})
+    pairing_model = wps.WPSModel((1, 2, 3), (1, 2))
 
-    log_can = _replay_args(suites, "_api_check_log_canonical", suites.suite_log_canonical, max_ab=4, max_l=4, max_len=4)
-    certs = [convexity.log_canonical_certificate(curves.CurveChain(comps)) for comps, _ in log_can]
+    log_can = _replay_args(
+        suites, "_api_check_log_canonical", suites.suite_log_canonical, max_ab=4, max_l=4, max_len=4
+    )
+    certs = [m.convexity.log_canonical_certificate(m.curves.CurveChain(comps)) for comps, _ in log_can]
     concave = [
         args
         for args in _replay_args(
@@ -101,34 +117,72 @@ def main() -> None:
         )
         if len(args[0]) == 3
     ]
+    concavity_folds = (suites._CONVEX_SIDE, suites._DUAL_SIDE)
+    idx, (pieces,) = workloads._ChainMaker(m, random.Random(SEED)).chain(100)
+    comps = [m.curves.TwistedComponent(*suites.component_family(4, 4)[i]) for i in idx]
+    chain_bundle = m.bundles.ChainBundle(
+        m.curves.CurveChain(tuple(comps)),
+        tuple(m.bundles.EqLineBundle(comp, *piece) for comp, piece in zip(comps, pieces)),
+    )
 
     def all_checks():
-        for m, t_n, t in tables:
-            series.verify_qsd_operator_identity(t, m, t_n)
+        for t_m, t_n, t in tables:
+            series.verify_qsd_operator_identity(t, t_m, t_n)
 
-    out = {
-        "phased_mul_us": _median_us(lambda: x * y, 20000),
-        "phased_add_us": _median_us(lambda: x + y, 20000),
-        "build_L_us": _median_us(lambda: series.build_L(table, rows, n), 20),
-        "operator_check_us": _median_us(
-            lambda: series.verify_qsd_operator_identity(table, model, n), 5
-        ),
-        "operator_checks_ms": _median_us(all_checks, 1) / 1e3,
-        "pairing_comparison_us": _median_us(lambda: wps.verify_pairing_comparison(pairing_model), 50),
-        "log_canonical_replay_us": _mean_us(lambda args: suites._api_check_log_canonical(*args), log_can),
-        "certificate_us": _mean_us(lambda cert: convexity.log_canonical_certificate(cert.log_canonical.chain), certs),
-        "elimination_us": _mean_us(
-            lambda cert: (
-                oracles.h_chain_by_elimination(cert.log_canonical), oracles.h_chain_by_elimination(cert.omega_x2)
-            ),
-            certs,
-        ),
-        "concavity_replay_us": _mean_us(lambda args: suites._api_check_concavity_instance(*args), concave),
+    def comp_tables():
+        return [suites._CompTables(c, range(-8, 9), concavity_folds) for c in suites.component_family(4, 4)]
+
+    elimination = m.oracles.h_chain_by_elimination
+    figures = {
+        "phased_mul_us": _loop(lambda: x * y, 20000),
+        "phased_add_us": _loop(lambda: x + y, 20000),
+        "build_L_us": _loop(lambda: series.build_L(table, rows, n), 20),
+        "operator_check_us": _loop(lambda: series.verify_qsd_operator_identity(table, model, n), 5),
+        "operator_checks_ms": _loop(all_checks, 1, 1e3),
+        "pairing_comparison_us": _loop(lambda: wps.verify_pairing_comparison(pairing_model), 50),
+        "log_canonical_replay_us": _mean(lambda args: suites._api_check_log_canonical(*args), log_can),
+        "certificate_us": _mean(lambda cert: m.convexity.log_canonical_certificate(cert.log_canonical.chain), certs),
+        "elimination_us": _mean(lambda cert: (elimination(cert.log_canonical), elimination(cert.omega_x2)), certs),
+        "concavity_replay_us": _mean(lambda args: suites._api_check_concavity_instance(*args), concave),
+        "comp_tables_ms": _loop(comp_tables, 1, 1e3),
+        "h_chain_us": _loop(lambda: m.cohomology.h_chain(chain_bundle), 20),
+    }
+    sizes = {
         "largest_table_entries": len(table.entries),
         "log_canonical_replays": len(log_can),
         "concavity_replays": len(concave),
     }
-    print(json.dumps({k: round(v, 3) for k, v in out.items()}))
+    return figures, sizes
+
+
+def _rounded(value):
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    return round(value, 3) if isinstance(value, float) else value
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", metavar="DIR", help="the src/ directory of the tree to compare against")
+    args = parser.parse_args()
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    packages = [(ROOT / "src", "orbicurve")] + ([(Path(args.parent), "orbicurve_parent")] if args.parent else [])
+    trees = [_figures(_package(src, name)) for src, name in packages]
+    times: list[dict] = [{name: [] for name in figures} for figures, _ in trees]
+    for r in range(ROUNDS):
+        order = list(zip(trees, times))
+        for name in times[0]:
+            for (figures, _), tree_times in order if r % 2 == 0 else order[::-1]:
+                tree_times[name].append(figures[name]())
+    medians = [{name: statistics.median(t) for name, t in tree_times.items()} for tree_times in times]
+    if args.parent:
+        change, parent = medians
+        sizes, parent_sizes = (sizes for _, sizes in trees)
+        out = {name: {"change": t, "parent": parent[name], "ratio": t / parent[name]} for name, t in change.items()}
+        out.update({name: {"change": n, "parent": parent_sizes[name]} for name, n in sizes.items()})
+    else:
+        out = {**medians[0], **trees[0][1]}
+    print(json.dumps(_rounded(out)))
 
 
 if __name__ == "__main__":

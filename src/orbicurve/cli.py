@@ -90,8 +90,8 @@ _KEYWORDS = {
 _INERT = frozenset({"$schema", "$id", "title", "$defs"})
 
 
-def _compile(schema: dict, root: dict) -> Callable[[object], bool]:
-    """Compile `schema`, a part of `root`, into a predicate on JSON values.
+def _compile(schema: dict) -> Callable[[object], bool]:
+    """Compile `schema` into a predicate on JSON values.
 
     It accepts exactly what the validator of `_input_validator` accepts.  As in
     JSON Schema, a keyword about objects, arrays, strings or numbers ignores
@@ -150,7 +150,7 @@ def _compile(schema: dict, root: dict) -> Callable[[object], bool]:
                 if not arg.startswith("#/"):
                     raise ValueError(f"unsupported $ref {arg!r}")
                 if arg not in refs:
-                    target = root
+                    target = schema
                     for part in arg[2:].split("/"):
                         target = target[part.replace("~1", "/").replace("~0", "~")]
                     refs[arg] = function(target)
@@ -188,8 +188,7 @@ def _compile(schema: dict, root: dict) -> Callable[[object], bool]:
 
 @functools.cache
 def _input_predicate() -> Callable[[object], bool]:
-    schema = load_schema("input-v1.json")
-    return _compile(schema, schema)
+    return _compile(load_schema("input-v1.json"))
 
 
 @functools.cache

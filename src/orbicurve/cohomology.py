@@ -34,6 +34,10 @@ state over the per-piece end data of `piece_ends`, so an enumeration that
 extends chains piece by piece carries prefix states instead of recomputing
 them.  Gaussian elimination of the whole matrix over listed monomials is the
 independent oracle `oracles.h_chain_by_elimination`.
+
+A piece has a column at an end exactly when the fiber there is invariant
+(the isotropy acts trivially on it) and d >= 0, so `piece_ends` reads both
+flags off the test that marks the active nodes.
 """
 from __future__ import annotations
 
@@ -105,15 +109,15 @@ def h1_component(L: EqLineBundle) -> int:
     return n_direct
 
 
-def _riemann_roch_terms(L: EqLineBundle) -> tuple[int, int, bool]:
-    """(numerator, a*b*l1*l2, trivial at x2) of deg(L) + 1 - age_x1(L) - age_x2(L).
+def _riemann_roch_terms(L: EqLineBundle) -> tuple[int, int, tuple[bool, bool]]:
+    """(numerator, a*b*l1*l2, trivial at (x1, x2)) of deg(L) + 1 - age_x1(L) - age_x2(L).
 
     The ages are num1/(a*l1*l2) and num2/(b*l1*l2), and deg(L) = d/(a*b*l1*l2)."""
     a, b = L.comp.a, L.comp.b
     den = a * b * L.comp.l1 * L.comp.l2
     num1, _ = _age_data(L, X1)
     num2, _ = _age_data(L, X2)
-    return L.d + den - b * num1 - a * num2, den, num2 == 0
+    return L.d + den - b * num1 - a * num2, den, (num1 == 0, num2 == 0)
 
 
 def riemann_roch_check(L: EqLineBundle) -> Fraction:
@@ -132,22 +136,16 @@ ChainState = tuple[int, int, bool, bool, bool]
 CHAIN_START: ChainState = (0, 0, False, False, False)
 
 
-def piece_ends(L: EqLineBundle, trivial2: bool | None = None) -> PieceEnds:
+def piece_ends(L: EqLineBundle, trivial: tuple[bool, bool] | None = None) -> PieceEnds:
     """(h0, h1, nonzero at x1, nonzero at x2, d == 0, trivial at x2) of one piece.
 
-    Some section is nonzero at x1 iff x^(d/a) is one, and at x2 iff y^(d/b) is.
-    A caller that knows whether the isotropy acts trivially at x2 passes it
-    as `trivial2`."""
-    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
-    k1, k2, d = L.k1, L.k2, L.d
-    return (
-        h0_component(L),
-        h1_component(L),
-        k2 == 0 and d >= 0 and d % a == 0 and (d // a - k1) % l1 == 0,
-        k1 == 0 and d >= 0 and d % b == 0 and (d // b - k2) % l2 == 0,
-        d == 0,
-        acts_trivially_at(L, X2) if trivial2 is None else trivial2,
-    )
+    Some section is nonzero at an end iff the isotropy there acts trivially
+    on the fiber and d >= 0: x^(d/a) is then a section at x1, y^(d/b) at x2.
+    A caller that knows whether the isotropy acts trivially at x1 and at x2
+    passes the pair as `trivial`."""
+    d = L.d
+    t1, t2 = trivial or (d >= 0 and acts_trivially_at(L, X1), acts_trivially_at(L, X2))
+    return (h0_component(L), h1_component(L), t1 and d >= 0, t2 and d >= 0, d == 0, t2)
 
 
 def chain_step(state: ChainState, piece: PieceEnds) -> ChainState:
@@ -171,8 +169,8 @@ def chain_step(state: ChainState, piece: PieceEnds) -> ChainState:
 
 
 def _piece_data(L: EqLineBundle) -> tuple[int, int, PieceEnds]:
-    num, den, trivial2 = _riemann_roch_terms(L)
-    return num, den, piece_ends(L, trivial2)
+    num, den, trivial = _riemann_roch_terms(L)
+    return num, den, piece_ends(L, trivial)
 
 
 def _fold(pieces: tuple[EqLineBundle, ...], data) -> CohomologyReport:

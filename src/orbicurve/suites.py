@@ -89,15 +89,6 @@ class SuiteResult:
             self.first_counterexample = witness
 
 
-def _requested_workers(workers: int) -> int:
-    """`workers`; a bool, a non-int or a count below 1 is an input error rather than one worker."""
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # Components and chains.  A component is (a, b, l1, l2); a bundle on it is
 # (k1, k2, d).
@@ -475,7 +466,6 @@ def _bundle_sweep(
     by one descent and replayed through `check`, and the first chain with a
     `failing` value is enumerated in that order for the witness.
     """
-    workers = _requested_workers(workers)
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
     tables = [_CompTables(c, range(d_lo, max_d + 1), folds) for c in comps]
@@ -600,7 +590,6 @@ def suite_log_canonical(
     only the replays go to the pool (see `_subtree_sweep`).
     """
     check_arguments("log-canonical", locals())
-    workers = _requested_workers(workers)
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
     objs = [curves.TwistedComponent(*c) for c in comps]
@@ -914,17 +903,17 @@ def _run_chunks(fn, args, workers: int):
             pool.shutdown(cancel_futures=True)
 
 
-# The least value of each integer argument of each suite (`workers` is checked
-# with its type in `_requested_workers`; `seed` takes any int).  Below it a
-# grid, a model family or a trial count is empty, and an empty suite would
-# report success.  The table is read-only: a suite call leaves no state behind.
+# The least value of each integer argument of each suite (`seed` takes any
+# int).  Below it a grid, a model family or a trial count is empty, an empty
+# suite would report success, and a pool needs a worker.  The table is
+# read-only: a suite call leaves no state behind.
 MINIMUMS = MappingProxyType({
     "h1-vanishing": {"max_ab": 1, "max_l": 1, "max_d": 0},
     "h1-two-path": {"max_ab": 1, "max_l": 1, "max_d": 0},
     "riemann-roch": {"max_ab": 1, "max_l": 1, "max_d": 0},
-    "thm-weak-convexity": {"max_ab": 1, "max_l": 1, "max_d": 0, "max_len": 1},
-    "thm-weak-concavity": {"max_ab": 1, "max_l": 1, "max_d": 0, "max_len": 1},
-    "log-canonical": {"max_ab": 1, "max_l": 1, "max_len": 1},
+    "thm-weak-convexity": {"max_ab": 1, "max_l": 1, "max_d": 0, "max_len": 1, "workers": 1},
+    "thm-weak-concavity": {"max_ab": 1, "max_l": 1, "max_d": 0, "max_len": 1, "workers": 1},
+    "log-canonical": {"max_ab": 1, "max_l": 1, "max_len": 1, "workers": 1},
     "rank-formula": {"max_ab": 1, "max_l": 1, "max_d": 0},
     "rank2-direct": {"max_ab": 1, "max_l": 1, "max_d": 0},
     "age-sum": {"trials": 1, "max_den": 1},
@@ -936,12 +925,16 @@ MINIMUMS = MappingProxyType({
 
 
 def check_arguments(name: str, args: dict) -> None:
-    """Refuse any of `args` (argument name to value) below its least value for suite `name`.
+    """Refuse any of `args` (argument name to value) that is not an int or is below its least value for suite `name`.
 
     Each suite calls it first with its own `locals()`, so a refusal comes before any work.
+    An argument missing from `args` is not checked.
     """
     for arg, least in MINIMUMS[name].items():
-        if arg in args and args[arg] < least:
+        value = args.get(arg, least)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{arg} must be an integer, got {value!r}")
+        if value < least:
             raise ValueError(f"{arg} must be at least {least}")
 
 

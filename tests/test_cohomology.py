@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicurve import bundles, cohomology, oracles
+from orbicurve import bundles, cohomology, oracles, suites
 from orbicurve.bundles import (
     ChainBundle,
     EqLineBundle,
@@ -170,6 +170,42 @@ def test_serre_pairing_structure_small_grid():
                 for d in range(-8, 9):
                     L = EqLineBundle(comp, k1, k2, d)
                     assert h1_component(L) == h0_component(tensor(omega, dual(L)))
+
+
+def _end_clauses(L):
+    """(nonzero at x1, nonzero at x2) by residues: whether x^(d/a) and y^(d/b) are sections."""
+    a, b, l1, l2 = L.comp.a, L.comp.b, L.comp.l1, L.comp.l2
+    k1, k2, d = L.k1, L.k2, L.d
+    return (
+        k2 == 0 and d >= 0 and d % a == 0 and (d // a - k1) % l1 == 0,
+        k1 == 0 and d >= 0 and d % b == 0 and (d // b - k2) % l2 == 0,
+    )
+
+
+def _check_end_flags(L):
+    ends = piece_ends(L)
+    assert ends[2:4] == _end_clauses(L), L
+    # the trivialities that the fold passes in are those piece_ends computes
+    assert cohomology._piece_data(L)[2] == ends, L
+
+
+def test_end_flags_are_the_isotropy_test_on_a_wide_grid():
+    # wider than criterion 5's grid in (a, b), (l1, l2) and d
+    for comp_data in component_family(6, 6):
+        comp = TwistedComponent(*comp_data)
+        for k1 in range(comp.l1):
+            for k2 in range(comp.l2):
+                for d in range(-20, 21):
+                    _check_end_flags(EqLineBundle(comp, k1, k2, d))
+
+
+def test_end_flags_are_the_isotropy_test_in_every_fold_role():
+    # L, L(-x2), dual L and dual L(-x1) on criterion 5's grid
+    roles = suites._CONVEX_SIDE[:2] + suites._DUAL_SIDE[:2]
+    for comp_data in component_family(4, 4):
+        for L in suites._bundle_grid(TwistedComponent(*comp_data), range(-8, 9)):
+            for role in roles:
+                _check_end_flags(role(L))
 
 
 def test_terminal_sections_exist_when_action_trivial():

@@ -188,7 +188,7 @@ def test_predicate_on_edge_documents(doc, valid):
 def test_each_keyword_applies_as_in_jsonschema(schema):
     # input-v1 hides some of these semantics behind a sibling "type": a chain
     # item of the wrong type fails "type" whatever its "required" says
-    accepts, validator = cli._compile(schema, schema), jsonschema.Draft202012Validator(schema)
+    accepts, validator = cli._compile(schema), jsonschema.Draft202012Validator(schema)
     hostile = HOSTILE + [{k: v for k in HOSTILE[:n]} for n in (2, len(HOSTILE)) for v in (0, 1, "x")]
     hostile += [{HOSTILE[-1]: v} for v in HOSTILE] + [HOSTILE, ["'''", "a"], ["a\\b"]]
     for value in ODD_VALUES + [{"a": 0}, {"a": 1, "b": 1}, ["a", "b", "c"], ["b"], "ab"] + hostile:
@@ -210,7 +210,7 @@ def test_each_keyword_applies_as_in_jsonschema(schema):
 )
 def test_compiler_rejects_unsupported_keywords(schema):
     with pytest.raises(ValueError, match="unsupported"):
-        cli._compile(schema, schema)
+        cli._compile(schema)
 
 
 # ---------------------------------------------------------------------------

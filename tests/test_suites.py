@@ -3,6 +3,7 @@ import inspect
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -413,9 +414,9 @@ def test_a_replay_fault_on_the_pool_reaches_the_caller():
 @pytest.mark.parametrize(
     "env, workers, message",
     [
-        (None, 0, "workers must be at least 1, got 0"),
-        (None, -1, "workers must be at least 1, got -1"),
-        ("2", 0, "workers must be at least 1, got 0"),  # the environment is not read
+        (None, 0, "workers must be at least 1"),
+        (None, -1, "workers must be at least 1"),
+        ("2", 0, "workers must be at least 1"),  # the environment is not read
         (None, True, "workers must be an integer, got True"),
         (None, 1.5, "workers must be an integer, got 1.5"),
         (None, None, "workers must be an integer, got None"),
@@ -443,6 +444,14 @@ def test_chain_suites_refuse_a_max_len_below_one(monkeypatch, max_len):
         suites.suite_log_canonical(2, 2, max_len)
 
 
+@pytest.mark.parametrize("max_len", [2.5, True, "3"])
+def test_suites_refuse_an_argument_that_is_not_an_int(monkeypatch, max_len):
+    # a bool is not read as 1, nor a float or a string compared or indexed
+    monkeypatch.setattr(suites, "component_family", None)
+    with pytest.raises(ValueError, match=f"^max_len must be an integer, got {re.escape(repr(max_len))}$"):
+        suites.suite_log_canonical(2, 2, max_len)
+
+
 @pytest.mark.parametrize("order", [0, -1])
 def test_qsd_suite_refuses_an_order_below_one(order):
     with pytest.raises(ValueError, match="^order must be at least 1$"):
@@ -461,7 +470,7 @@ def test_suites_refuse_an_argument_below_its_minimum(name, arg, least):
 
 def test_minimums_name_every_bounded_argument_and_leave_work():
     for name, suite in suites.SUITES.items():
-        assert set(suites.MINIMUMS[name]) == set(inspect.signature(suite).parameters) - {"seed", "workers"}, name
+        assert set(suites.MINIMUMS[name]) == set(inspect.signature(suite).parameters) - {"seed"}, name
         res = suite(**suites.MINIMUMS[name])
         assert res.ok and res.instances > 0, name
 
