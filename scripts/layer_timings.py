@@ -28,6 +28,9 @@ the name says ms:
 - `concavity_replay_us`: one `suites._api_check_concavity_instance`, the
   mean over the length-3 replays of `suite_weak_concavity(4, 4, 1, 3)` (the
   chain-sweep workload's concavity call)
+- `log_canonical_count_ms`: `suite_log_canonical(4, 4, 6)` (criterion 6)
+  with its replay check stubbed as for the recorded arguments above, so the
+  subtree counting and the descents alone
 - `comp_tables_ms`: the `suites._CompTables` of every component of
   criterion 5's default grid (`suite_weak_concavity()`: component_family(4, 4),
   -8 <= d <= 8, both fold sides)
@@ -129,6 +132,10 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         for t_m, t_n, t in tables:
             series.verify_qsd_operator_identity(t, t_m, t_n)
 
+    def log_canonical_count():
+        check = "_api_check_log_canonical"
+        return _replay_args(suites, check, suites.suite_log_canonical, max_ab=4, max_l=4, max_len=6)
+
     def comp_tables():
         return [suites._CompTables(c, range(-8, 9), concavity_folds) for c in suites.component_family(4, 4)]
 
@@ -144,6 +151,7 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         "certificate_us": _mean(lambda cert: m.convexity.log_canonical_certificate(cert.log_canonical.chain), certs),
         "elimination_us": _mean(lambda cert: (elimination(cert.log_canonical), elimination(cert.omega_x2)), certs),
         "concavity_replay_us": _mean(lambda args: suites._api_check_concavity_instance(*args), concave),
+        "log_canonical_count_ms": _loop(log_canonical_count, 1, 1e3),
         "comp_tables_ms": _loop(comp_tables, 1, 1e3),
         "h_chain_us": _loop(lambda: m.cohomology.h_chain(chain_bundle), 20),
     }

@@ -29,11 +29,13 @@ constant monomial) when d = 0.  F is then the signed incidence matrix of a
 path: every row has at most two +-1 entries, in the columns at the two ends
 of its node.  Its rank is the number of touched columns minus the number of
 connected runs of columns that no single-entry row grounds, which one
-left-to-right scan counts.  `chain_step` is that scan as a fold with O(1)
-state over the per-piece end data of `piece_ends`, so an enumeration that
-extends chains piece by piece carries prefix states instead of recomputing
-them.  Gaussian elimination of the whole matrix over listed monomials is the
-independent oracle `oracles.h_chain_by_elimination`.
+left-to-right scan counts.  `chain_step` is that scan as a fold over the
+per-piece end data of `piece_ends` whose state is h0, h1 and two flags:
+whether the last piece's x2 column is free (its run not yet grounded) and
+whether the next node is active.  So an enumeration that extends chains
+piece by piece carries prefix states instead of recomputing them.  Gaussian
+elimination of the whole matrix over listed monomials is the independent
+oracle `oracles.h_chain_by_elimination`.
 
 A piece has a column at an end exactly when the fiber there is invariant
 (the isotropy acts trivially on it) and d >= 0, so `piece_ends` reads both
@@ -127,13 +129,12 @@ def riemann_roch_check(L: EqLineBundle) -> Fraction:
 
 
 PieceEnds = tuple[int, int, bool, bool, bool, bool]
-ChainState = tuple[int, int, bool, bool, bool]
+ChainState = tuple[int, int, bool, bool]
 
-# The fold over no pieces.  A state is (h0, h1, g, left, active): h0 and h1
-# of the prefix, g whether the last piece's x2 column is touched by a row and
-# its run is grounded, left whether the last piece has an x2 column, and
-# active whether the node after the last piece is active.
-CHAIN_START: ChainState = (0, 0, False, False, False)
+# The fold over no pieces.  A state is (h0, h1, free, active): h0 and h1 of
+# the prefix, free whether the last piece has an x2 column whose run no row
+# has grounded yet, and active whether the node after the last piece is.
+CHAIN_START: ChainState = (0, 0, False, False)
 
 
 def piece_ends(L: EqLineBundle, trivial: tuple[bool, bool] | None = None) -> PieceEnds:
@@ -152,20 +153,19 @@ def chain_step(state: ChainState, piece: PieceEnds) -> ChainState:
     """Extend a chain prefix by one piece, gluing it at the node between them.
 
     What it adds to h0 and h1, and the new flags, depend only on the piece and
-    the old flags (g, left, active); the chain sweeps of `suites` count states
+    the old flags (free, active); the chain sweeps of `suites` count states
     by this."""
-    h0, h1, g, left, active = state
+    h0, h1, free, active = state
     p_h0, p_h1, nz1, nz2, merged, trivial2 = piece
     if not active:
-        return (h0 + p_h0, h1 + p_h1, False, nz2, trivial2)
+        return (h0 + p_h0, h1 + p_h1, nz2, trivial2)
     if nz1:
         # the row reaches the piece's fresh x1 column, so the rank grows; that
-        # run is grounded when the left column was or is absent, and it goes on
-        # to the x2 end only through the constant monomial (d == 0)
-        return (h0 + p_h0 - 1, h1 + p_h1, merged and (g or not left), nz2, trivial2)
-    # the row grounds the left column; independent unless already grounded
-    rank = 1 if left and not g else 0
-    return (h0 + p_h0 - rank, h1 + p_h1 + 1 - rank, False, nz2, trivial2)
+        # column is the x2 one only through the constant monomial (d == 0), and
+        # then its run is free only if it joined the previous piece's free one
+        return (h0 + p_h0 - 1, h1 + p_h1, nz2 and (free or not merged), trivial2)
+    # the row grounds the previous piece's column, independent exactly if free
+    return (h0 + p_h0 - free, h1 + p_h1 + 1 - free, nz2, trivial2)
 
 
 def _piece_data(L: EqLineBundle) -> tuple[int, int, PieceEnds]:
@@ -183,7 +183,7 @@ def _fold(pieces: tuple[EqLineBundle, ...], data) -> CohomologyReport:
         if D % den:
             grown = lcm(D, den)
             euler_num, D = euler_num * (grown // D), grown
-        euler_num += num * (D // den) - (D if state[4] else 0)
+        euler_num += num * (D // den) - (D if state[3] else 0)
         state = chain_step(state, ends)
     h0, h1 = state[0], state[1]
     euler = Fraction(euler_num, D)

@@ -269,7 +269,7 @@ def _roles(folds: tuple, first: bool, last: bool) -> tuple:
 def _moves(tab: _CompTables, roles: tuple, need: int | None, flags: tuple, last: bool) -> list:
     """The effect of one piece on the sweep's states, counted over its bundles.
 
-    `chain_step` adds to h0 and h1 and sets new flags (g, left, active); what
+    `chain_step` adds to h0 and h1 and sets new flags (free, active); what
     it adds and sets depends only on the piece and the old flags.  So the
     pieces that balance with `need`, stepped from `flags`, group into rows
     (kept deltas, new flags, new need) -> number of bundles, or kept deltas
@@ -928,14 +928,14 @@ def check_arguments(name: str, args: dict) -> None:
     """Refuse any of `args` (argument name to value) that is not an int or is below its least value for suite `name`.
 
     Each suite calls it first with its own `locals()`, so a refusal comes before any work.
-    An argument missing from `args` is not checked.
+    Every argument of a suite is an int, `seed` too; an argument missing from `args` is not checked.
     """
-    for arg, least in MINIMUMS[name].items():
-        value = args.get(arg, least)
+    least = MINIMUMS[name]
+    for arg, value in args.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{arg} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{arg} must be at least {least}")
+        if value < least.get(arg, value):
+            raise ValueError(f"{arg} must be at least {least[arg]}")
 
 
 SUITES = {

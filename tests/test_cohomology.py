@@ -226,6 +226,62 @@ def test_terminal_sections_exist_when_action_trivial():
                         assert j == 0 and (d > 0 or i == 0)
 
 
+def _chain_step_three_flags(state, piece):
+    """The fold step on the state (h0, h1, g, left, active): g whether the last
+    piece's x2 column is touched by a row and its run is grounded, left whether
+    the last piece has an x2 column.  The reference for the two-flag fold."""
+    h0, h1, g, left, active = state
+    p_h0, p_h1, nz1, nz2, merged, trivial2 = piece
+    if not active:
+        return (h0 + p_h0, h1 + p_h1, False, nz2, trivial2)
+    if nz1:
+        return (h0 + p_h0 - 1, h1 + p_h1, merged and (g or not left), nz2, trivial2)
+    rank = 1 if left and not g else 0
+    return (h0 + p_h0 - rank, h1 + p_h1 + 1 - rank, False, nz2, trivial2)
+
+
+def _reachable_flags(step, start, patterns):
+    """The flags (all but h0 and h1) reachable from `start` by `step` over `patterns`."""
+    seen, todo = {start[2:]}, [start[2:]]
+    while todo:
+        flags = todo.pop()
+        for piece in patterns:
+            new = step((0, 0) + flags, piece)[2:]
+            if new not in seen:
+                seen.add(new)
+                todo.append(new)
+    return seen
+
+
+def _fold_patterns():
+    """The distinct `piece_ends` of criterion 5's grid in the four roles its folds read."""
+    roles = suites._CONVEX_SIDE[:2] + suites._DUAL_SIDE[:2]
+    return {
+        piece_ends(role(L))
+        for comp_data in component_family(4, 4)
+        for L in suites._bundle_grid(TwistedComponent(*comp_data), range(-8, 9))
+        for role in roles
+    }
+
+
+def test_two_flag_fold_is_the_three_flag_fold_projected():
+    # free = left and not g commutes with the step on every reachable state,
+    # so the two folds agree on every chain
+    patterns = _fold_patterns()
+    no, yes = False, True
+    three = _reachable_flags(_chain_step_three_flags, (0, 0, no, no, no), patterns)
+    assert three == {(no, no, no), (no, no, yes), (no, yes, yes), (yes, yes, yes)}
+    for g, left, active in three:
+        for piece in patterns:
+            old = _chain_step_three_flags((0, 0, g, left, active), piece)
+            new = cohomology.chain_step((0, 0, left and not g, active), piece)
+            assert new == old[:2] + (old[3] and not old[2], old[4]), (g, left, active, piece)
+    # a free column always faces an active node
+    assert cohomology.CHAIN_START == (0, 0, no, no)
+    two = _reachable_flags(cohomology.chain_step, cohomology.CHAIN_START, patterns)
+    assert two == {(no, no), (no, yes), (yes, yes)}
+
+
 def chain_of(p1_degrees):
     comps = tuple(P1 for _ in p1_degrees)
     chain = CurveChain(comps)

@@ -77,6 +77,22 @@ def test_replays_catch_a_fault_in_the_node_activity_test(monkeypatch):
         suites.suite_weak_concavity(max_ab=3, max_l=3, max_d=2, max_len=2, workers=1)
 
 
+def test_the_gate_sees_a_fault_in_the_free_flag(monkeypatch):
+    # the nearest fault the two-flag fold can express: from (free, active) =
+    # (F, T), a piece with a column at x1 and d == 0 leaves its column free,
+    # as if the row had not grounded it
+    step = cohomology.chain_step
+
+    def faulty(state, piece):
+        out = step(state, piece)
+        _, _, nz1, _, merged, _ = piece
+        return out[:2] + (True,) + out[3:] if state[2:] == (False, True) and nz1 and merged else out
+
+    monkeypatch.setattr(cohomology, "chain_step", faulty)
+    with pytest.raises(cohomology.InternalInconsistency, match="elimination"):
+        suites.suite_weak_concavity(2, 2, 5, 3)
+
+
 def test_concavity_sweep_takes_chains_longer_than_three():
     res = suites.suite_weak_concavity(max_ab=2, max_l=2, max_d=1, max_len=4)
     assert res.ok and res.details["sampled"] > 0
@@ -444,12 +460,23 @@ def test_chain_suites_refuse_a_max_len_below_one(monkeypatch, max_len):
         suites.suite_log_canonical(2, 2, max_len)
 
 
-@pytest.mark.parametrize("max_len", [2.5, True, "3"])
-def test_suites_refuse_an_argument_that_is_not_an_int(monkeypatch, max_len):
-    # a bool is not read as 1, nor a float or a string compared or indexed
+@pytest.mark.parametrize(
+    "suite, arg, value",
+    [pytest.param("suite_log_canonical", "max_len", v, id=str(v)) for v in (2.5, True, "3")]
+    + [
+        pytest.param(suite, "seed", v, id=f"{suite}-seed-{v}")
+        for suite in ("suite_age_sum", "suite_qsd_operator")
+        for v in (None, True, 1.5, "abc")
+    ],
+)
+def test_suites_refuse_an_argument_that_is_not_an_int(monkeypatch, suite, arg, value):
+    # a bool is not read as 1, nor a float or a string compared or indexed,
+    # nor a seed of any other type handed to random.Random; no work is done
     monkeypatch.setattr(suites, "component_family", None)
-    with pytest.raises(ValueError, match=f"^max_len must be an integer, got {re.escape(repr(max_len))}$"):
-        suites.suite_log_canonical(2, 2, max_len)
+    monkeypatch.setattr(suites, "random", None)
+    kwargs = {"max_ab": 2, "max_l": 2} if arg == "max_len" else {"trials": 2}
+    with pytest.raises(ValueError, match=f"^{arg} must be an integer, got {re.escape(repr(value))}$"):
+        getattr(suites, suite)(**kwargs, **{arg: value})
 
 
 @pytest.mark.parametrize("order", [0, -1])
