@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import re
 import sys
@@ -441,33 +442,30 @@ def _suite_payload(result: suites.SuiteResult) -> dict:
     }
 
 
-def cmd_verify(args, doc: dict | None) -> dict:
-    import inspect
+def _flag(name: str) -> str:
+    """The `verify` flag that sets suite argument `name`."""
+    return "--max-a" if name == "max_ab" else "--" + name.replace("_", "-")
 
-    # suite keyword -> (flag, value); a flag counts as given when its value is
-    # not the parser's default (None for the flags of `verify` itself)
-    flags = {
-        "max_ab": ("--max-a", args.max_a),
-        "max_l": ("--max-l", args.max_l),
-        "max_d": ("--max-d", args.max_d),
-        "max_len": ("--max-len", args.max_len),
-        "trials": ("--trials", args.trials),
-        "seed": ("--seed", args.seed),
-        "order": ("--order", args.order),
-        "max_cd": ("--max-cd", args.max_cd),
-        "workers": ("--workers", args.workers),
-    }
+
+def _suite_args() -> tuple[str, ...]:
+    """Every argument of every suite, in order of first appearance; `verify` takes each as `_flag(name)`."""
+    return tuple(dict.fromkeys(k for fn in suites.SUITES.values() for k in inspect.signature(fn).parameters))
+
+
+def cmd_verify(args, doc: dict | None) -> dict:
+    values = vars(args)
     parser = build_parser()
-    given = {k for k, (_, v) in flags.items() if v is not None and v != parser.get_default(k)}
+    # a flag is given when it leaves its default, None for the flags of `verify` itself
+    given = {k for k in _suite_args() if values.get(k) != parser.get_default(k)}
     runs = []
     for name in list(suites.SUITES) if args.suite == "all" else [args.suite]:
         fn = suites.SUITES[name]
         accepted = inspect.signature(fn).parameters
-        kwargs = {k: v for k, (_, v) in flags.items() if v is not None and k in accepted}
-        dropped = [flag for k, (flag, _) in flags.items() if k in given and k not in accepted]
+        kwargs = {k: values[k] for k in accepted if values.get(k) is not None}
+        dropped = sorted(_flag(k) for k in given if k not in accepted)
         if dropped:
             print(f"verify: suite {name} takes no {', '.join(dropped)}; ignored", file=sys.stderr)
-        suites.check_arguments(name, kwargs)  # every suite's, before any of them runs
+        suites.check_arguments(kwargs)  # every suite's, before any of them runs
         runs.append((fn, kwargs))
     results = [fn(**kwargs) for fn, kwargs in runs]
     return {"suites": [_suite_payload(r) for r in results], "ok": all(r.ok for r in results)}
@@ -529,13 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=list(suites.SUITES) + ["all"])
-    p.add_argument("--max-a", type=int, default=None, dest="max_a")
-    p.add_argument("--max-l", type=int, default=None, dest="max_l")
-    p.add_argument("--max-d", type=int, default=None, dest="max_d")
-    p.add_argument("--max-len", type=int, default=None, dest="max_len")
-    p.add_argument("--max-cd", type=int, default=None, dest="max_cd")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    for name in _suite_args():
+        if name not in ("seed", "order"):  # common flags
+            p.add_argument(_flag(name), type=int, default=None, dest=name)
     return parser
 
 

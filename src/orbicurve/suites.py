@@ -179,7 +179,7 @@ def _api_check_concavity_instance(comps: tuple, pieces: list, expected_hc: int, 
 
 
 def suite_h1_vanishing(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> SuiteResult:
-    check_arguments("h1-vanishing", locals())
+    check_arguments(locals())
     res = SuiteResult("h1-vanishing")
     for L in _family_grid(max_ab, max_l, range(max_d + 1)):
         h1 = cohomology.h1_component(L)
@@ -190,7 +190,7 @@ def suite_h1_vanishing(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
 
 
 def suite_h1_two_path(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> SuiteResult:
-    check_arguments("h1-two-path", locals())
+    check_arguments(locals())
     res = SuiteResult("h1-two-path")
     for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
         n_direct = cohomology.h1_negative_monomials(L)
@@ -202,7 +202,7 @@ def suite_h1_two_path(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suite
 
 
 def suite_riemann_roch(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> SuiteResult:
-    check_arguments("riemann-roch", locals())
+    check_arguments(locals())
     res = SuiteResult("riemann-roch")
     for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
         h0 = cohomology.h0_component(L)
@@ -523,7 +523,7 @@ def suite_weak_convexity(
     Rank-1 bundles are counted exhaustively; rank-2 counts follow exactly
     by additivity of h1 over summands.
     """
-    check_arguments("thm-weak-convexity", locals())
+    check_arguments(locals())
     res = _bundle_sweep(
         "thm-weak-convexity", keys=("rank2_pairs", "rank2_failures", "sampled"), max_ab=max_ab, max_l=max_l,
         max_d=max_d, max_len=max_len, workers=workers, d_lo=0, folds=(_CONVEX_SIDE,), names=("h1",),
@@ -549,7 +549,7 @@ def suite_weak_concavity(
     max_ab: int = 4, max_l: int = 4, max_d: int = 8, max_len: int = 3, workers: int = 1
 ) -> SuiteResult:
     """Convexity <-> concavity: h0(dual(L)(-x1)) = h1(L(-x2)) for every summand."""
-    check_arguments("thm-weak-concavity", locals())
+    check_arguments(locals())
     res = _bundle_sweep(
         "thm-weak-concavity", keys=("sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff"),
         max_ab=max_ab, max_l=max_l, max_d=max_d, max_len=max_len, workers=workers, d_lo=-max_d,
@@ -589,7 +589,7 @@ def suite_log_canonical(
     (chains, failing chains) of each subtree are counted once per call, and
     only the replays go to the pool (see `_subtree_sweep`).
     """
-    check_arguments("log-canonical", locals())
+    check_arguments(locals())
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
     objs = [curves.TwistedComponent(*c) for c in comps]
@@ -632,7 +632,7 @@ def suite_log_canonical(
 
 
 def suite_rank_formula(max_ab: int = 4, max_l: int = 4, max_d: int = 8) -> SuiteResult:
-    check_arguments("rank-formula", locals())
+    check_arguments(locals())
     res = SuiteResult("rank-formula")
     deltas: dict[Fraction, int] = {}
     n_convex = 0
@@ -662,7 +662,7 @@ def suite_rank_formula(max_ab: int = 4, max_l: int = 4, max_d: int = 8) -> Suite
 
 def suite_rank2_direct(max_ab: int = 3, max_l: int = 2, max_d: int = 4) -> SuiteResult:
     """Small direct sweep of genuine rank-2 split bundles through the full API."""
-    check_arguments("rank2-direct", locals())
+    check_arguments(locals())
     res = SuiteResult("rank2-direct")
     for a, b, l1, l2 in component_family(max_ab, max_l):
         comp = curves.TwistedComponent(a, b, l1, l2)
@@ -705,7 +705,7 @@ def suite_rank2_direct(max_ab: int = 3, max_l: int = 2, max_d: int = 4) -> Suite
 
 
 def suite_age_sum(trials: int = 10000, max_den: int = 12, seed: int = 0) -> SuiteResult:
-    check_arguments("age-sum", locals())
+    check_arguments(locals())
     res = SuiteResult("age-sum")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -762,7 +762,7 @@ def _api_check_pairing_comparison(m: wps.WPSModel) -> None:
 
 
 def suite_pairing_comparison(max_n: int = 5, max_w: int = 4, max_r: int = 2, max_k: int = 4) -> SuiteResult:
-    check_arguments("pairing-comparison", locals())
+    check_arguments(locals())
     res = SuiteResult("pairing-comparison", details={"pairing_checks": 0, "sampled": 0})
     for model in wps_model_family(max_n, max_w, max_r, max_k):
         if res.instances % PAIRING_SAMPLE_EVERY == 0:
@@ -803,7 +803,7 @@ def qsd_model_family(max_dim: int = 6) -> list[wps.WPSModel]:
 
 
 def suite_qsd_operator(trials: int = 1000, order: int = 4, max_dim: int = 6, seed: int = 0) -> SuiteResult:
-    check_arguments("qsd-operator", locals())
+    check_arguments(locals())
     res = SuiteResult("qsd-operator")
     rng = random.Random(seed)
     models = qsd_model_family(max_dim)
@@ -828,7 +828,7 @@ def suite_qsd_operator(trials: int = 1000, order: int = 4, max_dim: int = 6, see
 
 
 def suite_isotropy_oracle(max_cd: int = 12) -> SuiteResult:
-    check_arguments("isotropy-oracle", locals())
+    check_arguments(locals())
     res = SuiteResult("isotropy-oracle")
     for c in range(1, max_cd + 1):
         for d in range(1, max_cd + 1):
@@ -852,7 +852,7 @@ def suite_isotropy_oracle(max_cd: int = 12) -> SuiteResult:
 
 def suite_age_oracle(max_ab: int = 4, max_l: int = 4, max_d: int = 6) -> SuiteResult:
     """Closed-form ages against the generator-hunting brute force."""
-    check_arguments("age-oracle", locals())
+    check_arguments(locals())
     res = SuiteResult("age-oracle")
     for L in _family_grid(max_ab, max_l, range(-max_d, max_d + 1)):
         for pt in (curves.X1, curves.X2):
@@ -903,39 +903,28 @@ def _run_chunks(fn, args, workers: int):
             pool.shutdown(cancel_futures=True)
 
 
-# The least value of each integer argument of each suite (`seed` takes any
-# int).  Below it a grid, a model family or a trial count is empty, an empty
-# suite would report success, and a pool needs a worker.  The table is
+# The least value of each integer argument of the suites, by name (`seed`
+# takes any int); every suite that takes an argument takes it with this least
+# value.  Below it a grid, a model family or a trial count is empty, an empty
+# suite would report success, and a pool needs a worker.  The map is
 # read-only: a suite call leaves no state behind.
 MINIMUMS = MappingProxyType({
-    "h1-vanishing": {"max_ab": 1, "max_l": 1, "max_d": 0},
-    "h1-two-path": {"max_ab": 1, "max_l": 1, "max_d": 0},
-    "riemann-roch": {"max_ab": 1, "max_l": 1, "max_d": 0},
-    "thm-weak-convexity": {"max_ab": 1, "max_l": 1, "max_d": 0, "max_len": 1, "workers": 1},
-    "thm-weak-concavity": {"max_ab": 1, "max_l": 1, "max_d": 0, "max_len": 1, "workers": 1},
-    "log-canonical": {"max_ab": 1, "max_l": 1, "max_len": 1, "workers": 1},
-    "rank-formula": {"max_ab": 1, "max_l": 1, "max_d": 0},
-    "rank2-direct": {"max_ab": 1, "max_l": 1, "max_d": 0},
-    "age-sum": {"trials": 1, "max_den": 1},
-    "pairing-comparison": {"max_n": 2, "max_w": 1, "max_r": 0, "max_k": 1},
-    "qsd-operator": {"trials": 1, "order": 1, "max_dim": 1},
-    "isotropy-oracle": {"max_cd": 1},
-    "age-oracle": {"max_ab": 1, "max_l": 1, "max_d": 0},
+    "max_ab": 1, "max_l": 1, "max_d": 0, "max_len": 1, "workers": 1, "trials": 1, "max_den": 1,
+    "max_n": 2, "max_w": 1, "max_r": 0, "max_k": 1, "order": 1, "max_dim": 1, "max_cd": 1,
 })
 
 
-def check_arguments(name: str, args: dict) -> None:
-    """Refuse any of `args` (argument name to value) that is not an int or is below its least value for suite `name`.
+def check_arguments(args: dict) -> None:
+    """Refuse any of `args` (argument name to value) that is not an int or is below its least value.
 
     Each suite calls it first with its own `locals()`, so a refusal comes before any work.
     Every argument of a suite is an int, `seed` too; an argument missing from `args` is not checked.
     """
-    least = MINIMUMS[name]
     for arg, value in args.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{arg} must be an integer, got {value!r}")
-        if value < least.get(arg, value):
-            raise ValueError(f"{arg} must be at least {least[arg]}")
+        if value < MINIMUMS.get(arg, value):
+            raise ValueError(f"{arg} must be at least {MINIMUMS[arg]}")
 
 
 SUITES = {

@@ -1,4 +1,5 @@
 """Command-line front end: parsing, reports, determinism, exit codes."""
+import inspect
 import io
 import json
 import os
@@ -456,22 +457,60 @@ def test_chain_suites_refuse_an_unusable_worker_count(capsys, monkeypatch, suite
     assert err == f"input error: {message}\n"
 
 
-# the suite argument that each integer flag of `verify` sets
-VERIFY_FLAGS = {
-    "max_ab": "--max-a", "max_l": "--max-l", "max_d": "--max-d", "max_len": "--max-len", "max_cd": "--max-cd",
-    "trials": "--trials", "order": "--order",
+# the spellings of `verify`'s flags that callers already use, and the suite
+# argument each sets
+PINNED_FLAGS = {
+    "--max-a": "max_ab", "--max-l": "max_l", "--max-d": "max_d", "--max-len": "max_len", "--max-cd": "max_cd",
+    "--trials": "trials", "--workers": "workers", "--seed": "seed", "--order": "order",
 }
+SUITE_PARAMETERS = [(name, arg) for name, fn in suites.SUITES.items() for arg in inspect.signature(fn).parameters]
+
+
+@pytest.mark.parametrize("suite, arg", SUITE_PARAMETERS)
+def test_every_suite_argument_is_reachable_from_verify(suite, arg):
+    args = cli.build_parser().parse_args(["verify", "--suite", suite, cli._flag(arg), "7"])
+    assert vars(args)[arg] == 7
+
+
+@pytest.mark.parametrize("flag, arg", PINNED_FLAGS.items())
+def test_verify_keeps_its_flag_spellings(flag, arg):
+    assert cli._flag(arg) == flag
+    assert vars(cli.build_parser().parse_args(["verify", "--suite", "all", flag, "7"]))[arg] == 7
 
 
 @pytest.mark.parametrize(
-    "suite, arg, least",
-    [(name, arg, least) for name, mins in suites.MINIMUMS.items() for arg, least in mins.items() if arg in VERIFY_FLAGS],
+    "suite, arg, least", [(name, arg, suites.MINIMUMS[arg]) for name, arg in SUITE_PARAMETERS if arg != "seed"]
 )
 def test_verify_refuses_a_flag_below_its_minimum(capsys, suite, arg, least):
     # an empty suite would print "ok": true with no instance checked
-    code, out, err = run_cli(capsys, "--json", "verify", "--suite", suite, VERIFY_FLAGS[arg], str(least - 1))
+    code, out, err = run_cli(capsys, "--json", "verify", "--suite", suite, cli._flag(arg), str(least - 1))
     assert code == 2 and out == ""
     assert err == f"input error: {arg} must be at least {least}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, suite, kwargs",
+    [
+        (["--suite", "pairing-comparison", "--max-n", "2", "--max-w", "1", "--max-r", "0", "--max-k", "1"],
+         suites.suite_pairing_comparison, dict(max_n=2, max_w=1, max_r=0, max_k=1)),
+        (["--suite", "age-sum", "--max-den", "3", "--trials", "20"], suites.suite_age_sum, dict(max_den=3, trials=20)),
+        (["--suite", "qsd-operator", "--max-dim", "2", "--trials", "5"], suites.suite_qsd_operator,
+         dict(max_dim=2, trials=5)),
+    ],
+    ids=["pairing-comparison", "age-sum", "qsd-operator"],
+)
+def test_the_derived_flags_reach_the_suite(capsys, argv, suite, kwargs):
+    code, out, err = run_cli(capsys, "--json", "verify", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["suites"] == [cli._suite_payload(suite(**kwargs))]
+
+
+def test_readme_tabulates_every_verify_flag():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    for arg in cli._suite_args():
+        names = ", ".join(name for name, fn in suites.SUITES.items() if arg in inspect.signature(fn).parameters)
+        least = suites.MINIMUMS.get(arg, "any int")
+        assert f"| `{cli._flag(arg)}` | `{arg}` | {least} | {names} |\n" in readme, arg
 
 
 def test_verify_all_refuses_before_any_suite_runs(capsys, monkeypatch):

@@ -486,7 +486,13 @@ def test_qsd_suite_refuses_an_order_below_one(order):
 
 
 @pytest.mark.parametrize(
-    "name, arg, least", [(name, arg, least) for name, mins in suites.MINIMUMS.items() for arg, least in mins.items()]
+    "name, arg, least",
+    [
+        (name, arg, suites.MINIMUMS[arg])
+        for name, suite in suites.SUITES.items()
+        for arg in inspect.signature(suite).parameters
+        if arg != "seed"
+    ],
 )
 def test_suites_refuse_an_argument_below_its_minimum(name, arg, least):
     # below its minimum an argument empties the suite's grid, family or
@@ -496,9 +502,10 @@ def test_suites_refuse_an_argument_below_its_minimum(name, arg, least):
 
 
 def test_minimums_name_every_bounded_argument_and_leave_work():
+    params = {name: set(inspect.signature(suite).parameters) for name, suite in suites.SUITES.items()}
+    assert set(suites.MINIMUMS) == set().union(*params.values()) - {"seed"}
     for name, suite in suites.SUITES.items():
-        assert set(suites.MINIMUMS[name]) == set(inspect.signature(suite).parameters) - {"seed"}, name
-        res = suite(**suites.MINIMUMS[name])
+        res = suite(**{arg: suites.MINIMUMS[arg] for arg in params[name] - {"seed"}})
         assert res.ok and res.instances > 0, name
 
 
