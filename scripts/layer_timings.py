@@ -31,6 +31,10 @@ the name says ms:
 - `log_canonical_count_ms`: `suite_log_canonical(4, 4, 6)` (criterion 6)
   with its replay check stubbed as for the recorded arguments above, so the
   subtree counting and the descents alone
+- `bundle_sweep_count_ms`: the chain-sweep workload's two calls,
+  `suite_weak_convexity(4, 4, 3, 3)` and `suite_weak_concavity(4, 4, 1, 3)`,
+  with their replay checks stubbed in the same way: the tables, the counting
+  and the descents to the replays
 - `comp_tables_ms`: the `suites._CompTables` of every component of
   criterion 5's default grid (`suite_weak_concavity()`: component_family(4, 4),
   -8 <= d <= 8, both fold sides)
@@ -136,6 +140,13 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         check = "_api_check_log_canonical"
         return _replay_args(suites, check, suites.suite_log_canonical, max_ab=4, max_l=4, max_len=6)
 
+    def bundle_sweep_count():
+        for check, suite, max_d in (
+            ("_api_check_convexity_instance", suites.suite_weak_convexity, 3),
+            ("_api_check_concavity_instance", suites.suite_weak_concavity, 1),
+        ):
+            _replay_args(suites, check, suite, max_ab=4, max_l=4, max_d=max_d, max_len=3)
+
     def comp_tables():
         return [suites._CompTables(c, range(-8, 9), concavity_folds) for c in suites.component_family(4, 4)]
 
@@ -152,6 +163,7 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         "elimination_us": _mean(lambda cert: (elimination(cert.log_canonical), elimination(cert.omega_x2)), certs),
         "concavity_replay_us": _mean(lambda args: suites._api_check_concavity_instance(*args), concave),
         "log_canonical_count_ms": _loop(log_canonical_count, 1, 1e3),
+        "bundle_sweep_count_ms": _loop(bundle_sweep_count, 1, 1e3),
         "comp_tables_ms": _loop(comp_tables, 1, 1e3),
         "h_chain_us": _loop(lambda: m.cohomology.h_chain(chain_bundle), 20),
     }

@@ -422,7 +422,7 @@ def cmd_series_verify(args, doc: dict) -> dict:
     model = parse_wps(doc)
     basis = series.compact_type_basis(model)
     table = parse_table(doc, dim=len(basis))
-    report = series.verify_qsd_operator_identity(table, model, args.order)
+    report = series.verify_qsd_operator_identity(table, model, 4 if args.order is None else args.order)
     return {
         "model": str(model),
         "state_dim": report.dim,
@@ -454,9 +454,7 @@ def _suite_args() -> tuple[str, ...]:
 
 def cmd_verify(args, doc: dict | None) -> dict:
     values = vars(args)
-    parser = build_parser()
-    # a flag is given when it leaves its default, None for the flags of `verify` itself
-    given = {k for k in _suite_args() if values.get(k) != parser.get_default(k)}
+    given = {k for k in _suite_args() if values.get(k) is not None}
     runs = []
     for name in list(suites.SUITES) if args.suite == "all" else [args.suite]:
         fn = suites.SUITES[name]
@@ -482,8 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations for line bundles on two-pointed orbifold curve chains",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--order", type=int, default=4, help="Novikov truncation order")
+    # None when not given: `verify` tells a given --seed or --order by that
+    parser.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
+    parser.add_argument("--order", type=int, default=None, help="Novikov truncation order")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values given before it
     common = argparse.ArgumentParser(add_help=False)

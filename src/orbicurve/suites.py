@@ -25,10 +25,9 @@ unranked from counts of balanced completions per `need`, its folds stepped
 on the way down (`_descent`), and recomputed through the public dataclass
 API by elimination over listed monomials (`oracles.h_chain_by_elimination`),
 which shares no code with the fold.  A replay builds its checked
-`CurveChain` and `ChainBundle` on the `TwistedComponent` objects the call
-already holds, so the integers a component stores when built are computed
-once per call, not once per replay; its twists and duals are derived
-without a second node check (see `bundles`).
+`CurveChain` and `ChainBundle` on the components and grid bundles of the
+call's tables, so neither is rebuilt from integers once per replay; its
+twists and duals are derived without a second node check (see `bundles`).
 
 The pairing comparison replays a sample of models through the elementwise
 pairings of `oracles`, and the age and isotropy suites compare the closed
@@ -44,7 +43,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -144,31 +142,29 @@ def _listed(comps: tuple) -> list[list[int]]:
     return [[c.a, c.b, c.l1, c.l2] for c in comps]
 
 
-def _api_chain(comps: tuple, pieces: list) -> bundles.ChainBundle:
-    """The checked chain bundle with these (k1, k2, d) pieces on these components."""
-    return bundles.ChainBundle(
-        curves.CurveChain(comps), tuple(bundles.EqLineBundle(c, *bnd) for c, bnd in zip(comps, pieces))
-    )
+def _listed_pieces(pieces: tuple) -> list[list[int]]:
+    """Line bundles as [k1, k2, d] lists, the form of witnesses and messages."""
+    return [[L.k1, L.k2, L.d] for L in pieces]
 
 
-def _api_check_convexity_instance(comps: tuple, pieces: list, expected_h1: int) -> None:
-    cb = _api_chain(comps, pieces)
+def _api_check_convexity_instance(comps: tuple, pieces: tuple, expected_h1: int) -> None:
+    cb = bundles.ChainBundle(curves.CurveChain(comps), pieces)
     _, h1 = oracles.h_chain_by_elimination(bundles.chain_twist(cb, curves.X2, -1))
     if h1 != expected_h1:
         raise cohomology.InternalInconsistency(
-            f"h1(L(-x2)) of {pieces} on {_listed(comps)}: sweep {expected_h1}, elimination {h1}"
+            f"h1(L(-x2)) of {_listed_pieces(pieces)} on {_listed(comps)}: sweep {expected_h1}, elimination {h1}"
         )
 
 
-def _api_check_concavity_instance(comps: tuple, pieces: list, expected_hc: int, expected_hd: int) -> None:
-    cb = _api_chain(comps, pieces)
+def _api_check_concavity_instance(comps: tuple, pieces: tuple, expected_hc: int, expected_hd: int) -> None:
+    cb = bundles.ChainBundle(curves.CurveChain(comps), pieces)
     _, hc = oracles.h_chain_by_elimination(bundles.chain_twist(cb, curves.X2, -1))
     hd, _ = oracles.h_chain_by_elimination(
         bundles.chain_twist(bundles.chain_dual(cb), curves.X1, -1)
     )
     if (hc, hd) != (expected_hc, expected_hd):
         raise cohomology.InternalInconsistency(
-            f"(h1(L(-x2)), h0(dual L(-x1))) of {pieces} on {_listed(comps)}: "
+            f"(h1(L(-x2)), h0(dual L(-x1))) of {_listed_pieces(pieces)} on {_listed(comps)}: "
             f"sweep {(expected_hc, expected_hd)}, elimination {(hc, hd)}"
         )
 
@@ -222,30 +218,34 @@ def suite_riemann_roch(max_ab: int = 6, max_l: int = 6, max_d: int = 12) -> Suit
 class _CompTables:
     """One call's tables of a component for the bundle sweeps, indexed by bundle ordinal.
 
-    For each bundle (k1, k2, d) in the grid (`bnds`, as integer triples) this
-    holds the fold data (`cohomology.piece_ends`) of each role that the
-    call's folds read, in `ends[role]`.  Nodes balance on ages, counted in
-    units of one over the node's isotropy order: `need[t]` is the age at x1
-    that the next piece must have, and `by_age1` groups the bundles by their
-    age at x1.  `moves` memoizes the call's transitions out of this component
-    (see `_moves`), and `comp` is the component object that the replays
-    build on.
+    For each bundle of the grid (`lines`, the checked bundles that the
+    replays build on) this holds the fold data (`cohomology.piece_ends`) of
+    each role that the call's folds read, in `ends[role]`, read once for each
+    distinct (k1, k2, d) that the roles map the grid to.  Nodes balance on
+    ages, counted in units of one over the node's isotropy order: `need[t]`
+    is the age at x1 that the next piece must have, and `by_age1` groups the
+    bundles by their age at x1.  `moves` memoizes the call's transitions out
+    of this component (see `_moves`), and `comp` is the component of `lines`.
     """
 
     def __init__(self, comp, ds: range, folds: tuple):
         self.comp = curves.TwistedComponent(*comp)
-        lines = _bundle_grid(self.comp, ds)
-        self.bnds = [(L.k1, L.k2, L.d) for L in lines]
-        self.ends = {role: [cohomology.piece_ends(role(L)) for L in lines] for fold in folds for role in fold[:2]}
-        self.need = [-bundles._age_data(L, curves.X2)[0] % self.comp.d for L in lines]
+        self.lines = _bundle_grid(self.comp, ds)
+        read: dict[tuple, tuple] = {}
+
+        def ends(L) -> tuple:
+            return read.get((L.k1, L.k2, L.d)) or read.setdefault((L.k1, L.k2, L.d), cohomology.piece_ends(L))
+
+        self.ends = {role: [ends(role(L)) for L in self.lines] for fold in folds for role in fold[:2]}
+        self.need = [-bundles._age_data(L, curves.X2)[0] % self.comp.d for L in self.lines]
         self.by_age1: dict[int, list[int]] = {}
-        for t, L in enumerate(lines):
+        for t, L in enumerate(self.lines):
             self.by_age1.setdefault(bundles._age_data(L, curves.X1)[0], []).append(t)
         self.moves: dict[tuple, list] = {}
 
     def fits(self, need: int | None):
         """Ordinals, ascending, of the bundles that balance with `need` (all of them for None)."""
-        return range(len(self.bnds)) if need is None else self.by_age1.get(need, ())
+        return range(len(self.lines)) if need is None else self.by_age1.get(need, ())
 
 
 # A fold of the sweeps is (base role, twisted role, twist on the last piece
@@ -316,45 +316,47 @@ def _descent(tabs: list[_CompTables], roles: list[tuple], completions: dict):
     order, and to the kept values of the sweep's folds over it.
 
     The number of balanced completions of pieces k, k+1, ... depends only on
-    their tables and the age `need` that piece k must match, so their running
-    sums over the bundles of piece k that fit `need` pick each piece of the
-    r-th assignment by bisection.  They are `completions[tables from piece k
-    on][need]`, which the chains of one call share.  The folds step along the
-    way, at piece k in the roles `roles[k]` (see `_roles`).
+    their tables and the age `need` that piece k must match:
+    `completions[tables from piece k on][need]`, filled for every `need` when
+    the chains of one call first meet those tables.  Piece k of the r-th
+    assignment is picked by a scan over the bundles that fit its `need`,
+    subtracting the completions of the pieces after it through each.  The
+    folds step along the way, at piece k in the roles `roles[k]` (see `_roles`).
     """
     last = len(tabs) - 1
     step = cohomology.chain_step
-    memos = [completions.setdefault(tuple(tabs[k:]), {}) for k in range(last)]
-
-    def totals(k: int, need: int):
-        """Running sums of the completions over the bundles of piece k that fit `need`."""
-        if k == last:  # one each
-            return range(1, len(tabs[k].fits(need)) + 1)
-        memo = memos[k]
-        if need not in memo:
-            below = (totals(k + 1, tabs[k].need[t]) for t in tabs[k].fits(need))
-            memo[need] = list(itertools.accumulate(sums[-1] if sums else 0 for sums in below))
-        return memo[need]
-
+    below = [None] * len(tabs)  # below[k]: the completions of pieces k+1, ... (none after the last)
+    for k in reversed(range(last)):
+        suffix, tab = tuple(tabs[k + 1:]), tabs[k + 1]
+        if suffix not in completions:
+            after = below[k + 1]
+            completions[suffix] = {
+                need: len(fits) if after is None else sum(after.get(tab.need[t], 0) for t in fits)
+                for need, fits in tab.by_age1.items()
+            }
+        below[k] = completions[suffix]
     ends = [[tab.ends[role] for role, _ in at] for tab, at in zip(tabs, roles)]
 
     def descend(r: int) -> tuple[tuple[int, ...], tuple]:
         idx, need = [], None
         states = [cohomology.CHAIN_START] * len(roles[0])
         for k, tab in enumerate(tabs):
-            sums = totals(k, need)
-            i = bisect_right(sums, r)
-            t, r = tab.fits(need)[i], r - (sums[i - 1] if i else 0)
+            after = below[k]
+            for t in tab.fits(need):
+                through = 1 if after is None else after.get(tab.need[t], 0)
+                if r < through:
+                    break
+                r -= through
             idx.append(t)
             states = [step(s, table[t]) for s, table in zip(states, ends[k])]
-            need = tab.need[t] if k < last else None
+            need = tab.need[t]
         return tuple(idx), tuple(s[keep] for s, (_, keep) in zip(states, roles[last]))
 
     return descend
 
 
-def _pieces(tabs: list[_CompTables], idx: tuple[int, ...]) -> list:
-    return [list(tab.bnds[t]) for tab, t in zip(tabs, idx)]
+def _pieces(tabs: list[_CompTables], idx: tuple[int, ...]) -> tuple:
+    return tuple(tab.lines[t] for tab, t in zip(tabs, idx))
 
 
 def _subtree_sweep(
@@ -495,7 +497,8 @@ def _bundle_sweep(
     def witness(path: list) -> dict:
         tabs, descend = descent(path)
         idx, values = next(w for w in map(descend, itertools.count()) if failing(w[1]))
-        return {"chain": _listed(tab.comp for tab in tabs), "pieces": _pieces(tabs, idx), **dict(zip(names, values))}
+        pieces = _listed_pieces(_pieces(tabs, idx))
+        return {"chain": _listed(tab.comp for tab in tabs), "pieces": pieces, **dict(zip(names, values))}
 
     def replay(path: list, ranks: range) -> list:
         tabs, descend = descent(path)

@@ -373,6 +373,20 @@ def test_verify_names_the_flags_a_suite_drops(capsys, monkeypatch):
     assert err == "verify: suite isotropy-oracle takes no --max-a, --seed, --workers; ignored\n"
 
 
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_verify_names_a_common_flag_given_at_its_default(capsys, where):
+    # --seed 0 and --order 4 are the values a suite takes when they are not
+    # given, but given to a suite that takes neither they are named as dropped
+    plain = ["verify", "--suite", "isotropy-oracle", "--max-cd", "2"]
+    common = ["--seed", "0", "--order", "4"]
+    code, out, err = run_cli(capsys, "--json", *plain)
+    assert code == 0 and err == ""
+    argv = [*common, "--json", *plain] if where == "before" else ["--json", *plain, *common]
+    code, out_given, err = run_cli(capsys, *argv)
+    assert code == 0 and out_given == out
+    assert err == "verify: suite isotropy-oracle takes no --order, --seed; ignored\n"
+
+
 def test_verify_sweep_takes_chains_longer_than_three(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "verify", "--suite", "thm-weak-convexity",

@@ -7,11 +7,11 @@ arithmetic, so it imports no complex floating-point math.  No module imports
 only elimination kernel on a library path is the chain oracle's.  The oracles
 that the suites replay against the fast path stay independent of it: `oracles`
 names none of the fast path's kernels, and only `suites` imports `oracles`.
-`suites` writes its bundle grid once: only `_bundle_grid` and the replays'
-`_api_chain` construct an `EqLineBundle`; and it keeps no cache from one
-call to the next, so a fault reaches every call.  A component computes its
-modular inverses once, when it is built, so `bundles` and `cohomology` take
-no three-argument `pow`.  The pairing blocks are turned into cells in `wps`
+`suites` writes its bundle grid once: only `_bundle_grid` constructs an
+`EqLineBundle`, and the replays build their chain bundles on its bundles; and
+it keeps no cache from one call to the next, so a fault reaches every call.
+A component computes its modular inverses once, when it is built, so
+`bundles` and `cohomology` take no three-argument `pow`.  The pairing blocks are turned into cells in `wps`
 alone: no other module names `pairing_blocks` or `_partner`.  The operators
 of `series` are compared on their stored cells: no module reads the dense
 expansion `LOperator.matrix_at`, which only tests use.  The library is a
@@ -131,7 +131,7 @@ def _scopes_naming(tree: ast.AST, name: str) -> set:
 def test_suites_build_bundles_only_in_the_grid_and_the_replays():
     path = Path(orbicurve.__file__).parent / "suites.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _scopes_naming(tree, "EqLineBundle") == {"_bundle_grid", "_api_chain"}
+    assert _scopes_naming(tree, "EqLineBundle") == {"_bundle_grid"}
 
 
 def test_suites_keep_no_cache_between_calls():

@@ -1,6 +1,8 @@
 """Verification-suite plumbing at small bounds."""
+import hashlib
 import inspect
 import itertools
+import json
 import os
 import pathlib
 import re
@@ -524,7 +526,7 @@ def test_log_canonical_sweep_takes_a_chain_of_1500_components():
 def _assignments(tabs, need=None):
     """Balanced bundle ordinals of a chain, one tuple per bundle, in lexicographic order."""
     tab, rest = tabs[0], tabs[1:]
-    for t in range(len(tab.bnds)) if need is None else tab.by_age1.get(need, []):
+    for t in range(len(tab.lines)) if need is None else tab.by_age1.get(need, []):
         if rest:
             for tail in _assignments(rest, tab.need[t]):
                 yield (t, *tail)
@@ -577,7 +579,7 @@ def _reference_sweep(concave: bool, max_ab: int, max_l: int, max_d: int, max_len
             chain_comps = [list(comps[i]) for i in chain]
             counts = Counter()
             for idx, values in _reference_descent(concave, tabs):
-                pieces = [list(tab.bnds[t]) for tab, t in zip(tabs, idx)]
+                pieces = [[L.k1, L.k2, L.d] for L in (tab.lines[t] for tab, t in zip(tabs, idx))]
                 counts[values] += 1
                 numbered += 1
                 if (values[0] != values[1]) if concave else (values[0] != 0):
@@ -608,15 +610,26 @@ def _reference_sweep(concave: bool, max_ab: int, max_l: int, max_d: int, max_len
 def _counted_sweep(monkeypatch, concave: bool, grid: dict):
     """The same five results from the suite, with its replays recorded instead of run.
 
-    A replay is called with the component objects of the suite's tables; they
-    are recorded in the list form of the witnesses."""
+    A replay is called with the component objects and the grid bundles of the
+    suite's tables; they are recorded in the list form of the witnesses."""
     replays = []
-    record = lambda comps, *args: replays.append((suites._listed(comps), *args))
+    record = lambda comps, pieces, *args: replays.append(
+        (suites._listed(comps), suites._listed_pieces(pieces), *args)
+    )
     monkeypatch.setattr(suites, "_api_check_convexity_instance", record)
     monkeypatch.setattr(suites, "_api_check_concavity_instance", record)
     suite = suites.suite_weak_concavity if concave else suites.suite_weak_convexity
     res = suite(**grid, workers=1)
     return res.instances, res.failures, res.first_counterexample, res.details, replays
+
+
+def test_replay_arguments_keep_their_hash(monkeypatch):
+    # the ordered replay arguments of a length-4 concavity grid, in list form:
+    # which instances are sampled, in what order, and the values they check
+    replays = _counted_sweep(monkeypatch, True, dict(max_ab=3, max_l=3, max_d=2, max_len=4))[4]
+    assert len(replays) == 10835
+    digest = hashlib.sha256(json.dumps(replays).encode()).hexdigest()
+    assert digest == "5c257ff8b8ba42ecb617c460db34c9629cd004405bbc856d4ac026a7a4539742"
 
 
 SMALL_GRIDS = [
@@ -707,21 +720,31 @@ def test_bundle_sweeps_keep_the_order_of_their_details():
 
 
 def test_sweeps_build_only_the_tables_they_read(monkeypatch):
-    # a bundle sweep reads the fold data of its folds' two roles on every grid
-    # bundle, once; the log-canonical sweep reads the trivial bundle of each
-    # component and its twist by -x1
+    # a bundle sweep reads the fold data of each distinct bundle that its
+    # folds' roles map the grid of a component to, once; the log-canonical
+    # sweep reads the trivial bundle of each component and its twist by -x1
     built = []
     ends = cohomology.piece_ends
     monkeypatch.setattr(cohomology, "piece_ends", lambda L: built.append(L) or ends(L))
     for name in ("_api_check_convexity_instance", "_api_check_concavity_instance", "_api_check_log_canonical"):
         monkeypatch.setattr(suites, name, lambda *args: None)
     family = suites.component_family(3, 2)
-    per_d = sum(l1 * l2 for _, _, l1, l2 in family)
+    keyed = lambda L: (L.comp.a, L.comp.b, L.comp.l1, L.comp.l2, L.k1, L.k2, L.d)
+
+    def role_images(folds: tuple, ds: range) -> list:
+        """The distinct bundles that the roles of `folds` map the grids to, sorted by `keyed`."""
+        ends = [(first, last) for first in (False, True) for last in (False, True)]
+        roles = {role for first, last in ends for role, _ in suites._roles(folds, first, last)}
+        grids = [suites._bundle_grid(TwistedComponent(*c), ds) for c in family]
+        return sorted({keyed(role(L)) for grid in grids for L in grid for role in roles})
+
     suites.suite_weak_convexity(max_ab=3, max_l=2, max_d=2, max_len=3, workers=1)
-    assert len(built) == 2 * 3 * per_d
+    assert sorted(map(keyed, built)) == role_images((suites._CONVEX_SIDE,), range(3))
     built.clear()
     suites.suite_weak_concavity(max_ab=3, max_l=2, max_d=2, max_len=3, workers=1)
-    assert len(built) == 4 * 5 * per_d
+    assert sorted(map(keyed, built)) == role_images((suites._CONVEX_SIDE, suites._DUAL_SIDE), range(-2, 3))
+    # dual(L) runs over the symmetric grid itself: fewer reads than four roles on every grid bundle
+    assert len(built) < 4 * 5 * sum(l1 * l2 for _, _, l1, l2 in family)
     built.clear()
     suites.suite_log_canonical(max_ab=3, max_l=2, max_len=3, workers=1)
     trivial = [EqLineBundle(TwistedComponent(*c), 0, 0, 0) for c in family]
@@ -744,6 +767,18 @@ def test_a_fault_after_a_clean_call_reaches_the_replays(monkeypatch, suite):
     monkeypatch.setattr(suites, "cohomology", SimpleNamespace(**{**vars(cohomology), "piece_ends": faulty}))
     with pytest.raises(cohomology.InternalInconsistency, match="elimination"):
         getattr(suites, suite)(**grid)
+
+
+@pytest.mark.parametrize("suite", ["suite_weak_convexity", "suite_weak_concavity"])
+def test_a_replay_failure_lists_its_pieces_and_components(monkeypatch, suite):
+    # a replay is handed the grid's bundle objects, and its message lists them
+    # as [k1, k2, d], as the witnesses do
+    faulty = lambda L: (lambda e: (e[0], e[1] + 1, *e[2:]))(cohomology.piece_ends(L))
+    monkeypatch.setattr(suites, "cohomology", SimpleNamespace(**{**vars(cohomology), "piece_ends": faulty}))
+    monkeypatch.setattr(suites, "SAMPLE_EVERY", 1)
+    pieces, comps = r"\[\[\d+, \d+, -?\d+\](, \[\d+, \d+, -?\d+\])*\]", r"\[\[\d+, \d+, \d+, \d+\]"
+    with pytest.raises(cohomology.InternalInconsistency, match=rf" of {pieces} on {comps}.*: sweep .*, elimination "):
+        getattr(suites, suite)(max_ab=2, max_l=2, max_d=2, max_len=3, workers=1)
 
 
 @pytest.mark.parametrize("n", [1, 4, 6])
