@@ -16,9 +16,16 @@ the name says ms:
 - `phased_mul_us`, `phased_add_us`: one product and one sum of two
   one-term PhasedScalars with rational coefficients at conductors 3 and 4
 - `build_L_us`: `series.build_L` on the largest of the tables
-- `operator_check_us`: `series.verify_qsd_operator_identity` on that table
-- `operator_checks_ms`: all 150 operator checks of one pass
-- `pairing_comparison_us`: `wps.verify_pairing_comparison` on P(1,2,3)/O(1,2)
+- `operator_check_us`: `series.verify_qsd_operator_identity` on that table,
+  on one model that keeps its derived data from call to call
+- `operator_checks_ms`: all 150 operator checks of one pass, on the tables'
+  8 models built afresh before each round, as a pass's set-up builds them
+- `pairing_comparison_us`: `wps.verify_pairing_comparison` on P(1,2,3)/O(1,2),
+  built afresh before each call
+- `pairing_models_ms`: `wps.verify_pairing_comparison` and
+  `wps.verify_delta_iso_dims` on each of the state-space workload's 310
+  models, `suites.wps_model_family(max_n=4, max_w=3, max_k=3)`, built afresh
+  before each round
 - `log_canonical_replay_us`: one `suites._api_check_log_canonical`, the mean
   over the 105 chains that `suite_log_canonical(4, 4, 4)` samples (the
   chain-certify workload); `certificate_us`: one
@@ -97,6 +104,20 @@ def _loop(fn, loops: int, unit: float = 1e6):
     return run
 
 
+def _fresh(make, fn, loops: int, unit: float = 1e6):
+    """A round: fn(make()) `loops` times, each on a fresh make() that is not
+    timed, returning the time of one fn call in microseconds (or 1/unit s)."""
+    def run() -> float:
+        total = 0.0
+        for _ in range(loops):
+            x = make()
+            t = time.perf_counter()
+            fn(x)
+            total += time.perf_counter() - t
+        return total / loops * unit
+    return run
+
+
 def _mean(fn, items: list):
     """A round: fn(item) over `items`, returning the mean time of one call in microseconds."""
     return _loop(lambda: [fn(item) for item in items], 1, 1e6 / len(items))
@@ -111,7 +132,6 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
     model, n, table = max(tables, key=lambda t: len(t[2].entries))
     rows = wps.pairing_rows(model, "ct", series.compact_type_basis(model))
     x, y = m.foundation.PhasedScalar({F(1, 3): F(2, 5)}), m.foundation.PhasedScalar({F(3, 4): F(-7, 6)})
-    pairing_model = wps.WPSModel((1, 2, 3), (1, 2))
 
     log_can = _replay_args(
         suites, "_api_check_log_canonical", suites.suite_log_canonical, max_ab=4, max_l=4, max_len=4
@@ -132,9 +152,18 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         tuple(m.bundles.EqLineBundle(comp, *piece) for comp, piece in zip(comps, pieces)),
     )
 
-    def all_checks():
-        for t_m, t_n, t in tables:
+    def fresh_tables():
+        models = {t_m: wps.WPSModel(t_m.weights, t_m.bundle_degrees) for t_m, _, _ in tables}
+        return [(models[t_m], t_n, t) for t_m, t_n, t in tables]
+
+    def all_checks(fresh):
+        for t_m, t_n, t in fresh:
             series.verify_qsd_operator_identity(t, t_m, t_n)
+
+    def pairing_models(models):
+        for pm in models:
+            wps.verify_pairing_comparison(pm)
+            wps.verify_delta_iso_dims(pm)
 
     def log_canonical_count():
         check = "_api_check_log_canonical"
@@ -156,8 +185,11 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         "phased_add_us": _loop(lambda: x + y, 20000),
         "build_L_us": _loop(lambda: series.build_L(table, rows, n), 20),
         "operator_check_us": _loop(lambda: series.verify_qsd_operator_identity(table, model, n), 5),
-        "operator_checks_ms": _loop(all_checks, 1, 1e3),
-        "pairing_comparison_us": _loop(lambda: wps.verify_pairing_comparison(pairing_model), 50),
+        "operator_checks_ms": _fresh(fresh_tables, all_checks, 1, 1e3),
+        "pairing_comparison_us": _fresh(lambda: wps.WPSModel((1, 2, 3), (1, 2)), wps.verify_pairing_comparison, 50),
+        "pairing_models_ms": _fresh(
+            lambda: list(suites.wps_model_family(max_n=4, max_w=3, max_k=3)), pairing_models, 1, 1e3
+        ),
         "log_canonical_replay_us": _mean(lambda args: suites._api_check_log_canonical(*args), log_can),
         "certificate_us": _mean(lambda cert: m.convexity.log_canonical_certificate(cert.log_canonical.chain), certs),
         "elimination_us": _mean(lambda cert: (elimination(cert.log_canonical), elimination(cert.omega_x2)), certs),
@@ -169,6 +201,7 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
     }
     sizes = {
         "largest_table_entries": len(table.entries),
+        "pairing_models": len(list(suites.wps_model_family(max_n=4, max_w=3, max_k=3))),
         "log_canonical_replays": len(log_can),
         "concavity_replays": len(concave),
     }

@@ -213,7 +213,7 @@ class SplitBundle:
 
     def __post_init__(self):
         object.__setattr__(self, "summands", tuple(self.summands))
-        if self.summands and len({s.chain for s in self.summands}) > 1:
+        if any(s.chain is not self.chain and s.chain != self.chain for s in self.summands[1:]):
             raise ValueError("all summands must live on the same chain")
 
     @property

@@ -168,17 +168,6 @@ def _make(n: int, num: dict[int, int], den: int = 1) -> "PhasedScalar":
     return x
 
 
-def _phase_term(e: Fraction, c: Fraction) -> "PhasedScalar":
-    """c * e^{i*pi*e} at conductor denominator(e), the exponent folded into [0, 1)."""
-    n = e.denominator
-    k = e.numerator % (2 * n)
-    p = c.numerator
-    if k >= n:
-        k -= n
-        p = -p
-    return _make(n, {k: p} if p else {}, c.denominator)
-
-
 class PhasedScalar:
     """Exact element of a cyclotomic field: a rational combination of phases.
 
@@ -188,6 +177,8 @@ class PhasedScalar:
     exponent k/n in [1, 2) is folded to k/n - 1 with negated coefficient, so
     e^{i*pi} and -1 coincide; the map is otherwise the one of the group ring,
     which is what `terms` ({exponent in [0, 1): coefficient}) and `str()` show.
+    `root(k, n, coeff)` is coeff * e^{i*pi*k/n} at the reduced conductor n/gcd(k, n);
+    every one-term constructor goes through it, so an exponent is folded in one place.
 
     `==` is equality of complex numbers.  Equal group-ring maps at one
     conductor are the fast path: the reduced form makes den the lcm of the
@@ -204,7 +195,8 @@ class PhasedScalar:
     def __init__(self, terms: dict[Fraction, Fraction] | None = None):
         acc = _make(1, {})
         for i, (e, c) in enumerate((terms or {}).items()):
-            term = _phase_term(as_rational(e), as_rational(c))
+            e = as_rational(e)
+            term = PhasedScalar.root(e.numerator, e.denominator, c)
             acc = acc + term if i else term  # one term, the common case, is its own sum
         self._n, self._num, self._den = acc._n, acc._num, acc._den
 
@@ -215,7 +207,20 @@ class PhasedScalar:
 
     @classmethod
     def from_phase(cls, p: Phase, coeff=1) -> "PhasedScalar":
-        return _phase_term(p.exponent, as_rational(coeff))
+        return cls.root(p.exponent.numerator, p.exponent.denominator, coeff)
+
+    @classmethod
+    def root(cls, k: int, n: int, coeff=1) -> "PhasedScalar":
+        """coeff * e^{i*pi*k/n}, n >= 1, at the reduced conductor n/gcd(k, n), k/n folded into [0, 1)."""
+        g = gcd(k, n)
+        n //= g
+        k = k // g % (2 * n)
+        c = as_rational(coeff)
+        p = c.numerator
+        if k >= n:
+            k -= n
+            p = -p
+        return _make(n, {k: p} if p else {}, c.denominator)
 
     @staticmethod
     def coerce(x) -> "PhasedScalar":

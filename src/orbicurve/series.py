@@ -15,7 +15,8 @@ constructs the operator of the cut-out substack from the operator data of the
 dual bundle total space by the exact phase rule e^{i*pi*(deg(det E)+rank)} per
 class, and checks the two operators agree after the Novikov substitution
 q^beta -> e^{i*pi*deg_beta(det E)} q^beta, coefficient by coefficient.  The
-transported table is derived from the checked input table and built unchecked.
+transported table is derived from the checked input table and built unchecked,
+its exponents integers over one denominator, so no entry does Fraction arithmetic.
 
 On the compact-type basis the ct and ambient pairings are signed
 permutations: `build_L` takes each as `wps.pairing_rows` gives it, one
@@ -30,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .foundation import Phase, PhasedScalar, as_rational
 from .wps import WPSModel, euler_image_dim, pairing_rows
@@ -225,9 +227,11 @@ def compact_type_basis(m: WPSModel) -> list[tuple[Fraction, int]]:
 
     On the sector with rotation f the compact-type subspace is the image of
     the Euler-factor multiplication (`euler_image_dim`), realized by the
-    pushforwards of H^p for p below its dimension.
+    pushforwards of H^p for p below its dimension.  Kept in `m.kept`; a call gets a copy.
     """
-    return [(s.f, p) for s in m.sectors for p in range(euler_image_dim(m, s))]
+    if "ct basis" not in m.kept:
+        m.kept["ct basis"] = tuple((s.f, p) for s in m.sectors for p in range(euler_image_dim(m, s)))
+    return list(m.kept["ct basis"])
 
 
 def transported_table(table: InvariantTable, m: WPSModel, basis: list[tuple[Fraction, int]]) -> InvariantTable:
@@ -237,17 +241,22 @@ def transported_table(table: InvariantTable, m: WPSModel, basis: list[tuple[Frac
     invariant comparison and the inverse transport phases e^{-i*pi*age} of the
     two insertions, expressing the result against the plain ambient basis.
     It keeps the input's dimension, indices and powers, so it is built unchecked.
+    The ages and the shifts deg(det E) + rank go over one denominator D: an
+    entry's exponent is an integer k, its phase `PhasedScalar.root(k, D)`.
     """
     ages = {s.f: s.age for s in m.sectors}
     basis_ages = [ages[f] for f, _ in basis]
     shifts = {beta: beta.det + m.rank for beta in {e.beta for e in table.entries}}
+    D = lcm(*(x.denominator for x in (*basis_ages, *shifts.values())))
+    basis_ks = [a.numerator * (D // a.denominator) for a in basis_ages]
+    shift_ks = {beta: x.numerator * (D // x.denominator) for beta, x in shifts.items()}
     entries = []
     for e in table.entries:
-        exponent = shifts[e.beta] - basis_ages[e.row] - basis_ages[e.col]
+        k = shift_ks[e.beta] - basis_ks[e.row] - basis_ks[e.col]
         if isinstance(e.value, PhasedScalar):
-            value = PhasedScalar({exponent: 1}) * e.value
+            value = PhasedScalar.root(k, D) * e.value
         else:
-            value = PhasedScalar({exponent: e.value})
+            value = PhasedScalar.root(k, D, e.value)
         entries.append(TableEntry(e.beta, e.psi_power, e.row, e.col, value, e.sectors))
     out = object.__new__(InvariantTable)
     object.__setattr__(out, "dim", table.dim)

@@ -32,6 +32,9 @@ every `PAIRING_SAMPLE_EVERY`-th model.
 
 A model walks its sectors once, on the first read of `WPSModel.sectors`,
 and keeps the tuple; every routine here and in `series` reads it from there.
+A sector computes its age when built; the blocks of each pairing kind and the
+compact-type basis are computed on first use and kept in `WPSModel.kept`.
+A model's equality, hash, repr and pickle read only its weights and degrees.
 The walk is in integers: the rotations are k/lcm(weights), and on f = j/n a
 weight w is fixed when n | j*w, a degree k acts by ((j*k) mod n)/n.
 
@@ -69,6 +72,7 @@ class WPSModel:
             raise ValueError("need at least two positive weights")
         if any(k < 1 for k in self.bundle_degrees):
             raise ValueError("bundle degrees must be positive")
+        object.__setattr__(self, "kept", {})  # derived data by key: `pairing_blocks` by kind, the ct basis
 
     @property
     def dim(self) -> int:
@@ -86,6 +90,9 @@ class WPSModel:
         rotations = sorted({k * (N // w) for w in self.weights for k in range(w)})
         return tuple(sector_at(self, Fraction(k, N)) for k in rotations)
 
+    def __reduce__(self):
+        return WPSModel, (self.weights, self.bundle_degrees)
+
     def __str__(self) -> str:
         w = ",".join(map(str, self.weights))
         k = ",".join(map(str, self.bundle_degrees))
@@ -97,6 +104,10 @@ class Sector:
     f: Fraction
     fixed_indices: tuple[int, ...]
     fiber_weights: SectorAction
+    age: Fraction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "age", age(self.fiber_weights))
 
     @property
     def dim(self) -> int:
@@ -105,10 +116,6 @@ class Sector:
     @property
     def rank_fixed(self) -> int:
         return self.fiber_weights.rank_fixed
-
-    @property
-    def age(self) -> Fraction:
-        return age(self.fiber_weights)
 
 
 def sector_at(m: WPSModel, f: Fraction) -> Sector:
@@ -184,12 +191,15 @@ def _partner(i: int, m: WPSModel) -> int:
 
 def pairing_blocks(m: WPSModel, kind: str) -> list[tuple[Fraction, int]]:
     """(value, top) for each sector f of the "cr", "ambient" or "ct" pairing:
-    <H^p on f, H^q on 1-f> = value * [p + q = top], with top = dim_f - power_f."""
-    euler = {"cr": _no_euler, "ambient": euler_factor, "ct": dual_euler_factor}[kind]
-    blocks = []
-    for s in m.sectors:
-        coeff, power = euler(m, s)
-        blocks.append((coeff * integrate(m, s, s.dim), s.dim - power))
+    <H^p on f, H^q on 1-f> = value * [p + q = top], with top = dim_f - power_f.
+    Kept in `m.kept` by kind; callers only read it."""
+    blocks = m.kept.get(kind)
+    if blocks is None:
+        euler = {"cr": _no_euler, "ambient": euler_factor, "ct": dual_euler_factor}[kind]
+        blocks = m.kept[kind] = []
+        for s in m.sectors:
+            coeff, power = euler(m, s)
+            blocks.append((coeff * integrate(m, s, s.dim), s.dim - power))
     return blocks
 
 
@@ -257,8 +267,9 @@ def verify_pairing_comparison(m: WPSModel) -> PairingComparisonReport:
         j = _partner(i, m)
         g = sectors[j]
         (x, top_x), (y, top_y) = ambient[i], ct[i]
-        lhs = PhasedScalar({ages[i] + ages[j]: x}) if x else zero
-        rhs = PhasedScalar({0: sign * y}) if y else zero
+        e = ages[i] + ages[j]
+        lhs = PhasedScalar.root(e.numerator, e.denominator, x) if x else zero
+        rhs = PhasedScalar.from_rational(sign * y) if y else zero
         sides = {top_x: (lhs, rhs)} if top_x == top_y else {top_x: (lhs, zero), top_y: (zero, rhs)}
         # in increasing top, so that each row lists its columns in order
         bad = sorted((top, pair) for top, pair in sides.items() if pair[0] != pair[1])

@@ -297,3 +297,16 @@ def test_split_bundle_same_chain():
                 ChainBundle(chain2, (EqLineBundle(P12, 0, 0, 0),)),
             )
         )
+
+
+def test_split_bundle_compares_chains_without_hashing_them(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a chain was hashed")
+
+    chain = CurveChain((P1,))
+    summands = [ChainBundle(c, (EqLineBundle(P1, 0, 0, d),)) for c, d in ((chain, 0), (chain, 1), (CurveChain((P1,)), 2))]
+    monkeypatch.setattr(CurveChain, "__hash__", refuse)
+    assert SplitBundle(tuple(summands)).rank == 3  # the third chain is equal, not the same object
+    other = ChainBundle(CurveChain((P12,)), (EqLineBundle(P12, 0, 0, 0),))
+    with pytest.raises(ValueError, match="same chain"):
+        SplitBundle((*summands, other))

@@ -198,6 +198,20 @@ def test_phased_scalar_folds_half_turn():
     assert i * i == PhasedScalar.from_rational(-1)
 
 
+def test_root_is_the_phase_of_k_over_n_at_the_reduced_conductor():
+    for n in range(1, 13):
+        for k in range(-3 * n, 3 * n + 1):
+            for c in (0, 1, -2, F(3, 4), F(-5, 6)):
+                got = PhasedScalar.root(k, n, c)
+                want = PhasedScalar.from_phase(Phase(F(k, n)), c)
+                assert (got._n, got._num, got._den) == (want._n, want._num, want._den)
+                assert got._n == n // gcd(k, n) and str(got) == str(want)
+                # e^{i*pi*k/n} with k/n folded into [0, 1) by a sign
+                e, sign = (F(k, n) % 2, 1) if F(k, n) % 2 < 1 else (F(k, n) % 2 - 1, -1)
+                assert got.terms == ({e: sign * F(c)} if c else {})
+    assert PhasedScalar.root(4, 6) == PhasedScalar({F(2, 3): 1}) and PhasedScalar.root(0, 5, 7) == 7
+
+
 def test_phased_scalar_rational_specialization():
     x = PhasedScalar({F(0): F(3, 2)})
     assert x.is_rational() and x.to_rational() == F(3, 2)

@@ -8,6 +8,7 @@ import pytest
 
 from orbicurve import cli, series as series_mod
 from orbicurve.foundation import Phase, PhasedScalar
+from orbicurve.sectors import age
 from orbicurve.series import (
     EffClass,
     InvariantTable,
@@ -234,6 +235,36 @@ def test_qsd_identity_one_dimensional_hand_check():
     assert PhasedScalar.coerce(z_table.entries[0].value) == PhasedScalar.from_rational(3)
     report = verify_qsd_operator_identity(table, m, 2)
     assert report.ok and report.checks > 0
+
+
+def test_integer_transport_matches_the_fraction_exponents():
+    # the transport phase written with Fraction exponents, entry by entry
+    def by_fractions(table, m, basis):
+        ages = {s.f: age(s.fiber_weights) for s in m.sectors}
+        out = []
+        for e in table.entries:
+            exponent = e.beta.det + m.rank - ages[basis[e.row][0]] - ages[basis[e.col][0]]
+            if isinstance(e.value, PhasedScalar):
+                out.append(PhasedScalar({exponent: 1}) * e.value)
+            else:
+                out.append(PhasedScalar({exponent: e.value}))
+        return out
+
+    rng = random.Random(5)
+    cases = [(m, random_invariant_table(m, n, rng, n_classes=3, a_max=2)) for m in qsd_model_family() for n in (1, 3)]
+    m = WPSModel((1, 2, 3), (1,))
+    dim = len(compact_type_basis(m))
+    values = [PhasedScalar({F(1, 3): F(2, 5), F(3, 4): -1}), PhasedScalar(), PhasedScalar.from_rational(F(-7, 2))]
+    betas = [EffClass((F(1), F(-5, 4))), EffClass((F(2), F(7, 3))), EffClass((F(1), F(0)))]
+    entries = [
+        TableEntry(beta, 0, r, c, values[(r + c + i) % 3]) for i, beta in enumerate(betas) for r in range(dim) for c in range(dim)
+    ]
+    cases.append((m, InvariantTable(dim, entries)))
+    for m, table in cases:
+        basis = compact_type_basis(m)
+        got = [e.value for e in transported_table(table, m, basis).entries]
+        want = by_fractions(table, m, basis)
+        assert got == want and list(map(str, got)) == list(map(str, want)), str(m)
 
 
 def test_qsd_identity_random_tables_on_p1122_hypersurface_model():

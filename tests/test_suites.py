@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from orbicurve import bundles, cohomology, oracles, suites
+from orbicurve import bundles, cohomology, oracles, suites, wps
 from orbicurve.bundles import EqLineBundle
 from orbicurve.curves import MarkedPoint, TwistedComponent
 
@@ -950,3 +950,20 @@ def test_log_canonical_counts_are_kept_per_family(monkeypatch):
     first = [_counted_log_canonical(monkeypatch, grid) for grid in grids]
     for n in (0, 1, 0):
         assert _counted_log_canonical(monkeypatch, grids[n]) == first[n]
+
+
+def test_a_fault_reaches_the_state_space_suites_called_after_a_clean_call(monkeypatch):
+    # models keep their blocks and basis, but each suite call builds its own
+    # models, so an Euler factor patched between two calls is read by the second
+    family = dict(max_n=3, max_w=2, max_r=1, max_k=2)
+    qsd = dict(trials=20, order=2, seed=2)
+    assert suites.suite_pairing_comparison(**family).ok and suites.suite_qsd_operator(**qsd).ok
+    euler = wps.euler_factor
+
+    def one_power_too_many_at_half(m, s):
+        coeff, power = euler(m, s)
+        return coeff, power + (s.f == Fraction(1, 2))
+
+    monkeypatch.setattr(wps, "euler_factor", one_power_too_many_at_half)
+    assert suites.suite_pairing_comparison(**family).failures > 0
+    assert suites.suite_qsd_operator(**qsd).failures > 0

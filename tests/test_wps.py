@@ -367,11 +367,41 @@ def test_each_model_walks_its_sectors_once(monkeypatch):
     assert walked == [s.f for s in m.sectors] == [F(0), F(1, 2)]
 
 
+def test_each_model_derives_its_blocks_basis_and_ages_once(monkeypatch):
+    derived = []
+    block_volume, image_dim, sector_age = wps.integrate, series.euler_image_dim, wps.age
+    monkeypatch.setattr(wps, "integrate", lambda m, s, k: derived.append(("block", s.f)) or block_volume(m, s, k))
+    monkeypatch.setattr(series, "euler_image_dim", lambda m, s: derived.append(("basis", s.f)) or image_dim(m, s))
+    monkeypatch.setattr(wps, "age", lambda w: derived.append(("age", w)) or sector_age(w))
+    m = WPSModel((1, 1, 2, 2), (1,))
+    table = series.random_invariant_table(m, 3, random.Random(0))
+    for _ in range(2):
+        assert verify_pairing_comparison(m).ok and verify_delta_iso_dims(m).ok
+        comparison_sides(m)
+        pairing_gram(m, "cr")
+        assert series.verify_qsd_operator_identity(table, m, 3).ok
+    # one block per sector for each of the three kinds, one basis walk, one age per sector
+    fs = [s.f for s in m.sectors]
+    expected = [("block", f) for f in fs] * 3 + [("basis", f) for f in fs]
+    assert sorted(d for d in derived if d[0] != "age") == sorted(expected)
+    assert [w for kind, w in derived if kind == "age"] == [s.fiber_weights for s in m.sectors]
+    # the kept basis is never handed out: each call returns a new list
+    series.compact_type_basis(m).clear()
+    assert series.compact_type_basis(m) == [(F(0), p) for p in range(3)] + [(F(1, 2), p) for p in range(2)]
+
+
 def test_cached_sectors_leave_equality_hash_and_pickling_alone():
     for m in suites.wps_model_family(max_n=3):
         fresh = WPSModel(m.weights, m.bundle_degrees)
-        assert isinstance(m.sectors, tuple)
-        assert "sectors" not in vars(fresh)
+        assert verify_pairing_comparison(m).ok and verify_delta_iso_dims(m).ok
+        pairing_gram(m, "cr")
+        series.compact_type_basis(m)
+        assert isinstance(m.sectors, tuple) and set(m.kept) == {"ambient", "ct", "cr", "ct basis"}
+        assert all("age" in vars(s) for s in m.sectors)
+        assert "sectors" not in vars(fresh) and fresh.kept == {}
         assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+        assert [hash(s) for s in m.sectors] == [hash(s) for s in fresh.sectors]
+        # a pickle holds the fields alone: a used model pickles as a fresh one
+        assert pickle.dumps(m) == pickle.dumps(fresh)
         copy = pickle.loads(pickle.dumps(m))
-        assert copy == m and copy.sectors == m.sectors
+        assert copy == m and copy.sectors == m.sectors and copy.kept == {}
