@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""In-process timings of the PhasedScalar, operator-check, chain-replay and chain-fold layers.
+"""In-process timings of the PhasedScalar, sector, operator-check, chain-replay and chain-fold layers.
 
     python3 scripts/layer_timings.py [--parent DIR]
 
@@ -26,6 +26,9 @@ the name says ms:
   `wps.verify_delta_iso_dims` on each of the state-space workload's 310
   models, `suites.wps_model_family(max_n=4, max_w=3, max_k=3)`, built afresh
   before each round
+- `sector_walk_ms`: the first read of `WPSModel.sectors` on each of those
+  310 models, built afresh before each round
+- `age_sum_ms`: `suites.suite_age_sum()` (criterion 8, 10,000 trials)
 - `log_canonical_replay_us`: one `suites._api_check_log_canonical`, the mean
   over the 105 chains that `suite_log_canonical(4, 4, 4)` samples (the
   chain-certify workload); `certificate_us`: one
@@ -152,6 +155,9 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         tuple(m.bundles.EqLineBundle(comp, *piece) for comp, piece in zip(comps, pieces)),
     )
 
+    def state_models():
+        return list(suites.wps_model_family(max_n=4, max_w=3, max_k=3))
+
     def fresh_tables():
         models = {t_m: wps.WPSModel(t_m.weights, t_m.bundle_degrees) for t_m, _, _ in tables}
         return [(models[t_m], t_n, t) for t_m, t_n, t in tables]
@@ -164,6 +170,10 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         for pm in models:
             wps.verify_pairing_comparison(pm)
             wps.verify_delta_iso_dims(pm)
+
+    def sector_walk(models):
+        for pm in models:
+            pm.sectors
 
     def log_canonical_count():
         check = "_api_check_log_canonical"
@@ -187,9 +197,9 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         "operator_check_us": _loop(lambda: series.verify_qsd_operator_identity(table, model, n), 5),
         "operator_checks_ms": _fresh(fresh_tables, all_checks, 1, 1e3),
         "pairing_comparison_us": _fresh(lambda: wps.WPSModel((1, 2, 3), (1, 2)), wps.verify_pairing_comparison, 50),
-        "pairing_models_ms": _fresh(
-            lambda: list(suites.wps_model_family(max_n=4, max_w=3, max_k=3)), pairing_models, 1, 1e3
-        ),
+        "pairing_models_ms": _fresh(state_models, pairing_models, 1, 1e3),
+        "sector_walk_ms": _fresh(state_models, sector_walk, 1, 1e3),
+        "age_sum_ms": _loop(suites.suite_age_sum, 1, 1e3),
         "log_canonical_replay_us": _mean(lambda args: suites._api_check_log_canonical(*args), log_can),
         "certificate_us": _mean(lambda cert: m.convexity.log_canonical_certificate(cert.log_canonical.chain), certs),
         "elimination_us": _mean(lambda cert: (elimination(cert.log_canonical), elimination(cert.omega_x2)), certs),
@@ -201,7 +211,7 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
     }
     sizes = {
         "largest_table_entries": len(table.entries),
-        "pairing_models": len(list(suites.wps_model_family(max_n=4, max_w=3, max_k=3))),
+        "pairing_models": len(state_models()),
         "log_canonical_replays": len(log_can),
         "concavity_replays": len(concave),
     }

@@ -389,7 +389,7 @@ def cmd_wps(args, doc: dict) -> dict:
                     "f": fmt(s.f),
                     "fixed_weights": [model.weights[i] for i in s.fixed_indices],
                     "dim": s.dim,
-                    "age": fmt(sectors.age(s.fiber_weights)),
+                    "age": fmt(s.age),
                     "rank_fixed": s.rank_fixed,
                 }
             )

@@ -3,49 +3,72 @@
 A sector action records the fractional eigenvalue exponents f_i in [0,1) of a
 finite-order fiber action on a rank-r bundle.  Everything downstream (ranks
 of the relevant pushforward bundles and the duality signs) depends only on
-these weights.
+these weights, kept as int numerators over the lcm of their denominators
+(`nums`, `den`): formulas sum ints.  `weights`, repr and str show Fractions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .foundation import InternalInconsistency, Phase, as_rational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class SectorAction:
-    weights: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        ws = tuple(as_rational(w) for w in self.weights)
-        if any(w < 0 or w >= 1 for w in ws):
+    def __init__(self, weights):
+        ws = tuple(as_rational(w) for w in weights)
+        if any(not 0 <= w.numerator < w.denominator for w in ws):
             raise ValueError(f"sector weights must lie in [0,1): {ws}")
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "den", lcm(*(w.denominator for w in ws)))
+        object.__setattr__(self, "nums", tuple(w.numerator * (self.den // w.denominator) for w in ws))
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
+    def __repr__(self) -> str:
+        return f"SectorAction(weights={self.weights!r})"
 
     @property
     def rank(self) -> int:
-        return len(self.weights)
+        return len(self.nums)
 
     @property
     def rank_fixed(self) -> int:
-        return sum(1 for w in self.weights if w == 0)
+        return self.nums.count(0)
+
+
+def _over(nums: tuple[int, ...], n: int) -> SectorAction:
+    """The action with weights nums[i]/n, each 0 <= nums[i] < n, unchecked, over its lcm denominator."""
+    g = gcd(n, *nums)
+    s = object.__new__(SectorAction)
+    object.__setattr__(s, "nums", tuple(a // g for a in nums) if g > 1 else nums)
+    object.__setattr__(s, "den", n // g)
+    return s
 
 
 def age(s: SectorAction) -> Fraction:
-    return sum(s.weights, Fraction(0))
+    return Fraction(sum(s.nums), s.den)
 
 
 def inverse_sector(s: SectorAction) -> SectorAction:
-    return SectorAction(tuple(Fraction(0) if w == 0 else 1 - w for w in s.weights))
+    return _over(tuple(s.den - a if a else 0 for a in s.nums), s.den)
 
 
 def age_sum_check(s: SectorAction) -> tuple[Fraction, Fraction]:
-    """(age(E) + age(dual E), rank(E) - rank(fixed part)); the two are equal."""
-    lhs = age(s) + age(inverse_sector(s))
+    """(age(E) + age(dual E), rank(E) - rank(fixed part)); else InternalInconsistency, with them as `sides`."""
+    dual = inverse_sector(s)
+    lhs = Fraction(sum(s.nums) * dual.den + sum(dual.nums) * s.den, s.den * dual.den)
     rhs = Fraction(s.rank - s.rank_fixed)
     if lhs != rhs:
-        raise InternalInconsistency(f"age sum of {s}: {lhs} != rank difference {rhs}")
+        err = InternalInconsistency(f"age sum of {s}: {lhs} != rank difference {rhs}")
+        err.sides = lhs, rhs
+        raise err
     return lhs, rhs
 
 
@@ -57,7 +80,8 @@ def rank_formula(beta_det_e: Fraction, g1: SectorAction, g2: SectorAction) -> Fr
     """
     if g1.rank != g2.rank:
         raise ValueError(f"sector rank mismatch: {g1.rank} vs {g2.rank}")
-    return as_rational(beta_det_e) - age(g1) + age(inverse_sector(g2))
+    dual = inverse_sector(g2)
+    return as_rational(beta_det_e) + Fraction(sum(dual.nums) * g1.den - sum(g1.nums) * dual.den, g1.den * dual.den)
 
 
 @dataclass(frozen=True)

@@ -241,15 +241,15 @@ def transported_table(table: InvariantTable, m: WPSModel, basis: list[tuple[Frac
     invariant comparison and the inverse transport phases e^{-i*pi*age} of the
     two insertions, expressing the result against the plain ambient basis.
     It keeps the input's dimension, indices and powers, so it is built unchecked.
-    The ages and the shifts deg(det E) + rank go over one denominator D: an
-    entry's exponent is an integer k, its phase `PhasedScalar.root(k, D)`.
+    The sectors' integer ages and the shifts deg(det E) + rank go over one
+    denominator D: an entry's exponent is an integer k, its phase `PhasedScalar.root(k, D)`.
     """
-    ages = {s.f: s.age for s in m.sectors}
-    basis_ages = [ages[f] for f, _ in basis]
-    shifts = {beta: beta.det + m.rank for beta in {e.beta for e in table.entries}}
-    D = lcm(*(x.denominator for x in (*basis_ages, *shifts.values())))
-    basis_ks = [a.numerator * (D // a.denominator) for a in basis_ages]
-    shift_ks = {beta: x.numerator * (D // x.denominator) for beta, x in shifts.items()}
+    N = lcm(*m.weights)
+    ages = {s.f: s.age_num for s in m.sectors}
+    dets = {e.beta: e.beta.det for e in table.entries}
+    D = lcm(N, *(x.denominator for x in dets.values()))
+    basis_ks = [ages[f] * (D // N) for f, _ in basis]
+    shift_ks = {beta: (x.numerator + m.rank * x.denominator) * (D // x.denominator) for beta, x in dets.items()}
     entries = []
     for e in table.entries:
         k = shift_ks[e.beta] - basis_ks[e.row] - basis_ks[e.col]
@@ -288,12 +288,14 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
         raise ValueError("inconsistent table: " + "; ".join(problems))
     if dim == 0:
         return report
-    op_e = build_L(table_e, pairing_rows(m, "ct", basis), truncation)
-    op_z = build_L(transported_table(table_e, m, basis), pairing_rows(m, "ambient", basis), truncation)
+    if "ct basis rows" not in m.kept:  # the two pairings' rows on the basis, kept like the basis
+        m.kept["ct basis rows"] = {kind: pairing_rows(m, kind, basis) for kind in ("ct", "ambient")}
+    op_e = build_L(table_e, m.kept["ct basis rows"]["ct"], truncation)
+    op_z = build_L(transported_table(table_e, m, basis), m.kept["ct basis rows"]["ambient"], truncation)
     op_e_sub = op_e.substitute_novikov()
     # delta is diagonal: it scales the columns of op_z and the rows of op_e_sub
-    ages = {s.f: s.age for s in m.sectors}
-    delta = [PhasedScalar.from_phase(Phase(ages[f])) for f, _ in basis]
+    ages = {s.f: s.age_num for s in m.sectors}
+    delta = [PhasedScalar.root(ages[f], lcm(*m.weights)) for f, _ in basis]
     # Every cell of every key counts as a check; a cell neither operator
     # stores is zero on both sides, so only the stored cells are compared, in
     # row-major order, up to the first violation.

@@ -30,13 +30,13 @@ arbitrary classes, summed sector by sector, live in `oracles`;
 `suites.suite_pairing_comparison` replays the comparison through them on
 every `PAIRING_SAMPLE_EVERY`-th model.
 
-A model walks its sectors once, on the first read of `WPSModel.sectors`,
-and keeps the tuple; every routine here and in `series` reads it from there.
-A sector computes its age when built; the blocks of each pairing kind and the
-compact-type basis are computed on first use and kept in `WPSModel.kept`.
-A model's equality, hash, repr and pickle read only its weights and degrees.
-The walk is in integers: the rotations are k/lcm(weights), and on f = j/n a
-weight w is fixed when n | j*w, a degree k acts by ((j*k) mod n)/n.
+A model walks its sectors once, on the first read of `WPSModel.sectors`, and
+keeps the tuple.  The walk is in integers: the rotations are k/N, N = lcm(weights);
+on f = j/n a weight w is fixed when n | j*w, and the fiber action holds the
+numerators (j*k) mod n over n of the degrees k.  A sector keeps its age, and
+`age_num` = age * N, which the checks and the transport read.  Pairing blocks,
+the ct basis and its rows are kept in `WPSModel.kept` on first use; a model's
+equality, hash, repr and pickle read only its weights and degrees.
 
 The transport delta multiplies a class supported on the sector with rotation
 f by the exact phase e^{i*pi*age_f} and reinterprets it as an ambient class;
@@ -50,10 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 
 from .foundation import PhasedScalar
-from .sectors import SectorAction, age
+from .sectors import SectorAction, _over, age
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,8 @@ class Sector:
     f: Fraction
     fixed_indices: tuple[int, ...]
     fiber_weights: SectorAction
-    age: Fraction = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "age", age(self.fiber_weights))
+    age: Fraction = field(repr=False, compare=False)
+    age_num: int = field(repr=False, compare=False)  # the age times lcm(weights)
 
     @property
     def dim(self) -> int:
@@ -119,24 +117,19 @@ class Sector:
 
 
 def sector_at(m: WPSModel, f: Fraction) -> Sector:
-    f = Fraction(f) % 1
+    f = f if type(f) is Fraction and 0 <= f.numerator < f.denominator else Fraction(f) % 1
     j, n = f.numerator, f.denominator
     fixed = tuple(i for i, w in enumerate(m.weights) if (j * w) % n == 0)
     if not fixed:
         raise ValueError(f"rotation {f} fixes no coordinate of {m}")
-    fibers = SectorAction(tuple(Fraction((j * k) % n, n) for k in m.bundle_degrees))
-    return Sector(f, fixed, fibers)
+    fibers = _over(tuple(j * k % n for k in m.bundle_degrees), n)
+    return Sector(f, fixed, fibers, age(fibers), sum(fibers.nums) * (lcm(*m.weights) // fibers.den))
 
 
 def euler_factor(m: WPSModel, s: Sector) -> tuple[int, int]:
     """e(E_f) = coeff * H^power on the sector: the fixed summands contribute k_j*H."""
-    coeff = 1
-    power = 0
-    for k, w in zip(m.bundle_degrees, s.fiber_weights.weights):
-        if w == 0:
-            coeff *= k
-            power += 1
-    return coeff, power
+    fixed = [k for k, a in zip(m.bundle_degrees, s.fiber_weights.nums) if a == 0]
+    return prod(fixed), len(fixed)
 
 
 def euler_image_dim(m: WPSModel, s: Sector) -> int:
@@ -157,10 +150,7 @@ def integrate(m: WPSModel, s: Sector, power: int) -> Fraction:
         raise ValueError(f"H^{power} exceeds sector dimension {s.dim}")
     if power < s.dim:
         return Fraction(0)
-    denom = 1
-    for i in s.fixed_indices:
-        denom *= m.weights[i]
-    return Fraction(1, denom)
+    return Fraction(1, prod(m.weights[i] for i in s.fixed_indices))
 
 
 def _no_euler(m: WPSModel, s: Sector) -> tuple[int, int]:
@@ -259,17 +249,14 @@ def verify_pairing_comparison(m: WPSModel) -> PairingComparisonReport:
     """
     sectors = m.sectors
     report = PairingComparisonReport(m, sum(s.dim + 1 for s in sectors) ** 2)
-    sign = (-1) ** m.rank
+    N = lcm(*m.weights)
     zero = PhasedScalar()
     ambient, ct = pairing_blocks(m, "ambient"), pairing_blocks(m, "ct")
-    ages = [s.age for s in sectors]
     for i, s in enumerate(sectors):
-        j = _partner(i, m)
-        g = sectors[j]
+        g = sectors[_partner(i, m)]
         (x, top_x), (y, top_y) = ambient[i], ct[i]
-        e = ages[i] + ages[j]
-        lhs = PhasedScalar.root(e.numerator, e.denominator, x) if x else zero
-        rhs = PhasedScalar.from_rational(sign * y) if y else zero
+        lhs = PhasedScalar.root(s.age_num + g.age_num, N, x) if x else zero
+        rhs = PhasedScalar.root(m.rank, 1, y) if y else zero  # (-1)^rank * y
         sides = {top_x: (lhs, rhs)} if top_x == top_y else {top_x: (lhs, zero), top_y: (zero, rhs)}
         # in increasing top, so that each row lists its columns in order
         bad = sorted((top, pair) for top, pair in sides.items() if pair[0] != pair[1])

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from orbicurve import bundles, cohomology, oracles, suites, wps
+from orbicurve import bundles, cohomology, oracles, sectors, suites, wps
 from orbicurve.bundles import EqLineBundle
 from orbicurve.curves import MarkedPoint, TwistedComponent
 
@@ -967,3 +967,19 @@ def test_a_fault_reaches_the_state_space_suites_called_after_a_clean_call(monkey
     monkeypatch.setattr(wps, "euler_factor", one_power_too_many_at_half)
     assert suites.suite_pairing_comparison(**family).failures > 0
     assert suites.suite_qsd_operator(**qsd).failures > 0
+
+
+def test_a_faulty_dual_sector_fails_both_suites_that_check_the_age_sum(monkeypatch):
+    # criteria 8 and 9 check age(E) + age(dual E) = rank - rank_fixed through
+    # sectors.age_sum_check; a dual that returns E itself breaks the identity
+    # wherever E has a weight other than 0 and 1/2, and both suites record it
+    family = dict(max_n=2, max_w=3, max_r=1, max_k=1)
+    assert suites.suite_age_sum(trials=50).ok and suites.suite_pairing_comparison(**family).ok
+    monkeypatch.setattr(sectors, "inverse_sector", lambda s: s)
+    res = suites.suite_age_sum(trials=50)
+    assert res.failures > 0
+    witness = res.first_counterexample
+    weights = [Fraction(w) for w in witness["weights"]]
+    assert witness["lhs"] == str(2 * sum(weights)) != witness["rhs"] == str(sum(1 for w in weights if w))
+    res = suites.suite_pairing_comparison(**family)
+    assert res.failures > 0 and res.first_counterexample["ages_ok"] is False

@@ -1,4 +1,5 @@
 """Weighted projective state spaces: sectors, integrals, pairings, delta transform."""
+import math
 import pickle
 import random
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from orbicurve import series, suites, wps
 from orbicurve.foundation import Phase, PhasedScalar
 from orbicurve.linalg import mat_rank
 from orbicurve.oracles import StateElement, ambient_pairing, cr_pairing, ct_pairing, delta_tilde
-from orbicurve.sectors import age, inverse_sector
+from orbicurve.sectors import SectorAction, age, inverse_sector
 from orbicurve.wps import (
     WPSModel,
     comparison_sides,
@@ -352,6 +353,25 @@ def test_sector_walk_in_integers_matches_rationals():
             assert s.fiber_weights.weights == tuple((s.f * k) % 1 for k in m.bundle_degrees)
 
 
+def test_sector_walk_matches_a_fraction_walk():
+    # each sector of the integer walk against one computed here in Fractions:
+    # rotations k/w, fixed coordinates where f*w is an integer, fiber weights
+    # (f*k) mod 1, the age their sum and the integer age that sum times lcm(weights)
+    for m in suites.wps_model_family(max_n=4, max_w=4):
+        N = math.lcm(*m.weights)
+        walk = []
+        for f in sorted({F(k, w) for w in m.weights for k in range(w)}):
+            fibers = tuple((f * k) % 1 for k in m.bundle_degrees)
+            fixed = tuple(i for i, w in enumerate(m.weights) if (f * w).denominator == 1)
+            walk.append((f, fixed, fibers, sum(fibers, F(0))))
+        assert [(s.f, s.fixed_indices, s.fiber_weights.weights, s.age) for s in m.sectors] == walk
+        # the fiber action is the one the checking constructor builds from those Fractions
+        assert [s.fiber_weights for s in m.sectors] == [SectorAction(fibers) for _, _, fibers, _ in walk]
+        assert [hash(s.fiber_weights) for s in m.sectors] == [hash(SectorAction(fibers)) for _, _, fibers, _ in walk]
+        assert [s.age_num for s in m.sectors] == [a * N for *_, a in walk]
+        assert all(type(s.age_num) is int for s in m.sectors)
+
+
 def test_each_model_walks_its_sectors_once(monkeypatch):
     table = series.random_invariant_table(WPSModel((1, 1, 2, 2), (1,)), 3, random.Random(0))
     walked = []
@@ -370,9 +390,11 @@ def test_each_model_walks_its_sectors_once(monkeypatch):
 def test_each_model_derives_its_blocks_basis_and_ages_once(monkeypatch):
     derived = []
     block_volume, image_dim, sector_age = wps.integrate, series.euler_image_dim, wps.age
+    rows = series.pairing_rows
     monkeypatch.setattr(wps, "integrate", lambda m, s, k: derived.append(("block", s.f)) or block_volume(m, s, k))
     monkeypatch.setattr(series, "euler_image_dim", lambda m, s: derived.append(("basis", s.f)) or image_dim(m, s))
     monkeypatch.setattr(wps, "age", lambda w: derived.append(("age", w)) or sector_age(w))
+    monkeypatch.setattr(series, "pairing_rows", lambda m, kind, b: derived.append(("rows", kind)) or rows(m, kind, b))
     m = WPSModel((1, 1, 2, 2), (1,))
     table = series.random_invariant_table(m, 3, random.Random(0))
     for _ in range(2):
@@ -380,10 +402,12 @@ def test_each_model_derives_its_blocks_basis_and_ages_once(monkeypatch):
         comparison_sides(m)
         pairing_gram(m, "cr")
         assert series.verify_qsd_operator_identity(table, m, 3).ok
-    # one block per sector for each of the three kinds, one basis walk, one age per sector
+    # one block per sector for each of the three kinds, one basis walk, one
+    # age per sector, and the rows of the ct and ambient pairings on the basis once
     fs = [s.f for s in m.sectors]
-    expected = [("block", f) for f in fs] * 3 + [("basis", f) for f in fs]
+    expected = [("block", f) for f in fs] * 3 + [("basis", f) for f in fs] + [("rows", "ambient"), ("rows", "ct")]
     assert sorted(d for d in derived if d[0] != "age") == sorted(expected)
+    assert set(m.kept) == {"ambient", "ct", "cr", "ct basis", "ct basis rows"}
     assert [w for kind, w in derived if kind == "age"] == [s.fiber_weights for s in m.sectors]
     # the kept basis is never handed out: each call returns a new list
     series.compact_type_basis(m).clear()
