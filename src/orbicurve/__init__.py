@@ -1,7 +1,7 @@
 """Exact arithmetic for equivariant line bundles on two-pointed orbifold curve chains.
 
 Modules:
-  foundation  exact rationals, phases e^{i*pi*r}, phased scalars
+  foundation  exact rationals and phased scalars: combinations of e^{i*pi*r}
   curves      twisted components P(a,b)/mu_l and nodal chains
   bundles     equivariant line bundles, ages, canonical bundle
   cohomology  exact h0/h1 on components and chains
@@ -14,7 +14,7 @@ Modules:
   cli         `orbicurve` command-line front end
 """
 
-from .foundation import Phase, PhasedScalar, Rational, canonical_split
+from .foundation import PhasedScalar, Rational, canonical_split
 from .curves import CurveChain, MarkedPoint, TwistedComponent, isotropy_order, present
 from .bundles import (
     ChainBundle,

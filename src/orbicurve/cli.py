@@ -32,7 +32,7 @@ from importlib import resources
 from typing import Callable
 
 from . import bundles, cohomology, convexity, curves, sectors, series, suites, wps
-from .foundation import InternalInconsistency, Phase, PhasedScalar
+from .foundation import InternalInconsistency
 
 
 class InputError(Exception):
@@ -49,16 +49,8 @@ def _rational(x) -> Fraction:
 
 
 def fmt(x):
-    """Serialize exact values: ints stay ints, everything else becomes a string."""
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else str(x.numerator)
-    if isinstance(x, (Phase, PhasedScalar)):
-        return str(x)
-    return x
+    """Serialize exact values: ints stay ints, a Fraction becomes its string ("3", "-1/2")."""
+    return str(x) if isinstance(x, Fraction) else x
 
 
 def load_schema(name: str) -> dict:
@@ -366,7 +358,7 @@ def cmd_rank(args, doc: dict) -> dict:
 def cmd_sign(args, doc: dict) -> dict:
     g1, g2 = _padded_sectors(args.g1, args.g2)
     result = sectors.sign_cycle(_rational(args.beta_detE), g1, g2)
-    out = {"exponent": fmt(result.phase.exponent), "sign": result.as_sign}
+    out = {"exponent": fmt(result.exponent), "sign": result.as_sign}
     if not result.realizable:
         out["realizable"] = False
     return out

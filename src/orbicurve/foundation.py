@@ -9,7 +9,6 @@ numbers.  No floating point is used anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -68,44 +67,6 @@ def canonical_split(l: int, a: int, b: int) -> tuple[int, int]:
     if not (l1 * l2 == l and gcd(l1, l2) == 1 and gcd(l1, b) == 1 and gcd(l2, a) == 1):
         raise InternalInconsistency(f"canonical_split({l}, {a}, {b}) gave inadmissible ({l1}, {l2})")
     return l1, l2
-
-
-@dataclass(frozen=True)
-class Phase:
-    """The root of unity e^{i*pi*exponent}, exponent an exact rational mod 2.
-
-    Phases form an abelian group under multiplication (exponents add mod 2).
-    exponent 0 is +1 and exponent 1 is -1; nothing is ever rounded.
-    """
-
-    exponent: Fraction
-
-    def __post_init__(self):
-        e = as_rational(self.exponent)
-        k = e.numerator % (2 * e.denominator)
-        if k != e.numerator:
-            e = Fraction(k, e.denominator)
-        object.__setattr__(self, "exponent", e)
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.exponent + other.exponent)
-
-    def inverse(self) -> "Phase":
-        return Phase(-self.exponent)
-
-    def pow(self, n: int) -> "Phase":
-        return Phase(self.exponent * n)
-
-    def is_sign(self) -> int | None:
-        """Return +1 or -1 when the phase is real, None otherwise."""
-        if self.exponent == 0:
-            return 1
-        if self.exponent == 1:
-            return -1
-        return None
-
-    def __str__(self) -> str:
-        return f"e^{{i*pi*{self.exponent}}}"
 
 
 def _vanishes(n: int, coeffs: dict[int, int]) -> bool:
@@ -178,7 +139,8 @@ class PhasedScalar:
     e^{i*pi} and -1 coincide; the map is otherwise the one of the group ring,
     which is what `terms` ({exponent in [0, 1): coefficient}) and `str()` show.
     `root(k, n, coeff)` is coeff * e^{i*pi*k/n} at the reduced conductor n/gcd(k, n);
-    every one-term constructor goes through it, so an exponent is folded in one place.
+    every phase value the library builds goes through it, a `{exponent: coeff}`
+    map term by term, so an exponent is folded in one place.
 
     `==` is equality of complex numbers.  Equal group-ring maps at one
     conductor are the fast path: the reduced form makes den the lcm of the
@@ -206,10 +168,6 @@ class PhasedScalar:
         return _make(1, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
-    def from_phase(cls, p: Phase, coeff=1) -> "PhasedScalar":
-        return cls.root(p.exponent.numerator, p.exponent.denominator, coeff)
-
-    @classmethod
     def root(cls, k: int, n: int, coeff=1) -> "PhasedScalar":
         """coeff * e^{i*pi*k/n}, n >= 1, at the reduced conductor n/gcd(k, n), k/n folded into [0, 1)."""
         g = gcd(k, n)
@@ -226,8 +184,6 @@ class PhasedScalar:
     def coerce(x) -> "PhasedScalar":
         if isinstance(x, PhasedScalar):
             return x
-        if isinstance(x, Phase):
-            return PhasedScalar.from_phase(x)
         return PhasedScalar.from_rational(x)
 
     @property
@@ -273,11 +229,9 @@ class PhasedScalar:
 
     def __mul__(self, other) -> "PhasedScalar":
         if not isinstance(other, PhasedScalar):
-            if not isinstance(other, Phase):
-                s = as_rational(other)
-                num = {k: c * s.numerator for k, c in self._num.items()} if s else {}
-                return _make(self._n, num, self._den * s.denominator)
-            other = PhasedScalar.from_phase(other)
+            s = as_rational(other)
+            num = {k: c * s.numerator for k, c in self._num.items()} if s else {}
+            return _make(self._n, num, self._den * s.denominator)
         n = self._n if self._n == other._n else lcm(self._n, other._n)
         rhs = other._at(n).items()
         out: dict[int, int] = {}
@@ -325,7 +279,7 @@ class PhasedScalar:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhasedScalar):
-            if isinstance(other, bool) or not isinstance(other, (int, Fraction, Phase)):
+            if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = PhasedScalar.coerce(other)
         if self._n == other._n and self._den == other._den and self._num == other._num:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .bundles import ChainBundle, EqLineBundle
 from .curves import MarkedPoint, TwistedComponent
-from .foundation import InternalInconsistency, Phase, PhasedScalar
+from .foundation import InternalInconsistency, PhasedScalar
 from .wps import (
     Sector,
     WPSModel,
@@ -232,10 +232,11 @@ def ct_pairing(m: WPSModel, alpha: StateElement, beta: StateElement) -> PhasedSc
 
 
 def delta_tilde(m: WPSModel, gamma: StateElement) -> StateElement:
-    """Phase-corrected transport of a compact-type class to an ambient class."""
+    """The phase-corrected transport of a compact-type class to an ambient class."""
     out: dict[Fraction, list] = {}
     for f, coeffs in gamma.parts.items():
-        phase = PhasedScalar.from_phase(Phase(gamma.sectors[f].sector.age))
+        age = gamma.sectors[f].sector.age
+        phase = PhasedScalar.root(age.numerator, age.denominator)
         out[f] = [phase * PhasedScalar.coerce(c) for c in coeffs]
     return StateElement(m, out, gamma.sectors)
 

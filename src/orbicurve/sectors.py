@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .foundation import InternalInconsistency, Phase, as_rational
+from .foundation import InternalInconsistency, as_rational
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -86,23 +86,23 @@ def rank_formula(beta_det_e: Fraction, g1: SectorAction, g2: SectorAction) -> Fr
 
 @dataclass(frozen=True)
 class SignResult:
-    phase: Phase
+    exponent: Fraction  # of e^{i*pi*exponent}, in [0, 2)
     as_sign: int | None
     realizable: bool
 
 
 def sign_cycle(beta_det_e: Fraction, g1: SectorAction, g2: SectorAction) -> SignResult:
-    """(-1) to the rank_formula exponent.
+    """(-1) to the rank_formula exponent, as that exponent mod 2.
 
     A non-integer exponent means the input data is not realizable by a curve
-    and bundle; the exact phase is returned with realizable=False rather than
-    raised, so the calculus stays total.
+    and bundle; the exact exponent is returned with realizable=False rather
+    than raised, so the calculus stays total.  The sign is +1 at exponent 0 and -1 at 1.
     """
-    phase = Phase(rank_formula(beta_det_e, g1, g2))
-    sign = phase.is_sign()
-    return SignResult(phase, sign, sign is not None)
+    exponent = rank_formula(beta_det_e, g1, g2) % 2
+    sign = {0: 1, 1: -1}.get(exponent)
+    return SignResult(exponent, sign, sign is not None)
 
 
-def sign_invariant(beta_det_e: Fraction, r: int) -> Phase:
-    """The phase e^{i*pi*(deg(det E) + r)} relating the two-pointed invariants."""
-    return Phase(as_rational(beta_det_e) + r)
+def sign_invariant(beta_det_e: Fraction, r: int) -> Fraction:
+    """The exponent in [0, 2) of the phase e^{i*pi*(deg(det E) + r)} relating the two-pointed invariants."""
+    return (as_rational(beta_det_e) + r) % 2

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .foundation import Phase, PhasedScalar, as_rational
+from .foundation import PhasedScalar, as_rational
 from .wps import WPSModel, euler_image_dim, pairing_rows
 
 
@@ -158,7 +158,7 @@ class LOperator:
         implicit identity at the zero class is untouched."""
         out = LOperator(self.dim, self.truncation)
         for (beta, zpow), cells in self.terms.items():
-            phase = PhasedScalar.from_phase(Phase(beta.det))
+            phase = PhasedScalar.root(beta.det.numerator, beta.det.denominator)
             out.terms[(beta, zpow)] = {cell: phase * x for cell, x in cells.items()}
         return out
 

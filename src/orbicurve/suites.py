@@ -52,7 +52,6 @@ from operator import add
 from types import MappingProxyType
 
 from . import bundles, cohomology, convexity, curves, oracles, sectors, series, wps
-from .foundation import Phase
 
 SAMPLE_EVERY = 199  # every k-th sweep instance is replayed through the elimination oracle
 PAIRING_SAMPLE_EVERY = 11  # every k-th model's pairing comparison is replayed elementwise
@@ -723,22 +722,23 @@ def suite_age_sum(trials: int = 10000, max_den: int = 12, seed: int = 0) -> Suit
             (lhs, rhs), ok = sectors.age_sum_check(s), True
         except cohomology.InternalInconsistency as err:
             (lhs, rhs), ok = err.sides, False
-        # sign-consistency: phase of the cycle sign times the residual ages
-        # equals the invariant-level phase e^{i*pi*(beta_det + rank)}
+        # sign-consistency: the exponent of the cycle sign plus the residual
+        # ages is, mod 2, the invariant-level exponent of e^{i*pi*(beta_det + rank)}
         g2 = sectors.SectorAction(tuple(sorted(weights, key=str)))
         if rng.random() < 0.5:
             beta_det = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
         else:
             beta_det = sectors.age(s) - sectors.age(sectors.inverse_sector(g2)) + rng.randint(0, 6)
         sig = sectors.sign_cycle(beta_det, s, g2)
-        lhs_phase = sig.phase * Phase(sectors.age(s) + sectors.age(g2) + g2.rank_fixed)
-        rhs_phase = sectors.sign_invariant(beta_det, s.rank)
-        ok = ok and lhs_phase == rhs_phase
-        if not ok:
+        sign_lhs = (sig.exponent + sectors.age(s) + sectors.age(g2) + g2.rank_fixed) % 2
+        sign_rhs = sectors.sign_invariant(beta_det, s.rank)
+        if not ok or sign_lhs != sign_rhs:
             res.fail({
                 "weights": [str(w) for w in weights],
                 "lhs": str(lhs),
                 "rhs": str(rhs),
+                "sign_lhs": str(sign_lhs),
+                "sign_rhs": str(sign_rhs),
             })
     return res
 

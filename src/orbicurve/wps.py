@@ -72,7 +72,8 @@ class WPSModel:
             raise ValueError("need at least two positive weights")
         if any(k < 1 for k in self.bundle_degrees):
             raise ValueError("bundle degrees must be positive")
-        object.__setattr__(self, "kept", {})  # derived data by key: `pairing_blocks` by kind, the ct basis
+        # derived data by key: `pairing_blocks` by kind, "ct basis" and "ct basis rows"
+        object.__setattr__(self, "kept", {})
 
     @property
     def dim(self) -> int:

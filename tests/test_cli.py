@@ -170,11 +170,37 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert code == 2 and "gcd(a,b)=2" in err
 
 
+def _expected_sign(beta: str, g1: str, g2: str) -> dict:
+    """The `sign` results from Fractions: the rank formula beta - age(g1) +
+    age(dual g2), the shorter weight list padded with zeros, taken mod 2."""
+    w1, w2 = ([Fraction(w) for w in g.split(",")] if g else [] for g in (g1, g2))
+    rank = max(len(w1), len(w2))
+    w1, w2 = w1 + [Fraction(0)] * (rank - len(w1)), w2 + [Fraction(0)] * (rank - len(w2))
+    value = Fraction(beta) - sum(w1) + sum(1 - w for w in w2 if w)
+    out = {"exponent": str(value % 2), "sign": (-1) ** value.numerator if value.denominator == 1 else None}
+    if value.denominator != 1:
+        out["realizable"] = False
+    return out
+
+
 def test_sign_command(capsys):
-    code, out, _ = run_cli(capsys, "--json", "sign", "--beta-detE", "1/2", "--g1", "", "--g2", "1/2")
-    assert code == 0
-    results = json.loads(out)["results"]
-    assert results["exponent"] == "1" and results["sign"] == -1
+    # (beta, g1, g2, results): integer, odd and negative degrees, unrealizable
+    # inputs, and weight lists of unequal length padded with zeros
+    grid = [
+        ("2", "1/3", "2/3", {"exponent": "0", "sign": 1}),
+        ("3", "1/2", "1/2", {"exponent": "1", "sign": -1}),
+        ("-3/2", "0", "1/2", {"exponent": "1", "sign": -1}),
+        ("-3/2", "1/2", "0", {"exponent": "0", "sign": 1}),
+        ("1/3", "1/2", "1/2", {"exponent": "1/3", "sign": None, "realizable": False}),
+        ("-3/2", "", "", {"exponent": "1/2", "sign": None, "realizable": False}),
+        ("1/2", "", "1/2", {"exponent": "1", "sign": -1}),
+        ("1", "1/4,1/4", "1/2", {"exponent": "1", "sign": -1}),
+        ("0", "1/3,2/3", "1/3", {"exponent": "5/3", "sign": None, "realizable": False}),
+    ]
+    for beta, g1, g2, shown in grid:
+        code, out, err = run_cli(capsys, "--json", "sign", f"--beta-detE={beta}", "--g1", g1, "--g2", g2)
+        assert code == 0 and err == ""
+        assert json.loads(out)["results"] == _expected_sign(beta, g1, g2) == shown, (beta, g1, g2)
 
 
 def test_rank_command(capsys):

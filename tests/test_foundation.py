@@ -1,4 +1,4 @@
-"""Foundation layer: canonical split, phases, phased scalars."""
+"""Foundation layer: canonical split, phased scalars."""
 import cmath
 import os
 import pathlib
@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from orbicurve import foundation
 from orbicurve.foundation import (
-    Phase,
     PhasedScalar,
     canonical_split,
 )
@@ -124,40 +123,6 @@ def test_canonical_split_check_raises_under_python_O():
     assert "inadmissible" in proc.stdout
 
 
-def test_phase_pow_examples():
-    assert Phase(F(1)).pow(2) == Phase(F(0))
-    assert Phase(F(1, 2)).pow(3) == Phase(F(3, 2))
-    assert Phase(F(0)).pow(17) == Phase(F(0))
-
-
-def test_is_sign():
-    assert Phase(F(0)).is_sign() == 1
-    assert Phase(F(1)).is_sign() == -1
-    assert Phase(F(1, 2)).is_sign() is None
-
-
-def test_phase_group_law():
-    fracs = [F(0), F(1), F(1, 2), F(2, 3), F(5, 4), F(7, 6)]
-    for x in fracs:
-        p = Phase(x)
-        assert p * Phase(0) == p
-        for y in fracs:
-            q = Phase(y)
-            assert p * q == q * p
-            for z in fracs:
-                r = Phase(z)
-                assert (p * q) * r == p * (q * r)
-        # order divides 2 * denominator
-        assert p.pow(2 * x.denominator) == Phase(0)
-        assert p * p.inverse() == Phase(0)
-
-
-def test_phase_exponent_normalized():
-    assert Phase(F(7, 2)).exponent == F(3, 2)
-    assert Phase(F(-1, 2)).exponent == F(3, 2)
-    assert 0 <= Phase(F(-13, 6)).exponent < 2
-
-
 rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
 phased = st.builds(
     lambda pairs: PhasedScalar({e: c for e, c in pairs}),
@@ -178,7 +143,7 @@ def test_phased_scalar_ring_axioms(x, y, z):
 
 
 @pytest.mark.parametrize(
-    "make", [foundation.as_rational, Phase, PhasedScalar.from_rational], ids=["as_rational", "Phase", "from_rational"]
+    "make", [foundation.as_rational, PhasedScalar.from_rational], ids=["as_rational", "from_rational"]
 )
 def test_a_bool_is_not_a_rational(make):
     with pytest.raises(TypeError, match="^not an exact rational: True$"):
@@ -192,9 +157,9 @@ def test_a_phased_scalar_never_equals_a_bool():
 
 def test_phased_scalar_folds_half_turn():
     # e^{i*pi} is -1: exponent-1 terms fold onto the rational part
-    assert PhasedScalar.from_phase(Phase(1)) == PhasedScalar.from_rational(-1)
-    assert PhasedScalar.from_phase(Phase(F(3, 2))) == -PhasedScalar.from_phase(Phase(F(1, 2)))
-    i = PhasedScalar.from_phase(Phase(F(1, 2)))
+    assert PhasedScalar.root(1, 1) == PhasedScalar.from_rational(-1)
+    assert PhasedScalar.root(3, 2) == -PhasedScalar.root(1, 2)
+    i = PhasedScalar.root(1, 2)
     assert i * i == PhasedScalar.from_rational(-1)
 
 
@@ -203,19 +168,27 @@ def test_root_is_the_phase_of_k_over_n_at_the_reduced_conductor():
         for k in range(-3 * n, 3 * n + 1):
             for c in (0, 1, -2, F(3, 4), F(-5, 6)):
                 got = PhasedScalar.root(k, n, c)
-                want = PhasedScalar.from_phase(Phase(F(k, n)), c)
+                want = PhasedScalar({F(k, n): c})  # the reduced fraction
                 assert (got._n, got._num, got._den) == (want._n, want._num, want._den)
                 assert got._n == n // gcd(k, n) and str(got) == str(want)
                 # e^{i*pi*k/n} with k/n folded into [0, 1) by a sign
                 e, sign = (F(k, n) % 2, 1) if F(k, n) % 2 < 1 else (F(k, n) % 2 - 1, -1)
                 assert got.terms == ({e: sign * F(c)} if c else {})
     assert PhasedScalar.root(4, 6) == PhasedScalar({F(2, 3): 1}) and PhasedScalar.root(0, 5, 7) == 7
+    # the group law of the roots: exponents add mod 2, and e^{i*pi*k/n} has order dividing 2n
+    for n in (1, 2, 3, 4, 6):
+        for k in range(-2 * n, 2 * n):
+            z, power = PhasedScalar.root(k, n), PhasedScalar.from_rational(1)
+            assert z * PhasedScalar.root(-k, n) == 1 and z * PhasedScalar.root(1, n) == PhasedScalar.root(k + 1, n)
+            for _ in range(2 * n):
+                power = power * z
+            assert power == 1
 
 
 def test_phased_scalar_rational_specialization():
     x = PhasedScalar({F(0): F(3, 2)})
     assert x.is_rational() and x.to_rational() == F(3, 2)
-    y = PhasedScalar.from_phase(Phase(F(1, 3)))
+    y = PhasedScalar.root(1, 3)
     assert not y.is_rational()
     with pytest.raises(ValueError):
         y.to_rational()
@@ -227,7 +200,7 @@ def test_phased_scalar_drops_zero_terms():
 
 
 def zeta(e) -> PhasedScalar:
-    return PhasedScalar.from_phase(Phase(F(e)))
+    return PhasedScalar({F(e): 1})
 
 
 def test_cube_roots_of_unity_sum_to_zero():
@@ -381,7 +354,7 @@ def test_printed_form_is_unchanged():
     # strings of the group-ring PhasedScalar, so CLI reports keep their bytes
     assert str(PhasedScalar()) == "0"
     assert str(PhasedScalar.from_rational(F(-3, 2))) == "-3/2"
-    assert str(PhasedScalar.from_phase(Phase(F(1, 3)), F(2))) == "2*e^{i*pi*1/3}"
+    assert str(PhasedScalar.root(1, 3, F(2))) == "2*e^{i*pi*1/3}"
     assert str(PhasedScalar({0: 1, F(5, 6): F(-2, 3), F(1, 4): 3})) == "1 + 3*e^{i*pi*1/4} + -2/3*e^{i*pi*5/6}"
     assert str(PhasedScalar({F(7, 4): F(1, 2)})) == "-1/2*e^{i*pi*3/4}"
     assert str((zeta(F(1, 3)) + 1) * zeta(F(5, 6))) == "-1*e^{i*pi*1/6} + 1*e^{i*pi*5/6}"
@@ -485,10 +458,10 @@ def test_equal_values_by_different_routes_share_the_stored_form(monkeypatch):
     half, third = F(1, 2), F(1, 3)
     three = [
         (PhasedScalar.from_rational(half) * 2, PhasedScalar.from_rational(1)),
-        (PhasedScalar({third: F(2, 4)}), PhasedScalar.from_phase(Phase(third), half)),
+        (PhasedScalar({third: F(2, 4)}), PhasedScalar.root(1, 3, half)),
         (PhasedScalar({0: half, third: F(3, 6), F(5, 4): F(-4, 8)}), PhasedScalar({0: 1, third: 1, F(1, 4): 1}) * half),
     ]
-    pairs = three + [(x * Phase(F(1, 5)), y * Phase(F(11, 5))) for x, y in three]
+    pairs = three + [(x * PhasedScalar.root(1, 5), y * PhasedScalar.root(11, 5)) for x, y in three]
     hashes = [(hash(x), hash(y)) for x, y in pairs]
     # equal numerators over different denominators are different values
     assert PhasedScalar({third: half}) != PhasedScalar({third: third})

@@ -8,7 +8,6 @@ import pytest
 from orbicurve.bundles import ChainBundle, EqLineBundle, age_at, chain_dual
 from orbicurve.cohomology import h_twisted
 from orbicurve.curves import CurveChain, MarkedPoint, present
-from orbicurve.foundation import Phase
 from orbicurve.sectors import (
     SectorAction,
     age,
@@ -91,7 +90,7 @@ def test_sign_cycle_unrealizable_returns_phase():
     g = SectorAction((F(0),))
     res = sign_cycle(F(1, 2), g, g)
     assert res.as_sign is None and not res.realizable
-    assert res.phase == Phase(F(1, 2))
+    assert res.exponent == F(1, 2)
 
 
 def test_sign_consistency_identity():
@@ -104,8 +103,8 @@ def test_sign_consistency_identity():
         w2 = tuple(F(rng.randint(0, 5), 6) for _ in range(r))
         g1, g2 = SectorAction(w1), SectorAction(w2)
         beta = F(rng.randint(-12, 12), rng.randint(1, 4))
-        lhs = sign_cycle(beta, g1, g2).phase * Phase(age(g1) + age(g2) + g2.rank_fixed)
-        assert lhs == sign_invariant(beta, r)
+        lhs = sign_cycle(beta, g1, g2).exponent + age(g1) + age(g2) + g2.rank_fixed
+        assert lhs % 2 == sign_invariant(beta, r)
 
 
 def _weight_grid() -> list[tuple]:
@@ -161,7 +160,10 @@ def test_integer_form_matches_the_fraction_formulas():
             rank = rank_formula(beta, s, SectorAction(w2))
             assert rank == value and type(rank) is F
             res = sign_cycle(beta, s, SectorAction(w2))
-            assert res.phase == Phase(value) and res.as_sign == Phase(value).is_sign()
+            # the exponent mod 2 in [0, 2), and the sign (-1)^value when value is an integer
+            assert 0 <= res.exponent < 2 and ((value - res.exponent) / 2).denominator == 1
+            assert type(res.exponent) is F
+            assert res.as_sign == ((-1) ** value.numerator if value.denominator == 1 else None)
             assert res.realizable == (value.denominator == 1)
 
 
@@ -195,6 +197,8 @@ def test_a_weight_out_of_range_is_refused_with_the_same_text(w, shown):
 
 
 def test_sign_invariant_examples():
-    assert sign_invariant(F(0), 0) == Phase(F(0))
-    assert sign_invariant(F(1), 1) == Phase(F(0))
-    assert sign_invariant(F(1, 2), 1) == Phase(F(3, 2))
+    assert sign_invariant(F(0), 0) == 0
+    assert sign_invariant(F(1), 1) == 0
+    assert sign_invariant(F(1, 2), 1) == F(3, 2)
+    assert sign_invariant(F(7, 2), 0) == sign_invariant(F(-1, 2), 0) == F(3, 2)
+    assert sign_invariant(F(-13, 6), 1) == F(5, 6)

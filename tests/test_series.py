@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbicurve import cli, series as series_mod
-from orbicurve.foundation import Phase, PhasedScalar
+from orbicurve.foundation import PhasedScalar
 from orbicurve.sectors import age
 from orbicurve.series import (
     EffClass,
@@ -363,7 +363,7 @@ def _dense_scan(table, m, truncation):
     op_z = build_L(series_mod.transported_table(table, m, basis), pairing_rows(m, "ambient", basis), truncation)
     sub = build_L(table, pairing_rows(m, "ct", basis), truncation).substitute_novikov()
     ages = {s.f: s.age for s in m.sectors}
-    delta = [PhasedScalar.from_phase(Phase(ages[f])) for f, _ in basis]
+    delta = [PhasedScalar({ages[f]: 1}) for f, _ in basis]
     dense = {k: (op_z.matrix_at(*k), sub.matrix_at(*k)) for k in op_z.terms.keys() | sub.terms.keys()}
     keys = [k for k, mats in dense.items() if any(not x.is_zero() for mat in mats for row in mat for x in row)]
     checks, first = 0, None

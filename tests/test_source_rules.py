@@ -17,7 +17,8 @@ of `series` are compared on their stored cells: no module reads the dense
 expansion `LOperator.matrix_at`, which only tests use.  The library is a
 function of its arguments: no module reads the process environment.  The one
 text the package turns into code is the input schema, in `cli._compile`: no
-other function names `exec`, `eval` or `compile`.
+other function names `exec`, `eval` or `compile`.  A phase has one type,
+`PhasedScalar`: no module names a `Phase` class or `from_phase`.
 """
 import ast
 from pathlib import Path
@@ -106,6 +107,14 @@ def test_only_suites_imports_oracles(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_linalg_import(path):
     assert "linalg" not in _import_names(path), path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_second_phase_type(path):
+    # a root of unity e^{i*pi*r} is a `PhasedScalar.root`, and a sign exponent
+    # a Fraction mod 2: no module defines or names a separate phase class
+    names = set(_names(ast.parse(path.read_text(), filename=str(path))))
+    assert {"Phase", "from_phase"} & names == set(), path.name
 
 
 def _scopes_naming(tree: ast.AST, name: str) -> set:

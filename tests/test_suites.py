@@ -983,3 +983,18 @@ def test_a_faulty_dual_sector_fails_both_suites_that_check_the_age_sum(monkeypat
     assert witness["lhs"] == str(2 * sum(weights)) != witness["rhs"] == str(sum(1 for w in weights if w))
     res = suites.suite_pairing_comparison(**family)
     assert res.failures > 0 and res.first_counterexample["ages_ok"] is False
+
+
+def test_a_faulty_sign_reaches_the_age_sum_suite(monkeypatch):
+    # criterion 8 compares the exponent of the cycle sign plus the residual
+    # ages with sectors.sign_invariant's; one rank too many shifts the latter
+    # by 1 mod 2, and the witness shows the two sign exponents, not only the
+    # age-sum sides, which stay equal
+    assert suites.suite_age_sum(trials=50).ok
+    invariant = sectors.sign_invariant
+    monkeypatch.setattr(sectors, "sign_invariant", lambda beta_det_e, r: invariant(beta_det_e, r + 1))
+    res = suites.suite_age_sum(trials=50)
+    assert res.failures == 50
+    witness = res.first_counterexample
+    assert witness["lhs"] == witness["rhs"]
+    assert (Fraction(witness["sign_lhs"]) - Fraction(witness["sign_rhs"])) % 2 == 1

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbicurve import series, suites, wps
-from orbicurve.foundation import Phase, PhasedScalar
+from orbicurve.foundation import PhasedScalar
 from orbicurve.linalg import mat_rank
 from orbicurve.oracles import StateElement, ambient_pairing, cr_pairing, ct_pairing, delta_tilde
 from orbicurve.sectors import SectorAction, age, inverse_sector
@@ -121,7 +121,7 @@ def test_delta_tilde_examples():
     out = delta_tilde(m, StateElement.basis(m, F(0), 2))
     assert _coeff(out, F(0), 2) == PhasedScalar.from_rational(1)
     out = delta_tilde(m, StateElement.basis(m, F(1, 2), 0))
-    assert _coeff(out, F(1, 2), 0) == PhasedScalar.from_phase(Phase(F(1, 2)))
+    assert _coeff(out, F(1, 2), 0) == PhasedScalar.root(1, 2)
 
 
 def test_delta_tilde_linearity():
