@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""In-process timings of the PhasedScalar, sector, operator-check, chain-replay and chain-fold layers.
+"""In-process timings of the PhasedScalar, sector, operator-check, chain-replay, chain-fold and document-intake layers.
 
     python3 scripts/layer_timings.py [--parent DIR]
 
@@ -8,10 +8,10 @@ Times this checkout's `orbicurve` (its `src/`).  With --parent, DIR is the
 process under a second name, both trees get the same inputs, and each round
 times the two trees one after the other, alternating which goes first.
 
-Each tree builds the state-space workload's 150 operator tables for seed 1
-as perfbench does, records the replay arguments of two chain suites (below)
-and a seeded 100-piece chain bundle.  The figures, in microseconds unless
-the name says ms:
+Each tree builds the state-space workload's 150 operator tables and the
+api-queries workload's documents for seed 1 as perfbench does, records the
+replay arguments of two chain suites (below) and a seeded 100-piece chain
+bundle.  The figures, in microseconds unless the name says ms:
 
 - `phased_mul_us`, `phased_add_us`: one product and one sum of two
   one-term PhasedScalars with rational coefficients at conductors 3 and 4
@@ -50,6 +50,13 @@ the name says ms:
   -8 <= d <= 8, both fold sides)
 - `h_chain_us`: `cohomology.h_chain` on the 100-piece chain bundle, drawn by
   perfbench's chain maker at seed 1
+- `component_build_us`: one `curves.TwistedComponent`, the mean over the
+  55 components of `suites.component_family(4, 4)`
+- `parse_table_us`: one `cli.parse_table`, the mean over the api-queries
+  workload's 50 `series-verify` documents
+- `long_chain_query_us`: one `cli.main(["--json", "cohomology"])` with the
+  document piped in, the mean over the api-queries workload's 20 documents
+  of 100 pieces
 
 Each figure is the median of 21 rounds; a round times a loop long enough to
 last a few milliseconds.  The output is one JSON object: a figure's median
@@ -59,12 +66,15 @@ change / parent}; an input size alone, or {"change": n, "parent": n}.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import random
 import statistics
 import sys
+import tempfile
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -73,7 +83,7 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 ROUNDS = 21
-MODULES = ("bundles", "cohomology", "convexity", "curves", "foundation", "oracles", "series", "suites", "wps")
+MODULES = ("bundles", "cli", "cohomology", "convexity", "curves", "foundation", "oracles", "series", "suites", "wps")
 
 
 def _package(src: Path, name: str) -> SimpleNamespace:
@@ -155,6 +165,20 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         tuple(m.bundles.EqLineBundle(comp, *piece) for comp, piece in zip(comps, pieces)),
     )
 
+    with tempfile.TemporaryDirectory() as workdir:
+        queries = workloads.ApiQueries().setup(m, SEED, "full", workdir)
+        table_docs = [json.loads(Path(q.argv[-1]).read_text()) for q in queries if q.kind == "series"]
+    family = suites.component_family(4, 4)
+    long_chains = [q.stdin for q in queries if q.kind == "cohomology" and len(json.loads(q.stdin)["chain"]) == 100]
+
+    def query(text):
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                m.cli.main(["--json", "cohomology"])
+        finally:
+            sys.stdin = stdin
+
     def state_models():
         return list(suites.wps_model_family(max_n=4, max_w=3, max_k=3))
 
@@ -208,12 +232,18 @@ def _figures(m: SimpleNamespace) -> tuple[dict, dict]:
         "bundle_sweep_count_ms": _loop(bundle_sweep_count, 1, 1e3),
         "comp_tables_ms": _loop(comp_tables, 1, 1e3),
         "h_chain_us": _loop(lambda: m.cohomology.h_chain(chain_bundle), 20),
+        "component_build_us": _loop(lambda: [m.curves.TwistedComponent(*args) for args in family], 40, 1e6 / len(family)),
+        "parse_table_us": _mean(lambda doc: m.cli.parse_table(doc, doc["table"]["dim"]), table_docs),
+        "long_chain_query_us": _mean(query, long_chains),
     }
     sizes = {
         "largest_table_entries": len(table.entries),
         "pairing_models": len(state_models()),
         "log_canonical_replays": len(log_can),
         "concavity_replays": len(concave),
+        "components": len(family),
+        "table_documents": len(table_docs),
+        "long_chain_documents": len(long_chains),
     }
     return figures, sizes
 

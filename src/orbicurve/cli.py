@@ -16,7 +16,8 @@ and the input schema are built once per process, so a program that calls
 generated source that no document value reaches: a predicate that accepts
 valid documents without jsonschema, which is imported only for a document the
 predicate rejects, to word its schema violation (if it finds none, the two
-disagree: exit 3).  Repeated chain components are built once per document.
+disagree: exit 3).  Repeated chain components, and a table's repeated classes and
+scalars, are built once per document; nothing of a document outlives its call.
 """
 from __future__ import annotations
 
@@ -264,14 +265,30 @@ def parse_table(doc: dict, dim: int) -> series.InvariantTable:
     if "table" not in doc:
         raise InputError("document has no 'table'")
     spec = doc["table"]
+    # the Fraction of each distinct scalar, keyed with its type (True == 1,
+    # and only 1 is a rational), and the class of each distinct degree vector:
+    # entries of one class share it, so lookups by class stop at identity
+    scalars: dict = {}
+    classes: dict[tuple[Fraction, ...], series.EffClass] = {}
+
+    def rational(x) -> Fraction:
+        key = (x.__class__, x)
+        q = scalars.get(key)
+        if q is None:
+            q = scalars[key] = _rational(x)
+        return q
+
     entries = []
-    for n, e in enumerate(spec["entries"]):
-        beta = series.EffClass(tuple(_rational(x) for x in e["beta"]["degrees"]))
+    for e in spec["entries"]:
+        degrees = tuple(map(rational, e["beta"]["degrees"]))
+        beta = classes.get(degrees)
+        if beta is None:
+            beta = classes[degrees] = series.EffClass(degrees)
         sector_pair = None
         if "sectors" in e:
-            sector_pair = (_rational(e["sectors"][0]), _rational(e["sectors"][1]))
+            sector_pair = (rational(e["sectors"][0]), rational(e["sectors"][1]))
         entries.append(
-            series.TableEntry(beta, e["psi_power"], e["row"], e["col"], _rational(e["value"]), sector_pair)
+            series.TableEntry(beta, e["psi_power"], e["row"], e["col"], rational(e["value"]), sector_pair)
         )
     return series.InvariantTable(spec.get("dim", dim), entries)
 

@@ -173,8 +173,9 @@ def _piece_data(L: EqLineBundle) -> tuple[int, int, PieceEnds]:
     return num, den, piece_ends(L, trivial)
 
 
-def _fold(pieces: tuple[EqLineBundle, ...], data) -> CohomologyReport:
-    """h0 and h1 of the chain bundle with these pieces, folded over their `_piece_data`."""
+def _fold(pieces: tuple[EqLineBundle, ...], data) -> tuple[int, int, int, int]:
+    """(h0, h1, n, D) of the chain bundle with these pieces, its Euler characteristic being n/D, folded
+    over their `_piece_data` and checked against Riemann-Roch."""
     # Riemann-Roch less one gluing condition per active node (the fold state
     # says whether the node before the next piece is), as an integer numerator
     # over a common denominator D grown only when a piece's does not divide it
@@ -186,18 +187,18 @@ def _fold(pieces: tuple[EqLineBundle, ...], data) -> CohomologyReport:
         euler_num += num * (D // den) - (D if state[3] else 0)
         state = chain_step(state, ends)
     h0, h1 = state[0], state[1]
-    euler = Fraction(euler_num, D)
     if (h0 - h1) * D != euler_num:
         raise InternalInconsistency(
-            f"h0 - h1 = {h0} - {h1} but the Euler characteristic is {euler} on "
+            f"h0 - h1 = {h0} - {h1} but the Euler characteristic is {Fraction(euler_num, D)} on "
             + ", ".join(map(str, pieces))
         )
-    return CohomologyReport(h0, h1, euler)
+    return h0, h1, euler_num, D
 
 
 def h_chain(B: ChainBundle) -> CohomologyReport:
     """h0 and h1 of a chain bundle by the fold over its pieces' data, checked against Riemann-Roch."""
-    return _fold(B.pieces, [_piece_data(p) for p in B.pieces])
+    h0, h1, euler_num, D = _fold(B.pieces, [_piece_data(p) for p in B.pieces])
+    return CohomologyReport(h0, h1, Fraction(euler_num, D))
 
 
 def h_twisted(B: ChainBundle, pt: MarkedPoint, sign: int) -> CohomologyReport:

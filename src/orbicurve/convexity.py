@@ -104,19 +104,12 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
 
     log_chain = ChainBundle(chain, tuple(pieces))  # the all-trivial bundle, built from the checked pieces
     data = [_piece_data(p) for p in log_chain.pieces]
-    rep = _fold(log_chain.pieces, data)
+    h0, h1, _, _ = _fold(log_chain.pieces, data)
     omega_x2 = chain_twist(log_chain, X1, -1)  # omega(x2) = omega(x1+x2) - x1
-    rep2 = _fold(omega_x2.pieces, [_piece_data(omega_x2.pieces[0]), *data[1:]])
-    cert = LogCanonicalCertificate(
-        h0_log_canonical=rep.h0,
-        h1_log_canonical=rep.h1,
-        h0_omega_x2=rep2.h0,
-        h1_omega_x2=rep2.h1,
-        log_canonical=log_chain,
-        omega_x2=omega_x2,
-    )
-    if rep.h0 != 1 or rep.h1 != 0:
-        raise CertificateError(f"log canonical bundle not trivial on chain: h0={rep.h0}, h1={rep.h1}")
-    if rep2.h0 != 0 or rep2.h1 != 0:
-        raise CertificateError(f"omega(x2) cohomology nonzero: h0={rep2.h0}, h1={rep2.h1}")
+    h0_x2, h1_x2, _, _ = _fold(omega_x2.pieces, [_piece_data(omega_x2.pieces[0]), *data[1:]])
+    cert = LogCanonicalCertificate(h0, h1, h0_x2, h1_x2, log_chain, omega_x2)
+    if h0 != 1 or h1 != 0:
+        raise CertificateError(f"log canonical bundle not trivial on chain: h0={h0}, h1={h1}")
+    if h0_x2 != 0 or h1_x2 != 0:
+        raise CertificateError(f"omega(x2) cohomology nonzero: h0={h0_x2}, h1={h1_x2}")
     return cert

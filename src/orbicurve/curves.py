@@ -52,21 +52,26 @@ class TwistedComponent:
     l2: int = 1
 
     def __post_init__(self):
-        for name in ("a", "b", "l1", "l2"):
-            v = getattr(self, name)
-            if type(v) is not int or v < 1:  # a bool is an int subclass
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         a, b, l1, l2 = self.a, self.b, self.l1, self.l2
-        for names, x, y in (("a,b", a, b), ("l1,l2", l1, l2), ("l1,b", l1, b), ("l2,a", l2, a)):
-            if gcd(x, y) != 1:
-                raise ValueError(f"gcd({names})={gcd(x, y)} != 1")
+        # One test for the four fields and one for the four coprimality
+        # conditions (gcd(a*l1, b*l2) = 1 is all four of them); the loops only
+        # word the error.  A bool is an int subclass, so the test is on type.
+        if not (type(a) is type(b) is type(l1) is type(l2) is int and min(a, b, l1, l2) >= 1):
+            for name, v in zip(("a", "b", "l1", "l2"), (a, b, l1, l2)):
+                if type(v) is not int or v < 1:
+                    raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if gcd(a * l1, b * l2) != 1:
+            for names, x, y in (("a,b", a, b), ("l1,l2", l1, l2), ("l1,b", l1, b), ("l2,a", l2, a)):
+                if gcd(x, y) != 1:
+                    raise ValueError(f"gcd({names})={gcd(x, y)} != 1")
         c, d, u = a * l1 * l2, b * l1 * l2, a * l1 - b * l2
-        stored = {
-            "c": c, "d": d, "chart_inverses": (pow(u, -1, c), pow(-u, -1, d)), "_hash": hash((a, b, l1, l2)),
-            "h0_unit": pow(a * l1, -1, b * l2), "h1_unit": pow(b * l2, -1, a * l1),
-        }
-        for name, value in stored.items():
-            object.__setattr__(self, name, value)
+        put = object.__setattr__.__get__(self)
+        put("c", c)
+        put("d", d)
+        put("chart_inverses", (pow(u, -1, c), pow(-u, -1, d)))
+        put("h0_unit", pow(a * l1, -1, b * l2))
+        put("h1_unit", pow(b * l2, -1, a * l1))
+        put("_hash", hash((a, b, l1, l2)))
 
     def __eq__(self, other):
         if self is other:

@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 
-from .foundation import PhasedScalar
+from .foundation import PhasedScalar, as_rational
 from .sectors import SectorAction, _over, age
 
 
@@ -118,7 +118,8 @@ class Sector:
 
 
 def sector_at(m: WPSModel, f: Fraction) -> Sector:
-    f = f if type(f) is Fraction and 0 <= f.numerator < f.denominator else Fraction(f) % 1
+    """The sector of rotation f mod 1; f is an exact rational (a float or a bool raises TypeError)."""
+    f = f if type(f) is Fraction and 0 <= f.numerator < f.denominator else as_rational(f) % 1
     j, n = f.numerator, f.denominator
     fixed = tuple(i for i, w in enumerate(m.weights) if (j * w) % n == 0)
     if not fixed:

@@ -281,6 +281,80 @@ def test_series_verify_golden_output(tmp_path, capsys, order):
     assert out == SERIES_GOLDEN[order] + "\n"
 
 
+# The classes of SERIES_TABLE_DOC and two more, each class and sector written
+# several ways ("2/2" is 1, 4/3 is the sector 1/3), with two pairs of entries
+# that cancel: entries 0 and 2, and entries 8 and 9.
+REPEATING_TABLE_DOC = {
+    "wps": {"weights": [1, 2, 3], "bundle": [1]},
+    "table": {
+        "dim": 5,
+        "entries": [
+            {"beta": {"degrees": [1, "-5/4"]}, "sectors": [0, "1/3"], "psi_power": 0, "row": 0, "col": 2, "value": "-7/4"},
+            {"beta": {"degrees": ["1", "-5/4"]}, "sectors": ["1/2", "2/3"], "psi_power": 1, "row": 3, "col": 4, "value": "4/3"},
+            {"beta": {"degrees": ["2/2", "-10/8"]}, "sectors": [0, "1/3"], "psi_power": 0, "row": 0, "col": 2, "value": "7/4"},
+            {"beta": {"degrees": [2, "-4/3"]}, "sectors": ["1/3", "1/3"], "psi_power": 0, "row": 2, "col": 2, "value": 2},
+            {"beta": {"degrees": [2, "-4/3"]}, "sectors": ["4/3", "1/3"], "psi_power": 0, "row": 2, "col": 2, "value": "2"},
+            {"beta": {"degrees": [2, "-4/3"]}, "sectors": ["2/3", "1/2"], "psi_power": 2, "row": 4, "col": 3, "value": "-2"},
+            {"beta": {"degrees": [3, "-4/3"]}, "sectors": ["2/3", "1/2"], "psi_power": 1, "row": 4, "col": 3, "value": "-2"},
+            {"beta": {"degrees": [2, "1/2"]}, "sectors": [0, 0], "psi_power": 1, "row": 1, "col": 0, "value": "9/2"},
+            {"beta": {"degrees": ["2", "1/2"]}, "sectors": ["1/2", 0], "psi_power": 0, "row": 3, "col": 1, "value": "3/5"},
+            {"beta": {"degrees": [2, "2/4"]}, "sectors": ["1/2", "0"], "psi_power": 0, "row": 3, "col": 1, "value": "-3/5"},
+            {"beta": {"degrees": [5, "1/2"]}, "psi_power": 0, "row": 1, "col": 1, "value": "3/5"},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("order, checks", [("1", 25), ("2", 100), ("3", 125), ("5", 150)])
+def test_series_verify_golden_output_on_repeated_classes_and_sectors(tmp_path, capsys, order, checks):
+    # recorded byte for byte from a parser that built each entry's class and scalars afresh
+    got = run_cli(capsys, "--json", "--order", order, "series-verify", write_doc(tmp_path, REPEATING_TABLE_DOC))
+    report = f'"coefficient_checks":{checks},"first_violation":null,"model":"P(1,2,3)/O(1)","ok":true,"state_dim":5'
+    assert got == (0, '{"command":"series-verify","results":{' + report + "}}\n", "")
+
+
+@pytest.mark.parametrize(
+    "degrees, message",
+    [
+        (["-1", 0], "ordering degree must be non-negative: (Fraction(-1, 1), Fraction(0, 1))"),
+        ([0, "1/2"], "ordering degree 0 forces the zero class: (Fraction(0, 1), Fraction(1, 2))"),
+    ],
+)
+def test_series_verify_refuses_an_invalid_class_among_shared_ones(tmp_path, capsys, degrees, message):
+    doc = json.loads(json.dumps(REPEATING_TABLE_DOC))
+    doc["table"]["entries"][4]["beta"]["degrees"] = degrees
+    assert run_cli(capsys, "--json", "series-verify", write_doc(tmp_path, doc)) == (2, "", f"input error: {message}\n")
+
+
+def test_parse_table_builds_each_class_and_scalar_once_per_document():
+    cli.validate_document(REPEATING_TABLE_DOC)
+    entries = cli.parse_table(REPEATING_TABLE_DOC, 5).entries
+    betas = [e.beta for e in entries]
+    # one object per class, however its degrees are written
+    assert len(set(map(id, betas))) == len(set(betas)) == 5
+    assert all(beta is next(b for b in betas if b == beta) for beta in betas)
+    # one Fraction per distinct scalar: the value "-2" of entries 5 and 6, the sector "1/3" of entries 0 and 2
+    assert entries[5].value is entries[6].value and entries[0].sectors[1] is entries[2].sectors[1]
+    # a second call shares nothing with the first
+    assert all(e.beta == again.beta and e.beta is not again.beta
+               for e, again in zip(entries, cli.parse_table(REPEATING_TABLE_DOC, 5).entries))
+
+
+@pytest.mark.parametrize("where", ["degrees", "value"])
+def test_parse_table_refuses_a_bool_after_an_equal_int(where):
+    # True == 1, so a scalar shared by value alone would let it through
+    entries = [
+        {"beta": {"degrees": [1, 1]}, "psi_power": 0, "row": 0, "col": 0, "value": 1},
+        {"beta": {"degrees": [1, 1]}, "psi_power": 0, "row": 0, "col": 0, "value": 1},
+    ]
+    if where == "degrees":
+        entries[1]["beta"]["degrees"] = [True, 1]
+    else:
+        entries[1]["value"] = True
+    with pytest.raises(cli.InputError, match="^expected an exact rational, got True$"):
+        cli.parse_table({"table": {"entries": entries}}, 1)
+
+
 CHAIN_DOC = {"chain": [{"c": 1, "d": 1}], "bundle": [[{"d": 1}], [{"d": 0}]]}
 WPS_DOC = {"wps": {"weights": [1, 1, 2, 2], "bundle": [1]}}
 
@@ -721,6 +795,7 @@ def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypat
     # argparse wraps its usage text to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
     wps_doc = write_doc(tmp_path, {"wps": {"weights": [1, 2, 3]}})
+    table_doc = write_doc(tmp_path, REPEATING_TABLE_DOC, "table.json")
     rank = ["rank", "--beta-detE", "1/2", "--g2", "1/2"]
     sweep = ["verify", "--suite", "thm-weak-convexity", "--max-a", "2", "--max-l", "2", "--max-d", "1"]
     calls = [
@@ -730,6 +805,8 @@ def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypat
         ["--json", "--order", "2", "verify", "--suite", "qsd-operator", "--trials", "2"],
         ["--json", "verify", "--suite", "qsd-operator", "--trials", "2"],
         ["--json", "series-verify", "--random"],
+        ["--json", "--order", "2", "series-verify", table_doc],
+        ["--json", "series-verify", table_doc],
         ["--json", "wps", "verify", "--weights", "1,1,2,2", "--bundle", "1"],
         ["--json", "wps", "verify", wps_doc],
         ["wps", "--weights", "1,2", "pairing", "--json"],

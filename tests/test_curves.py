@@ -1,4 +1,5 @@
 """Twisted components, presentations, chains, and the isotropy oracle."""
+import itertools
 import pickle
 from fractions import Fraction as F
 from math import gcd
@@ -68,6 +69,30 @@ def test_component_data_must_be_ints(field, args):
     # a bool is an int to isinstance, and printed P(True,2) equalled P(1,2)
     with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
         TwistedComponent(*args)
+
+
+def _component_error(a, b, l1, l2) -> str | None:
+    """The error of TwistedComponent(a, b, l1, l2), worded by a check of each field and then each pair in turn."""
+    for name, v in zip(("a", "b", "l1", "l2"), (a, b, l1, l2)):
+        if type(v) is not int or v < 1:
+            return f"{name} must be a positive integer, got {v!r}"
+    for names, x, y in (("a,b", a, b), ("l1,l2", l1, l2), ("l1,b", l1, b), ("l2,a", l2, a)):
+        if gcd(x, y) != 1:
+            return f"gcd({names})={gcd(x, y)} != 1"
+    return None
+
+
+def test_component_errors_name_the_first_bad_field_then_the_first_shared_factor():
+    # every mix of good, non-coprime, non-positive and non-int fields
+    for args in itertools.product((1, 2, 3, 6, 0, -1, True, 2.0), repeat=4):
+        error = _component_error(*args)
+        if error is None:
+            comp = TwistedComponent(*args)
+            assert (comp.a, comp.b, comp.l1, comp.l2) == args
+            continue
+        with pytest.raises(ValueError) as info:
+            TwistedComponent(*args)
+        assert str(info.value) == error, args
 
 
 def test_degree_tags_must_be_rationals():

@@ -210,6 +210,18 @@ def test_model_validation():
         sector_at(WPSModel((2, 2)), F(1, 3))
 
 
+def test_sector_at_takes_exact_rotations_only():
+    m = WPSModel((1, 2), (1,))
+    half = sector_at(m, F(1, 2))
+    for f, sector in (("1/2", half), ("-1/2", half), (3, sector_at(m, F(0)))):
+        got = sector_at(m, f)
+        assert (got.f, got.fixed_indices, got.age) == (sector.f, sector.fixed_indices, sector.age)
+    # read as Fractions, 0.5 would be the sector 1/2, True the sector 0, and 0.1 its binary expansion
+    for f in (0.5, True, 0.1):
+        with pytest.raises(TypeError, match=f"^not an exact rational: {f!r}$"):
+            sector_at(m, f)
+
+
 def test_model_rejects_weights_and_degrees_that_are_not_integers():
     # no silent cast: 1.5 would become 1, "3" would become 3, True would become 1
     for weights, degrees, message in (
