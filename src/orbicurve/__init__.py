@@ -14,7 +14,7 @@ Modules:
   cli         `orbicurve` command-line front end
 """
 
-from .foundation import PhasedScalar, Rational, canonical_split
+from .foundation import PhasedScalar, canonical_split
 from .curves import CurveChain, MarkedPoint, TwistedComponent, isotropy_order, present
 from .bundles import (
     ChainBundle,

@@ -398,7 +398,7 @@ def cmd_wps(args, doc: dict) -> dict:
                     "f": fmt(s.f),
                     "fixed_weights": [model.weights[i] for i in s.fixed_indices],
                     "dim": s.dim,
-                    "age": fmt(s.age),
+                    "age": fmt(Fraction(s.age_num, model.N)),
                     "rank_fixed": s.rank_fixed,
                 }
             )
@@ -610,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (InternalInconsistency, convexity.CertificateError) as exc:
+    except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a fault in the library: name what failed

@@ -24,10 +24,7 @@ from .bundles import (
 )
 from .cohomology import _fold, _piece_data, h_twisted
 from .curves import X1, X2, CurveChain
-
-
-class CertificateError(RuntimeError):
-    """A certificate condition failed; this signals an implementation bug."""
+from .foundation import InternalInconsistency
 
 
 @dataclass
@@ -63,9 +60,9 @@ def convexity_verdict(B: SplitBundle) -> ConvexityVerdict:
     verdict = ConvexityVerdict(semipos, convex, concave, witnesses)
     # Post-hoc theorem assertions, never used as computational shortcuts.
     if verdict.weakly_semipositive and not verdict.weakly_convex:
-        raise CertificateError(f"semi-positive bundle failed convexity: {B}")
+        raise InternalInconsistency(f"semi-positive bundle failed convexity: {B}")
     if verdict.weakly_convex != verdict.weakly_concave_dual:
-        raise CertificateError(f"convexity/concavity mismatch: {B}")
+        raise InternalInconsistency(f"convexity/concavity mismatch: {B}")
     return verdict
 
 
@@ -99,7 +96,7 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
     for j, comp in enumerate(chain.components):
         log_can = twist_marked(twist_marked(canonical_bundle(comp), X1, 1), X2, 1)
         if log_can.k1 or log_can.k2 or log_can.d:
-            raise CertificateError(f"component {j}: omega(x1+x2) = {log_can} is not trivial")
+            raise InternalInconsistency(f"component {j}: omega(x1+x2) = {log_can} is not trivial")
         pieces.append(log_can)
 
     log_chain = ChainBundle(chain, tuple(pieces))  # the all-trivial bundle, built from the checked pieces
@@ -109,7 +106,7 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
     h0_x2, h1_x2, _, _ = _fold(omega_x2.pieces, [_piece_data(omega_x2.pieces[0]), *data[1:]])
     cert = LogCanonicalCertificate(h0, h1, h0_x2, h1_x2, log_chain, omega_x2)
     if h0 != 1 or h1 != 0:
-        raise CertificateError(f"log canonical bundle not trivial on chain: h0={h0}, h1={h1}")
+        raise InternalInconsistency(f"log canonical bundle not trivial on chain: h0={h0}, h1={h1}")
     if h0_x2 != 0 or h1_x2 != 0:
-        raise CertificateError(f"omega(x2) cohomology nonzero: h0={h0_x2}, h1={h1_x2}")
+        raise InternalInconsistency(f"omega(x2) cohomology nonzero: h0={h0_x2}, h1={h1_x2}")
     return cert

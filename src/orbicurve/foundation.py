@@ -13,13 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-# All rational quantities are plain fractions.Fraction values, kept in lowest
-# terms with positive denominator by the stdlib.
-Rational = Fraction
-
 
 class InternalInconsistency(RuntimeError):
-    """Two independent computations of the same number disagreed: a bug."""
+    """An implementation bug: two independent computations of the same number
+    disagreed, or a certificate condition failed."""
 
 
 def as_rational(x) -> Fraction:

@@ -232,10 +232,11 @@ def ct_pairing(m: WPSModel, alpha: StateElement, beta: StateElement) -> PhasedSc
 
 
 def delta_tilde(m: WPSModel, gamma: StateElement) -> StateElement:
-    """The phase-corrected transport of a compact-type class to an ambient class."""
+    """The phase-corrected transport of a compact-type class to an ambient
+    class, each sector's age summed here from its fiber weights."""
     out: dict[Fraction, list] = {}
     for f, coeffs in gamma.parts.items():
-        age = gamma.sectors[f].sector.age
+        age = sum(gamma.sectors[f].sector.fiber_weights.weights, Fraction(0))
         phase = PhasedScalar.root(age.numerator, age.denominator)
         out[f] = [phase * PhasedScalar.coerce(c) for c in coeffs]
     return StateElement(m, out, gamma.sectors)

@@ -244,11 +244,10 @@ def transported_table(table: InvariantTable, m: WPSModel, basis: list[tuple[Frac
     The sectors' integer ages and the shifts deg(det E) + rank go over one
     denominator D: an entry's exponent is an integer k, its phase `PhasedScalar.root(k, D)`.
     """
-    N = lcm(*m.weights)
     ages = {s.f: s.age_num for s in m.sectors}
     dets = {e.beta: e.beta.det for e in table.entries}
-    D = lcm(N, *(x.denominator for x in dets.values()))
-    basis_ks = [ages[f] * (D // N) for f, _ in basis]
+    D = lcm(m.N, *(x.denominator for x in dets.values()))
+    basis_ks = [ages[f] * (D // m.N) for f, _ in basis]
     shift_ks = {beta: (x.numerator + m.rank * x.denominator) * (D // x.denominator) for beta, x in dets.items()}
     entries = []
     for e in table.entries:
@@ -295,7 +294,7 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
     op_e_sub = op_e.substitute_novikov()
     # delta is diagonal: it scales the columns of op_z and the rows of op_e_sub
     ages = {s.f: s.age_num for s in m.sectors}
-    delta = [PhasedScalar.root(ages[f], lcm(*m.weights)) for f, _ in basis]
+    delta = [PhasedScalar.root(ages[f], m.N) for f, _ in basis]
     # Every cell of every key counts as a check; a cell neither operator
     # stores is zero on both sides, so only the stored cells are compared, in
     # row-major order, up to the first violation.

@@ -31,12 +31,14 @@ arbitrary classes, summed sector by sector, live in `oracles`;
 every `PAIRING_SAMPLE_EVERY`-th model.
 
 A model walks its sectors once, on the first read of `WPSModel.sectors`, and
-keeps the tuple.  The walk is in integers: the rotations are k/N, N = lcm(weights);
-on f = j/n a weight w is fixed when n | j*w, and the fiber action holds the
-numerators (j*k) mod n over n of the degrees k.  A sector keeps its age, and
-`age_num` = age * N, which the checks and the transport read.  Pairing blocks,
-the ct basis and its rows are kept in `WPSModel.kept` on first use; a model's
-equality, hash, repr and pickle read only its weights and degrees.
+keeps the tuple.  The walk is in integers: the rotations are k/N, with
+N = lcm(weights) computed once per model as `WPSModel.N`; on f = j/n a weight
+w is fixed when n | j*w, and the fiber action holds the numerators (j*k) mod n
+over n of the degrees k.  A sector stores its age once, as the int
+`age_num` = age * N, and every transport phase is `PhasedScalar.root` of it
+over N.  Pairing blocks, the ct basis and its rows are kept in
+`WPSModel.kept` on first use; a model's equality, hash, repr and pickle read
+only its weights and degrees.
 
 The transport delta multiplies a class supported on the sector with rotation
 f by the exact phase e^{i*pi*age_f} and reinterprets it as an ambient class;
@@ -53,7 +55,7 @@ from functools import cached_property
 from math import lcm, prod
 
 from .foundation import PhasedScalar, as_rational
-from .sectors import SectorAction, _over, age
+from .sectors import SectorAction, _over
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,8 @@ class WPSModel:
             raise ValueError("need at least two positive weights")
         if any(k < 1 for k in self.bundle_degrees):
             raise ValueError("bundle degrees must be positive")
+        # the conductor of the transport phases: a sector's age is age_num / N
+        object.__setattr__(self, "N", lcm(*self.weights))
         # derived data by key: `pairing_blocks` by kind, "ct basis" and "ct basis rows"
         object.__setattr__(self, "kept", {})
 
@@ -87,9 +91,8 @@ class WPSModel:
     def sectors(self) -> tuple["Sector", ...]:
         """The twisted sectors in increasing rotation from 0, walked on first
         read and kept on the model (equality, hash and repr read only the fields)."""
-        N = lcm(*self.weights)
-        rotations = sorted({k * (N // w) for w in self.weights for k in range(w)})
-        return tuple(sector_at(self, Fraction(k, N)) for k in rotations)
+        rotations = sorted({k * (self.N // w) for w in self.weights for k in range(w)})
+        return tuple(sector_at(self, Fraction(k, self.N)) for k in rotations)
 
     def __reduce__(self):
         return WPSModel, (self.weights, self.bundle_degrees)
@@ -105,8 +108,7 @@ class Sector:
     f: Fraction
     fixed_indices: tuple[int, ...]
     fiber_weights: SectorAction
-    age: Fraction = field(repr=False, compare=False)
-    age_num: int = field(repr=False, compare=False)  # the age times lcm(weights)
+    age_num: int = field(repr=False, compare=False)  # the age (the sum of the fiber weights) times the model's N
 
     @property
     def dim(self) -> int:
@@ -125,7 +127,7 @@ def sector_at(m: WPSModel, f: Fraction) -> Sector:
     if not fixed:
         raise ValueError(f"rotation {f} fixes no coordinate of {m}")
     fibers = _over(tuple(j * k % n for k in m.bundle_degrees), n)
-    return Sector(f, fixed, fibers, age(fibers), sum(fibers.nums) * (lcm(*m.weights) // fibers.den))
+    return Sector(f, fixed, fibers, sum(fibers.nums) * (m.N // fibers.den))
 
 
 def euler_factor(m: WPSModel, s: Sector) -> tuple[int, int]:
@@ -226,15 +228,14 @@ def pairing_gram(m: WPSModel, kind: str) -> list[list[Fraction]]:
 
 def comparison_sides(m: WPSModel) -> tuple[list, list, list]:
     """(`state_basis`, <delta(g1), delta(g2)>_ambient, (-1)^rank <g1, g2>_ct),
-    the two matrices as PhasedScalars."""
-    ages = [s.age for s in m.sectors for _ in range(s.dim + 1)]
-    sign = (-1) ** m.rank
+    the two matrices as PhasedScalars, with the phases of `verify_pairing_comparison`."""
+    ages = [s.age_num for s in m.sectors for _ in range(s.dim + 1)]
     lhs = [
-        [PhasedScalar({a + b: x}) if x else PhasedScalar() for b, x in zip(ages, row)]
+        [PhasedScalar.root(a + b, m.N, x) if x else PhasedScalar() for b, x in zip(ages, row)]
         for a, row in zip(ages, pairing_gram(m, "ambient"))
     ]
     rhs = [
-        [PhasedScalar({0: sign * x}) if x else PhasedScalar() for x in row]
+        [PhasedScalar.root(m.rank, 1, y) if y else PhasedScalar() for y in row]  # (-1)^rank * y
         for row in pairing_gram(m, "ct")
     ]
     return state_basis(m), lhs, rhs
@@ -251,13 +252,12 @@ def verify_pairing_comparison(m: WPSModel) -> PairingComparisonReport:
     """
     sectors = m.sectors
     report = PairingComparisonReport(m, sum(s.dim + 1 for s in sectors) ** 2)
-    N = lcm(*m.weights)
     zero = PhasedScalar()
     ambient, ct = pairing_blocks(m, "ambient"), pairing_blocks(m, "ct")
     for i, s in enumerate(sectors):
         g = sectors[_partner(i, m)]
         (x, top_x), (y, top_y) = ambient[i], ct[i]
-        lhs = PhasedScalar.root(s.age_num + g.age_num, N, x) if x else zero
+        lhs = PhasedScalar.root(s.age_num + g.age_num, m.N, x) if x else zero
         rhs = PhasedScalar.root(m.rank, 1, y) if y else zero  # (-1)^rank * y
         sides = {top_x: (lhs, rhs)} if top_x == top_y else {top_x: (lhs, zero), top_y: (zero, rhs)}
         # in increasing top, so that each row lists its columns in order

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicurve import cli, cohomology, convexity, curves, suites
+from orbicurve import cli, cohomology, curves, suites
 
 
 def run_cli(capsys, *argv):
@@ -210,12 +210,31 @@ def test_rank_command(capsys):
     assert results["rank"] == "1" and results["is_integer"]
 
 
-def test_wps_sectors_command(capsys):
-    code, out, _ = run_cli(capsys, "--json", "wps", "sectors", "--weights", "1,1,2,2", "--bundle", "1")
+@pytest.mark.parametrize(
+    "weights, bundle", [("1,1,2,2", "1"), ("1,3", None), ("1,2,4", "3"), ("3,4", "2,2"), ("2,3,4", "1,3")]
+)
+def test_wps_sectors_command(capsys, weights, bundle):
+    # each printed sector against one worked out here in Fractions: rotations
+    # k/w, fixed coordinates where f*w is an integer, fiber weights (f*k) mod 1,
+    # the age their sum, the dimension one less than the fixed coordinates and
+    # rank_fixed the count of zero fiber weights
+    ws = [int(w) for w in weights.split(",")]
+    ks = [int(k) for k in bundle.split(",")] if bundle else []
+    want = []
+    for f in sorted({Fraction(k, w) for w in ws for k in range(w)}):
+        fixed = [w for w in ws if (f * w).denominator == 1]
+        fibers = [(f * k) % 1 for k in ks]
+        want.append({
+            "f": str(f),
+            "fixed_weights": fixed,
+            "dim": len(fixed) - 1,
+            "age": str(sum(fibers, Fraction(0))),
+            "rank_fixed": fibers.count(0),
+        })
+    argv = ["--weights", weights] + (["--bundle", bundle] if bundle else [])
+    code, out, _ = run_cli(capsys, "--json", "wps", "sectors", *argv)
     assert code == 0
-    sectors = json.loads(out)["results"]["sectors"]
-    assert [s["f"] for s in sectors] == ["0", "1/2"]
-    assert sectors[1]["age"] == "1/2"
+    assert json.loads(out)["results"]["sectors"] == want
 
 
 def test_wps_verify_cost_follows_the_blocks(capsys):
@@ -438,7 +457,6 @@ def test_verify_suite_failure_exit_code(capsys, monkeypatch):
     "error",
     [
         cohomology.InternalInconsistency("routes disagree"),
-        convexity.CertificateError("not trivial"),
         KeyError("internal slot"),  # a fault in the library, not bad input
     ],
 )
@@ -451,7 +469,7 @@ def test_internal_error_exit_code(capsys, monkeypatch, error):
     assert code == 3 and out == ""
     # a disagreement or a failed certificate speaks for itself; any other
     # exception is named by its type
-    named = "" if isinstance(error, (cohomology.InternalInconsistency, convexity.CertificateError)) else "KeyError: "
+    named = "" if isinstance(error, cohomology.InternalInconsistency) else "KeyError: "
     assert err == f"internal error: {named}{error}\n"
 
 

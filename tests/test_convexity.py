@@ -6,7 +6,6 @@ import pytest
 from orbicurve import cohomology, convexity
 from orbicurve.bundles import ChainBundle, EqLineBundle, SplitBundle
 from orbicurve.convexity import (
-    CertificateError,
     convexity_verdict,
     is_weakly_concave_on_dual,
     is_weakly_convex_on,
@@ -14,6 +13,7 @@ from orbicurve.convexity import (
     log_canonical_certificate,
 )
 from orbicurve.curves import X2, CurveChain, present
+from orbicurve.foundation import InternalInconsistency
 from orbicurve.suites import suite_weak_concavity, suite_weak_convexity
 
 P1 = present(1, 1)
@@ -84,7 +84,7 @@ def test_a_fault_in_one_components_log_canonical_bundle_fails_the_certificate(mo
         return dataclasses.replace(M, d=M.d + 1) if pt is X2 and M.comp is chain.components[1] else M
 
     monkeypatch.setattr(convexity, "twist_marked", shifted)
-    with pytest.raises(CertificateError, match=r"^component 1: omega\(x1\+x2\) = O\^\{0,0\}\(1\) on "):
+    with pytest.raises(InternalInconsistency, match=r"^component 1: omega\(x1\+x2\) = O\^\{0,0\}\(1\) on "):
         log_canonical_certificate(chain)
 
 
@@ -102,7 +102,7 @@ def test_the_certificate_reads_each_piece_once_through_piece_ends(monkeypatch):
     # piece, the only piece of either bundle with d != 0
     bump = lambda e, by: (e[0] + by, e[1] + by, *e[2:])
     monkeypatch.setattr(cohomology, "piece_ends", lambda L, *known: bump(ends(L, *known), L.d != 0))
-    with pytest.raises(CertificateError, match=r"^omega\(x2\) cohomology nonzero: h0=1, h1=1"):
+    with pytest.raises(InternalInconsistency, match=r"^omega\(x2\) cohomology nonzero: h0=1, h1=1"):
         log_canonical_certificate(chain)
 
 

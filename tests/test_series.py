@@ -362,7 +362,7 @@ def _dense_scan(table, m, truncation):
     dim = len(basis)
     op_z = build_L(series_mod.transported_table(table, m, basis), pairing_rows(m, "ambient", basis), truncation)
     sub = build_L(table, pairing_rows(m, "ct", basis), truncation).substitute_novikov()
-    ages = {s.f: s.age for s in m.sectors}
+    ages = {s.f: age(s.fiber_weights) for s in m.sectors}
     delta = [PhasedScalar({ages[f]: 1}) for f, _ in basis]
     dense = {k: (op_z.matrix_at(*k), sub.matrix_at(*k)) for k in op_z.terms.keys() | sub.terms.keys()}
     keys = [k for k, mats in dense.items() if any(not x.is_zero() for mat in mats for row in mat for x in row)]

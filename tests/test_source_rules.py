@@ -6,7 +6,8 @@ arithmetic, so it imports no complex floating-point math.  No module imports
 `linalg`, the dense Fraction row reduction the tests compare against, so the
 only elimination kernel on a library path is the chain oracle's.  The oracles
 that the suites replay against the fast path stay independent of it: `oracles`
-names none of the fast path's kernels, and only `suites` imports `oracles`.
+names none of the fast path's kernels, nor the integer age a sector stores,
+and only `suites` imports `oracles`.
 `suites` writes its bundle grid once: only `_bundle_grid` constructs an
 `EqLineBundle`, and the replays build their chain bundles on its bundles; and
 it keeps no cache from one call to the next, so a fault reaches every call.
@@ -54,7 +55,7 @@ def test_no_cmath_import(path):
 # The fast-path kernels each oracle is checked against.
 FAST_PATH = {
     "chain_step", "piece_ends", "CHAIN_START", "h_chain",  # cohomology
-    "pairing_blocks", "pairing_rows", "pairing_gram", "comparison_sides",  # wps
+    "pairing_blocks", "pairing_rows", "pairing_gram", "comparison_sides", "age_num",  # wps
     "_age_data", "age_at", "acts_trivially_at",  # bundles
 }
 

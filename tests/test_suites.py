@@ -1,4 +1,5 @@
 """Verification-suite plumbing at small bounds."""
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -167,6 +168,23 @@ def test_pairing_replay_disagreement_raises_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "elementwise" in proc.stdout
+
+
+def test_an_integer_age_fault_reaches_the_pairing_replay(monkeypatch):
+    # age_num one whole N too large on the sectors with 0 < f < 1/2 turns their
+    # transport phase e^{i*pi*age} into its negative.  The elementwise oracle
+    # sums each sector's fiber weights itself, so the sampled replay of the
+    # fault disagrees with it, besides the theorem failures the fault causes.
+    sector_at = wps.sector_at
+
+    def shifted(m, f):
+        s = sector_at(m, f)
+        return dataclasses.replace(s, age_num=s.age_num + m.N) if 0 < s.f < Fraction(1, 2) else s
+
+    monkeypatch.setattr(wps, "sector_at", shifted)
+    replay = r"^pairing comparison of P\(1,3\)/O\(4,4\): .*elementwise"
+    with pytest.raises(cohomology.InternalInconsistency, match=replay):
+        suites.suite_pairing_comparison(max_n=3)
 
 
 def test_suite_failures_keep_the_first_witness(monkeypatch):

@@ -215,7 +215,7 @@ def test_sector_at_takes_exact_rotations_only():
     half = sector_at(m, F(1, 2))
     for f, sector in (("1/2", half), ("-1/2", half), (3, sector_at(m, F(0)))):
         got = sector_at(m, f)
-        assert (got.f, got.fixed_indices, got.age) == (sector.f, sector.fixed_indices, sector.age)
+        assert (got.f, got.fixed_indices, got.age_num) == (sector.f, sector.fixed_indices, sector.age_num)
     # read as Fractions, 0.5 would be the sector 1/2, True the sector 0, and 0.1 its binary expansion
     for f in (0.5, True, 0.1):
         with pytest.raises(TypeError, match=f"^not an exact rational: {f!r}$"):
@@ -376,7 +376,7 @@ def test_sector_walk_matches_a_fraction_walk():
             fibers = tuple((f * k) % 1 for k in m.bundle_degrees)
             fixed = tuple(i for i, w in enumerate(m.weights) if (f * w).denominator == 1)
             walk.append((f, fixed, fibers, sum(fibers, F(0))))
-        assert [(s.f, s.fixed_indices, s.fiber_weights.weights, s.age) for s in m.sectors] == walk
+        assert [(s.f, s.fixed_indices, s.fiber_weights.weights, F(s.age_num, N)) for s in m.sectors] == walk
         # the fiber action is the one the checking constructor builds from those Fractions
         assert [s.fiber_weights for s in m.sectors] == [SectorAction(fibers) for _, _, fibers, _ in walk]
         assert [hash(s.fiber_weights) for s in m.sectors] == [hash(SectorAction(fibers)) for _, _, fibers, _ in walk]
@@ -401,11 +401,17 @@ def test_each_model_walks_its_sectors_once(monkeypatch):
 
 def test_each_model_derives_its_blocks_basis_and_ages_once(monkeypatch):
     derived = []
-    block_volume, image_dim, sector_age = wps.integrate, series.euler_image_dim, wps.age
+    block_volume, image_dim, fiber_action = wps.integrate, series.euler_image_dim, wps._over
     rows = series.pairing_rows
     monkeypatch.setattr(wps, "integrate", lambda m, s, k: derived.append(("block", s.f)) or block_volume(m, s, k))
     monkeypatch.setattr(series, "euler_image_dim", lambda m, s: derived.append(("basis", s.f)) or image_dim(m, s))
-    monkeypatch.setattr(wps, "age", lambda w: derived.append(("age", w)) or sector_age(w))
+
+    def counted_action(nums, n):  # a sector's age is summed from the fiber action `_over` builds
+        derived.append(("age", fiber_action(nums, n)))
+        return derived[-1][1]
+
+    monkeypatch.setattr(wps, "_over", counted_action)
+    monkeypatch.setattr(wps, "lcm", lambda *ws: derived.append(("N", ws)) or math.lcm(*ws))
     monkeypatch.setattr(series, "pairing_rows", lambda m, kind, b: derived.append(("rows", kind)) or rows(m, kind, b))
     m = WPSModel((1, 1, 2, 2), (1,))
     table = series.random_invariant_table(m, 3, random.Random(0))
@@ -414,10 +420,11 @@ def test_each_model_derives_its_blocks_basis_and_ages_once(monkeypatch):
         comparison_sides(m)
         pairing_gram(m, "cr")
         assert series.verify_qsd_operator_identity(table, m, 3).ok
-    # one block per sector for each of the three kinds, one basis walk, one
-    # age per sector, and the rows of the ct and ambient pairings on the basis once
+    # one N, one block per sector for each of the three kinds, one basis walk,
+    # one age per sector, and the rows of the ct and ambient pairings on the basis once
     fs = [s.f for s in m.sectors]
     expected = [("block", f) for f in fs] * 3 + [("basis", f) for f in fs] + [("rows", "ambient"), ("rows", "ct")]
+    expected.append(("N", m.weights))
     assert sorted(d for d in derived if d[0] != "age") == sorted(expected)
     assert set(m.kept) == {"ambient", "ct", "cr", "ct basis", "ct basis rows"}
     assert [w for kind, w in derived if kind == "age"] == [s.fiber_weights for s in m.sectors]
@@ -433,7 +440,8 @@ def test_cached_sectors_leave_equality_hash_and_pickling_alone():
         pairing_gram(m, "cr")
         series.compact_type_basis(m)
         assert isinstance(m.sectors, tuple) and set(m.kept) == {"ambient", "ct", "cr", "ct basis"}
-        assert all("age" in vars(s) for s in m.sectors)
+        # N = lcm(weights) is worked out once, when the model is built, and shows in no field
+        assert m.N == fresh.N == math.lcm(*m.weights) and "N" not in repr(m)
         assert "sectors" not in vars(fresh) and fresh.kept == {}
         assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
         assert [hash(s) for s in m.sectors] == [hash(s) for s in fresh.sectors]
