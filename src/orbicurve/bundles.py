@@ -67,10 +67,6 @@ class EqLineBundle:
         return f"O^{{{self.k1},{self.k2}}}({self.d}) on {self.comp}"
 
 
-def trivial_bundle(comp: TwistedComponent) -> EqLineBundle:
-    return EqLineBundle(comp, 0, 0, 0)
-
-
 def _reduced(comp: TwistedComponent, k1: int, k2: int, d: int) -> EqLineBundle:
     """O^{k1,k2}(d) on comp from ints that are already checked, built unchecked: k1 and k2 are only reduced."""
     L, put = object.__new__(EqLineBundle), object.__setattr__
@@ -172,10 +168,6 @@ class ChainBundle:
         if violations:
             raise ValueError("; ".join(violations))
 
-    @property
-    def degree(self) -> Fraction:
-        return sum((p.degree for p in self.pieces), Fraction(0))
-
 
 def _derived(B: ChainBundle, pieces: tuple[EqLineBundle, ...]) -> ChainBundle:
     """A bundle on B's chain, balanced because B is (see the module docstring), built unchecked."""
@@ -199,10 +191,6 @@ def chain_twist(B: ChainBundle, pt: MarkedPoint, sign: int) -> ChainBundle:
     else:
         raise ValueError(f"unknown marked point {pt!r}")
     return _derived(B, pieces)
-
-
-def trivial_chain_bundle(chain: CurveChain) -> ChainBundle:
-    return ChainBundle(chain, tuple(trivial_bundle(c) for c in chain.components))
 
 
 @dataclass(frozen=True)

@@ -255,10 +255,7 @@ def parse_wps(doc: dict) -> wps.WPSModel:
     if "wps" not in doc:
         raise InputError("document has no 'wps'")
     spec = doc["wps"]
-    try:
-        return wps.WPSModel(tuple(spec["weights"]), tuple(spec.get("bundle", ())))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return wps.WPSModel(tuple(spec["weights"]), tuple(spec.get("bundle", ())))
 
 
 def parse_table(doc: dict, dim: int) -> series.InvariantTable:
@@ -344,7 +341,7 @@ def cmd_cohomology(args, doc: dict) -> dict:
             rep = cohomology.h_twisted(cb, pt, twist["sign"])
         else:
             rep = cohomology.h_chain(cb)
-        reports.append({"h0": rep.h0, "h1": rep.h1, "euler_char": fmt(rep.euler_char)})
+        reports.append({"h0": rep.h0, "h1": rep.h1, "euler_char": str(rep.h0 - rep.h1)})
     if len(reports) == 1:
         return reports[0]
     total = {
@@ -376,7 +373,7 @@ def cmd_sign(args, doc: dict) -> dict:
     g1, g2 = _padded_sectors(args.g1, args.g2)
     result = sectors.sign_cycle(_rational(args.beta_detE), g1, g2)
     out = {"exponent": fmt(result.exponent), "sign": result.as_sign}
-    if not result.realizable:
+    if result.as_sign is None:
         out["realizable"] = False
     return out
 
@@ -428,10 +425,12 @@ def cmd_wps(args, doc: dict) -> dict:
 
 
 def cmd_series_verify(args, doc: dict) -> dict:
+    order = 4 if args.order is None else args.order
+    suites.check_arguments({"order": order})  # as `verify --suite qsd-operator` refuses it
     model = parse_wps(doc)
     basis = series.compact_type_basis(model)
     table = parse_table(doc, dim=len(basis))
-    report = series.verify_qsd_operator_identity(table, model, 4 if args.order is None else args.order)
+    report = series.verify_qsd_operator_identity(table, model, order)
     return {
         "model": str(model),
         "state_dim": report.dim,

@@ -64,11 +64,10 @@ from .foundation import InternalInconsistency
 class CohomologyReport:
     h0: int
     h1: int
-    euler_char: Fraction
 
     def __post_init__(self):
-        if self.h0 < 0 or self.h1 < 0:
-            raise ValueError("cohomology dimensions must be non-negative")
+        if self.h0 < 0 or self.h1 < 0:  # no input makes one negative: a fault in the counts
+            raise InternalInconsistency("cohomology dimensions must be non-negative")
 
 
 def _h0_count(comp: TwistedComponent, k1: int, k2: int, d: int) -> int:
@@ -173,9 +172,8 @@ def _piece_data(L: EqLineBundle) -> tuple[int, int, PieceEnds]:
     return num, den, piece_ends(L, trivial)
 
 
-def _fold(pieces: tuple[EqLineBundle, ...], data) -> tuple[int, int, int, int]:
-    """(h0, h1, n, D) of the chain bundle with these pieces, its Euler characteristic being n/D, folded
-    over their `_piece_data` and checked against Riemann-Roch."""
+def _fold(pieces: tuple[EqLineBundle, ...], data) -> tuple[int, int]:
+    """(h0, h1) of the chain bundle of these pieces, folded over their `_piece_data`, checked against Riemann-Roch."""
     # Riemann-Roch less one gluing condition per active node (the fold state
     # says whether the node before the next piece is), as an integer numerator
     # over a common denominator D grown only when a piece's does not divide it
@@ -192,13 +190,12 @@ def _fold(pieces: tuple[EqLineBundle, ...], data) -> tuple[int, int, int, int]:
             f"h0 - h1 = {h0} - {h1} but the Euler characteristic is {Fraction(euler_num, D)} on "
             + ", ".join(map(str, pieces))
         )
-    return h0, h1, euler_num, D
+    return h0, h1
 
 
 def h_chain(B: ChainBundle) -> CohomologyReport:
     """h0 and h1 of a chain bundle by the fold over its pieces' data, checked against Riemann-Roch."""
-    h0, h1, euler_num, D = _fold(B.pieces, [_piece_data(p) for p in B.pieces])
-    return CohomologyReport(h0, h1, Fraction(euler_num, D))
+    return CohomologyReport(*_fold(B.pieces, [_piece_data(p) for p in B.pieces]))
 
 
 def h_twisted(B: ChainBundle, pt: MarkedPoint, sign: int) -> CohomologyReport:

@@ -101,9 +101,9 @@ def log_canonical_certificate(chain: CurveChain) -> LogCanonicalCertificate:
 
     log_chain = ChainBundle(chain, tuple(pieces))  # the all-trivial bundle, built from the checked pieces
     data = [_piece_data(p) for p in log_chain.pieces]
-    h0, h1, _, _ = _fold(log_chain.pieces, data)
+    h0, h1 = _fold(log_chain.pieces, data)
     omega_x2 = chain_twist(log_chain, X1, -1)  # omega(x2) = omega(x1+x2) - x1
-    h0_x2, h1_x2, _, _ = _fold(omega_x2.pieces, [_piece_data(omega_x2.pieces[0]), *data[1:]])
+    h0_x2, h1_x2 = _fold(omega_x2.pieces, [_piece_data(omega_x2.pieces[0]), *data[1:]])
     cert = LogCanonicalCertificate(h0, h1, h0_x2, h1_x2, log_chain, omega_x2)
     if h0 != 1 or h1 != 0:
         raise InternalInconsistency(f"log canonical bundle not trivial on chain: h0={h0}, h1={h1}")

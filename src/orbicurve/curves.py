@@ -156,9 +156,6 @@ class CurveChain:
         if violations:
             raise ValueError("; ".join(violations))
 
-    def __len__(self) -> int:
-        return len(self.components)
-
     @property
     def nodes(self) -> list[tuple[int, int]]:
         """Node j sits between components j and j+1 (0-based)."""

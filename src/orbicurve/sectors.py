@@ -88,19 +88,16 @@ def rank_formula(beta_det_e: Fraction, g1: SectorAction, g2: SectorAction) -> Fr
 class SignResult:
     exponent: Fraction  # of e^{i*pi*exponent}, in [0, 2)
     as_sign: int | None
-    realizable: bool
 
 
 def sign_cycle(beta_det_e: Fraction, g1: SectorAction, g2: SectorAction) -> SignResult:
     """(-1) to the rank_formula exponent, as that exponent mod 2.
 
-    A non-integer exponent means the input data is not realizable by a curve
-    and bundle; the exact exponent is returned with realizable=False rather
-    than raised, so the calculus stays total.  The sign is +1 at exponent 0 and -1 at 1.
+    The sign is +1 at exponent 0 and -1 at 1.  Any other exponent, which no curve and bundle
+    realize, has as_sign None rather than raising, so the calculus stays total.
     """
     exponent = rank_formula(beta_det_e, g1, g2) % 2
-    sign = {0: 1, 1: -1}.get(exponent)
-    return SignResult(exponent, sign, sign is not None)
+    return SignResult(exponent, {0: 1, 1: -1}.get(exponent))
 
 
 def sign_invariant(beta_det_e: Fraction, r: int) -> Fraction:

@@ -126,8 +126,7 @@ class LOperator:
 
     Stored sparsely as {(beta, z_power) -> {(row, col): PhasedScalar}} for
     beta != 0: a key holds only the cells some `add_term` reached, every other
-    cell is zero, and the identity constant term is implicit.  `matrix_at`
-    expands one key densely; the library itself works on the stored cells.
+    cell is zero, and the identity constant term is implicit.
     """
 
     def __init__(self, dim: int, truncation):
@@ -139,16 +138,6 @@ class LOperator:
         cells = self.terms.setdefault((beta, zpow), {})
         value = PhasedScalar.coerce(value)
         cells[row, col] = cells[row, col] + value if (row, col) in cells else value
-
-    def matrix_at(self, beta: EffClass, zpow: int) -> list[list[PhasedScalar]]:
-        """The dense dim x dim coefficient of q^beta z^zpow."""
-        mat = [[PhasedScalar() for _ in range(self.dim)] for _ in range(self.dim)]
-        if beta.is_zero() and zpow == 0:
-            for i in range(self.dim):
-                mat[i][i] = PhasedScalar.from_rational(1)
-        for (i, j), x in self.terms.get((beta, zpow), {}).items():
-            mat[i][j] = x
-        return mat
 
     def nonzero_keys(self) -> set[tuple[EffClass, int]]:
         return {k for k, cells in self.terms.items() if any(not x.is_zero() for x in cells.values())}
@@ -212,7 +201,6 @@ def build_L(table: InvariantTable, pairing: list[tuple[int, Fraction] | None], t
 
 @dataclass
 class QSDReport:
-    model: WPSModel
     dim: int
     checks: int = 0
     first_violation: dict | None = None
@@ -274,7 +262,7 @@ def verify_qsd_operator_identity(table_e: InvariantTable, m: WPSModel, truncatio
     """
     basis = compact_type_basis(m)
     dim = len(basis)
-    report = QSDReport(m, dim)
+    report = QSDReport(dim)
     if table_e.dim != dim:
         raise ValueError(f"table dimension {table_e.dim} != state dimension {dim}")
     problems = [

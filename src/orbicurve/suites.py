@@ -431,7 +431,7 @@ def _subtree_sweep(
                 r += ranks[-1] - within + SAMPLE_EVERY  # the first sample past this chain
             yield check, run
 
-    res.details = dict.fromkeys(keys, 0) if roots else {}
+    res.details = dict.fromkeys(keys, 0)
     replays = sum(counts[head, top][0] // SAMPLE_EVERY for head in roots)
     workers = _pool_size(min(workers, replays // REPLAYS_PER_WORKER), len(roots))
     for done in _run_chunks(_replay_chunk, runs(), workers):

@@ -163,7 +163,6 @@ def _no_euler(m: WPSModel, s: Sector) -> tuple[int, int]:
 
 @dataclass
 class PairingComparisonReport:
-    model: WPSModel
     checks: int = 0
     failures: list = field(default_factory=list)
 
@@ -251,7 +250,7 @@ def verify_pairing_comparison(m: WPSModel) -> PairingComparisonReport:
     failures list the entries of `comparison_sides` that differ, in row-major order.
     """
     sectors = m.sectors
-    report = PairingComparisonReport(m, sum(s.dim + 1 for s in sectors) ** 2)
+    report = PairingComparisonReport(sum(s.dim + 1 for s in sectors) ** 2)
     zero = PhasedScalar()
     ambient, ct = pairing_blocks(m, "ambient"), pairing_blocks(m, "ct")
     for i, s in enumerate(sectors):
@@ -283,7 +282,6 @@ class SectorDimReport:
 
 @dataclass
 class DeltaIsoReport:
-    model: WPSModel
     sectors: list[SectorDimReport] = field(default_factory=list)
 
     @property
@@ -303,7 +301,7 @@ def verify_delta_iso_dims(m: WPSModel) -> DeltaIsoReport:
     to coeff * H^{p+power}, so the kernel is stable unless it sends an unpaired
     H^p onto a paired row.
     """
-    report = DeltaIsoReport(m)
+    report = DeltaIsoReport()
     for s, (value, top) in zip(m.sectors, pairing_blocks(m, "ambient")):
         coeff, power = euler_factor(m, s)
         n = s.dim + 1

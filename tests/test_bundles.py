@@ -16,7 +16,6 @@ from orbicurve.bundles import (
     chain_twist,
     dual,
     tensor,
-    trivial_bundle,
     twist_marked,
 )
 from orbicurve.curves import CurveChain, MarkedPoint, TwistedComponent, present
@@ -104,7 +103,7 @@ def test_point_bundle_age_is_reciprocal_order():
     for a, b, l1, l2 in component_family(4, 4):
         comp = TwistedComponent(a, b, l1, l2)
         for pt, order in ((MarkedPoint.X2, comp.d), (MarkedPoint.X1, comp.c)):
-            assert age_at(twist_marked(trivial_bundle(comp), pt, 1), pt) == F(1, order) % 1
+            assert age_at(twist_marked(EqLineBundle(comp), pt, 1), pt) == F(1, order) % 1
 
 
 def test_age_examples():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicurve import cli, cohomology, curves, suites
+from orbicurve import cli, cohomology, convexity, curves, suites
 
 
 def run_cli(capsys, *argv):
@@ -665,6 +665,71 @@ def test_random_series_verify_refuses_an_order_below_one(capsys, value):
     code, out, err = run_cli(capsys, "--json", "verify", "--suite", "qsd-operator", "--trials", "3", "--order", value)
     assert code == 2 and out == ""
     assert err == "input error: order must be at least 1\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_series_verify_refuses_an_order_below_one(tmp_path, capsys, value):
+    # as the qsd-operator suite does: an order below 1 would check no coefficient and read as a success
+    got = run_cli(capsys, "--json", "--order", value, "series-verify", write_doc(tmp_path, SERIES_TABLE_DOC))
+    assert got == (2, "", "input error: order must be at least 1\n")
+
+
+# input errors with their exact messages, recorded from the command line
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["cohomology"], {"wps": {"weights": [1, 1]}}, "document has no 'chain'"),
+        (["cohomology"], {"chain": [{"a": 1, "b": 1}]}, "document has no 'bundle'"),
+        (["wps", "sectors"], {"chain": [{"a": 1, "b": 1}]}, "document has no 'wps'"),
+        (["series-verify"], {"wps": {"weights": [1, 1]}}, "document has no 'table'"),
+        (["rank", "--beta-detE", "1/0"], None, "bad rational '1/0': Fraction(1, 0)"),
+        (
+            ["cohomology"], {"chain": [{"a": 1, "b": 1, "degree": "1/0"}], "bundle": [[{"d": 0}]]},
+            "bad rational '1/0': Fraction(1, 0)",
+        ),
+    ],
+    ids=["no-chain", "no-bundle", "no-wps", "no-table", "rank-zero-denominator", "degree-zero-denominator"],
+)
+def test_input_error_goldens(tmp_path, capsys, argv, doc, message):
+    files = [] if doc is None else [write_doc(tmp_path, doc)]
+    assert run_cli(capsys, "--json", *argv, *files) == (2, "", f"input error: {message}\n")
+
+
+def test_h1_routes_that_disagree_are_an_internal_error(tmp_path, capsys, monkeypatch):
+    direct = cohomology.h1_negative_monomials
+    monkeypatch.setattr(cohomology, "h1_negative_monomials", lambda L: direct(L) + (L.d == -3))
+    doc = {"chain": [{"c": 1, "d": 2}], "bundle": [[{"d": -3}]]}
+    message = "h1 routes disagree on O^{0,0}(-3) on P(1,2): direct 2, Serre 1"
+    assert run_cli(capsys, "--json", "cohomology", write_doc(tmp_path, doc)) == (3, "", f"internal error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "name, fault, message",
+    [
+        ("is_weakly_concave_on_dual", lambda f: lambda B: not f(B), "convexity/concavity mismatch"),
+        ("is_weakly_convex_on", lambda f: lambda B: False, "semi-positive bundle failed convexity"),
+    ],
+    ids=["concavity-flipped", "convexity-refused"],
+)
+def test_a_failed_convexity_theorem_is_an_internal_error(tmp_path, capsys, monkeypatch, name, fault, message):
+    monkeypatch.setattr(convexity, name, fault(getattr(convexity, name)))
+    code, out, err = run_cli(capsys, "--json", "convexity", write_doc(tmp_path, CHAIN_DOC))
+    assert code == 3 and out == ""
+    assert err.startswith(f"internal error: {message}: ")
+
+
+def test_a_negative_dimension_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # both dimensions one too low: Riemann-Roch still holds, and no input could make h0 negative
+    step = cohomology.chain_step
+
+    def lowered(state, piece):
+        h0, h1, *flags = step(state, piece)
+        return (h0 - 1, h1 - 1, *flags)
+
+    monkeypatch.setattr(cohomology, "chain_step", lowered)
+    doc = {"chain": [{"a": 1, "b": 1}], "bundle": [[{"d": -2}]]}
+    got = run_cli(capsys, "--json", "cohomology", write_doc(tmp_path, doc))
+    assert got == (3, "", "internal error: cohomology dimensions must be non-negative\n")
 
 
 def test_series_verify_cost_is_bounded_by_psi_power_size(tmp_path):

@@ -1,10 +1,10 @@
 """Exact section counts on components and chains."""
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
-from fractions import Fraction as F
 from math import lcm
 
 import pytest
@@ -22,7 +22,6 @@ from orbicurve.bundles import (
     chain_twist,
     dual,
     tensor,
-    trivial_chain_bundle,
 )
 from orbicurve.cohomology import (
     CohomologyReport,
@@ -288,6 +287,16 @@ def chain_of(p1_degrees):
     return ChainBundle(chain, tuple(EqLineBundle(P1, 0, 0, d) for d in p1_degrees))
 
 
+def trivial_on(chain):
+    return ChainBundle(chain, tuple(EqLineBundle(c) for c in chain.components))
+
+
+def riemann_roch_of(B):
+    """The Euler characteristic of B from its pieces' `riemann_roch_check`, less one per active node."""
+    n_active = sum(acts_trivially_at(p, MarkedPoint.X2) for p in B.pieces[:-1])
+    return sum(riemann_roch_check(p) for p in B.pieces) - n_active
+
+
 def test_chain_examples():
     rep = h_chain(chain_of([1, 0]))
     assert (rep.h0, rep.h1) == (2, 0)
@@ -298,16 +307,16 @@ def test_chain_examples():
 def test_chain_trivial_bundle_any_length():
     for n in range(1, 7):
         comps = tuple(present(1, 1) for _ in range(n))
-        rep = h_chain(trivial_chain_bundle(CurveChain(comps)))
+        rep = h_chain(trivial_on(CurveChain(comps)))
         assert (rep.h0, rep.h1) == (1, 0)
     # also on a genuinely orbifold chain
     chain = CurveChain((present(1, 2), present(2, 2), present(2, 1)))
-    rep = h_chain(trivial_chain_bundle(chain))
+    rep = h_chain(trivial_on(chain))
     assert (rep.h0, rep.h1) == (1, 0)
 
 
 def test_chain_trivial_bundle_length_400():
-    B = trivial_chain_bundle(CurveChain(tuple(P1 for _ in range(400))))
+    B = trivial_on(CurveChain(tuple(P1 for _ in range(400))))
     rep = h_chain(B)
     assert (rep.h0, rep.h1) == (1, 0) == h_chain_by_elimination(B)
 
@@ -315,7 +324,7 @@ def test_chain_trivial_bundle_length_400():
 def test_h_chain_takes_each_age_once(monkeypatch):
     # one age numerator per marked point and piece: the x2 one is shared by
     # the node activity of the fold and the Riemann-Roch terms
-    B = trivial_chain_bundle(CurveChain(tuple(P1 for _ in range(400))))
+    B = trivial_on(CurveChain(tuple(P1 for _ in range(400))))
     calls = []
     age_data = bundles._age_data
 
@@ -356,17 +365,15 @@ def _chain_grid(max_ab: int, max_l: int, degrees: range, max_len: int):
 def _h_chain_against_the_plain_fold(grid) -> tuple[int, int]:
     """(bundles, bundles whose piece denominators a*b*l1*l2 have an lcm above
     their largest) of `grid`, each checked against the fold over `piece_ends`
-    that decides node activity itself, and the Euler characteristic summed
-    from `riemann_roch_check`."""
+    that decides node activity itself, and the Euler characteristic of
+    `riemann_roch_of`."""
     n = n_grown = 0
     for B in grid:
         state = cohomology.CHAIN_START
         for piece in B.pieces:
             state = cohomology.chain_step(state, piece_ends(piece))
-        n_active = sum(acts_trivially_at(p, MarkedPoint.X2) for p in B.pieces[:-1])
-        euler = sum(riemann_roch_check(p) for p in B.pieces) - n_active
         rep = h_chain(B)
-        assert (rep.h0, rep.h1, rep.euler_char) == (state[0], state[1], euler), B
+        assert (rep.h0, rep.h1) == state[:2] and rep.h0 - rep.h1 == riemann_roch_of(B), B
         dens = [p.comp.a * p.comp.b * p.comp.l1 * p.comp.l2 for p in B.pieces]
         n += 1
         n_grown += lcm(*dens) > max(dens)
@@ -437,7 +444,7 @@ def test_h_chain_kernel_matches_elimination(B):
     ):
         rep = h_chain(role)
         assert (rep.h0, rep.h1) == h_chain_by_elimination(role)
-        assert rep.h0 - rep.h1 == rep.euler_char
+        assert rep.h0 - rep.h1 == riemann_roch_of(role)
 
 
 def _dense_node_rank_reference(B):
@@ -466,8 +473,9 @@ def test_elimination_matches_a_dense_node_matrix(B):
 
 
 def test_chain_euler_characteristic():
-    rep = h_chain(chain_of([2, 1, 3]))
-    assert rep.h0 - rep.h1 == rep.euler_char
+    B = chain_of([2, 1, 3])
+    rep = h_chain(B)
+    assert rep.h0 - rep.h1 == riemann_roch_of(B) == 7
 
 
 def test_h_twisted_examples():
@@ -486,9 +494,23 @@ def test_h_chain_rejects_invalid():
         h_chain(ChainBundle(chain, (EqLineBundle(P12, 0, 0, 1), EqLineBundle(present(2, 1), 0, 0, 0))))
 
 
+def test_h1_routes_that_disagree_raise(monkeypatch):
+    # the direct count one too high on one bundle, which the Serre route counts once
+    target = EqLineBundle(P12, 0, 0, -3)
+    direct = h1_negative_monomials
+    monkeypatch.setattr(cohomology, "h1_negative_monomials", lambda L: direct(L) + (L == target))
+    assert h1_component(EqLineBundle(P12, 0, 0, -4)) == 1
+    message = "h1 routes disagree on O^{0,0}(-3) on P(1,2): direct 2, Serre 1"
+    with pytest.raises(cohomology.InternalInconsistency, match=f"^{re.escape(message)}$"):
+        h1_component(target)
+    with pytest.raises(cohomology.InternalInconsistency, match=re.escape(message)):
+        h_chain(ChainBundle(CurveChain((P12,)), (target,)))
+
+
 def test_report_invariant():
-    with pytest.raises(ValueError):
-        CohomologyReport(-1, 0, F(0))
+    # no input makes a dimension negative, so a negative one is a fault in the library
+    with pytest.raises(cohomology.InternalInconsistency, match="^cohomology dimensions must be non-negative$"):
+        CohomologyReport(-1, 0)
 
 
 def test_h_chain_riemann_roch_check_raises_under_python_O():
@@ -504,7 +526,7 @@ def test_h_chain_riemann_roch_check_raises_under_python_O():
         cohomology.chain_step = lambda state, piece: (step(state, piece)[0] + 1,) + step(state, piece)[1:]
         P1 = curves.present(1, 1)
         try:
-            cohomology.h_chain(bundles.trivial_chain_bundle(curves.CurveChain((P1, P1))))
+            cohomology.h_chain(bundles.ChainBundle(curves.CurveChain((P1, P1)), (bundles.EqLineBundle(P1),) * 2))
         except cohomology.InternalInconsistency as exc:
             print(exc)
             sys.exit(0)

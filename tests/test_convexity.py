@@ -59,6 +59,39 @@ def test_verdict_consistency_on_samples():
             assert verdict.weakly_convex
 
 
+def test_a_concavity_that_differs_from_convexity_raises(monkeypatch):
+    concave = convexity.is_weakly_concave_on_dual
+    monkeypatch.setattr(convexity, "is_weakly_concave_on_dual", lambda B: not concave(B))
+    for rows in ([[0]], [[-2]], [[1, 0], [0, 2]]):
+        with pytest.raises(InternalInconsistency, match=r"^convexity/concavity mismatch: "):
+            convexity_verdict(split_on_p1(*rows))
+
+
+def test_a_semipositive_bundle_that_is_not_convex_raises(monkeypatch):
+    monkeypatch.setattr(convexity, "is_weakly_convex_on", lambda B: False)
+    with pytest.raises(InternalInconsistency, match=r"^semi-positive bundle failed convexity: "):
+        convexity_verdict(split_on_p1([1], [0]))
+    # a bundle that is not semi-positive owes no convexity
+    verdict = convexity_verdict(split_on_p1([-2]))
+    assert not (verdict.weakly_semipositive or verdict.weakly_convex or verdict.weakly_concave_dual)
+
+
+def test_a_log_canonical_bundle_with_cohomology_fails_the_certificate(monkeypatch):
+    # h0 and h1 one higher on each trivial piece: Riemann-Roch still holds, so
+    # only the certificate's own check sees it
+    piece_data = convexity._piece_data
+
+    def raised(L):
+        num, den, ends = piece_data(L)
+        if (L.k1, L.k2, L.d) == (0, 0, 0):
+            ends = (ends[0] + 1, ends[1] + 1, *ends[2:])
+        return num, den, ends
+
+    monkeypatch.setattr(convexity, "_piece_data", raised)
+    with pytest.raises(InternalInconsistency, match=r"^log canonical bundle not trivial on chain: h0=3, h1=2$"):
+        log_canonical_certificate(CurveChain((P1, P1)))
+
+
 def test_log_canonical_certificate_examples():
     cert = log_canonical_certificate(CurveChain((P1,)))
     assert (cert.h0_log_canonical, cert.h1_log_canonical) == (1, 0)

@@ -83,13 +83,13 @@ def test_sign_cycle_examples():
         SectorAction((age_at(L, MarkedPoint.X1),)),
         SectorAction((age_at(L, MarkedPoint.X2),)),
     )
-    assert res.as_sign == -1 and res.realizable
+    assert res.as_sign == -1
 
 
 def test_sign_cycle_unrealizable_returns_phase():
     g = SectorAction((F(0),))
     res = sign_cycle(F(1, 2), g, g)
-    assert res.as_sign is None and not res.realizable
+    assert res.as_sign is None
     assert res.exponent == F(1, 2)
 
 
@@ -164,7 +164,6 @@ def test_integer_form_matches_the_fraction_formulas():
             assert 0 <= res.exponent < 2 and ((value - res.exponent) / 2).denominator == 1
             assert type(res.exponent) is F
             assert res.as_sign == ((-1) ** value.numerator if value.denominator == 1 else None)
-            assert res.realizable == (value.denominator == 1)
 
 
 def test_equality_and_hash_compare_the_weights():

@@ -24,12 +24,23 @@ from orbicurve.suites import qsd_model_family, wps_model_family
 from orbicurve.wps import WPSModel, pairing_gram, pairing_rows, state_basis
 
 
+def _dense(op, beta, zpow):
+    """The dense dim x dim coefficient of q^beta z^zpow in `op`, the identity at (zero class, z^0)."""
+    mat = [[PhasedScalar() for _ in range(op.dim)] for _ in range(op.dim)]
+    if beta.is_zero() and zpow == 0:
+        for i in range(op.dim):
+            mat[i][i] = PhasedScalar.from_rational(1)
+    for (i, j), x in op.terms.get((beta, zpow), {}).items():
+        mat[i][j] = x
+    return mat
+
+
 def test_build_L_psi_power_signs():
     # 1/(-z-psi) = sum_a (-1)^(a+1) psi^a z^(-a-1)
     beta = EffClass((F(1), F(0)))
     table = InvariantTable(1, [TableEntry(beta, a, 0, 0, F(1)) for a in range(3)])
     op = build_L(table, [(0, F(1))], 2)
-    signs = [op.matrix_at(beta, -a - 1)[0][0] for a in range(3)]
+    signs = [_dense(op, beta, -a - 1)[0][0] for a in range(3)]
     assert signs == [PhasedScalar.from_rational(s) for s in (-1, 1, -1)]
 
 
@@ -64,10 +75,10 @@ def test_change_novikov_examples():
     b_odd = EffClass((F(1), F(1)))
     b_even = EffClass((F(1), F(0)))
     out = _operator(1, 3, {b_odd: F(2), b_even: F(5)}).substitute_novikov()
-    assert out.matrix_at(b_odd, -1)[0][0] == PhasedScalar.from_rational(-2)
-    assert out.matrix_at(b_even, -1)[0][0] == PhasedScalar.from_rational(5)
+    assert _dense(out, b_odd, -1)[0][0] == PhasedScalar.from_rational(-2)
+    assert _dense(out, b_even, -1)[0][0] == PhasedScalar.from_rational(5)
     # the implicit identity at the zero class is untouched
-    assert out.matrix_at(EffClass((F(0), F(0))), 0) == [[PhasedScalar.from_rational(1)]]
+    assert _dense(out, EffClass((F(0), F(0))), 0) == [[PhasedScalar.from_rational(1)]]
 
 
 def test_change_novikov_ring_homomorphism():
@@ -76,7 +87,7 @@ def test_change_novikov_ring_homomorphism():
     for _ in range(20):
         b1, b2 = (EffClass((F(rng.randint(1, 3)), F(rng.randint(-4, 4), rng.randint(1, 3)))) for _ in range(2))
         out = _operator(1, 6, {b1: F(1), b2: F(1), b1 + b2: F(1)}).substitute_novikov()
-        phase = {b: out.matrix_at(b, -1)[0][0] for b in (b1, b2, b1 + b2)}
+        phase = {b: _dense(out, b, -1)[0][0] for b in (b1, b2, b1 + b2)}
         assert phase[b1 + b2] == phase[b1] * phase[b2]
 
 
@@ -89,7 +100,7 @@ def test_change_novikov_involution_for_integral_det():
 def test_build_L_empty_is_identity():
     op = build_L(InvariantTable(2), [(0, F(1)), (1, F(1))], 3)
     assert op.nonzero_keys() == set()
-    const = op.matrix_at(EffClass((F(0), F(0))), 0)
+    const = _dense(op, EffClass((F(0), F(0))), 0)
     assert const[0][0] == PhasedScalar.from_rational(1)
     assert const[0][1] == PhasedScalar.from_rational(0)
 
@@ -98,7 +109,7 @@ def test_build_L_single_entry():
     beta = EffClass((F(1), F(1)))
     table = InvariantTable(1, [TableEntry(beta, 0, 0, 0, F(3))])
     op = build_L(table, [(0, F(1))], 2)
-    assert op.matrix_at(beta, -1)[0][0] == PhasedScalar.from_rational(-3)
+    assert _dense(op, beta, -1)[0][0] == PhasedScalar.from_rational(-3)
 
 
 def test_build_L_symmetric_table_gives_symmetric_matrix():
@@ -109,7 +120,7 @@ def test_build_L_symmetric_table_gives_symmetric_matrix():
         TableEntry(beta, 0, 0, 0, F(5)),
     ]
     op = build_L(InvariantTable(2, entries), [(0, F(1)), (1, F(1))], 2)
-    mat = op.matrix_at(beta, -1)
+    mat = _dense(op, beta, -1)
     assert mat[0][1] == mat[1][0]
 
 
@@ -118,7 +129,7 @@ def test_build_L_inverts_a_signed_permutation():
     # <T_0, T_1> = 6 puts -6 * (P^{-1})[1][0] = -3 at row 0, column 0
     beta = EffClass((F(1), F(0)))
     op = build_L(InvariantTable(2, [TableEntry(beta, 0, 0, 1, F(6))]), [(1, F(2)), (0, F(-3))], 2)
-    assert op.matrix_at(beta, -1) == [[PhasedScalar.from_rational(x) for x in row] for row in ([-3, 0], [0, 0])]
+    assert _dense(op, beta, -1) == [[PhasedScalar.from_rational(x) for x in row] for row in ([-3, 0], [0, 0])]
 
 
 def test_build_L_rejects_degenerate_pairing():
@@ -292,7 +303,7 @@ def test_qsd_identity_detects_tampered_phase():
     sub = op_e.substitute_novikov()
     keys = op_z.nonzero_keys() | sub.nonzero_keys()
     assert any(
-        op_z.matrix_at(*k)[i][j] != sub.matrix_at(*k)[i][j]
+        _dense(op_z, *k)[i][j] != _dense(sub, *k)[i][j]
         for k in keys
         for i in range(len(basis))
         for j in range(len(basis))
@@ -357,14 +368,14 @@ def _suite_tables(count):
 
 
 def _dense_scan(table, m, truncation):
-    """(checks, first_violation) of a dense row-major scan over `matrix_at`."""
+    """(checks, first_violation) of a dense row-major scan over `_dense`."""
     basis = compact_type_basis(m)
     dim = len(basis)
     op_z = build_L(series_mod.transported_table(table, m, basis), pairing_rows(m, "ambient", basis), truncation)
     sub = build_L(table, pairing_rows(m, "ct", basis), truncation).substitute_novikov()
     ages = {s.f: age(s.fiber_weights) for s in m.sectors}
     delta = [PhasedScalar({ages[f]: 1}) for f, _ in basis]
-    dense = {k: (op_z.matrix_at(*k), sub.matrix_at(*k)) for k in op_z.terms.keys() | sub.terms.keys()}
+    dense = {k: (_dense(op_z, *k), _dense(sub, *k)) for k in op_z.terms.keys() | sub.terms.keys()}
     keys = [k for k, mats in dense.items() if any(not x.is_zero() for mat in mats for row in mat for x in row)]
     checks, first = 0, None
     for k in sorted(keys, key=lambda k: (k[0].ordering, k[1], str(k[0]))):

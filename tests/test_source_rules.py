@@ -13,9 +13,7 @@ and only `suites` imports `oracles`.
 it keeps no cache from one call to the next, so a fault reaches every call.
 A component computes its modular inverses once, when it is built, so
 `bundles` and `cohomology` take no three-argument `pow`.  The pairing blocks are turned into cells in `wps`
-alone: no other module names `pairing_blocks` or `_partner`.  The operators
-of `series` are compared on their stored cells: no module reads the dense
-expansion `LOperator.matrix_at`, which only tests use.  The library is a
+alone: no other module names `pairing_blocks` or `_partner`.  The library is a
 function of its arguments: no module reads the process environment.  The one
 text the package turns into code is the input schema, in `cli._compile`: no
 other function names `exec`, `eval` or `compile`.  A phase has one type,
@@ -162,17 +160,6 @@ def test_counts_take_no_modular_inverse(name):
         and len(node.args) == 3
     ]
     assert calls == [], f"{name}: three-argument pow at lines {calls}"
-
-
-def test_no_module_reads_the_dense_operator_expansion():
-    readers = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Attribute) and node.attr == "matrix_at") or (
-                isinstance(node, ast.Name) and node.id == "matrix_at"
-            ):
-                readers.append(f"{path.name}:{node.lineno}")
-    assert readers == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

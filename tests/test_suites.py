@@ -19,7 +19,7 @@ import pytest
 
 from orbicurve import bundles, cohomology, oracles, sectors, suites, wps
 from orbicurve.bundles import EqLineBundle
-from orbicurve.curves import MarkedPoint, TwistedComponent
+from orbicurve.curves import MarkedPoint, TwistedComponent, present
 
 
 def test_component_family_is_valid():
@@ -265,6 +265,85 @@ def test_component_suites_report_the_first_failing_bundle_in_grid_order(monkeypa
     assert witnesses
     assert res.failures == len(witnesses)
     assert res.first_counterexample == witnesses[0]
+
+
+def _rank_hit(beta, weights1):
+    """The sector data the rank-formula fault below hits: an even degree numerator and a nonzero age at x1."""
+    return beta.numerator % 2 == 0 and any(weights1)
+
+
+def _faulted_rank_formula(f):
+    return lambda beta, g1, g2: f(beta, g1, g2) + _rank_hit(beta, g1.weights)
+
+
+def _convex(L):
+    """h1(L(-x2)) = 0: on one component, with no node, the component's own h1."""
+    return cohomology.h1_component(bundles.twist_marked(L, MarkedPoint.X2, -1)) == 0
+
+
+def _rank_value(L):
+    """The rank formula of L from Fractions: deg L - age_x1(L) + age_x2(dual L)."""
+    return L.degree - bundles.age_at(L, MarkedPoint.X1) + -bundles.age_at(L, MarkedPoint.X2) % 1
+
+
+def _rank_formula_failures(max_ab, max_l, max_d):
+    """(failures, first witness) of suite_rank_formula under the fault: each hit
+    bundle, and each rank-2 pair of convex bundles with a hit summand."""
+    convex = [L for L in _grid_in_order(max_ab, max_l, range(-max_d, max_d + 1)) if _convex(L)]
+    hit = [L for L in convex if _rank_hit(L.degree, [bundles.age_at(L, MarkedPoint.X1)])]
+    rf = _rank_value(hit[0])
+    n, unhit = len(convex), len(convex) - len(hit)
+    return len(hit) + n * n - unhit * unhit, {"bundle": str(hit[0]), "rank_formula": str(rf + 1), "direct_h1": rf}
+
+
+def _rank2_direct_failures(max_ab, max_l, max_d):
+    """(failures, first witness) of suite_rank2_direct under the fault: each hit pair of convex bundles."""
+    witnesses = []
+    for _, grid in itertools.groupby(_grid_in_order(max_ab, max_l, range(-max_d, max_d + 1)), lambda L: L.comp):
+        for L1, L2 in itertools.combinations_with_replacement(grid, 2):
+            ages = [bundles.age_at(L, MarkedPoint.X1) for L in (L1, L2)]
+            if _convex(L1) and _convex(L2) and _rank_hit(L1.degree + L2.degree, ages):
+                rf = _rank_value(L1) + _rank_value(L2)
+                witnesses.append({"bundles": [str(L1), str(L2)], "rank_formula": str(rf + 1), "direct_h1": rf})
+    return len(witnesses), witnesses[0]
+
+
+def _isotropy_hit(comp):
+    """The components the isotropy fault hits: c != d with a common factor, so
+    the first hit in (c, d) order, (2, 4), is not the first in (d, c) order."""
+    return comp.l > 1 and comp.a != comp.b
+
+
+def _isotropy_oracle_failures(max_cd):
+    """(failures, first witness) of suite_isotropy_oracle under the fault: the true counts are (c, d, 1)."""
+    witnesses = [
+        {"c": c, "d": d, "component": str(comp), "counts": {"x1": c, "x2": d + 1, "generic": 1}}
+        for c in range(1, max_cd + 1)
+        for d in range(1, max_cd + 1)
+        if _isotropy_hit(comp := present(c, d))
+    ]
+    return len(witnesses), witnesses[0]
+
+
+# suite -> (module and name of the faulted function, the fault, the suite's arguments, the expected failures)
+WITNESS_FAULTS = {
+    "suite_rank_formula": (sectors, "rank_formula", _faulted_rank_formula, (2, 6, 4), _rank_formula_failures),
+    "suite_rank2_direct": (sectors, "rank_formula", _faulted_rank_formula, (2, 2, 3), _rank2_direct_failures),
+    "suite_isotropy_oracle": (
+        oracles, "brute_force_isotropy_counts",
+        lambda f: lambda comp: dict(f(comp), x2=f(comp)["x2"] + _isotropy_hit(comp)), (8,), _isotropy_oracle_failures,
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", WITNESS_FAULTS)
+def test_sector_and_isotropy_suites_report_the_first_failure_in_their_order(monkeypatch, suite):
+    module, name, fault, args, failures_of = WITNESS_FAULTS[suite]
+    failures, first = failures_of(*args)
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    res = getattr(suites, suite)(*args)
+    assert 0 < failures < res.instances + res.details.get("rank2_pairs", 0)
+    assert (res.failures, res.first_counterexample) == (failures, first)
 
 
 def test_small_suite_runs_pass():
