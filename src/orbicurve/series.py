@@ -186,8 +186,6 @@ def build_L(table: InvariantTable, pairing: list[tuple[int, Fraction] | None], t
         if not keep:
             continue
         value = PhasedScalar.coerce(e.value)
-        if value.is_zero():
-            continue
         # column r of the operator matrix gets value * P^{-1}[col][m] in row m
         mrow, signed = p_inv[e.col]
         op.add_term(beta, -e.psi_power - 1, mrow, e.row, value * signed[e.psi_power % 2])

@@ -16,18 +16,21 @@ replays and the first counterexample, and only the replays go to the pool.
 The convexity and concavity sweeps keep of each chain fold
 `cohomology.chain_step` only the value the theorem reads (the
 transfer-matrix method, Stanley, Enumerative Combinatorics I, 4.7;
-`_bundle_sweep`).  A piece's effect on a state depends only on the age
-`need` it must match and the fold's flags, so the transitions are memoized
-on the per-component tables (`_moves`), which each call builds for itself
-and drops when it returns.  The instances keep the numbering of a
-chain-by-chain enumeration in lexicographic order: a replayed instance is
-unranked from counts of balanced completions per `need`, its folds stepped
-on the way down (`_descent`), and recomputed through the public dataclass
-API by elimination over listed monomials (`oracles.h_chain_by_elimination`),
-which shares no code with the fold.  A replay builds its checked
-`CurveChain` and `ChainBundle` on the components and grid bundles of the
-call's tables, so neither is rebuilt from integers once per replay; its
-twists and duals are derived without a second node check (see `bundles`).
+`_bundle_sweep`).  A fold is data, the bundle it reads and the point it
+twists at, so a piece's effect on a state depends only on the piece's
+position (first, last) in the chain, the age `need` it must match and the
+folds' flags: one function builds the transitions (`_moves`), memoized on
+the per-component tables, which each call builds for itself and drops when
+it returns, and one steps the states by a piece (`_step`).  The instances
+keep the numbering of a chain-by-chain enumeration in lexicographic order: a
+replayed instance is unranked from counts of balanced completions per
+`need`, its folds stepped on the way down (`_descent`), and recomputed
+through the public dataclass API by elimination over listed monomials
+(`oracles.h_chain_by_elimination`), which shares no code with the fold.  A
+replay builds its checked `CurveChain` and `ChainBundle` on the components
+and grid bundles of the call's tables, so neither is rebuilt from integers
+once per replay; its twists and duals are derived without a second node
+check (see `bundles`).
 
 The pairing comparison replays a sample of models through the elementwise
 pairings of `oracles`, and the age and isotropy suites compare the closed
@@ -218,11 +221,13 @@ class _CompTables:
     """One call's tables of a component for the bundle sweeps, indexed by bundle ordinal.
 
     For each bundle of the grid (`lines`, the checked bundles that the
-    replays build on) this holds the fold data (`cohomology.piece_ends`) of
-    each role that the call's folds read, in `ends[role]`, read once for each
-    distinct (k1, k2, d) that the roles map the grid to.  Nodes balance on
-    ages, counted in units of one over the node's isotropy order: `need[t]`
-    is the age at x1 that the next piece must have, and `by_age1` groups the
+    replays build on) this holds, at each position (first, last) of a piece
+    in a chain, the (column, kept value) of each of the call's folds in
+    `ends[first, last]`: the column is the fold data (`cohomology.piece_ends`)
+    of the bundle the fold reads there, read once for each distinct
+    (k1, k2, d) that the folds map the grid to.  Nodes balance on ages,
+    counted in units of one over the node's isotropy order: `need[t]` is the
+    age at x1 that the next piece must have, and `by_age1` groups the
     bundles by their age at x1.  `moves` memoizes the call's transitions out
     of this component (see `_moves`), and `comp` is the component of `lines`.
     """
@@ -235,7 +240,18 @@ class _CompTables:
         def ends(L) -> tuple:
             return read.get((L.k1, L.k2, L.d)) or read.setdefault((L.k1, L.k2, L.d), cohomology.piece_ends(L))
 
-        self.ends = {role: [ends(role(L)) for L in self.lines] for fold in folds for role in fold[:2]}
+        columns = []  # of each fold: (pt, kept value, column elsewhere, column at the piece that carries pt)
+        for dual, pt, keep, _ in folds:
+            images = [bundles.dual(L) if dual else L for L in self.lines]
+            twists = [bundles.twist_marked(M, pt, -1) for M in images]
+            columns.append((pt, keep, list(map(ends, images)), list(map(ends, twists))))
+        self.ends = {
+            (first, last): tuple(
+                (twisted if (first if pt is curves.X1 else last) else plain, keep)
+                for pt, keep, plain, twisted in columns
+            )
+            for first in (False, True) for last in (False, True)
+        }
         self.need = [-bundles._age_data(L, curves.X2)[0] % self.comp.d for L in self.lines]
         self.by_age1: dict[int, list[int]] = {}
         for t, L in enumerate(self.lines):
@@ -247,70 +263,52 @@ class _CompTables:
         return range(len(self.lines)) if need is None else self.by_age1.get(need, ())
 
 
-# A fold of the sweeps is (base role, twisted role, twist on the last piece
-# rather than the first, kept value), where a role maps a piece's bundle to
-# the bundle whose fold data it reads: the twisted role at the piece that
-# carries the twist and the base role elsewhere.  It keeps one value of
-# (h0, h1).  The convexity side folds L(-x2) and is read for h1, the dual
-# side folds dual(L)(-x1) and is read for h0.
-_CONVEX_SIDE = (lambda L: L, lambda L: bundles.twist_marked(L, curves.X2, -1), True, 1)
-_DUAL_SIDE = (bundles.dual, lambda L: bundles.twist_marked(bundles.dual(L), curves.X1, -1), False, 0)
+# A fold of the sweeps is (dual, marked point pt, kept value, name): it reads
+# L, or dual(L) if `dual`, twisted by -pt at the piece that carries pt (x1 at
+# the first piece, x2 at the last), keeps one value of (h0, h1) and names it
+# `name` in a witness.  The convexity side folds L(-x2) and is read for h1,
+# the dual side folds dual(L)(-x1) and is read for h0.
+_CONVEX_SIDE = (False, curves.X2, 1, "h1")
+_DUAL_SIDE = (True, curves.X1, 0, "h0_dual")
 
 
-def _roles(folds: tuple, first: bool, last: bool) -> tuple:
-    """(role, kept value) of each fold at a piece that is or is not the first and the last."""
-    return tuple(
-        (twisted if (last if at_last else first) else base, keep)
-        for base, twisted, at_last, keep in folds
-    )
-
-
-def _moves(tab: _CompTables, roles: tuple, need: int | None, flags: tuple, last: bool) -> list:
-    """The effect of one piece on the sweep's states, counted over its bundles.
+def _moves(tab: _CompTables, at: tuple, need: int | None, flags: tuple) -> list:
+    """The effect of one piece at position `at` = (first, last) on the sweep's states, counted over its bundles.
 
     `chain_step` adds to h0 and h1 and sets new flags (free, active); what
     it adds and sets depends only on the piece and the old flags.  So the
-    pieces that balance with `need`, stepped from `flags`, group into rows
-    (kept deltas, new flags, new need) -> number of bundles, or kept deltas
-    -> number at the last piece.  The rows are memoized on the table.
+    pieces that balance with `need`, stepped from `flags` through the
+    columns `tab.ends[at]`, group into rows (kept deltas, new flags, new
+    need) -> number of bundles; after the last piece no node follows, and
+    its rows' flags and need are None.  The rows are memoized on the table
+    by (at, need, flags).
     """
-    key = (roles, need, flags, last)
+    key = (at, need, flags)
     rows = tab.moves.get(key)
     if rows is None:
-        step = cohomology.chain_step
-        ends = [(tab.ends[role], keep) for role, keep in roles]
+        step, ends = cohomology.chain_step, tab.ends[at]
         grouped: dict = {}
         for t in tab.fits(need):
-            states = [step((0, 0) + fl, table[t]) for (table, _), fl in zip(ends, flags)]
+            states = [step((0, 0) + fl, column[t]) for (column, _), fl in zip(ends, flags)]
             deltas = tuple(s[keep] for s, (_, keep) in zip(states, ends))
-            row = deltas if last else (deltas, tuple(s[2:] for s in states), tab.need[t])
+            row = (deltas, None, None) if at[1] else (deltas, tuple(s[2:] for s in states), tab.need[t])
             grouped[row] = grouped.get(row, 0) + 1
         rows = tab.moves[key] = list(grouped.items())
     return rows
 
 
-def _extend(dist, tab: _CompTables, roles: tuple) -> dict:
-    """Multiplicities of the states (kept values, flags, need) one piece
-    further, from the (state, multiplicity) pairs of `dist`."""
+def _step(dist, tab: _CompTables, at: tuple) -> dict:
+    """Multiplicities of the states (kept values, flags, need) one piece at
+    position `at` further, from the (state, multiplicity) pairs of `dist`."""
     out: dict = {}
     for (values, flags, need), m in dist:
-        for (deltas, new_flags, new_need), c in _moves(tab, roles, need, flags, False):
+        for (deltas, new_flags, new_need), c in _moves(tab, at, need, flags):
             key = (tuple(map(add, values, deltas)), new_flags, new_need)
             out[key] = out.get(key, 0) + m * c
     return out
 
 
-def _finish(dist, tab: _CompTables, roles: tuple) -> dict:
-    """Multiplicities of the kept values of whole chains, ending on the piece of `tab`."""
-    out: dict = {}
-    for (values, flags, need), m in dist:
-        for deltas, c in _moves(tab, roles, need, flags, True):
-            key = tuple(map(add, values, deltas))
-            out[key] = out.get(key, 0) + m * c
-    return out
-
-
-def _descent(tabs: list[_CompTables], roles: list[tuple], completions: dict):
+def _descent(tabs: list[_CompTables], completions: dict):
     """Map r to the r-th balanced bundle assignment of a chain, in lexicographic
     order, and to the kept values of the sweep's folds over it.
 
@@ -320,7 +318,8 @@ def _descent(tabs: list[_CompTables], roles: list[tuple], completions: dict):
     the chains of one call first meet those tables.  Piece k of the r-th
     assignment is picked by a scan over the bundles that fit its `need`,
     subtracting the completions of the pieces after it through each.  The
-    folds step along the way, at piece k in the roles `roles[k]` (see `_roles`).
+    folds step along the way, at piece k through the columns
+    `tabs[k].ends[k == 0, k == last]`.
     """
     last = len(tabs) - 1
     step = cohomology.chain_step
@@ -334,11 +333,11 @@ def _descent(tabs: list[_CompTables], roles: list[tuple], completions: dict):
                 for need, fits in tab.by_age1.items()
             }
         below[k] = completions[suffix]
-    ends = [[tab.ends[role] for role, _ in at] for tab, at in zip(tabs, roles)]
+    ends = [tab.ends[k == 0, k == last] for k, tab in enumerate(tabs)]
 
     def descend(r: int) -> tuple[tuple[int, ...], tuple]:
         idx, need = [], None
-        states = [cohomology.CHAIN_START] * len(roles[0])
+        states = [cohomology.CHAIN_START] * len(ends[0])
         for k, tab in enumerate(tabs):
             after = below[k]
             for t in tab.fits(need):
@@ -347,9 +346,9 @@ def _descent(tabs: list[_CompTables], roles: list[tuple], completions: dict):
                     break
                 r -= through
             idx.append(t)
-            states = [step(s, table[t]) for s, table in zip(states, ends[k])]
+            states = [step(s, column[t]) for s, (column, _) in zip(states, ends[k])]
             need = tab.need[t]
-        return tuple(idx), tuple(s[keep] for s, (_, keep) in zip(states, roles[last]))
+        return tuple(idx), tuple(s[keep] for s, (_, keep) in zip(states, ends[last]))
 
     return descend
 
@@ -451,18 +450,18 @@ def _replay_chunk(run: tuple) -> dict:
 
 def _bundle_sweep(
     name: str, *, keys: tuple, max_ab: int, max_l: int, max_d: int, max_len: int, workers: int,
-    d_lo: int, folds: tuple, names: tuple, failing, figures, check,
+    d_lo: int, folds: tuple, failing, figures, check,
 ) -> SuiteResult:
     """Count every balanced bundle on every chain of the family by its fold values.
 
-    The bundles have d_lo <= d <= max_d; `names` name the folds' kept values
-    in a witness, `failing(values)` tells a failing instance, and
-    `figures(counts, instances)` gives a chain's detail figures.  A node is
-    (last component i, the multiplicities of the states (kept values, flags,
-    need) over the balanced prefixes before i, whether i is first): its own
-    chain's counts {kept values: bundles} are one `_finish`, and its
-    children, one per j in `chain_adjacency[i]`, share one `_extend` through
-    i (see `_subtree_sweep`).  The instances are numbered as if enumerated
+    The bundles have d_lo <= d <= max_d; `failing(values)` tells a failing
+    instance, and `figures(counts, instances)` gives a chain's detail
+    figures.  A node is (last component i, the multiplicities of the states
+    (kept values, flags, need) over the balanced prefixes before i, whether i
+    is first): its own chain's counts {kept values: bundles} are one `_step`
+    through i as the last piece, and its children, one per j in
+    `chain_adjacency[i]`, share one `_step` through i as an inner piece (see
+    `_subtree_sweep`).  The instances are numbered as if enumerated
     chain by chain in lexicographic order: a sample is unranked and folded
     by one descent and replayed through `check`, and the first chain with a
     `failing` value is enumerated in that order for the witness.
@@ -470,34 +469,33 @@ def _bundle_sweep(
     comps = component_family(max_ab, max_l)
     adjacency = chain_adjacency(comps)
     tables = [_CompTables(c, range(d_lo, max_d + 1), folds) for c in comps]
-    # the roles at (first piece, last piece), built once: the memo keys hold them
-    roles = {(f, l): _roles(folds, f, l) for f in (False, True) for l in (False, True)}
     start = frozenset({((0,) * len(folds), (cohomology.CHAIN_START[2:],) * len(folds), None): 1}.items())
     interned: dict = {}
 
     def children(node: tuple) -> list:
         i, dist, first = node
-        dist = frozenset(_extend(dist, tables[i], roles[first, False]).items())
+        dist = frozenset(_step(dist, tables[i], (first, False)).items())
         dist = interned.setdefault(dist, dist)
         return [(j, dist, False) for j in adjacency[i]]
 
     def own(node: tuple) -> tuple:
         i, dist, first = node
-        counts = _finish(dist, tables[i], roles[first, True])
+        counts = {values: m for (values, _, _), m in _step(dist, tables[i], (first, True)).items()}
         n = sum(counts.values())
         return (n, sum(m for values, m in counts.items() if failing(values)), *figures(counts, n))
 
     completions: dict = {}
 
     def descent(path: list) -> tuple:
-        tabs, last = [tables[node[0]] for node in path], len(path) - 1
-        return tabs, _descent(tabs, [roles[k == 0, k == last] for k in range(last + 1)], completions)
+        tabs = [tables[node[0]] for node in path]
+        return tabs, _descent(tabs, completions)
 
     def witness(path: list) -> dict:
         tabs, descend = descent(path)
         idx, values = next(w for w in map(descend, itertools.count()) if failing(w[1]))
         pieces = _listed_pieces(_pieces(tabs, idx))
-        return {"chain": _listed(tab.comp for tab in tabs), "pieces": pieces, **dict(zip(names, values))}
+        named = {fold[3]: value for fold, value in zip(folds, values)}
+        return {"chain": _listed(tab.comp for tab in tabs), "pieces": pieces, **named}
 
     def replay(path: list, ranks: range) -> list:
         tabs, descend = descent(path)
@@ -528,7 +526,7 @@ def suite_weak_convexity(
     check_arguments(locals())
     res = _bundle_sweep(
         "thm-weak-convexity", keys=("rank2_pairs", "rank2_failures", "sampled"), max_ab=max_ab, max_l=max_l,
-        max_d=max_d, max_len=max_len, workers=workers, d_lo=0, folds=(_CONVEX_SIDE,), names=("h1",),
+        max_d=max_d, max_len=max_len, workers=workers, d_lo=0, folds=(_CONVEX_SIDE,),
         failing=lambda v: v[0] != 0, figures=_convexity_figures, check=_api_check_convexity_instance,
     )
     res.failures += res.details.get("rank2_failures", 0)
@@ -555,8 +553,8 @@ def suite_weak_concavity(
     res = _bundle_sweep(
         "thm-weak-concavity", keys=("sampled", "rank2_pairs", "rank2_equiv_failures", "n_tt", "n_tf", "n_ft", "n_ff"),
         max_ab=max_ab, max_l=max_l, max_d=max_d, max_len=max_len, workers=workers, d_lo=-max_d,
-        folds=(_CONVEX_SIDE, _DUAL_SIDE), names=("h1", "h0_dual"), failing=lambda v: v[0] != v[1],
-        figures=_concavity_figures, check=_api_check_concavity_instance,
+        folds=(_CONVEX_SIDE, _DUAL_SIDE), failing=lambda v: v[0] != v[1], figures=_concavity_figures,
+        check=_api_check_concavity_instance,
     )
     res.failures += res.details.get("rank2_equiv_failures", 0)
     return res

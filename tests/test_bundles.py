@@ -2,6 +2,7 @@
 import pickle
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from orbicurve.bundles import (
     twist_marked,
 )
 from orbicurve.curves import CurveChain, MarkedPoint, TwistedComponent, present
+from orbicurve.foundation import InternalInconsistency
 from orbicurve.oracles import brute_force_age, iter_chains
 from orbicurve.suites import component_family
 
@@ -128,6 +130,15 @@ def test_age_matches_brute_force():
                     L = EqLineBundle(comp, k1, k2, d)
                     for pt in (MarkedPoint.X1, MarkedPoint.X2):
                         assert age_at(L, pt) == brute_force_age(L, pt), (L, pt)
+
+
+@pytest.mark.parametrize("pt", [MarkedPoint.X1, MarkedPoint.X2], ids=["x1", "x2"])
+def test_age_oracle_refuses_an_unfaithful_chart(pt):
+    # a = b = 2 is no component: no isotropy element turns the chart
+    # coordinate by a primitive root, and the oracle says so
+    comp = SimpleNamespace(a=2, b=2, l1=1, l2=1)
+    with pytest.raises(InternalInconsistency, match="is not faithful"):
+        brute_force_age(SimpleNamespace(comp=comp, k1=0, k2=0, d=0), pt)
 
 
 def test_canonical_bundle():

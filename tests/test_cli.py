@@ -300,6 +300,14 @@ def test_series_verify_golden_output(tmp_path, capsys, order):
     assert out == SERIES_GOLDEN[order] + "\n"
 
 
+def test_series_verify_reads_a_zero_value_as_no_entry(tmp_path, capsys):
+    # a kept entry of value 0, on a (class, psi power) key that no other entry reaches
+    zero = {"beta": {"degrees": [2, "1/2"]}, "psi_power": 3, "row": 1, "col": 1, "value": 0}
+    doc = {**SERIES_TABLE_DOC, "table": {"dim": 5, "entries": SERIES_TABLE_DOC["table"]["entries"] + [zero]}}
+    code, out, _ = run_cli(capsys, "--json", "series-verify", write_doc(tmp_path, doc))
+    assert (code, out) == (0, SERIES_GOLDEN["4"] + "\n")
+
+
 # The classes of SERIES_TABLE_DOC and two more, each class and sector written
 # several ways ("2/2" is 1, 4/3 is the sector 1/3), with two pairs of entries
 # that cancel: entries 0 and 2, and entries 8 and 9.

@@ -198,12 +198,20 @@ def test_end_flags_are_the_isotropy_test_on_a_wide_grid():
                     _check_end_flags(EqLineBundle(comp, k1, k2, d))
 
 
+# The bundles criterion 5's folds read at a piece L: L, L(-x2), dual L and dual L(-x1).
+FOLD_ROLES = (
+    lambda L: L,
+    lambda L: bundles.twist_marked(L, MarkedPoint.X2, -1),
+    dual,
+    lambda L: bundles.twist_marked(dual(L), MarkedPoint.X1, -1),
+)
+
+
 def test_end_flags_are_the_isotropy_test_in_every_fold_role():
-    # L, L(-x2), dual L and dual L(-x1) on criterion 5's grid
-    roles = suites._CONVEX_SIDE[:2] + suites._DUAL_SIDE[:2]
+    # on criterion 5's grid
     for comp_data in component_family(4, 4):
         for L in suites._bundle_grid(TwistedComponent(*comp_data), range(-8, 9)):
-            for role in roles:
+            for role in FOLD_ROLES:
                 _check_end_flags(role(L))
 
 
@@ -254,12 +262,11 @@ def _reachable_flags(step, start, patterns):
 
 def _fold_patterns():
     """The distinct `piece_ends` of criterion 5's grid in the four roles its folds read."""
-    roles = suites._CONVEX_SIDE[:2] + suites._DUAL_SIDE[:2]
     return {
         piece_ends(role(L))
         for comp_data in component_family(4, 4)
         for L in suites._bundle_grid(TwistedComponent(*comp_data), range(-8, 9))
-        for role in roles
+        for role in FOLD_ROLES
     }
 
 

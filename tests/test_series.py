@@ -287,6 +287,19 @@ def test_qsd_identity_random_tables_on_p1122_hypersurface_model():
         assert report.ok, report.first_violation
 
 
+def test_qsd_identity_reads_a_zero_value_as_no_entry():
+    # a kept entry of value 0 changes no check: one on a cell that another
+    # entry holds, one on a (class, psi power) key that no other entry reaches
+    m = WPSModel((1, 1, 2, 2), (1,))
+    table = random_invariant_table(m, 3, random.Random(0), n_classes=2)
+    e = table.entries[0]
+    assert (e.beta, 3) not in {(f.beta, f.psi_power) for f in table.entries}
+    zeros = (TableEntry(e.beta, e.psi_power, e.row, e.col, F(0)), TableEntry(e.beta, 3, 0, 0, F(0)))
+    plain = verify_qsd_operator_identity(table, m, 3)
+    padded = verify_qsd_operator_identity(InvariantTable(table.dim, table.entries + zeros), m, 3)
+    assert (padded.checks, padded.ok) == (plain.checks, plain.ok) == (150, True)
+
+
 def test_qsd_identity_detects_tampered_phase():
     # sanity of the verifier itself: breaking one transported entry must fail
     m = WPSModel((1, 1, 2, 2), (1,))

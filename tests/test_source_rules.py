@@ -17,7 +17,8 @@ alone: no other module names `pairing_blocks` or `_partner`.  The library is a
 function of its arguments: no module reads the process environment.  The one
 text the package turns into code is the input schema, in `cli._compile`: no
 other function names `exec`, `eval` or `compile`.  A phase has one type,
-`PhasedScalar`: no module names a `Phase` class or `from_phase`.
+`PhasedScalar`: no module names a `Phase` class or `from_phase`.  The
+`suites` replays read neither fold spec of the chain sweeps.
 """
 import ast
 from pathlib import Path
@@ -148,6 +149,16 @@ def test_suites_keep_no_cache_between_calls():
     path = Path(orbicurve.__file__).parent / "suites.py"
     names = set(_names(ast.parse(path.read_text(), filename=str(path))))
     assert names & {"lru_cache", "cache", "__getattr__"} == set()
+
+
+def test_replays_read_no_fold_spec():
+    # a replay twists and dualizes by its own code, so a fault in a fold spec
+    # shows as a disagreement with the elimination
+    path = Path(orbicurve.__file__).parent / "suites.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    replays = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_api_check_")]
+    assert len(replays) == 4
+    assert {"_CONVEX_SIDE", "_DUAL_SIDE"} & {name for node in replays for name in _names(node)} == set()
 
 
 @pytest.mark.parametrize("name", ["bundles.py", "cohomology.py"])

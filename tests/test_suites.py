@@ -635,17 +635,19 @@ def _reference_descent(concave: bool, tabs) -> list:
     """(ordinals, kept values) of every balanced bundle of a chain, listed in
     lexicographic order, so that the r-th entry is rank r.
 
-    Folds `chain_step` over each bundle on its own: L(-x2) for h1 and, on the
-    concavity side, dual(L)(-x1) for h0."""
-    step = cohomology.chain_step
-    (plain, tw2), (dualx, dtw1) = suites._CONVEX_SIDE[:2], suites._DUAL_SIDE[:2]
+    Folds `chain_step` over the `piece_ends` of each bundle's pieces, read
+    here and not from the tables: L(-x2) for h1 and, on the concavity side,
+    dual(L)(-x1) for h0."""
+    step, ends = cohomology.chain_step, cohomology.piece_ends
     out = []
     for idx in _assignments(tabs):
         conv = dual = cohomology.CHAIN_START
         for k, (tab, t) in enumerate(zip(tabs, idx)):
-            conv = step(conv, tab.ends[tw2 if k == len(idx) - 1 else plain][t])
+            L = tab.lines[t]
+            conv = step(conv, ends(bundles.twist_marked(L, MarkedPoint.X2, -1) if k == len(idx) - 1 else L))
             if concave:
-                dual = step(dual, tab.ends[dtw1 if k == 0 else dualx][t])
+                L = bundles.dual(L)
+                dual = step(dual, ends(bundles.twist_marked(L, MarkedPoint.X1, -1) if k == 0 else L))
         out.append((idx, (conv[1], dual[0]) if concave else (conv[1],)))
     return out
 
@@ -775,14 +777,12 @@ def _h0_fault(ends):
 def test_descent_matches_an_unranker_and_a_fold(monkeypatch, concave, grid, fault):
     if fault:
         monkeypatch.setattr(cohomology, "piece_ends", fault(cohomology.piece_ends))
-    folds = (suites._CONVEX_SIDE, suites._DUAL_SIDE) if concave else (suites._CONVEX_SIDE,)
     comps = suites.component_family(grid["max_ab"], grid["max_l"])
     tables = _tables(concave, grid["max_ab"], grid["max_l"], grid["max_d"])
     completions = {}  # shared by the chains, as in a suite call
     for chain in oracles.iter_chains(comps, grid["max_len"]):
         tabs = [tables[i] for i in chain]
-        n = len(tabs)
-        descend = suites._descent(tabs, [suites._roles(folds, k == 0, k == n - 1) for k in range(n)], completions)
+        descend = suites._descent(tabs, completions)
         expected = _reference_descent(concave, tabs)
         assert [descend(r) for r in range(len(expected))] == expected, chain
     if fault:
@@ -798,10 +798,11 @@ def test_descent_matches_an_unranker_and_a_fold(monkeypatch, concave, grid, faul
 
 def test_bundle_sweeps_finish_each_distinct_node_once(monkeypatch):
     # a node is (prefix distribution, last component, is-first): the grid
-    # (4, 4, 3, 3) has 3422 chains but 427 distinct nodes
+    # (4, 4, 3, 3) has 3422 chains but 427 distinct nodes, each stepped
+    # through its component as the last piece once
     calls = []
-    finish = suites._finish
-    monkeypatch.setattr(suites, "_finish", lambda *args: calls.append(args) or finish(*args))
+    step = suites._step
+    monkeypatch.setattr(suites, "_step", lambda *args: args[2][1] and calls.append(args) or step(*args))
     res = suites.suite_weak_convexity(4, 4, 3, 3, workers=1)
     assert res.instances == 201784
     assert len(calls) == len(set(calls)) == 427
@@ -818,8 +819,8 @@ def test_bundle_sweeps_keep_the_order_of_their_details():
 
 def test_sweeps_build_only_the_tables_they_read(monkeypatch):
     # a bundle sweep reads the fold data of each distinct bundle that its
-    # folds' roles map the grid of a component to, once; the log-canonical
-    # sweep reads the trivial bundle of each component and its twist by -x1
+    # folds map the grid of a component to, once; the log-canonical sweep
+    # reads the trivial bundle of each component and its twist by -x1
     built = []
     ends = cohomology.piece_ends
     monkeypatch.setattr(cohomology, "piece_ends", lambda L: built.append(L) or ends(L))
@@ -828,18 +829,18 @@ def test_sweeps_build_only_the_tables_they_read(monkeypatch):
     family = suites.component_family(3, 2)
     keyed = lambda L: (L.comp.a, L.comp.b, L.comp.l1, L.comp.l2, L.k1, L.k2, L.d)
 
-    def role_images(folds: tuple, ds: range) -> list:
-        """The distinct bundles that the roles of `folds` map the grids to, sorted by `keyed`."""
-        ends = [(first, last) for first in (False, True) for last in (False, True)]
-        roles = {role for first, last in ends for role, _ in suites._roles(folds, first, last)}
+    def images(roles: tuple, ds: range) -> list:
+        """The distinct bundles that `roles` map the grids to, sorted by `keyed`."""
         grids = [suites._bundle_grid(TwistedComponent(*c), ds) for c in family]
         return sorted({keyed(role(L)) for grid in grids for L in grid for role in roles})
 
+    convex = (lambda L: L, lambda L: bundles.twist_marked(L, MarkedPoint.X2, -1))
+    dual = (bundles.dual, lambda L: bundles.twist_marked(bundles.dual(L), MarkedPoint.X1, -1))
     suites.suite_weak_convexity(max_ab=3, max_l=2, max_d=2, max_len=3, workers=1)
-    assert sorted(map(keyed, built)) == role_images((suites._CONVEX_SIDE,), range(3))
+    assert sorted(map(keyed, built)) == images(convex, range(3))
     built.clear()
     suites.suite_weak_concavity(max_ab=3, max_l=2, max_d=2, max_len=3, workers=1)
-    assert sorted(map(keyed, built)) == role_images((suites._CONVEX_SIDE, suites._DUAL_SIDE), range(-2, 3))
+    assert sorted(map(keyed, built)) == images(convex + dual, range(-2, 3))
     # dual(L) runs over the symmetric grid itself: fewer reads than four roles on every grid bundle
     assert len(built) < 4 * 5 * sum(l1 * l2 for _, _, l1, l2 in family)
     built.clear()
@@ -864,6 +865,22 @@ def test_a_fault_after_a_clean_call_reaches_the_replays(monkeypatch, suite):
     monkeypatch.setattr(suites, "cohomology", SimpleNamespace(**{**vars(cohomology), "piece_ends": faulty}))
     with pytest.raises(cohomology.InternalInconsistency, match="elimination"):
         getattr(suites, suite)(**grid)
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [("_CONVEX_SIDE", (False, MarkedPoint.X1, 1, "h1")), ("_DUAL_SIDE", (False, MarkedPoint.X1, 0, "h0_dual"))],
+    ids=["convex-side-twisted-at-x1", "dual-side-not-dualized"],
+)
+def test_a_fault_in_a_fold_spec_reaches_the_replays(monkeypatch, name, fault):
+    # the replays twist and dualize by their own code, not by the fold specs,
+    # so a fold that reads the wrong bundles disagrees with the elimination
+    monkeypatch.setattr(suites, "SAMPLE_EVERY", 1)
+    grid = dict(max_ab=2, max_l=2, max_d=1, max_len=2, workers=1)
+    assert suites.suite_weak_concavity(**grid).ok
+    monkeypatch.setattr(suites, name, fault)
+    with pytest.raises(cohomology.InternalInconsistency, match="elimination"):
+        suites.suite_weak_concavity(**grid)
 
 
 @pytest.mark.parametrize("suite", ["suite_weak_convexity", "suite_weak_concavity"])
